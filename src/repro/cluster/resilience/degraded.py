@@ -63,6 +63,14 @@ class StaleRead:
         return self.current_version - self.row_versions
 
 
+def _fit_width(rows: np.ndarray, width: int) -> np.ndarray:
+    """Zero-pad ``rows`` on the right to ``width`` — what the store does to
+    resident rows when a table re-widens (rank growth of ``lora_a/*``)."""
+    if rows.shape[1] == width:
+        return rows
+    return np.pad(rows, ((0, 0), (0, width - rows.shape[1])))
+
+
 @dataclass
 class DegradedReadMode:
     """Client-side last-synced row cache behind degraded serving.
@@ -106,33 +114,39 @@ class DegradedReadMode:
         """
         self.as_of_version = max(self.as_of_version, int(synced_version))
         ids = np.asarray(ids, dtype=np.int64)
+        rows = np.asarray(rows)
         versions = np.asarray(versions, dtype=np.int64)
-        if ids.size == 0:
-            if table not in self._tables:
-                self._tables[table] = (
-                    ids,
-                    np.asarray(rows)[:0],
-                    versions,
-                )
-            return
+        if ids.size > 1 and not bool(np.all(ids[1:] > ids[:-1])):
+            # Unsorted or repeated ids: keep each id's freshest copy (the
+            # later one on a version tie), as the store's replica merge does.
+            order = np.lexsort((versions, ids))
+            by_id = ids[order]
+            order = order[np.r_[by_id[1:] != by_id[:-1], True]]
+            ids, rows, versions = ids[order], rows[order], versions[order]
         held = self._tables.get(table)
         if held is None:
-            order = np.argsort(ids)
-            self._tables[table] = (
-                ids[order], np.asarray(rows)[order], versions[order]
-            )
+            # Own copies: later merges overwrite these arrays in place.
+            self._tables[table] = (ids.copy(), rows.copy(), versions.copy())
             return
-        # Merge keep-freshest-per-id: same reconcile idiom as the store's
-        # replica merge, so repeated application of a delta is idempotent.
-        all_ids = np.concatenate((held[0], ids))
-        all_rows = np.concatenate((held[1], np.asarray(rows)), axis=0)
-        all_versions = np.concatenate((held[2], versions))
-        order = np.lexsort((all_versions, all_ids))
-        all_ids = all_ids[order]
-        last = np.r_[all_ids[1:] != all_ids[:-1], True]
-        self._tables[table] = (
-            all_ids[last], all_rows[order][last], all_versions[order][last]
-        )
+        # Sorted merge, O(delta log cache): an incoming row replaces the
+        # held one unless it is older (so replaying a delta is idempotent);
+        # only ids the cache has never seen cost a re-allocation.
+        held_ids, held_rows, held_versions = held
+        width = max(held_rows.shape[1], rows.shape[1])
+        held_rows, rows = _fit_width(held_rows, width), _fit_width(rows, width)
+        pos = np.searchsorted(held_ids, ids)
+        known = pos < held_ids.size
+        known[known] = held_ids[pos[known]] == ids[known]
+        fresh = known.copy()
+        fresh[known] = versions[known] >= held_versions[pos[known]]
+        held_rows[pos[fresh]] = rows[fresh]
+        held_versions[pos[fresh]] = versions[fresh]
+        if not known.all():
+            at, new = pos[~known], ~known
+            held_ids = np.insert(held_ids, at, ids[new])
+            held_rows = np.insert(held_rows, at, rows[new], axis=0)
+            held_versions = np.insert(held_versions, at, versions[new])
+        self._tables[table] = (held_ids, held_rows, held_versions)
 
     def serve(self, table: str, current_version: int | None = None) -> StaleRead:
         """Serve one table's cached rows with explicit staleness accounting.
@@ -156,11 +170,12 @@ class DegradedReadMode:
         current = (
             self.as_of_version if current_version is None else int(current_version)
         )
+        # Copies: the cache merges in place, a served read must not move.
         return StaleRead(
             table=table,
-            ids=entry[0],
-            rows=entry[1],
-            row_versions=entry[2],
+            ids=entry[0].copy(),
+            rows=entry[1].copy(),
+            row_versions=entry[2].copy(),
             as_of_version=self.as_of_version,
             current_version=current,
         )

@@ -617,28 +617,16 @@ class ShardClient:
         deltas: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         total_rows = 0
         for table in tables:
+            # Primaries own disjoint key sets; empty parts keep the
+            # table's width, so they merge without special-casing.
             parts = [
                 store.pull_delta_primary(table, since, sid)
                 for sid in clean_ids
             ]
-            parts = [p for p in parts if p[0].size]
-            recon_part = store.pull_delta_ranges(
-                table, since, recon_ids, available
+            parts.append(
+                store.pull_delta_ranges(table, since, recon_ids, available)
             )
-            if recon_part[0].size:
-                parts.append(recon_part)
-            if parts:
-                ids = np.concatenate([p[0] for p in parts])
-                rows = np.concatenate([p[1] for p in parts], axis=0)
-                versions = np.concatenate([p[2] for p in parts])
-                order = np.argsort(ids)  # primaries own disjoint key sets
-                ids, rows, versions = ids[order], rows[order], versions[order]
-            else:
-                ids = np.empty(0, dtype=np.int64)
-                rows = np.zeros(
-                    (0, store.dim_of(table)), dtype=store.row_dtype
-                )
-                versions = np.empty(0, dtype=np.int64)
+            ids, rows, versions = store._merge_disjoint(parts)
             if row_filter is not None and ids.size:
                 keep = np.isin(ids, row_filter)
                 ids, rows, versions = ids[keep], rows[keep], versions[keep]
@@ -695,29 +683,6 @@ class ShardClient:
         policy = self.resilience
         store = self.store
         self._advance_policy_clock(start_s + budget.total_s)
-        if policy.degraded is None:
-            report = ClientTransferReport(
-                version=since,
-                rows=0,
-                bytes=0,
-                seconds=budget.total_s,
-                tables=list(tables),
-                outcome="degraded",
-                degraded=True,
-                attempts=attempts,
-                hedges=hedges,
-                retries=retries,
-            )
-            self.pull_log.append(report)
-            self._record_pull_metrics(report, attempt_lat)
-            raise DegradedReadError(list(tables), since, store.version)
-        deltas = {
-            table: (
-                np.empty(0, dtype=np.int64),
-                np.zeros((0, store.dim_of(table)), dtype=store.row_dtype),
-            )
-            for table in tables
-        }
         report = ClientTransferReport(
             version=since,
             rows=0,
@@ -732,7 +697,9 @@ class ShardClient:
         )
         self.pull_log.append(report)
         self._record_pull_metrics(report, attempt_lat)
-        return deltas, report
+        if policy.degraded is None:
+            raise DegradedReadError(list(tables), since, store.version)
+        return {table: store.empty_delta(table)[:2] for table in tables}, report
 
     def _advance_policy_clock(self, target_s: float) -> None:
         """Move the policy's shared sim clock forward, never backward."""

@@ -11,6 +11,14 @@ The log idiom follows the low-rank delta-update storage of git-theta
 (checkpoint-vcs): persist what changed per version, reconstruct any
 read-point by slicing, and compact losslessly by keeping the latest entry
 per id.
+
+Every resident row also carries a *primary bit*, written with the row: set
+on the replica that is rank 0 of the row's owner list.  A primary-range
+read is then the log slice plus a boolean gather — no re-hashing of ids
+through the placement ring.  :meth:`_TableBlock.delta` is the one delta
+read; it memoises the slices of its last sync point until the block next
+mutates, so every reader at that sync point shares one set of (read-only)
+arrays.
 """
 
 from __future__ import annotations
@@ -21,7 +29,11 @@ import numpy as np
 
 from ...core.kernels import IdSlotTable
 
-__all__ = ["ShardStats", "ParameterShard"]
+__all__ = ["DeltaSlice", "ShardStats", "ParameterShard"]
+
+#: ``(ids, rows, versions)`` of one delta read: ids ascending, the rows'
+#: current payloads, and the store version each was last written at.
+DeltaSlice = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 @dataclass
@@ -48,6 +60,8 @@ class _TableBlock:
         self.slots = IdSlotTable(capacity)
         self.rows = np.zeros((capacity, dim), dtype=self.dtype)
         self.row_version = np.zeros(capacity, dtype=np.int64)
+        # True where this shard is rank 0 of the row's replica owners.
+        self.primary = np.zeros(capacity, dtype=bool)
         # Append-only (version, id) log, sorted by version by construction.
         self._log_versions = np.empty(64, dtype=np.int64)
         self._log_ids = np.empty(64, dtype=np.int64)
@@ -56,6 +70,10 @@ class _TableBlock:
         # log (watermark compaction); older sync points fall back to an
         # exact resident-table scan over ``row_version``.
         self.log_floor = 0
+        # Slices of the last sync point read, valid until the next mutation:
+        # None -> (ids, slots), primary_only -> (ids, rows, versions).
+        self._memo_since = 0
+        self._memo: dict[bool | None, tuple[np.ndarray, ...]] = {}
 
     # -------------------------------------------------------------- geometry
     @property
@@ -79,6 +97,7 @@ class _TableBlock:
         wider[:, : self.dim] = self.rows
         self.rows = wider
         self.dim = dim
+        self._memo.clear()
 
     def _grow_block(self, need: int) -> None:
         """Double the row block, repacking slots to ``0..n-1`` in key order."""
@@ -87,11 +106,14 @@ class _TableBlock:
         new_capacity = max(self.capacity * 2, self.slots.size + need)
         new_rows = np.zeros((new_capacity, self.dim), dtype=self.dtype)
         new_versions = np.zeros(new_capacity, dtype=np.int64)
+        new_primary = np.zeros(new_capacity, dtype=bool)
         new_rows[: keys.size] = self.rows[old_slots]
         new_versions[: keys.size] = self.row_version[old_slots]
+        new_primary[: keys.size] = self.primary[old_slots]
         self.slots.rebuild_sorted(keys, new_capacity)
         self.rows = new_rows
         self.row_version = new_versions
+        self.primary = new_primary
         self.capacity = new_capacity
 
     def _ensure_slots(self, ids: np.ndarray) -> np.ndarray:
@@ -112,7 +134,9 @@ class _TableBlock:
         self._log_len += n
 
     # ---------------------------------------------------------------- writes
-    def publish(self, ids: np.ndarray, rows: np.ndarray, version: int) -> int:
+    def publish(
+        self, ids: np.ndarray, rows: np.ndarray, version: int, primary: np.ndarray
+    ) -> int:
         """Write unique, sorted ``ids`` at ``version``.
 
         Parameters
@@ -124,6 +148,8 @@ class _TableBlock:
             ``(len(ids), dim)`` payloads.
         version : int
             Version stamped on the rows and appended to the delta log.
+        primary : numpy.ndarray of bool
+            Per row, whether this shard is rank 0 of its replica owners.
 
         Returns
         -------
@@ -133,11 +159,17 @@ class _TableBlock:
         slots = self._ensure_slots(ids)
         self.rows[slots] = rows
         self.row_version[slots] = version
+        self.primary[slots] = primary
         self._log_append(version, ids)
+        self._memo.clear()
         return int(ids.size)
 
     def ingest(
-        self, ids: np.ndarray, rows: np.ndarray, versions: np.ndarray
+        self,
+        ids: np.ndarray,
+        rows: np.ndarray,
+        versions: np.ndarray,
+        primary: np.ndarray,
     ) -> None:
         """Adopt rows migrated from another shard, preserving their versions.
 
@@ -147,6 +179,8 @@ class _TableBlock:
         slots = self._ensure_slots(ids)
         self.rows[slots] = rows
         self.row_version[slots] = versions
+        self.primary[slots] = primary
+        self._memo.clear()
         before = self._log_len
         self._log_append(0, ids)  # placeholder versions, overwritten next
         self._log_versions[before : self._log_len] = versions
@@ -159,7 +193,12 @@ class _TableBlock:
             self._log_versions[: self._log_len] = merged[order]
             self._log_ids[: self._log_len] = self._log_ids[: self._log_len][order]
 
-    def drop(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def retag_primary(self, ids: np.ndarray, primary: np.ndarray) -> None:
+        """Rewrite the primary bit of resident ``ids`` (the ring changed)."""
+        self.primary[self.slots.lookup_present(ids)] = primary
+        self._memo.clear()
+
+    def drop(self, ids: np.ndarray) -> DeltaSlice:
         """Evict rows for shard rebalancing.
 
         Parameters
@@ -180,6 +219,7 @@ class _TableBlock:
         out_rows = self.rows[slots].copy()
         out_versions = self.row_version[slots].copy()
         self.slots.remove(ids)
+        self._memo.clear()
         keep = ~np.isin(self._log_ids[: self._log_len], ids)
         kept = int(keep.sum())
         self._log_versions[:kept] = self._log_versions[: self._log_len][keep]
@@ -197,11 +237,12 @@ class _TableBlock:
         entirely (the log *truncates*): every registered reader has a sync
         point at or above the watermark, so nobody needs them from the
         log.  Readers older than the truncation floor are still served
-        exactly — :meth:`changed_ids` falls back to a resident-table scan
+        exactly — :meth:`delta` falls back to a resident-table scan
         over ``row_version``, which never forgets — it just stops being
         O(changed rows) for them.
         """
         n = self._log_len
+        self._memo.clear()
         if n == 0:
             if watermark is not None:
                 self.log_floor = max(self.log_floor, watermark)
@@ -220,82 +261,77 @@ class _TableBlock:
         return n - kept
 
     # ----------------------------------------------------------------- reads
-    def changed_ids(self, since_version: int) -> np.ndarray:
-        """Unique ids with log entries newer than ``since_version``.
+    def _changed(self, since_version: int) -> tuple[np.ndarray, np.ndarray]:
+        """``(ids, slots)`` of rows newer than ``since_version``, memoised.
 
         O(changed rows): one ``searchsorted`` into the version-sorted log
-        plus a slice — never a scan of the resident table.
-
-        Parameters
-        ----------
-        since_version : int
-            Exclusive lower version bound.
-
-        Returns
-        -------
-        numpy.ndarray of int64
-            Changed ids, unique and ascending.
+        plus a slice — never a scan of the resident table, unless the log
+        was truncated past this sync point; then the answer comes exactly
+        from the resident version vector (O(resident), the price of
+        reading below the compaction watermark).
         """
+        if since_version != self._memo_since:
+            self._memo.clear()
+            self._memo_since = since_version
+        hit = self._memo.get(None)
+        if hit is not None:
+            return hit
         if since_version < self.log_floor:
-            # The log was truncated past this sync point; answer exactly
-            # from the resident version vector instead (O(resident), the
-            # price of reading below the compaction watermark).
             ids = self.resident_ids
             slots = self.slots.lookup(ids)
-            return ids[self.row_version[slots] > since_version]
-        start = int(
-            np.searchsorted(
-                self._log_versions[: self._log_len], since_version, side="right"
+            newer = self.row_version[slots] > since_version
+            hit = ids[newer], slots[newer]
+        else:
+            start = int(
+                np.searchsorted(
+                    self._log_versions[: self._log_len], since_version, side="right"
+                )
             )
-        )
-        if start == self._log_len:
-            return np.empty(0, dtype=np.int64)
-        tail = self._log_ids[start : self._log_len]
-        # The common steady-state tail is a single publish segment, already
-        # sorted-unique by construction; skip the np.unique sort then.
-        if tail.size == 1 or bool(np.all(tail[1:] > tail[:-1])):
-            return tail.copy()
-        return np.unique(tail)
+            tail = self._log_ids[start : self._log_len]
+            # The common steady-state tail is a single publish segment,
+            # already sorted-unique by construction; skip the sort then.
+            if tail.size > 1 and not bool(np.all(tail[1:] > tail[:-1])):
+                tail = np.unique(tail)
+            # every logged id is resident by construction
+            hit = tail, self.slots.lookup_present(tail)
+        self._memo[None] = hit
+        return hit
 
-    def delta_since(self, since_version: int) -> tuple[np.ndarray, np.ndarray]:
-        """Payloads for every row changed after ``since_version``.
+    def changed_count(self, since_version: int) -> int:
+        return int(self._changed(since_version)[0].size)
+
+    def delta(self, since_version: int, primary_only: bool) -> DeltaSlice:
+        """The one delta read: rows changed after ``since_version``.
 
         Parameters
         ----------
         since_version : int
             Exclusive lower version bound.
+        primary_only : bool
+            Keep only the rows whose primary bit is set — this shard's own
+            key range, disjoint from every other shard's.
 
         Returns
         -------
-        ids : numpy.ndarray of int64
-            Changed ids, ascending.
-        rows : numpy.ndarray
-            Their current ``(len(ids), dim)`` payloads.
+        ids, rows, versions : numpy.ndarray
+            Changed ids ascending, their current payloads and versions
+            (what replicated reads reconcile on).  The arrays are
+            **read-only** and shared by every reader of this sync point
+            until the block next mutates; copy before writing.
         """
-        ids = self.changed_ids(since_version)
-        if ids.size == 0:
-            return ids, np.zeros((0, self.dim), dtype=self.dtype)
-        # every logged id is resident by construction
-        return ids, self.rows[self.slots.lookup_present(ids)]
-
-    def delta_with_versions(
-        self, since_version: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Like :meth:`delta_since`, plus each row's current version.
-
-        The version column is what replicated reads reconcile on: when
-        replicas diverge (a publish landed while one owner was down), the
-        merge keeps each id's highest-versioned copy.
-        """
-        ids = self.changed_ids(since_version)
-        if ids.size == 0:
-            return (
-                ids,
-                np.zeros((0, self.dim), dtype=self.dtype),
-                np.empty(0, dtype=np.int64),
-            )
-        slots = self.slots.lookup_present(ids)
-        return ids, self.rows[slots], self.row_version[slots]
+        ids, slots = self._changed(since_version)
+        hit = self._memo.get(primary_only)
+        if hit is None:
+            if primary_only:
+                keep = self.primary[slots]
+                ids, slots = ids[keep], slots[keep]
+            else:
+                ids = ids.copy()  # may be a view of the log
+            hit = (ids, self.rows[slots], self.row_version[slots])
+            for arr in hit:
+                arr.flags.writeable = False
+            self._memo[primary_only] = hit
+        return hit
 
     def lookup_rows(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Point gather; returns ``(found_mask, rows)`` with zeros on miss."""
@@ -317,7 +353,7 @@ class _TableBlock:
         versions[found] = self.row_version[slots[found]]
         return found, out, versions
 
-    def export_all(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def export_all(self) -> DeltaSlice:
         ids = self.resident_ids
         slots = self.slots.lookup(ids)
         return ids, self.rows[slots].copy(), self.row_version[slots].copy()
@@ -361,16 +397,23 @@ class ParameterShard:
         return block.resident_ids if block else np.empty(0, dtype=np.int64)
 
     # ---------------------------------------------------------------- writes
-    def publish(
-        self, table: str, ids: np.ndarray, rows: np.ndarray, version: int
-    ) -> int:
-        """Write unique sorted ids; charges write stats; returns rows written."""
+    def _block_for(self, table: str, dim: int) -> _TableBlock:
         block = self._blocks.get(table)
         if block is None:
-            block = self._blocks[table] = _TableBlock(
-                dim=rows.shape[1], dtype=self.row_dtype
-            )
-        written = block.publish(ids, rows, version)
+            block = self._blocks[table] = _TableBlock(dim=dim, dtype=self.row_dtype)
+        return block
+
+    def publish(
+        self,
+        table: str,
+        ids: np.ndarray,
+        rows: np.ndarray,
+        version: int,
+        primary: np.ndarray,
+    ) -> int:
+        """Write unique sorted ids; charges write stats; returns rows written."""
+        block = self._block_for(table, rows.shape[1])
+        written = block.publish(ids, rows, version, primary)
         self.stats.rows_written += written
         self.stats.bytes_written += written * self.row_bytes
         return written
@@ -381,25 +424,24 @@ class ParameterShard:
         ids: np.ndarray,
         rows: np.ndarray,
         versions: np.ndarray,
+        primary: np.ndarray,
     ) -> None:
-        if ids.size == 0:
-            return
-        block = self._blocks.get(table)
-        if block is None:
-            block = self._blocks[table] = _TableBlock(
-                dim=rows.shape[1], dtype=self.row_dtype
+        if ids.size:
+            self._block_for(table, rows.shape[1]).ingest(
+                ids, rows, versions, primary
             )
-        block.ingest(ids, rows, versions)
 
-    def drop(self, table: str, ids: np.ndarray):
+    def retag_primary(
+        self, table: str, ids: np.ndarray, primary: np.ndarray
+    ) -> None:
+        if ids.size:
+            self._blocks[table].retag_primary(ids, primary)
+
+    def drop(self, table: str, ids: np.ndarray) -> DeltaSlice | None:
+        """Evict ``ids``; the evicted triple, or None if the table is
+        unknown here (nothing to evict, and no width to shape an empty)."""
         block = self._blocks.get(table)
-        if block is None:
-            return (
-                np.empty(0, dtype=np.int64),
-                np.zeros((0, 1), dtype=self.row_dtype),
-                np.empty(0, dtype=np.int64),
-            )
-        return block.drop(ids)
+        return None if block is None else block.drop(ids)
 
     def compact(self, watermark: int | None = None) -> int:
         """Compact every table's delta log; returns total entries dropped.
@@ -415,36 +457,23 @@ class ParameterShard:
 
     # ----------------------------------------------------------------- reads
     def pull_delta(
-        self, table: str, since_version: int, charge: bool = True
-    ) -> tuple[np.ndarray, np.ndarray]:
+        self,
+        table: str,
+        since_version: int,
+        primary_only: bool = False,
+        charge: bool = True,
+    ) -> DeltaSlice | None:
+        """Read-only ``(ids, rows, versions)`` slice (see
+        :meth:`_TableBlock.delta`); None if the table is unknown here.
+        Every read is charged, whether or not it hit the block's memo."""
         block = self._blocks.get(table)
         if block is None:
-            return (
-                np.empty(0, dtype=np.int64),
-                np.zeros((0, 1), dtype=self.row_dtype),
-            )
-        ids, rows = block.delta_since(since_version)
-        if charge and ids.size:
-            self.stats.rows_read += int(ids.size)
-            self.stats.bytes_read += int(ids.size) * self.row_bytes
-        return ids, rows
-
-    def pull_delta_versions(
-        self, table: str, since_version: int, charge: bool = True
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Delta slice with row versions, for replicated-read reconciliation."""
-        block = self._blocks.get(table)
-        if block is None:
-            return (
-                np.empty(0, dtype=np.int64),
-                np.zeros((0, 1), dtype=self.row_dtype),
-                np.empty(0, dtype=np.int64),
-            )
-        ids, rows, versions = block.delta_with_versions(since_version)
-        if charge and ids.size:
-            self.stats.rows_read += int(ids.size)
-            self.stats.bytes_read += int(ids.size) * self.row_bytes
-        return ids, rows, versions
+            return None
+        part = block.delta(since_version, primary_only)
+        if charge and part[0].size:
+            self.stats.rows_read += int(part[0].size)
+            self.stats.bytes_read += int(part[0].size) * self.row_bytes
+        return part
 
     def pull_rows_versions(
         self, table: str, ids: np.ndarray, charge: bool = True
@@ -460,9 +489,7 @@ class ParameterShard:
             self.stats.bytes_read += hits * self.row_bytes
         return found, rows, versions
 
-    def export_table(
-        self, table: str
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    def export_table(self, table: str) -> DeltaSlice | None:
         """Every resident ``(ids, rows, versions)`` of one table; None if
         the table is unknown here.  Rows and versions are copies, safe to
         keep across subsequent drops (rebalancing exports before moving)."""
@@ -471,7 +498,7 @@ class ParameterShard:
 
     def changed_count(self, table: str, since_version: int) -> int:
         block = self._blocks.get(table)
-        return 0 if block is None else int(block.changed_ids(since_version).size)
+        return 0 if block is None else block.changed_count(since_version)
 
     def pull_rows(
         self, table: str, ids: np.ndarray

@@ -48,7 +48,7 @@ from ...core.dtypes import as_float32_rows, as_float64_rows
 from ...obs.metrics import registry as _obs_registry
 from ...obs.recorder import flight_recorder as _flight_recorder
 from .placement import ShardPlacement
-from .shard import ParameterShard, ShardStats
+from .shard import DeltaSlice, ParameterShard, ShardStats
 
 __all__ = [
     "QuorumError",
@@ -136,6 +136,7 @@ class RepairTask:
     ids: np.ndarray
     rows: np.ndarray
     versions: np.ndarray
+    primary: np.ndarray  # per row: is ``shard_id`` rank 0 of its owners
 
     @property
     def num_rows(self) -> int:
@@ -440,6 +441,7 @@ class ShardedParameterStore:
         rows: np.ndarray,
         owner_flat: np.ndarray,
         row_idx: np.ndarray,
+        rank0: np.ndarray,
         version: int,
     ) -> int:
         """One partition pass over the flattened ``(row, rank)`` writes.
@@ -448,7 +450,8 @@ class ShardedParameterStore:
         flattened matrix by shard still hands every shard unique ids —
         one ingest per shard instead of one per ``(rank, shard)``, which
         amortizes the slot-table searchsorted cost over R-times-larger
-        batches.
+        batches.  ``rank0`` marks the writes landing on a row's primary;
+        each shard stores it as the row's primary bit.
         """
         if owner_flat.size == 0:
             return 0
@@ -457,13 +460,13 @@ class ShardedParameterStore:
         if int(owner_flat[owner_flat.argmax()]) <= np.iinfo(np.uint16).max:
             sort_key = owner_flat.astype(np.uint16)
         order = np.argsort(sort_key, kind="stable")
-        owner_flat, row_idx = owner_flat[order], row_idx[order]
+        owner_flat, row_idx, rank0 = owner_flat[order], row_idx[order], rank0[order]
         bounds = np.flatnonzero(np.r_[True, owner_flat[1:] != owner_flat[:-1]])
         written = 0
         for start, stop in zip(bounds, np.r_[bounds[1:], owner_flat.size]):
             take = row_idx[start:stop]
             written += self.shards[int(owner_flat[start])].publish(
-                table, ids[take], rows[take], version
+                table, ids[take], rows[take], version, rank0[start:stop]
             )
         return written
 
@@ -483,11 +486,14 @@ class ShardedParameterStore:
         row_idx = np.repeat(
             np.arange(ids.size, dtype=np.int64), self.replication
         )
+        rank0 = np.zeros(owners.shape, dtype=bool)
+        rank0[:, 0] = True
+        rank0 = rank0.ravel()
         if mask is not None:
             sel = mask.ravel()
-            owner_flat, row_idx = owner_flat[sel], row_idx[sel]
+            owner_flat, row_idx, rank0 = owner_flat[sel], row_idx[sel], rank0[sel]
         written = self._scatter_shards(
-            table, ids, rows, owner_flat, row_idx, version
+            table, ids, rows, owner_flat, row_idx, rank0, version
         )
         if mask is not None and not mask.all():
             for sid in np.unique(owners[~mask]):
@@ -597,9 +603,7 @@ class ShardedParameterStore:
 
     # ----------------------------------------------------------------- reads
     @staticmethod
-    def _reconcile_parts(
-        parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _reconcile_parts(parts: list[DeltaSlice]) -> DeltaSlice:
         """Merge per-replica ``(ids, rows, versions)`` slices per-row.
 
         Each id keeps its highest-versioned copy — the read-side half of
@@ -614,6 +618,17 @@ class ShardedParameterStore:
         ids, rows, versions = ids[order], rows[order], versions[order]
         last = np.r_[ids[1:] != ids[:-1], True]
         return ids[last], rows[last], versions[last]
+
+    @staticmethod
+    def _merge_disjoint(parts: list[DeltaSlice]) -> DeltaSlice:
+        """Concatenate slices of disjoint key ranges, ordered by id — one
+        copy per row, so nothing to reconcile.  The result is the
+        caller's own: the (shared, read-only) parts are copied."""
+        order = np.argsort(np.concatenate([p[0] for p in parts]))
+        ids, rows, versions = (
+            np.concatenate([p[k] for p in parts], axis=0)[order] for k in range(3)
+        )
+        return ids, rows, versions
 
     def pull_rows(
         self, table: str, indices: np.ndarray
@@ -674,12 +689,39 @@ class ShardedParameterStore:
                 best[sub] = versions[fresher]
         return mask, out
 
+    def empty_delta(self, table: str) -> DeltaSlice:
+        """Zero-row ``(ids, rows, versions)`` of ``table``'s width and lane."""
+        return (
+            np.empty(0, dtype=np.int64),
+            np.zeros((0, self.dim_of(table)), dtype=self.row_dtype),
+            np.empty(0, dtype=np.int64),
+        )
+
+    def _slices(
+        self,
+        table: str,
+        since_version: int,
+        shard_ids: list[int],
+        primary_only: bool,
+        charge: bool = True,
+    ) -> list[DeltaSlice]:
+        """The non-empty delta slices of ``shard_ids``: every delta read
+        of the store goes through this one shard primitive."""
+        parts = (
+            self.shards[sid].pull_delta(table, since_version, primary_only, charge)
+            for sid in shard_ids
+        )
+        return [p for p in parts if p is not None and p[0].size]
+
     def pull_delta(
         self, table: str, since_version: int
     ) -> tuple[np.ndarray, np.ndarray, int]:
         """All rows of ``table`` newer than ``since_version``; O(changed).
 
-        Under replication the delta is reconciled across every live
+        With every shard live and none suspect past ``since_version``,
+        each primary answers for its own key range from its own log: the
+        slices are disjoint and carry one copy per row, so they only need
+        ordering.  Otherwise the delta is reconciled across every live
         replica's log (per-row max version), so a killed shard never
         hides an acknowledged publish that reached its quorum — the read
         fails over to whichever surviving copy is freshest, row by row.
@@ -702,34 +744,16 @@ class ShardedParameterStore:
         current_version : int
             The store version — the caller's new sync point.
         """
-        if self.replication == 1 and not self._down:
-            parts = [
-                self.shards[sid].pull_delta(table, since_version)
-                for sid in self.shard_ids
-            ]
-            parts = [p for p in parts if p[0].size]
-            if not parts:
-                return (
-                    np.empty(0, dtype=np.int64),
-                    np.zeros((0, self.dim_of(table)), dtype=self.row_dtype),
-                    self.version,
-                )
-            ids = np.concatenate([p[0] for p in parts])
-            rows = np.concatenate([p[1] for p in parts], axis=0)
-            order = np.argsort(ids)  # shards own disjoint key sets
-            return ids[order], rows[order], self.version
-        parts = [
-            self.shards[sid].pull_delta_versions(table, since_version)
-            for sid in self.live_shard_ids
-        ]
-        parts = [p for p in parts if p[0].size]
+        healthy = not self._down and not self.suspect_shard_ids(since_version)
+        parts = self._slices(
+            table, since_version, self.live_shard_ids, primary_only=healthy
+        )
         if not parts:
-            return (
-                np.empty(0, dtype=np.int64),
-                np.zeros((0, self.dim_of(table)), dtype=self.row_dtype),
-                self.version,
-            )
-        ids, rows, _ = self._reconcile_parts(parts)
+            ids, rows, _ = self.empty_delta(table)
+        elif healthy:
+            ids, rows, _ = self._merge_disjoint(parts)
+        else:
+            ids, rows, _ = self._reconcile_parts(parts)
         return ids, rows, self.version
 
     # ------------------------------------------------ resilient-read surface
@@ -744,6 +768,8 @@ class ShardedParameterStore:
         rows from an earlier (quorum-reconciled) sync.
         """
         out: list[int] = []
+        if not self._missed:
+            return out
         for sid in self.live_shard_ids:
             missed = self._missed.get(sid)
             if missed and any(v > since_version for v in missed):
@@ -752,32 +778,32 @@ class ShardedParameterStore:
 
     def pull_delta_primary(
         self, table: str, since_version: int, shard_id: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    ) -> DeltaSlice:
         """One shard's own delta slice, restricted to rows it is primary for.
 
         The resilient client's cheap path: a clean primary (live, not
         suspect past ``since_version``) answers for its own key range
         from its local log — one replica's bytes instead of the R-way
-        reconciled read.  Exactness for a *suspect* or dead primary is
-        the caller's problem (see :meth:`pull_delta_ranges`).
+        reconciled read, selected by the rows' primary bit (no re-hash).
+        Exactness for a *suspect* or dead primary is the caller's problem
+        (see :meth:`pull_delta_ranges`).
 
         Returns
         -------
         ids, rows, versions : numpy.ndarray
             The shard's changed rows whose primary owner it is,
             ascending by id, with the store version of each write.
+            Read-only: the slice is shared with every reader at this
+            sync point.
         """
         if shard_id not in self.shards:
             raise KeyError(f"unknown shard {shard_id}")
         if shard_id in self._down:
             raise RuntimeError(f"shard {shard_id} is down")
-        ids, rows, versions = self.shards[shard_id].pull_delta_versions(
-            table, since_version
+        part = self.shards[shard_id].pull_delta(
+            table, since_version, primary_only=True
         )
-        if ids.size == 0:
-            return ids, rows, versions
-        primary = self.placement.shard_of(table, ids) == shard_id
-        return ids[primary], rows[primary], versions[primary]
+        return self.empty_delta(table) if part is None else part
 
     def pull_delta_ranges(
         self,
@@ -785,7 +811,7 @@ class ShardedParameterStore:
         since_version: int,
         primary_ids: list[int],
         from_shards: list[int],
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    ) -> DeltaSlice:
         """Reconciled delta for the key ranges of selected primaries.
 
         The resilient client's failover path: when some primaries are
@@ -795,38 +821,49 @@ class ShardedParameterStore:
         merge :meth:`pull_delta` uses, restricted to the uncovered key
         ranges so healthy primaries' bytes are not re-transferred.
 
+        A reconciled row belongs to the requested ranges unless a primary
+        *outside* ``primary_ids`` claims it through its primary bit, so
+        every live shard outside ``primary_ids`` must be clean for
+        ``since_version`` — which is how the resilient client splits the
+        ring: clean primaries answer for themselves, this read takes
+        everything else.
+
         Returns
         -------
         ids, rows, versions : numpy.ndarray
             Changed rows whose primary owner is in ``primary_ids``,
             ascending by id, with the store version of each write.
         """
-        empty = (
-            np.empty(0, dtype=np.int64),
-            np.zeros((0, self.dim_of(table)), dtype=self.row_dtype),
-            np.empty(0, dtype=np.int64),
-        )
         if not primary_ids or not from_shards:
-            return empty
-        parts = []
-        for sid in from_shards:
-            if sid in self._down:
-                continue
-            part = self.shards[sid].pull_delta_versions(table, since_version)
-            if part[0].size:
-                parts.append(part)
+            return self.empty_delta(table)
+        parts = self._slices(
+            table,
+            since_version,
+            [sid for sid in from_shards if sid not in self._down],
+            primary_only=False,
+        )
         if not parts:
-            return empty
+            return self.empty_delta(table)
         ids, rows, versions = self._reconcile_parts(parts)
-        primaries = np.asarray(sorted(set(int(s) for s in primary_ids)), dtype=np.int64)
-        keep = np.isin(self.placement.shard_of(table, ids), primaries)
-        return ids[keep], rows[keep], versions[keep]
+        wanted = {int(sid) for sid in primary_ids}
+        claimed = self._slices(
+            table,
+            since_version,
+            [sid for sid in self.live_shard_ids if sid not in wanted],
+            primary_only=True,
+            charge=False,
+        )
+        if claimed:
+            keep = ~np.isin(ids, np.concatenate([c[0] for c in claimed]))
+            ids, rows, versions = ids[keep], rows[keep], versions[keep]
+        return ids, rows, versions
 
     def delta_volume_bytes(self, table: str, since_version: int) -> int:
-        """Bytes a delta pull *would* transfer (no read accounting).
+        """Upper bound on the bytes a delta pull reads (no accounting).
 
-        Under replication this counts every live replica's log slice —
-        the same volume the reconciled pull actually reads.
+        Counts every live replica's log slice: what the reconciled pull
+        reads while a shard is down or suspect.  A healthy pull reads
+        each row once, from its primary — ``1/replication`` of this.
         """
         return self.row_bytes * sum(
             self.shards[sid].changed_count(table, since_version)
@@ -899,13 +936,18 @@ class ShardedParameterStore:
         delta logs since its oldest miss, keep the rows the shard owns
         (any replica rank), and diff against the shard's own row versions
         — the tasks list exactly the copies it is behind on.  Shards
-        still down are reported in ``stale_shards`` only once revived.
+        still down are reported in ``stale_shards`` only once revived,
+        and nobody is while a quorum of shards is down: a missed row's
+        every fresh copy may then be unreachable, so the copies made do
+        not prove the shard current and its ledger entry must stay.
         """
         plan = RepairPlan()
+        provable = len(self._down) < self.quorum
         for sid in sorted(self._missed):
             if sid in self._down or not self._missed[sid]:
                 continue
-            plan.stale_shards.append(sid)
+            if provable:
+                plan.stale_shards.append(sid)
             since = min(self._missed[sid]) - 1
             shard = self.shards[sid]
             peers = [p for p in self.live_shard_ids if p != sid]
@@ -913,25 +955,20 @@ class ShardedParameterStore:
                 {t for p in peers for t in self.shards[p].tables}
             )
             for table in tables:
-                parts = [
-                    self.shards[p].pull_delta_versions(
-                        table, since, charge=False
-                    )
-                    for p in peers
-                ]
-                parts = [p for p in parts if p[0].size]
+                parts = self._slices(
+                    table, since, peers, primary_only=False, charge=False
+                )
                 if not parts:
                     continue
                 ids, rows, versions = self._reconcile_parts(parts)
-                owned = (
-                    self.placement.replica_owners(
-                        table, ids, self.replication
-                    )
-                    == sid
-                ).any(axis=1)
+                owners = self.placement.replica_owners(
+                    table, ids, self.replication
+                )
+                owned = (owners == sid).any(axis=1)
                 if not owned.any():
                     continue
                 ids, rows, versions = ids[owned], rows[owned], versions[owned]
+                primary = owners[owned, 0] == sid
                 mine = shard.pull_rows_versions(table, ids, charge=False)
                 have = (
                     np.zeros(ids.size, dtype=np.int64)
@@ -948,6 +985,7 @@ class ShardedParameterStore:
                         ids=ids[behind],
                         rows=rows[behind],
                         versions=versions[behind],
+                        primary=primary[behind],
                     )
                 )
         plan.rows_to_copy = sum(t.num_rows for t in plan.tasks)
@@ -977,7 +1015,7 @@ class ShardedParameterStore:
             plan = self.plan_repair()
         for task in plan.tasks:
             self.shards[task.shard_id].ingest(
-                task.table, task.ids, task.rows, task.versions
+                task.table, task.ids, task.rows, task.versions, task.primary
             )
         for sid in plan.stale_shards:
             self._missed.pop(sid, None)
@@ -1013,7 +1051,7 @@ class ShardedParameterStore:
         # are per-row freshest, which makes rebalancing double as repair
         # for every row it moves.
         tables = sorted({t for s in self.shards.values() for t in s.tables})
-        world: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        world: dict[str, DeltaSlice] = {}
         for table in tables:
             parts = []
             for sid in self.shard_ids:
@@ -1038,19 +1076,24 @@ class ShardedParameterStore:
                 shard = self.shards[sid]
                 desired_mask = (owners == sid).any(axis=1)
                 desired = ids[desired_mask]
+                primary = owners[:, 0] == sid
                 current = shard.resident_ids(table)
                 to_drop = current[~np.isin(current, desired)]
                 if to_drop.size:
                     shard.drop(table, to_drop)
                 add_mask = desired_mask & ~np.isin(ids, current)
+                # Rows that stay may have changed rank under the new ring.
+                stay = desired_mask & ~add_mask
+                shard.retag_primary(table, ids[stay], primary[stay])
                 if add_mask.any():
                     shard.ingest(
                         table, ids[add_mask], rows[add_mask],
-                        versions[add_mask],
+                        versions[add_mask], primary[add_mask],
                     )
                     rows_moved += int(add_mask.sum())
         for sid in old_ids - new_ids:
             del self.shards[sid]
+            self._missed.pop(sid, None)  # nothing left to repair there
         report = RebalanceReport(
             shard_ids=self.shard_ids,
             rows_moved=rows_moved,

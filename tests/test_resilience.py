@@ -15,6 +15,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster.resilience import (
     BreakerConfig,
@@ -293,6 +295,110 @@ class TestDegradedReadMode:
         stale = DegradedReadMode().serve("ghost", current_version=5)
         assert stale.ids.size == 0 and stale.rows.size == 0
         assert stale.degraded
+
+    def test_served_read_is_a_snapshot_later_updates_cannot_move(self):
+        mode = self._mode()
+        stale = mode.serve("emb")
+        kept = (stale.ids.copy(), stale.rows.copy(), stale.row_versions.copy())
+        # overwrite a held id in place, then grow the cache with a new id
+        for ids, value, version in (([2], 7.0, 2), ([0, 9], 8.0, 3)):
+            mode.update(
+                "emb",
+                np.array(ids, dtype=np.int64),
+                np.full((len(ids), 2), value),
+                np.full(len(ids), version, dtype=np.int64),
+                synced_version=version,
+            )
+        np.testing.assert_array_equal(stale.ids, kept[0])
+        np.testing.assert_array_equal(stale.rows, kept[1])
+        np.testing.assert_array_equal(stale.row_versions, kept[2])
+        assert mode.serve("emb").ids.tolist() == [0, 1, 2, 3, 9]
+
+    def test_caller_arrays_are_not_adopted(self):
+        mode = DegradedReadMode()
+        ids = np.array([1, 2], dtype=np.int64)
+        rows = np.ones((2, 2))
+        versions = np.array([1, 1], dtype=np.int64)
+        mode.update("emb", ids, rows, versions, synced_version=1)
+        rows[:] = -1.0
+        ids[:] = 0
+        mode.update(
+            "emb", np.array([2]), np.full((1, 2), 5.0), np.array([2]), 2
+        )
+        stale = mode.serve("emb")
+        assert stale.ids.tolist() == [1, 2]
+        assert stale.rows[:, 0].tolist() == [1.0, 5.0]
+        assert (rows == -1.0).all()  # the merge never wrote into the caller's rows
+
+    def test_table_rewidened_between_pulls_zero_pads_held_rows(self):
+        """Regression: rank growth re-widens ``lora_a/*`` between two pulls;
+        the merge used to die in ``np.concatenate`` on the width mismatch."""
+        mode = DegradedReadMode()
+        mode.update(
+            "lora_a/0", np.arange(10), np.ones((10, 4)), np.full(10, 1), 1
+        )
+        mode.update(
+            "lora_a/0", np.arange(5), np.full((5, 8), 2.0), np.full(5, 2), 2
+        )
+        stale = mode.serve("lora_a/0")
+        assert stale.rows.shape == (10, 8)
+        np.testing.assert_array_equal(stale.rows[:5], np.full((5, 8), 2.0))
+        np.testing.assert_array_equal(stale.rows[5:, :4], np.ones((5, 4)))
+        np.testing.assert_array_equal(stale.rows[5:, 4:], np.zeros((5, 4)))
+        # a narrower (stale-width) delta pads the same way
+        mode.update(
+            "lora_a/0", np.array([7]), np.full((1, 4), 3.0), np.array([3]), 3
+        )
+        assert mode.serve("lora_a/0").rows[7].tolist() == [3.0] * 4 + [0.0] * 4
+
+
+def _lexsort_merge(held, ids, rows, versions):
+    """The merge ``DegradedReadMode.update`` used to run: concatenate the
+    whole cache with the delta, lexsort, keep the last copy per id."""
+    if held is not None:
+        ids = np.concatenate((held[0], ids))
+        rows = np.concatenate((held[1], rows), axis=0)
+        versions = np.concatenate((held[2], versions))
+    order = np.lexsort((versions, ids))
+    ids = ids[order]
+    last = np.r_[ids[1:] != ids[:-1], True][: ids.size]
+    return ids[last], rows[order][last], versions[order][last]
+
+
+_DELTA = st.lists(
+    st.tuples(st.integers(0, 30), st.integers(1, 6)), min_size=0, max_size=25
+)
+
+
+class TestDegradedMergeAgreesWithLexsort:
+    @given(
+        deltas=st.lists(_DELTA, min_size=1, max_size=8),
+        shape=st.sampled_from(["as_drawn", "sorted", "replayed"]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_random_deltas(self, deltas, shape):
+        """Sorted, unsorted, duplicated and replayed deltas all fold to what
+        the whole-cache lexsort merge gave, version ties included."""
+        rng = np.random.default_rng(len(deltas))
+        mode = DegradedReadMode()
+        held = None
+        if shape == "replayed":
+            deltas = [d for d in deltas for _ in range(2)]
+        for step, delta in enumerate(deltas):
+            if shape == "sorted":
+                delta = sorted({rid: (rid, v) for rid, v in delta}.values())
+            ids = np.array([rid for rid, _ in delta], dtype=np.int64)
+            versions = np.array([v for _, v in delta], dtype=np.int64)
+            if shape == "replayed" and step % 2:
+                rows = last_rows  # the same delta again: must change nothing
+            else:
+                rows = last_rows = rng.normal(size=(ids.size, 3))
+            mode.update("emb", ids, rows, versions, synced_version=step)
+            held = _lexsort_merge(held, ids, rows, versions)
+            stale = mode.serve("emb")
+            np.testing.assert_array_equal(stale.ids, held[0])
+            np.testing.assert_array_equal(stale.rows, held[1])
+            np.testing.assert_array_equal(stale.row_versions, held[2])
 
 
 class TestDegradedReadError:

@@ -71,6 +71,40 @@ class TestExactnessParity:
         assert as_map(*got_res["emb"]) == as_map(*got_legacy["emb"])
         assert got_res["emb"][0].size == keep.size
 
+    def test_table_rewidened_between_pulls(self):
+        """Regression: rank growth re-widens ``lora_a/*``; the second
+        resilient pull raised ``ValueError`` merging 8-wide rows into the
+        4-wide degraded cache."""
+        store = ShardedParameterStore(num_shards=4, row_bytes=None, replication=3)
+        client = ShardClient(store, resilience=ResiliencePolicy())
+        store.publish_batch("lora_a/0", np.arange(10), np.ones((10, 4)))
+        client.pull_tables(["lora_a/0"])
+        store.publish_batch("lora_a/0", np.arange(5), np.full((5, 8), 2.0))
+        deltas, report = client.pull_tables(["lora_a/0"])
+        assert not report.degraded and deltas["lora_a/0"][1].shape == (5, 8)
+        stale = client.degraded_read("lora_a/0")
+        ids, rows, _ = store.pull_delta("lora_a/0", 0)
+        np.testing.assert_array_equal(stale.ids, ids)
+        np.testing.assert_array_equal(stale.rows, rows)
+
+    def test_suspect_primary_range_is_read_reconciled(self):
+        """A live primary that dropped a publish cannot vouch for its
+        range: the resilient pull reads exactly that range R-way, and the
+        split between the two reads loses and duplicates nothing."""
+        store = make_store(num_shards=6, replication=3)
+        legacy = ShardClient(store)
+        resilient = ShardClient(store, resilience=ResiliencePolicy())
+        rng = np.random.default_rng(3)
+        store.publish_batch("emb", np.arange(200), rng.normal(size=(200, DIM)))
+        store.arm_publish_drop(2)
+        store.publish_batch("emb", np.arange(50, 150), rng.normal(size=(100, DIM)))
+        assert store.suspect_shard_ids(0) == [2]
+        got_res, report = resilient.pull_tables(["emb"])
+        got_legacy, _ = legacy.pull_tables(["emb"])
+        assert not report.degraded
+        assert got_res["emb"][0].tolist() == list(range(200))
+        assert as_map(*got_res["emb"]) == as_map(*got_legacy["emb"])
+
     def test_one_dead_replica_stays_exact(self):
         store = make_store(num_shards=4, replication=3)
         client = ShardClient(store, resilience=ResiliencePolicy())
