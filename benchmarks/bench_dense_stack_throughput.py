@@ -4,7 +4,7 @@ Measures samples/sec for one dense-stack train step — bottom MLP forward,
 pairwise dot interaction, top MLP forward, full backward, SGD update —
 comparing the fused model plane (:mod:`repro.dlrm.mlp`'s single
 activation-cache / flat-gradient passes plus
-:mod:`repro.dlrm.interaction`'s triu-indexed batched gram) against the
+:mod:`repro.dlrm.interaction`'s field-major slab and batched gram) against the
 seed-style implementation the repository started from: per-layer Python
 lists with a fresh allocation per activation and per-gradient, and a
 Python loop over all ``C(m, 2)`` feature pairs in the interaction's
@@ -157,13 +157,16 @@ def seed_step(bw, bb, tw, tb, dense, embeddings, labels, dim):
 def fused_step(bottom, top, interaction, dense, embeddings, labels):
     """Fused composite: cached forwards, flat-gradient backwards, axpy SGD."""
     h_bottom, cache_b = bottom.forward(dense)
-    inter_out, stacked = interaction.forward(h_bottom, embeddings)
-    logits, cache_t = top.forward(inter_out)
+    slab = interaction.slab(dense.shape[0])
+    slab[0] = h_bottom
+    for f, rows in enumerate(embeddings):
+        slab[1 + f] = rows
+    logits, cache_t = top.forward(interaction.forward(slab))
     probs = _sigmoid(logits[:, 0])
     grad_logit = ((probs - labels) / labels.shape[0])[:, None]
     grad_inter, top_grads = top.backward(cache_t, grad_logit)
-    grad_dense, _ = interaction.backward(stacked, grad_inter)
-    _, bottom_grads = bottom.backward(cache_b, grad_dense)
+    grad_slab = interaction.backward(slab, grad_inter)
+    _, bottom_grads = bottom.backward(cache_b, grad_slab[0])
     bottom.apply_grads(bottom_grads, LR)
     top.apply_grads(top_grads, LR)
     return probs, bottom_grads, top_grads

@@ -26,9 +26,18 @@ __all__ = [
 
 # Modules declared hot: every per-element Python loop is a regression
 # unless explicitly suppressed with a reason, and every array constructor
-# must pin its dtype.  Mirrors the PR-1/PR-4/PR-5 vectorization work.
+# must pin its dtype.  Mirrors the PR-1/PR-4/PR-5 vectorization work plus
+# the modules the repo benchmark (``benchmarks/e2e``) shows are hot: the
+# inference-side LoRA step, its overlay, pruning, the hot filter, the
+# synchronizer and the inference-log ring.
 HOT_MODULES: tuple[str, ...] = (
     "repro.core.kernels",
+    "repro.core.trainer",
+    "repro.core.lora",
+    "repro.core.pruning",
+    "repro.core.hot_index",
+    "repro.core.sync",
+    "repro.data.stream",
     "repro.hardware.vectorcache",
     "repro.cluster.shardstore.*",
     "repro.dlrm.embedding",

@@ -11,7 +11,8 @@ universe is known:
 
 * *dense* (``num_rows`` given, the production serving configuration): one
   ``float64`` last-mark timestamp per table row, so ``mark`` is a scatter
-  and ``is_hot`` is a gather + compare — O(batch) with no search;
+  and ``is_hot`` is one range-checked gather + compare — O(batch) with no
+  search and no mask unless a batch carries an out-of-universe id;
 * *sparse* (unbounded ids): a sorted ``int64`` id array plus parallel
   timestamps, with batched sorted-merge upserts and one
   ``np.searchsorted`` per membership batch.
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .kernels import sorted_find
+from .kernels import gather_in_range, is_sorted_unique, sorted_find
 
 __all__ = ["HotIndexFilter"]
 
@@ -55,7 +56,8 @@ class _FieldTable:
 
     def upsert(self, ids: np.ndarray, stamp: float) -> None:
         """Set the timestamp of every id in ``ids`` to ``stamp``."""
-        ids = np.unique(ids)
+        if not is_sorted_unique(ids):
+            ids = np.unique(ids)
         if ids.size == 0:
             return
         if self.ids.size == 0:
@@ -70,12 +72,12 @@ class _FieldTable:
             self.ids = np.insert(self.ids, insert_at, fresh)
             self.stamps = np.insert(self.stamps, insert_at, stamp)
 
-    def membership(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``(found mask, timestamps)`` per query id (-inf where absent)."""
+    def membership(self, ids: np.ndarray) -> np.ndarray:
+        """Last-mark timestamp per query id (-inf where never marked)."""
         stamps = np.full(ids.shape, -np.inf, dtype=self.stamp_dtype)
         found, pos = sorted_find(self.ids, ids)
         stamps[found] = self.stamps[pos[found]]
-        return found, stamps
+        return stamps
 
     def drop_older_than(self, horizon: float) -> int:
         keep = self.stamps >= horizon
@@ -106,14 +108,12 @@ class _DenseFieldTable:
         return int(self.stamps.nbytes)
 
     def upsert(self, ids: np.ndarray, stamp: float) -> None:
-        ids = ids[(ids >= 0) & (ids < self.stamps.size)]
+        if ids.size and (ids.min() < 0 or ids.max() >= self.stamps.size):
+            ids = ids[(ids >= 0) & (ids < self.stamps.size)]
         self.stamps[ids] = stamp
 
-    def membership(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        stamps = np.full(ids.shape, -np.inf, dtype=self.stamps.dtype)
-        valid = (ids >= 0) & (ids < self.stamps.size)
-        stamps[valid] = self.stamps[ids[valid]]
-        return stamps > -np.inf, stamps
+    def membership(self, ids: np.ndarray) -> np.ndarray:
+        return gather_in_range(self.stamps, ids, -np.inf)
 
     def drop_older_than(self, horizon: float) -> int:
         stale = (self.stamps > -np.inf) & (self.stamps < horizon)
@@ -193,9 +193,9 @@ class HotIndexFilter:
     def is_hot(self, field: int, ids: np.ndarray) -> np.ndarray:
         """Boolean mask: which of ``ids`` are currently hot."""
         ids = np.asarray(ids, dtype=np.int64)
-        found, stamps = self._marked[field].membership(ids)
+        stamps = self._marked[field].membership(ids)
         if self.expiry_s is None:
-            return found
+            return stamps > -np.inf
         return stamps >= self._now - self.expiry_s
 
     def __call__(self, field: int, ids: np.ndarray) -> np.ndarray:

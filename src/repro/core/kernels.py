@@ -38,6 +38,9 @@ __all__ = [
     "hash_combine",
     "stable_str_hash",
     "sorted_find",
+    "is_sorted_unique",
+    "run_starts",
+    "gather_in_range",
     "IdSlotTable",
     "pool_rows",
     "segment_pool",
@@ -153,6 +156,39 @@ def sorted_find(keys: np.ndarray, queries: np.ndarray) -> tuple[np.ndarray, np.n
     pos_c = np.where(in_range, pos, 0)
     found = in_range & (keys[pos_c] == queries)
     return found, pos_c
+
+
+def is_sorted_unique(ids: np.ndarray) -> bool:
+    """Whether a 1-D id array is strictly increasing (sorted, no repeats).
+
+    One vectorized compare: the cheap way for a consumer of an already
+    resolved id set (``group_rows_sum``'s output, a drained touched-row
+    list) to skip its own ``np.unique``.
+    """
+    return ids.size < 2 or bool((ids[1:] > ids[:-1]).all())
+
+
+def run_starts(sorted_keys: np.ndarray) -> np.ndarray:
+    """Start index of every run of equal values in a sorted, non-empty array."""
+    first = np.empty(sorted_keys.size, dtype=bool)
+    first[0] = True
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=first[1:])
+    return np.flatnonzero(first)
+
+
+def gather_in_range(lane: np.ndarray, ids: np.ndarray, fill) -> np.ndarray:
+    """``lane[ids]``, with ``fill`` where an id is outside ``[0, len(lane))``.
+
+    Two reductions decide whether the whole batch is in range — the
+    serving case — and then the lookup is one gather; only a batch that
+    does carry a stray id pays for the mask and the scatter.
+    """
+    if ids.size == 0 or (ids.min() >= 0 and ids.max() < lane.size):
+        return lane[ids]
+    out = np.full(ids.shape, fill, dtype=lane.dtype)
+    valid = (ids >= 0) & (ids < lane.size)
+    out[valid] = lane[ids[valid]]
+    return out
 
 
 class IdSlotTable:
@@ -317,10 +353,7 @@ class IdSlotTable:
         """
         ids = np.asarray(ids, dtype=np.int64)
         if self._dense is not None:
-            out = np.full(ids.shape, -1, dtype=self.slot_dtype)
-            valid = (ids >= 0) & (ids < self._dense.size)
-            out[valid] = self._dense[ids[valid]]
-            return out
+            return gather_in_range(self._dense, ids, -1)
         out = np.full(ids.shape, -1, dtype=self.slot_dtype)
         found, pos = sorted_find(self._keys, ids)
         out[found] = self._vals[pos[found]]
@@ -552,9 +585,8 @@ def group_rows_sum(
     row to ``u``'s gradient.  With a known universe (embedding tables know
     their row count) the unique set, the id -> slot map and the per-slot
     accumulation are all counting passes — one ``bincount`` per dimension
-    over compact slots, no sort at all.  Without one, ids that occur once
-    are copied with one vectorized scatter and only duplicated ids pay a
-    sort + segment reduction.
+    over compact slots, no sort at all.  Without one, a single stable
+    argsort groups the occurrences and one segment reduction sums them.
 
     Parameters
     ----------
@@ -598,22 +630,14 @@ def group_rows_sum(
         # bincount always counts in float64; one rounding back onto the
         # input lane keeps the output dtype contract.
         return uniq, summed.reshape(uniq.size, dim).astype(lane, copy=False)
-    uniq, inv, occ_counts = np.unique(
-        ids, return_inverse=True, return_counts=True
-    )
-    dup_occ = occ_counts[inv] > 1
-    summed = np.zeros((uniq.size, dim), dtype=lane)
-    single = ~dup_occ
-    summed[inv[single]] = rows[single]
-    if dup_occ.any():
-        sub = inv[dup_occ]
-        order = np.argsort(sub, kind="stable")
-        ssub = sub[order]
-        seg_starts = np.concatenate(([0], np.flatnonzero(np.diff(ssub)) + 1))
-        summed[ssub[seg_starts]] = np.add.reduceat(
-            rows[dup_occ][order], seg_starts, axis=0
-        )
-    return uniq, summed
+    # Sort lane: one stable argsort puts every id's occurrences side by
+    # side in occurrence order; each run reduces to one row (a run of one
+    # is the row itself).
+    order = np.argsort(ids, kind="stable")
+    sorted_ids = ids[order]
+    starts = run_starts(sorted_ids)
+    summed = np.add.reduceat(rows.take(order, axis=0), starts, axis=0)
+    return sorted_ids[starts], summed
 
 
 class TouchedRows:

@@ -74,6 +74,8 @@ class LiveUpdate(UpdateStrategy):
         self.trainer = LoRATrainer(
             node.model, self.buffer, trainer_config or TrainerConfig()
         )
+        # Compute seconds of on_slot steps since the last update window.
+        self._slot_cost = 0.0
         tc = self.trainer.config
         if not tc.dynamic_rank:
             self.name = f"LiveUpdate-{tc.rank}"
@@ -99,7 +101,7 @@ class LiveUpdate(UpdateStrategy):
         """Continuous background training between windows."""
         done, elapsed = self._train_burst(self.config.steps_per_slot)
         if done:
-            self._slot_cost = getattr(self, "_slot_cost", 0.0) + elapsed
+            self._slot_cost += elapsed
 
     def on_update_window(self, now: float) -> UpdateCost:
         """Window-boundary training burst; cost = measured compute seconds.
@@ -108,8 +110,7 @@ class LiveUpdate(UpdateStrategy):
         window so Fig. 14-style accounting sees the full training cost.
         """
         steps_done, elapsed = self._train_burst(self.config.steps_per_window)
-        slot_cost = getattr(self, "_slot_cost", 0.0)
-        self._slot_cost = 0.0
+        slot_cost, self._slot_cost = self._slot_cost, 0.0
         cost = UpdateCost(
             kind="lora-local",
             seconds=elapsed + slot_cost,

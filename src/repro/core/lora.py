@@ -11,6 +11,10 @@ The id -> slot map is an :class:`~repro.core.kernels.IdSlotTable`, so every
 algebra entry point (:meth:`~LoRAAdapter.delta_rows`,
 :meth:`~LoRAAdapter.apply_to`, :meth:`~LoRAAdapter.accumulate_grad`) is one
 batched translate + gather/scatter + matmul with no per-id Python loop.
+The factors live on a :class:`~repro.core.dtypes.DTypePolicy` lane like the
+rest of the model plane (float64 train by default; :meth:`LoRACollection.cast`
+is the checked way onto the float32 serving lane), and the serving overlay
+adjusts the looked-up rows *in place*, hot rows only.
 
 Rank can be resized at runtime (dynamic rank adaptation, Section IV-C):
 growth zero-pads the new directions; shrink projects ``A B`` onto its top-k
@@ -22,7 +26,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .kernels import IdSlotTable
+from .dtypes import TRAIN, DTypePolicy
+from .kernels import IdSlotTable, is_sorted_unique, run_starts
 
 __all__ = ["LoRAAdapter", "LoRACollection"]
 
@@ -41,6 +46,9 @@ class LoRAAdapter:
             direct-address lane of :class:`IdSlotTable` — one gather, no
             search — and ids outside ``[0, universe)`` are never
             activated.
+        policy: dtype lane of ``A`` and ``B`` (and of everything the
+            adapter hands out); rows entering from another lane go through
+            the policy's checked coercion.
     """
 
     def __init__(
@@ -50,6 +58,7 @@ class LoRAAdapter:
         capacity: int,
         rng: np.random.Generator | None = None,
         universe: int | None = None,
+        policy: DTypePolicy = TRAIN,
     ) -> None:
         if dim <= 0 or rank <= 0 or capacity <= 0:
             raise ValueError("dim, rank and capacity must be positive")
@@ -60,8 +69,13 @@ class LoRAAdapter:
         self.rank = rank
         self.capacity = capacity
         self.universe = universe
-        self.a = np.zeros((capacity, rank))
-        self.b = rng.normal(0.0, 1.0 / np.sqrt(rank), size=(rank, dim))
+        self.policy = policy
+        self.a = np.zeros((capacity, rank), dtype=policy.row_dtype)
+        # B is drawn in float64 whatever the lane, so both lanes start from
+        # the same initialisation.
+        self.b = policy.as_rows(
+            rng.normal(0.0, 1.0 / np.sqrt(rank), size=(rank, dim)), name="B"
+        )
         self._slots = IdSlotTable(capacity, universe=universe)
         self.evictions = 0
 
@@ -130,17 +144,38 @@ class LoRAAdapter:
         slots = self._slots.lookup(ids)
         hit = slots >= 0
         if hit.all():
-            # Common serving case (the overlay only sends hot ids): one
-            # gather + matmul, no zero-fill/scatter pass.
-            return self.a[slots] @ self.b
-        out = np.zeros((ids.shape[0], self.dim))
+            # Every id active (e.g. a sync over active ids): one gather +
+            # matmul, no zero-fill/scatter pass.
+            return self.a.take(slots, axis=0) @ self.b
+        out = np.zeros((ids.shape[0], self.dim), dtype=self.a.dtype)
         if hit.any():
-            out[hit] = self.a[slots[hit]] @ self.b
+            out[hit] = self.a.take(slots[hit], axis=0) @ self.b
         return out
 
-    def apply_to(self, ids: np.ndarray, base_rows: np.ndarray) -> np.ndarray:
-        """``W_base[i] + A[i] B`` for the inference path (hot ids)."""
-        return np.asarray(base_rows, dtype=np.float64) + self.delta_rows(ids)
+    def apply_to(
+        self,
+        ids: np.ndarray,
+        base_rows: np.ndarray,
+        hot: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """``W_base[i] + A[i] B`` for the inference path, **in place**.
+
+        Adds the delta to the rows of active ids (of those, only where the
+        boolean mask ``hot`` is set, when given): one gather, one matmul
+        and one scatter over the adapted rows, nothing over the rest.
+        ``base_rows`` on the adapter's lane is adjusted in place and
+        returned; anything else first enters the lane through the policy's
+        checked coercion, and that adjusted copy is returned.
+        """
+        rows = self.policy.as_rows(base_rows, name="base rows")
+        slots = self._slots.lookup(ids)
+        adapted = slots >= 0
+        if hot is not None:
+            adapted &= hot
+        picked = np.flatnonzero(adapted)
+        if picked.size:
+            rows[picked] += self.a.take(slots[picked], axis=0) @ self.b
+        return rows
 
     def accumulate_grad(
         self, ids: np.ndarray, grad_rows: np.ndarray, lr: float
@@ -151,43 +186,36 @@ class LoRAAdapter:
         is the gradient of the (adapted) embedding row.  Ids without a free
         slot are skipped (they keep flowing through the base table only).
 
-        The batch is processed as whole-array matmuls.  ``B`` is read-only
-        within a step, so rows with distinct ids commute; repeated ids are
-        handled in occurrence order (round ``r`` applies every id's
-        ``r``-th gradient row) to preserve the sequential SGD semantics.
+        The batch is one pair of matmuls.  ``B`` is read-only within a
+        step, so rows with distinct ids commute — strictly increasing
+        ``ids``, what :func:`~repro.core.kernels.group_rows_sum` hands the
+        trainer, need nothing else.  Any other input keeps the semantics
+        of applying its rows one after another: :func:`_sum_repeats` sums
+        each id's rows first and returns, as a cross term, the one thing
+        summing loses (``dL/dB`` seeing ``A[i]`` move between two rows of
+        the same id).
 
-        Returns the number of ids actually updated.
+        Returns the number of rows applied (repeats count).
         """
         ids = np.asarray(ids, dtype=np.int64)
-        grad_rows = np.asarray(grad_rows, dtype=np.float64)
+        grad_rows = self.policy.as_rows(grad_rows, name="grad rows")
         slots = self.activate_batch(ids)
         valid = slots >= 0
         updated = int(valid.sum())
         if not updated:
             return 0
-        v_slots = slots[valid]
-        grads = grad_rows[valid]
-        occurrence = self._occurrence_index(v_slots)
-        grad_b = np.zeros_like(self.b)
-        for r in range(int(occurrence.max()) + 1):
-            sel = occurrence == r
-            s = v_slots[sel]
-            g = grads[sel]
-            grad_b += self.a[s].T @ g
-            self.a[s] -= lr * (g @ self.b.T)
+        grads = grad_rows
+        if updated != slots.size:  # some ids found no free slot
+            slots, grads = slots[valid], grad_rows[valid]
+        cross = None
+        if not is_sorted_unique(ids):
+            slots, grads, cross = _sum_repeats(slots, grads)
+        grad_b = self.a.take(slots, axis=0).T @ grads
+        if cross is not None:
+            grad_b -= lr * (self.b @ cross)
+        self.a[slots] -= lr * (grads @ self.b.T)
         self.b -= lr * grad_b
         return updated
-
-    @staticmethod
-    def _occurrence_index(slots: np.ndarray) -> np.ndarray:
-        """Per-row count of earlier rows with the same slot (0 for first)."""
-        order = np.argsort(slots, kind="stable")
-        sorted_slots = slots[order]
-        _, counts = np.unique(sorted_slots, return_counts=True)
-        group_start = np.repeat(np.cumsum(counts) - counts, counts)
-        occ = np.empty(slots.size, dtype=np.int64)
-        occ[order] = np.arange(slots.size) - group_start
-        return occ
 
     def scatter_rows(self, ids: np.ndarray, rows: np.ndarray) -> int:
         """Overwrite the ``A`` rows of ``ids`` (activating as needed).
@@ -197,13 +225,13 @@ class LoRAAdapter:
         number of rows written (the synchronizer's apply primitive).
         """
         ids = np.asarray(ids, dtype=np.int64)
-        rows = np.asarray(rows, dtype=np.float64)
+        rows = self.policy.as_rows(rows, name="A rows")
         slots = self.activate_batch(ids)
         hit = slots >= 0
         if not hit.any():
             return 0
         width = min(rows.shape[1], self.rank)
-        payload = np.zeros((int(hit.sum()), self.rank))
+        payload = np.zeros((int(hit.sum()), self.rank), dtype=rows.dtype)
         payload[:, :width] = rows[hit][:, :width]
         self.a[slots[hit]] = payload
         return int(hit.sum())
@@ -223,13 +251,14 @@ class LoRAAdapter:
         if new_rank <= 0 or new_rank > self.dim:
             raise ValueError("invalid rank")
         if new_rank > self.rank:
-            pad_a = np.zeros((self.capacity, new_rank - self.rank))
+            grow = new_rank - self.rank
+            pad_a = np.zeros((self.capacity, grow), dtype=self.a.dtype)
             rng = np.random.default_rng(self.rank * 7919 + new_rank)
-            pad_b = rng.normal(
-                0.0, 1.0 / np.sqrt(new_rank), size=(new_rank - self.rank, self.dim)
-            )
+            pad_b = rng.normal(0.0, 1.0 / np.sqrt(new_rank), size=(grow, self.dim))
             self.a = np.concatenate([self.a, pad_a], axis=1)
-            self.b = np.concatenate([self.b, pad_b], axis=0)
+            self.b = np.concatenate(
+                [self.b, self.policy.as_rows(pad_b, name="B")], axis=0
+            )
         else:
             # Project the active update onto its best rank-k approximation.
             # The singular-value mass is split as sqrt(s) between the two
@@ -250,15 +279,16 @@ class LoRAAdapter:
                 # is ~zero too, so the represented update barely moves.
                 rng = np.random.default_rng(self.rank * 7919 + k)
                 floor = 0.1 / np.sqrt(k)
+                # repro-lint: disable=hot-loop -- k <= 64 rank directions, once per rank shrink; the draws must stay sequential on one rng
                 for j in range(new_b.shape[0]):
                     if np.linalg.norm(new_b[j]) < floor:
                         new_b[j] = rng.normal(0.0, 1.0 / np.sqrt(k), self.dim)
-                self.a = np.zeros((self.capacity, k))
+                self.a = np.zeros((self.capacity, k), dtype=self.a.dtype)
                 self.a[active] = new_a_rows
                 self.b = new_b
             else:
                 # Nothing learned yet: keep the leading learned directions.
-                self.a = np.zeros((self.capacity, new_rank))
+                self.a = np.zeros((self.capacity, new_rank), dtype=self.a.dtype)
                 self.b = self.b[:new_rank].copy()
         self.rank = new_rank
 
@@ -282,7 +312,7 @@ class LoRAAdapter:
         # Repack survivors densely: ascending ids take slots 0..n-1.
         keys = self._slots.keys
         old_slots = self._slots.slots
-        new_a = np.zeros((new_capacity, self.rank))
+        new_a = np.zeros((new_capacity, self.rank), dtype=self.a.dtype)
         new_a[: keys.size] = self.a[old_slots]
         self.a = new_a
         self._slots.rebuild_sorted(keys, new_capacity)
@@ -309,6 +339,31 @@ class LoRAAdapter:
         return merged
 
 
+def _sum_repeats(
+    slots: np.ndarray, grads: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Fold repeated slots of one SGD step: ``(slots, summed grads, cross)``.
+
+    Applying a slot's rows ``g_1 .. g_n`` one after another moves its ``A``
+    row by ``-lr (g_1 + .. + g_n) B^T``, as one step on the sum does, but
+    ``dL/dB`` collects ``A_r^T g_r`` with the row already moved: ``A_r = A_0
+    - lr (g_1 + .. + g_{r-1}) B^T``.  Over all slots that is ``A_0^T sum -
+    lr * B @ cross``, ``cross = sum_r outer(g_1 + .. + g_{r-1}, g_r)`` —
+    prefix sums inside each slot's run, no loop over occurrence rounds.
+    """
+    order = np.argsort(slots, kind="stable")
+    slots = slots[order]
+    grads = grads[order]
+    starts = run_starts(slots)
+    # Rows before each one *within its run*: the running total minus the
+    # total at the run's start.
+    before = np.cumsum(grads, axis=0) - grads
+    before -= np.repeat(
+        before[starts], np.diff(np.append(starts, slots.size)), axis=0
+    )
+    return slots[starts], np.add.reduceat(grads, starts, axis=0), before.T @ grads
+
+
 class LoRACollection:
     """One adapter per sparse field of a DLRM."""
 
@@ -319,6 +374,7 @@ class LoRACollection:
         capacities: list[int],
         seed: int = 0,
         universes: list[int] | None = None,
+        policy: DTypePolicy = TRAIN,
     ) -> None:
         if len(dims) != len(capacities):
             raise ValueError("dims and capacities must align")
@@ -332,6 +388,7 @@ class LoRACollection:
                 cap,
                 rng=rng,
                 universe=None if universes is None else universes[f],
+                policy=policy,
             )
             for f, (dim, cap) in enumerate(zip(dims, capacities))
         ]
@@ -356,6 +413,9 @@ class LoRACollection:
     def overlay(self, hot_filter=None):
         """Embedding overlay closure for :meth:`repro.dlrm.DLRM.forward`.
 
+        The closure adjusts the rows it is given in place (see
+        :meth:`LoRAAdapter.apply_to`) and returns them.
+
         Args:
             hot_filter: optional callable ``(field, ids) -> bool mask``; only
                 hot ids get the LoRA adjustment (the paper's Hot Index
@@ -363,20 +423,27 @@ class LoRACollection:
         """
 
         def _overlay(field: int, ids: np.ndarray, base_rows: np.ndarray):
-            adapter = self.adapters[field]
-            if hot_filter is None:
-                return adapter.apply_to(ids, base_rows)
-            mask = hot_filter(field, ids)
-            if not mask.any():
-                return base_rows
-            if mask.all():
-                return adapter.apply_to(ids, base_rows)
-            out = np.array(base_rows, dtype=np.float64, copy=True)
-            hot_ids = np.asarray(ids)[mask]
-            out[mask] = adapter.apply_to(hot_ids, out[mask])
-            return out
+            hot = None if hot_filter is None else hot_filter(field, ids)
+            return self.adapters[field].apply_to(ids, base_rows, hot=hot)
 
         return _overlay
+
+    def cast(self, policy: DTypePolicy) -> "LoRACollection":
+        """Clone onto ``policy``'s lane through one checked coercion — the
+        adapter half of :meth:`repro.dlrm.DLRM.serving_copy`.  The clone
+        carries the same active ids and factors on ``policy.row_dtype``;
+        a value past the policy's downcast tolerance raises."""
+        dup = LoRACollection.__new__(LoRACollection)
+        dup.adapters = []
+        for ad in self.adapters:
+            clone = LoRAAdapter(
+                ad.dim, ad.rank, ad.capacity, universe=ad.universe, policy=policy
+            )
+            clone.b = np.array(policy.as_rows(ad.b, name="B"), copy=True)
+            ids = ad.active_ids
+            clone.scatter_rows(ids, ad.a[ad.slots_of(ids)])
+            dup.adapters.append(clone)
+        return dup
 
     def reset(self) -> None:
         for ad in self.adapters:

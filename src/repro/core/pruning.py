@@ -13,10 +13,12 @@ top-10% boundary, because those ids absorb ~93.8% of traffic, Fig. 12).
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
+
+from .kernels import is_sorted_unique
 
 __all__ = ["PruneDecision", "UsageTracker", "dynamic_tau_from_counts"]
 
@@ -57,6 +59,12 @@ class UsageTracker:
             it are pruned.  May be overridden dynamically per decision.
         c_min: capacity floor (paper default: 1/50 of the full table).
         c_max: capacity ceiling (the full table size).
+
+    The window's per-id counts are one dense ``int32`` vector over the id
+    universe — ``c_max`` rows up front, doubled if a larger id ever shows
+    up — so recording an iteration and expiring one are a scatter-add
+    each, and every query is a vectorized scan; ids are embedding row
+    indices and must be non-negative.
     """
 
     def __init__(
@@ -75,38 +83,50 @@ class UsageTracker:
         self.c_min = c_min
         self.c_max = c_max
         self._history: deque[np.ndarray] = deque()
-        self._counts: Counter[int] = Counter()
+        self._counts = np.zeros(c_max, dtype=np.int32)
         self.iteration = 0
 
     # -------------------------------------------------------------- tracking
     def record_update(self, ids: np.ndarray) -> None:
-        """Register the ids touched by one training iteration."""
-        ids = np.unique(np.asarray(ids, dtype=np.int64))
+        """Register the ids touched by one training iteration.
+
+        Repeats inside one iteration count once.  A strictly increasing
+        array (an already resolved id set) is taken as is; anything else is
+        passed through ``np.unique`` first.
+        """
+        ids = np.asarray(ids, dtype=np.int64)
+        # The window keeps the array, so it must not be the caller's.
+        ids = ids.copy() if is_sorted_unique(ids) else np.unique(ids)
+        if ids.size:
+            if ids[0] < 0:
+                raise ValueError("ids must be non-negative row indices")
+            if ids[-1] >= self._counts.size:
+                grown = np.zeros(
+                    max(2 * self._counts.size, int(ids[-1]) + 1), dtype=np.int32
+                )
+                grown[: self._counts.size] = self._counts
+                self._counts = grown
         self._history.append(ids)
-        self._counts.update(int(i) for i in ids)
+        self._counts[ids] += 1
         self.iteration += 1
         while len(self._history) > self.window_iters:
-            expired = self._history.popleft()
-            for i in expired:
-                i = int(i)
-                self._counts[i] -= 1
-                if self._counts[i] <= 0:
-                    del self._counts[i]
+            self._counts[self._history.popleft()] -= 1
 
     def frequency(self, idx: int) -> int:
         """Updates of ``idx`` within the current window."""
-        return self._counts.get(int(idx), 0)
+        idx = int(idx)
+        return int(self._counts[idx]) if 0 <= idx < self._counts.size else 0
 
     @property
     def num_tracked(self) -> int:
-        return len(self._counts)
+        return int(np.count_nonzero(self._counts))
 
     # -------------------------------------------------------------- decision
     def active_set(self, tau: float | None = None) -> np.ndarray:
         """Ids with ``f_i >= tau`` (Algorithm 1, lines 6-8)."""
         tau = self.tau_prune if tau is None else tau
-        ids = [i for i, c in self._counts.items() if c >= tau]
-        return np.array(sorted(ids), dtype=np.int64)
+        # Only ids seen in the window qualify, whatever tau says.
+        return np.flatnonzero(self._counts >= max(tau, 1))
 
     def decide(self, tau: float | None = None) -> PruneDecision:
         """Full Algorithm-1 decision: active set + clamped capacity (Eq. 4)."""
@@ -117,6 +137,6 @@ class UsageTracker:
 
     def refresh_tau_from_window(self, hot_fraction: float = 0.10) -> float:
         """Dynamically re-derive tau from the current window's histogram."""
-        counts = np.array(list(self._counts.values()), dtype=np.float64)
+        counts = self._counts[self._counts > 0]
         self.tau_prune = dynamic_tau_from_counts(counts, hot_fraction)
         return self.tau_prune

@@ -28,6 +28,7 @@ O(changed) ``pull_delta`` instead of a fresh all-to-all exchange.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -114,7 +115,7 @@ def priority_merge_rows(
         id's row taken from the highest rank that modified it.
     """
     if not per_rank or all(ids.size == 0 for ids, _ in per_rank):
-        return np.empty(0, dtype=np.int64), np.empty((0, width))
+        return np.empty(0, dtype=np.int64), np.empty((0, width), dtype=np.float64)
     ids = np.concatenate([p[0] for p in per_rank])
     rows = np.concatenate([p[1] for p in per_rank], axis=0)
     ranks = np.concatenate(
@@ -132,13 +133,13 @@ def average_merge_rows(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Array form of :func:`average_merge` over width-aligned rows."""
     if not per_rank or all(ids.size == 0 for ids, _ in per_rank):
-        return np.empty(0, dtype=np.int64), np.empty((0, width))
+        return np.empty(0, dtype=np.int64), np.empty((0, width), dtype=np.float64)
     ids = np.concatenate([p[0] for p in per_rank])
     rows = np.concatenate([p[1] for p in per_rank], axis=0)
     merged_ids, inverse, counts = np.unique(
         ids, return_inverse=True, return_counts=True
     )
-    sums = np.zeros((merged_ids.size, width))
+    sums = np.zeros((merged_ids.size, width), dtype=rows.dtype)
     np.add.at(sums, inverse, rows)
     return merged_ids, sums / counts[:, None]
 
@@ -197,11 +198,10 @@ class SparseLoRASynchronizer:
         """One local update on rank ``r``, tracking its support set."""
         trainer = self.trainers[rank]
         loss = trainer.train_on(dense, sparse_ids, labels)
-        sparse_ids = np.asarray(sparse_ids)
+        # The step already resolved each field's batch ids to a sorted
+        # unique array; that array is the step's support.
         for f in range(self.num_fields):
-            self._supports[rank][f].append(
-                np.unique(sparse_ids[:, f]).astype(np.int64)
-            )
+            self._supports[rank][f].append(trainer.last_update_ids[f])
         return loss
 
     def step_all(self, batches) -> list[float]:
@@ -235,7 +235,7 @@ class SparseLoRASynchronizer:
             adapter = trainer.lora[field]
             ids, rows = adapter.gather_rows(support[r][field])
             if rows.shape[1] != target_rank:
-                padded = np.zeros((rows.shape[0], target_rank))
+                padded = np.zeros((rows.shape[0], target_rank), dtype=rows.dtype)
                 width = min(rows.shape[1], target_rank)
                 padded[:, :width] = rows[:, :width]
                 rows = padded
@@ -327,8 +327,6 @@ class SparseLoRASynchronizer:
         if ids_arr.size == 0:
             return 0.0
         deltas = [t.lora[field].delta_rows(ids_arr) for t in self.trainers]
-        worst = 0.0
-        for i in range(len(deltas)):
-            for j in range(i + 1, len(deltas)):
-                worst = max(worst, float(np.linalg.norm(deltas[i] - deltas[j])))
-        return worst
+        return max(
+            float(np.linalg.norm(a - b)) for a, b in combinations(deltas, 2)
+        )

@@ -6,8 +6,13 @@ the adapted embeddings* (``W_base + A B``), backpropagates only into the
 LoRA factors (base weights and dense layers stay frozen), and applies the
 dynamic rank / pruning controllers every ``adapt_interval`` iterations.
 
-Every updated id is reported to the :class:`~repro.core.hot_index.HotIndexFilter`
-so the serving path knows which lookups need the LoRA adjustment.
+The step is a *frozen-base* step: the backward pass runs with
+``dense_grads=False`` (no MLP parameter gradients, no bottom-MLP backward),
+and each field's ids are resolved once — the backward's sorted unique ids
+and their summed gradient rows — for all three consumers: the adapter
+update, the usage tracker and the
+:class:`~repro.core.hot_index.HotIndexFilter`, which tells the serving path
+which lookups need the LoRA adjustment.
 """
 
 from __future__ import annotations
@@ -125,6 +130,7 @@ class LoRATrainer:
             capacities,
             seed=cfg.seed,
             universes=[t.num_rows for t in model.embeddings],
+            policy=model.config.policy,
         )
         # Table sizes are known, so every field gets the dense O(1)-per-id
         # hot-index layout (ids here are embedding row indices).
@@ -150,6 +156,11 @@ class LoRATrainer:
             deque(maxlen=8) for _ in dims
         ]
         self._pending_shrink: dict[int, int] = {}
+        # Per field, the sorted unique ids the latest step updated (what a
+        # synchronizer adds to this rank's support set).
+        self.last_update_ids: list[np.ndarray] = [
+            np.empty(0, dtype=np.int64) for _ in dims
+        ]
         self._rng = np.random.default_rng(cfg.seed)
         self.report = TrainerReport(
             current_ranks=[cfg.rank] * len(dims),
@@ -181,15 +192,19 @@ class LoRATrainer:
             cache = self.model.forward(
                 dense, sparse_ids, overlay=self.lora.overlay()
             )
-            result = self.model.backward(cache, labels)
+            result = self.model.backward(cache, labels, dense_grads=False)
             for f, grad in enumerate(result.embedding_grads):
-                adapter = self.lora[f]
-                updated = adapter.accumulate_grad(grad.indices, grad.rows, cfg.lr)
-                self.report.rows_updated += updated
+                # grad.indices is sorted and unique: every consumer below
+                # takes it as is, none re-resolves it.
+                self.report.rows_updated += self.lora[f].accumulate_grad(
+                    grad.indices, grad.rows, cfg.lr
+                )
                 self.usage[f].record_update(grad.indices)
                 self.hot_filter.mark(f, grad.indices)
-                snap = self._grad_snapshots[f]
-                snap.append(grad.rows[: cfg.grad_snapshot_rows])
+                self.last_update_ids[f] = grad.indices
+                self._grad_snapshots[f].append(
+                    grad.rows[: cfg.grad_snapshot_rows]
+                )
             self.report.steps += 1
             self.report.samples_seen += int(labels.shape[0])
             if self.report.steps % cfg.adapt_interval == 0:
@@ -201,7 +216,8 @@ class LoRATrainer:
     def _gradient_snapshot(self, field: int) -> np.ndarray:
         rows = list(self._grad_snapshots[field])
         if not rows:
-            return np.zeros((0, self.model.embeddings[field].dim))
+            table = self.model.embeddings[field]
+            return np.zeros((0, table.dim), dtype=table.dtype)
         snap = np.concatenate(rows, axis=0)
         return snap[-self.config.grad_snapshot_rows :]
 
@@ -212,6 +228,7 @@ class LoRATrainer:
             if cfg.dynamic_rank:
                 snap = self._gradient_snapshot(f)
                 if snap.shape[0] >= 2:
+                    # repro-lint: disable=obs-discipline -- RankMonitor.observe is the PCA update (one whole-snapshot call per table), not a telemetry histogram
                     self.rank_monitors[f].observe(snap)
                     new_rank = self.rank_monitors[f].recommended_rank(
                         fallback=adapter.rank

@@ -48,11 +48,13 @@ class InferenceLogBuffer:
     evicted, matching the paper's 10-minute retention window.  An optional
     ``max_samples`` bound emulates fixed memory capacity.
 
-    The window lives in flat per-field arrays (an actual ring of samples):
-    appends copy one batch into spare tail capacity (amortized O(batch)
-    via doubling), evictions advance the head offset in O(1), and
-    sampling is one fancy-index per field over the live slice — no
-    per-row Python and no per-append re-concatenation.
+    The window lives in flat per-field arrays used as a true ring: an
+    append copies one batch in at the tail, wrapping past the end of the
+    arrays (at most two slice copies per field), an eviction advances the
+    head in O(1), and sampling is one fancy-index per field at
+    ``(head + draw) % capacity``.  Live rows are never slid; the arrays are
+    reallocated (doubling, live rows unwrapped to the front) only when the
+    window plus the incoming batch no longer fits.
     """
 
     def __init__(
@@ -63,45 +65,52 @@ class InferenceLogBuffer:
         self.retention_s = retention_s
         self.max_samples = max_samples
         self._meta: deque[_BatchMeta] = deque()
-        # Flat window storage: rows [_start, _end) of each buffer are live.
+        # Ring storage: the ``_live`` rows starting at ``_start`` (mod
+        # capacity) of each array are the window, oldest first.
         self._dense: np.ndarray | None = None
         self._sparse: np.ndarray | None = None
         self._labels: np.ndarray | None = None
         self._start = 0
-        self._end = 0
+        self._live = 0
         self.total_appended = 0
         self.total_evicted = 0
 
     def __len__(self) -> int:
-        return self._end - self._start
+        return self._live
 
     # ---------------------------------------------------------------- storage
     def _capacity(self) -> int:
         return 0 if self._dense is None else self._dense.shape[0]
 
+    def _unwrap(self, buf: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Copy one ring array's live rows, oldest first, to the front of
+        ``out`` (a fresh exact-size array when ``None``)."""
+        if out is None:
+            out = np.empty((self._live, *buf.shape[1:]), dtype=buf.dtype)
+        first = min(self._live, buf.shape[0] - self._start)  # rows before the wrap
+        out[:first] = buf[self._start : self._start + first]
+        out[first : self._live] = buf[: self._live - first]
+        return out
+
     def _reserve(self, extra: int) -> None:
-        """Make room for ``extra`` tail rows: compact, then grow if needed."""
-        live = len(self)
-        if self._end + extra <= self._capacity():
+        """Make room for ``extra`` more rows; reallocates only if the
+        window plus ``extra`` exceeds the capacity."""
+        need = self._live + extra
+        if need <= self._capacity():
             return
-        cap = self._capacity()
-        if live + extra <= cap:
-            # Enough total room: slide the live region back to the front.
-            for buf in (self._dense, self._sparse, self._labels):
-                buf[:live] = buf[self._start : self._end]
-        else:
-            cap = max(2 * (live + extra), 1024)
-            for name in ("_dense", "_sparse", "_labels"):
-                old = getattr(self, name)
-                grown = np.empty((cap, *old.shape[1:]), dtype=old.dtype)
-                grown[:live] = old[self._start : self._end]
-                setattr(self, name, grown)
-        self._start, self._end = 0, live
+        cap = max(2 * need, 1024)
+        for name in ("_dense", "_sparse", "_labels"):
+            old = getattr(self, name)
+            grown = np.empty((cap, *old.shape[1:]), dtype=old.dtype)
+            setattr(self, name, self._unwrap(old, out=grown))
+        self._start = 0
 
     def append(self, batch: Batch) -> None:
         """Insert a served batch; evicts anything outside the window."""
         size = batch.size
         if self._dense is None or self._dense.shape[1:] != batch.dense.shape[1:]:
+            # First batch, or the feature layout changed: rows of the old
+            # layout cannot share the ring, so the window starts over.
             cap = max(4 * size, 1024)
             self._dense = np.empty(
                 (cap, *batch.dense.shape[1:]), dtype=batch.dense.dtype
@@ -112,14 +121,22 @@ class InferenceLogBuffer:
             self._labels = np.empty(
                 (cap, *batch.labels.shape[1:]), dtype=batch.labels.dtype
             )
-            self._start = self._end = 0
+            self.total_evicted += self._live
+            self._meta.clear()
+            self._start = self._live = 0
         else:
             self._reserve(size)
-        end = self._end + size
-        self._dense[self._end : end] = batch.dense
-        self._sparse[self._end : end] = batch.sparse_ids
-        self._labels[self._end : end] = batch.labels
-        self._end = end
+        cap = self._capacity()
+        tail = (self._start + self._live) % cap
+        head_room = min(size, cap - tail)  # rows that fit before the wrap
+        for buf, rows in (
+            (self._dense, batch.dense),
+            (self._sparse, batch.sparse_ids),
+            (self._labels, batch.labels),
+        ):
+            buf[tail : tail + head_room] = rows[:head_room]
+            buf[: size - head_room] = rows[head_room:]
+        self._live += size
         self._meta.append(_BatchMeta(timestamp=batch.timestamp, size=size))
         self.total_appended += size
         self._evict(batch.timestamp)
@@ -130,7 +147,8 @@ class InferenceLogBuffer:
             or (self.max_samples is not None and len(self) > self.max_samples)
         ):
             old = self._meta.popleft()
-            self._start += old.size
+            self._start = (self._start + old.size) % self._capacity()
+            self._live -= old.size
             self.total_evicted += old.size
 
     def stats(self, bytes_per_sample: int = 250) -> RingBufferStats:
@@ -153,17 +171,18 @@ class InferenceLogBuffer:
         Returns ``None`` when the buffer is empty.  Sampling is with
         replacement across the window, which matches how an online trainer
         re-visits recent traffic.  Each field is gathered with one
-        fancy-index over the flat window — the per-row list comprehensions
-        of the seed implementation are gone.
+        fancy-index over the ring — draw ``k`` of ``rng.integers(0, len)``
+        is the window's ``k``-th oldest row wherever the ring has put it.
         """
         if not self._meta:
             return None
         picks = self._start + rng.integers(0, len(self), size=batch_size)
+        picks %= self._capacity()
         return Batch(
             timestamp=self._meta[-1].timestamp,
-            dense=self._dense[picks],
-            sparse_ids=self._sparse[picks],
-            labels=self._labels[picks],
+            dense=self._dense.take(picks, axis=0),
+            sparse_ids=self._sparse.take(picks, axis=0),
+            labels=self._labels.take(picks, axis=0),
         )
 
     def drain_window(self) -> Batch | None:
@@ -172,7 +191,7 @@ class InferenceLogBuffer:
             return None
         return Batch(
             timestamp=self._meta[-1].timestamp,
-            dense=self._dense[self._start : self._end].copy(),
-            sparse_ids=self._sparse[self._start : self._end].copy(),
-            labels=self._labels[self._start : self._end].copy(),
+            dense=self._unwrap(self._dense),
+            sparse_ids=self._unwrap(self._sparse),
+            labels=self._unwrap(self._labels),
         )

@@ -138,12 +138,19 @@ class EmbeddingTable:
         return int(self.weight.nbytes)
 
     # ---------------------------------------------------------------- forward
-    def lookup(self, ids: np.ndarray) -> np.ndarray:
-        """Single-hot lookup: returns ``(batch, d)`` rows for ``ids``."""
+    def lookup(self, ids: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Single-hot lookup: returns ``(batch, d)`` rows for ``ids``.
+
+        With ``out`` (a ``(batch, d)`` block on the table's lane, e.g. one
+        plane of the interaction slab) the rows are gathered straight into
+        it and no temporary is made.
+        """
         ids = np.asarray(ids, dtype=np.int64)
         if ids.size and (ids.min() < 0 or ids.max() >= self.num_rows):
             raise IndexError(f"embedding id out of range for table {self.name}")
-        return self.weight[ids]
+        # The range check above is the bounds check; ``mode="clip"`` only
+        # stops ``np.take`` from buffering ``out`` as ``mode="raise"`` does.
+        return np.take(self.weight, ids, axis=0, out=out, mode="clip")
 
     def lookup_pooled(
         self, ids: np.ndarray, offsets: np.ndarray, mode: str = "mean"

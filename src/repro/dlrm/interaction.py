@@ -5,6 +5,11 @@ dot products (Fig. 1 in the paper).  Given ``m`` vectors of dimension ``d``
 per sample, the layer emits the ``m * (m - 1) / 2`` distinct dot products,
 concatenated with the dense vector itself — exactly the ``dot`` interaction
 of the reference DLRM implementation.
+
+The layer owns the model plane's *slab*: one field-major ``(m, batch, d)``
+buffer whose plane 0 is the dense vector and whose plane ``1 + f`` holds
+field ``f``'s embedding rows.  The model gathers (and overlays) straight
+into it, so nothing is stacked or copied between lookup and interaction.
 """
 
 from __future__ import annotations
@@ -13,15 +18,33 @@ import numpy as np
 
 __all__ = ["DotInteraction"]
 
+# Largest feature count served by the direct pair kernel.  Measured at
+# d = 16, batch 256-6000: one row-product einsum per feature beats the
+# per-sample gram GEMM up to m = 8 (m = 5: 1.0 vs 1.7 ms at batch 6000)
+# and loses from m = 12 on (C(m, 2) grows past what the m x m GEMM costs).
+_DIRECT_MAX_FEATURES = 8
+
+
+def _grown(batch: int) -> int:
+    """Scratch rows to allocate when ``batch`` outgrows what is there."""
+    return batch + batch // 4
+
 
 class DotInteraction:
     """Pairwise dot-product interaction with dense passthrough.
 
-    The whole pass is batched: features stack into one ``(batch, m, d)``
-    block, the pairwise products are one batched gram matmul, and the
-    ``C(m, 2)`` distinct pairs are gathered by fixed upper-triangle
-    indices — no per-pair loop in either direction.  ``dtype`` selects
-    the lane (float64 train / float32 serve).
+    Both passes work on the field-major slab.  The forward pair kernel is
+    chosen by shape: for few features the ``C(m, 2)`` row products are
+    computed directly (no gram, no gather); for many, one batched gram
+    matmul over the slab's ``(batch, m, d)`` view followed by a fixed
+    upper-triangle gather.  Backward is one batched matmul either way.
+    ``dtype`` selects the lane (float64 train / float32 serve).
+
+    Scratch (the slab, the gram and its gradient) grows to the largest
+    batch seen — plus a quarter, so a run of record sizes reallocates
+    once, not once per record — and is sliced, so alternating batch sizes
+    never reallocate.  None of it escapes except through :meth:`slab`,
+    whose result is only valid until the next :meth:`slab` call.
     """
 
     def __init__(self, num_features: int, dim: int, dtype=np.float64) -> None:
@@ -31,31 +54,16 @@ class DotInteraction:
         self.num_features = num_features
         self.dim = dim
         self.dtype = np.dtype(dtype)
-        # Upper-triangle index pairs, fixed ordering shared by fwd/bwd.
-        self._li, self._lj = np.triu_indices(num_features, k=1)
-        # Flattened (m, m) offsets of both triangles: gather/scatter on the
+        # Upper-triangle index pairs, fixed ordering shared by fwd/bwd, as
+        # flattened (m, m) offsets of both triangles: gather/scatter on the
         # reshaped gram avoids the slower two-axis fancy-indexing path.
-        self._flat_upper = self._li * num_features + self._lj
-        self._flat_lower = self._lj * num_features + self._li
-        # Per-batch-size scratch (gram and its gradient) reused across
-        # steps; neither escapes, so reuse is invisible to callers.
-        self._scratch_batch = 0
-        self._gram = np.zeros((0, 0, 0), dtype=self.dtype)
-        self._gram_grad = np.zeros((0, 0, 0), dtype=self.dtype)
-
-    def _scratch(self, batch: int) -> tuple[np.ndarray, np.ndarray]:
-        """Reusable ``(gram, gram_grad)`` buffers for ``batch`` samples.
-
-        ``gram_grad`` is zero-initialised once; backward only ever writes
-        the two strict triangles, so the diagonal stays zero without a
-        per-step refill.
-        """
-        if self._scratch_batch != batch:
-            m = self.num_features
-            self._gram = np.empty((batch, m, m), dtype=self.dtype)
-            self._gram_grad = np.zeros((batch, m, m), dtype=self.dtype)
-            self._scratch_batch = batch
-        return self._gram, self._gram_grad
+        li, lj = np.triu_indices(num_features, k=1)
+        self._flat_upper = li * num_features + lj
+        self._flat_lower = lj * num_features + li
+        m = num_features
+        self._slab = np.empty((m, 0, dim), dtype=self.dtype)
+        self._gram = np.empty((0, m, m), dtype=self.dtype)
+        self._gram_grad = np.zeros((0, m, m), dtype=self.dtype)
 
     @property
     def output_dim(self) -> int:
@@ -63,69 +71,80 @@ class DotInteraction:
         m = self.num_features
         return self.dim + m * (m - 1) // 2
 
-    def forward(
-        self, dense: np.ndarray, embeddings: list[np.ndarray]
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Compute interactions.
+    def slab(self, batch: int) -> np.ndarray:
+        """The ``(m, batch, d)`` feature slab to fill for one forward pass.
 
-        Args:
-            dense: ``(batch, d)`` bottom-MLP output.
-            embeddings: list of ``(batch, d)`` arrays, one per sparse field.
-
-        Returns:
-            ``(output, stacked)`` where ``output`` is ``(batch, output_dim)``
-            and ``stacked`` is the ``(batch, m, d)`` cache for backward.
+        Every plane ``slab[f]`` is a contiguous ``(batch, d)`` block.  The
+        contents are uninitialised; the caller writes all ``m`` planes.
         """
-        feats = [np.asarray(dense, dtype=self.dtype)]
-        feats.extend(np.asarray(e, dtype=self.dtype) for e in embeddings)
-        if len(feats) != self.num_features:
-            raise ValueError(
-                f"expected {self.num_features} feature vectors, got {len(feats)}"
+        if batch > self._slab.shape[1]:
+            self._slab = np.empty(
+                (self.num_features, _grown(batch), self.dim), dtype=self.dtype
             )
-        stacked = np.stack(feats, axis=1)  # (batch, m, d)
-        batch, m = stacked.shape[0], self.num_features
-        gram, _ = self._scratch(batch)
-        np.matmul(stacked, stacked.transpose(0, 2, 1), out=gram)
+        return self._slab[:, :batch]
+
+    def forward(self, slab: np.ndarray) -> np.ndarray:
+        """Interactions of a filled slab: ``(batch, output_dim)``.
+
+        Columns ``[:d]`` pass the dense vector through; the rest are the
+        pair products in ``(0,1), (0,2), ..., (m-2,m-1)`` order.  The
+        result is a fresh array (it never aliases scratch).
+        """
+        slab = np.asarray(slab, dtype=self.dtype)
+        m, d = self.num_features, self.dim
+        if slab.ndim != 3 or slab.shape[0] != m or slab.shape[2] != d:
+            raise ValueError(
+                f"expected a ({m}, batch, {d}) slab, got {slab.shape}"
+            )
+        batch = slab.shape[1]
         out = np.empty((batch, self.output_dim), dtype=self.dtype)
-        out[:, : self.dim] = stacked[:, 0, :]
-        # Gather the C(m,2) distinct pairs straight into the output slab;
+        out[:, :d] = slab[0]
+        if m <= _DIRECT_MAX_FEATURES:
+            lo = d
+            for i in range(m - 1):
+                hi = lo + m - 1 - i
+                np.einsum(
+                    "bd,jbd->bj", slab[i], slab[i + 1 :], out=out[:, lo:hi]
+                )
+                lo = hi
+            return out
+        if batch > self._gram.shape[0]:
+            self._gram = np.empty((_grown(batch), m, m), dtype=self.dtype)
+        gram = self._gram[:batch]
+        by_sample = slab.transpose(1, 0, 2)  # (batch, m, d) view, no copy
+        np.matmul(by_sample, by_sample.transpose(0, 2, 1), out=gram)
+        # Gather the C(m,2) distinct pairs straight into the output;
         # ``np.take`` with ``out=`` skips the intermediate pair array.
         np.take(
-            gram.reshape(batch, m * m),
-            self._flat_upper,
-            axis=1,
-            out=out[:, self.dim :],
+            gram.reshape(batch, m * m), self._flat_upper, axis=1, out=out[:, d:]
         )
-        return out, stacked
+        return out
 
-    def backward(
-        self, stacked: np.ndarray, grad_out: np.ndarray
-    ) -> tuple[np.ndarray, list[np.ndarray]]:
-        """Backward pass.
+    def backward(self, slab: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
+        """Gradient w.r.t. the slab: a fresh ``(m, batch, d)`` array.
 
         Args:
-            stacked: cache from :meth:`forward`.
+            slab: the slab :meth:`forward` consumed.
             grad_out: ``(batch, output_dim)`` upstream gradient.
-
-        Returns:
-            ``(grad_dense, grad_embeddings)`` matching forward's inputs.
         """
-        batch, m, d = stacked.shape
+        slab = np.asarray(slab, dtype=self.dtype)
+        m, batch, d = slab.shape
         grad_out = np.asarray(grad_out, dtype=self.dtype)
-        grad_dense_passthrough = grad_out[:, : self.dim]
-        grad_pairs = grad_out[:, self.dim :]  # (batch, C(m,2))
-
+        grad_pairs = grad_out[:, d:]  # (batch, C(m,2))
         # d(x_i . x_j)/dx_i = x_j and vice versa: scatter pair grads into a
         # symmetric (m, m) matrix per sample, then one batched matmul.  The
-        # scratch buffer's diagonal is zero and both triangles are fully
-        # overwritten every call, so no per-step zero fill is needed.
-        _, gram_grad = self._scratch(batch)
+        # scratch is zero-initialised and only the two strict triangles of
+        # the first ``batch`` samples are ever written — fully, every call —
+        # so the diagonal stays zero and no earlier batch can leak.
+        if batch > self._gram_grad.shape[0]:
+            self._gram_grad = np.zeros((_grown(batch), m, m), dtype=self.dtype)
+        gram_grad = self._gram_grad[:batch]
         flat_grad = gram_grad.reshape(batch, m * m)
         flat_grad[:, self._flat_upper] = grad_pairs
         flat_grad[:, self._flat_lower] = grad_pairs
-        grad_stacked = gram_grad @ stacked  # (batch, m, d)
-        grad_stacked[:, 0, :] += grad_dense_passthrough
-
-        grad_dense = grad_stacked[:, 0, :]
-        grad_embeddings = [grad_stacked[:, f, :] for f in range(1, m)]
-        return grad_dense, grad_embeddings
+        grad = np.empty((m, batch, d), dtype=self.dtype)
+        np.matmul(
+            gram_grad, slab.transpose(1, 0, 2), out=grad.transpose(1, 0, 2)
+        )
+        grad[0] += grad_out[:, :d]
+        return grad

@@ -232,21 +232,30 @@ class MLP:
         return self.forward(x)[0]
 
     def backward(
-        self, cache: ActivationCache, grad_out: np.ndarray
-    ) -> tuple[np.ndarray, DenseGrads]:
+        self,
+        cache: ActivationCache,
+        grad_out: np.ndarray,
+        param_grads: bool = True,
+    ) -> tuple[np.ndarray, DenseGrads | None]:
         """Backprop ``grad_out`` through the cached forward pass.
 
         Returns the gradient w.r.t. the network input and parameter
         grads.  All parameter gradients are written into one flat buffer
         (per-layer views via ``out=``), so the optimizer's update is a
-        single axpy over the buffer.
+        single axpy over the buffer.  With ``param_grads=False`` (a frozen
+        network that only passes gradient through) the same body skips
+        the weight/bias products and returns ``None`` in their place; the
+        input gradient is bit-identical either way.
         """
-        flat = np.empty(self._params.size, dtype=self.dtype)
-        grad_w, grad_b = _param_views(
-            flat,
-            [w.shape for w in self.weights],
-            [b.shape for b in self.biases],
-        )
+        grads = None
+        if param_grads:
+            flat = np.empty(self._params.size, dtype=self.dtype)
+            grad_w, grad_b = _param_views(
+                flat,
+                [w.shape for w in self.weights],
+                [b.shape for b in self.biases],
+            )
+            grads = DenseGrads(grad_w, grad_b, flat)
         # Private copy: the ReLU mask is applied in place below.
         g = np.array(grad_out, dtype=self.dtype)
         last = self.num_layers - 1
@@ -256,10 +265,11 @@ class MLP:
             if layer != last or self.final_relu:
                 # ReLU derivative via the cached post-activation.
                 np.multiply(g, h_out > 0.0, out=g)
-            np.matmul(h_in.T, g, out=grad_w[layer])
-            g.sum(axis=0, out=grad_b[layer])
+            if grads is not None:
+                np.matmul(h_in.T, g, out=grads.weights[layer])
+                g.sum(axis=0, out=grads.biases[layer])
             g = g @ self.weights[layer].T
-        return g, DenseGrads(grad_w, grad_b, flat)
+        return g, grads
 
     def apply_grads(self, grads: DenseGrads, lr: float) -> None:
         """In-place SGD step — one fused axpy when the grads are

@@ -16,10 +16,14 @@ scatter-add) and the optimizer's row updates stamp the tables'
 ``train_step -> touched-row drain -> delta publish`` cycle runs as whole-array
 passes.
 
-The forward path accepts an *embedding overlay*: a callable that may adjust
-looked-up rows.  LiveUpdate uses this hook to serve ``W_base[i] + A[i] B``
-for hot ids without mutating the base table (Section IV-A, inference path
-step 3).
+The forward pass gathers every field's rows straight into the interaction
+layer's field-major ``(1 + fields, batch, d)`` slab — no per-field
+temporary, no stacking — and accepts an *embedding overlay*: a callable
+that adjusts one field's looked-up rows, in place in the slab.  LiveUpdate
+uses this hook to serve ``W_base[i] + A[i] B`` for hot ids without mutating
+the base table (Section IV-A, inference path step 3).  A frozen-base
+caller (the inference-side LoRA trainer) runs :meth:`DLRM.backward` with
+``dense_grads=False`` and pays for the embedding gradients only.
 """
 
 from __future__ import annotations
@@ -36,7 +40,9 @@ from .mlp import MLP, ActivationCache, DenseGrads
 
 __all__ = ["DLRMConfig", "ForwardCache", "TrainStepResult", "DLRM", "sigmoid"]
 
-# Overlay signature: (field_index, ids, base_rows) -> possibly adjusted rows.
+# Overlay signature: (field_index, ids, rows) -> the rows to serve.  ``rows``
+# is the field's slab plane: adjust it in place and return it (the fast
+# path), or return replacement rows for the model to copy in.
 EmbeddingOverlay = Callable[[int, np.ndarray, np.ndarray], np.ndarray]
 
 
@@ -44,12 +50,12 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
     """Numerically stable logistic function (lane-preserving: float32
     logits yield float32 probabilities)."""
     z = as_float_rows(z, name="logits")
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # exp(-|z|) never overflows; each branch is the textbook stable form
+    # for its sign, evaluated over the whole array instead of two masked
+    # gathers.
+    ez = np.exp(-np.abs(z))
+    denom = 1.0 + ez
+    return np.where(z >= 0, 1.0 / denom, ez / denom)
 
 
 @dataclass
@@ -85,15 +91,21 @@ class DLRMConfig:
 
 @dataclass
 class ForwardCache:
-    """Everything backward needs from a forward pass."""
+    """Everything backward needs from a forward pass.
+
+    ``slab`` is a view of the model's reused interaction scratch, so a
+    cache is good for one :meth:`DLRM.backward` *before the model's next
+    forward*; ``serial`` lets backward refuse a stale one.
+    """
 
     dense_in: np.ndarray
     sparse_ids: np.ndarray
     bottom_cache: ActivationCache
-    stacked: np.ndarray
+    slab: np.ndarray
     top_cache: ActivationCache
     logits: np.ndarray
     probs: np.ndarray
+    serial: int
 
 
 @dataclass
@@ -103,12 +115,16 @@ class TrainStepResult:
     loss: float
     probs: np.ndarray
     embedding_grads: list[SparseRowGrad]
-    bottom_grads: DenseGrads
-    top_grads: DenseGrads
+    # ``None`` from a frozen-base backward (``dense_grads=False``).
+    bottom_grads: DenseGrads | None
+    top_grads: DenseGrads | None
 
 
 class DLRM:
     """A complete DLRM with exact NumPy forward/backward."""
+
+    # Bumped by every forward; a ForwardCache carries the value it was made at.
+    _forward_serial = 0
 
     def __init__(self, config: DLRMConfig) -> None:
         config.validate()
@@ -164,26 +180,37 @@ class DLRM:
             overlay: optional per-field adjustment applied to looked-up rows
                 (LiveUpdate's hot-id LoRA path).
         """
-        dense = self.config.policy.as_rows(dense, name="dense features")
+        policy = self.config.policy
+        dense = policy.as_rows(dense, name="dense features")
         sparse_ids = np.asarray(sparse_ids, dtype=np.int64)
+        if sparse_ids.ndim != 2 or sparse_ids.shape[1] != len(self.embeddings):
+            raise ValueError(
+                f"expected sparse ids of shape (batch, {len(self.embeddings)}), "
+                f"got {sparse_ids.shape}"
+            )
         bottom_out, bottom_cache = self.bottom.forward(dense)
-        emb = []
+        slab = self.interaction.slab(dense.shape[0])
+        slab[0] = bottom_out
+        # One contiguous id row per field: the range check, the gather and
+        # the overlay's lookups all run on it.
+        field_ids = np.ascontiguousarray(sparse_ids.T)
         for f, table in enumerate(self.embeddings):
-            rows = table.lookup(sparse_ids[:, f])
+            rows = table.lookup(field_ids[f], out=slab[1 + f])
             if overlay is not None:
-                rows = overlay(f, sparse_ids[:, f], rows)
-            emb.append(rows)
-        inter_out, stacked = self.interaction.forward(bottom_out, emb)
-        logits, top_cache = self.top.forward(inter_out)
-        probs = sigmoid(logits[:, 0])
+                adjusted = overlay(f, field_ids[f], rows)
+                if adjusted is not rows:
+                    rows[...] = policy.as_rows(adjusted, name="overlay rows")
+        logits, top_cache = self.top.forward(self.interaction.forward(slab))
+        self._forward_serial += 1
         return ForwardCache(
             dense_in=dense,
             sparse_ids=sparse_ids,
             bottom_cache=bottom_cache,
-            stacked=stacked,
+            slab=slab,
             top_cache=top_cache,
             logits=logits,
-            probs=probs,
+            probs=sigmoid(logits[:, 0]),
+            serial=self._forward_serial,
         )
 
     def predict(
@@ -197,9 +224,22 @@ class DLRM:
 
     # --------------------------------------------------------------- backward
     def backward(
-        self, cache: ForwardCache, labels: np.ndarray
+        self,
+        cache: ForwardCache,
+        labels: np.ndarray,
+        dense_grads: bool = True,
     ) -> TrainStepResult:
-        """BCE backward pass from a cached forward."""
+        """BCE backward pass from a cached forward.
+
+        ``dense_grads=False`` is the frozen-base lane: the same body, but
+        both MLPs' weight/bias gradients and the whole bottom-MLP backward
+        are skipped (``bottom_grads``/``top_grads`` come back ``None``);
+        the embedding gradients are bit-identical to the full pass.
+        """
+        if cache.serial != self._forward_serial:
+            raise RuntimeError(
+                "stale ForwardCache: its slab was reused by a later forward"
+            )
         # Labels join on the model's lane so the loss and every gradient
         # stay in one dtype instead of silently upcasting to float64.
         labels = np.asarray(labels, dtype=cache.probs.dtype).ravel()
@@ -214,13 +254,17 @@ class DLRM:
         )
         # dL/dlogit for sigmoid + BCE, averaged over the batch.
         grad_logit = ((probs - labels) / batch)[:, None]
-        grad_inter, top_grads = self.top.backward(cache.top_cache, grad_logit)
-        grad_dense_vec, grad_embs = self.interaction.backward(
-            cache.stacked, grad_inter
+        grad_inter, top_grads = self.top.backward(
+            cache.top_cache, grad_logit, param_grads=dense_grads
         )
-        _, bottom_grads = self.bottom.backward(cache.bottom_cache, grad_dense_vec)
+        grad_slab = self.interaction.backward(cache.slab, grad_inter)
+        bottom_grads = None
+        if dense_grads:
+            _, bottom_grads = self.bottom.backward(
+                cache.bottom_cache, grad_slab[0]
+            )
         emb_grads = [
-            table.grad_from_output(cache.sparse_ids[:, f], grad_embs[f])
+            table.grad_from_output(cache.sparse_ids[:, f], grad_slab[1 + f])
             for f, table in enumerate(self.embeddings)
         ]
         return TrainStepResult(

@@ -70,6 +70,13 @@ class TestProtocol:
         assert cost.bytes_moved == 0.0  # the headline claim
         assert cost.seconds > 0.0
 
+    def test_slot_cost_exists_before_the_first_slot(self, world):
+        _, tc, node = world
+        lu = _make(node, tc)
+        assert vars(lu)["_slot_cost"] == 0.0  # set by __init__, not on first use
+        lu.on_slot(now=1.0)  # empty buffer: nothing trained, nothing charged
+        assert lu._slot_cost == 0.0
+
     def test_on_slot_accumulates_into_window_cost(self, world):
         stream, tc, node = world
         lu = _make(node, tc, steps_per_slot=2, steps_per_window=0)

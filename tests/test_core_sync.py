@@ -127,6 +127,17 @@ class TestSynchronizer:
             not s for rank_s in sync._supports for s in rank_s
         )
 
+    def test_support_is_the_steps_resolved_ids(self):
+        trainers = _make_trainers(2)
+        sync = SparseLoRASynchronizer(trainers, sync_interval=100)
+        b = _stream().next_batch(64)
+        sync.local_step(1, b.dense, b.sparse_ids, b.labels)
+        for f in range(sync.num_fields):
+            np.testing.assert_array_equal(
+                sync._support_ids(1, f), np.unique(b.sparse_ids[:, f])
+            )
+            assert sync._support_ids(0, f).size == 0
+
     def test_single_rank_sync_is_trivial(self):
         trainers = _make_trainers(1)
         sync = SparseLoRASynchronizer(trainers, sync_interval=1)

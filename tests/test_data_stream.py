@@ -95,3 +95,76 @@ class TestSampling:
         buf.append(b2)
         mb = buf.sample_minibatch(200, np.random.default_rng(0))
         assert 0.0 < mb.labels.mean() < 1.0
+
+
+class TestRingAgainstListOracle:
+    """The wrap-around ring vs ``tests/reference``'s list of batches."""
+
+    @staticmethod
+    def _check(buf, oracle, rng_seed):
+        assert len(buf) == len(oracle)
+        assert buf.total_evicted == oracle.total_evicted
+        if not len(oracle):
+            assert buf.drain_window() is None
+            return
+        drained = buf.drain_window()
+        for got, want in zip(
+            (drained.dense, drained.sparse_ids, drained.labels), oracle.window()
+        ):
+            np.testing.assert_array_equal(got, want)
+        # the same draws pick the same rows wherever the ring has put them
+        mb = buf.sample_minibatch(64, np.random.default_rng(rng_seed))
+        want = oracle.sample(64, np.random.default_rng(rng_seed))
+        for got, ref in zip((mb.dense, mb.sparse_ids, mb.labels), want):
+            np.testing.assert_array_equal(got, ref)
+
+    @pytest.mark.parametrize("max_samples", [None, 700])
+    def test_wraps_evicts_and_grows_like_the_list(self, max_samples):
+        from reference.stream import ListLogBuffer
+
+        rng = np.random.default_rng(11)
+        buf = InferenceLogBuffer(retention_s=40.0, max_samples=max_samples)
+        oracle = ListLogBuffer(40.0, max_samples)
+        capacities = set()
+        wrapped = False
+        for step in range(300):
+            # mostly small batches (the ring wraps many times inside one
+            # capacity), now and then one that forces a reallocation
+            n = int(rng.integers(1, 60)) if (step + 1) % 37 else int(rng.integers(900, 1500))
+            batch = _batch(float(step), n=n, seed=step)
+            buf.append(batch)
+            oracle.append(batch)
+            capacities.add(buf._capacity())
+            wrapped |= buf._start + len(buf) > buf._capacity()
+            self._check(buf, oracle, step)
+        assert wrapped, "the sequence never wrapped the ring"
+        assert len(capacities) > 1, "the sequence never grew the ring"
+
+    def test_does_not_reallocate_while_the_window_fits(self):
+        buf = InferenceLogBuffer(retention_s=10.0)
+        for step in range(200):  # steady state: 11 batches of 100 live
+            buf.append(_batch(float(step), n=100, seed=step))
+            if step == 20:
+                storage = (buf._dense, buf._sparse, buf._labels)
+        assert len(buf) == 1100
+        assert all(
+            now is then
+            for now, then in zip((buf._dense, buf._sparse, buf._labels), storage)
+        )
+
+    def test_a_dense_shape_change_starts_the_window_over(self):
+        from reference.stream import ListLogBuffer
+
+        buf = InferenceLogBuffer(retention_s=100.0)
+        oracle = ListLogBuffer(100.0)
+        for step in range(6):
+            batch = _batch(float(step), n=30, seed=step)
+            buf.append(batch)
+            oracle.append(batch)
+        for step in range(6, 12):  # a different feature layout arrives
+            batch = _batch(float(step), n=20, num_dense=5, seed=step)
+            buf.append(batch)
+            oracle.append(batch)
+            self._check(buf, oracle, step)
+        assert buf.total_evicted == 180
+        assert buf.stats().num_batches == 6

@@ -6,6 +6,11 @@ import pytest
 from repro.dlrm.interaction import DotInteraction
 
 
+def _slab(dense, embs):
+    """Field-major ``(m, batch, d)`` slab from a dense block and fields."""
+    return np.stack([dense, *embs], axis=0)
+
+
 class TestForward:
     def test_needs_two_features(self):
         with pytest.raises(ValueError):
@@ -20,7 +25,7 @@ class TestForward:
         dense = np.array([[1.0, 0.0]])
         e1 = np.array([[0.0, 1.0]])
         e2 = np.array([[2.0, 2.0]])
-        out, _ = inter.forward(dense, [e1, e2])
+        out = inter.forward(_slab(dense, [e1, e2]))
         # passthrough
         np.testing.assert_array_equal(out[0, :2], dense[0])
         # pairs in (0,1), (0,2), (1,2) order
@@ -31,81 +36,84 @@ class TestForward:
     def test_wrong_feature_count_raises(self):
         inter = DotInteraction(3, 2)
         with pytest.raises(ValueError):
-            inter.forward(np.zeros((1, 2)), [np.zeros((1, 2))] * 3)
+            inter.forward(np.zeros((4, 1, 2)))
+        with pytest.raises(ValueError):
+            inter.forward(np.zeros((3, 1, 5)))  # wrong dim
+
+    def test_slab_planes_are_contiguous_and_sized(self):
+        inter = DotInteraction(3, 4)
+        slab = inter.slab(7)
+        assert slab.shape == (3, 7, 4)
+        assert all(plane.flags.c_contiguous for plane in slab)
+        # a smaller request is a slice of the same scratch, not a new one
+        assert np.shares_memory(inter.slab(2), slab)
 
 
 class TestBackward:
     def test_gradient_matches_finite_difference(self):
         rng = np.random.default_rng(0)
         inter = DotInteraction(3, 4)
-        dense = rng.normal(size=(2, 4))
-        embs = [rng.normal(size=(2, 4)) for _ in range(2)]
+        slab = rng.normal(size=(3, 2, 4))
 
-        def loss(d, es):
-            out, _ = inter.forward(d, es)
-            return float((out ** 2).sum())
+        def loss(s):
+            return float((inter.forward(s) ** 2).sum())
 
-        out, stacked = inter.forward(dense, embs)
-        grad_dense, grad_embs = inter.backward(stacked, 2 * out)
+        grad = inter.backward(slab, 2 * inter.forward(slab))
         eps = 1e-6
-
-        d2 = dense.copy()
-        d2[0, 1] += eps
-        lp = loss(d2, embs)
-        d2[0, 1] -= 2 * eps
-        lm = loss(d2, embs)
-        assert grad_dense[0, 1] == pytest.approx((lp - lm) / (2 * eps), abs=1e-5)
-
-        e2 = [e.copy() for e in embs]
-        e2[1][1, 2] += eps
-        lp = loss(dense, e2)
-        e2[1][1, 2] -= 2 * eps
-        lm = loss(dense, e2)
-        assert grad_embs[1][1, 2] == pytest.approx(
-            (lp - lm) / (2 * eps), abs=1e-5
-        )
+        for index in [(0, 0, 1), (2, 1, 2)]:  # the dense plane, a field plane
+            bumped = slab.copy()
+            bumped[index] += eps
+            lp = loss(bumped)
+            bumped[index] -= 2 * eps
+            lm = loss(bumped)
+            assert grad[index] == pytest.approx((lp - lm) / (2 * eps), abs=1e-5)
 
     def test_backward_shapes(self):
         inter = DotInteraction(4, 8)
         rng = np.random.default_rng(1)
-        dense = rng.normal(size=(3, 8))
-        embs = [rng.normal(size=(3, 8)) for _ in range(3)]
-        out, stacked = inter.forward(dense, embs)
-        grad_dense, grad_embs = inter.backward(stacked, np.ones_like(out))
-        assert grad_dense.shape == (3, 8)
-        assert len(grad_embs) == 3
-        assert all(g.shape == (3, 8) for g in grad_embs)
+        slab = rng.normal(size=(4, 3, 8))
+        out = inter.forward(slab)
+        grad = inter.backward(slab, np.ones_like(out))
+        assert grad.shape == (4, 3, 8)
+
+
+# One feature count per pair kernel: 5 takes the direct row products, 12
+# the gram matmul.
+KERNEL_SHAPES = (5, 12)
 
 
 class TestScratchReuse:
-    """The layer reuses per-batch scratch; results must not depend on it."""
+    """The layer reuses grown scratch; results must not depend on it."""
 
     def test_results_stable_across_batch_size_changes(self):
         rng = np.random.default_rng(7)
-        warm = DotInteraction(5, 4)
-        for batch in (6, 3, 6, 8, 3):
-            dense = rng.normal(size=(batch, 4))
-            embs = [rng.normal(size=(batch, 4)) for _ in range(4)]
-            grad = rng.normal(size=(batch, warm.output_dim))
-
-            fresh = DotInteraction(5, 4)
-            out_w, st_w = warm.forward(dense, embs)
-            out_f, st_f = fresh.forward(dense, embs)
-            np.testing.assert_array_equal(out_w, out_f)
-
-            gd_w, ge_w = warm.backward(st_w, grad)
-            gd_f, ge_f = fresh.backward(st_f, grad)
-            np.testing.assert_array_equal(gd_w, gd_f)
-            for a, b in zip(ge_w, ge_f):
-                np.testing.assert_array_equal(a, b)
+        for features in KERNEL_SHAPES:
+            warm = DotInteraction(features, 4)
+            for batch in (6, 3, 6, 8, 3):
+                filled = rng.normal(size=(features, batch, 4))
+                grad = rng.normal(size=(batch, warm.output_dim))
+                fresh = DotInteraction(features, 4)
+                slab_w = warm.slab(batch)
+                slab_w[...] = filled
+                np.testing.assert_array_equal(
+                    warm.forward(slab_w), fresh.forward(filled)
+                )
+                np.testing.assert_array_equal(
+                    warm.backward(slab_w, grad), fresh.backward(filled, grad)
+                )
 
     def test_outputs_do_not_alias_scratch(self):
         rng = np.random.default_rng(8)
-        inter = DotInteraction(4, 3)
-        dense = rng.normal(size=(2, 3))
-        embs = [rng.normal(size=(2, 3)) for _ in range(3)]
-        out1, st1 = inter.forward(dense, embs)
-        snapshot = out1.copy()
-        # A second step over fresh inputs must not disturb earlier outputs.
-        inter.forward(rng.normal(size=(2, 3)), [rng.normal(size=(2, 3))] * 3)
-        np.testing.assert_array_equal(out1, snapshot)
+        for features in KERNEL_SHAPES:
+            inter = DotInteraction(features, 3)
+            slab = inter.slab(2)
+            slab[...] = rng.normal(size=slab.shape)
+            out1 = inter.forward(slab)
+            grad1 = inter.backward(slab, np.ones_like(out1))
+            snapshot, grad_snapshot = out1.copy(), grad1.copy()
+            # A second step over fresh inputs must not disturb earlier outputs.
+            slab = inter.slab(2)
+            slab[...] = rng.normal(size=slab.shape)
+            inter.backward(slab, 2 * inter.forward(slab))
+            np.testing.assert_array_equal(out1, snapshot)
+            np.testing.assert_array_equal(grad1, grad_snapshot)

@@ -17,6 +17,7 @@ from repro.cluster.shardstore import ShardClient, ShardedParameterStore
 from repro.core.dtypes import SERVE, TRAIN, as_float32_rows, as_rows
 from repro.core.hot_index import HotIndexFilter
 from repro.core.kernels import IdSlotTable
+from repro.core.lora import LoRACollection
 from repro.dlrm.mlp import MLP, clip_by_global_norm
 from repro.dlrm.model import DLRM, DLRMConfig
 from repro.hardware.vectorcache import BatchLRUCache, IntervalCache
@@ -250,6 +251,54 @@ class TestServingParity:
         np.testing.assert_allclose(
             narrow.astype(np.float64), wide, atol=1e-4
         )
+
+    def test_overlay_keeps_the_serving_lane(self):
+        """A float32 model served through its LoRA overlay stays float32 —
+        the adapters cross onto the lane through the policy's checked
+        downcast instead of upcasting every hot row to float64."""
+        rng = np.random.default_rng(7)
+        sizes = (120, 80)
+        model = DLRM(DLRMConfig(table_sizes=sizes, embedding_dim=8, seed=7))
+        lora = LoRACollection(
+            [8, 8], rank=4, capacities=[40, 40], seed=7, universes=list(sizes)
+        )
+        for f, n in enumerate(sizes):
+            slots = lora[f].activate_batch(rng.choice(n, size=30, replace=False))
+            lora[f].a[slots] = rng.normal(scale=0.2, size=(30, 4))
+        serving = model.serving_copy()
+        narrow_lora = lora.cast(SERVE)
+        for adapter in narrow_lora:
+            assert adapter.a.dtype == adapter.b.dtype == np.float32
+            assert adapter.policy is SERVE
+        np.testing.assert_array_equal(narrow_lora[0].active_ids, lora[0].active_ids)
+
+        dense = rng.normal(size=(64, 4))
+        sparse = np.stack([rng.integers(0, n, size=64) for n in sizes], axis=1)
+        wide = model.predict(dense, sparse, overlay=lora.overlay())
+        narrow = serving.predict(dense, sparse, overlay=narrow_lora.overlay())
+        assert narrow.dtype == np.float32
+        assert not np.allclose(wide, model.predict(dense, sparse))  # overlay acts
+        np.testing.assert_allclose(narrow.astype(np.float64), wide, atol=1e-4)
+        # the adapter algebra itself stays on its lane
+        ids = np.arange(10, dtype=np.int64)
+        assert narrow_lora[0].delta_rows(ids).dtype == np.float32
+        rows = np.zeros((10, 8), dtype=np.float32)
+        assert narrow_lora[0].apply_to(ids, rows) is rows
+        np.testing.assert_allclose(
+            rows, lora[0].delta_rows(ids), rtol=10 * SERVE.downcast_rtol, atol=1e-6
+        )
+        # a float64 adapter's rows entering a float32 model are checked in
+        # at the model's boundary, not silently truncated
+        mixed = serving.predict(dense, sparse, overlay=lora.overlay())
+        assert mixed.dtype == np.float32
+        np.testing.assert_allclose(mixed.astype(np.float64), wide, atol=1e-4)
+
+    def test_cast_refuses_a_factor_past_the_lane_tolerance(self):
+        lora = LoRACollection([4], rank=2, capacities=[4], seed=0)
+        slot = lora[0].activate(1)
+        lora[0].a[slot] = 1e-46  # flushes to zero in float32
+        with pytest.raises(ValueError, match="float32 downcast"):
+            lora.cast(SERVE)
 
     def test_serving_copy_is_independent(self):
         model = DLRM(DLRMConfig(seed=5))
