@@ -10,7 +10,7 @@ accuracy while spending no more full-sync bandwidth.
 import numpy as np
 
 from repro.cluster.nodes import InferenceNode, TrainingCluster
-from repro.cluster.parameter_server import ParameterServer
+from repro.cluster.shardstore import ShardedParameterStore
 from repro.core.drift import AdaptiveSyncPolicy, DriftMonitor
 from repro.core.liveupdate import LiveUpdate, LiveUpdateConfig
 from repro.core.trainer import TrainerConfig
@@ -21,7 +21,7 @@ from repro.experiments.reporting import banner, format_table
 
 def _run(policy: str, config: AccuracyConfig):
     stream, base_model = build_pretrained_world(config)
-    server = ParameterServer(row_bytes=config.embedding_dim * 8)
+    server = ShardedParameterStore(row_bytes=config.embedding_dim * 8)
     cluster = TrainingCluster(base_model.copy(), server)
     node = InferenceNode(base_model.copy(), server)
     live = LiveUpdate(

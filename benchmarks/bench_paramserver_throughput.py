@@ -1,7 +1,7 @@
 """Parameter-plane throughput: seed dict store vs sharded delta-log store.
 
 Measures publish and ``pull_delta`` rows/sec at production-ish row counts,
-comparing the repository's original dict-based ``ParameterServer`` (kept
+comparing the repository's original dict-based parameter server (kept
 here verbatim as the reference) against
 :class:`repro.cluster.shardstore.ShardedParameterStore`.  The interesting
 case is the steady state of Section II-B's delta protocol: a large resident
@@ -33,11 +33,11 @@ from repro.cluster.shardstore import ShardedParameterStore
 DIM = 16
 
 
-class DictParameterServer:
+class SeedDictStore:
     """The seed implementation: one Python dict entry per row.
 
-    ``pull_delta`` scans every key of every table; ``_shard_of`` is omitted
-    (its builtin-``hash()`` placement was nondeterministic anyway and stats
+    ``pull_delta`` scans every key of every table; the per-key shard lookup
+    is omitted (its builtin-``hash()`` placement was nondeterministic anyway and stats
     don't affect throughput).
     """
 
@@ -119,7 +119,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--rows must be at least 1000")
     delta_rows = max(1, int(args.rows * args.delta_fraction))
 
-    dict_store = DictParameterServer()
+    dict_store = SeedDictStore()
     sharded = ShardedParameterStore(
         num_shards=args.shards, row_bytes=DIM * 8, row_dim=DIM
     )

@@ -10,7 +10,7 @@ Run:  python examples/quickstart.py
 import numpy as np
 
 from repro.core import LiveUpdate, LiveUpdateConfig, TrainerConfig
-from repro.cluster import InferenceNode, ParameterServer
+from repro.cluster import InferenceNode, ShardedParameterStore
 from repro.data import DriftingCTRStream, StreamConfig
 from repro.dlrm import DLRM, DLRMConfig, RowwiseAdagrad, auc_roc
 
@@ -49,7 +49,7 @@ def main():
         model.train_step(batch.dense, batch.sparse_ids, batch.labels, optimizer)
 
     # 2. Deploy it on an inference node and measure fresh accuracy.
-    node = InferenceNode(model.copy(), ParameterServer(row_bytes=128))
+    node = InferenceNode(model.copy(), ShardedParameterStore())
     fresh = evaluate(node, stream)
     print(f"fresh AUC:                 {fresh:.4f}")
 

@@ -11,7 +11,7 @@ import numpy as np
 
 from repro.cluster import (
     InferenceNode,
-    ParameterServer,
+    ShardedParameterStore,
     check_prediction_consistency,
     parameter_divergence,
 )
@@ -82,7 +82,7 @@ def consistency_demo():
     model = DLRM(
         DLRMConfig(num_dense=4, embedding_dim=16, table_sizes=(2000, 1000))
     )
-    server = ParameterServer(row_bytes=128)
+    server = ShardedParameterStore()
     fleet_models = [model.copy() for _ in range(3)]
     nodes = [InferenceNode(m, server, node_id=i) for i, m in enumerate(fleet_models)]
 

@@ -4,9 +4,10 @@ This package turns the invariants this codebase repeatedly re-learned the
 hard way into blocking CI checks: the salted builtin ``hash()`` purges of
 PR 1 (request routing) and PR 2 (shard placement), the per-id Python
 loops PR 5 had to re-vectorize out of hot paths, and the id/key/row dtype
-discipline nothing previously enforced.  Eight repo-specific rules run
-over a single shared parse per file; see ``docs/lint.md`` for the catalogue,
-the incident history behind each rule, and the suppression syntax.
+discipline nothing previously enforced.  Eight repo-specific rules, plus
+the generic ``unused-import`` check, run over a single shared parse per
+file; see ``docs/lint.md`` for the catalogue, the incident history behind
+each rule, and the suppression syntax.
 
 Programmatic use::
 

@@ -54,7 +54,6 @@ HOT_MODULES: tuple[str, ...] = (
 PLACEMENT_MODULES: tuple[str, ...] = (
     "repro.serving.router",
     "repro.cluster.shardstore.*",
-    "repro.cluster.parameter_server",
     "repro.core.kernels",
     "repro.core.hot_index",
     "repro.dlrm.hashing",

@@ -17,7 +17,7 @@ from .config import LintConfig
 from .context import FileContext
 from .registry import ERROR, Finding, all_rules
 
-# import for the side effect of registering the builtin rules
+# repro-lint: disable=unused-import -- imported to register the builtin rules
 from . import rules as _rules  # noqa: F401
 
 __all__ = ["LintResult", "iter_python_files", "lint_file", "lint_paths"]

@@ -1,4 +1,4 @@
-"""The eight repo-specific invariant rules.
+"""The repo-specific invariant rules, plus one generic hygiene rule.
 
 Each rule machine-checks an invariant this repo has already paid to learn
 (see ``docs/lint.md`` for the incident history behind every rule):
@@ -25,6 +25,9 @@ Each rule machine-checks an invariant this repo has already paid to learn
   exception can hide a lost write or a dead replica; handlers must
   catch a named exception class, and a blanket ``except Exception``
   must re-raise or bind-and-record what it caught.
+* ``unused-import`` — a module-level import whose name the module never
+  references (the pyflakes F401 class), so a refactor that deletes the
+  last use also deletes the import; ``ruff`` is not always at hand.
 
 Rules are syntactic: they see one file's AST, never import the code.
 """
@@ -49,6 +52,7 @@ __all__ = [
     "PublicApiRule",
     "ObsDisciplineRule",
     "NoBareExceptRule",
+    "UnusedImportRule",
 ]
 
 _WALLCLOCK_CALLS = frozenset(
@@ -490,6 +494,35 @@ class NoBareExceptRule(Rule):
             )
 
 
+@register
+class UnusedImportRule(Rule):
+    """Module-level imports whose bound name the module never references."""
+
+    name = "unused-import"
+    description = (
+        "a module-level import binds a name the module never references "
+        "(pyflakes F401); package __init__ re-exports, names listed in "
+        "__all__ and __future__ imports are exempt"
+    )
+    requires_reason = True
+
+    def check(
+        self, ctx: FileContext, config: LintConfig
+    ) -> Iterator[Finding]:
+        if ctx.path.endswith("__init__.py"):
+            return
+        exported, _ = _resolve_dunder_all(ctx.tree)
+        used = _referenced_names(ctx.tree) | set(exported or ())
+        for node, bound in _module_imports(ctx.tree.body):
+            if bound not in used:
+                yield self.finding(
+                    ctx,
+                    node,
+                    f"{bound!r} is imported but never used; delete the "
+                    "import, or list the name in __all__ to re-export it",
+                )
+
+
 # --------------------------------------------------------------------- helpers
 _FLOAT_LANES = frozenset({"float32", "float64"})
 
@@ -529,6 +562,52 @@ def _handler_reraises_or_uses(handler: ast.ExceptHandler) -> bool:
             ):
                 return True
     return False
+
+
+def _module_imports(body: list[ast.stmt]) -> Iterator[tuple[ast.stmt, str]]:
+    """``(statement, bound name)`` of every module-level import binding,
+    including those under module-level ``if``/``try``/``with`` blocks."""
+    for node in body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node, alias.asname or alias.name.split(".", 1)[0]
+        elif isinstance(node, ast.ImportFrom):
+            if node.module == "__future__":
+                continue
+            for alias in node.names:
+                if alias.name != "*":
+                    yield node, alias.asname or alias.name
+        elif isinstance(node, (ast.If, ast.Try, ast.With)):
+            for block in ("body", "orelse", "finalbody"):
+                yield from _module_imports(getattr(node, block, []))
+            for handler in getattr(node, "handlers", []):
+                yield from _module_imports(handler.body)
+
+
+def _referenced_names(tree: ast.Module) -> set[str]:
+    """Every name the module reads, quoted forward-reference annotations
+    (``x: "Tracer"``) included."""
+    used: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            used.add(node.id)
+        annotation = None
+        if isinstance(node, (ast.arg, ast.AnnAssign)):
+            annotation = node.annotation
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotation = node.returns
+        if annotation is None:
+            continue
+        for sub in ast.walk(annotation):
+            if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                try:
+                    quoted = ast.parse(sub.value, mode="eval")
+                except SyntaxError:
+                    continue
+                used.update(
+                    n.id for n in ast.walk(quoted) if isinstance(n, ast.Name)
+                )
+    return used
 
 
 def _literal_lane(ctx: FileContext, node: ast.AST) -> str | None:

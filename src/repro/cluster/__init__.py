@@ -1,4 +1,4 @@
-"""Deployment substrate: networks, parameter server, collectives, cluster
+"""Deployment substrate: networks, sharded parameter store, collectives, cluster
 actors, and the discrete-event update-timeline simulator."""
 
 from .collectives import (
@@ -18,7 +18,6 @@ from .consistency import (
 from .faults import FaultEvent, FaultPlane, FaultSchedule
 from .network import GBE_100, INFINIBAND_EDR, NetworkLink, transfer_seconds
 from .nodes import InferenceNode, PullReport, PushReport, TrainingCluster
-from .parameter_server import ParameterServer, PublishRefusedError, ShardStats
 from .resilience import (
     BreakerConfig,
     CircuitBreaker,
@@ -41,6 +40,7 @@ from .shardstore import (
     RepairTask,
     ShardClient,
     ShardPlacement,
+    ShardStats,
     ShardedParameterStore,
 )
 from .timeline import UpdateEvent, UpdateTimeline, simulate_periodic_updates
@@ -59,8 +59,6 @@ __all__ = [
     "FaultEvent",
     "FaultPlane",
     "FaultSchedule",
-    "ParameterServer",
-    "PublishRefusedError",
     "ShardStats",
     "BreakerConfig",
     "CircuitBreaker",

@@ -13,9 +13,8 @@ modelled, and both speak to the store through a
 every touched table and flushes the window as ONE version bump (version
 batching across tables), and the node pulls all tables' deltas in one
 batched round against its client sync point.  Transfer *times* come from
-the client's network cost model.  Either a raw
-:class:`ShardedParameterStore` or the legacy :class:`ParameterServer`
-facade is accepted as the ``server``.
+the client's network cost model.  The ``server`` is the
+:class:`ShardedParameterStore` itself.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ from ..obs.metrics import registry as _obs_registry
 from ..obs.trace import Tracer
 from ..obs.recorder import flight_recorder as _flight_recorder
 from .network import NetworkLink, GBE_100
-from .parameter_server import ParameterServer
 from .shardstore import QuorumError, ShardClient, ShardedParameterStore
 
 __all__ = ["PushReport", "PullReport", "TrainingCluster", "InferenceNode"]
@@ -61,12 +59,6 @@ _PUBLISH_QUORUM_FAILURES = _REG.counter(
 )
 
 
-def _store_of(
-    server: ParameterServer | ShardedParameterStore,
-) -> ShardedParameterStore:
-    return server.store if isinstance(server, ParameterServer) else server
-
-
 @dataclass
 class PushReport:
     """Result of one training-cluster publish event."""
@@ -81,10 +73,12 @@ class PushReport:
 class PullReport:
     """Result of one inference-node delta pull.
 
-    ``degraded`` is True when a resilient client could not answer the
-    pull exactly within its deadline: nothing was applied, the node's
-    sync point did not advance, and it keeps serving its current
-    (explicitly stale) replica.
+    ``transfer_seconds`` is the client's modelled time for the pull (the
+    resilient wave's, when the node has a policy).  ``degraded`` is True
+    when a client with a degraded-read cache could not answer the pull
+    exactly within its deadline: nothing was applied, the node's sync
+    point did not advance, and it keeps serving its current (explicitly
+    stale) replica.
     """
 
     version: int
@@ -99,7 +93,7 @@ class TrainingCluster:
 
     Args:
         model: the training replica (owned and mutated).
-        server: destination parameter plane (sharded store or facade).
+        server: destination parameter plane.
         link: training-cluster -> parameter-plane network path.
         lr: learning rate of the row-wise Adagrad optimizer.
         tracer: optional shared :class:`repro.obs.trace.Tracer`; when
@@ -118,7 +112,7 @@ class TrainingCluster:
     def __init__(
         self,
         model: DLRM,
-        server: ParameterServer | ShardedParameterStore,
+        server: ShardedParameterStore,
         link: NetworkLink = GBE_100,
         lr: float = 0.05,
         tracer: Tracer | None = None,
@@ -130,7 +124,7 @@ class TrainingCluster:
         self.link = link
         self.tracer = tracer if tracer is not None else Tracer()
         self.client = ShardClient(
-            _store_of(server),
+            server,
             link=link,
             tracer=tracer,
             faults=faults,
@@ -201,17 +195,18 @@ class TrainingCluster:
 class InferenceNode:
     """One serving replica that pulls updates from the parameter plane.
 
-    With a ``resilience`` policy the node's pulls ride the resilient
-    client path: a pull the replica set cannot answer exactly comes back
-    ``degraded`` — the node applies nothing, keeps its sync point, and
-    serves its current replica with staleness on the record instead of
-    crashing or silently skipping updates.
+    A pull the live replica set cannot answer exactly never skips
+    updates: the node applies nothing and keeps its sync point.  It
+    raises :class:`~repro.cluster.resilience.errors.DegradedReadError`,
+    or — with a ``resilience`` policy that keeps a degraded-read cache —
+    comes back ``degraded`` and the node serves its current replica with
+    staleness on the record.
     """
 
     def __init__(
         self,
         model: DLRM,
-        server: ParameterServer | ShardedParameterStore,
+        server: ShardedParameterStore,
         link: NetworkLink = GBE_100,
         node_id: int = 0,
         tracer: Tracer | None = None,
@@ -223,7 +218,7 @@ class InferenceNode:
         self.link = link
         self.node_id = node_id
         self.client = ShardClient(
-            _store_of(server),
+            server,
             link=link,
             tracer=tracer,
             faults=faults,
@@ -251,21 +246,17 @@ class InferenceNode:
             row_filter: optional id whitelist per pull (QuickUpdate-style
                 priority subsetting happens upstream at publish time; this
                 filter exists for partial-pull experiments).
+
+        Raises:
+            repro.cluster.resilience.errors.DegradedReadError: the pull
+                could not be answered exactly and the client keeps no
+                degraded-read cache; nothing was applied, and the pull
+                after repair catches up fully.
         """
         tables = [f"table_{f}" for f in range(len(self.model.embeddings))]
         deltas, transfer = self.client.pull_tables(tables, row_filter=row_filter)
-        if transfer.degraded:
-            # Nothing exact came back: apply nothing, keep the sync
-            # point, surface the degradation instead of faking progress.
-            report = PullReport(
-                version=self.synced_version,
-                rows_pulled=0,
-                bytes_pulled=0,
-                transfer_seconds=transfer.seconds,
-                degraded=True,
-            )
-            self.pull_log.append(report)
-            return report
+        # A degraded pull returns empty deltas: nothing is applied and the
+        # sync point stays, so the report says so instead of faking progress.
         total_rows = 0
         for f, table in enumerate(self.model.embeddings):
             indices, rows = deltas[tables[f]]
@@ -274,12 +265,12 @@ class InferenceNode:
             valid = indices < table.num_rows
             table.assign_rows(indices[valid], rows[valid])
             total_rows += int(valid.sum())
-        nbytes = total_rows * self.client.store.row_bytes
         report = PullReport(
             version=self.synced_version,
             rows_pulled=total_rows,
-            bytes_pulled=nbytes,
-            transfer_seconds=self.client.transfer_seconds(nbytes),
+            bytes_pulled=total_rows * self.client.store.row_bytes,
+            transfer_seconds=transfer.seconds,
+            degraded=transfer.degraded,
         )
         self.pull_log.append(report)
         if _REG.enabled:

@@ -13,11 +13,16 @@ Four pieces:
   :class:`RepairPlan`-driven self-healing;
 * :mod:`client` — :class:`ShardClient`: staged version-batched publishes,
   batched multi-table pulls, alpha-beta transfer-cost charging, and
-  sync-point registration that pins watermark log compaction.
+  sync-point registration that pins watermark log compaction.  Every pull
+  runs one body; a :class:`~repro.cluster.resilience.ResiliencePolicy`
+  only changes how coverage is decided (a modelled RPC wave with breakers,
+  hedges and retries instead of one look at the store state).  Without
+  one, a pull the live replicas cannot answer exactly raises
+  :class:`~repro.cluster.resilience.errors.DegradedReadError` and keeps
+  its sync point.
 
-The legacy :class:`repro.cluster.parameter_server.ParameterServer` is a
-thin compatibility facade over this package; fault injection against it
-lives in :mod:`repro.cluster.faults`.
+Callers construct :class:`ShardedParameterStore` directly; fault
+injection against it lives in :mod:`repro.cluster.faults`.
 """
 
 from .client import ClientTransferReport, ShardClient

@@ -8,10 +8,17 @@ every transfer through the alpha-beta cost model of
 :mod:`repro.cluster.collectives` over a :class:`repro.cluster.network`
 link — shard fan-out happens in parallel, so a transfer pays the link's
 setup latency once plus bandwidth time for the total volume.
+
+Every pull runs one sequence: decide *coverage* (which primaries vouch for
+their own key range, which ranges are read reconciled across the live
+replicas, and whether that split provably returns every acknowledged
+row), read, advance the sync point.  A pull the live replicas cannot
+answer exactly never advances it.
 """
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,7 +71,7 @@ _RETRY = _REG.counter(
 )
 _DEGRADED_READS = _REG.counter(
     "shardstore.client.degraded_reads",
-    help="pulls answered from the bounded-staleness cache",
+    help="pulls the live replicas could not answer exactly (stale or raised)",
 )
 _BREAKERS_OPEN = _REG.gauge(
     "shardstore.client.breakers_open",
@@ -82,10 +89,11 @@ _ATTEMPT_S = _REG.histogram(
 class ClientTransferReport:
     """Accounting for one batched publish flush or delta pull.
 
-    The resilience fields stay at their defaults on the legacy
-    (non-resilient) path: ``outcome`` is ``"ok"``, ``"hedged"`` when at
-    least one backup read fired, or ``"degraded"`` when the pull was
-    answered from the bounded-staleness cache instead of the store.
+    ``outcome`` is ``"ok"``, ``"hedged"`` when at least one backup read
+    fired, or ``"degraded"`` when the pull could not be answered exactly
+    (nothing was read and the sync point did not move).  ``attempts``,
+    ``hedges`` and ``retries`` count a resilient pull's modelled RPCs or a
+    flush's publish attempts; a pull without a policy leaves them at 1/0/0.
     """
 
     version: int
@@ -98,6 +106,27 @@ class ClientTransferReport:
     attempts: int = 1
     hedges: int = 0
     retries: int = 0
+
+
+@dataclass
+class _Coverage:
+    """How one pull's key ranges are answered, decided before any row moves.
+
+    ``clean`` primaries read their own range; the ranges of the ``recon``
+    primaries are read reconciled from ``available``.  ``exact`` is False
+    when that split cannot provably return every acknowledged row.  The
+    remaining fields are the resilient wave's accounting.
+    """
+
+    clean: list[int]
+    recon: list[int]
+    available: list[int]
+    exact: bool
+    seconds: float = 0.0
+    attempts: int = 1
+    hedges: int = 0
+    retries: int = 0
+    attempt_lat: list[float] = field(default_factory=list)
 
 
 class ShardClient:
@@ -122,14 +151,17 @@ class ShardClient:
         transfer seconds of every flush and pull through this client —
         a degraded network, not a dead one.  When the plane also exposes
         ``slow_factor``/``is_partitioned`` (a real ``FaultPlane``), the
-        resilient pull path models gray failures per shard.
+        resilient wave models gray failures per shard.
     resilience : repro.cluster.resilience.ResiliencePolicy, optional
-        When given, pulls run the resilient read path — per-shard
-        modelled RPCs under a deadline budget, circuit breakers, hedged
-        backup reads, deterministic retry backoff, and bounded-staleness
-        degraded serving when the replica set cannot answer — and
-        flushes retry quorum refusals under the same backoff schedule.
-        ``None`` keeps the legacy single-shot behaviour byte-for-byte.
+        When given, a pull's coverage comes from a modelled wave of
+        per-shard RPCs — deadline budget, circuit breakers, hedged backup
+        reads, deterministic retry backoff — its ``seconds`` are the
+        wave's simulated time, and a pull the wave cannot cover exactly
+        is served from the policy's bounded-staleness cache when one is
+        configured; flushes retry quorum refusals under the same backoff.
+        ``None`` means no wave: coverage is read off the store state, a
+        pull's ``seconds`` are the alpha-beta time of the rows moved, a
+        flush publishes once, and an uncovered pull raises.
 
     Notes
     -----
@@ -230,66 +262,55 @@ class ShardClient:
             bump or row application, so re-flushing the same staged
             batches can neither lose an acked write nor double-apply one.
         """
-        if self.resilience is None:
-            return self._flush_traced()
         policy = self.resilience
-        attempt = 1
-        retries = 0
-        while True:
-            try:
-                report = self._flush_traced()
-            except QuorumError:
-                if attempt >= policy.retry.max_attempts:
-                    raise
-                policy.wait(policy.retry.backoff_s(attempt, key=self._pull_seq))
-                attempt += 1
-                retries += 1
-                continue
-            report.attempts = attempt
-            report.retries = retries
-            if _REG.enabled and retries:
-                _RETRY.add(retries)
-            return report
-
-    def _flush_traced(self) -> ClientTransferReport:
-        if self.tracer is None:
-            return self._flush()
-        with self.tracer.span("shardstore.client.flush") as span:
-            report = self._flush()
-            span.attrs["version"] = report.version
-            span.attrs["rows"] = report.rows
-            span.attrs["bytes"] = report.bytes
-            self.tracer.advance(report.seconds)
-        return report
-
-    def _flush(self) -> ClientTransferReport:
-        if not self._staged:
-            return ClientTransferReport(
-                version=self.store.version, rows=0, bytes=0, seconds=0.0
-            )
-        batches = []
-        total_rows = 0
-        for table, parts in self._staged.items():
-            ids = np.concatenate([p[0] for p in parts])
-            rows = np.concatenate([p[1] for p in parts], axis=0)
-            batches.append((table, ids, rows))
-            total_rows += int(ids.size)
-        version = self.store.publish_many(batches)
-        self._staged.clear()
-        nbytes = total_rows * self.store.row_bytes
-        report = ClientTransferReport(
-            version=version,
-            rows=total_rows,
-            bytes=nbytes,
-            seconds=self.transfer_seconds(nbytes),
-            tables=[t for t, _, _ in batches],
+        max_attempts = 1 if policy is None else policy.retry.max_attempts
+        span = (
+            contextlib.nullcontext()
+            if self.tracer is None
+            else self.tracer.span("shardstore.client.flush")
         )
-        self.push_log.append(report)
-        if _REG.enabled:
-            _FLUSHES.inc()
-            _ROWS_PUBLISHED.add(report.rows)
-            _BYTES_PUBLISHED.add(report.bytes)
-            _TRANSFER_S.observe(report.seconds)
+        with span as open_span:
+            batches = [
+                (
+                    table,
+                    np.concatenate([p[0] for p in parts]),
+                    np.concatenate([p[1] for p in parts], axis=0),
+                )
+                for table, parts in self._staged.items()
+            ]
+            version = self.store.version
+            attempt = 1
+            while batches:
+                try:
+                    version = self.store.publish_many(batches)
+                    break
+                except QuorumError:
+                    if attempt >= max_attempts:
+                        raise
+                    policy.wait(policy.retry.backoff_s(attempt, key=self._pull_seq))
+                    attempt += 1
+            rows = sum(int(ids.size) for _, ids, _ in batches)
+            nbytes = rows * self.store.row_bytes
+            report = ClientTransferReport(
+                version=version,
+                rows=rows,
+                bytes=nbytes,
+                seconds=self.transfer_seconds(nbytes),
+                tables=[t for t, _, _ in batches],
+                attempts=attempt,
+                retries=attempt - 1,
+            )
+            if batches:
+                self._staged.clear()
+                self.push_log.append(report)
+                if _REG.enabled:
+                    _FLUSHES.inc()
+                    _ROWS_PUBLISHED.add(report.rows)
+                    _BYTES_PUBLISHED.add(report.bytes)
+                    _TRANSFER_S.observe(report.seconds)
+                    if report.retries:
+                        _RETRY.add(report.retries)
+            self._trace(open_span, report)
         return report
 
     def publish(
@@ -324,6 +345,11 @@ class ShardClient:
     ) -> tuple[dict[str, tuple[np.ndarray, np.ndarray]], ClientTransferReport]:
         """Batched delta pull for several tables since this client's sync point.
 
+        Clean primaries (live, no missed publish past the sync point) answer
+        their own key ranges; every other range is read reconciled across
+        the live replicas.  The pull is exact when nothing needs
+        reconciling or the live owners intersect every write quorum.
+
         Parameters
         ----------
         tables : list of str
@@ -335,62 +361,99 @@ class ShardClient:
         Returns
         -------
         deltas : dict of str to (numpy.ndarray, numpy.ndarray)
-            ``deltas[table] = (ids, rows)`` newer than the sync point.
+            ``deltas[table] = (ids, rows)`` newer than the sync point;
+            empty when the pull came back ``degraded``.
         report : ClientTransferReport
-            Transfer accounting; the sync point advances to the store's
-            current version — one round-trip covers every table.
-        """
-        if self.tracer is None:
-            return self._pull_tables(tables, row_filter)
-        lag = self.staleness_versions()
-        with self.tracer.span("shardstore.client.pull", lag=lag) as span:
-            deltas, report = self._pull_tables(tables, row_filter)
-            span.attrs["version"] = report.version
-            span.attrs["rows"] = report.rows
-            span.attrs["bytes"] = report.bytes
-            self.tracer.advance(report.seconds)
-        return deltas, report
+            Transfer accounting; on an exact pull the sync point advances
+            to the store's current version — one round trip covers every
+            table.
 
-    def _pull_tables(
-        self,
-        tables: list[str],
-        row_filter: np.ndarray | None = None,
-    ) -> tuple[dict[str, tuple[np.ndarray, np.ndarray]], ClientTransferReport]:
-        if self.resilience is not None:
-            return self._pull_tables_resilient(tables, row_filter)
+        Raises
+        ------
+        repro.cluster.resilience.errors.DegradedReadError
+            When the pull cannot be answered exactly and no degraded-read
+            cache is configured.  The sync point does not move, so the
+            pull after repair re-reads the gap instead of skipping it.
+        """
+        store = self.store
+        policy = self.resilience
         since = self.synced_version
-        deltas: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        total_rows = 0
-        for table in tables:
-            ids, rows, _ = self.store.pull_delta(table, since)
-            if row_filter is not None and ids.size:
-                keep = np.isin(ids, row_filter)
-                ids, rows = ids[keep], rows[keep]
-            deltas[table] = (ids, rows)
-            total_rows += int(ids.size)
-        self.synced_version = self.store.version
-        # Pullers pin compaction lazily, on first pull: a publish-only
-        # client never registers, so it never holds the watermark back.
-        if self._sync_token is None:
-            self._sync_token = self.store.register_sync_point(
-                self.synced_version
+        span = (
+            contextlib.nullcontext()
+            if self.tracer is None
+            else self.tracer.span(
+                "shardstore.client.pull", lag=self.staleness_versions()
             )
-        else:
-            self.store.update_sync_point(self._sync_token, self.synced_version)
-        nbytes = total_rows * self.store.row_bytes
-        report = ClientTransferReport(
-            version=self.synced_version,
-            rows=total_rows,
-            bytes=nbytes,
-            seconds=self.transfer_seconds(nbytes),
-            tables=list(tables),
         )
-        self.pull_log.append(report)
-        if _REG.enabled:
-            _PULLS.inc()
-            _ROWS_PULLED.add(report.rows)
-            _BYTES_PULLED.add(report.bytes)
-            _TRANSFER_S.observe(report.seconds)
+        with span as open_span:
+            cover = (
+                self._coverage(since)
+                if policy is None
+                else self._wave(tables, since)
+            )
+            deltas: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+            total_rows = 0
+            if cover.exact:
+                for table in tables:
+                    # Primaries own disjoint key sets; empty parts keep the
+                    # table's width, so they merge without special-casing.
+                    parts = [
+                        store.pull_delta_primary(table, since, sid)
+                        for sid in cover.clean
+                    ]
+                    if cover.recon:
+                        parts.append(
+                            store.pull_delta_ranges(
+                                table, since, cover.recon, cover.available
+                            )
+                        )
+                    ids, rows, versions = store._merge_disjoint(parts)
+                    if row_filter is not None and ids.size:
+                        keep = np.isin(ids, row_filter)
+                        ids, rows, versions = ids[keep], rows[keep], versions[keep]
+                    deltas[table] = (ids, rows)
+                    total_rows += int(ids.size)
+                    if policy is not None and policy.degraded is not None:
+                        policy.degraded.update(
+                            table, ids, rows, versions, store.version
+                        )
+                self.synced_version = store.version
+                # Pullers pin compaction lazily, on first pull: a publish-only
+                # client never registers, so it never holds the watermark back.
+                if self._sync_token is None:
+                    self._sync_token = store.register_sync_point(
+                        self.synced_version
+                    )
+                else:
+                    store.update_sync_point(self._sync_token, self.synced_version)
+            nbytes = total_rows * store.row_bytes
+            report = ClientTransferReport(
+                version=self.synced_version,
+                rows=total_rows,
+                bytes=nbytes,
+                seconds=(
+                    self.transfer_seconds(nbytes) if policy is None else cover.seconds
+                ),
+                tables=list(tables),
+                outcome=(
+                    "degraded" if not cover.exact
+                    else "hedged" if cover.hedges
+                    else "ok"
+                ),
+                degraded=not cover.exact,
+                attempts=cover.attempts,
+                hedges=cover.hedges,
+                retries=cover.retries,
+            )
+            self.pull_log.append(report)
+            self._record_pull(report, cover.attempt_lat)
+            if report.degraded:
+                if policy is None or policy.degraded is None:
+                    raise DegradedReadError(
+                        list(tables), since, store.version, reason="coverage"
+                    )
+                deltas = {table: store.empty_delta(table)[:2] for table in tables}
+            self._trace(open_span, report)
         return deltas, report
 
     def pull_table(
@@ -401,7 +464,6 @@ class ShardClient:
         ids, rows = deltas[table]
         return ids, rows, report
 
-    # ------------------------------------------------------- resilient reads
     def degraded_read(self, table: str) -> StaleRead:
         """Serve one table from the bounded-staleness cache, explicitly.
 
@@ -415,6 +477,24 @@ class ShardClient:
         return self.resilience.degraded.serve(
             table, current_version=self.store.version
         )
+
+    # -------------------------------------------------------------- coverage
+    def _coverage(self, since: int) -> _Coverage:
+        """Coverage without a policy, one step over the store state.
+
+        Clean means live and not suspect past ``since``; every other
+        shard's range (down or suspect) is read reconciled from the live
+        replicas.
+        """
+        store = self.store
+        live = store.live_shard_ids
+        suspects = set(store.suspect_shard_ids(since))
+        clean = [sid for sid in live if sid not in suspects]
+        recon = sorted(set(store.shard_ids).difference(clean))
+        exact = not recon or store.placement.coverage_ok(
+            store.replication, live, clean
+        )
+        return _Coverage(clean, recon, live, exact)
 
     def _modelled_rpc_seconds(self, nbytes: int, shard_id: int) -> float:
         """Modelled latency of one per-shard RPC carrying ``nbytes``.
@@ -452,37 +532,45 @@ class ShardClient:
             out[sid] = (count * store.row_bytes) // r
         return out
 
-    def _pick_backup(self, sid: int, available: list[int], now_abs: float) -> int | None:
-        """Healthiest reachable peer whose breaker admits a request."""
+    def _backup_read(
+        self,
+        sid: int,
+        available: list[int],
+        sent_s: float,
+        nbytes: int,
+        attempt_lat: list[float],
+    ) -> float | None:
+        """Send ``sid``'s range to the healthiest reachable peer whose
+        breaker admits a request at sim time ``sent_s``; returns that
+        read's modelled latency, or None when no peer takes it."""
         policy = self.resilience
         for peer in policy.health.replica_order(
             [s for s in available if s != sid]
         ):
-            if policy.breaker_for(peer).allow(now_abs):
-                return peer
+            if policy.breaker_for(peer).allow(sent_s):
+                bcost = self._modelled_rpc_seconds(nbytes, peer)
+                attempt_lat.append(bcost)
+                policy.health.record(peer, bcost, True)
+                policy.breaker_for(peer).record_success(sent_s + bcost)
+                return bcost
         return None
 
-    def _pull_tables_resilient(
-        self,
-        tables: list[str],
-        row_filter: np.ndarray | None = None,
-    ) -> tuple[dict[str, tuple[np.ndarray, np.ndarray]], ClientTransferReport]:
-        """Deadline-budgeted, breaker-guarded, hedged multi-shard pull.
+    def _wave(self, tables: list[str], since: int) -> _Coverage:
+        """Coverage with a policy: a deadline-budgeted, breaker-guarded,
+        hedged wave of modelled per-shard RPCs.
 
-        Each round models one parallel wave of per-shard RPCs on the sim
-        clock: reachable primaries answer their own key ranges, slow ones
-        get a hedged backup read, failed ones fail over to the healthiest
-        peer, and anything still uncovered waits out a deterministic
-        backoff (during which the fault plane may heal) and retries.  The
-        pull is *exact* only if every range was answered, the available
-        shards provably intersect every write quorum (or a clean primary
-        vouches for its range), and the whole dance fit the deadline —
-        otherwise it degrades: the sync point does NOT advance, and the
-        caller is told, loudly, via ``degraded=True``.
+        Each round models one parallel wave on the sim clock: reachable
+        primaries answer their own key ranges, slow ones get a hedged
+        backup read, failed ones fail over to the healthiest peer, and
+        anything still uncovered waits out a deterministic backoff (during
+        which the fault plane may heal) and retries.  The pull is exact
+        only if every range was answered, the available shards provably
+        intersect every write quorum (or a clean primary vouches for its
+        range), and the whole dance fit the deadline; a pull that is not
+        is charged the full deadline.
         """
         policy = self.resilience
         store = self.store
-        since = self.synced_version
         budget = DeadlineBudget(policy.deadline_s)
         start_s = policy.clock.now()
         self._pull_seq += 1
@@ -490,8 +578,7 @@ class ShardClient:
         all_sids = store.shard_ids
         shard_bytes = self._shard_delta_bytes(tables, since)
         covered: dict[int, str] = {}  # sid -> "clean" | "recon"
-        attempt_lat: list[float] = []
-        attempts = 0
+        attempt_lat: list[float] = []  # one entry per RPC sent
         hedges = 0
         retries = 0
         t_now = 0.0
@@ -515,35 +602,21 @@ class ShardClient:
                 brk = policy.breaker_for(sid)
                 t0 = t_now
                 nbytes = shard_bytes.get(sid, 0)
-                fail_at: float | None = None
+                failed_s: float | None = None  # latency of a failed attempt
                 if not brk.allow(start_s + t0):
                     fail_at = t0  # refused locally: no wire time spent
                 elif sid in down:
-                    fail_at = t0 + fail_fast_s
-                    attempts += 1
-                    attempt_lat.append(fail_fast_s)
-                    policy.health.record(sid, fail_fast_s, False)
-                    brk.record_failure(start_s + fail_at)
+                    failed_s = fail_fast_s
                 elif sid in parted:
-                    timeout = min(
+                    failed_s = min(
                         policy.attempt_timeout_s,
                         max(budget.total_s - t0, fail_fast_s),
                     )
-                    fail_at = t0 + timeout
-                    attempts += 1
-                    attempt_lat.append(timeout)
-                    policy.health.record(sid, timeout, False)
-                    brk.record_failure(start_s + fail_at)
                 else:
                     cost = self._modelled_rpc_seconds(nbytes, sid)
                     if cost > policy.attempt_timeout_s:
-                        fail_at = t0 + policy.attempt_timeout_s
-                        attempts += 1
-                        attempt_lat.append(policy.attempt_timeout_s)
-                        policy.health.record(sid, policy.attempt_timeout_s, False)
-                        brk.record_failure(start_s + fail_at)
+                        failed_s = policy.attempt_timeout_s
                     else:
-                        attempts += 1
                         attempt_lat.append(cost)
                         policy.health.record(
                             sid, cost, True, hedged=cost > hedge_delay
@@ -551,44 +624,34 @@ class ShardClient:
                         brk.record_success(start_s + t0 + cost)
                         done = t0 + cost
                         if cost > hedge_delay:
-                            backup = self._pick_backup(
-                                sid, available, start_s + t0 + hedge_delay
+                            bcost = self._backup_read(
+                                sid, available, start_s + t0 + hedge_delay,
+                                nbytes, attempt_lat,
                             )
-                            if backup is not None:
-                                bcost = self._modelled_rpc_seconds(
-                                    nbytes, backup
-                                )
+                            if bcost is not None:
                                 hedges += 1
-                                attempts += 1
-                                attempt_lat.append(bcost)
-                                policy.health.record(backup, bcost, True)
-                                policy.breaker_for(backup).record_success(
-                                    start_s + t0 + hedge_delay + bcost
-                                )
                                 done = min(done, t0 + hedge_delay + bcost)
-                        covered[sid] = (
-                            "recon" if sid in suspects else "clean"
-                        )
+                        covered[sid] = "recon" if sid in suspects else "clean"
                         wave_end = max(wave_end, done)
                         continue
+                if failed_s is not None:
+                    fail_at = t0 + failed_s
+                    attempt_lat.append(failed_s)
+                    policy.health.record(sid, failed_s, False)
+                    brk.record_failure(start_s + fail_at)
                 # Failure path (breaker-refused, down, partitioned, or
                 # timed out): fail over to the healthiest reachable peer,
                 # which serves the failed primary's range reconciled.
-                backup = self._pick_backup(sid, available, start_s + fail_at)
-                if backup is not None:
-                    bcost = self._modelled_rpc_seconds(nbytes, backup)
-                    attempts += 1
-                    attempt_lat.append(bcost)
-                    policy.health.record(backup, bcost, True)
-                    policy.breaker_for(backup).record_success(
-                        start_s + fail_at + bcost
-                    )
+                bcost = self._backup_read(
+                    sid, available, start_s + fail_at, nbytes, attempt_lat
+                )
+                if bcost is not None:
                     covered[sid] = "recon"
                     wave_end = max(wave_end, fail_at + bcost)
                 else:
                     wave_end = max(wave_end, fail_at)
             t_now = wave_end
-            if all(sid in covered for sid in all_sids):
+            if len(covered) == len(all_sids):
                 break
             if round_no >= policy.retry.max_attempts:
                 break
@@ -600,106 +663,19 @@ class ShardClient:
             self._advance_policy_clock(start_s + t_now)
             if policy.on_wait is not None:
                 policy.on_wait(policy.clock.now())
-        clean_ids = [sid for sid in all_sids if covered.get(sid) == "clean"]
+        clean = [sid for sid in all_sids if covered.get(sid) == "clean"]
+        recon = [sid for sid in all_sids if covered.get(sid) == "recon"]
         exact = (
-            all(sid in covered for sid in all_sids)
+            len(covered) == len(all_sids)
             and t_now <= budget.total_s
-            and store.placement.coverage_ok(
-                store.replication, available, clean_ids
-            )
+            and store.placement.coverage_ok(store.replication, available, clean)
         )
-        if not exact:
-            return self._degraded_result(
-                tables, since, budget, start_s, attempts, hedges, retries,
-                attempt_lat,
-            )
-        recon_ids = [sid for sid in all_sids if covered.get(sid) == "recon"]
-        deltas: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        total_rows = 0
-        for table in tables:
-            # Primaries own disjoint key sets; empty parts keep the
-            # table's width, so they merge without special-casing.
-            parts = [
-                store.pull_delta_primary(table, since, sid)
-                for sid in clean_ids
-            ]
-            parts.append(
-                store.pull_delta_ranges(table, since, recon_ids, available)
-            )
-            ids, rows, versions = store._merge_disjoint(parts)
-            if row_filter is not None and ids.size:
-                keep = np.isin(ids, row_filter)
-                ids, rows, versions = ids[keep], rows[keep], versions[keep]
-            deltas[table] = (ids, rows)
-            total_rows += int(ids.size)
-            if policy.degraded is not None:
-                policy.degraded.update(
-                    table, ids, rows, versions, store.version
-                )
-        self.synced_version = store.version
-        if self._sync_token is None:
-            self._sync_token = self.store.register_sync_point(
-                self.synced_version
-            )
-        else:
-            self.store.update_sync_point(self._sync_token, self.synced_version)
-        nbytes = total_rows * store.row_bytes
-        report = ClientTransferReport(
-            version=self.synced_version,
-            rows=total_rows,
-            bytes=nbytes,
-            seconds=t_now,
-            tables=list(tables),
-            outcome="hedged" if hedges else "ok",
-            attempts=attempts,
-            hedges=hedges,
-            retries=retries,
+        seconds = t_now if exact else budget.total_s
+        self._advance_policy_clock(start_s + seconds)
+        return _Coverage(
+            clean, recon, available, exact, seconds, len(attempt_lat), hedges,
+            retries, attempt_lat,
         )
-        self.pull_log.append(report)
-        self._advance_policy_clock(start_s + t_now)
-        self._record_pull_metrics(report, attempt_lat)
-        return deltas, report
-
-    def _degraded_result(
-        self,
-        tables: list[str],
-        since: int,
-        budget: DeadlineBudget,
-        start_s: float,
-        attempts: int,
-        hedges: int,
-        retries: int,
-        attempt_lat: list[float],
-    ) -> tuple[dict[str, tuple[np.ndarray, np.ndarray]], ClientTransferReport]:
-        """Close out a pull the replica set could not answer exactly.
-
-        The sync point does NOT advance (nothing was read exactly, so
-        claiming progress would silently skip acked publishes on the next
-        pull), the full deadline is charged, and the caller either gets
-        empty deltas flagged ``degraded=True`` (serve staleness via
-        :meth:`degraded_read`) or — with no degraded cache configured — a
-        typed :class:`DegradedReadError`.
-        """
-        policy = self.resilience
-        store = self.store
-        self._advance_policy_clock(start_s + budget.total_s)
-        report = ClientTransferReport(
-            version=since,
-            rows=0,
-            bytes=0,
-            seconds=budget.total_s,
-            tables=list(tables),
-            outcome="degraded",
-            degraded=True,
-            attempts=attempts,
-            hedges=hedges,
-            retries=retries,
-        )
-        self.pull_log.append(report)
-        self._record_pull_metrics(report, attempt_lat)
-        if policy.degraded is None:
-            raise DegradedReadError(list(tables), since, store.version)
-        return {table: store.empty_delta(table)[:2] for table in tables}, report
 
     def _advance_policy_clock(self, target_s: float) -> None:
         """Move the policy's shared sim clock forward, never backward."""
@@ -707,20 +683,33 @@ class ShardClient:
         if target_s > clock.now():
             clock.set(target_s)
 
-    def _record_pull_metrics(
+    # ------------------------------------------------------------ accounting
+    def _record_pull(
         self, report: ClientTransferReport, attempt_lat: list[float]
     ) -> None:
-        """Batched obs-plane accounting for one resilient pull."""
+        """Batched obs-plane accounting for one pull."""
         if not _REG.enabled:
             return
-        policy = self.resilience
         _PULLS.inc()
         _ROWS_PULLED.add(report.rows)
         _BYTES_PULLED.add(report.bytes)
         _TRANSFER_S.observe(report.seconds)
-        _HEDGED.add(report.hedges)
-        _RETRY.add(report.retries)
         if report.degraded:
             _DEGRADED_READS.inc()
+        policy = self.resilience
+        if policy is None:
+            return
+        _HEDGED.add(report.hedges)
+        _RETRY.add(report.retries)
         _ATTEMPT_S.observe_many(np.asarray(attempt_lat, dtype=np.float64))
         _BREAKERS_OPEN.set(policy.open_breakers(policy.clock.now()))
+
+    def _trace(self, span, report: ClientTransferReport) -> None:
+        """Stamp an open flush/pull span and charge its modelled seconds to
+        the tracer's clock; ``span`` is None without a tracer."""
+        if span is None:
+            return
+        span.attrs["version"] = report.version
+        span.attrs["rows"] = report.rows
+        span.attrs["bytes"] = report.bytes
+        self.tracer.advance(report.seconds)

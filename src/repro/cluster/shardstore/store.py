@@ -624,6 +624,9 @@ class ShardedParameterStore:
         """Concatenate slices of disjoint key ranges, ordered by id — one
         copy per row, so nothing to reconcile.  The result is the
         caller's own: the (shared, read-only) parts are copied."""
+        parts = [p for p in parts if p[0].size] or parts[:1]
+        if len(parts) == 1:  # slices are ascending by id already
+            return tuple(arr.copy() for arr in parts[0])
         order = np.argsort(np.concatenate([p[0] for p in parts]))
         ids, rows, versions = (
             np.concatenate([p[k] for p in parts], axis=0)[order] for k in range(3)

@@ -47,7 +47,7 @@ def active(findings):
 
 
 # ----------------------------------------------------------- rule registry
-def test_all_eight_rules_registered():
+def test_all_rules_registered_in_order():
     assert rule_names() == [
         "no-salted-hash",
         "no-unseeded-rng",
@@ -57,6 +57,7 @@ def test_all_eight_rules_registered():
         "public-api",
         "obs-discipline",
         "no-bare-except",
+        "unused-import",
     ]
 
 
@@ -574,6 +575,86 @@ class TestNoBareExcept:
         found = findings_for(reasoned, SIM_PATH, "no-bare-except")
         assert len(found) == 1 and found[0].suppressed
         assert "best-effort probe" in found[0].suppress_reason
+
+
+# ------------------------------------------------------------- unused-import
+class TestUnusedImport:
+    def test_fires_on_each_unused_binding(self):
+        src = """
+            import os
+            import numpy as np
+            from typing import Iterator, Sequence
+
+            def head(xs: Sequence[int]):
+                return np.asarray(xs[:1], dtype=np.int64)
+        """
+        found = findings_for(src, SIM_PATH, "unused-import")
+        assert sorted(f.message.split()[0] for f in found) == [
+            "'Iterator'",
+            "'os'",
+        ]
+        assert [f.line for f in found] == [2, 4]
+
+    def test_fires_under_module_level_try_and_if(self):
+        src = """
+            try:
+                import json
+            except ImportError:
+                json = None
+            if True:
+                from pathlib import Path
+        """
+        found = findings_for(src, SIM_PATH, "unused-import")
+        assert [f.message.split()[0] for f in found] == ["'json'", "'Path'"]
+
+    def test_clean_when_every_binding_is_read(self):
+        src = """
+            from __future__ import annotations
+
+            import os.path
+            from typing import TYPE_CHECKING
+
+            from .sibling import *
+
+            if TYPE_CHECKING:
+                from repro.obs.trace import Tracer
+
+            __all__ = ["reexported", "run"]
+
+            from .elsewhere import reexported
+
+
+            def run(tracer: "Tracer | None" = None) -> str:
+                return os.path.join("a", "b")  # read through an attribute chain
+        """
+        assert not findings_for(src, SIM_PATH, "unused-import")
+
+    def test_function_level_imports_are_not_checked(self):
+        src = """
+            def lazy():
+                import json
+                return 1
+        """
+        assert not findings_for(src, SIM_PATH, "unused-import")
+
+    def test_package_init_reexports_are_exempt(self):
+        src = "from .store import ShardedParameterStore\n"
+        assert not findings_for(
+            src, "src/repro/pkg/__init__.py", "unused-import"
+        )
+
+    def test_suppression_requires_reason(self):
+        bare = """
+            from . import rules  # repro-lint: disable=unused-import
+        """
+        found = findings_for(bare, SIM_PATH, "unused-import")
+        assert active(found) and "needs a reason" in found[0].message
+        reasoned = """
+            # repro-lint: disable=unused-import -- registers the rules
+            from . import rules
+        """
+        found = findings_for(reasoned, SIM_PATH, "unused-import")
+        assert len(found) == 1 and found[0].suppressed
 
 
 # -------------------------------------------------------------- suppressions

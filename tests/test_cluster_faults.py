@@ -1,5 +1,5 @@
-"""Fault-injection plane tests, plus failure coverage for the legacy
-``ParameterServer`` facade and the ``TrainingCluster`` publish path.
+"""Fault-injection plane tests, plus failure coverage for the replicated
+store as the ``TrainingCluster`` publish path and an ``InferenceNode`` see it.
 
 Satellite 4 of ISSUE 9: a mid-window shard kill must surface to the
 trainer as a typed ``QuorumError`` with the window's rows retained (loud
@@ -15,8 +15,7 @@ import pytest
 from repro.cluster.consistency import check_replica_convergence
 from repro.cluster.faults import FaultEvent, FaultPlane, FaultSchedule
 from repro.cluster.nodes import InferenceNode, TrainingCluster
-from repro.cluster.parameter_server import ParameterServer
-from repro.cluster.shardstore import QuorumError
+from repro.cluster.shardstore import QuorumError, ShardedParameterStore
 from repro.data.synthetic import DriftingCTRStream, StreamConfig
 from repro.dlrm.model import DLRM, DLRMConfig
 from repro.obs.clock import SimClock
@@ -84,10 +83,9 @@ class TestFaultSchedule:
 
 class TestFaultPlane:
     def test_dispatch_kill_revive_drop_delay(self):
-        server = ParameterServer(
+        store = ShardedParameterStore(
             num_shards=4, row_bytes=None, row_dim=2, replication=3
         )
-        store = server.store
         schedule = FaultSchedule(
             [
                 FaultEvent(1.0, "kill", 2),
@@ -112,7 +110,7 @@ class TestFaultPlane:
         assert len(plane.injected) == 5
 
     def test_poll_reads_bound_clock(self):
-        store = ParameterServer(num_shards=4, row_dim=2).store
+        store = ShardedParameterStore(num_shards=4, row_dim=2)
         clock = SimClock()
         plane = FaultPlane(
             store, FaultSchedule([FaultEvent(2.0, "kill", 1)]), clock=clock
@@ -123,7 +121,7 @@ class TestFaultPlane:
         assert store.down_shard_ids == [1]
 
     def test_poll_without_clock_raises(self):
-        store = ParameterServer(num_shards=4, row_dim=2).store
+        store = ShardedParameterStore(num_shards=4, row_dim=2)
         plane = FaultPlane(store, FaultSchedule([]))
         with pytest.raises(ValueError):
             plane.poll()
@@ -131,7 +129,7 @@ class TestFaultPlane:
     def test_delay_factor_slows_client_transfers(self):
         from repro.cluster.shardstore import ShardClient
 
-        store = ParameterServer(num_shards=4, row_dim=2).store
+        store = ShardedParameterStore(num_shards=4, row_dim=2)
         plane = FaultPlane(
             store, FaultSchedule([FaultEvent(0.0, "delay", factor=4.0)])
         )
@@ -157,7 +155,7 @@ def replicated_world():
     stream = DriftingCTRStream(
         StreamConfig(table_sizes=table_sizes, num_dense=3, seed=1)
     )
-    server = ParameterServer(
+    server = ShardedParameterStore(
         num_shards=4, row_bytes=4 * 8, replication=3
     )
     trainer = TrainingCluster(model.copy(), server)
@@ -166,10 +164,13 @@ def replicated_world():
 
 
 class TestFacadeFailureSemantics:
+    """The failure semantics the seed parameter-server API promised, pinned
+    on the replicated store the trainer and node now hold directly."""
+
     def test_facade_exposes_failure_surface(self, replicated_world):
         _, server, _, _ = replicated_world
         server.kill_shard(1)
-        assert server.store.down_shard_ids == [1]
+        assert server.down_shard_ids == [1]
         server.revive_shard(1)
         report = server.repair()
         assert report.shards_healed == []
@@ -213,7 +214,7 @@ class TestFacadeFailureSemantics:
         # revive + repair, then ONE sync window
         server.revive_shard(2)
         server.repair()
-        assert check_replica_convergence(server.store).converged
+        assert check_replica_convergence(server).converged
         node.pull_updates()
         assert node.staleness_versions() == 0
         # node parameters match the trainer's on every published row
@@ -248,7 +249,7 @@ class TestGrayFailureEvents:
 
 class TestGrayFailureDispatch:
     def test_slow_node_sets_and_clears_per_shard_factor(self):
-        store = ParameterServer(num_shards=4, row_dim=2).store
+        store = ShardedParameterStore(num_shards=4, row_dim=2)
         plane = FaultPlane(
             store,
             FaultSchedule(
@@ -267,7 +268,7 @@ class TestGrayFailureDispatch:
         assert plane.slow_factor(2) == 1.0
 
     def test_partition_heals_after_duration(self):
-        store = ParameterServer(num_shards=4, row_dim=2).store
+        store = ShardedParameterStore(num_shards=4, row_dim=2)
         plane = FaultPlane(
             store,
             FaultSchedule(
@@ -306,7 +307,7 @@ class TestGrayFailureDispatch:
         assert schedule.events[-1].at_s == 1.3  # clamped, still revived
 
     def test_flap_dispatch_leaves_store_healthy(self):
-        store = ParameterServer(num_shards=4, row_dim=2).store
+        store = ShardedParameterStore(num_shards=4, row_dim=2)
         plane = FaultPlane(
             store,
             FaultSchedule(
@@ -326,7 +327,7 @@ class TestScheduleEdgeCases:
     semantics of hand-built schedules, pinned for replay determinism."""
 
     def test_overlapping_kill_revive_of_same_shard_is_tolerant(self):
-        store = ParameterServer(num_shards=4, row_dim=2).store
+        store = ShardedParameterStore(num_shards=4, row_dim=2)
         plane = FaultPlane(
             store,
             FaultSchedule(
@@ -346,7 +347,7 @@ class TestScheduleEdgeCases:
         assert len(plane.injected) == 2  # skips are recorded, not injected
 
     def test_flap_over_externally_killed_shard_skips_its_kill(self):
-        store = ParameterServer(num_shards=4, row_dim=2).store
+        store = ShardedParameterStore(num_shards=4, row_dim=2)
         store.kill_shard(1)
         plane = FaultPlane(
             store,
@@ -359,7 +360,7 @@ class TestScheduleEdgeCases:
         assert store.down_shard_ids == []  # flap still ends it revived
 
     def test_zero_duration_delay_pair_resolves_by_insertion_order(self):
-        store = ParameterServer(num_shards=4, row_dim=2).store
+        store = ShardedParameterStore(num_shards=4, row_dim=2)
         plane = FaultPlane(
             store,
             FaultSchedule(
@@ -374,7 +375,7 @@ class TestScheduleEdgeCases:
         assert len(plane.injected) == 2  # both fired, neither was dropped
 
         reversed_plane = FaultPlane(
-            ParameterServer(num_shards=4, row_dim=2).store,
+            ShardedParameterStore(num_shards=4, row_dim=2),
             FaultSchedule(
                 [
                     FaultEvent(2.0, "delay", factor=1.0),
@@ -401,7 +402,7 @@ class TestScheduleEdgeCases:
     def test_identical_timestamp_dispatch_is_deterministic(self):
         # kill-then-revive at the same instant: a zero-duration outage,
         # shard ends up healthy and nothing is skipped
-        store = ParameterServer(num_shards=4, row_dim=2).store
+        store = ShardedParameterStore(num_shards=4, row_dim=2)
         plane = FaultPlane(
             store,
             FaultSchedule(
@@ -414,7 +415,7 @@ class TestScheduleEdgeCases:
         # revive-then-kill at the same instant: the revive is a no-op
         # skip (shard was up) and the kill lands — order is insertion
         # order, bit-for-bit, never a hash or dict accident
-        store2 = ParameterServer(num_shards=4, row_dim=2).store
+        store2 = ShardedParameterStore(num_shards=4, row_dim=2)
         plane2 = FaultPlane(
             store2,
             FaultSchedule(

@@ -3,15 +3,15 @@
 import numpy as np
 import pytest
 
+from repro.cluster.faults import FaultEvent, FaultPlane, FaultSchedule
 from repro.cluster.nodes import InferenceNode, TrainingCluster
-from repro.cluster.parameter_server import ParameterServer
+from repro.cluster.resilience import DegradedReadError, ResiliencePolicy
+from repro.cluster.shardstore import ShardedParameterStore
 from repro.data.synthetic import DriftingCTRStream, StreamConfig
 from repro.dlrm.model import DLRM, DLRMConfig
 
 
-@pytest.fixture
-def world():
-    table_sizes = (50, 40)
+def _model_and_stream(table_sizes=(50, 40)):
     model = DLRM(
         DLRMConfig(
             num_dense=3,
@@ -25,7 +25,13 @@ def world():
     stream = DriftingCTRStream(
         StreamConfig(table_sizes=table_sizes, num_dense=3, seed=1)
     )
-    server = ParameterServer(row_bytes=4 * 8)
+    return model, stream
+
+
+@pytest.fixture
+def world():
+    model, stream = _model_and_stream()
+    server = ShardedParameterStore(row_bytes=4 * 8)
     trainer = TrainingCluster(model.copy(), server)
     node = InferenceNode(model.copy(), server)
     return stream, trainer, node
@@ -113,3 +119,54 @@ class TestInferenceNode:
         node.pull_updates()
         node.pull_updates()
         assert len(node.pull_log) == 2
+
+
+class TestNodePullUnderFaults:
+    def _replicated(self, **node_kwargs):
+        model, stream = _model_and_stream()
+        store = ShardedParameterStore(num_shards=4, row_bytes=4 * 8, replication=3)
+        trainer = TrainingCluster(model.copy(), store)
+        node = InferenceNode(model.copy(), store, **node_kwargs)
+        return stream, store, trainer, node
+
+    def test_replica_exhaustion_raises_and_catches_up_after_repair(self):
+        stream, store, trainer, node = self._replicated()
+        trainer.train_on(stream.next_batch(32))
+        trainer.publish_changed_rows()
+        node.pull_updates()
+        trainer.train_on(stream.next_batch(32))
+        trainer.publish_changed_rows()
+        for sid in store.shard_ids[:3]:
+            store.kill_shard(sid)
+        with pytest.raises(DegradedReadError):
+            node.pull_updates()
+        assert node.staleness_versions() == 1
+        assert len(node.pull_log) == 1  # nothing applied, nothing reported
+        for sid in list(store.down_shard_ids):
+            store.revive_shard(sid)
+        store.repair()
+        report = node.pull_updates()
+        assert node.staleness_versions() == 0 and report.rows_pulled > 0
+        for mine, theirs in zip(node.model.embeddings, trainer.model.embeddings):
+            np.testing.assert_array_equal(mine.weight, theirs.weight)
+
+    def test_resilient_pull_reports_the_clients_modelled_seconds(self):
+        """A slow replica costs the resilient wave time; the node reports
+        the client's number, not a re-derived alpha-beta transfer."""
+        stream, store, trainer, node = self._replicated(
+            resilience=ResiliencePolicy()
+        )
+        plane = FaultPlane(
+            store, FaultSchedule([FaultEvent(0.0, "slow_node", 0, factor=20.0)])
+        )
+        plane.advance_to(0.0)
+        node.client.faults = plane
+        trainer.train_on(stream.next_batch(32))
+        trainer.publish_changed_rows()
+        report = node.pull_updates()
+        transfer = node.client.pull_log[-1]
+        assert report.transfer_seconds == transfer.seconds
+        assert report.bytes_pulled == transfer.bytes > 0  # every id in range
+        assert report.transfer_seconds > node.client.transfer_seconds(
+            report.bytes_pulled
+        )

@@ -1,4 +1,5 @@
-"""Tests for the versioned parameter server (facade over the shard store)."""
+"""Tests for the seed parameter-server API surface of the sharded store:
+versioned publishes, point and delta reads, process-stable placement."""
 
 import os
 import subprocess
@@ -8,12 +9,17 @@ import numpy as np
 import pytest
 
 import repro
-from repro.cluster.parameter_server import ParameterServer
+from repro.cluster.shardstore import ShardedParameterStore
 
 
 @pytest.fixture
 def ps():
-    return ParameterServer(num_shards=4, row_bytes=32)
+    return ShardedParameterStore(num_shards=4, row_bytes=32)
+
+
+def shard_of(store, table, row_id):
+    """Owning shard of one key, asked one id at a time."""
+    return int(store.placement.shard_of(table, np.array([row_id]))[0])
 
 
 class TestPublish:
@@ -99,21 +105,21 @@ class TestPull:
 class TestShardDeterminism:
     """Shard placement must not depend on the process hash seed.
 
-    Regression: the seed implementation's ``_shard_of`` used the builtin
-    ``hash()``, which is salted per process via PYTHONHASHSEED, so shard
-    statistics differed between processes.  Placement now routes through
-    the splitmix64 ring.
+    Regression: the seed implementation's per-key shard lookup used the
+    builtin ``hash()``, which is salted per process via PYTHONHASHSEED, so
+    shard statistics differed between processes.  Placement now routes
+    through the splitmix64 ring.
     """
 
     def test_pinned_shard_assignments(self):
-        ps = ParameterServer(num_shards=4, row_bytes=32)
-        shards = [ps._shard_of(("t", i)) for i in range(8)]
+        ps = ShardedParameterStore(num_shards=4, row_bytes=32)
+        shards = [shard_of(ps, "t", i) for i in range(8)]
         assert shards == [0, 2, 0, 0, 3, 1, 2, 3]
 
     def test_shard_of_agrees_with_store_placement(self, ps):
         ids = np.arange(64)
-        owners = ps.store.placement.shard_of("t", ids)
-        singles = [ps._shard_of(("t", int(i))) for i in ids]
+        owners = ps.placement.shard_of("t", ids)
+        singles = [shard_of(ps, "t", int(i)) for i in ids]
         assert owners.tolist() == singles
 
     @pytest.mark.parametrize("hash_seed", ["0", "42"])
@@ -121,8 +127,8 @@ class TestShardDeterminism:
         """Per-shard write counts are byte-identical under any PYTHONHASHSEED."""
         snippet = (
             "import numpy as np;"
-            "from repro.cluster.parameter_server import ParameterServer;"
-            "ps = ParameterServer(num_shards=4, row_bytes=32);"
+            "from repro.cluster.shardstore import ShardedParameterStore;"
+            "ps = ShardedParameterStore(num_shards=4, row_bytes=32);"
             "ps.publish_batch('t', np.arange(256), np.zeros((256, 4)));"
             "print([s.rows_written for s in ps.shard_stats])"
         )
@@ -133,6 +139,6 @@ class TestShardDeterminism:
             [sys.executable, "-c", snippet],
             capture_output=True, text=True, env=env, check=True,
         ).stdout.strip()
-        here = ParameterServer(num_shards=4, row_bytes=32)
+        here = ShardedParameterStore(num_shards=4, row_bytes=32)
         here.publish_batch("t", np.arange(256), np.zeros((256, 4)))
         assert out == str([s.rows_written for s in here.shard_stats])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cluster.nodes import InferenceNode, TrainingCluster
-from repro.cluster.parameter_server import ParameterServer
+from repro.cluster.shardstore import ShardedParameterStore
 from repro.core.liveupdate import LiveUpdate, LiveUpdateConfig
 from repro.core.trainer import TrainerConfig
 from repro.data.synthetic import DriftingCTRStream, StreamConfig
@@ -28,7 +28,7 @@ def world():
     stream = DriftingCTRStream(
         StreamConfig(table_sizes=TABLE_SIZES, num_dense=3, seed=1)
     )
-    server = ParameterServer(row_bytes=64)
+    server = ShardedParameterStore(row_bytes=64)
     trainer_cluster = TrainingCluster(model.copy(), server)
     node = InferenceNode(model.copy(), server)
     return stream, trainer_cluster, node

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cluster.nodes import InferenceNode
-from repro.cluster.parameter_server import ParameterServer
+from repro.cluster.shardstore import ShardedParameterStore
 from repro.core.liveupdate import LiveUpdate, LiveUpdateConfig
 from repro.core.trainer import TrainerConfig
 from repro.data.synthetic import DriftingCTRStream, StreamConfig
@@ -72,7 +72,7 @@ class TestTrainServeLoop:
             model.train_step(b.dense, b.sparse_ids, b.labels, opt)
         stream.advance(1200.0)
 
-        server = ParameterServer(row_bytes=128)
+        server = ShardedParameterStore()
         node = InferenceNode(model.copy(), server)
         lu = LiveUpdate(
             node,

@@ -12,7 +12,7 @@ import pytest
 from repro.cluster import (
     InferenceNode,
     ModelVersionManager,
-    ParameterServer,
+    ShardedParameterStore,
     TrainingCluster,
     check_prediction_consistency,
 )
@@ -40,7 +40,7 @@ def fleet_world():
             seed=0,
         )
     )
-    server = ParameterServer(row_bytes=128)
+    server = ShardedParameterStore()
     cluster = TrainingCluster(model.copy(), server)
     # warm the Day-1 checkpoint
     for _ in range(150):

@@ -5,7 +5,7 @@ with the legacy pull path, hedged reads under a slow replica, breaker
 lifecycle across pulls, degraded serving with its staleness bound under
 full coverage loss, retry-until-heal flows driven by a fault plane, and
 the idempotent flush-retry guarantee (no acked publish lost or
-double-applied).  The facade-level typed errors ride along.
+double-applied), and the same coverage rule on a client without a policy.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from repro.cluster.faults import FaultEvent, FaultPlane, FaultSchedule
-from repro.cluster.parameter_server import ParameterServer, PublishRefusedError
 from repro.cluster.resilience import (
     DegradedReadError,
     HedgedRead,
@@ -368,47 +367,55 @@ class TestRetryHeal:
         assert float(rows.min()) == 9.0
 
 
-class TestFacadeTypedErrors:
-    def _server(self) -> ParameterServer:
-        server = ParameterServer(num_shards=4, row_bytes=DIM * 8, replication=3)
-        server.publish_batch("emb", np.arange(12), np.ones((12, DIM)))
-        return server
+class TestPlainPullCoverage:
+    """A client without a policy decides coverage from the store state:
+    when the replicas run out it raises instead of returning a short
+    delta, and keeps the sync point so nothing acked is ever skipped."""
 
-    def test_publish_refused_is_typed_and_atomic(self):
-        server = self._server()
-        for sid in server.store.shard_ids[:2]:
-            server.kill_shard(sid)
-        with pytest.raises(PublishRefusedError) as exc:
-            server.publish_batch("emb", np.arange(12), np.full((12, DIM), 2.0))
-        assert isinstance(exc.value, QuorumError)
-        assert server.version == 1  # refused before any bump
-        _, rows = server.store.pull_rows("emb", np.arange(12))
-        assert float(rows.max()) == 1.0  # no partial write either
+    def _exhausted(self):
+        """R=3 over 4 shards: sync at v1, re-publish all 64 rows at v2,
+        then lose three shards — the live one holds 59 of the 64 rows."""
+        store = make_store(num_shards=4, replication=3)
+        client = ShardClient(store)
+        store.publish_batch("emb", np.arange(64), np.ones((64, DIM)))
+        client.pull_tables(["emb"])
+        store.publish_batch("emb", np.arange(64), np.full((64, DIM), 2.0))
+        for sid in store.shard_ids[:3]:
+            store.kill_shard(sid)
+        return store, client
 
-    def _exhaust(self, server: ParameterServer) -> None:
-        for sid in server.store.shard_ids[:3]:
-            server.kill_shard(sid)
-
-    def test_pull_rows_raises_degraded_read_error(self):
-        server = self._server()
-        self._exhaust(server)
+    def test_exhausted_pull_raises_and_keeps_own_sync_point(self):
+        store, client = self._exhausted()
         with pytest.raises(DegradedReadError) as exc:
-            server.pull_rows("emb", np.arange(12))
+            client.pull_tables(["emb"])
         assert exc.value.reason == "coverage"
-        found, rows = server.pull_rows(
-            "emb", np.arange(12), degraded_ok=True
-        )
-        # best-effort: surviving replicas answer what they can (rows whose
-        # every live owner is down stay missing), and what IS served is
-        # the acknowledged payload, never garbage
-        assert bool(found.any())
-        assert float(rows[found].max()) == float(rows[found].min()) == 1.0
+        assert (exc.value.synced_version, exc.value.current_version) == (1, 2)
+        assert client.synced_version == 1
+        assert store.oldest_sync_point() == 1  # the registered pin stays too
+        assert client.pull_log[-1].degraded
 
-    def test_pull_delta_degraded_ok_returns_own_sync_point(self):
-        server = self._server()
-        self._exhaust(server)
+    def test_every_acked_row_arrives_after_repair(self):
+        store, client = self._exhausted()
         with pytest.raises(DegradedReadError):
-            server.pull_delta("emb", 0)
-        ids, rows, version = server.pull_delta("emb", 0, degraded_ok=True)
-        assert ids.size == 0 and rows.shape[0] == 0
-        assert version == 0  # caller keeps its sync point: gap re-pulled
+            client.pull_tables(["emb"])
+        for sid in list(store.down_shard_ids):
+            store.revive_shard(sid)
+        store.repair()
+        deltas, report = client.pull_tables(["emb"])
+        assert not report.degraded and report.rows == 64
+        ids, rows = deltas["emb"]
+        assert ids.tolist() == list(range(64))
+        assert float(rows.min()) == float(rows.max()) == 2.0
+        assert client.synced_version == store.oldest_sync_point() == 2
+
+    def test_one_dead_replica_reads_its_range_reconciled(self):
+        store = make_store(num_shards=4, replication=3)
+        client = ShardClient(store)
+        values = np.random.default_rng(11).normal(size=(64, DIM))
+        store.publish_batch("emb", np.arange(64), values)
+        store.kill_shard(store.shard_ids[0])
+        deltas, report = client.pull_tables(["emb"])
+        assert not report.degraded and report.rows == 64
+        assert as_map(*deltas["emb"]) == as_map(np.arange(64), values)
+        # the cost model is still the rows moved, not a modelled wave
+        assert report.seconds == client.transfer_seconds(report.bytes)

@@ -3,8 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.cluster.network import GBE_100
-from repro.cluster.parameter_server import ParameterServer
 from repro.cluster.shardstore import ShardClient, ShardedParameterStore
 
 
@@ -119,14 +117,3 @@ class TestBatchedPull:
         consumer.pull_tables(["t"])
         read_after = sum(s.rows_read for s in store.shard_stats)
         assert read_after - read_before == 1
-
-
-class TestFacadeInterop:
-    def test_client_over_facade_store(self):
-        server = ParameterServer(num_shards=4, row_bytes=32, row_dim=4)
-        client = ShardClient(server.store, link=GBE_100)
-        server.publish_batch("t", np.arange(4), np.ones((4, 4)))
-        deltas, report = client.pull_tables(["t"])
-        assert deltas["t"][0].tolist() == [0, 1, 2, 3]
-        assert report.rows == 4
-        assert client.synced_version == server.version

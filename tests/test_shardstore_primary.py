@@ -1,4 +1,4 @@
-"""Primary-tagged rows and the shared delta slice (ISSUE 12).
+"""Primary-tagged rows, the shared delta slice, and the client boundary.
 
 Two properties carry the fast read path:
 
@@ -12,6 +12,10 @@ Two properties carry the fast read path:
   mutated.
 
 The hash-and-filter read the bit replaced survives here, as the oracle.
+On top, the same random histories drive a client without a policy and a
+resilient one without a degraded cache: they must agree on whether a pull
+can be answered, and an answered pull must equal a dict-of-rows oracle of
+every acknowledged publish.
 """
 
 from __future__ import annotations
@@ -27,7 +31,11 @@ from hypothesis.stateful import (
     rule,
 )
 
-from repro.cluster.resilience import ResiliencePolicy
+from repro.cluster.resilience import (
+    BreakerConfig,
+    DegradedReadError,
+    ResiliencePolicy,
+)
 from repro.cluster.shardstore import (
     QuorumError,
     ShardClient,
@@ -85,6 +93,14 @@ class PrimaryBitMachine(RuleBasedStateMachine):
         )
         self.reader = self.store.register_sync_point(0)
         self.rng = np.random.default_rng(0)
+        self.plain = ShardClient(self.store)
+        self.resilient = ShardClient(
+            self.store, resilience=ResiliencePolicy(degraded=None)
+        )
+        # table -> id -> (version, row) of every acknowledged write
+        self.acked: dict[str, dict[int, tuple[int, np.ndarray]]] = {
+            table: {} for table in TABLES
+        }
 
     # ----------------------------------------------------------------- rules
     @rule(
@@ -93,12 +109,13 @@ class PrimaryBitMachine(RuleBasedStateMachine):
     )
     def publish(self, table, ids):
         ids = np.asarray(ids, dtype=np.int64)
+        rows = self.rng.normal(size=(ids.size, DIM))
         try:
-            self.store.publish_batch(
-                table, ids, self.rng.normal(size=(ids.size, DIM))
-            )
+            version = self.store.publish_batch(table, ids, rows)
         except QuorumError:
-            pass  # refused before any write: nothing to check beyond the bits
+            return  # refused before any write: nothing was acknowledged
+        for i, row in zip(ids.tolist(), rows):
+            self.acked[table][i] = (version, row)
 
     @precondition(lambda self: len(self.store.live_shard_ids) > 1)
     @rule(data=st.data())
@@ -137,7 +154,61 @@ class PrimaryBitMachine(RuleBasedStateMachine):
         )
         self.store.compact()
 
+    @rule()
+    def client_pull(self):
+        """Both clients pull; each either answers the oracle's delta exactly
+        or raises without moving its sync point — and they never disagree."""
+        # Pulls are a window apart, so every breaker an earlier wave opened
+        # has cooled down to a probe by now.
+        self.resilient.resilience.clock.advance(BreakerConfig().cooldown_s)
+        answers = []
+        for client in (self.plain, self.resilient):
+            since = client.synced_version
+            pinned = self._registered(client)
+            try:
+                deltas, _ = client.pull_tables(list(TABLES))
+            except DegradedReadError as err:
+                assert err.reason == "coverage"
+                assert client.synced_version == since
+                assert self._registered(client) == pinned
+                answers.append(None)
+                continue
+            for table in TABLES:
+                want_ids, want_rows = self._acked_delta(table, since)
+                np.testing.assert_array_equal(deltas[table][0], want_ids)
+                np.testing.assert_array_equal(deltas[table][1], want_rows)
+            assert client.synced_version == self.store.version
+            answers.append(deltas)
+        plain, resilient = answers
+        assert (plain is None) == (resilient is None)
+        if plain is not None:
+            for table in TABLES:
+                for got, want in zip(resilient[table], plain[table]):
+                    np.testing.assert_array_equal(got, want)
+
+    def _registered(self, client):
+        token = client._sync_token
+        return None if token is None else self.store._sync_points[token]
+
+    def _acked_delta(self, table, since):
+        held = self.acked[table]
+        ids = sorted(i for i, (version, _) in held.items() if version > since)
+        rows = np.array([held[i][1] for i in ids], dtype=np.float64)
+        return np.asarray(ids, dtype=np.int64), rows.reshape(len(ids), DIM)
+
     # ------------------------------------------------------------ invariants
+    @invariant()
+    def compaction_keeps_what_registered_clients_need(self):
+        """No block's log is truncated past a registered client's sync
+        point: its next pull stays an O(changed) log read."""
+        for client in (self.plain, self.resilient):
+            if client._sync_token is None:
+                continue
+            assert self._registered(client) == client.synced_version
+            for shard in self.store.shards.values():
+                for table in shard.tables:
+                    assert shard.block(table).log_floor <= client.synced_version
+
     def _sync_points(self):
         version = self.store.version
         return sorted({0, version // 2, max(0, version - 1), version})

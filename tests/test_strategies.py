@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cluster.nodes import InferenceNode, TrainingCluster
-from repro.cluster.parameter_server import ParameterServer
+from repro.cluster.shardstore import ShardedParameterStore
 from repro.data.synthetic import DriftingCTRStream, StreamConfig
 from repro.dlrm.model import DLRM, DLRMConfig
 from repro.strategies import DeltaUpdate, NoUpdate, QuickUpdate
@@ -27,7 +27,7 @@ def world():
     stream = DriftingCTRStream(
         StreamConfig(table_sizes=table_sizes, num_dense=3, seed=1)
     )
-    server = ParameterServer(row_bytes=32)
+    server = ShardedParameterStore(row_bytes=32)
     trainer = TrainingCluster(model.copy(), server)
     node = InferenceNode(model.copy(), server)
     return stream, trainer, node
