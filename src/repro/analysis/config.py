@@ -56,7 +56,6 @@ PLACEMENT_MODULES: tuple[str, ...] = (
     "repro.cluster.shardstore.*",
     "repro.core.kernels",
     "repro.core.hot_index",
-    "repro.dlrm.hashing",
     "repro.hardware.vectorcache",
 )
 

@@ -44,7 +44,6 @@ from .shardstore import (
     ShardedParameterStore,
 )
 from .timeline import UpdateEvent, UpdateTimeline, simulate_periodic_updates
-from .version_manager import GateResult, ModelVersionManager, VersionRecord
 
 __all__ = [
     "NetworkLink",
@@ -90,9 +89,6 @@ __all__ = [
     "PushReport",
     "PullReport",
     "UpdateEvent",
-    "ModelVersionManager",
-    "VersionRecord",
-    "GateResult",
     "UpdateTimeline",
     "simulate_periodic_updates",
 ]

@@ -474,9 +474,14 @@ class ShardClient:
         """
         if self.resilience is None or self.resilience.degraded is None:
             raise ValueError("client has no degraded-read cache configured")
-        return self.resilience.degraded.serve(
-            table, current_version=self.store.version
-        )
+        cache = self.resilience.degraded
+        if table not in cache.tables:
+            # Never held: the table's own empty, at its width and lane.
+            ids, rows, versions = self.store.empty_delta(table)
+            return StaleRead(
+                table, ids, rows, versions, cache.as_of_version, self.store.version
+            )
+        return cache.serve(table, current_version=self.store.version)
 
     # -------------------------------------------------------------- coverage
     def _coverage(self, since: int) -> _Coverage:

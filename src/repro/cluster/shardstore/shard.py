@@ -449,9 +449,8 @@ class ParameterShard:
         Without ``watermark`` this is the lossless keep-latest-per-id
         squeeze.  With one, log entries at or below it are truncated
         outright — the shard cannot know who still reads that far back,
-        so the *store* computes the watermark from its registered client
-        sync points and refuses to pass anything newer than the oldest
-        of them (see :meth:`ShardedParameterStore.compact`).
+        so the *store* passes the oldest of its registered client sync
+        points (see :meth:`ShardedParameterStore.compact`).
         """
         return sum(b.compact(watermark) for b in self._blocks.values())
 

@@ -914,23 +914,16 @@ class ShardedParameterStore:
         return min(self._sync_points.values()) if self._sync_points else None
 
     # ----------------------------------------------------------- maintenance
-    def compact(self, watermark: int | None = None) -> int:
+    def compact(self) -> int:
         """Compact every shard's delta logs; returns entries dropped.
 
-        The keep-latest-per-id squeeze always runs.  Truncation below a
-        version requires a watermark: the caller's (e.g. the version
-        manager's oldest retained store version), clamped so it never
-        exceeds the oldest registered client sync point — the store
-        *refuses* to drop log entries a registered reader still needs.
-        With no watermark and no registered readers, compaction stays
-        fully lossless.
+        The keep-latest-per-id squeeze always runs; log entries at or
+        below the oldest registered sync point are truncated, so the store
+        never drops an entry a registered reader still needs.  With no
+        registered readers, compaction stays fully lossless.
         """
         floor = self.oldest_sync_point()
-        if watermark is None:
-            watermark = floor
-        elif floor is not None:
-            watermark = min(int(watermark), floor)
-        return sum(s.compact(watermark) for s in self.shards.values())
+        return sum(s.compact(floor) for s in self.shards.values())
 
     def plan_repair(self) -> RepairPlan:
         """What re-replication is needed, without doing it.

@@ -43,7 +43,6 @@ _EXPORTS = {
     "sorted_find": "kernels",
     "IdSlotTable": "kernels",
     "pool_rows": "kernels",
-    "segment_pool": "kernels",
     "group_rows_sum": "kernels",
     "TouchedRows": "kernels",
     "LoRAAdapter": "lora",

@@ -14,7 +14,7 @@ primitives everything else builds on:
 * :class:`IdSlotTable` — an array-native id -> slot map (sorted key
   array + ``np.searchsorted``) with batch lookup/insert/remove, the
   replacement for the former dict-based ``_SlotMap``;
-* :func:`pool_rows` / :func:`segment_pool` — offset-based segment
+* :func:`pool_rows` — offset-based segment
   reductions (EmbeddingBag pooling) bucketed by bag size so cost scales
   with the id stream, not the bag count;
 * :func:`group_rows_sum` — duplicate-sparse scatter-add: per-occurrence
@@ -43,7 +43,6 @@ __all__ = [
     "gather_in_range",
     "IdSlotTable",
     "pool_rows",
-    "segment_pool",
     "group_rows_sum",
     "TouchedRows",
 ]
@@ -58,7 +57,7 @@ def splitmix64(values: np.ndarray, seed: int = 0) -> np.ndarray:
     """Vectorised splitmix64 avalanche hash over integer arrays.
 
     Deterministic across processes, platforms and ``PYTHONHASHSEED`` —
-    the property the consistent-hash ring and feature hashing rely on.
+    the property the routing and shard-placement rings rely on.
 
     Parameters
     ----------
@@ -546,34 +545,6 @@ def pool_rows(
             acc /= size
         out[bags] = acc
     return out
-
-
-def segment_pool(
-    values: np.ndarray, offsets: np.ndarray, mode: str = "mean"
-) -> np.ndarray:
-    """Pool per-occurrence rows into per-bag rows (no gather step).
-
-    Like :func:`pool_rows` but ``values`` already holds one row per id
-    occurrence (``values[i]`` belongs to the bag owning position ``i``),
-    e.g. LoRA delta rows produced for a flat id stream.
-
-    Parameters
-    ----------
-    values : numpy.ndarray
-        ``(len(ids), d)`` per-occurrence rows.
-    offsets : numpy.ndarray of int64
-        ``(batch + 1,)`` bag boundaries.
-    mode : {"mean", "sum"}
-        Pooling reduction.
-
-    Returns
-    -------
-    numpy.ndarray
-        ``(batch, d)`` pooled rows, on ``values``' float lane.
-    """
-    vals = as_float_rows(values, name="values")
-    positions = np.arange(vals.shape[0], dtype=np.int64)
-    return pool_rows(vals, positions, offsets, mode)
 
 
 def group_rows_sum(

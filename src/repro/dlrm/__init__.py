@@ -4,9 +4,6 @@ This subpackage is a from-scratch NumPy implementation of the Deep Learning
 Recommendation Model (Naumov et al.) that the paper's serving system hosts.
 """
 
-from .checkpoint import Checkpoint, embedding_drift, model_drift
-from .hashing import FeatureHasher, HashingConfig, collision_rate
-from .multihot import MultiHotField, PooledFieldLayer
 from .embedding import EmbeddingBagCollection, EmbeddingTable, SparseRowGrad
 from .interaction import DotInteraction
 from .metrics import StreamingAUC, auc_roc, calibration_ratio, log_loss
@@ -30,14 +27,6 @@ __all__ = [
     "clip_by_global_norm",
     "SGD",
     "RowwiseAdagrad",
-    "Checkpoint",
-    "FeatureHasher",
-    "HashingConfig",
-    "collision_rate",
-    "MultiHotField",
-    "PooledFieldLayer",
-    "model_drift",
-    "embedding_drift",
     "auc_roc",
     "log_loss",
     "calibration_ratio",

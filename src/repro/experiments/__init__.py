@@ -41,7 +41,6 @@ from .sync_interval import (
     scalability_curve,
     sync_interval_sweep,
 )
-from .revenue import PAPER_CONVERSION, RevenueModel
 from .update_cost import (
     CostRow,
     ProductionCostModel,
@@ -92,6 +91,4 @@ __all__ = [
     "simulate_day_profile",
     "PowerComparison",
     "power_comparison",
-    "RevenueModel",
-    "PAPER_CONVERSION",
 ]

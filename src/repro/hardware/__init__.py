@@ -1,7 +1,7 @@
 """Hardware substrate: CPU topology, L3 cache simulation, DRAM contention,
 latency/power models, adaptive NUMA partitioning, and embedding reuse."""
 
-from .cache import CacheStats, LRUCache, simulate_interleaved
+from .cache import CacheStats, LRUCache
 from .latency import InferenceLatencyModel, LatencyBreakdown, percentile
 from .memory import MemoryBandwidthModel, MemoryTraffic
 from .numa import AdaptiveNumaPartitioner, PartitionState, RebalanceEvent
@@ -17,7 +17,6 @@ __all__ = [
     "EPYC_9684X_DUAL",
     "LRUCache",
     "CacheStats",
-    "simulate_interleaved",
     "MemoryTraffic",
     "MemoryBandwidthModel",
     "InferenceLatencyModel",

@@ -1,14 +1,9 @@
-"""Last-level-cache simulator.
+"""Last-level-cache reference model.
 
 Models an L3 slice as an LRU cache over embedding rows (the unit of locality
-that matters for DLRM serving).  Two deployment modes reproduce the paper's
-Fig. 11 mechanism:
-
-* **shared** — inference and training streams hit the same LRU state, so the
-  trainer's irregular writes evict the server's hot rows (cache thrashing,
-  <10% hit rates for both).
-* **partitioned** — each workload gets its own cache sized to its CCD
-  allocation, so each hot set stays resident (Section IV-D).
+that matters for DLRM serving).  :class:`LRUCache` is the sequential, exact
+oracle the batched engines in :mod:`repro.hardware.vectorcache` are checked
+against; :class:`CacheStats` aggregates their per-access hit masks.
 """
 
 from __future__ import annotations
@@ -18,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["CacheStats", "LRUCache", "simulate_interleaved"]
+__all__ = ["CacheStats", "LRUCache"]
 
 
 @dataclass
@@ -123,62 +118,3 @@ class LRUCache:
     def clear(self) -> None:
         self._entries.clear()
         self._used = 0
-
-
-def _hit_mask(result) -> np.ndarray:
-    """Normalise ``access_many`` return values (mask or batch result)."""
-    return getattr(result, "hit_mask", result)
-
-
-def simulate_interleaved(
-    cache_a: LRUCache,
-    cache_b: LRUCache | None,
-    stream_a: np.ndarray,
-    stream_b: np.ndarray,
-    row_bytes: int,
-    key_offset_b: int = 1 << 40,
-    burst_a: int = 1024,
-    burst_b: int = 4096,
-) -> tuple[CacheStats, CacheStats]:
-    """Interleave two access streams over one or two caches, batched.
-
-    When ``cache_b`` is ``None`` both streams share ``cache_a`` (the
-    un-isolated co-location case); stream B's keys are offset so the two
-    workloads never alias, only *compete*.  Returns per-stream stats.
-
-    Streams interleave in *bursts* (``burst_a`` accesses of A, then
-    ``burst_b`` of B, ...): inference serves whole request batches and the
-    trainer runs whole mini-batch fwd/bwd passes, so cache occupancy swings
-    at batch granularity — exactly the thrashing pattern that collapses hit
-    rates when the two share an L3.
-
-    The burst interleave is materialised as one merged key array and played
-    through ``access_many`` in a single pass (two passes when the caches
-    are separate — disjoint caches cannot interact, so each consumes its
-    own stream whole).  Works with any cache exposing ``access_many``:
-    the scalar :class:`LRUCache` or the batched
-    :class:`~repro.hardware.vectorcache.BatchLRUCache`.
-    """
-    stream_a = np.asarray(stream_a, dtype=np.int64)
-    stream_b = np.asarray(stream_b, dtype=np.int64)
-    shared = cache_b is None
-    if not shared:
-        mask_a = _hit_mask(cache_a.access_many(stream_a, row_bytes))
-        mask_b = _hit_mask(cache_b.access_many(stream_b, row_bytes))
-        return CacheStats.from_mask(mask_a), CacheStats.from_mask(mask_b)
-    keys = np.concatenate([stream_a, stream_b + key_offset_b])
-    burst = np.concatenate(
-        [
-            np.arange(stream_a.size, dtype=np.int64) // max(burst_a, 1),
-            np.arange(stream_b.size, dtype=np.int64) // max(burst_b, 1),
-        ]
-    )
-    is_b = np.zeros(keys.size, dtype=bool)
-    is_b[stream_a.size :] = True
-    order = np.lexsort((is_b, burst))  # stable: A's burst before B's
-    mask = _hit_mask(cache_a.access_many(keys[order], row_bytes))
-    ordered_is_b = is_b[order]
-    return (
-        CacheStats.from_mask(mask[~ordered_is_b]),
-        CacheStats.from_mask(mask[ordered_is_b]),
-    )

@@ -46,8 +46,8 @@ Without a universe, each call compacts the ids it sees through one
 still batched, just paying one sort per call.
 
 Mixed entry sizes (or a batch whose size disagrees with the resident
-entries) fall back to an exact sequential replay, so the batched cache is a
-drop-in for the scalar one everywhere, merely faster where it matters.
+entries) fall back to an exact sequential replay, so every batch gets the
+scalar cache's answer, merely faster where it matters.
 """
 
 from __future__ import annotations
@@ -198,11 +198,6 @@ class BatchLRUCache:
         universe bypass the cache (always miss, never insert).  Without a
         universe any ``int64`` key is accepted and each ``access_many``
         call compacts its ids through one ``np.unique``.
-
-    Notes
-    -----
-    The scalar :meth:`access` shim exists for drop-in compatibility and
-    costs O(entries) per call — use :meth:`access_many` on hot paths.
     """
 
     def __init__(self, capacity_bytes: int, universe: int | None = None) -> None:
@@ -278,18 +273,6 @@ class BatchLRUCache:
             self._depth_of[k] = -1
             self._depth_of[self._order] = np.arange(self._order.size, dtype=np.int64)
         return True
-
-    # ----------------------------------------------------------- scalar shim
-    def access(self, key: object, size_bytes: int) -> bool:
-        """Touch ``key``; returns True on hit.  Misses insert the entry.
-
-        Compatibility shim matching ``LRUCache.access``; O(entries) per
-        call.  Batch work belongs in :meth:`access_many`.
-        """
-        result = self.access_many(
-            np.array([int(key)], dtype=np.int64), int(size_bytes)  # type: ignore[arg-type]
-        )
-        return bool(result.hit_mask[0])
 
     # ----------------------------------------------------------------- batch
     def access_many(
@@ -853,13 +836,6 @@ class IntervalCache:
         return True
 
     # ----------------------------------------------------------------- access
-    def access(self, key: object, size_bytes: int) -> bool:
-        """Scalar shim; batch work belongs in :meth:`access_many`."""
-        result = self.access_many(
-            np.array([int(key)], dtype=np.int64), int(size_bytes)  # type: ignore[arg-type]
-        )
-        return bool(result.hit_mask[0])
-
     def access_many(
         self,
         keys: np.ndarray,

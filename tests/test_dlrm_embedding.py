@@ -80,6 +80,24 @@ class TestEmbeddingTable:
         # each id in a bag of 2 gets grad/2 under mean pooling
         np.testing.assert_allclose(grad.rows, 0.5 * np.ones((2, 8)))
 
+    def test_grad_from_pooled_finite_difference(self, table):
+        ids = np.array([1, 2, 2, 5])  # bags [1, 2, 2] and [5]
+        offsets = np.array([0, 3, 4])
+
+        def loss():
+            return float((table.lookup_pooled(ids, offsets) ** 2).sum())
+
+        out = table.lookup_pooled(ids, offsets)
+        grad = table.grad_from_pooled(ids, offsets, 2 * out, mode="mean")
+        eps = 1e-6
+        for pos, idx in enumerate(grad.indices):
+            table.weight[idx, 0] += eps
+            lp = loss()
+            table.weight[idx, 0] -= 2 * eps
+            lm = loss()
+            table.weight[idx, 0] += eps
+            assert grad.rows[pos, 0] == pytest.approx((lp - lm) / (2 * eps), abs=1e-6)
+
     def test_apply_sparse_update_moves_only_touched(self, table):
         before = table.weight.copy()
         grad = SparseRowGrad(np.array([3]), np.ones((1, 8)))

@@ -14,9 +14,8 @@ import weakref
 import numpy as np
 import pytest
 
-from repro.core.kernels import TouchedRows, group_rows_sum, pool_rows, segment_pool
+from repro.core.kernels import TouchedRows, group_rows_sum, pool_rows
 from repro.dlrm.embedding import EmbeddingTable, SparseRowGrad
-from repro.dlrm.multihot import MultiHotField, PooledFieldLayer
 from repro.dlrm.optim import RowwiseAdagrad
 
 TOL = dict(rtol=1e-10, atol=1e-12)
@@ -58,13 +57,13 @@ def ref_grad_from_pooled(dim, ids, offsets, grad_out, mode):
     return uniq, rows
 
 
-def ref_overlay_forward(table, field, adapter, mode):
-    """Seed PooledFieldLayer.forward_with_overlay: per-bag delta pooling."""
-    base = ref_lookup_pooled(table.weight, field.ids, field.offsets, mode)
-    deltas = adapter.delta_rows(field.ids)
+def ref_overlay_forward(table, ids, offsets, adapter, mode):
+    """Seed pooled forward through a LoRA overlay: per-bag delta pooling."""
+    base = ref_lookup_pooled(table.weight, ids, offsets, mode)
+    deltas = adapter.delta_rows(ids)
     pooled_delta = np.zeros_like(base)
-    for b in range(field.batch_size):
-        lo, hi = field.offsets[b], field.offsets[b + 1]
+    for b in range(offsets.size - 1):
+        lo, hi = offsets[b], offsets[b + 1]
         if hi <= lo:
             continue
         seg = deltas[lo:hi].sum(axis=0)
@@ -83,7 +82,7 @@ def ref_adagrad_step(weight, state, indices, rows, lr, eps):
 
 
 def random_bags(rng, num_rows, max_bags=40, max_bag=12, allow_empty=True):
-    """Random MultiHotField with empty bags and duplicate ids mixed in."""
+    """Random ``(ids, offsets)`` bags with empty bags and duplicate ids."""
     n_bags = int(rng.integers(1, max_bags + 1))
     sizes = rng.integers(0 if allow_empty else 1, max_bag + 1, size=n_bags)
     ids = rng.integers(0, num_rows, size=int(sizes.sum()))
@@ -91,7 +90,7 @@ def random_bags(rng, num_rows, max_bags=40, max_bag=12, allow_empty=True):
         ids[-1] = ids[0]
     offsets = np.zeros(n_bags + 1, dtype=np.int64)
     np.cumsum(sizes, out=offsets[1:])
-    return MultiHotField(ids=ids, offsets=offsets)
+    return ids, offsets
 
 
 # ---------------------------------------------------------------- pooled forward
@@ -101,9 +100,9 @@ class TestPooledForwardEquivalence:
     def test_random_bag_shapes(self, mode, seed):
         rng = np.random.default_rng(seed)
         table = EmbeddingTable(37, 5, rng=rng)
-        field = random_bags(rng, table.num_rows)
-        got = table.lookup_pooled(field.ids, field.offsets, mode=mode)
-        want = ref_lookup_pooled(table.weight, field.ids, field.offsets, mode)
+        ids, offsets = random_bags(rng, table.num_rows)
+        got = table.lookup_pooled(ids, offsets, mode=mode)
+        want = ref_lookup_pooled(table.weight, ids, offsets, mode)
         np.testing.assert_allclose(got, want, **TOL)
 
     def test_all_bags_empty(self):
@@ -139,13 +138,11 @@ class TestPooledBackwardEquivalence:
     def test_random_bag_shapes(self, mode, seed):
         rng = np.random.default_rng(100 + seed)
         table = EmbeddingTable(29, 4, rng=rng)
-        field = random_bags(rng, table.num_rows)
-        grad_out = rng.normal(size=(field.batch_size, table.dim))
-        got = table.grad_from_pooled(
-            field.ids, field.offsets, grad_out, mode=mode
-        )
+        ids, offsets = random_bags(rng, table.num_rows)
+        grad_out = rng.normal(size=(offsets.size - 1, table.dim))
+        got = table.grad_from_pooled(ids, offsets, grad_out, mode=mode)
         want_ids, want_rows = ref_grad_from_pooled(
-            table.dim, field.ids, field.offsets, grad_out, mode
+            table.dim, ids, offsets, grad_out, mode
         )
         np.testing.assert_array_equal(got.indices, want_ids)
         np.testing.assert_allclose(got.rows, want_rows, **TOL)
@@ -195,10 +192,13 @@ class TestOverlayForwardEquivalence:
         adapter = LoRAAdapter(4, 2, capacity=8, rng=rng, universe=23)
         adapter.activate_batch(np.array([1, 3, 5, 7, 11]))
         adapter.a[:] = rng.normal(size=adapter.a.shape)
-        field = random_bags(rng, table.num_rows)
-        layer = PooledFieldLayer(table, mode=mode)
-        got = layer.forward_with_overlay(field, adapter)
-        want = ref_overlay_forward(table, field, adapter, mode)
+        ids, offsets = random_bags(rng, table.num_rows)
+        # pooling commutes with the additive adapter: pool(W) + pool(delta)
+        positions = np.arange(ids.size, dtype=np.int64)
+        got = table.lookup_pooled(ids, offsets, mode=mode) + pool_rows(
+            adapter.delta_rows(ids), positions, offsets, mode
+        )
+        want = ref_overlay_forward(table, ids, offsets, adapter, mode)
         np.testing.assert_allclose(got, want, **TOL)
 
 
@@ -315,8 +315,10 @@ class TestSegmentKernelEdges:
         with pytest.raises(ValueError):
             pool_rows(np.ones((2, 2)), np.array([0]), np.array([0, 1]), "max")
 
-    def test_segment_pool_empty_values(self):
-        out = segment_pool(np.zeros((0, 3)), np.array([0, 0, 0]))
+    def test_pool_rows_empty_values(self):
+        out = pool_rows(
+            np.zeros((0, 3)), np.empty(0, dtype=np.int64), np.array([0, 0, 0])
+        )
         np.testing.assert_array_equal(out, np.zeros((2, 3)))
 
     def test_group_rows_sum_empty(self):

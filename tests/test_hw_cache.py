@@ -1,9 +1,9 @@
-"""Tests for the LRU cache simulator."""
+"""Tests for the sequential LRU cache oracle."""
 
 import numpy as np
 import pytest
 
-from repro.hardware.cache import CacheStats, LRUCache, simulate_interleaved
+from repro.hardware.cache import CacheStats, LRUCache
 
 
 class TestLRUCache:
@@ -83,108 +83,17 @@ class TestCacheStats:
         assert merged.hits == 4 and merged.misses == 6
 
 
-class TestInterleaved:
-    def test_separate_caches_do_not_interact(self):
-        rng = np.random.default_rng(0)
-        hot = rng.integers(0, 50, 2000)       # fits easily
-        wide = rng.integers(0, 100_000, 2000)  # thrashes
-        a_alone = LRUCache(100 * 64)
-        sa = CacheStats.from_mask(a_alone.access_many(hot, 64))
-        a_part, b_part = LRUCache(100 * 64), LRUCache(100 * 64)
-        sa2, _ = simulate_interleaved(a_part, b_part, hot, wide, 64)
-        assert sa2.hit_ratio == pytest.approx(sa.hit_ratio, abs=0.02)
-
-    def test_shared_cache_degrades_stream_a(self):
-        rng = np.random.default_rng(1)
-        hot = rng.integers(0, 200, 5000)
-        wide = rng.integers(0, 100_000, 20_000)
-        alone = CacheStats.from_mask(LRUCache(300 * 64).access_many(hot, 64))
-        shared = LRUCache(300 * 64)
-        degraded, _ = simulate_interleaved(
-            shared, None, hot, wide, 64, burst_a=64, burst_b=512
-        )
-        assert degraded.hit_ratio < alone.hit_ratio
-
-    def test_key_offset_prevents_aliasing(self):
-        same = np.arange(100)
-        cache = LRUCache(10_000 * 64)
-        sa, sb = simulate_interleaved(cache, None, same, same, 64)
-        # stream B's identical ids are offset: its first touches all miss
-        assert sb.hits == 0
-
-    def test_all_accesses_accounted(self):
-        rng = np.random.default_rng(2)
-        a = rng.integers(0, 100, 777)
-        b = rng.integers(0, 100, 333)
-        sa, sb = simulate_interleaved(LRUCache(1000), None, a, b, 10)
-        assert sa.accesses == 777
-        assert sb.accesses == 333
-
-    def test_matches_seed_per_key_interleave(self):
-        """The batched merge replays the seed burst loop exactly."""
-        rng = np.random.default_rng(3)
-        a = rng.integers(0, 300, 2500)
-        b = rng.integers(0, 2000, 4100)
-        ref_cache = LRUCache(64 * 16)
-        ref_a, ref_b = CacheStats(), CacheStats()
-        ia = ib = 0
-        while ia < len(a) or ib < len(b):
-            end_a = min(ia + 128, len(a))
-            for k in a[ia:end_a]:
-                ref_a.record(np.array([ref_cache.access(int(k), 16)]))
-            ia = end_a
-            end_b = min(ib + 512, len(b))
-            for k in b[ib:end_b]:
-                ref_b.record(
-                    np.array([ref_cache.access(int(k) + (1 << 40), 16)])
-                )
-            ib = end_b
-        got_a, got_b = simulate_interleaved(
-            LRUCache(64 * 16), None, a, b, 16, burst_a=128, burst_b=512
-        )
-        assert (got_a.hits, got_a.misses) == (ref_a.hits, ref_a.misses)
-        assert (got_b.hits, got_b.misses) == (ref_b.hits, ref_b.misses)
-
-    def test_batched_cache_drop_in(self):
-        """simulate_interleaved accepts BatchLRUCache transparently."""
-        from repro.hardware.vectorcache import BatchLRUCache
-
-        rng = np.random.default_rng(4)
-        a = rng.integers(0, 300, 3000)
-        b = rng.integers(0, 3000, 6000)
-        ref = simulate_interleaved(LRUCache(128 * 8), None, a, b, 8)
-        got = simulate_interleaved(BatchLRUCache(128 * 8), None, a, b, 8)
-        assert (got[0].hits, got[1].hits) == (ref[0].hits, ref[1].hits)
-
-    # ----------------------------------------------------------- edge cases
-    def test_zero_length_streams(self):
-        sa, sb = simulate_interleaved(
-            LRUCache(1000),
-            None,
-            np.empty(0, dtype=np.int64),
-            np.empty(0, dtype=np.int64),
-            10,
-        )
-        assert sa.accesses == 0 and sb.accesses == 0
-        a = np.arange(10)
-        sa, sb = simulate_interleaved(
-            LRUCache(1000), None, a, np.empty(0, dtype=np.int64), 10
-        )
-        assert sa.accesses == 10 and sb.accesses == 0
-        sa, sb = simulate_interleaved(
-            LRUCache(1000), LRUCache(1000), np.empty(0, dtype=np.int64), a, 10
-        )
-        assert sa.accesses == 0 and sb.accesses == 10
+class TestAccessManyEdges:
+    def test_zero_length_stream(self):
+        c = LRUCache(1000)
+        mask = c.access_many(np.empty(0, dtype=np.int64), 10)
+        assert mask.size == 0 and c.num_entries == 0
 
     def test_capacity_smaller_than_one_row(self):
         # every access bypasses (un-cacheable rows), nothing ever hits
-        a = np.array([1, 1, 1])
-        b = np.array([2, 2])
-        sa, sb = simulate_interleaved(LRUCache(4), None, a, b, row_bytes=10)
-        assert sa.hits == 0 and sb.hits == 0
-        cache = LRUCache(4)
-        simulate_interleaved(cache, None, a, b, row_bytes=10)
-        assert cache.num_entries == 0 and cache.used_bytes == 0
+        c = LRUCache(4)
+        assert not c.access_many(np.array([1, 1, 2, 1]), 10).any()
+        assert c.num_entries == 0 and c.used_bytes == 0
 
     def test_duplicate_keys_within_one_batch(self):
         c = LRUCache(10 * 8)

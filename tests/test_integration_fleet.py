@@ -1,8 +1,8 @@
-"""Fleet-level integration: routing, versioning, consistency, local LoRA.
+"""Fleet-level integration: routing, consistency, local LoRA, full sync.
 
 Simulates a small production fleet end-to-end: a consistent-hash router
 shards traffic across inference nodes, each node runs a LiveUpdate trainer
-on its shard, the version manager gates an hourly full sync, and the
+on its shard, an hourly full sync re-adopts the trainer's model, and the
 consistency checker verifies the fleet before/after.
 """
 
@@ -11,7 +11,6 @@ import pytest
 
 from repro.cluster import (
     InferenceNode,
-    ModelVersionManager,
     ShardedParameterStore,
     TrainingCluster,
     check_prediction_consistency,
@@ -62,7 +61,6 @@ def fleet_world():
         for i, node in enumerate(nodes)
     ]
     router = ConsistentHashRouter(list(range(NUM_NODES)), seed=2)
-    manager = ModelVersionManager(gate_tolerance=0.05)
 
     rng = np.random.default_rng(9)
     # --- serve 20 simulated minutes of routed traffic -------------------
@@ -88,18 +86,18 @@ def fleet_world():
             lives[node_id].on_slot(now=stream.now)
         stream.advance(30.0)
         router.reset_window()
-    return stream, cluster, nodes, lives, router, manager
+    return stream, cluster, nodes, lives, router
 
 
 class TestFleetServing:
     def test_every_node_received_traffic(self, fleet_world):
-        _, _, _, lives, _, _ = fleet_world
+        _, _, _, lives, _ = fleet_world
         for live in lives:
             assert len(live.buffer) > 0
             assert live.trainer.report.steps > 0
 
     def test_local_adaptation_beats_stale_base(self, fleet_world):
-        stream, _, nodes, lives, _, _ = fleet_world
+        stream, _, nodes, lives, _ = fleet_world
         ev = stream.eval_batch(4000, local=True)
         for node, live in zip(nodes, lives):
             base = auc_roc(ev.labels, node.predict(ev))
@@ -118,33 +116,25 @@ class TestFleetServing:
 
     def test_base_parameters_stay_consistent(self, fleet_world):
         """Local adaptation must not touch base replicas (they stay identical)."""
-        stream, _, nodes, _, _, _ = fleet_world
+        stream, _, nodes, _, _ = fleet_world
         probe = stream.eval_batch(128)
         report = check_prediction_consistency([n.model for n in nodes], probe)
         assert report.consistent
 
-    def test_gated_full_sync_restores_fleet(self, fleet_world):
-        stream, cluster, nodes, lives, _, manager = fleet_world
-        record = manager.register(cluster.model, now=stream.now)
-        probe = stream.eval_batch(2000)
-        result = manager.promote_if_healthy(
-            record.version, [n.model for n in nodes], probe
+    def test_full_sync_restores_fleet(self, fleet_world):
+        stream, cluster, nodes, _, _ = fleet_world
+        for node in nodes:
+            node.adopt_model(cluster.model)
+        probe = stream.eval_batch(128)
+        report = check_prediction_consistency([n.model for n in nodes], probe)
+        assert report.consistent
+        np.testing.assert_array_equal(
+            nodes[0].predict(probe),
+            cluster.model.predict(probe.dense, probe.sparse_ids),
         )
-        if result.passed:
-            report = check_prediction_consistency(
-                [n.model for n in nodes], stream.eval_batch(128)
-            )
-            assert report.consistent
-            assert manager.serving_version == record.version
-        else:
-            # gate refused: fleet must be untouched and still consistent
-            report = check_prediction_consistency(
-                [n.model for n in nodes], stream.eval_batch(128)
-            )
-            assert report.consistent
 
     def test_router_balanced_the_shard_load(self, fleet_world):
-        _, _, _, lives, router, _ = fleet_world
+        _, _, _, lives, router = fleet_world
         sizes = [len(l.buffer) + l.buffer.total_evicted for l in lives]
         assert max(sizes) < 2.5 * min(sizes)
         assert router.stats.routed > 0

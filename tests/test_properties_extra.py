@@ -4,44 +4,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dlrm.hashing import FeatureHasher, HashingConfig
-from repro.dlrm.multihot import MultiHotField
 from repro.hardware.tiered_store import TieredEmbeddingStore, TieredStoreConfig
 from repro.serving.router import ConsistentHashRouter
 from repro.experiments.update_cost import update_ratio
-
-
-@given(
-    raw=st.lists(st.integers(0, 2 ** 62), min_size=1, max_size=200),
-    slots=st.integers(1, 10_000),
-    seed=st.integers(0, 1000),
-)
-def test_hasher_total_and_deterministic(raw, slots, seed):
-    h = FeatureHasher(HashingConfig(num_slots=slots, seed=seed))
-    arr = np.array(raw)
-    a = h.hash_ints(arr)
-    b = h.hash_ints(arr)
-    np.testing.assert_array_equal(a, b)
-    assert a.min() >= 0 and a.max() < slots
-
-
-@given(
-    bags=st.lists(
-        st.lists(st.integers(0, 30), min_size=0, max_size=6),
-        min_size=1,
-        max_size=20,
-    )
-)
-def test_multihot_roundtrip_preserves_structure(bags):
-    f = MultiHotField.from_lists(bags)
-    assert f.batch_size == len(bags)
-    assert f.bag_sizes().tolist() == [len(b) for b in bags]
-    # flat ids reconstruct the original bags
-    rebuilt = [
-        f.ids[f.offsets[i] : f.offsets[i + 1]].tolist()
-        for i in range(f.batch_size)
-    ]
-    assert rebuilt == [list(b) for b in bags]
 
 
 @given(

@@ -270,6 +270,21 @@ class TestDegradedServing:
         assert stale.row_versions.max() <= stale.as_of_version
         assert stale.row_staleness.tolist() == [1] * 6
 
+    def test_unseen_table_empty_has_table_width_and_lane(self):
+        """Regression: a table the cache never held served ``(0, 1)``
+        float64 rows instead of the store's own empty."""
+        store = ShardedParameterStore(
+            num_shards=4, row_dim=8, replication=3, row_dtype=np.float32
+        )
+        client = ShardClient(store, resilience=ResiliencePolicy())
+        store.publish_batch("emb", np.arange(4), np.ones((4, 8), np.float32))
+        client.pull_tables(["emb"])
+        stale = client.degraded_read("ghost")
+        assert stale.degraded and stale.ids.size == 0
+        assert stale.rows.shape == (0, 8) and stale.rows.dtype == np.float32
+        assert stale.row_versions.dtype == np.int64
+        assert stale.as_of_version == 1 and stale.current_version == 1
+
     def test_gap_is_repulled_after_repair(self):
         store, client = self._coverage_loss()
         client.pull_tables(["emb"])  # degraded

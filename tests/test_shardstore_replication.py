@@ -33,7 +33,6 @@ from repro.cluster.shardstore import (
     ShardPlacement,
     ShardedParameterStore,
 )
-from repro.cluster.version_manager import ModelVersionManager
 
 
 def _store(replication=3, num_shards=8, dim=4):
@@ -373,7 +372,7 @@ class TestCompactionWatermark:
             "t", np.arange(50, 90), rng.normal(size=(40, 2))
         )
         oracle = store.pull_delta("t", sync)
-        store.compact(watermark=store.version)  # clamped to the sync point
+        store.compact()  # truncates only up to the client's sync point
         assert store.oldest_sync_point() == sync
         got_ids, got_rows, _ = client.pull_table("t")
         np.testing.assert_array_equal(got_ids, oracle[0])
@@ -391,8 +390,9 @@ class TestCompactionWatermark:
             "t", np.arange(30, 80), rng.normal(size=(50, 2))
         )
         oracle_from_zero = store.pull_delta("t", 0)
-        # no registered readers: an explicit watermark truncates everything
-        dropped = store.compact(watermark=store.version)
+        # a caught-up reader lets compaction truncate the whole log
+        store.register_sync_point(store.version)
+        dropped = store.compact()
         assert dropped > 0
         got = store.pull_delta("t", 0)  # below the floor -> fallback path
         np.testing.assert_array_equal(got[0], oracle_from_zero[0])
@@ -426,40 +426,38 @@ class TestCompactionWatermark:
         # keep-latest squeeze caps it near the resident count.
         assert log_entries <= 200 * 4
 
-    def test_version_manager_watermark_drives_compaction(self):
-        from repro.dlrm.model import DLRM, DLRMConfig
-
+    def test_registered_sync_points_drive_compaction(self):
+        """Truncation follows the oldest registered reader and never
+        passes it: a lagging reader still resyncs from the log."""
         store = ShardedParameterStore(
             num_shards=4, row_bytes=None, row_dim=2
         )
         rng = np.random.default_rng(0)
-        manager = ModelVersionManager(max_versions=2)
-        model = DLRM(
-            DLRMConfig(
-                num_dense=2,
-                embedding_dim=2,
-                table_sizes=(16, 16),
-                bottom_mlp=(4,),
-                top_mlp=(4,),
-                seed=0,
-            )
-        )
         marks = []
-        for step in range(3):
+        for _ in range(3):
             store.publish_batch(
                 "t", np.arange(100), rng.normal(size=(100, 2))
             )
-            record = manager.register(
-                model, now=float(step), store_version=store.version
-            )
-            marks.append(record.store_version)
-        # retention window of 2 dropped the first snapshot
-        assert manager.compaction_watermark() == marks[1]
-        dropped = store.compact(watermark=manager.compaction_watermark())
+            marks.append(store.version)
+        lagging = store.register_sync_point(marks[1])
+        store.register_sync_point(marks[2])
+        dropped = store.compact()
         assert dropped > 0
-        # rollback resync to any retained snapshot still answers exactly
-        got = store.pull_delta("t", marks[1])
-        assert got[0].size == 100
+
+        def floors():
+            return {
+                s.block("t").log_floor
+                for s in store.shards.values()
+                if s.block("t") is not None
+            }
+
+        assert floors() == {marks[1]}
+        assert store.pull_delta("t", marks[1])[0].size == 100
+        store.update_sync_point(lagging, marks[2])
+        store.publish_batch("t", np.arange(10), rng.normal(size=(10, 2)))
+        store.compact()
+        assert floors() == {marks[2]}
+        assert store.pull_delta("t", marks[2])[0].size == 10
 
 
 def _chaos_seeds() -> list[int]:

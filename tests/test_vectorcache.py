@@ -250,7 +250,8 @@ def test_scalar_access_parity_and_contains():
     batch = BatchLRUCache(3 * 8)
     ref = RecordingLRUCache(3 * 8)
     for k in [1, 2, 3, 1, 4, 2, 5, 1]:
-        assert batch.access(k, 8) == ref.access(k, 8)
+        hit = batch.access_many(np.array([k]), 8).hit_mask[0]
+        assert hit == ref.access(k, 8)
     assert_same_state(batch, ref)
     assert 1 in batch and "not-a-key" not in batch
 
