@@ -29,7 +29,7 @@ __all__ = [
 # must pin its dtype.  Mirrors the PR-1/PR-4/PR-5 vectorization work plus
 # the modules the repo benchmark (``benchmarks/e2e``) shows are hot: the
 # inference-side LoRA step, its overlay, pruning, the hot filter, the
-# synchronizer and the inference-log ring.
+# synchronizer, the inference-log ring and the serving-window simulator.
 HOT_MODULES: tuple[str, ...] = (
     "repro.core.kernels",
     "repro.core.trainer",
@@ -38,7 +38,10 @@ HOT_MODULES: tuple[str, ...] = (
     "repro.core.hot_index",
     "repro.core.sync",
     "repro.data.stream",
+    "repro.data.zipf",
+    "repro.hardware.reuse",
     "repro.hardware.vectorcache",
+    "repro.serving.engine",
     "repro.cluster.shardstore.*",
     "repro.dlrm.embedding",
     "repro.dlrm.mlp",

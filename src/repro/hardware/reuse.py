@@ -112,17 +112,17 @@ class BatchedShadowReuse:
     The serving-window simulator knows its whole publish stream up front,
     so instead of maintaining a live recency buffer one key at a time it
     can answer "would this key be pinned after the first ``q`` publishes?"
-    for whole trainer batches at once.  A key is pinned exactly when fewer
-    than ``capacity_rows`` distinct keys were published after its own last
-    publish — a reuse-distance query, answered with dense arrays: a
-    last-seen gather per key plus a histogram prefix-sum over
-    previous-occurrence links (distinct keys after position ``p`` are the
-    first-occurrences in ``(p, q)``, i.e. positions whose previous link
-    falls at or before ``p``).
+    for whole trainer batches at once.  A key is pinned exactly when its
+    last publish position is among the ``capacity_rows`` most recent
+    distinct-key last positions — the *frontier*, which only the new
+    publishes change between calls.  Each call costs O(new publishes +
+    capacity + queries) over a last-seen plane per key, a liveness bit per
+    position and the ascending frontier, whose first entry is the
+    pinning threshold.
 
     Matches the sequential buffer decision-for-decision (pinned by
-    ``tests/test_serving.py``); prefix lengths must not decrease across
-    :meth:`absorbed` calls, mirroring simulated time moving forward.
+    ``tests/test_hw_numa_reuse.py``); prefix lengths must not decrease
+    across :meth:`absorbed` calls, mirroring simulated time moving forward.
 
     Parameters
     ----------
@@ -139,28 +139,13 @@ class BatchedShadowReuse:
         if published.size and published.min() < 0:
             raise ValueError("published ids must be non-negative")
         self.capacity_rows = capacity_rows
-        n = published.size
-        self._n = n
-        order = np.argsort(published, kind="stable")
-        pk = published[order]
-        same = np.empty(n, dtype=bool)
-        shifted = np.full(n, -1, dtype=np.int64)
-        if n:
-            same[0] = False
-            same[1:] = pk[1:] == pk[:-1]
-            shifted[1:] = order[:-1]
-        # Previous occurrence of each publish position (-1 on first).
-        self._prev = np.empty(n, dtype=np.int64)
-        self._prev[order] = np.where(same, shifted, np.int64(-1))
-        self._num_distinct = int(n - same.sum())
-        # Last publish position per key within the advanced prefix.
-        key_space = int(published.max()) + 1 if n else 1
-        self._last_seen = np.full(key_space, -1, dtype=np.int64)
         self._pub = published
-        # Histogram of previous links in the prefix (shifted by 1 so the
-        # -1 "first occurrence" link lands in bin 0), and its prefix sum.
-        self._prev_hist = np.zeros(n + 2, dtype=np.int64)
-        self._prev_cum = np.zeros(n + 2, dtype=np.int64)
+        # Last publish position per key within the advanced prefix.
+        key_space = int(published.max()) + 1 if published.size else 1
+        self._last_seen = np.full(key_space, -1, dtype=np.int64)
+        # live[p]: position p is its key's last publish in the prefix.
+        self._live = np.zeros(published.size, dtype=bool)
+        self._frontier = np.empty(0, dtype=np.int64)
         self._cursor = 0
 
     def absorbed(self, prefix_len: int, keys: np.ndarray) -> np.ndarray:
@@ -168,35 +153,32 @@ class BatchedShadowReuse:
         publishes; returns a boolean mask aligned with ``keys``."""
         keys = np.ascontiguousarray(keys, dtype=np.int64)
         q = int(prefix_len)
-        if q <= 0 or keys.size == 0:
-            return np.zeros(keys.size, dtype=bool)
         if q < self._cursor:
             raise ValueError("prefix_len must not decrease across calls")
-        q = min(q, self._n)
-        self._advance(q)
+        if q <= 0 or keys.size == 0:
+            return np.zeros(keys.size, dtype=bool)
+        self._advance(min(q, self._pub.size))
         safe = np.clip(keys, 0, self._last_seen.size - 1)
         last_pos = self._last_seen[safe]
-        published = (last_pos >= 0) & (safe == keys)
-        if self._num_distinct <= self.capacity_rows:
-            return published  # the buffer never overflows: pinned forever
-        # Distinct keys published after last_pos = first-occurrences in
-        # (last_pos, q) = positions with a previous link <= last_pos,
-        # minus the prefix itself.
-        newer = self._prev_cum[last_pos + 1] - (last_pos + 1)
-        return published & (newer < self.capacity_rows)
+        # Every live position at or after the frontier's first is in it;
+        # a frontier below capacity holds every published key.
+        full = self._frontier.size == self.capacity_rows
+        threshold = self._frontier[0] if full else 0
+        return (last_pos >= threshold) & (safe == keys)
 
     def _advance(self, q: int) -> None:
-        """Roll last-seen positions and the prev-link histogram to ``q``."""
+        """Roll last-seen positions, liveness and the frontier to ``q``."""
         if q <= self._cursor:
             return
-        delta = slice(self._cursor, q)
-        self._last_seen[self._pub[delta]] = np.arange(
-            self._cursor, q, dtype=np.int64
-        )
-        self._prev_hist += np.bincount(
-            self._prev[delta] + 1, minlength=self._prev_hist.size
-        )
-        # Links in the prefix never exceed q, so the prefix sum only needs
-        # the first q+2 bins.
-        np.cumsum(self._prev_hist[: q + 2], out=self._prev_cum[: q + 2])
+        keys = self._pub[self._cursor : q]
+        old = self._last_seen[keys]
+        self._live[old[old >= 0]] = False
+        positions = np.arange(self._cursor, q, dtype=np.int64)
+        self._last_seen[keys] = positions
+        fresh = positions[self._last_seen[keys] == positions]
+        self._live[fresh] = True
+        # The new frontier lies in the surviving old one plus the fresh
+        # positions, all of them later than any old one.
+        kept = self._frontier[self._live[self._frontier]]
+        self._frontier = np.concatenate([kept, fresh])[-self.capacity_rows :]
         self._cursor = q

@@ -267,7 +267,8 @@ class ColocatedNodeSimulator:
         Partitioned caches never interact, so each consumes its own stream
         whole; only the shadow buffer couples the trainer to inference
         *time*, which :class:`~repro.hardware.reuse.BatchedShadowReuse`
-        answers per trainer burst against the known publish prefix.
+        answers per trainer burst by rolling its LRU frontier over the
+        publishes since the previous burst.
 
         Key spaces mirror the seed's offset scheme bijectively: without
         reuse the trainer copies looked-up rows into its own training
@@ -515,5 +516,6 @@ class ColocatedNodeSimulator:
                 # cache.
                 result = self.run_inference_only(state.num_inference)
             results.append(result)
+            # repro-lint: disable=obs-discipline -- AdaptiveNumaPartitioner.observe is Algorithm 2's feedback step (it picks the next cycle's split), not a telemetry histogram
             partitioner.observe(result.p99_ms)
         return results

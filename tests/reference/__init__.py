@@ -3,5 +3,6 @@
 Each module here is the implementation ``src/`` ran before a rewrite,
 stripped to what the equivalence tests need.  Nothing under ``src/``
 imports from this package; tier-1 tests compare the current code against
-it (``tests/test_model_plane_equivalence.py``, ``tests/test_data_stream.py``).
+it (``tests/test_model_plane_equivalence.py``, ``tests/test_data_stream.py``,
+``tests/test_hw_numa_reuse.py``).
 """

@@ -1,10 +1,13 @@
 """Tests for the Zipf sampler and access-distribution analysis."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.data.zipf import (
     ZipfSampler,
+    _alias_tables,
     access_cdf,
     calibrate_zipf_exponent,
     zipf_head_share,
@@ -55,6 +58,75 @@ class TestZipfSampler:
         hot = set(s.hot_ids(0.10).tolist())
         emp = np.mean([i in hot for i in ids])
         assert emp == pytest.approx(zipf_head_share(exp, size, 0.10), abs=0.01)
+
+
+def _digest(ids: np.ndarray) -> str:
+    return hashlib.sha256(np.asarray(ids, dtype="<i8").tobytes()).hexdigest()
+
+
+class TestAliasTables:
+    """Alias tables are built once per ``(size, exponent)`` and shared; the
+    draw streams are pinned to the values recorded before the tables were
+    memoised (per-sampler Vose build, rank-then-id gather)."""
+
+    def test_memoised_tables_are_read_only(self):
+        accept, alias = _alias_tables(300, 1.3)
+        with pytest.raises(ValueError):
+            accept[0] = 0.5
+        with pytest.raises(ValueError):
+            alias[0] = 1
+
+    def test_same_distribution_shares_one_table(self):
+        a = ZipfSampler(400, 0.7, rng=np.random.default_rng(0), method="alias")
+        b = ZipfSampler(400, 0.7, rng=np.random.default_rng(1), method="alias")
+        a.sample(1)
+        b.sample(1)
+        assert a._accept is b._accept
+        assert _alias_tables(400, 0.7) is _alias_tables(400, 0.7)
+
+    def test_different_exponent_gets_its_own_table(self):
+        a = ZipfSampler(400, 0.7, rng=np.random.default_rng(0), method="alias")
+        c = ZipfSampler(400, 0.8, rng=np.random.default_rng(0), method="alias")
+        a.sample(1)
+        c.sample(1)
+        assert a._accept is not c._accept
+        assert not np.array_equal(a._accept, c._accept)
+
+    def test_alias_draws_pinned(self):
+        s = ZipfSampler(5000, 0.9, rng=np.random.default_rng(123), method="alias")
+        first = s.sample(1000)
+        assert first.dtype == np.int64
+        assert first[:12].tolist() == [
+            4205, 2637, 2830, 3503, 1769, 2507, 2970, 73, 3172, 838, 3515, 236
+        ]
+        assert int(first.sum()) == 2642605
+        assert _digest(first) == (
+            "48a59ad326cd6b44f5eda87692cb17ddef5b3e088ba0859f892046b0b8ae5bc5"
+        )
+        # the stream continues where the first call left it
+        assert _digest(s.sample(1000)) == (
+            "d1d8578bd2be42345b79b3a56dab6fa0d398ebdbff530a99c9ac145da2ea282e"
+        )
+
+    def test_unpermuted_alias_draws_pinned(self):
+        s = ZipfSampler(
+            5000, 0.9, rng=np.random.default_rng(123), permute=False,
+            method="alias",
+        )
+        draws = s.sample(1000)
+        assert draws[:8].tolist() == [76, 3411, 11, 268, 170, 0, 1275, 921]
+        assert _digest(draws) == (
+            "d3fda8c03e7288b29f883103c32e43d1768aa9ec9fa9b2850e2af669a7203159"
+        )
+
+    def test_cdf_draws_pinned(self):
+        s = ZipfSampler(5000, 0.9, rng=np.random.default_rng(123))
+        draws = s.sample(1000)
+        assert draws.dtype == np.int64
+        assert draws[:8].tolist() == [2108, 3891, 3163, 4298, 946, 1908, 3125, 2065]
+        assert _digest(draws) == (
+            "e06f23dc9ab1df1657c7c672d1409f88247479aae928b49aaf576afc1dcd897b"
+        )
 
 
 class TestHeadShare:

@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from reference.reuse import PrevLinkShadowReuse
 from repro.hardware.numa import AdaptiveNumaPartitioner
-from repro.hardware.reuse import ShadowEmbeddingBuffer
+from repro.hardware.reuse import BatchedShadowReuse, ShadowEmbeddingBuffer
 from repro.hardware.topology import EPYC_9684X_DUAL
 
 
@@ -136,3 +139,63 @@ class TestShadowBuffer:
         buf.lookup(0, 1)
         buf.lookup(0, 2)
         assert buf.stats.reuse_ratio == pytest.approx(0.5)
+
+
+@st.composite
+def _reuse_traces(draw):
+    """A publish stream, a capacity, and a non-decreasing prefix schedule
+    (repeats and prefixes past the stream included) with query keys that
+    stray below zero and past the universe."""
+    universe = draw(st.integers(1, 60))
+    published = draw(st.lists(st.integers(0, universe - 1), max_size=400))
+    capacity = draw(st.integers(1, 50))
+    steps = draw(st.lists(st.integers(0, 60), min_size=1, max_size=12))
+    prefixes = np.cumsum(steps).tolist()
+    queries = [
+        draw(st.lists(st.integers(-3, universe + 3), max_size=30))
+        for _ in prefixes
+    ]
+    return published, capacity, list(zip(prefixes, queries))
+
+
+class TestBatchedShadowReuse:
+    """The incremental frontier against the sequential buffer it models
+    and the prev-link/histogram version it replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_reuse_traces())
+    def test_matches_sequential_buffer(self, trace):
+        published, capacity, schedule = trace
+        stream = np.array(published, dtype=np.int64)
+        batched = BatchedShadowReuse(stream, capacity)
+        prev_link = PrevLinkShadowReuse(stream, capacity)
+        buf = ShadowEmbeddingBuffer(capacity)
+        row = np.zeros((1, 1))
+        cursor = 0
+        for prefix, query in schedule:
+            for key in published[cursor:prefix]:
+                buf.publish(0, np.array([key]), row)
+            cursor = max(cursor, min(prefix, len(published)))
+            keys = np.array(query, dtype=np.int64)
+            expected = np.array(
+                [buf.lookup(0, k) is not None for k in query], dtype=bool
+            )
+            got = batched.absorbed(prefix, keys)
+            assert got.dtype == bool and got.shape == keys.shape
+            np.testing.assert_array_equal(got, expected)
+            np.testing.assert_array_equal(prev_link.absorbed(prefix, keys), expected)
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            BatchedShadowReuse(np.array([1, 2]), 0)
+        with pytest.raises(ValueError):
+            BatchedShadowReuse(np.array([1, 2]), -1)
+        with pytest.raises(ValueError):
+            BatchedShadowReuse(np.array([1, -2]), 4)
+
+    def test_decreasing_prefix_raises(self):
+        reuse = BatchedShadowReuse(np.arange(10), 4)
+        reuse.absorbed(6, np.array([5]))
+        reuse.absorbed(6, np.array([5]))  # repeating a prefix is fine
+        with pytest.raises(ValueError):
+            reuse.absorbed(5, np.array([5]))

@@ -1,5 +1,7 @@
 """Tests for the co-located node simulator and SLA monitor."""
 
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
@@ -68,6 +70,43 @@ class TestAblationShape:
     def test_inference_only_has_no_training(self, ablation):
         assert ablation["Only Infer"].training_hit_ratio == 0.0
         assert ablation["Only Infer"].reuse_ratio == 0.0
+
+
+# Every WindowResult field of a small-config ablation, recorded before the
+# shadow-reuse frontier and the shared alias tables replaced the prev-link
+# histogram and the per-sampler Vose build.  The shadow buffer (3,000 rows)
+# is smaller than the 20,000-key publish stream, so it evicts.
+GOLDEN_ABLATION = {
+    "interval": {
+        "Only Infer": ("inference_only", 0.5281, 0.0, 0.0, 24.16128, 0.40268800000000005, 6.107801807077838, 12.162539607742753, 10000, 0, 0),
+        "w/o Opt": ("colocated_naive", 0.2958, 0.2212375, 0.0, 37.6499456, 0.6341445333333334, 15.380730318612216, 29.600001461581176, 10000, 80000, 0),
+        "w/ Scheduling": ("colocated_scheduled", 0.4952, 0.15235, 0.0, 27.581747199999995, 0.4669290666666666, 6.794723455876998, 13.289980782521587, 10000, 80000, 0),
+        "w/ Reuse+Scheduling": ("colocated_full", 0.5066, 0.3552125, 0.329325, 26.147722970239997, 0.43948556187999993, 6.500868412955819, 12.711694567208236, 10000, 80000, 0),
+    },
+    "lru": {
+        "Only Infer": ("inference_only", 0.6103, 0.0, 0.0, 19.952640000000002, 0.33254400000000006, 5.225258288219726, 10.449104594247615, 10000, 0, 3897),
+        "w/o Opt": ("colocated_naive", 0.317, 0.2403625, 0.0, 36.5253376, 0.6152378666666666, 14.379660176569818, 27.686078607052558, 10000, 80000, 67601),
+        "w/ Scheduling": ("colocated_scheduled", 0.5731, 0.1680875, 0.0, 23.561036799999997, 0.39978293333333326, 5.771403235161728, 11.315607125720547, 10000, 80000, 70413),
+        "w/ Reuse+Scheduling": ("colocated_full", 0.5757, 0.356925, 0.329325, 22.607450778880004, 0.38047122456000004, 5.661248258396341, 11.123098371811503, 10000, 80000, 55280),
+    },
+}
+
+
+@pytest.mark.parametrize("policy", sorted(GOLDEN_ABLATION))
+def test_ablation_golden(policy):
+    sim = ColocatedNodeSimulator(
+        NodeSimConfig(
+            num_rows=20_000,
+            accesses_per_window=10_000,
+            training_ratio=8.0,
+            l3_bytes_per_ccd=int(0.025 * 1024 ** 2),
+            reuse_capacity_rows=3_000,
+            cache_policy=policy,
+            seed=0,
+        )
+    )
+    got = {name: astuple(result) for name, result in sim.ablation().items()}
+    assert got == GOLDEN_ABLATION[policy]
 
 
 class TestAdaptiveLoop:
