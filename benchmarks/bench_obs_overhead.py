@@ -34,45 +34,137 @@ import time
 
 import numpy as np
 
+from repro.data.zipf import ZipfSampler
 from repro.dlrm.embedding import EmbeddingTable
 from repro.dlrm.optim import RowwiseAdagrad
+from repro.hardware.reuse import BatchedShadowReuse
+from repro.hardware.vectorcache import IntervalCache
 from repro.obs import registry, set_enabled
 
+LR = 0.05
+EPS = 1e-8
+MB = 1024 ** 2
 
-def _best_and_samples(fn, repeats: int) -> tuple[float, list[float]]:
-    """One timing window: best seconds plus every sample."""
-    samples = []
+
+def _pin_allocator() -> None:
+    """Keep glibc from mmap/munmap-cycling the benchmark's big arrays.
+
+    Both composites allocate tens of MB of transients per step; with the
+    default glibc thresholds every block above 128 KiB is mmapped and
+    returned to the kernel on free, so each timing round re-pays the page
+    faults instead of measuring the kernels.  No-op off glibc.
+    """
+    try:
+        import ctypes
+
+        libc = ctypes.CDLL(None)
+        m_trim_threshold, m_mmap_threshold = -1, -3  # malloc.h constants
+        libc.mallopt(m_mmap_threshold, 1 << 30)
+        libc.mallopt(m_trim_threshold, 1 << 30)
+    except (OSError, AttributeError):
+        pass  # not glibc (musl, macOS): nothing to tune
+
+
+# ------------------------------------------------ DLRM composite train step
+def make_bags(num_ids, num_rows, dim, rng):
+    """Zipf ids in short Poisson bags (mean 2, at most 8) plus an upstream
+    pooled gradient."""
+    sampler = ZipfSampler(num_rows, exponent=0.9, rng=rng, method="alias")
+    sizes = np.clip(rng.poisson(2, size=num_ids // 2 + 1), 1, 8)
+    sizes = sizes[np.cumsum(sizes) <= num_ids]
+    ids = sampler.sample(int(sizes.sum()))
+    offsets = np.zeros(sizes.size + 1, dtype=np.int64)
+    np.cumsum(sizes, out=offsets[1:])
+    return ids, offsets, rng.normal(size=(sizes.size, dim))
+
+
+def train_step(table, opt, ids, offsets, grad_out):
+    """Pooled forward + pooled backward + fused Adagrad + touched drain."""
+    table.lookup_pooled(ids, offsets)
+    opt.step_sparse(table, table.grad_from_pooled(ids, offsets, grad_out))
+    table.drain_touched()
+
+
+# ------------------------------------------- serving-window cache engine
+def build_window(accesses, num_rows, seed=0):
+    """Streams + geometry of one colocated serving window (Fig. 16 shape)."""
+    inf_sampler = ZipfSampler(
+        num_rows, 0.9, rng=np.random.default_rng(seed + 1), method="alias"
+    )
+    train_sampler = ZipfSampler(
+        num_rows, 0.15, rng=np.random.default_rng(seed + 2), method="alias"
+    )
+    warm = inf_sampler.sample(accesses)
+    inf = inf_sampler.sample(accesses)
+    n_train = accesses * 12
+    n_read = int(n_train * 0.4)
+    reads = np.random.default_rng(seed).choice(inf, size=n_read, replace=True)
+    return {
+        "num_rows": num_rows, "row_bytes": 128, "burst": 256, "every": 8,
+        "l3_inf": 10 * int(0.25 * MB), "l3_train": 2 * int(0.25 * MB),
+        "reuse_capacity_rows": 40_000, "warm": warm, "inf": inf,
+        "reads": reads, "writes": train_sampler.sample(n_train - n_read),
+    }
+
+
+def run_window(w):
+    """One window: inference through the serving cache, burst-chunked
+    trainer reads (shadow-absorbed first) and writes through the training
+    cache."""
+    num_rows, row_bytes = w["num_rows"], w["row_bytes"]
+    warm, inf, reads, writes = w["warm"], w["inf"], w["reads"], w["writes"]
+    burst, every = w["burst"], w["every"]
+    cache_inf = IntervalCache(w["l3_inf"], universe=num_rows)
+    cache_train = IntervalCache(w["l3_train"], universe=2 * num_rows)
+    cache_inf.access_many(warm, row_bytes)
+    cache_inf.access_many(inf, row_bytes)
+    shadow = BatchedShadowReuse(np.concatenate([warm, inf]), w["reuse_capacity_rows"])
+    fired = max(1, (inf.size + burst - 1) // burst) // every
+    chunks = max(1, fired)
+    read_chunk = (reads.size + chunks - 1) // chunks
+    write_chunk = (writes.size + chunks - 1) // chunks
+    pieces = []
+    for t in range(fired):
+        step_reads = reads[t * read_chunk : (t + 1) * read_chunk]
+        if step_reads.size:
+            prefix = warm.size + min(inf.size, (t + 1) * every * burst)
+            step_reads = step_reads[~shadow.absorbed(prefix, step_reads)]
+        pieces.append(step_reads)
+        pieces.append(writes[t * write_chunk : (t + 1) * write_chunk] + num_rows)
+    if pieces:
+        cache_train.access_many(np.concatenate(pieces), row_bytes)
+
+
+def _best_seconds(fn, repeats: int) -> float:
+    """One timing window: best seconds of ``repeats`` calls."""
+    best = float("inf")
     for _ in range(repeats):
         t0 = time.perf_counter()
         fn()
-        samples.append(time.perf_counter() - t0)
-    return min(samples), samples
+        best = min(best, time.perf_counter() - t0)
+    return best
 
 
-def measure_pair(fn, repeats: int, attempts: int) -> tuple[float, float, list[float]]:
+def measure_pair(fn, repeats: int, attempts: int) -> tuple[float, float]:
     """Best instrumented/bare seconds for ``fn``, interleaved per attempt.
 
     The on/off order flips every attempt: consecutive identical runs of
     these composites drift ~15% as the allocator arena and caches settle,
     so a fixed order would systematically charge the warm-up tail to
-    whichever side always ran first.  Returns ``(t_on, t_off,
-    on_samples)``; telemetry is left enabled.
+    whichever side always ran first.  Returns ``(t_on, t_off)``;
+    telemetry is left enabled.
     """
     fn()  # warm caches and the allocator arena outside the timers
     best = {True: float("inf"), False: float("inf")}
-    on_samples: list[float] = []
     try:
         for attempt in range(attempts):
             order = (True, False) if attempt % 2 == 0 else (False, True)
             for enabled in order:
                 set_enabled(enabled)
-                t, samples = _best_and_samples(fn, repeats)
-                best[enabled] = min(best[enabled], t)
-                if enabled:
-                    on_samples.extend(samples)
+                best[enabled] = min(best[enabled], _best_seconds(fn, repeats))
     finally:
         set_enabled(True)
-    return best[True], best[False], on_samples
+    return best[True], best[False]
 
 
 def overhead_pct(t_on: float, t_off: float) -> float:
@@ -98,39 +190,23 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    # Sibling bench modules own the workloads; the script dir is on
-    # sys.path when run as `python benchmarks/bench_obs_overhead.py`.
-    import bench_cache_window_throughput as cache_bench
-    import bench_dlrm_train_throughput as dlrm_bench
-    from _emit import emit_bench_result
-
-    dlrm_bench._pin_allocator()
+    _pin_allocator()
     if not registry().enabled:
         set_enabled(True)
 
-    # -- DLRM composite train step (the model-plane gate's vectorized side)
     rng = np.random.default_rng(7)
-    ids, offsets, grad_out = dlrm_bench.make_workload(
-        args.ids, args.rows, args.dim, mean_bag=2, max_bag=8, rng=rng
-    )
+    ids, offsets, grad_out = make_bags(args.ids, args.rows, args.dim, rng)
     table = EmbeddingTable(args.rows, args.dim, rng=np.random.default_rng(0))
-    opt = RowwiseAdagrad(lr=dlrm_bench.LR, eps=dlrm_bench.EPS)
-    t_on, t_off, on_samples = measure_pair(
-        lambda: dlrm_bench.vec_train_step(table, opt, ids, offsets, grad_out),
+    opt = RowwiseAdagrad(lr=LR, eps=EPS)
+    t_on, t_off = measure_pair(
+        lambda: train_step(table, opt, ids, offsets, grad_out),
         args.repeats,
         args.attempts,
     )
     dlrm_overhead = overhead_pct(t_on, t_off)
-    dlrm_ids_per_s = ids.size / t_on
-    dlrm_p99_ms = float(np.percentile(np.asarray(on_samples), 99)) * 1e3
 
-    # -- serving-window cache engine (default interval policy)
-    w = cache_bench.build_window(args.accesses, args.rows)
-    c_on, c_off, _ = measure_pair(
-        lambda: cache_bench.run_window_batched(w, "interval"),
-        args.repeats,
-        args.attempts,
-    )
+    w = build_window(args.accesses, args.rows)
+    c_on, c_off = measure_pair(lambda: run_window(w), args.repeats, args.attempts)
     cache_overhead = overhead_pct(c_on, c_off)
 
     print("telemetry overhead (instrumented vs bare, best-of-N interleaved)")
@@ -142,20 +218,6 @@ def main(argv: list[str] | None = None) -> int:
     print(
         f"{'cache window (interval)':<26} {c_off * 1e3:>9.2f}ms {c_on * 1e3:>12.2f}ms "
         f"{cache_overhead:>8.2f}%"
-    )
-
-    emit_bench_result(
-        "obs_overhead",
-        shape=(
-            f"{args.ids} ids/batch dlrm, {args.accesses} accesses/window, "
-            f"{args.rows} rows"
-        ),
-        ids_per_sec=dlrm_ids_per_s,
-        p99_ms=dlrm_p99_ms,
-        extra={
-            "overhead_pct_dlrm": dlrm_overhead,
-            "overhead_pct_cache_window": cache_overhead,
-        },
     )
 
     if args.check_overhead is not None:

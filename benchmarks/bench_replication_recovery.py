@@ -21,8 +21,7 @@ Run standalone::
 
 ``--check-overhead X`` exits non-zero if the steady-state windowed
 publish against a 1e5-row replicated store costs more than ``X`` times
-the single-copy store (the CI gate from ISSUE 9).  Results land in
-``BENCH_replication_recovery.json``.
+the single-copy store (the CI gate).
 """
 
 from __future__ import annotations
@@ -198,26 +197,6 @@ def main(argv: list[str] | None = None) -> int:
         f"({recovery['bytes_repaired'] / 1e6:.1f} MB) healed in "
         f"{recovery['repair_s'] * 1e3:.1f} ms "
         f"({recovery['repair_rows_per_s']:,.0f} rows/s)"
-    )
-
-    from _emit import emit_bench_result  # sibling module; script dir is on sys.path
-
-    emit_bench_result(
-        "replication_recovery",
-        shape=(
-            f"{args.rows} rows, R={args.replication}, {args.shards} shards, "
-            f"{args.outage_windows} outage windows"
-        ),
-        ids_per_sec=replicated["steady_rows_per_s"],
-        extra={
-            "fill_overhead_x": overhead["fill_rows_per_s"],
-            "steady_overhead_x": overhead["steady_rows_per_s"],
-            "publish_overhead_x": overhead["publish_rows_per_s"],
-            "rows_repaired": recovery["rows_repaired"],
-            "bytes_repaired": recovery["bytes_repaired"],
-            "repair_s": recovery["repair_s"],
-            "repair_rows_per_s": recovery["repair_rows_per_s"],
-        },
     )
 
     if args.check_overhead is not None:

@@ -15,9 +15,9 @@ operation above them — ``delta_rows``, ``apply_to``, ``accumulate_grad``,
 ``is_hot``, ``mark``, ``route``, pooled embedding forward/backward — is
 expressed as gather/scatter + batched matmuls over whole arrays; per-id
 Python loops only survive on cold control paths (saturated bounded-load
-probes).  ``benchmarks/bench_hotpath_throughput.py`` and
-``benchmarks/bench_dlrm_train_throughput.py`` track the resulting
-ids/sec against per-id reference implementations.
+probes).  ``tests/test_kernels_equivalence.py`` and
+``tests/test_dlrm_vectorized.py`` pin them to the per-id reference
+implementations they replaced.
 
 Lazy imports
 ------------

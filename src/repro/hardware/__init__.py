@@ -1,12 +1,11 @@
 """Hardware substrate: CPU topology, L3 cache simulation, DRAM contention,
 latency/power models, adaptive NUMA partitioning, and embedding reuse."""
 
-from .cache import CacheStats, LRUCache
+from .cache import CacheStats
 from .latency import InferenceLatencyModel, LatencyBreakdown, percentile
 from .memory import MemoryBandwidthModel, MemoryTraffic
 from .numa import AdaptiveNumaPartitioner, PartitionState, RebalanceEvent
 from .power import CPUPowerModel, DiurnalLoadTrace, UtilizationSample
-from .reuse import ReuseStats, ShadowEmbeddingBuffer
 from .tiered_store import TieredEmbeddingStore, TieredStoreConfig, TierStats
 from .topology import CCD, EPYC_9684X_DUAL, NodeTopology, Socket
 
@@ -15,7 +14,6 @@ __all__ = [
     "Socket",
     "NodeTopology",
     "EPYC_9684X_DUAL",
-    "LRUCache",
     "CacheStats",
     "MemoryTraffic",
     "MemoryBandwidthModel",
@@ -28,8 +26,6 @@ __all__ = [
     "AdaptiveNumaPartitioner",
     "PartitionState",
     "RebalanceEvent",
-    "ReuseStats",
-    "ShadowEmbeddingBuffer",
     "TieredEmbeddingStore",
     "TieredStoreConfig",
     "TierStats",

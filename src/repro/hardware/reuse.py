@@ -2,112 +2,23 @@
 
 The inference engine has already fetched the embedding rows a request needed;
 LiveUpdate pins those rows in a tightly packed, mlock'd shared buffer so the
-trainer can read them without issuing its own DRAM lookups.  The simulator
-models the buffer as a bounded, recency-ordered map from (field, row-id) to a
-pinned row, and reports the fraction of trainer lookups it absorbs — the
-quantity that turns the trainer's access pattern cache-friendly in Fig. 11a.
+trainer can read them without issuing its own DRAM lookups.  The buffer is a
+bounded, recency-ordered map from row id to a pinned row; the simulator
+reports the fraction of trainer lookups it absorbs — the quantity that turns
+the trainer's access pattern cache-friendly in Fig. 11a.  The sequential
+one-key-at-a-time buffer is a test oracle (``tests/reference/reuse.py``);
+the simulator runs :class:`BatchedShadowReuse`.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from dataclasses import dataclass
-
 import numpy as np
 
-__all__ = ["ReuseStats", "ShadowEmbeddingBuffer", "BatchedShadowReuse"]
-
-
-@dataclass
-class ReuseStats:
-    """Trainer-side reuse accounting."""
-
-    reused: int = 0
-    fetched: int = 0
-
-    @property
-    def total(self) -> int:
-        return self.reused + self.fetched
-
-    @property
-    def reuse_ratio(self) -> float:
-        return self.reused / self.total if self.total else 0.0
-
-
-class ShadowEmbeddingBuffer:
-    """Bounded recency buffer of embedding rows fetched by inference.
-
-    Args:
-        capacity_rows: maximum pinned rows (sized to fit the training
-            partition's L3 in the paper's deployment).
-    """
-
-    def __init__(self, capacity_rows: int) -> None:
-        if capacity_rows <= 0:
-            raise ValueError("capacity must be positive")
-        self.capacity_rows = capacity_rows
-        self._rows: OrderedDict[tuple[int, int], np.ndarray] = OrderedDict()
-        self.stats = ReuseStats()
-
-    def __len__(self) -> int:
-        return len(self._rows)
-
-    def publish(self, field: int, ids: np.ndarray, rows: np.ndarray) -> None:
-        """Called by the inference path after each lookup batch."""
-        ids = np.asarray(ids, dtype=np.int64)
-        for i, row in zip(ids, rows):
-            key = (field, int(i))
-            if key in self._rows:
-                self._rows.move_to_end(key)
-            self._rows[key] = row
-            while len(self._rows) > self.capacity_rows:
-                self._rows.popitem(last=False)
-
-    def lookup(self, field: int, idx: int) -> np.ndarray | None:
-        """Trainer-side fetch; returns the pinned row or None on miss."""
-        row = self._rows.get((field, int(idx)))
-        if row is None:
-            self.stats.fetched += 1
-            return None
-        self.stats.reused += 1
-        return row
-
-    def gather(
-        self, field: int, ids: np.ndarray, fallback: np.ndarray
-    ) -> tuple[np.ndarray, int]:
-        """Vector fetch: reuse pinned rows, fall back to ``fallback`` rows.
-
-        Args:
-            field: sparse field index.
-            ids: row ids the trainer needs.
-            fallback: ``(len(ids), d)`` rows from the base table (the DRAM
-                path) used on buffer misses.
-
-        Returns:
-            ``(rows, num_reused)``.
-        """
-        ids = np.asarray(ids, dtype=np.int64)
-        out = np.array(fallback, dtype=np.float64, copy=True)
-        reused = 0
-        for j, i in enumerate(ids):
-            row = self._rows.get((field, int(i)))
-            if row is not None:
-                out[j] = row
-                reused += 1
-        self.stats.reused += reused
-        self.stats.fetched += len(ids) - reused
-        return out, reused
-
-    def hot_keys(self) -> list[tuple[int, int]]:
-        """Currently pinned (field, id) pairs, LRU -> MRU order."""
-        return list(self._rows.keys())
-
-    def clear(self) -> None:
-        self._rows.clear()
+__all__ = ["BatchedShadowReuse"]
 
 
 class BatchedShadowReuse:
-    """Offline vectorized absorption model of :class:`ShadowEmbeddingBuffer`.
+    """Offline vectorized absorption model of the shadow buffer.
 
     The serving-window simulator knows its whole publish stream up front,
     so instead of maintaining a live recency buffer one key at a time it
@@ -120,16 +31,18 @@ class BatchedShadowReuse:
     position and the ascending frontier, whose first entry is the
     pinning threshold.
 
-    Matches the sequential buffer decision-for-decision (pinned by
-    ``tests/test_hw_numa_reuse.py``); prefix lengths must not decrease
-    across :meth:`absorbed` calls, mirroring simulated time moving forward.
+    Matches the sequential buffer in ``tests/reference/reuse.py``
+    decision-for-decision (pinned by ``tests/test_hw_numa_reuse.py``);
+    prefix lengths must not decrease across :meth:`absorbed` calls,
+    mirroring simulated time moving forward.
 
     Parameters
     ----------
     published : numpy.ndarray of int64
         The full publish stream (non-negative ids), in publish order.
     capacity_rows : int
-        Maximum pinned rows, as in :class:`ShadowEmbeddingBuffer`.
+        Maximum pinned rows (sized to fit the training partition's L3 in
+        the paper's deployment).
     """
 
     def __init__(self, published: np.ndarray, capacity_rows: int) -> None:

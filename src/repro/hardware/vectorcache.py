@@ -1,16 +1,13 @@
 """Batched LRU cache model: whole access windows as array operations.
 
-:class:`repro.hardware.cache.LRUCache` walks one ``OrderedDict`` operation
-per key, which caps the serving-window simulator at a couple of million
-accesses per second — the last scalar hot path left after the kernel layer
-(PR 1) and the parameter plane (PR 2) went array-native.  This module
-replaces the *per-key walk* without replacing the *semantics*:
+A sequential LRU walks one ``OrderedDict`` operation per key, which caps a
+serving-window simulator at a couple of million accesses per second.  This
+module replaces the *per-key walk* without replacing the *semantics*:
 :class:`BatchLRUCache` consumes a whole per-window access array at once and
 returns hit masks, eviction events and byte traffic as vectors, while
-reproducing the sequential LRU cache bit-for-bit (hit/miss sequence,
-``used_bytes``, eviction order) — a property pinned by randomized traces in
-``tests/test_vectorcache.py``, the same contract
-``tests/test_kernels_equivalence.py`` enforces for the PR-1 kernels.
+reproducing the sequential byte-capacity LRU (``tests/reference/cache.py``)
+bit-for-bit (hit/miss sequence, ``used_bytes``, eviction order) — a
+property pinned by randomized traces in ``tests/test_vectorcache.py``.
 
 How exactness survives batching
 -------------------------------
@@ -181,10 +178,11 @@ class BatchAccessResult:
 class BatchLRUCache:
     """Byte-capacity LRU over ``int64`` keys with batched array access.
 
-    Semantically identical to :class:`repro.hardware.cache.LRUCache`
-    (insert-on-miss, LRU eviction, oversized objects bypass) but keyed by
-    integers and built for :meth:`access_many`: one call consumes a whole
-    access window and returns vectors instead of walking a dict per key.
+    Semantically identical to the sequential LRU in
+    ``tests/reference/cache.py`` (insert-on-miss, LRU eviction, oversized
+    objects bypass) but keyed by integers and built for
+    :meth:`access_many`: one call consumes a whole access window and
+    returns vectors instead of walking a dict per key.
 
     Parameters
     ----------

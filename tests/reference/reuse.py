@@ -1,16 +1,86 @@
-"""The prev-link / histogram shadow-reuse model the incremental LRU
-frontier replaced.
+"""The shadow-reuse models ``repro.hardware.reuse.BatchedShadowReuse``
+replaced.
 
-A key is pinned after ``q`` publishes exactly when fewer than
-``capacity_rows`` distinct keys were published after its own last
-publish.  This version answers that with a previous-occurrence link per
-publish position (one stable argsort up front) and, per call, a
-histogram of the links in the prefix plus its prefix sum: the distinct
-keys after position ``p`` are the positions in ``(p, q)`` whose previous
-link falls at or before ``p``.
+:class:`ShadowEmbeddingBuffer` is the sequential buffer itself: a bounded,
+recency-ordered map from ``(field, row-id)`` to a pinned row, one
+``OrderedDict`` operation per key.  :class:`PrevLinkShadowReuse` is the
+batched model before the incremental LRU frontier.  A key is pinned after
+``q`` publishes exactly when fewer than ``capacity_rows`` distinct keys
+were published after its own last publish.  That version answers it with
+a previous-occurrence link per publish position (one stable argsort up
+front) and, per call, a histogram of the links in the prefix plus its
+prefix sum: the distinct keys after position ``p`` are the positions in
+``(p, q)`` whose previous link falls at or before ``p``.
 """
 
+from collections import OrderedDict
+from dataclasses import dataclass
+
 import numpy as np
+
+
+@dataclass
+class ReuseStats:
+    """Trainer-side reuse accounting."""
+
+    reused: int = 0
+    fetched: int = 0
+
+    @property
+    def total(self) -> int:
+        return self.reused + self.fetched
+
+    @property
+    def reuse_ratio(self) -> float:
+        return self.reused / self.total if self.total else 0.0
+
+
+class ShadowEmbeddingBuffer:
+    """Bounded recency buffer of embedding rows fetched by inference."""
+
+    def __init__(self, capacity_rows: int) -> None:
+        if capacity_rows <= 0:
+            raise ValueError("capacity must be positive")
+        self.capacity_rows = capacity_rows
+        self._rows: OrderedDict[tuple[int, int], np.ndarray] = OrderedDict()
+        self.stats = ReuseStats()
+
+    def publish(self, field: int, ids: np.ndarray, rows: np.ndarray) -> None:
+        """Called by the inference path after each lookup batch."""
+        ids = np.asarray(ids, dtype=np.int64)
+        for i, row in zip(ids, rows):
+            key = (field, int(i))
+            if key in self._rows:
+                self._rows.move_to_end(key)
+            self._rows[key] = row
+            while len(self._rows) > self.capacity_rows:
+                self._rows.popitem(last=False)
+
+    def lookup(self, field: int, idx: int) -> np.ndarray | None:
+        """Trainer-side fetch; returns the pinned row or None on miss."""
+        row = self._rows.get((field, int(idx)))
+        if row is None:
+            self.stats.fetched += 1
+            return None
+        self.stats.reused += 1
+        return row
+
+    def gather(
+        self, field: int, ids: np.ndarray, fallback: np.ndarray
+    ) -> tuple[np.ndarray, int]:
+        """``(rows, num_reused)``: pinned rows where the buffer has them,
+        ``fallback`` rows (the DRAM path) on misses."""
+        ids = np.asarray(ids, dtype=np.int64)
+        out = np.array(fallback, dtype=np.float64, copy=True)
+        reused = 0
+        for j, i in enumerate(ids):
+            row = self._rows.get((field, int(i)))
+            if row is not None:
+                out[j] = row
+                reused += 1
+        self.stats.reused += reused
+        self.stats.fetched += len(ids) - reused
+        return out, reused
 
 
 class PrevLinkShadowReuse:

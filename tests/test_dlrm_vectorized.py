@@ -14,6 +14,7 @@ import weakref
 import numpy as np
 import pytest
 
+from repro.core.dtypes import SERVE, TRAIN
 from repro.core.kernels import TouchedRows, group_rows_sum, pool_rows
 from repro.dlrm.embedding import EmbeddingTable, SparseRowGrad
 from repro.dlrm.optim import RowwiseAdagrad
@@ -112,15 +113,20 @@ class TestPooledForwardEquivalence:
         )
         np.testing.assert_array_equal(out, np.zeros((3, 4)))
 
-    def test_single_giant_bag(self):
+    @pytest.mark.parametrize(
+        "policy, tol", [(TRAIN, TOL), (SERVE, dict(rtol=1e-5))], ids=["train", "serve"]
+    )
+    def test_single_giant_bag(self, policy, tol):
+        """The float32 serving lane (the publish-time cast) pools like the
+        float64 train lane."""
         rng = np.random.default_rng(3)
         table = EmbeddingTable(50, 6, rng=rng)
         ids = rng.integers(0, 50, size=500)
         offsets = np.array([0, 500])
+        got = table.cast(policy).lookup_pooled(ids, offsets, mode="sum")
+        assert got.dtype == policy.row_dtype
         np.testing.assert_allclose(
-            table.lookup_pooled(ids, offsets, mode="sum"),
-            ref_lookup_pooled(table.weight, ids, offsets, "sum"),
-            **TOL,
+            got, ref_lookup_pooled(table.weight, ids, offsets, "sum"), **tol
         )
 
     def test_out_of_range_rejected(self):

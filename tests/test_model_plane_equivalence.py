@@ -1,11 +1,13 @@
-"""The slab forward/backward, the frozen-base lane and the single-resolution
-LoRA step against the implementations they replaced (``tests/reference``)."""
+"""The slab forward/backward, the fused dense stack, the frozen-base lane
+and the single-resolution LoRA step against the implementations they
+replaced (``tests/reference``)."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import dense as ref_dense
 from reference import lora as ref_lora
 from reference import model as ref_model
 from reference.interaction import StackedDotInteraction
@@ -15,7 +17,8 @@ from repro.core.hot_index import HotIndexFilter
 from repro.core.lora import LoRAAdapter, LoRACollection
 from repro.core.pruning import UsageTracker
 from repro.dlrm.interaction import DotInteraction
-from repro.dlrm.model import DLRM, DLRMConfig
+from repro.dlrm.mlp import MLP
+from repro.dlrm.model import DLRM, DLRMConfig, sigmoid
 
 TABLE_SIZES = (300, 200, 120, 50)
 # Batch sizes around the trainer's 256 and a serving burst, in an order
@@ -85,6 +88,48 @@ def test_slab_interaction_matches_stacked_oracle(features, dtype):
         np.testing.assert_allclose(grad[0], want_dense, rtol=rtol, atol=rtol)
         for f, want in enumerate(want_embs):
             np.testing.assert_allclose(grad[1 + f], want, rtol=rtol, atol=rtol)
+
+
+# ------------------------------------------------------------ dense stack
+@pytest.mark.parametrize("fields", [6, 12])  # direct kernel, gram kernel
+def test_fused_dense_step_matches_the_seed_list_and_pair_loops(fields):
+    """Fused MLPs + slab interaction + SGD against the seed's per-layer
+    lists and per-pair loop: probabilities, every gradient and the
+    post-step parameters."""
+    batch, num_dense, dim, hidden, lr = 8, 5, 4, 4, 0.05
+    rng = np.random.default_rng(fields)
+    bottom = MLP([num_dense, hidden, dim], rng=rng, final_relu=True)
+    interaction = DotInteraction(1 + fields, dim)
+    top = MLP([interaction.output_dim, hidden, 1], rng=rng)
+    seed_bottom = ([w.copy() for w in bottom.weights], [b.copy() for b in bottom.biases])
+    seed_top = ([w.copy() for w in top.weights], [b.copy() for b in top.biases])
+    dense = rng.normal(size=(batch, num_dense))
+    embeddings = [rng.normal(size=(batch, dim)) for _ in range(fields)]
+    labels = rng.integers(0, 2, size=batch).astype(np.float64)
+
+    want_probs, want_bottom, want_top = ref_dense.step(
+        seed_bottom, seed_top, dense, embeddings, labels, lr
+    )
+    h_bottom, cache_b = bottom.forward(dense)
+    slab = interaction.slab(batch)
+    slab[0] = h_bottom
+    for f, rows in enumerate(embeddings):
+        slab[1 + f] = rows
+    logits, cache_t = top.forward(interaction.forward(slab))
+    probs = sigmoid(logits[:, 0])
+    grad_inter, top_grads = top.backward(cache_t, ((probs - labels) / batch)[:, None])
+    _, bottom_grads = bottom.backward(cache_b, interaction.backward(slab, grad_inter)[0])
+    bottom.apply_grads(bottom_grads, lr)
+    top.apply_grads(top_grads, lr)
+
+    tol = dict(rtol=1e-9, atol=1e-12)
+    np.testing.assert_allclose(probs, want_probs, **tol)
+    for grads, (want_w, want_b) in ((bottom_grads, want_bottom), (top_grads, want_top)):
+        for got, want in zip(grads.weights + grads.biases, want_w + want_b):
+            np.testing.assert_allclose(got, want, **tol)
+    for mlp, (want_w, want_b) in ((bottom, seed_bottom), (top, seed_top)):
+        for got, want in zip(mlp.weights + mlp.biases, want_w + want_b):
+            np.testing.assert_allclose(got, want, **tol)
 
 
 # ------------------------------------------------------------------ model

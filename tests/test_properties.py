@@ -4,13 +4,13 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference.cache import LRUCache
 from repro.core.lora import LoRAAdapter
 from repro.core.pruning import UsageTracker
 from repro.core.rank_adaptation import cumulative_variance, rank_for_variance
 from repro.core.sync import priority_merge
 from repro.dlrm.metrics import auc_roc
 from repro.dlrm.model import sigmoid
-from repro.hardware.cache import LRUCache
 from repro.cluster.timeline import simulate_periodic_updates
 
 

@@ -161,9 +161,10 @@ class TestHedgedReads:
         baseline, hedged, hedges = self._run()
         assert hedges > 0
         # hedge fires at ~p95 of healthy latency, backup costs ~one more
-        # healthy RPC: well under the 20x the straggler would impose
-        # (the CI bench gates the 3x p99 claim at full scale).
-        assert hedged <= 4.0 * baseline
+        # healthy RPC: the tail holds at 2.0x (the 3x hedged-p99 claim;
+        # modelled, so it replays bit-for-bit) where the straggler alone
+        # imposes 20x.
+        assert hedged <= 3.0 * baseline
         _, unhedged, no_hedges = self._run(hedge=HedgedRead(min_delay_s=1e9))
         assert no_hedges == 0
         assert unhedged >= 10.0 * baseline

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import repro
+from reference.dict_store import SeedDictStore
 from repro.cluster.shardstore import (
     ShardedParameterStore,
     ShardPlacement,
@@ -251,6 +252,31 @@ class TestDeltaProtocol:
         after = store.pull_delta("t", mid)
         np.testing.assert_array_equal(before[0], after[0])
         np.testing.assert_array_equal(before[1], after[1])
+
+    @pytest.mark.parametrize("replication", [1, 3])
+    def test_deltas_match_the_seed_dict_store(self, replication):
+        """A seeded fill / republish sequence over two tables, with repeats
+        inside batches, pulled from every past version."""
+        rng = np.random.default_rng(replication)
+        sharded = ShardedParameterStore(
+            num_shards=6, row_bytes=32, row_dim=4, replication=replication
+        )
+        seed = SeedDictStore()
+        for window in range(12):
+            table = "b" if window % 3 == 2 else "a"
+            ids = np.arange(500) if window == 0 else rng.integers(0, 500, size=40)
+            rows = rng.normal(size=(ids.size, 4))
+            assert sharded.publish_batch(table, ids, rows) == seed.publish_batch(
+                table, ids, rows
+            )
+            for since in range(seed.version + 1):
+                for name in "ab":
+                    got = sharded.pull_delta(name, since)
+                    want = seed.pull_delta(name, since)
+                    np.testing.assert_array_equal(got[0], want[0])
+                    assert got[2] == want[2]
+                    if want[0].size:
+                        np.testing.assert_array_equal(got[1], want[1])
 
     @pytest.mark.parametrize("hash_seed", ["0", "42"])
     def test_store_state_identical_across_processes(self, hash_seed):

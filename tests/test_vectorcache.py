@@ -1,4 +1,5 @@
-"""Equivalence tests: BatchLRUCache == sequential LRUCache, bit for bit.
+"""Equivalence tests: BatchLRUCache == sequential LRUCache
+(``tests/reference/cache.py``), bit for bit.
 
 Same contract as ``test_kernels_equivalence.py`` established for the PR-1
 kernels: the batched implementation must reproduce the scalar reference's
@@ -13,7 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.hardware.cache import CacheStats, LRUCache
+from reference.cache import LRUCache
+from repro.hardware.cache import CacheStats
 from repro.hardware.vectorcache import BatchAccessResult, BatchLRUCache
 
 
