@@ -49,11 +49,11 @@ class ShardStats:
 class _TableBlock:
     """Rows of one table resident on one shard.
 
-    ``dtype`` is the row lane: float64 on a training store, float32 on a
-    serving store (half the resident and transferred bytes per row).
+    ``dtype`` is the store's row lane (float32 unless a caller asks for
+    float64 explicitly).
     """
 
-    def __init__(self, dim: int, capacity: int = 64, dtype=np.float64) -> None:
+    def __init__(self, dim: int, dtype, capacity: int = 64) -> None:
         self.dim = dim
         self.capacity = capacity
         self.dtype = np.dtype(dtype)
@@ -367,9 +367,7 @@ class ParameterShard:
     lane (the store computes it as ``dim * itemsize`` when lane-aware).
     """
 
-    def __init__(
-        self, shard_id: int, row_bytes: int, row_dtype=np.float64
-    ) -> None:
+    def __init__(self, shard_id: int, row_bytes: int, row_dtype) -> None:
         self.shard_id = shard_id
         self.row_bytes = row_bytes
         self.row_dtype = np.dtype(row_dtype)

@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ...core.dtypes import as_float32_rows, as_float64_rows
+from ...core.dtypes import SERVE, as_float32_rows, as_float64_rows
 from ...obs.metrics import registry as _obs_registry
 from ...obs.recorder import flight_recorder as _flight_recorder
 from .placement import ShardPlacement
@@ -187,13 +187,14 @@ class ShardedParameterStore:
         Row width, when known up front; otherwise pinned at each table's
         first publish (no more probing rows to learn the dim).
     row_dtype : numpy dtype, optional
-        Row lane of every resident block.  float64 (the default) stores
-        rows exactly; float32 downcasts once at publish time through a
-        *checked* coercion (:func:`repro.core.dtypes.as_float32_rows`)
-        that raises when any value moves past ``downcast_rtol``.
+        Row lane of every resident block: float32 (the default, the
+        model plane's :data:`repro.core.dtypes.SERVE` lane) takes float64
+        rows through a *checked* downcast at publish time
+        (:func:`repro.core.dtypes.as_float32_rows`) that raises when any
+        value moves past ``downcast_rtol``; float64 stores rows exactly.
     downcast_rtol : float, optional
-        Tolerance of the publish-time float32 downcast; ignored on the
-        float64 lane.
+        Tolerance of the publish-time float32 downcast; ignored on a
+        float64 store.
     replication : int, optional
         Copies per key (the next R distinct ring owners).  1 (default)
         keeps the single-copy fast paths bit-for-bit; R > 1 turns on
@@ -213,7 +214,7 @@ class ShardedParameterStore:
         num_shards: int = 8,
         row_bytes: int | None = 128,
         row_dim: int | None = None,
-        row_dtype=np.float64,
+        row_dtype=SERVE.row_dtype,
         downcast_rtol: float = 1e-6,
         replication: int = 1,
         auto_compact_every: int | None = None,
@@ -386,7 +387,7 @@ class ShardedParameterStore:
         """Shape/dtype validation, BEFORE any version bump or write.
 
         This is the ONE point where rows cross onto the store's lane: a
-        float32 store downcasts float64 training rows here through the
+        float32 store downcasts float64 rows here through the
         checked coercer, so corruption (overflow, precision collapse)
         raises before any version bump instead of being served later.
         """

@@ -1,7 +1,7 @@
 """Checked dtype coercion and the dtype-lane policy for the model plane.
 
-The hot-path dtype contract (int64 ids, uint64 routing keys, float64
-train rows, float32 serve rows) is enforced statically by
+The hot-path dtype contract (int64 ids, uint64 routing keys, one float32
+row lane; float64 only in oracles and clocks) is enforced statically by
 ``repro.analysis``'s ``dtype-discipline`` rule; this module is the
 *runtime* half of that contract.  A bare
 ``np.asarray(x).astype(np.int64)`` silently accepts float and object
@@ -13,14 +13,13 @@ lossy, so the failure is at the call site instead of a week later in a
 placement diff.
 
 :class:`DTypePolicy` extends the same checked-boundary idiom into a
-*lane* discipline: a policy names the row dtype (float64 on the training
-lane, float32 on the serving lane), the slot dtype of the id -> slot
-maps (int64 / int32), and the tolerance under which a float64 -> float32
-downcast is accepted.  The two stock policies are :data:`TRAIN` and
-:data:`SERVE`; the dlrm stack, the shard store and the serving caches
-all take a policy (or the dtypes it carries) instead of hard-coding
-float64, so halving row bytes is a constructor argument rather than a
-code change.
+*lane* discipline: a policy names the row dtype, the slot dtype of the
+id -> slot maps, and the tolerance under which a float64 -> float32
+downcast is accepted.  The model plane runs one float32 row lane,
+:data:`SERVE`: the dlrm stack, the adapters and the shard store build on
+it by default, and float64 data (stream features, a float64 publish)
+enters it through one checked downcast.  float64 is left to the test
+oracles and to clocks.
 
 This module deliberately lives outside the hot-module list: inspecting
 an input's dtype requires one dtype-less ``np.asarray`` probe, which the
@@ -41,7 +40,6 @@ __all__ = [
     "as_float_rows",
     "as_rows",
     "DTypePolicy",
-    "TRAIN",
     "SERVE",
 ]
 
@@ -180,7 +178,7 @@ def as_float32_rows(
     Either raises ``ValueError`` naming the worst offender instead of
     silently serving corrupted rows.  Non-finite inputs (``nan``/``inf``
     already present upstream) pass through unchanged — they are not the
-    downcast's fault and the training lane has its own checks.
+    downcast's fault and the trainer has its own checks.
 
     Parameters
     ----------
@@ -228,11 +226,12 @@ def as_float32_rows(
 
 
 def as_float_rows(values, name: str = "rows") -> np.ndarray:
-    """Lane-preserving float coercion for kernels serving both lanes.
+    """Lane-preserving float coercion for kernels that follow their input.
 
-    Float inputs pass through in their own lane (float32 stays float32,
-    float64 stays float64); integer and bool inputs upcast exactly to
-    float64, the training lane's default.  Strings/objects raise
+    Float inputs pass through in their own dtype (float32 stays float32,
+    float64 oracle rows stay float64); integer and bool inputs upcast
+    exactly to float64, which float32 could not promise above ``2**24``.
+    Strings/objects raise
     ``TypeError``.  Use this in kernels like ``pool_rows`` whose output
     lane should follow the source rows rather than impose one.
 
@@ -264,10 +263,9 @@ class DTypePolicy:
 
     A policy bundles the row dtype, the slot dtype of the id -> slot
     maps, and the tolerance a checked float32 downcast must meet.  Code
-    that takes a policy — the dlrm stack, the shard store, the serving
-    caches — never spells a dtype inline, so the train lane (float64
-    rows, int64 slots) and the serve lane (float32 rows, int32 slots)
-    differ only in which policy is threaded through.
+    that takes a policy — the dlrm stack, the adapters, the serving
+    caches — never spells a dtype inline; :data:`SERVE` is the one lane
+    ``src`` builds, and a float64 policy exists only as a test oracle.
 
     Attributes
     ----------
@@ -315,13 +313,8 @@ def as_rows(policy: DTypePolicy, values, name: str = "rows") -> np.ndarray:
     return policy.as_rows(values, name=name)
 
 
-#: The training lane: exact float64 rows, int64 slots.
-TRAIN = DTypePolicy(
-    "train", np.dtype(np.float64), np.dtype(np.int64), downcast_rtol=0.0
-)
-
-#: The serving lane: float32 rows (half the bytes of the train lane),
-#: int32 slots, entered through one checked downcast at publish time.
+#: The row lane of the model plane, training and serving alike: float32
+#: rows, int32 slots, entered from float64 through one checked downcast.
 SERVE = DTypePolicy(
     "serve", np.dtype(np.float32), np.dtype(np.int32), downcast_rtol=1e-6
 )

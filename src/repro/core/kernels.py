@@ -221,8 +221,8 @@ class IdSlotTable:
         Id space bound enabling the dense direct-address lane; ``None``
         keeps the purely sorted representation for unbounded ids.
     slot_dtype : numpy dtype, optional
-        Dtype of the slot lane; int64 (train default) or int32 (the
-        serving lane's halved-metadata configuration).
+        Dtype of the slot lane; int64 (the default) or int32 (half the
+        metadata bytes).
     """
 
     def __init__(
@@ -498,8 +498,8 @@ def pool_rows(
     -------
     numpy.ndarray
         ``(batch, d)`` pooled rows, on the same float lane as ``source``
-        (float32 sources pool to float32; integer sources upcast to
-        float64, the training lane's default).
+        (float32 sources pool to float32; integer sources upcast
+        exactly to float64).
     """
     if mode not in ("mean", "sum"):
         raise ValueError("mode must be 'mean' or 'sum'")

@@ -12,9 +12,9 @@ algebra entry point (:meth:`~LoRAAdapter.delta_rows`,
 :meth:`~LoRAAdapter.apply_to`, :meth:`~LoRAAdapter.accumulate_grad`) is one
 batched translate + gather/scatter + matmul with no per-id Python loop.
 The factors live on a :class:`~repro.core.dtypes.DTypePolicy` lane like the
-rest of the model plane (float64 train by default; :meth:`LoRACollection.cast`
-is the checked way onto the float32 serving lane), and the serving overlay
-adjusts the looked-up rows *in place*, hot rows only.
+rest of the model plane (the float32 :data:`~repro.core.dtypes.SERVE` lane
+by default), and the serving overlay adjusts the looked-up rows *in place*,
+hot rows only.
 
 Rank can be resized at runtime (dynamic rank adaptation, Section IV-C):
 growth zero-pads the new directions; shrink projects ``A B`` onto its top-k
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dtypes import TRAIN, DTypePolicy
+from .dtypes import SERVE, DTypePolicy
 from .kernels import IdSlotTable, is_sorted_unique, run_starts
 
 __all__ = ["LoRAAdapter", "LoRACollection"]
@@ -58,7 +58,7 @@ class LoRAAdapter:
         capacity: int,
         rng: np.random.Generator | None = None,
         universe: int | None = None,
-        policy: DTypePolicy = TRAIN,
+        policy: DTypePolicy = SERVE,
     ) -> None:
         if dim <= 0 or rank <= 0 or capacity <= 0:
             raise ValueError("dim, rank and capacity must be positive")
@@ -71,8 +71,8 @@ class LoRAAdapter:
         self.universe = universe
         self.policy = policy
         self.a = np.zeros((capacity, rank), dtype=policy.row_dtype)
-        # B is drawn in float64 whatever the lane, so both lanes start from
-        # the same initialisation.
+        # B is drawn in float64 whatever the lane, so a float64 oracle
+        # starts from the same initialisation.
         self.b = policy.as_rows(
             rng.normal(0.0, 1.0 / np.sqrt(rank), size=(rank, dim)), name="B"
         )
@@ -374,7 +374,7 @@ class LoRACollection:
         capacities: list[int],
         seed: int = 0,
         universes: list[int] | None = None,
-        policy: DTypePolicy = TRAIN,
+        policy: DTypePolicy = SERVE,
     ) -> None:
         if len(dims) != len(capacities):
             raise ValueError("dims and capacities must align")
@@ -427,23 +427,6 @@ class LoRACollection:
             return self.adapters[field].apply_to(ids, base_rows, hot=hot)
 
         return _overlay
-
-    def cast(self, policy: DTypePolicy) -> "LoRACollection":
-        """Clone onto ``policy``'s lane through one checked coercion — the
-        adapter half of :meth:`repro.dlrm.DLRM.serving_copy`.  The clone
-        carries the same active ids and factors on ``policy.row_dtype``;
-        a value past the policy's downcast tolerance raises."""
-        dup = LoRACollection.__new__(LoRACollection)
-        dup.adapters = []
-        for ad in self.adapters:
-            clone = LoRAAdapter(
-                ad.dim, ad.rank, ad.capacity, universe=ad.universe, policy=policy
-            )
-            clone.b = np.array(policy.as_rows(ad.b, name="B"), copy=True)
-            ids = ad.active_ids
-            clone.scatter_rows(ids, ad.a[ad.slots_of(ids)])
-            dup.adapters.append(clone)
-        return dup
 
     def reset(self) -> None:
         for ad in self.adapters:

@@ -35,6 +35,7 @@ import numpy as np
 from ..cluster.collectives import CollectiveCostModel
 from ..cluster.network import INFINIBAND_EDR, NetworkLink
 from ..cluster.shardstore import ClientTransferReport, ShardClient, ShardedParameterStore
+from .dtypes import SERVE
 from .trainer import LoRATrainer
 
 __all__ = [
@@ -100,6 +101,14 @@ def average_merge(
     return {idx: sums[idx] / counts[idx] for idx in sums}
 
 
+def _no_rows(
+    per_rank: list[tuple[np.ndarray, np.ndarray]], width: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The empty merge, on the ranks' row lane (the default lane if none)."""
+    dtype = per_rank[0][1].dtype if per_rank else SERVE.row_dtype
+    return np.empty(0, dtype=np.int64), np.empty((0, width), dtype=dtype)
+
+
 def priority_merge_rows(
     per_rank: list[tuple[np.ndarray, np.ndarray]], width: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -115,7 +124,7 @@ def priority_merge_rows(
         id's row taken from the highest rank that modified it.
     """
     if not per_rank or all(ids.size == 0 for ids, _ in per_rank):
-        return np.empty(0, dtype=np.int64), np.empty((0, width), dtype=np.float64)
+        return _no_rows(per_rank, width)
     ids = np.concatenate([p[0] for p in per_rank])
     rows = np.concatenate([p[1] for p in per_rank], axis=0)
     ranks = np.concatenate(
@@ -133,7 +142,7 @@ def average_merge_rows(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Array form of :func:`average_merge` over width-aligned rows."""
     if not per_rank or all(ids.size == 0 for ids, _ in per_rank):
-        return np.empty(0, dtype=np.int64), np.empty((0, width), dtype=np.float64)
+        return _no_rows(per_rank, width)
     ids = np.concatenate([p[0] for p in per_rank])
     rows = np.concatenate([p[1] for p in per_rank], axis=0)
     merged_ids, inverse, counts = np.unique(
@@ -277,10 +286,9 @@ class SparseLoRASynchronizer:
             merged_rows += merged_ids.size
             if self.store_client is not None and merged_ids.size:
                 self.store_client.stage(f"lora_a/{f}", merged_ids, merged)
-            row_bytes = target_rank * 8
             bytes_per_rank += sum(
-                ids.size for ids, _ in per_rank
-            ) * row_bytes / max(self.num_ranks, 1)
+                rows.nbytes for _, rows in per_rank
+            ) / max(self.num_ranks, 1)
             for trainer in self.trainers:
                 adapter = trainer.lora[f]
                 if adapter.rank != target_rank:

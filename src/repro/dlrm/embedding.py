@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core.dtypes import as_float_rows
+from ..core.dtypes import SERVE, as_float_rows
 from ..core.kernels import TouchedRows, group_rows_sum, pool_rows
 from ..obs.metrics import registry as _obs_registry
 
@@ -92,8 +92,8 @@ class EmbeddingTable:
         init_scale: stddev of the uniform init, following DLRM's
             ``U(-1/sqrt(|V|), 1/sqrt(|V|))`` convention when ``None``.
         name: optional label used in diagnostics.
-        dtype: row lane of the table; float64 (train default) or
-            float32 (serving lane).  Initialisation respects it.
+        dtype: row lane of the table; float32 (the default) or float64
+            for a test oracle.  Initialisation respects it.
     """
 
     def __init__(
@@ -103,7 +103,7 @@ class EmbeddingTable:
         rng: np.random.Generator | None = None,
         init_scale: float | None = None,
         name: str = "",
-        dtype=np.float64,
+        dtype=SERVE.row_dtype,
     ) -> None:
         if num_rows <= 0 or dim <= 0:
             raise ValueError("num_rows and dim must be positive")
@@ -259,22 +259,6 @@ class EmbeddingTable:
         dup._touched = TouchedRows(self.num_rows)
         return dup
 
-    def cast(self, policy) -> "EmbeddingTable":
-        """Clone onto ``policy``'s row lane through one checked coercion.
-
-        This is the publish-time downcast of the serving dataflow: the
-        float64 train table stays authoritative; the returned table
-        carries float32 rows (half the bytes) and a clean touch log.
-        Raises if any weight exceeds the policy's downcast tolerance.
-        """
-        dup = EmbeddingTable.__new__(EmbeddingTable)
-        dup.weight = np.array(
-            policy.as_rows(self.weight, name=f"table {self.name}"), copy=True
-        )
-        dup.name = self.name
-        dup._touched = TouchedRows(self.num_rows)
-        return dup
-
 
 @dataclass
 class EmbeddingBagCollection:
@@ -328,7 +312,3 @@ class EmbeddingBagCollection:
 
     def copy(self) -> "EmbeddingBagCollection":
         return EmbeddingBagCollection([t.copy() for t in self.tables])
-
-    def cast(self, policy) -> "EmbeddingBagCollection":
-        """Collection clone on ``policy``'s row lane (checked downcast)."""
-        return EmbeddingBagCollection([t.cast(policy) for t in self.tables])

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..core.dtypes import SERVE
+
 __all__ = ["DotInteraction"]
 
 # Largest feature count served by the direct pair kernel.  Measured at
@@ -38,7 +40,7 @@ class DotInteraction:
     computed directly (no gram, no gather); for many, one batched gram
     matmul over the slab's ``(batch, m, d)`` view followed by a fixed
     upper-triangle gather.  Backward is one batched matmul either way.
-    ``dtype`` selects the lane (float64 train / float32 serve).
+    ``dtype`` selects the lane (float32; float64 for a test oracle).
 
     Scratch (the slab, the gram and its gradient) grows to the largest
     batch seen — plus a quarter, so a run of record sizes reallocates
@@ -47,7 +49,9 @@ class DotInteraction:
     whose result is only valid until the next :meth:`slab` call.
     """
 
-    def __init__(self, num_features: int, dim: int, dtype=np.float64) -> None:
+    def __init__(
+        self, num_features: int, dim: int, dtype=SERVE.row_dtype
+    ) -> None:
         """``num_features`` counts the dense vector plus every sparse field."""
         if num_features < 2:
             raise ValueError("interaction needs at least two feature vectors")

@@ -15,14 +15,16 @@ passes are *fused* over the whole batch:
 Parameters live in a single flat buffer too; ``weights``/``biases`` are
 reshaped views over it, so existing per-layer access (tests, Adagrad
 state, checkpoints) sees ordinary mutable arrays while the fused paths
-touch one allocation.  The parameter dtype is configurable — float64 on
-the training lane, float32 when an MLP is cast onto the serving lane
-via :meth:`MLP.cast` — and initialisation respects it.
+touch one allocation.  Parameters, activations and gradients share one
+dtype, float32 by default (the model plane's row lane; the tests build
+float64 oracles), and initialisation respects it.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from ..core.dtypes import SERVE
 
 __all__ = ["ActivationCache", "DenseGrads", "MLP", "clip_by_global_norm"]
 
@@ -110,7 +112,7 @@ class DenseGrads:
         parts = [w.ravel() for w in self.weights]
         parts += [b.ravel() for b in self.biases]
         if not parts:
-            return np.zeros(0, dtype=np.float64)
+            return np.zeros(0, dtype=SERVE.row_dtype)
         return np.concatenate(parts)
 
     def scaled(self, factor: float) -> "DenseGrads":
@@ -160,8 +162,8 @@ class MLP:
     final_relu : bool, optional
         Apply ReLU after the last layer too.
     dtype : numpy dtype, optional
-        Parameter/activation lane; float64 (train default) or float32
-        (serving lane).  Initialisation respects it.
+        Parameter/activation lane; float32 (the default) or float64 for
+        a test oracle.  Initialisation respects it.
     """
 
     def __init__(
@@ -169,7 +171,7 @@ class MLP:
         dims: list[int],
         rng: np.random.Generator | None = None,
         final_relu: bool = False,
-        dtype=np.float64,
+        dtype=SERVE.row_dtype,
     ) -> None:
         if len(dims) < 2:
             raise ValueError("MLP needs at least input and output dims")
@@ -293,27 +295,6 @@ class MLP:
         dup.final_relu = self.final_relu
         dup.dtype = self.dtype
         dup._params = self._params.copy()
-        dup.weights, dup.biases = _param_views(
-            dup._params,
-            [w.shape for w in self.weights],
-            [b.shape for b in self.biases],
-        )
-        return dup
-
-    def cast(self, policy) -> "MLP":
-        """Clone onto ``policy``'s row lane through one checked coercion.
-
-        ``policy`` is a :class:`repro.core.dtypes.DTypePolicy`; casting
-        train-lane float64 parameters onto the float32 serving lane
-        raises if any value exceeds the policy's downcast tolerance.
-        """
-        dup = MLP.__new__(MLP)
-        dup.dims = list(self.dims)
-        dup.final_relu = self.final_relu
-        dup.dtype = np.dtype(policy.row_dtype)
-        dup._params = np.array(
-            policy.as_rows(self._params, name="mlp params"), copy=True
-        )
         dup.weights, dup.biases = _param_views(
             dup._params,
             [w.shape for w in self.weights],

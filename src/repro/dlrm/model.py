@@ -28,12 +28,12 @@ caller (the inference-side LoRA trainer) runs :meth:`DLRM.backward` with
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from ..core.dtypes import SERVE, TRAIN, DTypePolicy, as_float_rows
+from ..core.dtypes import SERVE, DTypePolicy, as_float_rows
 from .embedding import EmbeddingBagCollection, EmbeddingTable, SparseRowGrad
 from .interaction import DotInteraction
 from .mlp import MLP, ActivationCache, DenseGrads
@@ -69,9 +69,10 @@ class DLRMConfig:
         bottom_mlp: hidden sizes of the bottom MLP (output forced to ``d``).
         top_mlp: hidden sizes of the top MLP (output forced to 1 logit).
         seed: RNG seed for parameter init.
-        policy: dtype lane of the whole dense stack —
-            :data:`repro.core.dtypes.TRAIN` (float64, the default) or
-            :data:`repro.core.dtypes.SERVE` (float32 rows throughout).
+        policy: dtype lane of the whole stack — tables, MLPs,
+            interaction, sigmoid — for training and serving alike;
+            :data:`repro.core.dtypes.SERVE` (float32 rows).  The tests
+            pass a float64 policy to build their oracle.
     """
 
     num_dense: int = 4
@@ -80,7 +81,7 @@ class DLRMConfig:
     bottom_mlp: tuple[int, ...] = (32, 16)
     top_mlp: tuple[int, ...] = (64, 32)
     seed: int = 0
-    policy: DTypePolicy = TRAIN
+    policy: DTypePolicy = SERVE
 
     def validate(self) -> None:
         if self.num_dense <= 0 or self.embedding_dim <= 0:
@@ -319,28 +320,6 @@ class DLRM:
             self.interaction.num_features,
             self.interaction.dim,
             dtype=self.interaction.dtype,
-        )
-        return dup
-
-    def serving_copy(self, policy: DTypePolicy = SERVE) -> "DLRM":
-        """Publish-time clone on the serving lane.
-
-        Every parameter crosses the train -> serve boundary through one
-        checked downcast (raising past the policy's tolerance); the
-        returned model runs its whole dense stack — lookups, MLPs,
-        interaction, sigmoid — in ``policy.row_dtype``, halving row
-        bytes at float32.  The training model stays authoritative and
-        untouched.
-        """
-        dup = DLRM.__new__(DLRM)
-        dup.config = replace(self.config, policy=policy)
-        dup.embeddings = self.embeddings.cast(policy)
-        dup.bottom = self.bottom.cast(policy)
-        dup.top = self.top.cast(policy)
-        dup.interaction = DotInteraction(
-            self.interaction.num_features,
-            self.interaction.dim,
-            dtype=policy.row_dtype,
         )
         return dup
 

@@ -73,7 +73,9 @@ class RowwiseAdagrad:
     ``id(table)`` keys could alias a new object's id and silently hand it
     stale accumulators), ``copy()`` forks start with fresh state, and
     in-place refreshes (``load_state_dict``) keep their history.  When a
-    table grows, row state grows with it instead of being zeroed.
+    table grows, row state grows with it instead of being zeroed.  Row
+    and dense state take their module's dtype, so a float32 model's step
+    never upcasts.
     """
 
     def __init__(self, lr: float = 0.05, eps: float = 1e-8) -> None:
@@ -92,12 +94,12 @@ class RowwiseAdagrad:
     def _rows_for(self, table: EmbeddingTable) -> np.ndarray:
         state = self._row_state.get(table)
         if state is None:
-            state = np.zeros(table.num_rows, dtype=np.float64)
+            state = np.zeros(table.num_rows, dtype=table.dtype)
             self._row_state[table] = state
         elif state.shape[0] != table.num_rows:
             # The table was resized in place (vocabulary growth): carry the
             # overlapping accumulator history instead of restarting it.
-            grown = np.zeros(table.num_rows, dtype=np.float64)
+            grown = np.zeros(table.num_rows, dtype=state.dtype)
             keep = min(state.shape[0], table.num_rows)
             grown[:keep] = state[:keep]
             state = grown

@@ -22,6 +22,7 @@ import numpy as np
 
 from ..cluster.nodes import InferenceNode, TrainingCluster
 from ..cluster.shardstore import ShardedParameterStore
+from ..core.dtypes import SERVE, DTypePolicy
 from ..data.synthetic import DriftingCTRStream, StreamConfig
 from ..dlrm.metrics import auc_roc
 from ..dlrm.model import DLRM, DLRMConfig
@@ -63,6 +64,7 @@ class AccuracyConfig:
     train_lr: float = 0.05
     seed: int = 0
     num_shards: int = 8      # parameter-plane shards
+    policy: DTypePolicy = SERVE  # row lane of the models and the store
     stream_overrides: dict = field(default_factory=dict)
 
 
@@ -109,6 +111,7 @@ def _make_model(config: AccuracyConfig, seed_offset: int = 0) -> DLRM:
             bottom_mlp=config.bottom_mlp,
             top_mlp=config.top_mlp,
             seed=config.seed + seed_offset,
+            policy=config.policy,
         )
     )
 
@@ -150,6 +153,7 @@ def run_strategy(
         num_shards=config.num_shards,
         row_bytes=config.embedding_dim * 8,
         row_dim=config.embedding_dim,
+        row_dtype=config.policy.row_dtype,
     )
     trainer_cluster = TrainingCluster(
         base_model.copy(), server, lr=config.train_lr

@@ -88,21 +88,6 @@ class NodeSimConfig:
     cache_policy: str = "interval"
     seed: int = 0
 
-    @classmethod
-    def for_lane(cls, dim: int, policy, **overrides) -> "NodeSimConfig":
-        """Config with ``row_bytes`` sized from a dtype-lane policy.
-
-        ``policy`` is a :class:`repro.core.dtypes.DTypePolicy`;
-        ``row_bytes`` becomes ``dim * itemsize`` of the lane's row dtype,
-        so a float32 serving node charges half the DRAM traffic per
-        lookup — and fits twice the rows per L3 slice — of a float64
-        one, with everything else identical.  Other fields pass through
-        ``overrides``.
-        """
-        if "row_bytes" in overrides:
-            raise ValueError("row_bytes is derived from the policy")
-        return cls(row_bytes=policy.row_nbytes(dim), **overrides)
-
 
 @dataclass
 class WindowResult:

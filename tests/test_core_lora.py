@@ -3,12 +3,16 @@
 import numpy as np
 import pytest
 
+from reference.lanes import TRAIN
 from repro.core.lora import LoRAAdapter, LoRACollection
 
 
 @pytest.fixture
 def adapter():
-    return LoRAAdapter(dim=8, rank=4, capacity=10, rng=np.random.default_rng(0))
+    """The algebra is pinned at float64 precision, on the oracle lane."""
+    return LoRAAdapter(
+        dim=8, rank=4, capacity=10, rng=np.random.default_rng(0), policy=TRAIN
+    )
 
 
 class TestBasics:

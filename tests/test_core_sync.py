@@ -117,6 +117,24 @@ class TestSynchronizer:
         assert report.bytes_exchanged > 0
         assert report.total_seconds > 0
 
+    def test_bytes_exchanged_counts_float32_rows(self):
+        trainers = _make_trainers(2)
+        sync = SparseLoRASynchronizer(trainers, sync_interval=100)
+        stream = _stream()
+        for r in range(2):
+            b = stream.next_batch(32)
+            sync.local_step(r, b.dense, b.sparse_ids, b.labels)
+        gathered = sum(
+            t.lora[f].gather_rows(sync._support_ids(r, f))[0].size
+            for r, t in enumerate(trainers)
+            for f in range(sync.num_fields)
+        )
+        assert gathered > 0
+        assert trainers[0].lora[0].a.dtype == np.float32
+        report = sync.sync()
+        # rank 4 columns of 4-byte rows per gathered id
+        assert report.bytes_exchanged == gathered * 4 * 4
+
     def test_supports_cleared_after_sync(self):
         trainers = _make_trainers(2)
         sync = SparseLoRASynchronizer(trainers, sync_interval=1)
@@ -202,6 +220,42 @@ class TestStoreBroadcastPath:
                 ids, rows = trainers[0].lora[f].gather_rows(got_ids)
                 np.testing.assert_array_equal(got_ids, ids)
                 np.testing.assert_allclose(got_rows, rows, atol=1e-9)
+
+    @pytest.mark.parametrize("merge_policy", ["priority", "average"])
+    def test_an_untouched_round_stays_on_the_float32_lane(self, merge_policy):
+        """A round no rank touched a row in merges to empty float32 rows,
+        and the rounds around it publish and apply float32 end to end."""
+        from repro.cluster.shardstore import ShardClient, ShardedParameterStore
+        from repro.core.sync import average_merge_rows, priority_merge_rows
+
+        trainers = _make_trainers(2)
+        store = ShardedParameterStore(num_shards=2, row_bytes=None, row_dim=4)
+        sync = SparseLoRASynchronizer(
+            trainers, sync_interval=10, merge_policy=merge_policy, store=store
+        )
+        observer = ShardClient(store)
+        b = _stream().next_batch(32)
+        sync.local_step(0, b.dense, b.sparse_ids, b.labels)
+        sync.local_step(1, b.dense, b.sparse_ids, b.labels)
+        assert sync.sync().merged_rows > 0
+        assert sync.sync().merged_rows == 0  # nobody stepped since
+
+        merge = priority_merge_rows if merge_policy == "priority" else average_merge_rows
+        untouched = np.empty(0, dtype=np.int64)
+        per_rank = [t.lora[0].gather_rows(untouched) for t in trainers]
+        ids, rows = merge(per_rank, 4)
+        assert ids.size == 0
+        assert rows.shape == (0, 4) and rows.dtype == np.float32
+
+        deltas, pull = observer.pull_tables(
+            [f"lora_a/{f}" for f in range(sync.num_fields)]
+        )
+        assert pull.rows > 0
+        for _, got_rows in deltas.values():
+            assert got_rows.dtype == np.float32
+        for trainer in trainers:
+            for adapter in trainer.lora:
+                assert adapter.a.dtype == adapter.b.dtype == np.float32
 
     def test_no_store_means_no_publishing(self):
         trainers = _make_trainers(2)

@@ -52,7 +52,8 @@ class TestForward:
 class TestBackward:
     def test_gradient_matches_finite_difference(self):
         rng = np.random.default_rng(0)
-        inter = DotInteraction(3, 4)
+        # Central differences at eps=1e-6 need the float64 oracle lane.
+        inter = DotInteraction(3, 4, dtype=np.float64)
         slab = rng.normal(size=(3, 2, 4))
 
         def loss(s):

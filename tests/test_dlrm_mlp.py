@@ -39,7 +39,8 @@ class TestMLPBackward:
     @pytest.mark.parametrize("final_relu", [False, True])
     def test_weight_gradients_match_finite_difference(self, final_relu):
         rng = np.random.default_rng(3)
-        mlp = MLP([3, 6, 2], rng=rng, final_relu=final_relu)
+        # Central differences at eps=1e-6 need the float64 oracle lane.
+        mlp = MLP([3, 6, 2], rng=rng, final_relu=final_relu, dtype=np.float64)
         x = rng.normal(size=(4, 3))
         out, cache = mlp.forward(x)
         _, grads = mlp.backward(cache, 2 * out)  # d(sum out^2)/dout
@@ -57,7 +58,7 @@ class TestMLPBackward:
 
     def test_bias_gradient_matches_finite_difference(self):
         rng = np.random.default_rng(4)
-        mlp = MLP([3, 5, 1], rng=rng)
+        mlp = MLP([3, 5, 1], rng=rng, dtype=np.float64)
         x = rng.normal(size=(6, 3))
         out, cache = mlp.forward(x)
         _, grads = mlp.backward(cache, 2 * out)
@@ -71,7 +72,7 @@ class TestMLPBackward:
 
     def test_input_gradient_matches_finite_difference(self):
         rng = np.random.default_rng(5)
-        mlp = MLP([3, 4, 2], rng=rng)
+        mlp = MLP([3, 4, 2], rng=rng, dtype=np.float64)
         x = rng.normal(size=(2, 3))
         out, cache = mlp.forward(x)
         grad_x, _ = mlp.backward(cache, 2 * out)

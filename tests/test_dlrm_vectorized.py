@@ -5,7 +5,9 @@ Adagrad step were rewritten as whole-array segment reductions (PR 5).
 These tests pin them to verbatim copies of the seed per-bag/per-id
 reference implementations across random bag shapes, empty bags, duplicate
 ids and both pooling modes, plus the TouchedRows delta-lane semantics and
-the optimizer-state keying fixes.
+the optimizer-state keying fixes.  The seed references compute in float64,
+so the tables they pin are built on the float64 oracle lane; the float32
+lane is pinned against that oracle in ``tests/test_dtype_lanes.py``.
 """
 
 import gc
@@ -14,7 +16,8 @@ import weakref
 import numpy as np
 import pytest
 
-from repro.core.dtypes import SERVE, TRAIN
+from reference.lanes import TRAIN
+from repro.core.dtypes import SERVE
 from repro.core.kernels import TouchedRows, group_rows_sum, pool_rows
 from repro.dlrm.embedding import EmbeddingTable, SparseRowGrad
 from repro.dlrm.optim import RowwiseAdagrad
@@ -100,7 +103,7 @@ class TestPooledForwardEquivalence:
     @pytest.mark.parametrize("seed", range(8))
     def test_random_bag_shapes(self, mode, seed):
         rng = np.random.default_rng(seed)
-        table = EmbeddingTable(37, 5, rng=rng)
+        table = EmbeddingTable(37, 5, rng=rng, dtype=np.float64)
         ids, offsets = random_bags(rng, table.num_rows)
         got = table.lookup_pooled(ids, offsets, mode=mode)
         want = ref_lookup_pooled(table.weight, ids, offsets, mode)
@@ -117,13 +120,12 @@ class TestPooledForwardEquivalence:
         "policy, tol", [(TRAIN, TOL), (SERVE, dict(rtol=1e-5))], ids=["train", "serve"]
     )
     def test_single_giant_bag(self, policy, tol):
-        """The float32 serving lane (the publish-time cast) pools like the
-        float64 train lane."""
+        """A float32 table pools like its float64 oracle."""
         rng = np.random.default_rng(3)
-        table = EmbeddingTable(50, 6, rng=rng)
+        table = EmbeddingTable(50, 6, rng=rng, dtype=policy.row_dtype)
         ids = rng.integers(0, 50, size=500)
         offsets = np.array([0, 500])
-        got = table.cast(policy).lookup_pooled(ids, offsets, mode="sum")
+        got = table.lookup_pooled(ids, offsets, mode="sum")
         assert got.dtype == policy.row_dtype
         np.testing.assert_allclose(
             got, ref_lookup_pooled(table.weight, ids, offsets, "sum"), **tol
@@ -143,7 +145,7 @@ class TestPooledBackwardEquivalence:
     @pytest.mark.parametrize("seed", range(8))
     def test_random_bag_shapes(self, mode, seed):
         rng = np.random.default_rng(100 + seed)
-        table = EmbeddingTable(29, 4, rng=rng)
+        table = EmbeddingTable(29, 4, rng=rng, dtype=np.float64)
         ids, offsets = random_bags(rng, table.num_rows)
         grad_out = rng.normal(size=(offsets.size - 1, table.dim))
         got = table.grad_from_pooled(ids, offsets, grad_out, mode=mode)
@@ -155,7 +157,7 @@ class TestPooledBackwardEquivalence:
 
     def test_heavy_duplicates(self):
         rng = np.random.default_rng(7)
-        table = EmbeddingTable(5, 3, rng=rng)
+        table = EmbeddingTable(5, 3, rng=rng, dtype=np.float64)
         ids = rng.integers(0, 5, size=200)  # every id massively duplicated
         offsets = np.arange(0, 201, 10, dtype=np.int64)
         grad_out = rng.normal(size=(20, 3))
@@ -168,7 +170,7 @@ class TestPooledBackwardEquivalence:
 
     def test_grad_from_output_matches_add_at(self):
         rng = np.random.default_rng(11)
-        table = EmbeddingTable(31, 4, rng=rng)
+        table = EmbeddingTable(31, 4, rng=rng, dtype=np.float64)
         ids = rng.integers(0, 31, size=64)
         grad_out = rng.normal(size=(64, 4))
         got = table.grad_from_output(ids, grad_out)
@@ -194,8 +196,8 @@ class TestOverlayForwardEquivalence:
         from repro.core.lora import LoRAAdapter
 
         rng = np.random.default_rng(200 + seed)
-        table = EmbeddingTable(23, 4, rng=rng)
-        adapter = LoRAAdapter(4, 2, capacity=8, rng=rng, universe=23)
+        table = EmbeddingTable(23, 4, rng=rng, dtype=np.float64)
+        adapter = LoRAAdapter(4, 2, capacity=8, rng=rng, universe=23, policy=TRAIN)
         adapter.activate_batch(np.array([1, 3, 5, 7, 11]))
         adapter.a[:] = rng.normal(size=adapter.a.shape)
         ids, offsets = random_bags(rng, table.num_rows)
@@ -213,7 +215,7 @@ class TestFusedAdagradEquivalence:
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_seed_update_sequence(self, seed):
         rng = np.random.default_rng(300 + seed)
-        table = EmbeddingTable(41, 4, rng=rng)
+        table = EmbeddingTable(41, 4, rng=rng, dtype=np.float64)
         ref_weight = table.weight.copy()
         ref_state = np.zeros(table.num_rows)
         opt = RowwiseAdagrad(lr=0.3)

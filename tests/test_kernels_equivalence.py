@@ -12,6 +12,7 @@ saturation.
 import numpy as np
 import pytest
 
+from reference.lanes import TRAIN
 from repro.core.hot_index import HotIndexFilter
 from repro.core.kernels import IdSlotTable, splitmix64
 from repro.core.lora import LoRAAdapter
@@ -182,6 +183,7 @@ class TestLoRAEquivalence:
             capacity=capacity,
             rng=np.random.default_rng(seed),
             universe=universe,
+            policy=TRAIN,  # the references are float64
         )
 
     def test_delta_rows_matches_reference(self, universe):

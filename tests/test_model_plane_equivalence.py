@@ -12,7 +12,7 @@ from reference import lora as ref_lora
 from reference import model as ref_model
 from reference.interaction import StackedDotInteraction
 from reference.pruning import CounterUsageTracker
-from repro.core.dtypes import SERVE
+from reference.lanes import TRAIN
 from repro.core.hot_index import HotIndexFilter
 from repro.core.lora import LoRAAdapter, LoRACollection
 from repro.core.pruning import UsageTracker
@@ -28,6 +28,8 @@ RTOL = {np.dtype(np.float64): 1e-12, np.dtype(np.float32): 1e-5}
 
 
 def _model(policy=None) -> DLRM:
+    """The default (float32) model, or one on ``policy``'s lane."""
+    lane = {} if policy is None else {"policy": policy}
     config = DLRMConfig(
         num_dense=4,
         embedding_dim=16,
@@ -35,9 +37,9 @@ def _model(policy=None) -> DLRM:
         bottom_mlp=(32,),
         top_mlp=(64, 32),
         seed=3,
+        **lane,
     )
-    model = DLRM(config)
-    return model if policy is None else model.serving_copy(policy)
+    return DLRM(config)
 
 
 def _batch(rng, batch):
@@ -47,14 +49,16 @@ def _batch(rng, batch):
     return dense, ids, labels
 
 
-def _trained_collection(rng, policy=None) -> tuple[LoRACollection, HotIndexFilter]:
-    """Adapters with about half of each table active, a third of it hot."""
+def _trained_collection(rng) -> tuple[LoRACollection, HotIndexFilter]:
+    """Float64 adapters with about half of each table active, a third of
+    it hot (the copying-overlay reference computes in float64)."""
     coll = LoRACollection(
         [16] * len(TABLE_SIZES),
         rank=4,
         capacities=[n // 2 for n in TABLE_SIZES],
         seed=1,
         universes=list(TABLE_SIZES),
+        policy=TRAIN,
     )
     hot = HotIndexFilter(len(TABLE_SIZES), num_rows=list(TABLE_SIZES))
     for f, n in enumerate(TABLE_SIZES):
@@ -62,7 +66,7 @@ def _trained_collection(rng, policy=None) -> tuple[LoRACollection, HotIndexFilte
         slots = coll[f].activate_batch(active)
         coll[f].a[slots] = rng.normal(scale=0.1, size=(active.size, 4))
         hot.mark(f, rng.choice(n, size=n // 3, replace=False))
-    return (coll if policy is None else coll.cast(policy)), hot
+    return coll, hot
 
 
 # ------------------------------------------------------------ interaction
@@ -98,9 +102,11 @@ def test_fused_dense_step_matches_the_seed_list_and_pair_loops(fields):
     post-step parameters."""
     batch, num_dense, dim, hidden, lr = 8, 5, 4, 4, 0.05
     rng = np.random.default_rng(fields)
-    bottom = MLP([num_dense, hidden, dim], rng=rng, final_relu=True)
-    interaction = DotInteraction(1 + fields, dim)
-    top = MLP([interaction.output_dim, hidden, 1], rng=rng)
+    # The seed loops compute in float64: build the fused stack on that lane.
+    f64 = np.float64
+    bottom = MLP([num_dense, hidden, dim], rng=rng, final_relu=True, dtype=f64)
+    interaction = DotInteraction(1 + fields, dim, dtype=f64)
+    top = MLP([interaction.output_dim, hidden, 1], rng=rng, dtype=f64)
     seed_bottom = ([w.copy() for w in bottom.weights], [b.copy() for b in bottom.biases])
     seed_top = ([w.copy() for w in top.weights], [b.copy() for b in top.biases])
     dense = rng.normal(size=(batch, num_dense))
@@ -133,7 +139,7 @@ def test_fused_dense_step_matches_the_seed_list_and_pair_loops(fields):
 
 
 # ------------------------------------------------------------------ model
-@pytest.mark.parametrize("policy", [None, SERVE])
+@pytest.mark.parametrize("policy", [None, TRAIN])
 def test_forward_backward_match_stacked_oracle(policy):
     rng = np.random.default_rng(1)
     model = _model(policy)
@@ -190,7 +196,7 @@ def test_forward_rejects_a_wrong_number_of_id_columns():
 @pytest.mark.parametrize("filtered", [False, True])
 def test_in_place_overlay_matches_the_copying_overlay(filtered):
     rng = np.random.default_rng(4)
-    model = _model()
+    model = _model(TRAIN)
     coll, hot = _trained_collection(rng)
     hot_filter = hot if filtered else None
     for batch in BATCHES:
@@ -223,7 +229,8 @@ def _adapter_pair(rng, universe):
     adapters = []
     for _ in range(2):
         ad = LoRAAdapter(
-            16, 4, 64, rng=np.random.default_rng(9), universe=universe
+            16, 4, 64, rng=np.random.default_rng(9), universe=universe,
+            policy=TRAIN,
         )
         pre = np.arange(10, dtype=np.int64)
         ad.activate_batch(pre)

@@ -108,7 +108,7 @@ class TestExactnessParity:
         store = make_store(num_shards=4, replication=3)
         client = ShardClient(store, resilience=ResiliencePolicy())
         rng = np.random.default_rng(11)
-        values = rng.normal(size=(64, DIM))
+        values = rng.normal(size=(64, DIM)).astype(np.float32)  # the store's lane
         store.publish_batch("emb", np.arange(64), values)
         store.kill_shard(store.shard_ids[0])
         deltas, report = client.pull_tables(["emb"])
@@ -186,7 +186,7 @@ class TestHedgedReads:
         plane.advance_to(0.0)
         client = ShardClient(store, faults=plane, resilience=ResiliencePolicy())
         client.pull_tables(["emb"])  # warm the hedge quantile
-        values = rng.normal(size=(512, DIM))
+        values = rng.normal(size=(512, DIM)).astype(np.float32)  # the store's lane
         store.publish_batch("emb", np.arange(512), values)
         deltas, report = client.pull_tables(["emb"])
         assert report.hedges > 0 and report.outcome == "hedged"
@@ -427,7 +427,7 @@ class TestPlainPullCoverage:
     def test_one_dead_replica_reads_its_range_reconciled(self):
         store = make_store(num_shards=4, replication=3)
         client = ShardClient(store)
-        values = np.random.default_rng(11).normal(size=(64, DIM))
+        values = np.random.default_rng(11).normal(size=(64, DIM)).astype(np.float32)
         store.publish_batch("emb", np.arange(64), values)
         store.kill_shard(store.shard_ids[0])
         deltas, report = client.pull_tables(["emb"])

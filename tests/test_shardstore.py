@@ -265,7 +265,7 @@ class TestDeltaProtocol:
         for window in range(12):
             table = "b" if window % 3 == 2 else "a"
             ids = np.arange(500) if window == 0 else rng.integers(0, 500, size=40)
-            rows = rng.normal(size=(ids.size, 4))
+            rows = rng.normal(size=(ids.size, 4)).astype(np.float32)  # the lane
             assert sharded.publish_batch(table, ids, rows) == seed.publish_batch(
                 table, ids, rows
             )

@@ -109,7 +109,7 @@ class PrimaryBitMachine(RuleBasedStateMachine):
     )
     def publish(self, table, ids):
         ids = np.asarray(ids, dtype=np.int64)
-        rows = self.rng.normal(size=(ids.size, DIM))
+        rows = self.rng.normal(size=(ids.size, DIM)).astype(np.float32)  # the lane
         try:
             version = self.store.publish_batch(table, ids, rows)
         except QuorumError:

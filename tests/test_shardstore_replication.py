@@ -221,7 +221,7 @@ class TestFailoverReads:
         rng = np.random.default_rng(0)
         store.publish_batch("emb", ids, rng.normal(size=(500, 4)))
         store.kill_shard(3)
-        fresh = rng.normal(size=(500, 4))
+        fresh = rng.normal(size=(500, 4)).astype(np.float32)  # the store's lane
         store.publish_batch("emb", ids, fresh)
         store.revive_shard(3)  # stale: still holds the v1 payloads
         found, got = store.pull_rows("emb", ids)
@@ -237,7 +237,7 @@ class TestFailoverReads:
         world: dict[int, np.ndarray] = {}
         for step in range(6):
             ids = rng.integers(0, 800, size=300)
-            rows = rng.normal(size=(300, 4))
+            rows = rng.normal(size=(300, 4)).astype(np.float32)  # the store's lane
             store.publish_batch("emb", ids, rows)
             for i, rid in enumerate(ids.tolist()):
                 world[rid] = rows[i]
