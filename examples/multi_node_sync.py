@@ -55,9 +55,7 @@ def main():
     ]
     # The parameter plane the merged adapter rows publish into: splitmix64
     # shard placement, per-shard delta logs, byte-identical in any process.
-    store = ShardedParameterStore(
-        num_shards=4, row_bytes=LORA_RANK * 8, row_dim=LORA_RANK
-    )
+    store = ShardedParameterStore(num_shards=4, row_bytes=None, row_dim=LORA_RANK)
     sync = SparseLoRASynchronizer(trainers, sync_interval=16, store=store)
     # A late joiner / external observer session with its own sync point.
     observer = ShardClient(store)

@@ -44,9 +44,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..obs.recorder import flight_recorder as _flight_recorder
-from ..obs.metrics import registry as _obs_registry
-
 __all__ = ["FaultEvent", "FaultSchedule", "FaultPlane"]
 
 _KINDS = (
@@ -57,11 +54,6 @@ _KINDS = (
     "slow_node",
     "partition",
     "flap",
-)
-
-_REG = _obs_registry()
-_INJECTED = _REG.counter(
-    "cluster.faults.injected", help="fault events dispatched onto the store"
 )
 
 
@@ -370,16 +362,3 @@ class FaultPlane:
         else:
             self.delay_factor = float(event.factor)
         self.injected.append(event)
-        if _REG.enabled:
-            _INJECTED.inc()
-            _flight_recorder().record(
-                "cluster.faults",
-                event.kind,
-                f"{event.kind} at t={event.at_s:.3f}s"
-                + (
-                    f" shard={event.shard_id}"
-                    if event.shard_id is not None
-                    else f" factor={event.factor:.2f}"
-                ),
-                at_s=event.at_s,
-            )

@@ -26,37 +26,11 @@ import numpy as np
 from ..data.synthetic import Batch
 from ..dlrm.model import DLRM
 from ..dlrm.optim import RowwiseAdagrad
-from ..obs.metrics import registry as _obs_registry
 from ..obs.trace import Tracer
-from ..obs.recorder import flight_recorder as _flight_recorder
 from .network import NetworkLink, GBE_100
-from .shardstore import QuorumError, ShardClient, ShardedParameterStore
+from .shardstore import ShardClient, ShardedParameterStore
 
 __all__ = ["PushReport", "PullReport", "TrainingCluster", "InferenceNode"]
-
-_REG = _obs_registry()
-_TRAIN_STEPS = _REG.counter(
-    "cluster.train.steps", help="mini-batch steps across all TrainingClusters"
-)
-_TRAIN_SAMPLES = _REG.counter(
-    "cluster.train.samples", help="labelled samples consumed by training"
-)
-_STEP_SECONDS = _REG.histogram(
-    "cluster.train.step_seconds",
-    help="wall time per TrainingCluster.train_on step",
-    lo=1e-6,
-    hi=1e3,
-)
-_NODE_ROWS_APPLIED = _REG.counter(
-    "cluster.node.rows_applied", help="delta rows adopted by inference nodes"
-)
-_NODE_FULL_SYNCS = _REG.counter(
-    "cluster.node.full_syncs", help="whole-model adoptions (hourly full sync)"
-)
-_PUBLISH_QUORUM_FAILURES = _REG.counter(
-    "cluster.train.publish_quorum_failures",
-    help="window publishes refused by the store's write quorum",
-)
 
 
 @dataclass
@@ -98,9 +72,8 @@ class TrainingCluster:
         lr: learning rate of the row-wise Adagrad optimizer.
         tracer: optional shared :class:`repro.obs.trace.Tracer`; when
             given, publish flushes also run under spans on its clock.
-            Step timing always goes through a tracer span (a private
-            wall-clock one by default) so span durations and step
-            metrics cannot drift apart.
+            Training steps always run under a ``cluster.train.step``
+            span (on a private wall-clock tracer by default).
         faults: optional fault plane handed to the client (delay /
             slow-node / partition modelling on its transfers).
         resilience: optional
@@ -135,16 +108,12 @@ class TrainingCluster:
 
     def train_on(self, batch: Batch, update_dense: bool = True) -> float:
         """One mini-batch step; returns the loss."""
-        with self.tracer.span("cluster.train.step") as span:
+        with self.tracer.span("cluster.train.step"):
             result = self.model.train_step(
                 batch.dense, batch.sparse_ids, batch.labels, self.optimizer,
                 update_dense=update_dense,
             )
         self.steps_trained += 1
-        if _REG.enabled:
-            _TRAIN_STEPS.inc()
-            _TRAIN_SAMPLES.add(int(batch.labels.shape[0]))
-            _STEP_SECONDS.observe(span.duration)
         return result.loss
 
     def publish_changed_rows(self) -> PushReport:
@@ -170,20 +139,7 @@ class TrainingCluster:
             if touched.size == 0:
                 continue
             self.client.stage(f"table_{f}", touched, table.weight[touched])
-        try:
-            report = self.client.flush()
-        except QuorumError as err:
-            if _REG.enabled:
-                _PUBLISH_QUORUM_FAILURES.inc()
-                _flight_recorder().record(
-                    "cluster.train",
-                    "publish_refused",
-                    f"window publish refused: {err}",
-                    table=err.table,
-                    got=err.got,
-                    needed=err.needed,
-                )
-            raise
+        report = self.client.flush()
         return PushReport(
             version=report.version,
             rows_pushed=report.rows,
@@ -273,13 +229,9 @@ class InferenceNode:
             degraded=transfer.degraded,
         )
         self.pull_log.append(report)
-        if _REG.enabled:
-            _NODE_ROWS_APPLIED.add(total_rows)
         return report
 
     def adopt_model(self, source: DLRM) -> None:
         """Full-parameter refresh from a source replica (hourly full sync)."""
         self.model.load_state_dict(source.state_dict())
         self.client.mark_synced()
-        if _REG.enabled:
-            _NODE_FULL_SYNCS.inc()

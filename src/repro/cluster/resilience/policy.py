@@ -6,9 +6,8 @@ tracker, degraded-read cache, and the simulated clock they all share —
 so call sites take a single optional argument instead of seven.  The
 policy owns per-shard :class:`~repro.cluster.resilience.breaker.\
 CircuitBreaker` instances (created on first contact, so breaker state
-survives across pulls) and exposes the aggregate signals the obs plane
-gauges: how many breakers are currently open, how many transitions the
-fleet has logged.
+survives across pulls) and exposes their aggregate state: how many
+breakers are currently open, how many transitions the fleet has logged.
 """
 
 from __future__ import annotations

@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ...obs.metrics import registry as _obs_registry
 from ..collectives import CollectiveCostModel
 from ..network import GBE_100, NetworkLink
 from ..resilience.budget import DeadlineBudget
@@ -33,56 +32,6 @@ from ..resilience.policy import ResiliencePolicy
 from .store import QuorumError, ShardedParameterStore
 
 __all__ = ["ClientTransferReport", "ShardClient"]
-
-_REG = _obs_registry()
-_FLUSHES = _REG.counter(
-    "shardstore.client.flushes", help="publish flush events (version bumps)"
-)
-_PULLS = _REG.counter(
-    "shardstore.client.pulls", help="batched delta-pull round trips"
-)
-_ROWS_PUBLISHED = _REG.counter(
-    "shardstore.client.rows_published", help="rows pushed through flushes"
-)
-_BYTES_PUBLISHED = _REG.counter(
-    "shardstore.client.bytes_published",
-    help="bytes pushed (alpha-beta accounting volume)",
-)
-_ROWS_PULLED = _REG.counter(
-    "shardstore.client.rows_pulled", help="delta rows delivered to pullers"
-)
-_BYTES_PULLED = _REG.counter(
-    "shardstore.client.bytes_pulled",
-    help="bytes pulled (alpha-beta accounting volume)",
-)
-_TRANSFER_S = _REG.histogram(
-    "shardstore.client.transfer_seconds",
-    help="modelled per-transfer wall time (alpha-beta cost model)",
-    lo=1e-6,
-    hi=1e4,
-)
-_HEDGED = _REG.counter(
-    "shardstore.client.hedged_reads",
-    help="backup reads launched against slow primaries",
-)
-_RETRY = _REG.counter(
-    "shardstore.client.retries",
-    help="retry rounds (pull waves and flush re-publishes) after backoff",
-)
-_DEGRADED_READS = _REG.counter(
-    "shardstore.client.degraded_reads",
-    help="pulls the live replicas could not answer exactly (stale or raised)",
-)
-_BREAKERS_OPEN = _REG.gauge(
-    "shardstore.client.breakers_open",
-    help="per-replica circuit breakers currently open for this process",
-)
-_ATTEMPT_S = _REG.histogram(
-    "shardstore.client.attempt_seconds",
-    help="modelled latency of individual per-shard RPC attempts",
-    lo=1e-6,
-    hi=1e4,
-)
 
 
 @dataclass
@@ -126,7 +75,6 @@ class _Coverage:
     attempts: int = 1
     hedges: int = 0
     retries: int = 0
-    attempt_lat: list[float] = field(default_factory=list)
 
 
 class ShardClient:
@@ -144,7 +92,7 @@ class ShardClient:
         When given, every flush/pull runs under a span and the modelled
         transfer seconds advance the tracer's clock (a ``SimClock`` in
         simulations, making traces deterministic; a no-op on wall
-        clocks).  Counters in the process registry are fed either way.
+        clocks).
     faults : repro.cluster.faults.FaultPlane, optional
         Fault-injection plane (anything with a ``delay_factor`` float
         attribute works).  Active ``delay`` faults multiply the modelled
@@ -303,13 +251,6 @@ class ShardClient:
             if batches:
                 self._staged.clear()
                 self.push_log.append(report)
-                if _REG.enabled:
-                    _FLUSHES.inc()
-                    _ROWS_PUBLISHED.add(report.rows)
-                    _BYTES_PUBLISHED.add(report.bytes)
-                    _TRANSFER_S.observe(report.seconds)
-                    if report.retries:
-                        _RETRY.add(report.retries)
             self._trace(open_span, report)
         return report
 
@@ -446,7 +387,6 @@ class ShardClient:
                 retries=cover.retries,
             )
             self.pull_log.append(report)
-            self._record_pull(report, cover.attempt_lat)
             if report.degraded:
                 if policy is None or policy.degraded is None:
                     raise DegradedReadError(
@@ -543,7 +483,6 @@ class ShardClient:
         available: list[int],
         sent_s: float,
         nbytes: int,
-        attempt_lat: list[float],
     ) -> float | None:
         """Send ``sid``'s range to the healthiest reachable peer whose
         breaker admits a request at sim time ``sent_s``; returns that
@@ -554,7 +493,6 @@ class ShardClient:
         ):
             if policy.breaker_for(peer).allow(sent_s):
                 bcost = self._modelled_rpc_seconds(nbytes, peer)
-                attempt_lat.append(bcost)
                 policy.health.record(peer, bcost, True)
                 policy.breaker_for(peer).record_success(sent_s + bcost)
                 return bcost
@@ -583,7 +521,7 @@ class ShardClient:
         all_sids = store.shard_ids
         shard_bytes = self._shard_delta_bytes(tables, since)
         covered: dict[int, str] = {}  # sid -> "clean" | "recon"
-        attempt_lat: list[float] = []  # one entry per RPC sent
+        attempts = 0  # RPCs sent
         hedges = 0
         retries = 0
         t_now = 0.0
@@ -622,7 +560,7 @@ class ShardClient:
                     if cost > policy.attempt_timeout_s:
                         failed_s = policy.attempt_timeout_s
                     else:
-                        attempt_lat.append(cost)
+                        attempts += 1
                         policy.health.record(
                             sid, cost, True, hedged=cost > hedge_delay
                         )
@@ -630,10 +568,10 @@ class ShardClient:
                         done = t0 + cost
                         if cost > hedge_delay:
                             bcost = self._backup_read(
-                                sid, available, start_s + t0 + hedge_delay,
-                                nbytes, attempt_lat,
+                                sid, available, start_s + t0 + hedge_delay, nbytes
                             )
                             if bcost is not None:
+                                attempts += 1
                                 hedges += 1
                                 done = min(done, t0 + hedge_delay + bcost)
                         covered[sid] = "recon" if sid in suspects else "clean"
@@ -641,16 +579,15 @@ class ShardClient:
                         continue
                 if failed_s is not None:
                     fail_at = t0 + failed_s
-                    attempt_lat.append(failed_s)
+                    attempts += 1
                     policy.health.record(sid, failed_s, False)
                     brk.record_failure(start_s + fail_at)
                 # Failure path (breaker-refused, down, partitioned, or
                 # timed out): fail over to the healthiest reachable peer,
                 # which serves the failed primary's range reconciled.
-                bcost = self._backup_read(
-                    sid, available, start_s + fail_at, nbytes, attempt_lat
-                )
+                bcost = self._backup_read(sid, available, start_s + fail_at, nbytes)
                 if bcost is not None:
+                    attempts += 1
                     covered[sid] = "recon"
                     wave_end = max(wave_end, fail_at + bcost)
                 else:
@@ -678,8 +615,7 @@ class ShardClient:
         seconds = t_now if exact else budget.total_s
         self._advance_policy_clock(start_s + seconds)
         return _Coverage(
-            clean, recon, available, exact, seconds, len(attempt_lat), hedges,
-            retries, attempt_lat,
+            clean, recon, available, exact, seconds, attempts, hedges, retries
         )
 
     def _advance_policy_clock(self, target_s: float) -> None:
@@ -688,27 +624,7 @@ class ShardClient:
         if target_s > clock.now():
             clock.set(target_s)
 
-    # ------------------------------------------------------------ accounting
-    def _record_pull(
-        self, report: ClientTransferReport, attempt_lat: list[float]
-    ) -> None:
-        """Batched obs-plane accounting for one pull."""
-        if not _REG.enabled:
-            return
-        _PULLS.inc()
-        _ROWS_PULLED.add(report.rows)
-        _BYTES_PULLED.add(report.bytes)
-        _TRANSFER_S.observe(report.seconds)
-        if report.degraded:
-            _DEGRADED_READS.inc()
-        policy = self.resilience
-        if policy is None:
-            return
-        _HEDGED.add(report.hedges)
-        _RETRY.add(report.retries)
-        _ATTEMPT_S.observe_many(np.asarray(attempt_lat, dtype=np.float64))
-        _BREAKERS_OPEN.set(policy.open_breakers(policy.clock.now()))
-
+    # ----------------------------------------------------------------- trace
     def _trace(self, span, report: ClientTransferReport) -> None:
         """Stamp an open flush/pull span and charge its modelled seconds to
         the tracer's clock; ``span`` is None without a tracer."""

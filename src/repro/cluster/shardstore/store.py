@@ -45,8 +45,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ...core.dtypes import SERVE, as_float32_rows, as_float64_rows
-from ...obs.metrics import registry as _obs_registry
-from ...obs.recorder import flight_recorder as _flight_recorder
 from .placement import ShardPlacement
 from .shard import DeltaSlice, ParameterShard, ShardStats
 
@@ -58,38 +56,6 @@ __all__ = [
     "RepairReport",
     "ShardedParameterStore",
 ]
-
-_REG = _obs_registry()
-_PUBLISHES = _REG.counter(
-    "shardstore.store.publishes", help="version bumps (publish events)"
-)
-_ROWS_WRITTEN = _REG.counter(
-    "shardstore.store.rows_written", help="rows written across all publishes"
-)
-_VERSION = _REG.gauge(
-    "shardstore.store.version", help="current global store version"
-)
-_RESIDENT_ROWS = _REG.gauge(
-    "shardstore.store.resident_rows", help="rows resident across all shards"
-)
-_NUM_SHARDS = _REG.gauge(
-    "shardstore.store.num_shards", help="live shard count"
-)
-_SHARDS_DOWN = _REG.gauge(
-    "shardstore.store.shards_down", help="shards currently killed/unreachable"
-)
-_REPLICATION_LAG = _REG.gauge(
-    "shardstore.store.replication_lag",
-    help="missed (shard, version) publish applications awaiting repair",
-)
-_QUORUM_FAILURES = _REG.counter(
-    "shardstore.store.quorum_failures",
-    help="publishes refused for missing their write quorum",
-)
-_ROWS_REPAIRED = _REG.counter(
-    "shardstore.store.rows_repaired",
-    help="row copies re-replicated onto stale replicas",
-)
 
 
 class QuorumError(RuntimeError):
@@ -318,30 +284,12 @@ class ShardedParameterStore:
         if shard_id in self._down:
             raise ValueError(f"shard {shard_id} is already down")
         self._down.add(shard_id)
-        if _REG.enabled:
-            _SHARDS_DOWN.set(len(self._down))
-            _flight_recorder().record(
-                "shardstore.store",
-                "shard_killed",
-                f"shard {shard_id} down ({len(self._down)} of "
-                f"{self.num_shards})",
-                shard_id=shard_id,
-            )
 
     def revive_shard(self, shard_id: int) -> None:
         """Bring a killed shard back, stale: run :meth:`repair` to heal it."""
         if shard_id not in self._down:
             raise ValueError(f"shard {shard_id} is not down")
         self._down.discard(shard_id)
-        if _REG.enabled:
-            _SHARDS_DOWN.set(len(self._down))
-            _flight_recorder().record(
-                "shardstore.store",
-                "shard_revived",
-                f"shard {shard_id} back, "
-                f"{len(self._missed.get(shard_id, ()))} versions behind",
-                shard_id=shard_id,
-            )
 
     def arm_publish_drop(self, shard_id: int, publishes: int = 1) -> None:
         """Make ``shard_id`` silently drop its next N publish applications.
@@ -444,7 +392,7 @@ class ShardedParameterStore:
         row_idx: np.ndarray,
         rank0: np.ndarray,
         version: int,
-    ) -> int:
+    ) -> None:
         """One partition pass over the flattened ``(row, rank)`` writes.
 
         A row's replica owners are distinct shards, so grouping the
@@ -455,7 +403,7 @@ class ShardedParameterStore:
         each shard stores it as the row's primary bit.
         """
         if owner_flat.size == 0:
-            return 0
+            return
         # Narrow ids sort ~4x faster (radix kicks in for <=16-bit keys).
         sort_key = owner_flat
         if int(owner_flat[owner_flat.argmax()]) <= np.iinfo(np.uint16).max:
@@ -463,13 +411,11 @@ class ShardedParameterStore:
         order = np.argsort(sort_key, kind="stable")
         owner_flat, row_idx, rank0 = owner_flat[order], row_idx[order], rank0[order]
         bounds = np.flatnonzero(np.r_[True, owner_flat[1:] != owner_flat[:-1]])
-        written = 0
         for start, stop in zip(bounds, np.r_[bounds[1:], owner_flat.size]):
             take = row_idx[start:stop]
-            written += self.shards[int(owner_flat[start])].publish(
+            self.shards[int(owner_flat[start])].publish(
                 table, ids[take], rows[take], version, rank0[start:stop]
             )
-        return written
 
     def _apply_publish(
         self,
@@ -479,10 +425,10 @@ class ShardedParameterStore:
         owners: np.ndarray,
         mask: np.ndarray | None,
         version: int,
-    ) -> int:
+    ) -> None:
         rows = self._reconcile_width(table, rows)
         if ids.size == 0:
-            return 0
+            return
         owner_flat = owners.ravel()
         row_idx = np.repeat(
             np.arange(ids.size, dtype=np.int64), self.replication
@@ -493,15 +439,12 @@ class ShardedParameterStore:
         if mask is not None:
             sel = mask.ravel()
             owner_flat, row_idx, rank0 = owner_flat[sel], row_idx[sel], rank0[sel]
-        written = self._scatter_shards(
-            table, ids, rows, owner_flat, row_idx, rank0, version
-        )
+        self._scatter_shards(table, ids, rows, owner_flat, row_idx, rank0, version)
         if mask is not None and not mask.all():
             for sid in np.unique(owners[~mask]):
                 ledger = self._missed.setdefault(int(sid), [])
                 if not ledger or ledger[-1] != version:
                     ledger.append(version)
-        return written
 
     def publish_batch(
         self, table: str, indices: np.ndarray, rows: np.ndarray
@@ -565,42 +508,16 @@ class ShardedParameterStore:
             masks.append(mask)
         if failed is not None:
             table, got = failed
-            if _REG.enabled:
-                _QUORUM_FAILURES.inc()
-                _flight_recorder().record(
-                    "shardstore.store",
-                    "quorum_failure",
-                    f"publish v{version} on {table!r} refused "
-                    f"({got}/{self.quorum} replicas)",
-                    table=table,
-                    got=got,
-                    needed=self.quorum,
-                )
             raise QuorumError(table, version, self.quorum, got)
         self.version = version
-        written = 0
         for (table, indices, rows, owners), mask in zip(prepared, masks):
-            written += self._apply_publish(
-                table, indices, rows, owners, mask, version
-            )
-        self._note_publish(written)
+            self._apply_publish(table, indices, rows, owners, mask, version)
         if (
             self.auto_compact_every
             and version % self.auto_compact_every == 0
         ):
             self.compact()
         return version
-
-    def _note_publish(self, written: int) -> None:
-        """Fold one publish event into the process metrics registry."""
-        if not _REG.enabled:
-            return
-        _PUBLISHES.inc()
-        _ROWS_WRITTEN.add(written)
-        _VERSION.set(self.version)
-        _RESIDENT_ROWS.set(len(self))
-        _NUM_SHARDS.set(self.num_shards)
-        _REPLICATION_LAG.set(self.replication_lag)
 
     # ----------------------------------------------------------------- reads
     @staticmethod
@@ -1016,25 +933,11 @@ class ShardedParameterStore:
             )
         for sid in plan.stale_shards:
             self._missed.pop(sid, None)
-        report = RepairReport(
+        return RepairReport(
             rows_copied=plan.rows_to_copy,
             bytes_copied=plan.bytes_to_copy,
             shards_healed=list(plan.stale_shards),
         )
-        if _REG.enabled:
-            _ROWS_REPAIRED.add(report.rows_copied)
-            _REPLICATION_LAG.set(self.replication_lag)
-            if report.shards_healed:
-                _flight_recorder().record(
-                    "shardstore.store",
-                    "repair",
-                    f"re-replicated {report.rows_copied} rows onto "
-                    f"{len(report.shards_healed)} stale shards",
-                    rows=report.rows_copied,
-                    bytes=report.bytes_copied,
-                    shards=len(report.shards_healed),
-                )
-        return report
 
     def _migrate_to(self, new_placement: ShardPlacement) -> RebalanceReport:
         if self._down:
@@ -1091,24 +994,12 @@ class ShardedParameterStore:
         for sid in old_ids - new_ids:
             del self.shards[sid]
             self._missed.pop(sid, None)  # nothing left to repair there
-        report = RebalanceReport(
+        return RebalanceReport(
             shard_ids=self.shard_ids,
             rows_moved=rows_moved,
             rows_total=rows_total,
             bytes_moved=rows_moved * self.row_bytes,
         )
-        if _REG.enabled:
-            _NUM_SHARDS.set(self.num_shards)
-            _RESIDENT_ROWS.set(len(self))
-            _flight_recorder().record(
-                "shardstore.store",
-                "rebalance",
-                f"ring now {self.num_shards} shards",
-                rows_moved=report.rows_moved,
-                rows_total=report.rows_total,
-                moved_fraction=round(report.moved_fraction, 6),
-            )
-        return report
 
     def add_shard(self, shard_id: int | None = None) -> RebalanceReport:
         """Grow the ring by one shard, migrating all R copies of the keys

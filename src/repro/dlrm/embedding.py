@@ -28,15 +28,6 @@ import numpy as np
 
 from ..core.dtypes import SERVE, as_float_rows
 from ..core.kernels import TouchedRows, group_rows_sum, pool_rows
-from ..obs.metrics import registry as _obs_registry
-
-_REG = _obs_registry()
-_IDS_POOLED = _REG.counter(
-    "dlrm.embedding.ids_pooled", help="ids consumed by pooled lookups"
-)
-_LOOKUPS = _REG.counter(
-    "dlrm.embedding.lookups", help="pooled lookup calls (batches)"
-)
 
 __all__ = [
     "SparseRowGrad",
@@ -167,9 +158,6 @@ class EmbeddingTable:
         offsets = np.asarray(offsets, dtype=np.int64)
         if ids.size and (ids.min() < 0 or ids.max() >= self.num_rows):
             raise IndexError(f"embedding id out of range for table {self.name}")
-        if _REG.enabled:
-            _LOOKUPS.inc()
-            _IDS_POOLED.add(ids.size)
         return pool_rows(self.weight, ids, offsets, mode=mode)
 
     # --------------------------------------------------------------- backward

@@ -19,16 +19,10 @@ import weakref
 
 import numpy as np
 
-from ..obs.metrics import registry as _obs_registry
 from .embedding import EmbeddingTable, SparseRowGrad
 from .mlp import MLP, DenseGrads, _param_views, clip_by_global_norm
 
 __all__ = ["SGD", "RowwiseAdagrad"]
-
-_REG = _obs_registry()
-_ROWS_UPDATED = _REG.counter(
-    "dlrm.optim.rows_updated", help="unique embedding rows updated sparsely"
-)
 
 
 class SGD:
@@ -54,8 +48,6 @@ class SGD:
 
     def step_sparse(self, table: EmbeddingTable, grad: SparseRowGrad) -> None:
         table.apply_sparse_update(grad, self.lr)
-        if _REG.enabled:
-            _ROWS_UPDATED.add(grad.indices.size)
 
 
 class RowwiseAdagrad:
@@ -120,8 +112,6 @@ class RowwiseAdagrad:
         state[idx] = acc
         table.weight[idx] -= (self.lr / np.sqrt(acc + self.eps))[:, None] * grad.rows
         table.mark_touched(idx)
-        if _REG.enabled:
-            _ROWS_UPDATED.add(idx.size)
 
     # ------------------------------------------------------------- dense path
     def step_dense(self, mlp: MLP, grads: DenseGrads) -> None:

@@ -151,7 +151,7 @@ def run_strategy(
     stream, base_model = build_pretrained_world(config)
     server = ShardedParameterStore(
         num_shards=config.num_shards,
-        row_bytes=config.embedding_dim * 8,
+        row_bytes=None,
         row_dim=config.embedding_dim,
         row_dtype=config.policy.row_dtype,
     )

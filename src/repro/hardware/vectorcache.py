@@ -54,30 +54,9 @@ from collections import OrderedDict
 
 import numpy as np
 
-from ..obs.metrics import registry as _obs_registry
 from .cache import CacheStats
 
 __all__ = ["BatchAccessResult", "BatchLRUCache", "IntervalCache"]
-
-_REG = _obs_registry()
-_CACHE_HITS = _REG.counter(
-    "hardware.cache.hits", help="batched cache hits across all cache models"
-)
-_CACHE_MISSES = _REG.counter(
-    "hardware.cache.misses", help="batched cache misses across all cache models"
-)
-_CACHE_EVICTIONS = _REG.counter(
-    "hardware.cache.evictions", help="evictions fired by batched accesses"
-)
-
-
-def _note_cache_access(result: "BatchAccessResult") -> None:
-    # Folds the masks the batch already computed; no per-item work.
-    _CACHE_HITS.add(result.num_hits)
-    _CACHE_MISSES.add(result.num_misses)
-    evicted = result.num_evictions
-    if evicted:
-        _CACHE_EVICTIONS.add(evicted)
 
 # Keep chunk working sets small enough to stay cache-friendly even when the
 # modelled LRU itself is huge.
@@ -335,8 +314,6 @@ class BatchLRUCache:
             result = self._access_uniform(keys, s)
         if stats is not None:
             result.stats(stats)
-        if _REG.enabled:
-            _note_cache_access(result)
         return result
 
     # ------------------------------------------------------- uniform fast path
@@ -879,10 +856,6 @@ class IntervalCache:
             result = BatchAccessResult(hit_mask, s, [])
             if stats is not None:
                 result.stats(stats)
-            if _REG.enabled:
-                # The recursive call above already counted the in-range
-                # sub-stream; only the bypassing misses are new here.
-                _CACHE_MISSES.add(n - int(in_range.sum()))
             return result
         if s > self.capacity_bytes:
             hit_mask[:] = False  # oversized objects bypass
@@ -915,7 +888,5 @@ class IntervalCache:
         result = BatchAccessResult(hit_mask, s, [])
         if stats is not None:
             result.stats(stats)
-        if _REG.enabled:
-            _note_cache_access(result)
         return result
 

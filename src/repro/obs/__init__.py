@@ -1,10 +1,12 @@
-"""Unified telemetry plane: metrics, sim-clock spans, flight recorder.
+"""Telemetry library: metrics, sim-clock spans, flight recorder, exporters.
 
-``repro.obs`` is the shared observability substrate every other plane
-instruments against:
+``repro.obs`` holds no process-wide state.  Components own their counts
+in their own reports and logs (``ShardClient.push_log`` / ``pull_log``,
+``SLAMonitor.reports``, ``FaultPlane.injected``, ``RepairReport``...);
+this package is the library a caller builds from explicitly:
 
-* :mod:`repro.obs.metrics` — process-wide :class:`MetricsRegistry` of
-  counters, gauges, and log-bucketed :class:`Histogram`\\ s whose
+* :mod:`repro.obs.metrics` — :class:`MetricsRegistry` of counters,
+  gauges, and log-bucketed :class:`Histogram`\\ s whose
   ``observe_many`` folds whole arrays in one bincount pass.
 * :mod:`repro.obs.clock` / :mod:`repro.obs.trace` — :class:`Span` /
   :class:`Tracer` timing off a :class:`SimClock` inside simulations
@@ -12,12 +14,10 @@ instruments against:
 * :mod:`repro.obs.recorder` — :class:`FlightRecorder` ring buffers of
   the last N events per component for post-mortem dumps.
 * :mod:`repro.obs.export` — Prometheus-style text and schema-versioned
-  JSON snapshots; ``python -m repro.obs`` is the snapshot CLI.
+  JSON snapshots of a registry.
 
-Design rule: instrumented hot paths touch telemetry only behind
-``registry().enabled`` and only through the batched APIs (counter
-``add`` with batch totals, histogram ``observe_many``) — enforced by the
-``obs-discipline`` lint rule and a <3% overhead gate in CI.
+``python -m repro.obs`` is the one place that turns component stats into
+metrics: it replays a sync scenario and builds a registry from its logs.
 """
 
 from .clock import SimClock, WallClock
@@ -33,10 +33,8 @@ from .metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    registry,
-    set_enabled,
 )
-from .recorder import FlightEvent, FlightRecorder, flight_recorder
+from .recorder import FlightEvent, FlightRecorder
 from .trace import Span, Tracer
 
 __all__ = [
@@ -44,15 +42,12 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "registry",
-    "set_enabled",
     "SimClock",
     "WallClock",
     "Span",
     "Tracer",
     "FlightEvent",
     "FlightRecorder",
-    "flight_recorder",
     "SNAPSHOT_SCHEMA_VERSION",
     "snapshot",
     "render_json",

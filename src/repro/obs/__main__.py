@@ -4,8 +4,9 @@ Runs a deterministic two-node shardstore sync scenario on a simulated
 clock (drive schedule from :func:`repro.cluster.timeline.
 simulate_periodic_updates`), then prints the requested view:
 
-* ``--dump metrics`` (default) — registry snapshot, ``--format text``
-  (Prometheus exposition) or ``--format json`` (schema-versioned JSON).
+* ``--dump metrics`` (default) — the registry :func:`scenario_metrics`
+  builds from the scenario's own logs, ``--format text`` (Prometheus
+  exposition) or ``--format json`` (schema-versioned JSON).
 * ``--dump trace`` — canonical span dump; byte-identical across
   processes and hash seeds (the trace-determinism regression test
   compares this output verbatim).
@@ -26,6 +27,7 @@ from ..cluster.timeline import simulate_periodic_updates
 from ..serving.qos import SLAMonitor
 from .clock import SimClock
 from .export import render_json, render_prometheus, snapshot, validate_snapshot
+from .metrics import MetricsRegistry
 from .recorder import FlightRecorder
 from .trace import Tracer
 
@@ -35,7 +37,7 @@ def run_sync_scenario(
     rows_per_window: int = 256,
     dim: int = 8,
     seed: int = 0,
-) -> tuple[Tracer, FlightRecorder]:
+) -> tuple[Tracer, FlightRecorder, MetricsRegistry]:
     """Two clients syncing through one store on a simulated timeline.
 
     A trainer client stages and flushes two tables per update window; an
@@ -44,12 +46,13 @@ def run_sync_scenario(
     from the client's alpha-beta cost model, and every duration advances
     the shared :class:`~repro.obs.clock.SimClock` — so the resulting
     trace is a pure function of the arguments, byte-identical across
-    processes, hosts, and hash seeds.
+    processes, hosts, and hash seeds.  The registry returned beside the
+    trace is :func:`scenario_metrics` over the run's own logs.
     """
     clock = SimClock()
     recorder = FlightRecorder()
     tracer = Tracer(clock=clock, recorder=recorder)
-    store = ShardedParameterStore(num_shards=4, row_bytes=dim * 8, row_dim=dim)
+    store = ShardedParameterStore(num_shards=4, row_bytes=None, row_dim=dim)
     trainer = ShardClient(store, tracer=tracer)
     node = ShardClient(store, tracer=tracer)
     monitor = SLAMonitor(p99_target_ms=10.0, window_requests=rows_per_window)
@@ -61,6 +64,7 @@ def run_sync_scenario(
         kind="delta",
     )
     universe = 10 * rows_per_window
+    latencies = []
     for event in schedule.events:
         clock.set(event.started_s)
         with tracer.span("obs.scenario.window", version=event.version):
@@ -71,8 +75,67 @@ def run_sync_scenario(
             trainer.stage("table_1", ids[:half], rows[:half])
             trainer.flush()
             node.pull_tables(["table_0", "table_1"])
-            monitor.observe(rng.lognormal(mean=1.0, sigma=0.6, size=256))
-    return tracer, recorder
+            latencies.append(rng.lognormal(mean=1.0, sigma=0.6, size=256))
+            monitor.observe(latencies[-1])
+    reg = scenario_metrics(trainer, node, store, monitor, np.concatenate(latencies))
+    return tracer, recorder, reg
+
+
+def scenario_metrics(
+    trainer: ShardClient,
+    node: ShardClient,
+    store: ShardedParameterStore,
+    monitor: SLAMonitor,
+    latencies_ms: np.ndarray,
+) -> MetricsRegistry:
+    """Turn the components' own records into one metrics registry.
+
+    Every value is read off a log or state the component keeps anyway:
+    the trainer's ``push_log``, the node's ``pull_log``, the store's
+    version / residency / replica lag, and the monitor's window
+    ``reports`` plus the latencies it was fed.
+    """
+    reg = MetricsRegistry()
+    pushes, pulls = trainer.push_log, node.pull_log
+    reg.counter("shardstore.client.flushes", help="publish flushes").add(len(pushes))
+    reg.counter("shardstore.client.rows_published", help="rows pushed").add(
+        sum(r.rows for r in pushes)
+    )
+    reg.counter("shardstore.client.bytes_published", help="bytes pushed").add(
+        sum(r.bytes for r in pushes)
+    )
+    reg.counter("shardstore.client.pulls", help="batched delta pulls").add(len(pulls))
+    reg.counter("shardstore.client.rows_pulled", help="delta rows pulled").add(
+        sum(r.rows for r in pulls)
+    )
+    reg.counter("shardstore.client.bytes_pulled", help="bytes pulled").add(
+        sum(r.bytes for r in pulls)
+    )
+    reg.histogram(
+        "shardstore.client.transfer_seconds",
+        help="modelled per-transfer time (alpha-beta cost model)",
+        lo=1e-6,
+        hi=1e4,
+    ).observe_many(np.array([r.seconds for r in pushes + pulls], dtype=np.float64))
+    reg.gauge("shardstore.store.version", help="global store version").set(store.version)
+    reg.gauge("shardstore.store.resident_rows", help="rows resident").set(len(store))
+    reg.gauge("shardstore.store.num_shards", help="live shard count").set(store.num_shards)
+    reg.gauge(
+        "shardstore.store.replication_lag", help="missed publish applications"
+    ).set(store.replication_lag)
+    reg.histogram(
+        "serving.latency_ms", help="request latency fed to SLAMonitor", lo=1e-2, hi=1e5
+    ).observe_many(latencies_ms)
+    reg.counter("serving.requests", help="request latencies observed").add(
+        latencies_ms.size
+    )
+    reg.counter("serving.sla.windows", help="monitoring windows closed").add(
+        len(monitor.reports)
+    )
+    reg.counter("serving.sla.violations", help="windows whose p99 broke the SLA").add(
+        sum(r.violated for r in monitor.reports)
+    )
+    return reg
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -100,10 +163,10 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    tracer, recorder = run_sync_scenario(windows=args.windows, seed=args.seed)
+    tracer, recorder, reg = run_sync_scenario(windows=args.windows, seed=args.seed)
 
     if args.selfcheck:
-        snap = snapshot()
+        snap = snapshot(reg)
         errors = validate_snapshot(snap)
         if errors:
             for err in errors:
@@ -122,9 +185,9 @@ def main(argv: list[str] | None = None) -> int:
     elif args.dump == "flight":
         print(recorder.dump_text())
     elif args.format == "json":
-        print(render_json())
+        print(render_json(reg))
     else:
-        print(render_prometheus(), end="")
+        print(render_prometheus(reg), end="")
     return 0
 
 

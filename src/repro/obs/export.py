@@ -15,7 +15,7 @@ import json
 
 import numpy as np
 
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry, registry
+from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 
 __all__ = [
     "SNAPSHOT_SCHEMA_VERSION",
@@ -47,14 +47,13 @@ def _histogram_entry(h: Histogram) -> dict:
     }
 
 
-def snapshot(reg: MetricsRegistry | None = None) -> dict:
+def snapshot(reg: MetricsRegistry) -> dict:
     """Freeze a registry into a schema-versioned plain dict.
 
     Histograms serialise sparsely: lattice parameters plus the non-empty
     buckets only, so a 1000-bucket latency histogram with 30 occupied
     buckets costs 30 pairs, not 1000 floats.
     """
-    reg = reg if reg is not None else registry()
     counters = {}
     gauges = {}
     histograms = {}
@@ -76,7 +75,7 @@ def snapshot(reg: MetricsRegistry | None = None) -> dict:
     }
 
 
-def render_json(reg: MetricsRegistry | None = None) -> str:
+def render_json(reg: MetricsRegistry) -> str:
     """Canonical JSON snapshot (sorted keys, stable across processes)."""
     return json.dumps(snapshot(reg), sort_keys=True, indent=2)
 
@@ -85,14 +84,13 @@ def _prom_name(name: str) -> str:
     return "repro_" + name.replace(".", "_")
 
 
-def render_prometheus(reg: MetricsRegistry | None = None) -> str:
+def render_prometheus(reg: MetricsRegistry) -> str:
     """Prometheus text exposition of the registry.
 
     Histograms emit cumulative ``_bucket`` samples at each occupied
     bucket's upper edge plus the mandatory ``+Inf`` bucket — sparse but
     valid, since exposition bucket boundaries need not be exhaustive.
     """
-    reg = reg if reg is not None else registry()
     lines: list[str] = []
     for name in reg.names():
         metric = reg.get(name)

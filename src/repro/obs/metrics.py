@@ -7,10 +7,10 @@ entire latency array in ONE ``searchsorted`` + ``bincount`` pass — no
 per-sample Python — while quantile reads stay exact to within one bucket
 width (ratio ``growth`` between adjacent edges).
 
-All metrics live in a process-wide :class:`MetricsRegistry` reached via
-:func:`registry`; instrumented hot paths guard their updates with the
-registry's ``enabled`` flag so the bare/instrumented overhead delta stays
-a single attribute check when telemetry is off.
+A :class:`MetricsRegistry` is a plain object its caller builds: there is
+no process-wide instance.  Components own their counts in their own
+reports and logs; an exporter (``python -m repro.obs``) builds a registry
+from those when it wants metric-shaped output.
 
 Metric names are lowercase dotted literals (``plane.component.metric``),
 enforced both here at creation time and statically by the
@@ -29,8 +29,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "registry",
-    "set_enabled",
 ]
 
 _NAME_RE = re.compile(r"^[a-z0-9_]+(\.[a-z0-9_]+)+$")
@@ -228,20 +226,17 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """Process-wide, get-or-create registry of named metrics.
+    """Get-or-create registry of named metrics.
 
-    Lookups are get-or-create so instrumented modules can cache handles
-    at import time: the first ``counter("a.b")`` creates, every later
-    call returns the same object.  Requesting an existing name as a
-    different kind raises.  ``enabled`` is the master switch hot paths
-    check before doing any telemetry work; :meth:`reset` zeroes values
-    *in place* so cached handles stay live.
+    The first ``counter("a.b")`` creates, every later call returns the
+    same object, so a caller may hold handles.  Requesting an existing
+    name as a different kind raises.  :meth:`reset` zeroes values *in
+    place* so held handles stay live.
     """
 
-    __slots__ = ("enabled", "_metrics")
+    __slots__ = ("_metrics",)
 
     def __init__(self) -> None:
-        self.enabled = True
         self._metrics: dict[str, Counter | Gauge | Histogram] = {}
 
     def _get_or_create(self, name, kind, help, **kwargs):
@@ -308,16 +303,3 @@ class MetricsRegistry:
         """Zero every metric in place; handles held elsewhere stay valid."""
         for metric in self._metrics.values():
             metric.reset()
-
-
-_REGISTRY = MetricsRegistry()
-
-
-def registry() -> MetricsRegistry:
-    """The process-wide default registry."""
-    return _REGISTRY
-
-
-def set_enabled(flag: bool) -> None:
-    """Master switch for the default registry's instrumentation."""
-    _REGISTRY.enabled = bool(flag)

@@ -1,11 +1,13 @@
 """Flight recorder: bounded per-component event rings for post-mortems.
 
-When an SLA violation or assertion fires, the question is always "what
-were the last few things each component did?".  The
-:class:`FlightRecorder` answers it with one ``deque(maxlen=N)`` per
-component: completed spans, rebalance events, and SLA violations are
-appended as they happen, memory stays bounded, and :meth:`dump_text`
-prints the tail of every ring in deterministic order.
+When something goes wrong, the question is always "what were the last
+few things each component did?".  The :class:`FlightRecorder` answers it
+with one ``deque(maxlen=N)`` per component: a :class:`~repro.obs.trace.
+Tracer` built with ``recorder=`` files every completed span, a caller may
+:meth:`~FlightRecorder.record` its own events, memory stays bounded, and
+:meth:`~FlightRecorder.dump_text` prints the tail of every ring in
+deterministic order.  There is no process-wide recorder: whoever wants
+one builds it.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-__all__ = ["FlightEvent", "FlightRecorder", "flight_recorder"]
+__all__ = ["FlightEvent", "FlightRecorder"]
 
 
 @dataclass(frozen=True)
@@ -133,11 +135,3 @@ class FlightRecorder:
             self._seq = 0
         else:
             self._rings.pop(component, None)
-
-
-_RECORDER = FlightRecorder()
-
-
-def flight_recorder() -> FlightRecorder:
-    """The process-wide default flight recorder."""
-    return _RECORDER

@@ -12,39 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..hardware.latency import percentile
-from ..obs.metrics import registry as _obs_registry
-from ..obs.recorder import flight_recorder as _flight_recorder
 
 __all__ = ["OUTCOMES", "SLAReport", "SLAMonitor"]
-
-_REG = _obs_registry()
-_LATENCY_MS = _REG.histogram(
-    "serving.latency_ms",
-    help="end-to-end request latency fed through SLAMonitor.observe",
-    lo=1e-2,
-    hi=1e5,
-)
-_REQUESTS = _REG.counter(
-    "serving.requests", help="request latencies observed"
-)
-_WINDOWS = _REG.counter(
-    "serving.sla.windows", help="monitoring windows closed"
-)
-_VIOLATIONS = _REG.counter(
-    "serving.sla.violations", help="windows whose p99 broke the SLA target"
-)
-_SLA_HEDGED = _REG.counter(
-    "serving.sla.hedged", help="requests answered with a hedged backup read"
-)
-_SLA_DEGRADED = _REG.counter(
-    "serving.sla.degraded", help="requests served from bounded-staleness state"
-)
-_SLA_TIMED_OUT = _REG.counter(
-    "serving.sla.timed_out", help="requests that exhausted their deadline"
-)
-_SLA_SHED = _REG.counter(
-    "serving.sla.shed", help="requests shed by admission control"
-)
 
 #: Request outcome classes, in their fixed code order.  ``clean`` is a
 #: plain successful answer; everything else records *how* the request
@@ -88,17 +57,13 @@ class SLAReport:
 
 
 class SLAMonitor:
-    """Sliding-window tail-latency monitor on the shared telemetry plane.
+    """Sliding-window tail-latency monitor.
 
-    Every observed latency array is folded into the process-wide
-    ``serving.latency_ms`` :class:`~repro.obs.metrics.Histogram` (one
-    ``observe_many`` pass) and the ``serving.*`` counters, so dashboards
-    and exporters see the same stream the monitor does.  Per-window
-    *reports* still compute their percentiles from the window's raw
-    samples — count-based windowing needs the raw slice anyway, and it
-    keeps report values bit-identical to the pre-telemetry monitor (a
-    property pinned by ``tests/test_serving.py``).  SLA violations file
-    a post-mortem event in the process flight recorder.
+    :attr:`reports` is the one record of what the monitor saw: each
+    closed window's percentiles, its SLA verdict and its per-outcome
+    request counts.  Percentiles come from the window's raw samples, so
+    report values are bit-identical to the original per-value monitor
+    (pinned by ``tests/test_serving.py``).
 
     Args:
         p99_target_ms: SLA threshold (paper stress setting: 10 ms).
@@ -152,14 +117,6 @@ class SLAMonitor:
                 raise ValueError(
                     f"{codes.size} outcomes for {values.size} latencies"
                 )
-        totals = np.bincount(codes, minlength=len(OUTCOMES))
-        if _REG.enabled:
-            _LATENCY_MS.observe_many(values)
-            _REQUESTS.add(values.size)
-            _SLA_HEDGED.add(int(totals[1]))
-            _SLA_DEGRADED.add(int(totals[2]))
-            _SLA_TIMED_OUT.add(int(totals[3]))
-            _SLA_SHED.add(int(totals[4]))
         buf = (
             np.concatenate((self._current, values))
             if self._current.size
@@ -202,20 +159,6 @@ class SLAMonitor:
             num_shed=int(counts[4]),
         )
         self.reports.append(report)
-        if _REG.enabled:
-            _WINDOWS.inc()
-            if report.violated:
-                _VIOLATIONS.inc()
-                _flight_recorder().record(
-                    "serving.sla",
-                    "violation",
-                    f"window {report.window_id} p99 "
-                    f"{report.p99_ms:.3f} ms > {self.p99_target_ms:.3f} ms",
-                    window_id=report.window_id,
-                    p99_ms=round(report.p99_ms, 6),
-                    target_ms=self.p99_target_ms,
-                    num_requests=report.num_requests,
-                )
         return report
 
     def current_p99(self) -> float:

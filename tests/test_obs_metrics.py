@@ -11,10 +11,8 @@ from repro.obs import (
     Histogram,
     MetricsRegistry,
     SNAPSHOT_SCHEMA_VERSION,
-    registry,
     render_json,
     render_prometheus,
-    set_enabled,
     snapshot,
     validate_snapshot,
 )
@@ -147,16 +145,6 @@ class TestRegistry:
         assert [c.name for c in reg.by_kind(Counter)] == ["a.c", "m.c"]
         assert len(reg) == 3
 
-    def test_global_registry_enabled_flag(self):
-        reg = registry()
-        assert reg is registry()
-        try:
-            set_enabled(False)
-            assert reg.enabled is False
-        finally:
-            set_enabled(True)
-        assert reg.enabled is True
-
 
 class TestExporters:
     def _populated(self):
@@ -200,47 +188,3 @@ class TestExporters:
         bad2["counters"]["plane.requests"]["value"] = -1
         assert any("non-negative" in e for e in validate_snapshot(bad2))
 
-
-class TestInstrumentationFeeds:
-    """Instrumented planes visibly feed the process registry."""
-
-    def test_cache_counters_track_hit_masks(self):
-        from repro.hardware.vectorcache import BatchLRUCache
-
-        reg = registry()
-        hits = reg.counter("hardware.cache.hits")
-        misses = reg.counter("hardware.cache.misses")
-        before = (hits.value, misses.value)
-        cache = BatchLRUCache(capacity_bytes=64 * 10)
-        keys = np.array([1, 2, 3, 1, 2, 3], dtype=np.int64)
-        result = cache.access_many(keys, 64)
-        assert hits.value - before[0] == result.num_hits == 3
-        assert misses.value - before[1] == result.num_misses == 3
-
-    def test_disabled_registry_skips_counting(self):
-        from repro.hardware.vectorcache import BatchLRUCache
-
-        reg = registry()
-        hits = reg.counter("hardware.cache.hits")
-        cache = BatchLRUCache(capacity_bytes=64 * 10)
-        try:
-            set_enabled(False)
-            before = hits.value
-            cache.access_many(np.array([5, 5, 5], dtype=np.int64), 64)
-        finally:
-            set_enabled(True)
-        assert hits.value == before
-
-    def test_shardstore_publish_updates_store_gauges(self):
-        from repro.cluster.shardstore import ShardedParameterStore
-
-        reg = registry()
-        store = ShardedParameterStore(num_shards=4, row_bytes=32, row_dim=4)
-        publishes = reg.counter("shardstore.store.publishes")
-        before = publishes.value
-        store.publish_batch(
-            "t", np.arange(8, dtype=np.int64), np.ones((8, 4))
-        )
-        assert publishes.value == before + 1
-        assert reg.gauge("shardstore.store.version").value == 1.0
-        assert reg.gauge("shardstore.store.resident_rows").value >= 8.0

@@ -134,12 +134,12 @@ class TestTraceDeterminism:
     """The splitmix64-style pin: simulated traces are process-invariant."""
 
     def test_scenario_trace_is_identical_in_process(self):
-        tracer_a, _ = run_sync_scenario(windows=2, seed=3)
-        tracer_b, _ = run_sync_scenario(windows=2, seed=3)
+        tracer_a, _, _ = run_sync_scenario(windows=2, seed=3)
+        tracer_b, _, _ = run_sync_scenario(windows=2, seed=3)
         assert tracer_a.dump_json() == tracer_b.dump_json()
 
     def test_scenario_spans_ride_the_simulated_timeline(self):
-        tracer, recorder = run_sync_scenario(windows=2, seed=0)
+        tracer, recorder, _ = run_sync_scenario(windows=2, seed=0)
         dump = tracer.dump()
         windows = [s for s in dump if s["name"] == "obs.scenario.window"]
         flushes = [s for s in dump if s["name"] == "shardstore.client.flush"]
@@ -183,14 +183,15 @@ class TestCli:
 
 class TestScenarioMetrics:
     def test_scenario_populates_registry_counters(self):
-        from repro.obs import registry
-
-        reg = registry()
-        rows_pub = reg.counter("shardstore.client.rows_published")
-        before = rows_pub.value
-        run_sync_scenario(windows=2, rows_per_window=128, seed=1)
+        *_, reg = run_sync_scenario(windows=2, rows_per_window=128, seed=1)
         # 2 windows x (128 + 64) staged rows flushed
-        assert rows_pub.value - before == 2 * (128 + 64)
+        assert reg.get("shardstore.client.rows_published").value == 2 * (128 + 64)
         assert np.isfinite(
-            reg.histogram("shardstore.client.transfer_seconds").quantile(50)
+            reg.get("shardstore.client.transfer_seconds").quantile(50)
         )
+
+    def test_scenario_charges_float32_rows(self):
+        # The store defaults to the float32 lane: 4 bytes per element.
+        *_, reg = run_sync_scenario(windows=2, rows_per_window=128, dim=8, seed=1)
+        flushed = reg.get("shardstore.client.bytes_published").value
+        assert flushed == 2 * (128 + 64) * 8 * 4

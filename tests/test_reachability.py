@@ -9,6 +9,11 @@ repro.cluster import X``, the ``repro.core`` lazy ``_EXPORTS`` map, or
 ``__init__``'s own imports reach nothing: a module only the tests and its
 package re-export name is dead weight.  A flagged module gets wired into
 a workload, benchmark or example, or deleted; there is no allow-list.
+
+A second guard keeps one owner per number: a component keeps its counts
+in its own report or log, so no module outside ``repro.obs`` imports the
+metric or flight-recorder types; only ``python -m repro.obs`` builds a
+registry, from those reports.
 """
 
 from __future__ import annotations
@@ -118,3 +123,15 @@ def unreachable_modules() -> list[str]:
 def test_every_src_module_is_reached_by_a_root():
     missing = unreachable_modules()
     assert not missing, f"no benchmark, example or src module runs {missing}"
+
+
+def test_only_repro_obs_builds_metrics_or_flight_records():
+    telemetry = {"repro.obs.metrics", "repro.obs.recorder"}
+    offenders = sorted(
+        name
+        for name, path in MODULES.items()
+        if name != "repro.obs"
+        and not name.startswith("repro.obs.")
+        and telemetry & {_resolve(r) for r in _references(path, _package_of(name, path))}
+    )
+    assert not offenders, f"components own their counts; {offenders} import metrics/recorder"

@@ -159,52 +159,6 @@ class TestSLAMonitor:
         assert np.isnan(SLAMonitor().current_p99())
 
 
-class TestSLATelemetry:
-    """SLAMonitor feeds the shared telemetry plane (reports unchanged)."""
-
-    def test_observe_feeds_shared_latency_histogram(self):
-        from repro.obs import registry
-
-        reg = registry()
-        hist = reg.histogram("serving.latency_ms")
-        requests = reg.counter("serving.requests")
-        before = (hist.count, requests.value)
-        mon = SLAMonitor(window_requests=100)
-        mon.observe(np.full(250, 4.0))
-        assert hist.count - before[0] == 250
-        assert requests.value - before[1] == 250
-
-    def test_violation_files_flight_recorder_event(self):
-        from repro.obs import flight_recorder, registry
-
-        reg = registry()
-        violations = reg.counter("serving.sla.violations")
-        before = violations.value
-        events_before = len(flight_recorder().events("serving.sla"))
-        mon = SLAMonitor(p99_target_ms=10, window_requests=50)
-        mon.observe(np.full(50, 99.0))
-        assert violations.value == before + 1
-        events = flight_recorder().events("serving.sla")
-        assert len(events) == events_before + 1
-        assert events[-1].kind == "violation"
-        assert dict(events[-1].attrs)["num_requests"] == 50
-
-    def test_disabled_registry_leaves_reports_intact(self):
-        from repro.obs import registry, set_enabled
-
-        reg = registry()
-        hist = reg.histogram("serving.latency_ms")
-        before = hist.count
-        mon = SLAMonitor(p99_target_ms=10, window_requests=100)
-        try:
-            set_enabled(False)
-            (report,) = mon.observe(np.full(100, 50.0))
-        finally:
-            set_enabled(True)
-        assert hist.count == before  # telemetry skipped
-        assert report.violated  # report semantics untouched
-
-
 class TestSLAOutcomeClasses:
     """Satellite 2 of ISSUE 10: requests that were hedged, degraded,
     timed out, or shed are counted per window, separately from clean
@@ -266,21 +220,6 @@ class TestSLAOutcomeClasses:
         mon = SLAMonitor(window_requests=10)
         with pytest.raises(KeyError):
             mon.observe(np.full(1, 1.0), outcomes=["mystery"])
-
-    def test_outcome_counters_feed_telemetry(self):
-        from repro.obs import registry
-
-        reg = registry()
-        hedged = reg.counter("serving.sla.hedged")
-        shed = reg.counter("serving.sla.shed")
-        before = (hedged.value, shed.value)
-        mon = SLAMonitor(window_requests=100)
-        mon.observe(
-            np.full(5, 1.0),
-            outcomes=["hedged", "hedged", "shed", "clean", "clean"],
-        )
-        assert hedged.value - before[0] == 2
-        assert shed.value - before[1] == 1
 
     def test_empty_window_clean_fraction_is_zero(self):
         from repro.serving.qos import SLAReport
