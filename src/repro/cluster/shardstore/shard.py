@@ -16,9 +16,13 @@ Every resident row also carries a *primary bit*, written with the row: set
 on the replica that is rank 0 of the row's owner list.  A primary-range
 read is then the log slice plus a boolean gather — no re-hashing of ids
 through the placement ring.  :meth:`_TableBlock.delta` is the one delta
-read; it memoises the slices of its last sync point until the block next
-mutates, so every reader at that sync point shares one set of (read-only)
-arrays.
+read; it memoises the slices of its last log tail until the block next
+mutates, so every reader whose sync point maps to that tail shares one set
+of (read-only) arrays.  A publish that only overwrites resident rows
+*primes* that memo: its log segment is the whole tail of every reader
+synced before it, so the next read gets the slots and primary rows the
+write just resolved.  A publish that grows the block primes nothing, so
+a store fill pins no copy of itself.
 """
 
 from __future__ import annotations
@@ -70,9 +74,13 @@ class _TableBlock:
         # log (watermark compaction); older sync points fall back to an
         # exact resident-table scan over ``row_version``.
         self.log_floor = 0
-        # Slices of the last sync point read, valid until the next mutation:
+        # Slices of one log tail, valid until the next mutation:
         # None -> (ids, slots), primary_only -> (ids, rows, versions).
-        self._memo_since = 0
+        # Keyed by the tail's start in the log, or ("scan", since) below
+        # the floor; a pure-overwrite publish primes it for its segment.
+        # ``_memo_since`` is the last sync point known to map to the key.
+        self._memo_key: int | tuple[str, int] | None = None
+        self._memo_since: int | None = None
         self._memo: dict[bool | None, tuple[np.ndarray, ...]] = {}
 
     # -------------------------------------------------------------- geometry
@@ -116,12 +124,15 @@ class _TableBlock:
         self.primary = new_primary
         self.capacity = new_capacity
 
-    def _ensure_slots(self, ids: np.ndarray) -> np.ndarray:
-        slots, _ = self.slots.insert(ids)
+    def _ensure_slots(self, ids: np.ndarray) -> tuple[np.ndarray, bool]:
+        """Slot per id (growing the block if it is full), and whether any
+        id was granted a new slot."""
+        slots, granted = self.slots.insert(ids)
         if (slots < 0).any():
             self._grow_block(int((slots < 0).sum()))
             slots, _ = self.slots.insert(ids)
-        return slots
+            return slots, True
+        return slots, granted.size > 0
 
     def _log_append(self, version: int, ids: np.ndarray) -> None:
         n = ids.size
@@ -156,12 +167,28 @@ class _TableBlock:
         int
             Rows written.
         """
-        slots = self._ensure_slots(ids)
+        slots, fresh = self._ensure_slots(ids)
         self.rows[slots] = rows
         self.row_version[slots] = version
         self.primary[slots] = primary
+        start = self._log_len
         self._log_append(version, ids)
         self._memo.clear()
+        if not fresh:
+            # Prime the tail of readers synced before ``version`` from
+            # arrays the block owns: a log view and fresh copies.
+            segment = self._log_ids[start : self._log_len]
+            keep = np.flatnonzero(primary)
+            primed = (
+                segment.take(keep),
+                self.rows[slots[keep]],
+                np.full(keep.size, version, dtype=np.int64),
+            )
+            for arr in primed:
+                arr.flags.writeable = False
+            self._memo_key, self._memo_since = start, None
+            self._memo[None] = (segment, slots)
+            self._memo[True] = primed
         return int(ids.size)
 
     def ingest(
@@ -176,7 +203,7 @@ class _TableBlock:
         Incoming log entries interleave with resident ones, so the merged
         log is re-sorted by version (stable) to keep the slice invariant.
         """
-        slots = self._ensure_slots(ids)
+        slots, _ = self._ensure_slots(ids)
         self.rows[slots] = rows
         self.row_version[slots] = versions
         self.primary[slots] = primary
@@ -268,26 +295,32 @@ class _TableBlock:
         plus a slice — never a scan of the resident table, unless the log
         was truncated past this sync point; then the answer comes exactly
         from the resident version vector (O(resident), the price of
-        reading below the compaction watermark).
+        reading below the compaction watermark).  The memo key is where
+        the tail starts, so every sync point that maps to one tail shares
+        its slices, and a tail the last publish primed needs no lookup.
         """
-        if since_version != self._memo_since:
-            self._memo.clear()
+        below_floor = since_version < self.log_floor
+        # A repeat of the last sync point read reuses its key unsearched.
+        if since_version != self._memo_since or not self._memo:
+            logged = self._log_versions[: self._log_len]
+            key: int | tuple[str, int] = (
+                ("scan", since_version) if below_floor
+                else int(np.searchsorted(logged, since_version, side="right"))
+            )
+            if key != self._memo_key:
+                self._memo.clear()
+                self._memo_key = key
             self._memo_since = since_version
         hit = self._memo.get(None)
         if hit is not None:
             return hit
-        if since_version < self.log_floor:
+        if below_floor:
             ids = self.resident_ids
             slots = self.slots.lookup(ids)
             newer = self.row_version[slots] > since_version
             hit = ids[newer], slots[newer]
         else:
-            start = int(
-                np.searchsorted(
-                    self._log_versions[: self._log_len], since_version, side="right"
-                )
-            )
-            tail = self._log_ids[start : self._log_len]
+            tail = self._log_ids[self._memo_key : self._log_len]
             # The common steady-state tail is a single publish segment,
             # already sorted-unique by construction; skip the sort then.
             if tail.size > 1 and not bool(np.all(tail[1:] > tail[:-1])):
@@ -316,8 +349,9 @@ class _TableBlock:
         ids, rows, versions : numpy.ndarray
             Changed ids ascending, their current payloads and versions
             (what replicated reads reconcile on).  The arrays are
-            **read-only** and shared by every reader of this sync point
-            until the block next mutates; copy before writing.
+            **read-only** and shared by every reader whose sync point maps
+            to the same log tail until the block next mutates; copy before
+            writing.
         """
         ids, slots = self._changed(since_version)
         hit = self._memo.get(primary_only)

@@ -45,6 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ...core.dtypes import SERVE, as_float32_rows, as_float64_rows
+from ...core.kernels import is_sorted_unique
 from .placement import ShardPlacement
 from .shard import DeltaSlice, ParameterShard, ShardStats
 
@@ -488,7 +489,9 @@ class ShardedParameterStore:
         for table, indices, rows in batches:
             indices, rows = self._normalize_batch(indices, rows)
             if indices.size:
-                indices, rows = self._dedupe_last(indices, rows)
+                # Drained touched rows and flushes arrive sorted-unique.
+                if not is_sorted_unique(indices):
+                    indices, rows = self._dedupe_last(indices, rows)
                 owners = self.placement.replica_owners(
                     table, indices, self.replication
                 )

@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..core.kernels import run_starts
+
 __all__ = ["auc_roc", "log_loss", "calibration_ratio", "StreamingAUC"]
 
 
@@ -28,18 +30,13 @@ def auc_roc(labels: np.ndarray, scores: np.ndarray) -> float:
     n_neg = float(labels.shape[0] - n_pos)
     if n_pos == 0 or n_neg == 0:
         return float("nan")
-    # Midranks handle ties exactly.
+    # Midranks handle ties exactly: a run of equal scores at sorted
+    # positions i..j shares the rank (i + j) / 2 + 1.
     order = np.argsort(scores, kind="mergesort")
+    starts = run_starts(scores[order])
+    ends = np.append(starts[1:], scores.shape[0]) - 1
     ranks = np.empty_like(scores)
-    sorted_scores = scores[order]
-    i = 0
-    n = scores.shape[0]
-    while i < n:
-        j = i
-        while j + 1 < n and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    ranks[order] = np.repeat(0.5 * (starts + ends) + 1.0, ends - starts + 1)
     rank_sum_pos = float(ranks[labels > 0.5].sum())
     u = rank_sum_pos - n_pos * (n_pos + 1) / 2.0
     return u / (n_pos * n_neg)

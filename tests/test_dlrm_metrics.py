@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from reference.metrics import auc_roc as scalar_auc_roc
 from repro.dlrm.metrics import StreamingAUC, auc_roc, calibration_ratio, log_loss
 
 
@@ -47,6 +48,25 @@ class TestAUC:
         ties = (pos[:, None] == neg[None, :]).sum()
         naive = (wins + 0.5 * ties) / (len(pos) * len(neg))
         assert auc_roc(labels, scores) == pytest.approx(naive, abs=1e-12)
+
+    def test_run_start_midranks_match_the_scalar_loop_bit_for_bit(self):
+        """300 random inputs, most with heavy ties (scores rounded to a few
+        levels, repeated float32 probabilities, constant runs)."""
+        rng = np.random.default_rng(36)
+        for case in range(300):
+            n = int(rng.integers(2, 3000))
+            labels = rng.integers(0, 2, n)
+            levels = int(rng.integers(1, 50))
+            kind = case % 3
+            if kind == 0:
+                scores = rng.integers(0, levels, n) / levels
+            elif kind == 1:
+                scores = rng.random(n).astype(np.float32).round(2)
+            else:
+                scores = rng.random(n)
+                scores[rng.random(n) < 0.3] = 0.5
+            got, want = auc_roc(labels, scores), scalar_auc_roc(labels, scores)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes(), case
 
 
 class TestLogLoss:

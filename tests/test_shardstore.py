@@ -138,6 +138,34 @@ class TestPublishPull:
         np.testing.assert_array_equal(out[0], rows[2])  # last occurrence
         np.testing.assert_array_equal(out[1], rows[1])
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_unsorted_batch_with_duplicates_still_resolves_last_wins(self, seed):
+        """Only a sorted-unique batch skips the dedupe; an unsorted batch
+        with repeats lands the same bytes as its last-wins form does."""
+        rng = np.random.default_rng(seed)
+        ids = rng.integers(0, 50, 120)
+        rows = rng.normal(size=(120, 4)).astype(np.float32)
+        last = {int(i): k for k, i in enumerate(ids)}
+        want_ids = np.array(sorted(last), dtype=np.int64)
+        want_rows = rows[[last[i] for i in want_ids.tolist()]]
+        stores = []
+        for batch in ((ids, rows), (want_ids, want_rows)):
+            stores.append(
+                ShardedParameterStore(
+                    num_shards=4, row_bytes=None, row_dim=4, replication=3
+                )
+            )
+            stores[-1].publish_batch("t", *batch)
+        got_ids, got_rows, _ = stores[0].pull_delta("t", 0)
+        assert got_ids.tobytes() == want_ids.tobytes()
+        assert got_rows.tobytes() == want_rows.tobytes()
+        for sid in stores[0].shard_ids:
+            unsorted, deduped = (
+                s.shards[sid].export_table("t") for s in stores
+            )
+            for a, b in zip(unsorted, deduped):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
     def test_pull_rows_gather_and_miss(self, store):
         store.publish_batch("t", np.array([3]), np.full((1, 4), 7.0))
         mask, rows = store.pull_rows("t", np.array([3, 9]))

@@ -116,6 +116,23 @@ class PrimaryBitMachine(RuleBasedStateMachine):
             return  # refused before any write: nothing was acknowledged
         for i, row in zip(ids.tolist(), rows):
             self.acked[table][i] = (version, row)
+        self._read_previous_sync_point(table, version - 1)
+
+    def _read_previous_sync_point(self, table, since):
+        """The read a publish primes: every live shard's primary slice and
+        the plain pull at the sync point right before the publish, first
+        thing after it, against the oracles."""
+        store = self.store
+        for sid in store.live_shard_ids:
+            got = store.pull_delta_primary(table, since, sid)
+            want = _hash_filtered_primary(store, table, since, sid)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and g.shape == w.shape
+                np.testing.assert_array_equal(g, w)
+        ids, rows, _ = store.pull_delta(table, since)
+        want_ids, want_rows = _reconciled_delta(store, table, since)
+        np.testing.assert_array_equal(ids, want_ids)
+        np.testing.assert_array_equal(rows, want_rows)
 
     @precondition(lambda self: len(self.store.live_shard_ids) > 1)
     @rule(data=st.data())
@@ -262,6 +279,25 @@ def _one_shard_block(n=50, table="t"):
     return store, store.shards[0], store.shards[0].block(table)
 
 
+def _overwrite(store, ids=(2, 5, 9, 30), value=4.0, table="t"):
+    """Rewrite resident rows only: the publish that primes the memo."""
+    ids = np.asarray(ids, dtype=np.int64)
+    return store.publish_batch(table, ids, np.full((ids.size, DIM), value))
+
+
+def _primary_delta(block, since):
+    """``_resident_delta`` cut to the rows whose primary bit is set."""
+    want = _resident_delta(block, since)
+    keep = block.primary[block.slots.lookup(want[0])]
+    return tuple(arr[keep] for arr in want)
+
+
+def _assert_bytes_equal(got, want):
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert g.tobytes() == w.tobytes()
+
+
 def _publish(store, shard, block):
     store.publish_batch("t", np.array([3, 70]), np.full((2, DIM), 2.0))
 
@@ -302,27 +338,104 @@ class TestSharedSlice:
         "mutate", [_publish, _ingest, _drop, _compact, _rewiden, _retag]
     )
     @pytest.mark.parametrize("primary_only", [False, True])
+    @pytest.mark.parametrize("primed", [False, True])
     def test_slice_taken_before_a_mutation_is_never_served_after(
-        self, mutate, primary_only
+        self, mutate, primary_only, primed
     ):
+        """Read at sync point 0, or read the slice an overwriting publish
+        primed for sync point 1; then mutate and read again."""
         store, shard, block = _one_shard_block()
-        before = block.delta(0, primary_only)
+        since = 0
+        if primed:
+            _overwrite(store)
+            since = store.version - 1
+            assert block._memo
+        before = block.delta(since, primary_only)
         snapshot = [arr.copy() for arr in before]
         mutate(store, shard, block)
-        after = block.delta(0, primary_only)
+        after = block.delta(since, primary_only)
         assert all(a is not b for a, b in zip(after, before))
-        want = _resident_delta(block, 0)
-        if primary_only:
-            keep = block.primary[block.slots.lookup(want[0])]
-            want = tuple(arr[keep] for arr in want)
+        want = (_primary_delta if primary_only else _resident_delta)(block, since)
         for got, expected in zip(after, want):
             np.testing.assert_array_equal(got, expected)
+            assert got.dtype == expected.dtype
         # and the old reader's arrays were not written through
         for held, copy in zip(before, snapshot):
             np.testing.assert_array_equal(held, copy)
 
+    def test_overwrite_primes_the_previous_sync_points(self):
+        """A reader at ``v-1`` and, when the block skipped ``v-1``, one at
+        ``v-2`` both map to the primed segment and get the resident truth."""
+        store, _, block = _one_shard_block()
+        store.publish_batch("other", np.array([1]), np.ones((1, DIM)))
+        v = _overwrite(store)
+        assert block._memo
+        primed = block.delta(v - 1, True)
+        _assert_bytes_equal(primed, _primary_delta(block, v - 1))
+        assert block.delta(v - 2, True) is primed
+        _assert_bytes_equal(block.delta(v - 2, True), _primary_delta(block, v - 2))
+        for since in (v - 1, v - 2):
+            _assert_bytes_equal(
+                block.delta(since, False), _resident_delta(block, since)
+            )
+        assert primed[0].tolist() == [2, 5, 9, 30]
+
+    @pytest.mark.parametrize("n", [50, 64])  # a free slot left; a full block
+    def test_publish_that_grows_the_block_does_not_prime(self, n):
+        store, _, block = _one_shard_block(n)
+        assert not block._memo  # the fill granted every slot
+        store.publish_batch("t", np.array([4, 77]), np.zeros((2, DIM)))
+        assert (block.capacity > 64) == (n == 64)
+        assert not block._memo
+        _assert_bytes_equal(
+            block.delta(store.version - 1, True),
+            _primary_delta(block, store.version - 1),
+        )
+
+    def test_same_version_double_segment_is_never_half_a_tail(self):
+        """One table twice in one ``publish_many``: two log segments at one
+        version.  The reader synced before it gets both, overlap resolved
+        to the second write."""
+        store, _, block = _one_shard_block()
+        first, second = np.array([1, 4, 8]), np.array([4, 6])
+        v = store.publish_many(
+            [
+                ("t", first, np.full((3, DIM), 5.0)),
+                ("t", second, np.full((2, DIM), 6.0)),
+            ]
+        )
+        for primary_only in (True, False):
+            got = block.delta(v - 1, primary_only)
+            assert got[0].tolist() == [1, 4, 6, 8]
+            want = (_primary_delta if primary_only else _resident_delta)(block, v - 1)
+            _assert_bytes_equal(got, want)
+        assert block.delta(v - 1, True)[1][1].tolist() == [6.0] * DIM
+
+    def test_primed_slice_owns_its_arrays(self):
+        """Rewriting the caller's ``ids``, ``rows`` or ``primary`` after a
+        publish cannot reach the slice the publish primed."""
+        store, shard, block = _one_shard_block()
+        ids = np.array([3, 7, 11], dtype=np.int64)
+        rows = np.full((3, DIM), 8.0, dtype=np.float32)
+        primary = np.array([True, False, True])
+        v = store.version + 1
+        shard.publish("t", ids, rows, v, primary)
+        ids[:] = -1
+        rows[:] = -1.0
+        primary[:] = False
+        got = shard.pull_delta("t", v - 1, primary_only=True)
+        assert got[0].tolist() == [3, 11]
+        np.testing.assert_array_equal(got[1], np.full((2, DIM), 8.0))
+        assert got[2].tolist() == [v, v]
+        _assert_bytes_equal(got, _primary_delta(block, v - 1))
+        _assert_bytes_equal(
+            shard.pull_delta("t", v - 1), _resident_delta(block, v - 1)
+        )
+
     def test_a_different_sync_point_replaces_the_memo(self):
         store, _, block = _one_shard_block()
+        assert block.delta(0, False)[0].size == 50
+        # an overwrite: primes sync point 1, not the 0 read just before it
         store.publish_batch("t", np.array([1]), np.zeros((1, DIM)))
         assert block.delta(0, False)[0].size == 50
         assert block.delta(1, False)[0].tolist() == [1]
