@@ -263,7 +263,8 @@ class DtypeDisciplineRule(Rule):
         ``np.float32``/``np.float64`` (or the equivalent string).  Only
         names with known, different lanes are reported — everything
         dynamic stays silent, so the check has no false positives on
-        policy-threaded code (``dtype=self.dtype`` records nothing).
+        code that passes a dtype through (``dtype=self.dtype`` records
+        nothing).
         """
         scopes: list[ast.AST] = [ctx.tree]
         scopes.extend(

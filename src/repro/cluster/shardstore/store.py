@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ...core.dtypes import SERVE, as_float32_rows, as_float64_rows
+from ...core.dtypes import ROW_DTYPE, as_rows, check_row_dtype
 from ...core.kernels import is_sorted_unique
 from .placement import ShardPlacement
 from .shard import DeltaSlice, ParameterShard, ShardStats
@@ -154,14 +154,12 @@ class ShardedParameterStore:
         Row width, when known up front; otherwise pinned at each table's
         first publish (no more probing rows to learn the dim).
     row_dtype : numpy dtype, optional
-        Row lane of every resident block: float32 (the default, the
-        model plane's :data:`repro.core.dtypes.SERVE` lane) takes float64
-        rows through a *checked* downcast at publish time
-        (:func:`repro.core.dtypes.as_float32_rows`) that raises when any
-        value moves past ``downcast_rtol``; float64 stores rows exactly.
-    downcast_rtol : float, optional
-        Tolerance of the publish-time float32 downcast; ignored on a
-        float64 store.
+        Row lane of every resident block, float32 or float64; any other
+        dtype raises ``TypeError``.  float32 (the default, the model
+        plane's :data:`repro.core.dtypes.ROW_DTYPE`) takes float64 rows
+        through a *checked* downcast at publish time
+        (:func:`repro.core.dtypes.as_rows`) that raises when any value
+        moves past ``rtol=1e-6``; float64 stores rows exactly.
     replication : int, optional
         Copies per key (the next R distinct ring owners).  1 (default)
         keeps the single-copy fast paths bit-for-bit; R > 1 turns on
@@ -181,8 +179,7 @@ class ShardedParameterStore:
         num_shards: int = 8,
         row_bytes: int | None = 128,
         row_dim: int | None = None,
-        row_dtype=SERVE.row_dtype,
-        downcast_rtol: float = 1e-6,
+        row_dtype=ROW_DTYPE,
         replication: int = 1,
         auto_compact_every: int | None = None,
         virtual_nodes: int = 64,
@@ -196,14 +193,11 @@ class ShardedParameterStore:
             )
         if auto_compact_every is not None and auto_compact_every <= 0:
             raise ValueError("auto_compact_every must be positive")
-        self.row_dtype = np.dtype(row_dtype)
-        if self.row_dtype.kind != "f":
-            raise TypeError(f"row_dtype must be a float lane, got {row_dtype}")
+        self.row_dtype = check_row_dtype(row_dtype, name="row_dtype")
         if row_bytes is None:
             row_bytes = (row_dim or 16) * self.row_dtype.itemsize
         self.row_bytes = row_bytes
         self.row_dim = row_dim
-        self.downcast_rtol = downcast_rtol
         self.replication = replication
         self.auto_compact_every = auto_compact_every
         self.version = 0
@@ -341,10 +335,7 @@ class ShardedParameterStore:
         raises before any version bump instead of being served later.
         """
         indices = np.asarray(indices, dtype=np.int64)
-        if self.row_dtype == np.dtype(np.float32):
-            rows = as_float32_rows(rows, name="rows", rtol=self.downcast_rtol)
-        else:
-            rows = as_float64_rows(rows, name="rows")
+        rows = as_rows(rows, self.row_dtype)
         if rows.ndim != 2 or rows.shape[0] != indices.shape[0]:
             raise ValueError("indices and rows disagree on length")
         return indices, rows

@@ -1,4 +1,4 @@
-"""Checked dtype coercion and the dtype-lane policy for the model plane.
+"""Checked dtype coercion and the row lane of the model plane.
 
 The hot-path dtype contract (int64 ids, uint64 routing keys, one float32
 row lane; float64 only in oracles and clocks) is enforced statically by
@@ -12,14 +12,13 @@ coercers here accept exactly the integer family and *raise* on anything
 lossy, so the failure is at the call site instead of a week later in a
 placement diff.
 
-:class:`DTypePolicy` extends the same checked-boundary idiom into a
-*lane* discipline: a policy names the row dtype, the slot dtype of the
-id -> slot maps, and the tolerance under which a float64 -> float32
-downcast is accepted.  The model plane runs one float32 row lane,
-:data:`SERVE`: the dlrm stack, the adapters and the shard store build on
-it by default, and float64 data (stream features, a float64 publish)
-enters it through one checked downcast.  float64 is left to the test
-oracles and to clocks.
+:data:`ROW_DTYPE` is the one row lane of the model plane: the dlrm
+stack, the adapters and the shard store build float32 rows, and float64
+data (stream features, a float64 publish) enters the lane through one
+checked downcast, :func:`as_rows`.  The float64 oracle the tests pin the
+lane against is built from a plain ``dtype=np.float64``, and
+:func:`check_row_dtype` refuses every other dtype at construction.
+float64 is otherwise left to clocks.
 
 This module deliberately lives outside the hot-module list: inspecting
 an input's dtype requires one dtype-less ``np.asarray`` probe, which the
@@ -27,8 +26,6 @@ lint rule would (correctly) refuse anywhere else.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,8 +36,8 @@ __all__ = [
     "as_float32_rows",
     "as_float_rows",
     "as_rows",
-    "DTypePolicy",
-    "SERVE",
+    "check_row_dtype",
+    "ROW_DTYPE",
 ]
 
 
@@ -257,64 +254,35 @@ def as_float_rows(values, name: str = "rows") -> np.ndarray:
     )
 
 
-@dataclass(frozen=True)
-class DTypePolicy:
-    """One dtype lane of the model plane, as an explicit object.
+#: The one row lane of the model and parameter planes, training and
+#: serving alike.  float64 survives only as the tests' oracle lane.
+ROW_DTYPE = np.dtype(np.float32)
 
-    A policy bundles the row dtype, the slot dtype of the id -> slot
-    maps, and the tolerance a checked float32 downcast must meet.  Code
-    that takes a policy — the dlrm stack, the adapters, the serving
-    caches — never spells a dtype inline; :data:`SERVE` is the one lane
-    ``src`` builds, and a float64 policy exists only as a test oracle.
+_ROW_LANES = (ROW_DTYPE, np.dtype(np.float64))
 
-    Attributes
-    ----------
-    name : str
-        Lane label used in reprs and error messages.
-    row_dtype : numpy dtype
-        Dtype of every row payload on this lane.
-    slot_dtype : numpy dtype
-        Dtype of slot vectors (``IdSlotTable`` values, free lists).
-    downcast_rtol : float
-        Relative tolerance for entering this lane from float64; see
-        :func:`as_float32_rows`.
+
+def check_row_dtype(dtype, name: str = "dtype") -> np.dtype:
+    """``dtype`` as a numpy dtype, if it is a row lane: float32 or float64.
+
+    Raises ``TypeError`` for anything else — float16 and longdouble
+    included — so a constructor that takes a row dtype refuses it before
+    it allocates a single row.
     """
-
-    name: str
-    row_dtype: np.dtype
-    slot_dtype: np.dtype
-    downcast_rtol: float = 1e-6
-
-    def as_rows(self, values, name: str = "rows") -> np.ndarray:
-        """Coerce ``values`` onto this lane's row dtype, checked.
-
-        float64 lanes use :func:`as_float64_rows` (exact); float32 lanes
-        use :func:`as_float32_rows` with this policy's tolerance.
-        """
-        if self.row_dtype == np.dtype(np.float64):
-            return as_float64_rows(values, name=name)
-        if self.row_dtype == np.dtype(np.float32):
-            return as_float32_rows(values, name=name, rtol=self.downcast_rtol)
+    lane = np.dtype(dtype)
+    if lane not in _ROW_LANES:
         raise TypeError(
-            f"policy {self.name!r}: unsupported row dtype {self.row_dtype}"
+            f"{name}: row dtype must be float32 or float64, got {lane}"
         )
-
-    def row_nbytes(self, dim: int) -> int:
-        """Bytes of one ``dim``-wide row on this lane."""
-        return int(dim) * np.dtype(self.row_dtype).itemsize
-
-    def slot_nbytes(self) -> int:
-        """Bytes of one slot entry on this lane."""
-        return np.dtype(self.slot_dtype).itemsize
+    return lane
 
 
-def as_rows(policy: DTypePolicy, values, name: str = "rows") -> np.ndarray:
-    """Functional spelling of :meth:`DTypePolicy.as_rows`."""
-    return policy.as_rows(values, name=name)
+def as_rows(values, dtype=ROW_DTYPE, name: str = "rows") -> np.ndarray:
+    """Coerce ``values`` onto the ``dtype`` row lane, checked.
 
-
-#: The row lane of the model plane, training and serving alike: float32
-#: rows, int32 slots, entered from float64 through one checked downcast.
-SERVE = DTypePolicy(
-    "serve", np.dtype(np.float32), np.dtype(np.int32), downcast_rtol=1e-6
-)
+    float32 goes through :func:`as_float32_rows` (``rtol=1e-6``), float64
+    through the exact :func:`as_float64_rows`; any other ``dtype`` raises
+    ``TypeError`` before ``values`` is looked at.
+    """
+    if check_row_dtype(dtype) == ROW_DTYPE:
+        return as_float32_rows(values, name=name)
+    return as_float64_rows(values, name=name)

@@ -17,15 +17,11 @@ universe is known:
   timestamps, with batched sorted-merge upserts and one
   ``np.searchsorted`` per membership batch.
 
-Neither path runs a per-id Python loop on the serving path.  The dense
-layout costs 8 bytes per table row at the default ``float64`` stamp
-dtype — small next to the embedding rows it annotates (a d=32 float64
-row is 256 bytes).  The serving lane halves that with
-``stamp_dtype=np.float32`` (4 bytes/row), which together with the int32
-``IdSlotTable`` slot lane keeps the serving metadata under the paper's
-<2% row-memory budget; float32 stamps resolve ~1e-5 relative to the
-clock value, plenty for the sim clock's seconds-from-zero timeline (do
-not feed epoch seconds through a float32 stamp lane).
+Neither path runs a per-id Python loop on the serving path.  Stamps are
+``float64`` clock values, so the dense layout costs 8 bytes per table
+row.  That is metadata outside the paper's <2 % overhead figure, which
+counts only the adapters' ``A`` and ``B`` factors
+(:meth:`repro.core.trainer.LoRATrainer.memory_bytes`).
 """
 
 from __future__ import annotations
@@ -40,12 +36,11 @@ __all__ = ["HotIndexFilter"]
 class _FieldTable:
     """Sorted ids + last-mark timestamps for one sparse field."""
 
-    __slots__ = ("ids", "stamps", "stamp_dtype")
+    __slots__ = ("ids", "stamps")
 
-    def __init__(self, stamp_dtype=np.float64) -> None:
-        self.stamp_dtype = np.dtype(stamp_dtype)
+    def __init__(self) -> None:
         self.ids = np.empty(0, dtype=np.int64)
-        self.stamps = np.empty(0, dtype=self.stamp_dtype)
+        self.stamps = np.empty(0, dtype=np.float64)
 
     def __len__(self) -> int:
         return int(self.ids.size)
@@ -62,7 +57,7 @@ class _FieldTable:
             return
         if self.ids.size == 0:
             self.ids = ids.copy()
-            self.stamps = np.full(ids.size, stamp, dtype=self.stamp_dtype)
+            self.stamps = np.full(ids.size, stamp, dtype=np.float64)
             return
         present, pos = sorted_find(self.ids, ids)
         self.stamps[pos[present]] = stamp
@@ -74,7 +69,7 @@ class _FieldTable:
 
     def membership(self, ids: np.ndarray) -> np.ndarray:
         """Last-mark timestamp per query id (-inf where never marked)."""
-        stamps = np.full(ids.shape, -np.inf, dtype=self.stamp_dtype)
+        stamps = np.full(ids.shape, -np.inf, dtype=np.float64)
         found, pos = sorted_find(self.ids, ids)
         stamps[found] = self.stamps[pos[found]]
         return stamps
@@ -89,7 +84,7 @@ class _FieldTable:
 
     def clear(self) -> None:
         self.ids = np.empty(0, dtype=np.int64)
-        self.stamps = np.empty(0, dtype=self.stamp_dtype)
+        self.stamps = np.empty(0, dtype=np.float64)
 
 
 class _DenseFieldTable:
@@ -97,8 +92,8 @@ class _DenseFieldTable:
 
     __slots__ = ("stamps",)
 
-    def __init__(self, num_rows: int, stamp_dtype=np.float64) -> None:
-        self.stamps = np.full(num_rows, -np.inf, dtype=np.dtype(stamp_dtype))
+    def __init__(self, num_rows: int) -> None:
+        self.stamps = np.full(num_rows, -np.inf, dtype=np.float64)
 
     def __len__(self) -> int:
         return int((self.stamps > -np.inf).sum())
@@ -137,9 +132,6 @@ class HotIndexFilter:
         num_rows: optional id-universe size per field (or one size for
             all).  When given, that field uses the dense O(1)-per-id
             layout; ids outside ``[0, num_rows)`` are treated as cold.
-        stamp_dtype: dtype of the last-mark timestamps; ``np.float64``
-            (default) or ``np.float32`` (the serving lane's 4-bytes/row
-            configuration — sim-clock seconds only, not epoch seconds).
     """
 
     def __init__(
@@ -147,18 +139,13 @@ class HotIndexFilter:
         num_fields: int,
         expiry_s: float | None = None,
         num_rows: int | list[int] | None = None,
-        stamp_dtype=np.float64,
     ) -> None:
         if num_fields <= 0:
             raise ValueError("need at least one field")
         if expiry_s is not None and expiry_s <= 0:
             raise ValueError("expiry must be positive when set")
-        stamp_dtype = np.dtype(stamp_dtype)
-        if stamp_dtype.kind != "f":
-            raise TypeError("stamp_dtype must be a float dtype")
         self.num_fields = num_fields
         self.expiry_s = expiry_s
-        self.stamp_dtype = stamp_dtype
         if num_rows is None:
             sizes: list[int | None] = [None] * num_fields
         elif isinstance(num_rows, int):
@@ -168,10 +155,7 @@ class HotIndexFilter:
                 raise ValueError("num_rows must align with num_fields")
             sizes = list(num_rows)
         self._marked: list[_FieldTable | _DenseFieldTable] = [
-            _FieldTable(stamp_dtype)
-            if n is None
-            else _DenseFieldTable(n, stamp_dtype)
-            for n in sizes
+            _FieldTable() if n is None else _DenseFieldTable(n) for n in sizes
         ]
         self._now = 0.0
 

@@ -204,14 +204,10 @@ class IdSlotTable:
     implementation: a fresh table hands out slots ``0, 1, 2, ...`` and
     released slots are reused most-recently-freed first.
 
-    Parameters
-    ----------
-    Keys (the ids themselves) are always int64; the *slot* side — the
-    parallel value array, the free stack and the dense direct-address
-    lane — is ``slot_dtype``-typed.  With ``slot_dtype=np.int32`` the
-    dense lane costs 4 bytes per universe row instead of 8, which is the
-    serving-lane configuration: slots index a bounded table, so int32
-    loses nothing as long as ``capacity`` fits (checked at construction).
+    Keys and slots are both int64, so the dense direct-address lane costs
+    8 bytes per universe row.  Like the hot-index stamps, that is
+    metadata outside the paper's <2 % adapter overhead figure, which
+    counts only the ``A`` and ``B`` factors.
 
     Parameters
     ----------
@@ -220,37 +216,21 @@ class IdSlotTable:
     universe : int, optional
         Id space bound enabling the dense direct-address lane; ``None``
         keeps the purely sorted representation for unbounded ids.
-    slot_dtype : numpy dtype, optional
-        Dtype of the slot lane; int64 (the default) or int32 (half the
-        metadata bytes).
     """
 
-    def __init__(
-        self,
-        capacity: int,
-        universe: int | None = None,
-        slot_dtype=np.int64,
-    ) -> None:
+    def __init__(self, capacity: int, universe: int | None = None) -> None:
         if capacity <= 0:
             raise ValueError("capacity must be positive")
         if universe is not None and universe <= 0:
             raise ValueError("universe must be positive when set")
-        slot_dtype = np.dtype(slot_dtype)
-        if slot_dtype.kind != "i":
-            raise TypeError("slot_dtype must be a signed integer dtype")
-        if capacity > np.iinfo(slot_dtype).max:
-            raise OverflowError(
-                f"capacity {capacity} does not fit slot_dtype {slot_dtype}"
-            )
         self.capacity = capacity
         self.universe = universe
-        self.slot_dtype = slot_dtype
         self._keys = np.empty(0, dtype=np.int64)
-        self._vals = np.empty(0, dtype=slot_dtype)
+        self._vals = np.empty(0, dtype=np.int64)
         self._dense = (
-            None if universe is None else np.full(universe, -1, dtype=slot_dtype)
+            None if universe is None else np.full(universe, -1, dtype=np.int64)
         )
-        self._free = np.arange(capacity - 1, -1, -1, dtype=slot_dtype)
+        self._free = np.arange(capacity - 1, -1, -1, dtype=np.int64)
         self._n_free = capacity
 
     # ----------------------------------------------------------------- state
@@ -280,8 +260,8 @@ class IdSlotTable:
         if self._dense is not None:
             self._dense[self._keys] = -1  # O(active), not O(universe)
         self._keys = np.empty(0, dtype=np.int64)
-        self._vals = np.empty(0, dtype=self.slot_dtype)
-        self._free = np.arange(self.capacity - 1, -1, -1, dtype=self.slot_dtype)
+        self._vals = np.empty(0, dtype=np.int64)
+        self._free = np.arange(self.capacity - 1, -1, -1, dtype=np.int64)
         self._n_free = self.capacity
 
     def rebuild_sorted(self, keys: np.ndarray, capacity: int) -> None:
@@ -294,35 +274,18 @@ class IdSlotTable:
         n = keys.size
         if n > capacity:
             raise ValueError("more keys than capacity")
-        if capacity > np.iinfo(self.slot_dtype).max:
-            raise OverflowError(
-                f"capacity {capacity} does not fit slot_dtype {self.slot_dtype}"
-            )
         if self._dense is not None:
             self._dense[self._keys] = -1
         self.capacity = capacity
         self._keys = keys.copy()
-        self._vals = np.arange(n, dtype=self.slot_dtype)
+        self._vals = np.arange(n, dtype=np.int64)
         if self._dense is not None:
             self._dense[self._keys] = self._vals
-        self._free = np.empty(capacity, dtype=self.slot_dtype)
+        self._free = np.empty(capacity, dtype=np.int64)
         self._free[: capacity - n] = np.arange(
-            capacity - 1, n - 1, -1, dtype=self.slot_dtype
+            capacity - 1, n - 1, -1, dtype=np.int64
         )
         self._n_free = capacity - n
-
-    @classmethod
-    def from_sorted_keys(
-        cls,
-        keys: np.ndarray,
-        capacity: int,
-        universe: int | None = None,
-        slot_dtype=np.int64,
-    ) -> "IdSlotTable":
-        """Table where ``keys`` (sorted, unique) occupy slots ``0..n-1``."""
-        table = cls(capacity, universe=universe, slot_dtype=slot_dtype)
-        table.rebuild_sorted(keys, capacity)
-        return table
 
     # ----------------------------------------------------------- free stack
     def _pop(self, k: int) -> np.ndarray:
@@ -346,14 +309,14 @@ class IdSlotTable:
 
         Returns
         -------
-        numpy.ndarray of :attr:`slot_dtype`
+        numpy.ndarray of int64
             Slot per id, ``-1`` where the id is not in the table (or
             outside the dense lane's universe).
         """
         ids = np.asarray(ids, dtype=np.int64)
         if self._dense is not None:
             return gather_in_range(self._dense, ids, -1)
-        out = np.full(ids.shape, -1, dtype=self.slot_dtype)
+        out = np.full(ids.shape, -1, dtype=np.int64)
         found, pos = sorted_find(self._keys, ids)
         out[found] = self._vals[pos[found]]
         return out
@@ -388,10 +351,10 @@ class IdSlotTable:
 
         Returns
         -------
-        slots : numpy.ndarray of :attr:`slot_dtype`
+        slots : numpy.ndarray of int64
             Slot per id, aligned with ``ids``; ``-1`` when the table ran
             out of capacity.
-        new_slots : numpy.ndarray of :attr:`slot_dtype`
+        new_slots : numpy.ndarray of int64
             Slots granted to previously-absent ids, in grant order —
             callers typically need to zero the backing rows.
         """
@@ -402,12 +365,12 @@ class IdSlotTable:
             # Out-of-universe ids can never be granted a slot.
             missing &= (ids >= 0) & (ids < self._dense.size)
         if not missing.any():
-            return slots, np.empty(0, dtype=self.slot_dtype)
+            return slots, np.empty(0, dtype=np.int64)
         new_ids, first_pos = np.unique(ids[missing], return_index=True)
         order = np.argsort(first_pos, kind="stable")  # first-occurrence order
         granted = new_ids[order][: self._n_free]
         if granted.size == 0:
-            return slots, np.empty(0, dtype=self.slot_dtype)
+            return slots, np.empty(0, dtype=np.int64)
         new_slots = self._pop(granted.size)
         merged_keys = np.concatenate([self._keys, granted])
         merged_vals = np.concatenate([self._vals, new_slots])
@@ -428,17 +391,17 @@ class IdSlotTable:
 
         Returns
         -------
-        numpy.ndarray of :attr:`slot_dtype`
+        numpy.ndarray of int64
             The released slots (pushed back onto the free stack,
             most-recently-freed reused first).
         """
         ids = np.unique(np.asarray(ids, dtype=np.int64))
         if ids.size == 0 or self._keys.size == 0:
-            return np.empty(0, dtype=self.slot_dtype)
+            return np.empty(0, dtype=np.int64)
         found, pos = sorted_find(self._keys, ids)
         hit = pos[found]
         if hit.size == 0:
-            return np.empty(0, dtype=self.slot_dtype)
+            return np.empty(0, dtype=np.int64)
         released = self._vals[hit].copy()
         if self._dense is not None:
             self._dense[self._keys[hit]] = -1

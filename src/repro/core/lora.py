@@ -11,9 +11,9 @@ The id -> slot map is an :class:`~repro.core.kernels.IdSlotTable`, so every
 algebra entry point (:meth:`~LoRAAdapter.delta_rows`,
 :meth:`~LoRAAdapter.apply_to`, :meth:`~LoRAAdapter.accumulate_grad`) is one
 batched translate + gather/scatter + matmul with no per-id Python loop.
-The factors live on a :class:`~repro.core.dtypes.DTypePolicy` lane like the
-rest of the model plane (the float32 :data:`~repro.core.dtypes.SERVE` lane
-by default), and the serving overlay adjusts the looked-up rows *in place*,
+The factors live on the model plane's row lane (float32,
+:data:`~repro.core.dtypes.ROW_DTYPE`, by default; float64 for a test
+oracle), and the serving overlay adjusts the looked-up rows *in place*,
 hot rows only.
 
 Rank can be resized at runtime (dynamic rank adaptation, Section IV-C):
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dtypes import SERVE, DTypePolicy
+from .dtypes import ROW_DTYPE, as_rows, check_row_dtype
 from .kernels import IdSlotTable, is_sorted_unique, run_starts
 
 __all__ = ["LoRAAdapter", "LoRACollection"]
@@ -46,9 +46,10 @@ class LoRAAdapter:
             direct-address lane of :class:`IdSlotTable` — one gather, no
             search — and ids outside ``[0, universe)`` are never
             activated.
-        policy: dtype lane of ``A`` and ``B`` (and of everything the
-            adapter hands out); rows entering from another lane go through
-            the policy's checked coercion.
+        dtype: row dtype of ``A`` and ``B`` (and of everything the
+            adapter hands out): float32 or float64.  Rows entering from
+            the other lane go through the checked
+            :func:`~repro.core.dtypes.as_rows`.
     """
 
     def __init__(
@@ -58,8 +59,9 @@ class LoRAAdapter:
         capacity: int,
         rng: np.random.Generator | None = None,
         universe: int | None = None,
-        policy: DTypePolicy = SERVE,
+        dtype=ROW_DTYPE,
     ) -> None:
+        dtype = check_row_dtype(dtype, name="LoRAAdapter dtype")
         if dim <= 0 or rank <= 0 or capacity <= 0:
             raise ValueError("dim, rank and capacity must be positive")
         if rank > dim:
@@ -69,12 +71,14 @@ class LoRAAdapter:
         self.rank = rank
         self.capacity = capacity
         self.universe = universe
-        self.policy = policy
-        self.a = np.zeros((capacity, rank), dtype=policy.row_dtype)
+        self.dtype = dtype
+        self.a = np.zeros((capacity, rank), dtype=dtype)
         # B is drawn in float64 whatever the lane, so a float64 oracle
         # starts from the same initialisation.
-        self.b = policy.as_rows(
-            rng.normal(0.0, 1.0 / np.sqrt(rank), size=(rank, dim)), name="B"
+        self.b = as_rows(
+            rng.normal(0.0, 1.0 / np.sqrt(rank), size=(rank, dim)),
+            dtype,
+            name="B",
         )
         self._slots = IdSlotTable(capacity, universe=universe)
         self.evictions = 0
@@ -164,10 +168,11 @@ class LoRAAdapter:
         boolean mask ``hot`` is set, when given): one gather, one matmul
         and one scatter over the adapted rows, nothing over the rest.
         ``base_rows`` on the adapter's lane is adjusted in place and
-        returned; anything else first enters the lane through the policy's
-        checked coercion, and that adjusted copy is returned.
+        returned; anything else first enters the lane through the checked
+        :func:`~repro.core.dtypes.as_rows`, and that adjusted copy is
+        returned.
         """
-        rows = self.policy.as_rows(base_rows, name="base rows")
+        rows = as_rows(base_rows, self.dtype, name="base rows")
         slots = self._slots.lookup(ids)
         adapted = slots >= 0
         if hot is not None:
@@ -198,7 +203,7 @@ class LoRAAdapter:
         Returns the number of rows applied (repeats count).
         """
         ids = np.asarray(ids, dtype=np.int64)
-        grad_rows = self.policy.as_rows(grad_rows, name="grad rows")
+        grad_rows = as_rows(grad_rows, self.dtype, name="grad rows")
         slots = self.activate_batch(ids)
         valid = slots >= 0
         updated = int(valid.sum())
@@ -225,7 +230,7 @@ class LoRAAdapter:
         number of rows written (the synchronizer's apply primitive).
         """
         ids = np.asarray(ids, dtype=np.int64)
-        rows = self.policy.as_rows(rows, name="A rows")
+        rows = as_rows(rows, self.dtype, name="A rows")
         slots = self.activate_batch(ids)
         hit = slots >= 0
         if not hit.any():
@@ -257,7 +262,7 @@ class LoRAAdapter:
             pad_b = rng.normal(0.0, 1.0 / np.sqrt(new_rank), size=(grow, self.dim))
             self.a = np.concatenate([self.a, pad_a], axis=1)
             self.b = np.concatenate(
-                [self.b, self.policy.as_rows(pad_b, name="B")], axis=0
+                [self.b, as_rows(pad_b, self.dtype, name="B")], axis=0
             )
         else:
             # Project the active update onto its best rank-k approximation.
@@ -374,8 +379,9 @@ class LoRACollection:
         capacities: list[int],
         seed: int = 0,
         universes: list[int] | None = None,
-        policy: DTypePolicy = SERVE,
+        dtype=ROW_DTYPE,
     ) -> None:
+        dtype = check_row_dtype(dtype, name="LoRACollection dtype")
         if len(dims) != len(capacities):
             raise ValueError("dims and capacities must align")
         if universes is not None and len(universes) != len(dims):
@@ -388,7 +394,7 @@ class LoRACollection:
                 cap,
                 rng=rng,
                 universe=None if universes is None else universes[f],
-                policy=policy,
+                dtype=dtype,
             )
             for f, (dim, cap) in enumerate(zip(dims, capacities))
         ]

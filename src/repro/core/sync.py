@@ -35,7 +35,7 @@ import numpy as np
 from ..cluster.collectives import CollectiveCostModel
 from ..cluster.network import INFINIBAND_EDR, NetworkLink
 from ..cluster.shardstore import ClientTransferReport, ShardClient, ShardedParameterStore
-from .dtypes import SERVE
+from .dtypes import ROW_DTYPE
 from .trainer import LoRATrainer
 
 __all__ = [
@@ -105,7 +105,7 @@ def _no_rows(
     per_rank: list[tuple[np.ndarray, np.ndarray]], width: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """The empty merge, on the ranks' row lane (the default lane if none)."""
-    dtype = per_rank[0][1].dtype if per_rank else SERVE.row_dtype
+    dtype = per_rank[0][1].dtype if per_rank else ROW_DTYPE
     return np.empty(0, dtype=np.int64), np.empty((0, width), dtype=dtype)
 
 

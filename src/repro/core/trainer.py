@@ -130,7 +130,7 @@ class LoRATrainer:
             capacities,
             seed=cfg.seed,
             universes=[t.num_rows for t in model.embeddings],
-            policy=model.config.policy,
+            dtype=model.config.dtype,
         )
         # Table sizes are known, so every field gets the dense O(1)-per-id
         # hot-index layout (ids here are embedding row indices).

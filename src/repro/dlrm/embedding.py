@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core.dtypes import SERVE, as_float_rows
+from ..core.dtypes import ROW_DTYPE, as_float_rows
 from ..core.kernels import TouchedRows, group_rows_sum, pool_rows
 
 __all__ = [
@@ -94,7 +94,7 @@ class EmbeddingTable:
         rng: np.random.Generator | None = None,
         init_scale: float | None = None,
         name: str = "",
-        dtype=SERVE.row_dtype,
+        dtype=ROW_DTYPE,
     ) -> None:
         if num_rows <= 0 or dim <= 0:
             raise ValueError("num_rows and dim must be positive")

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.dtypes import SERVE
+from ..core.dtypes import ROW_DTYPE
 
 __all__ = ["DotInteraction"]
 
@@ -50,7 +50,7 @@ class DotInteraction:
     """
 
     def __init__(
-        self, num_features: int, dim: int, dtype=SERVE.row_dtype
+        self, num_features: int, dim: int, dtype=ROW_DTYPE
     ) -> None:
         """``num_features`` counts the dense vector plus every sparse field."""
         if num_features < 2:

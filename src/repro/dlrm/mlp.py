@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.dtypes import SERVE
+from ..core.dtypes import ROW_DTYPE
 
 __all__ = ["ActivationCache", "DenseGrads", "MLP", "clip_by_global_norm"]
 
@@ -112,7 +112,7 @@ class DenseGrads:
         parts = [w.ravel() for w in self.weights]
         parts += [b.ravel() for b in self.biases]
         if not parts:
-            return np.zeros(0, dtype=SERVE.row_dtype)
+            return np.zeros(0, dtype=ROW_DTYPE)
         return np.concatenate(parts)
 
     def scaled(self, factor: float) -> "DenseGrads":
@@ -171,7 +171,7 @@ class MLP:
         dims: list[int],
         rng: np.random.Generator | None = None,
         final_relu: bool = False,
-        dtype=SERVE.row_dtype,
+        dtype=ROW_DTYPE,
     ) -> None:
         if len(dims) < 2:
             raise ValueError("MLP needs at least input and output dims")

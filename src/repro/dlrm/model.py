@@ -33,7 +33,7 @@ from typing import Callable
 
 import numpy as np
 
-from ..core.dtypes import SERVE, DTypePolicy, as_float_rows
+from ..core.dtypes import ROW_DTYPE, as_float_rows, as_rows, check_row_dtype
 from .embedding import EmbeddingBagCollection, EmbeddingTable, SparseRowGrad
 from .interaction import DotInteraction
 from .mlp import MLP, ActivationCache, DenseGrads
@@ -69,10 +69,11 @@ class DLRMConfig:
         bottom_mlp: hidden sizes of the bottom MLP (output forced to ``d``).
         top_mlp: hidden sizes of the top MLP (output forced to 1 logit).
         seed: RNG seed for parameter init.
-        policy: dtype lane of the whole stack — tables, MLPs,
+        dtype: row dtype of the whole stack — tables, MLPs,
             interaction, sigmoid — for training and serving alike;
-            :data:`repro.core.dtypes.SERVE` (float32 rows).  The tests
-            pass a float64 policy to build their oracle.
+            :data:`repro.core.dtypes.ROW_DTYPE` (float32).  The tests
+            pass ``np.float64`` to build their oracle; any other dtype
+            is refused.
     """
 
     num_dense: int = 4
@@ -81,13 +82,14 @@ class DLRMConfig:
     bottom_mlp: tuple[int, ...] = (32, 16)
     top_mlp: tuple[int, ...] = (64, 32)
     seed: int = 0
-    policy: DTypePolicy = SERVE
+    dtype: np.dtype = ROW_DTYPE
 
     def validate(self) -> None:
         if self.num_dense <= 0 or self.embedding_dim <= 0:
             raise ValueError("num_dense and embedding_dim must be positive")
         if not self.table_sizes:
             raise ValueError("at least one sparse field is required")
+        check_row_dtype(self.dtype, name="DLRMConfig.dtype")
 
 
 @dataclass
@@ -132,7 +134,7 @@ class DLRM:
         self.config = config
         rng = np.random.default_rng(config.seed)
         d = config.embedding_dim
-        lane = config.policy.row_dtype
+        lane = np.dtype(config.dtype)
         self.embeddings = EmbeddingBagCollection(
             [
                 EmbeddingTable(size, d, rng=rng, name=f"table_{f}", dtype=lane)
@@ -181,8 +183,8 @@ class DLRM:
             overlay: optional per-field adjustment applied to looked-up rows
                 (LiveUpdate's hot-id LoRA path).
         """
-        policy = self.config.policy
-        dense = policy.as_rows(dense, name="dense features")
+        lane = self.config.dtype
+        dense = as_rows(dense, lane, name="dense features")
         sparse_ids = np.asarray(sparse_ids, dtype=np.int64)
         if sparse_ids.ndim != 2 or sparse_ids.shape[1] != len(self.embeddings):
             raise ValueError(
@@ -200,7 +202,7 @@ class DLRM:
             if overlay is not None:
                 adjusted = overlay(f, field_ids[f], rows)
                 if adjusted is not rows:
-                    rows[...] = policy.as_rows(adjusted, name="overlay rows")
+                    rows[...] = as_rows(adjusted, lane, name="overlay rows")
         logits, top_cache = self.top.forward(self.interaction.forward(slab))
         self._forward_serial += 1
         return ForwardCache(

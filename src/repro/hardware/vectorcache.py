@@ -207,16 +207,6 @@ class BatchLRUCache:
     def num_entries(self) -> int:
         return int(self._order.size)
 
-    def capacity_rows(self, dim: int, policy) -> int:
-        """Rows of one ``dim``-wide table this cache can hold on a lane.
-
-        ``policy`` is a :class:`repro.core.dtypes.DTypePolicy`; the same
-        byte budget holds twice as many float32 serving rows as float64
-        training rows, which is the capacity side of the lane discipline.
-        """
-        row = policy.row_nbytes(dim)
-        return self.capacity_bytes // row if row > 0 else 0
-
     def __contains__(self, key: object) -> bool:
         try:
             k = int(key)  # type: ignore[arg-type]
@@ -779,15 +769,6 @@ class IntervalCache:
 
     def _window(self, s: int) -> int:
         return self.capacity_bytes // s if s > 0 else 1 << 62
-
-    def capacity_rows(self, dim: int, policy) -> int:
-        """Rows of one ``dim``-wide table this cache can hold on a lane.
-
-        Same contract as :meth:`BatchLRUCache.capacity_rows`: the byte
-        budget divided by the lane's row size (float32 fits 2x float64).
-        """
-        row = policy.row_nbytes(dim)
-        return self.capacity_bytes // row if row > 0 else 0
 
     def __contains__(self, key: object) -> bool:
         try:

@@ -26,7 +26,7 @@ class StackedCache:
 
 
 def forward(model, dense, sparse_ids, overlay=None) -> StackedCache:
-    lane = model.config.policy.row_dtype
+    lane = np.dtype(model.config.dtype)
     dense = np.asarray(dense, dtype=lane)
     sparse_ids = np.asarray(sparse_ids, dtype=np.int64)
     bottom_out, bottom_cache = model.bottom.forward(dense)

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from reference.lanes import TRAIN
 from repro.core.lora import LoRAAdapter, LoRACollection
 
 
@@ -11,7 +10,7 @@ from repro.core.lora import LoRAAdapter, LoRACollection
 def adapter():
     """The algebra is pinned at float64 precision, on the oracle lane."""
     return LoRAAdapter(
-        dim=8, rank=4, capacity=10, rng=np.random.default_rng(0), policy=TRAIN
+        dim=8, rank=4, capacity=10, rng=np.random.default_rng(0), dtype=np.float64
     )
 
 

@@ -16,8 +16,7 @@ import weakref
 import numpy as np
 import pytest
 
-from reference.lanes import TRAIN
-from repro.core.dtypes import SERVE
+from repro.core.dtypes import ROW_DTYPE
 from repro.core.kernels import TouchedRows, group_rows_sum, pool_rows
 from repro.dlrm.embedding import EmbeddingTable, SparseRowGrad
 from repro.dlrm.optim import RowwiseAdagrad
@@ -117,16 +116,18 @@ class TestPooledForwardEquivalence:
         np.testing.assert_array_equal(out, np.zeros((3, 4)))
 
     @pytest.mark.parametrize(
-        "policy, tol", [(TRAIN, TOL), (SERVE, dict(rtol=1e-5))], ids=["train", "serve"]
+        "dtype, tol",
+        [(np.float64, TOL), (ROW_DTYPE, dict(rtol=1e-5))],
+        ids=["train", "serve"],
     )
-    def test_single_giant_bag(self, policy, tol):
+    def test_single_giant_bag(self, dtype, tol):
         """A float32 table pools like its float64 oracle."""
         rng = np.random.default_rng(3)
-        table = EmbeddingTable(50, 6, rng=rng, dtype=policy.row_dtype)
+        table = EmbeddingTable(50, 6, rng=rng, dtype=dtype)
         ids = rng.integers(0, 50, size=500)
         offsets = np.array([0, 500])
         got = table.lookup_pooled(ids, offsets, mode="sum")
-        assert got.dtype == policy.row_dtype
+        assert got.dtype == dtype
         np.testing.assert_allclose(
             got, ref_lookup_pooled(table.weight, ids, offsets, "sum"), **tol
         )
@@ -197,7 +198,9 @@ class TestOverlayForwardEquivalence:
 
         rng = np.random.default_rng(200 + seed)
         table = EmbeddingTable(23, 4, rng=rng, dtype=np.float64)
-        adapter = LoRAAdapter(4, 2, capacity=8, rng=rng, universe=23, policy=TRAIN)
+        adapter = LoRAAdapter(
+            4, 2, capacity=8, rng=rng, universe=23, dtype=np.float64
+        )
         adapter.activate_batch(np.array([1, 3, 5, 7, 11]))
         adapter.a[:] = rng.normal(size=adapter.a.shape)
         ids, offsets = random_bags(rng, table.num_rows)

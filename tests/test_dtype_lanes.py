@@ -1,32 +1,32 @@
 """The one float lane: what is float32, how float64 enters, how close it stays.
 
 The model and parameter planes run one row lane,
-:data:`repro.core.dtypes.SERVE` (float32 rows, int32 slots), for training
-and serving alike; float64 survives only as the oracle lane in
-``tests/reference/lanes.py`` and in clocks.  These tests pin that every
-default-built piece is float32, that float64 inputs cross onto the lane
-through the checked downcast and nowhere else, the int32 slot lanes, the
-halved byte accounting, and — what makes one lane safe — the float32
-``predict``, ``train_step`` and LoRA step staying within stated
-tolerances of the float64 oracle.
+:data:`repro.core.dtypes.ROW_DTYPE` (float32), for training and serving
+alike; float64 survives only as the oracle lane the tests build with a
+plain ``dtype=np.float64`` (``tests/reference/lanes.py``) and in clocks.
+These tests pin that every default-built piece is float32, that float64
+inputs cross onto the lane through the checked downcast and nowhere
+else, that every ``dtype=`` entry refuses any other dtype before it
+allocates, the halved byte accounting, and — what makes one lane safe —
+the float32 ``predict``, ``train_step`` and LoRA step staying within
+stated tolerances of the float64 oracle.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from reference.lanes import TRAIN, float64_twin
+from reference.lanes import float64_twin
 from repro.cluster.shardstore import ShardClient, ShardedParameterStore
-from repro.core.dtypes import SERVE, as_float32_rows, as_rows
-from repro.core.hot_index import HotIndexFilter
-from repro.core.kernels import IdSlotTable
-from repro.core.lora import LoRACollection
+from repro.core.dtypes import ROW_DTYPE, as_float32_rows, as_rows
+from repro.core.lora import LoRAAdapter, LoRACollection
 from repro.core.trainer import LoRATrainer, TrainerConfig
 from repro.data.stream import InferenceLogBuffer
 from repro.data.synthetic import DriftingCTRStream, StreamConfig
 from repro.dlrm.mlp import MLP, clip_by_global_norm
 from repro.dlrm.model import DLRM, DLRMConfig
 from repro.dlrm.optim import RowwiseAdagrad
-from repro.hardware.vectorcache import BatchLRUCache, IntervalCache
 
 F32 = np.dtype(np.float32)
 TABLE_SIZES = (300, 200, 120, 50)
@@ -50,24 +50,63 @@ def _stream(seed: int = 0) -> DriftingCTRStream:
     )
 
 
-class TestPolicyObjects:
-    def test_train_and_serve_lanes(self):
-        assert SERVE.row_dtype == F32
-        assert SERVE.slot_dtype == np.dtype(np.int32)
-        # the float64 lane survives as the test oracle only
-        assert TRAIN.row_dtype == np.dtype(np.float64)
-        assert TRAIN.slot_dtype == np.dtype(np.int64)
+class TestRowLane:
+    def test_row_dtype_is_float32(self):
+        assert ROW_DTYPE == F32
+        assert DLRMConfig().dtype == ROW_DTYPE
 
-    def test_row_nbytes_halves_on_serve(self):
-        for dim in (1, 16, 128):
-            assert SERVE.row_nbytes(dim) == 4 * dim
-            assert SERVE.row_nbytes(dim) * 2 == TRAIN.row_nbytes(dim)
-
-    def test_as_rows_lands_on_policy_lane(self):
+    def test_as_rows_lands_on_the_requested_lane(self):
         rows = [[1.0, 2.0], [3.0, 4.0]]
-        assert as_rows(SERVE, rows).dtype == F32
-        assert as_rows(TRAIN, rows).dtype == np.float64
-        assert DLRMConfig().policy is SERVE
+        assert as_rows(rows).dtype == F32
+        assert as_rows(rows, np.float64).dtype == np.float64
+        with pytest.raises(ValueError, match="float32 downcast"):
+            as_rows([[1e300]])  # the float32 lane's checked downcast
+        np.testing.assert_array_equal(
+            as_rows([[1e300]], np.float64), [[1e300]]
+        )
+
+
+# Every ``dtype=`` entry of the model and parameter planes.  The dlrm and
+# LoRA entries are sized so that rows allocated before the check would
+# show in ``tracemalloc``.
+ROW_DTYPE_ENTRIES = {
+    "as_rows": lambda dtype: as_rows(np.ones((4, 4)), dtype),
+    "DLRM": lambda dtype: DLRM(
+        DLRMConfig(table_sizes=(1 << 18,), embedding_dim=16, dtype=dtype)
+    ),
+    "LoRAAdapter": lambda dtype: LoRAAdapter(16, 4, 1 << 18, dtype=dtype),
+    "LoRACollection": lambda dtype: LoRACollection(
+        [16], 4, [1 << 18], dtype=dtype
+    ),
+    "ShardedParameterStore": lambda dtype: ShardedParameterStore(
+        row_dtype=dtype
+    ),
+}
+OTHER_DTYPES = [
+    np.float16,
+    pytest.param(
+        np.longdouble,
+        marks=pytest.mark.skipif(
+            np.dtype(np.longdouble) == np.float64,
+            reason="longdouble is float64 on this platform",
+        ),
+    ),
+    np.int32,
+    object,
+]
+
+
+@pytest.mark.parametrize("dtype", OTHER_DTYPES)
+@pytest.mark.parametrize("entry", sorted(ROW_DTYPE_ENTRIES))
+def test_every_dtype_entry_refuses_other_dtypes_before_allocating(entry, dtype):
+    tracemalloc.start()
+    try:
+        with pytest.raises(TypeError, match="float32 or float64"):
+            ROW_DTYPE_ENTRIES[entry](dtype)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 18  # a 2**18-row table is >= 1 MiB on any lane
 
 
 class TestOneLane:
@@ -90,7 +129,7 @@ class TestOneLane:
         )
         default = LoRACollection([16], rank=4, capacities=[8])
         for adapter in [*trainer.lora, *default]:
-            assert adapter.policy is SERVE
+            assert adapter.dtype == ROW_DTYPE
             assert adapter.a.dtype == adapter.b.dtype == F32
 
     def test_adagrad_state_after_a_step_is_float32(self):
@@ -164,44 +203,6 @@ class TestCheckedDowncast:
         assert np.isneginf(narrow[0, 2])
 
 
-class TestSlotLanes:
-    def test_int32_slot_table_matches_int64(self):
-        rng = np.random.default_rng(0)
-        wide = IdSlotTable(64, universe=1000)
-        narrow = IdSlotTable(64, universe=1000, slot_dtype=np.int32)
-        for _ in range(5):
-            ids = rng.integers(0, 1000, size=32)
-            s_w, e_w = wide.insert(ids)
-            s_n, e_n = narrow.insert(ids)
-            np.testing.assert_array_equal(s_w, s_n)
-            np.testing.assert_array_equal(e_w, e_n)
-            probe = rng.integers(0, 1000, size=16)
-            np.testing.assert_array_equal(
-                wide.lookup(probe), narrow.lookup(probe)
-            )
-        assert narrow.slots.dtype == np.int32
-        assert narrow.nbytes < wide.nbytes
-
-    def test_capacity_must_fit_slot_dtype(self):
-        with pytest.raises(OverflowError):
-            IdSlotTable(1 << 40, slot_dtype=np.int32)
-
-    def test_hot_index_float32_stamps(self):
-        wide = HotIndexFilter(2, expiry_s=10.0, num_rows=100)
-        narrow = HotIndexFilter(
-            2, expiry_s=10.0, num_rows=100, stamp_dtype=np.float32
-        )
-        ids = np.array([3, 7, 50])
-        for f in (wide, narrow):
-            f.mark(0, ids, now=1.0)
-            f.advance(5.0)
-        probe = np.array([3, 7, 50, 51])
-        np.testing.assert_array_equal(
-            wide.is_hot(0, probe), narrow.is_hot(0, probe)
-        )
-        assert narrow.nbytes < wide.nbytes
-
-
 class TestShardStoreLane:
     """The default float32 store against an explicit float64 one."""
 
@@ -272,20 +273,6 @@ class TestShardStoreLane:
             client.stage("emb", np.array([0]), np.array([[1e300]]))
 
 
-class TestLaneAwareCapacity:
-    def test_batch_lru_capacity_rows(self):
-        cache = BatchLRUCache(capacity_bytes=1 << 20)
-        assert cache.capacity_rows(16, SERVE) == (1 << 20) // 64
-        assert (
-            cache.capacity_rows(16, SERVE)
-            == 2 * cache.capacity_rows(16, TRAIN)
-        )
-
-    def test_interval_cache_capacity_rows(self):
-        cache = IntervalCache(capacity_bytes=1 << 20, universe=1000)
-        assert cache.capacity_rows(32, SERVE) == (1 << 20) // 128
-
-
 class TestServingParity:
     """The float32 lane against the float64 oracle from the same parameters.
 
@@ -316,9 +303,9 @@ class TestServingParity:
         lanes = [
             LoRACollection(
                 [8, 8], rank=4, capacities=[40, 40], seed=7,
-                universes=list(sizes), policy=policy,
+                universes=list(sizes), dtype=dtype,
             )
-            for policy in (SERVE, TRAIN)
+            for dtype in (ROW_DTYPE, np.float64)
         ]
         for f, n in enumerate(sizes):
             ids = rng.choice(n, size=30, replace=False)

@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-from reference.lanes import TRAIN
 
 from repro.cluster.nodes import InferenceNode
 from repro.cluster.shardstore import ShardedParameterStore
@@ -113,7 +112,7 @@ class TestHarnessOrdering:
             horizon_s=1800.0,
             update_interval_s=600.0,
             pretrain_steps=200,
-            policy=TRAIN,
+            dtype=np.float64,
         )
         return {
             "delta": run_strategy(cfg, delta_update),

@@ -12,7 +12,6 @@ from reference import lora as ref_lora
 from reference import model as ref_model
 from reference.interaction import StackedDotInteraction
 from reference.pruning import CounterUsageTracker
-from reference.lanes import TRAIN
 from repro.core.hot_index import HotIndexFilter
 from repro.core.lora import LoRAAdapter, LoRACollection
 from repro.core.pruning import UsageTracker
@@ -27,9 +26,9 @@ BATCHES = (256, 1, 6000, 255, 256, 1, 255)
 RTOL = {np.dtype(np.float64): 1e-12, np.dtype(np.float32): 1e-5}
 
 
-def _model(policy=None) -> DLRM:
-    """The default (float32) model, or one on ``policy``'s lane."""
-    lane = {} if policy is None else {"policy": policy}
+def _model(dtype=None) -> DLRM:
+    """The default (float32) model, or one of row dtype ``dtype``."""
+    lane = {} if dtype is None else {"dtype": dtype}
     config = DLRMConfig(
         num_dense=4,
         embedding_dim=16,
@@ -58,7 +57,7 @@ def _trained_collection(rng) -> tuple[LoRACollection, HotIndexFilter]:
         capacities=[n // 2 for n in TABLE_SIZES],
         seed=1,
         universes=list(TABLE_SIZES),
-        policy=TRAIN,
+        dtype=np.float64,
     )
     hot = HotIndexFilter(len(TABLE_SIZES), num_rows=list(TABLE_SIZES))
     for f, n in enumerate(TABLE_SIZES):
@@ -139,11 +138,11 @@ def test_fused_dense_step_matches_the_seed_list_and_pair_loops(fields):
 
 
 # ------------------------------------------------------------------ model
-@pytest.mark.parametrize("policy", [None, TRAIN])
-def test_forward_backward_match_stacked_oracle(policy):
+@pytest.mark.parametrize("dtype", [None, np.float64])
+def test_forward_backward_match_stacked_oracle(dtype):
     rng = np.random.default_rng(1)
-    model = _model(policy)
-    rtol = RTOL[np.dtype(model.config.policy.row_dtype)]
+    model = _model(dtype)
+    rtol = RTOL[np.dtype(model.config.dtype)]
     for batch in BATCHES:
         dense, ids, labels = _batch(rng, batch)
         want = ref_model.forward(model, dense, ids)
@@ -196,7 +195,7 @@ def test_forward_rejects_a_wrong_number_of_id_columns():
 @pytest.mark.parametrize("filtered", [False, True])
 def test_in_place_overlay_matches_the_copying_overlay(filtered):
     rng = np.random.default_rng(4)
-    model = _model(TRAIN)
+    model = _model(np.float64)
     coll, hot = _trained_collection(rng)
     hot_filter = hot if filtered else None
     for batch in BATCHES:
@@ -230,7 +229,7 @@ def _adapter_pair(rng, universe):
     for _ in range(2):
         ad = LoRAAdapter(
             16, 4, 64, rng=np.random.default_rng(9), universe=universe,
-            policy=TRAIN,
+            dtype=np.float64,
         )
         pre = np.arange(10, dtype=np.int64)
         ad.activate_batch(pre)

@@ -5,8 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reference.cache import LRUCache
-from reference.lanes import TRAIN
-from repro.core.dtypes import SERVE
+from repro.core.dtypes import ROW_DTYPE
 from repro.core.lora import LoRAAdapter
 from repro.core.pruning import UsageTracker
 from repro.core.rank_adaptation import cumulative_variance, rank_for_variance
@@ -63,13 +62,13 @@ def test_lru_cache_with_huge_capacity_misses_once_per_key(keys):
 
 
 # --------------------------------------------------------------------- LoRA
-def _grow_and_compare(ids, rank, seed, policy):
+def _grow_and_compare(ids, rank, seed, dtype):
     """Grow an adapter's rank by up to 3; return the delta rows before and
     after, and the largest ``|A| @ |B|`` entry (what a rounding error in
     ``A @ B`` scales with)."""
     dim = 8
     rng = np.random.default_rng(seed)
-    adapter = LoRAAdapter(dim=dim, rank=rank, capacity=32, rng=rng, policy=policy)
+    adapter = LoRAAdapter(dim=dim, rank=rank, capacity=32, rng=rng, dtype=dtype)
     arr = np.array(ids)
     adapter.accumulate_grad(arr, rng.normal(size=(len(arr), dim)), lr=0.1)
     before = adapter.delta_rows(arr)
@@ -88,7 +87,7 @@ def test_lora_grow_preserves_delta(ids, rank, seed):
     # The float32 serving lane.  The zero-padded columns add nothing, but a
     # longer float32 dot product may sum in another order: each entry of
     # A @ B is then off by at most k * eps * (|A| @ |B|) per side.
-    before, after, scale = _grow_and_compare(ids, rank, seed, SERVE)
+    before, after, scale = _grow_and_compare(ids, rank, seed, ROW_DTYPE)
     k = min(rank + 3, 8)
     atol = 2 * k * float(np.finfo(np.float32).eps) * scale
     np.testing.assert_allclose(after, before, rtol=0, atol=atol)
@@ -101,7 +100,7 @@ def test_lora_grow_preserves_delta(ids, rank, seed):
 )
 @settings(max_examples=30, deadline=None)
 def test_lora_grow_preserves_delta_on_the_float64_lane(ids, rank, seed):
-    before, after, _ = _grow_and_compare(ids, rank, seed, TRAIN)
+    before, after, _ = _grow_and_compare(ids, rank, seed, np.float64)
     np.testing.assert_allclose(after, before, atol=1e-9)
 
 
