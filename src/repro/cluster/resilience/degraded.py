@@ -17,6 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ...core.kernels import freshest_per_id
+
 __all__ = ["StaleRead", "DegradedReadMode"]
 
 
@@ -71,6 +73,34 @@ def _fit_width(rows: np.ndarray, width: int) -> np.ndarray:
     return np.pad(rows, ((0, 0), (0, width - rows.shape[1])))
 
 
+#: ``(ids, rows, versions)`` of one table.
+_Slice = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+@dataclass
+class _TableCache:
+    """One table's cache: the folded *held* rows (ids ascending and
+    unique) plus the deltas appended since the last fold, in arrival
+    order."""
+
+    held: _Slice
+    pending: list[_Slice] = field(default_factory=list)
+    pending_rows: int = 0
+
+    def fold(self) -> _Slice:
+        """Merge the pending deltas into the held rows and return them."""
+        if self.pending:
+            parts = [self.held, *self.pending]
+            width = max(part[1].shape[1] for part in parts)
+            self.held = freshest_per_id(
+                np.concatenate([part[0] for part in parts]),
+                np.concatenate([_fit_width(part[1], width) for part in parts]),
+                np.concatenate([part[2] for part in parts]),
+            )
+            self.pending, self.pending_rows = [], 0
+        return self.held
+
+
 @dataclass
 class DegradedReadMode:
     """Client-side last-synced row cache behind degraded serving.
@@ -78,11 +108,16 @@ class DegradedReadMode:
     Updated on every *successful* pull (and only then — a degraded pull
     must not advance the cache, or the staleness accounting would lie),
     and served when the replica set cannot answer inside the deadline.
+
+    An update only appends a copy of its delta; the pending deltas fold
+    into the held rows — one stable sort keeping each id's freshest copy,
+    a later copy winning a tie (:func:`~repro.core.kernels.freshest_per_id`)
+    — once they outnumber the held rows, or on a read.  A pull therefore
+    costs its delta, not the cache: each row is re-sorted O(log n) times
+    over its life, and the cache holds at most twice its rows.
     """
 
-    _tables: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]] = field(
-        default_factory=dict
-    )
+    _tables: dict[str, _TableCache] = field(default_factory=dict)
     as_of_version: int = 0
 
     @property
@@ -91,7 +126,7 @@ class DegradedReadMode:
 
     def rows_cached(self, table: str) -> int:
         entry = self._tables.get(table)
-        return 0 if entry is None else int(entry[0].size)
+        return 0 if entry is None else int(entry.fold()[0].size)
 
     def update(
         self,
@@ -108,45 +143,29 @@ class DegradedReadMode:
         table : str
             Table the delta belongs to.
         ids, rows, versions : numpy.ndarray
-            The delta rows and the store version each was written at.
+            The delta rows and the store version each was written at; any
+            order, repeats allowed.  Copied, never adopted.
         synced_version : int
             The client's new sync point after this pull.
         """
         self.as_of_version = max(self.as_of_version, int(synced_version))
-        ids = np.asarray(ids, dtype=np.int64)
-        rows = np.asarray(rows)
-        versions = np.asarray(versions, dtype=np.int64)
-        if ids.size > 1 and not bool(np.all(ids[1:] > ids[:-1])):
-            # Unsorted or repeated ids: keep each id's freshest copy (the
-            # later one on a version tie), as the store's replica merge does.
-            order = np.lexsort((versions, ids))
-            by_id = ids[order]
-            order = order[np.r_[by_id[1:] != by_id[:-1], True]]
-            ids, rows, versions = ids[order], rows[order], versions[order]
-        held = self._tables.get(table)
-        if held is None:
-            # Own copies: later merges overwrite these arrays in place.
-            self._tables[table] = (ids.copy(), rows.copy(), versions.copy())
-            return
-        # Sorted merge, O(delta log cache): an incoming row replaces the
-        # held one unless it is older (so replaying a delta is idempotent);
-        # only ids the cache has never seen cost a re-allocation.
-        held_ids, held_rows, held_versions = held
-        width = max(held_rows.shape[1], rows.shape[1])
-        held_rows, rows = _fit_width(held_rows, width), _fit_width(rows, width)
-        pos = np.searchsorted(held_ids, ids)
-        known = pos < held_ids.size
-        known[known] = held_ids[pos[known]] == ids[known]
-        fresh = known.copy()
-        fresh[known] = versions[known] >= held_versions[pos[known]]
-        held_rows[pos[fresh]] = rows[fresh]
-        held_versions[pos[fresh]] = versions[fresh]
-        if not known.all():
-            at, new = pos[~known], ~known
-            held_ids = np.insert(held_ids, at, ids[new])
-            held_rows = np.insert(held_rows, at, rows[new], axis=0)
-            held_versions = np.insert(held_versions, at, versions[new])
-        self._tables[table] = (held_ids, held_rows, held_versions)
+        entry = self._tables.get(table)
+        # The first delta fixes the table's row lane; later ones cast to it.
+        dtype = None if entry is None else entry.held[1].dtype
+        delta = (
+            np.array(ids, dtype=np.int64),
+            np.array(rows, dtype=dtype),
+            np.array(versions, dtype=np.int64),
+        )
+        if entry is None:
+            empty = np.empty(0, dtype=np.int64)
+            held = (empty, delta[1][:0], empty)
+            entry = self._tables[table] = _TableCache(held)
+        entry.pending.append(delta)
+        # An empty delta counts as one row, so empty pulls cannot pile up.
+        entry.pending_rows += max(delta[0].size, 1)
+        if entry.pending_rows > entry.held[0].size:
+            entry.fold()
 
     def serve(self, table: str, current_version: int | None = None) -> StaleRead:
         """Serve one table's cached rows with explicit staleness accounting.
@@ -154,28 +173,27 @@ class DegradedReadMode:
         Parameters
         ----------
         table : str
-            Table to serve; an unseen table serves an empty (but still
-            explicitly degraded) result.
+            Table to serve; it must have been updated at least once.
         current_version : int, optional
             The store version at serve time, for the staleness bound;
             defaults to the cache's own sync point.
+
+        Raises
+        ------
+        KeyError
+            When the cache never held ``table`` (the client answers that
+            from the store's own empty, at the table's width and lane).
         """
-        entry = self._tables.get(table)
-        if entry is None:
-            entry = (
-                np.empty(0, dtype=np.int64),
-                np.zeros((0, 1), dtype=np.float64),
-                np.empty(0, dtype=np.int64),
-            )
+        ids, rows, versions = self._tables[table].fold()
         current = (
             self.as_of_version if current_version is None else int(current_version)
         )
-        # Copies: the cache merges in place, a served read must not move.
+        # Copies: a caller editing its read must not edit the cache.
         return StaleRead(
             table=table,
-            ids=entry[0].copy(),
-            rows=entry[1].copy(),
-            row_versions=entry[2].copy(),
+            ids=ids.copy(),
+            rows=rows.copy(),
+            row_versions=versions.copy(),
             as_of_version=self.as_of_version,
             current_version=current,
         )

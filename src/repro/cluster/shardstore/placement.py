@@ -56,6 +56,10 @@ class ShardPlacement:
         )
         self.shard_ids = list(self._router.node_ids)
         self._table_hashes: dict[str, int] = {}
+        # A placement never changes after construction (membership changes
+        # build a new one), so coverage depends only on which shards are
+        # available and clean: at most 3^N answers per ``r``.
+        self._coverage: dict[tuple[int, frozenset, frozenset], bool] = {}
 
     @property
     def num_shards(self) -> int:
@@ -154,7 +158,7 @@ class ShardPlacement:
         current rows for everything it owns.  The check runs over every
         ring slot at once via the router's successor-owner table, so it
         is key-independent: True means *any* read at this moment is
-        exact.
+        exact.  Each answer is memoised per ``(r, available, clean)``.
 
         Parameters
         ----------
@@ -175,17 +179,19 @@ class ShardPlacement:
             raise ValueError(
                 f"replication {r} must be in [1, {self.num_shards}]"
             )
-        owner_table = self._router.replica_owner_table(r)
-        avail = np.asarray(sorted(set(int(s) for s in available_ids)), dtype=np.int64)
-        min_live = r - (r // 2 + 1) + 1
-        counts = np.isin(owner_table, avail).sum(axis=1)
-        ok = counts >= min_live
-        if len(clean_primary_ids):
-            clean = np.asarray(
-                sorted(set(int(s) for s in clean_primary_ids)), dtype=np.int64
-            )
-            ok = ok | np.isin(owner_table[:, 0], clean)
-        return bool(ok.all())
+        avail = frozenset(int(s) for s in available_ids)
+        clean = frozenset(int(s) for s in clean_primary_ids)
+        key = (r, avail, clean)
+        answer = self._coverage.get(key)
+        if answer is None:
+            owners = self._router.replica_owner_table(r)
+            min_live = r - (r // 2 + 1) + 1
+            live = np.isin(owners, np.fromiter(avail, dtype=np.int64))
+            ok = live.sum(axis=1) >= min_live
+            if clean:
+                ok |= np.isin(owners[:, 0], np.fromiter(clean, dtype=np.int64))
+            answer = self._coverage[key] = bool(ok.all())
+        return answer
 
     # ----------------------------------------------------------- membership
     def with_shard_added(self, shard_id: int) -> "ShardPlacement":

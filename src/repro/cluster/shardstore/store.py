@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ...core.dtypes import ROW_DTYPE, as_rows, check_row_dtype
-from ...core.kernels import is_sorted_unique
+from ...core.kernels import freshest_per_id, is_sorted_unique
 from .placement import ShardPlacement
 from .shard import DeltaSlice, ParameterShard, ShardStats
 
@@ -523,13 +523,11 @@ class ShardedParameterStore:
         wins, so a dead primary never hides an acknowledged write that
         survives on its peers.
         """
-        ids = np.concatenate([p[0] for p in parts])
-        rows = np.concatenate([p[1] for p in parts], axis=0)
-        versions = np.concatenate([p[2] for p in parts])
-        order = np.lexsort((versions, ids))
-        ids, rows, versions = ids[order], rows[order], versions[order]
-        last = np.r_[ids[1:] != ids[:-1], True]
-        return ids[last], rows[last], versions[last]
+        return freshest_per_id(
+            np.concatenate([p[0] for p in parts]),
+            np.concatenate([p[1] for p in parts], axis=0),
+            np.concatenate([p[2] for p in parts]),
+        )
 
     @staticmethod
     def _merge_disjoint(parts: list[DeltaSlice]) -> DeltaSlice:

@@ -44,6 +44,7 @@ _EXPORTS = {
     "IdSlotTable": "kernels",
     "pool_rows": "kernels",
     "group_rows_sum": "kernels",
+    "freshest_per_id": "kernels",
     "TouchedRows": "kernels",
     "LoRAAdapter": "lora",
     "LoRACollection": "lora",

@@ -19,6 +19,8 @@ primitives everything else builds on:
   with the id stream, not the bag count;
 * :func:`group_rows_sum` — duplicate-sparse scatter-add: per-occurrence
   rows accumulated into unique-id rows, the backward of pooling;
+* :func:`freshest_per_id` — the one "freshest copy wins, a later copy
+  wins a tie" rule every replica merge and row cache applies;
 * :class:`TouchedRows` — an epoch-stamped touched-row tracker (O(batch)
   to stamp, one vectorized scan to drain, one byte per row) replacing
   the per-id Python ``set`` used for delta accounting.
@@ -44,6 +46,7 @@ __all__ = [
     "IdSlotTable",
     "pool_rows",
     "group_rows_sum",
+    "freshest_per_id",
     "TouchedRows",
 ]
 
@@ -517,10 +520,11 @@ def group_rows_sum(
 
     The backward of pooling: every occurrence of id ``u`` contributes its
     row to ``u``'s gradient.  With a known universe (embedding tables know
-    their row count) the unique set, the id -> slot map and the per-slot
-    accumulation are all counting passes — one ``bincount`` per dimension
-    over compact slots, no sort at all.  Without one, a single stable
-    argsort groups the occurrences and one segment reduction sums them.
+    their row count) no larger than 64x the batch, one ``np.unique`` maps
+    ids to compact slots and one flat ``bincount`` over (slot, dim) keys
+    sums every element in float64.  Otherwise a single stable argsort
+    groups the occurrences and one segment reduction sums them on the
+    input lane.
 
     Parameters
     ----------
@@ -529,7 +533,8 @@ def group_rows_sum(
     rows : numpy.ndarray
         ``(len(ids), d)`` per-occurrence rows.
     num_rows : int, optional
-        Id-universe bound enabling the counting lane.
+        Id-universe bound; within 64x the batch it selects the counting
+        (float64-accumulating) lane.
 
     Returns
     -------
@@ -548,16 +553,15 @@ def group_rows_sum(
             (0, rows.shape[1] if rows.ndim == 2 else 0), dtype=lane
         )
     dim = rows.shape[1]
-    # Counting lane: bincount beats sorting unless the table is
-    # gigantically larger than the batch.
+    # Counting lane: accumulate in float64 and round once onto the input
+    # lane.  The bound only picks that lane over the sort lane's
+    # input-lane sums (moving it moves exact rows); the unique pass is
+    # one small sort over the batch, never a pass over the universe.
     if num_rows is not None and num_rows <= 64 * ids.size:
-        counts = np.bincount(ids, minlength=num_rows)
-        uniq = np.flatnonzero(counts)
-        slots = np.cumsum(counts > 0, dtype=np.int64)
-        slots -= 1  # id -> compact slot, valid where counts > 0
+        uniq, slots = np.unique(ids, return_inverse=True)
         # One flat bincount over (slot, dim) keys accumulates every
         # element of every occurrence in a single counting pass.
-        keys = slots[ids][:, None] * dim + np.arange(dim, dtype=np.int64)
+        keys = slots.reshape(-1, 1) * dim + np.arange(dim, dtype=np.int64)
         summed = np.bincount(
             keys.ravel(), weights=rows.ravel(), minlength=uniq.size * dim
         )
@@ -572,6 +576,39 @@ def group_rows_sum(
     starts = run_starts(sorted_ids)
     summed = np.add.reduceat(rows.take(order, axis=0), starts, axis=0)
     return sorted_ids[starts], summed
+
+
+def freshest_per_id(
+    ids: np.ndarray, rows: np.ndarray, versions: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Keep each id's highest-versioned copy; a later copy wins a tie.
+
+    The read-side rule of the quorum protocol and of every row cache built
+    on it: concatenate the copies in arrival order, and one stable
+    ``lexsort`` by (id, version) puts each id's winner last in its run.
+
+    Parameters
+    ----------
+    ids : numpy.ndarray of int64
+        Row ids, any order, repeats allowed.
+    rows : numpy.ndarray
+        ``(len(ids), d)`` payloads.
+    versions : numpy.ndarray of int64
+        Version each copy was written at.
+
+    Returns
+    -------
+    tuple of numpy.ndarray
+        ``(ids, rows, versions)``: ids ascending and unique, each with its
+        winning copy; fresh arrays, never views of the inputs.
+    """
+    order = np.lexsort((versions, ids))
+    ids = ids[order]
+    last = np.empty(ids.size, dtype=bool)
+    last[-1:] = True
+    np.not_equal(ids[1:], ids[:-1], out=last[:-1])
+    keep = order[last]
+    return ids[last], rows[keep], versions[keep]
 
 
 class TouchedRows:

@@ -7,5 +7,5 @@ compare the current code against it (``tests/test_model_plane_equivalence.py``,
 ``tests/test_dtype_lanes.py``, ``tests/test_data_stream.py``,
 ``tests/test_dlrm_metrics.py``,
 ``tests/test_hw_numa_reuse.py``, ``tests/test_vectorcache.py``,
-``tests/test_shardstore.py``).
+``tests/test_shardstore.py``, ``tests/test_kernels_equivalence.py``).
 """

@@ -11,9 +11,17 @@ saturation.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from reference.kernels import group_rows_sum_counting
 from repro.core.hot_index import HotIndexFilter
-from repro.core.kernels import IdSlotTable, splitmix64
+from repro.core.kernels import (
+    IdSlotTable,
+    freshest_per_id,
+    group_rows_sum,
+    splitmix64,
+)
 from repro.core.lora import LoRAAdapter
 from repro.serving.router import ConsistentHashRouter
 
@@ -91,6 +99,16 @@ def ref_route(router, keys):
             spilled += 1
             out.append(node)
     return np.array(out, dtype=np.int64), routed, spilled, load
+
+
+def ref_freshest(ids, versions):
+    """Per-copy reference: walk the copies in arrival order; a copy takes
+    its id unless the held one is strictly newer."""
+    best: dict[int, tuple[int, int]] = {}
+    for pos, (i, v) in enumerate(zip(ids.tolist(), versions.tolist())):
+        if i not in best or v >= best[i][0]:
+            best[i] = (v, pos)
+    return {i: pos for i, (_, pos) in best.items()}
 
 
 def fresh_free_list(capacity, used):
@@ -327,3 +345,67 @@ class TestRouterEquivalence:
         got = router.route(keys)
         np.testing.assert_array_equal(got, want)
         assert (router.stats.routed, router.stats.spilled) == (routed, spilled)
+
+
+# ------------------------------------------------------------ row kernels
+
+
+class TestGroupRowsSumCountingLane:
+    @given(
+        ids=st.lists(st.integers(0, 199), min_size=4, max_size=120),
+        dim=st.integers(1, 6),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_bytes_match_the_universe_pass_lane(self, ids, dim, dtype, seed):
+        """The ``np.unique`` slots feed the same float64 bincount in the
+        same order as the three passes over the universe did."""
+        ids = np.array(ids, dtype=np.int64)
+        rows = np.random.default_rng(seed).normal(size=(ids.size, dim))
+        rows = rows.astype(dtype)
+        num_rows = 200  # <= 64 * 4: always the counting lane
+        uniq, summed = group_rows_sum(ids, rows, num_rows=num_rows)
+        want_uniq, want_summed = group_rows_sum_counting(ids, rows, num_rows)
+        assert summed.dtype == want_summed.dtype == dtype
+        assert uniq.tobytes() == want_uniq.tobytes()
+        assert summed.shape == want_summed.shape
+        assert summed.tobytes() == want_summed.tobytes()
+
+
+class TestFreshestPerId:
+    def test_later_copy_wins_a_version_tie(self):
+        ids = np.array([5, 3, 5, 3, 5], dtype=np.int64)
+        rows = np.arange(5, dtype=np.float64).reshape(5, 1)
+        versions = np.array([2, 1, 2, 1, 1], dtype=np.int64)
+        got_ids, got_rows, got_versions = freshest_per_id(ids, rows, versions)
+        assert got_ids.tolist() == [3, 5]
+        # id 3: copies 1 and 3 tie at v1, the later (3) wins; id 5: copies
+        # 0 and 2 tie at v2, the later (2) wins, the older copy 4 loses
+        assert got_rows[:, 0].tolist() == [3.0, 2.0]
+        assert got_versions.tolist() == [1, 2]
+
+    def test_empty(self):
+        ids, rows, versions = freshest_per_id(
+            np.empty(0, dtype=np.int64),
+            np.zeros((0, 3), dtype=np.float32),
+            np.empty(0, dtype=np.int64),
+        )
+        assert ids.size == 0 and rows.shape == (0, 3) and versions.size == 0
+
+    @given(
+        copies=st.lists(
+            st.tuples(st.integers(0, 20), st.integers(0, 4)), max_size=60
+        )
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_per_copy_reference(self, copies):
+        ids = np.array([i for i, _ in copies], dtype=np.int64)
+        versions = np.array([v for _, v in copies], dtype=np.int64)
+        rows = np.arange(ids.size, dtype=np.float64).reshape(-1, 1)
+        got_ids, got_rows, got_versions = freshest_per_id(ids, rows, versions)
+        want = ref_freshest(ids, versions)
+        winners = [want[i] for i in sorted(want)]
+        assert got_ids.tolist() == sorted(want)
+        assert got_rows[:, 0].tolist() == [float(pos) for pos in winners]
+        assert got_versions.tolist() == versions[winners].tolist()

@@ -291,10 +291,25 @@ class TestDegradedReadMode:
         np.testing.assert_array_equal(before.ids, after.ids)
         np.testing.assert_array_equal(before.rows, after.rows)
 
-    def test_unseen_table_serves_empty(self):
-        stale = DegradedReadMode().serve("ghost", current_version=5)
-        assert stale.ids.size == 0 and stale.rows.size == 0
-        assert stale.degraded
+    def test_unseen_table_raises_key_error(self):
+        """The cache has no width or lane for a table it never held; the
+        client answers that from the store's own empty."""
+        with pytest.raises(KeyError):
+            DegradedReadMode().serve("ghost", current_version=5)
+        assert self._mode().rows_cached("ghost") == 0
+
+    def test_pending_rows_never_exceed_held_rows(self):
+        """Updates append; a fold runs once the pending deltas outnumber
+        the held rows, so the cache holds at most twice its rows."""
+        mode = self._mode()
+        for step in range(2, 40):
+            ids = np.arange(step * 2, step * 2 + 3, dtype=np.int64)
+            mode.update("emb", ids, np.ones((3, 2)), np.full(3, step), step)
+            mode.update("emb", ids[:0], np.ones((0, 2)), ids[:0], step)
+            entry = mode._tables["emb"]
+            assert entry.pending_rows <= entry.held[0].size
+        assert mode.rows_cached("emb") == 80  # ids 1..80
+        assert not mode._tables["emb"].pending
 
     def test_served_read_is_a_snapshot_later_updates_cannot_move(self):
         mode = self._mode()
@@ -322,12 +337,14 @@ class TestDegradedReadMode:
         mode.update("emb", ids, rows, versions, synced_version=1)
         rows[:] = -1.0
         ids[:] = 0
-        mode.update(
-            "emb", np.array([2]), np.full((1, 2), 5.0), np.array([2]), 2
-        )
+        # one row against two held: this delta waits unfolded until the read
+        late = (np.array([2]), np.full((1, 2), 5.0), np.array([2]))
+        mode.update("emb", *late, 2)
+        late[0][:], late[1][:], late[2][:] = 0, -2.0, 9
         stale = mode.serve("emb")
         assert stale.ids.tolist() == [1, 2]
         assert stale.rows[:, 0].tolist() == [1.0, 5.0]
+        assert stale.row_versions.tolist() == [1, 2]
         assert (rows == -1.0).all()  # the merge never wrote into the caller's rows
 
     def test_table_rewidened_between_pulls_zero_pads_held_rows(self):
@@ -354,10 +371,14 @@ class TestDegradedReadMode:
 
 def _lexsort_merge(held, ids, rows, versions):
     """The merge ``DegradedReadMode.update`` used to run: concatenate the
-    whole cache with the delta, lexsort, keep the last copy per id."""
+    whole cache with the delta (both zero-padded to the wider width),
+    lexsort, keep the last copy per id."""
     if held is not None:
+        width = max(held[1].shape[1], rows.shape[1])
+        rows = np.concatenate(
+            [np.pad(r, ((0, 0), (0, width - r.shape[1]))) for r in (held[1], rows)]
+        )
         ids = np.concatenate((held[0], ids))
-        rows = np.concatenate((held[1], rows), axis=0)
         versions = np.concatenate((held[2], versions))
     order = np.lexsort((versions, ids))
     ids = ids[order]
@@ -374,11 +395,15 @@ class TestDegradedMergeAgreesWithLexsort:
     @given(
         deltas=st.lists(_DELTA, min_size=1, max_size=8),
         shape=st.sampled_from(["as_drawn", "sorted", "replayed"]),
+        widths=st.lists(st.integers(2, 4), min_size=1, max_size=4),
+        read_every_update=st.booleans(),
     )
-    @settings(max_examples=150, deadline=None)
-    def test_random_deltas(self, deltas, shape):
-        """Sorted, unsorted, duplicated and replayed deltas all fold to what
-        the whole-cache lexsort merge gave, version ties included."""
+    @settings(max_examples=200, deadline=None)
+    def test_random_deltas(self, deltas, shape, widths, read_every_update):
+        """Sorted, unsorted, duplicated, replayed and re-widened deltas,
+        read after every update or only after the last (so one read folds
+        many pending deltas), all fold to what the whole-cache lexsort
+        merge gave, version ties included."""
         rng = np.random.default_rng(len(deltas))
         mode = DegradedReadMode()
         held = None
@@ -392,13 +417,16 @@ class TestDegradedMergeAgreesWithLexsort:
             if shape == "replayed" and step % 2:
                 rows = last_rows  # the same delta again: must change nothing
             else:
-                rows = last_rows = rng.normal(size=(ids.size, 3))
+                width = widths[step % len(widths)]
+                rows = last_rows = rng.normal(size=(ids.size, width))
             mode.update("emb", ids, rows, versions, synced_version=step)
             held = _lexsort_merge(held, ids, rows, versions)
-            stale = mode.serve("emb")
-            np.testing.assert_array_equal(stale.ids, held[0])
-            np.testing.assert_array_equal(stale.rows, held[1])
-            np.testing.assert_array_equal(stale.row_versions, held[2])
+            if read_every_update or step == len(deltas) - 1:
+                stale = mode.serve("emb")
+                np.testing.assert_array_equal(stale.ids, held[0])
+                np.testing.assert_array_equal(stale.rows, held[1])
+                np.testing.assert_array_equal(stale.row_versions, held[2])
+                assert mode.rows_cached("emb") == held[0].size
 
 
 class TestDegradedReadError:

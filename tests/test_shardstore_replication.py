@@ -119,6 +119,78 @@ class TestReplicaOwners:
         assert out == str(local)
 
 
+def _random_coverage_queries(rng, shards, n):
+    """``n`` random available subsets of ``shards``, each with three clean
+    sets: none, a random part of ``shards``, all of them.
+
+    Clean shards are drawn from every shard, not only available ones: on
+    a successor ring a clean *available* primary never changes the answer
+    (any failing slot has a later failing slot whose primary is down), so
+    only a down "clean" primary shows whether the memo keys on ``clean``.
+    """
+    for _ in range(n):
+        avail = [s for s in shards if rng.random() < 0.7]
+        part = [s for s in shards if rng.random() < 0.4]
+        for clean in ([], part, shards):
+            yield avail, clean
+
+
+def _coverage_reference(placement, r, avail, clean):
+    """``coverage_ok`` computed from the owner table, no memo."""
+    owners = placement._router.replica_owner_table(r)
+    ok = np.isin(owners, avail).sum(axis=1) >= r - (r // 2 + 1) + 1
+    return bool((ok | np.isin(owners[:, 0], clean)).all())
+
+
+class TestCoverageMemo:
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_memoised_answer_matches_a_fresh_placement(self, r):
+        """Any order and container of the same subsets hits the memo and
+        answers what the owner table says."""
+        rng = np.random.default_rng(r)
+        shards = list(range(6))
+        memo = ShardPlacement(shards, virtual_nodes=16)
+        answers: dict[tuple, set] = {}
+        for avail, clean in _random_coverage_queries(rng, shards, 40):
+            want = _coverage_reference(memo, r, avail, clean)
+            answers.setdefault(tuple(avail), set()).add(want)
+            for _ in range(2):
+                got = memo.coverage_ok(
+                    r,
+                    rng.permutation(avail).tolist(),
+                    tuple(rng.permutation(clean).tolist()),
+                )
+                assert got == want
+        assert set.union(*answers.values()) == {True, False}
+        assert any(len(seen) == 2 for seen in answers.values())
+
+    def test_membership_changes_answer_like_fresh_placements(self):
+        """A rebalanced placement is a new instance: nothing the old one
+        memoised for the same subsets leaks into its answers, and it
+        answers like a placement built fresh on its shards."""
+        rng = np.random.default_rng(7)
+        base = ShardPlacement(list(range(5)), virtual_nodes=16)
+        queries = list(_random_coverage_queries(rng, list(range(6)), 60))
+        for avail, clean in queries:
+            base.coverage_ok(
+                3, [s for s in avail if s < 5], [s for s in clean if s < 5]
+            )
+        for changed in (base.with_shard_added(5), base.with_shard_removed(2)):
+            fresh = ShardPlacement(changed.shard_ids, virtual_nodes=16)
+            for avail, clean in queries:
+                avail = [s for s in avail if s in changed.shard_ids]
+                clean = [s for s in clean if s in changed.shard_ids]
+                want = _coverage_reference(changed, 3, avail, clean)
+                assert changed.coverage_ok(3, avail, clean) == want
+                assert fresh.coverage_ok(3, avail, clean) == want
+
+    def test_invalid_r_raises_even_when_memoised(self):
+        p = ShardPlacement(list(range(4)))
+        assert p.coverage_ok(3, [0, 1, 2, 3])
+        with pytest.raises(ValueError):
+            p.coverage_ok(5, [0, 1, 2, 3])
+
+
 class TestQuorumPublish:
     @pytest.mark.parametrize(
         "r,expected", [(1, 1), (2, 2), (3, 2), (4, 3), (5, 3)]
