@@ -122,6 +122,11 @@ def main():
         f"add_shard -> {store.num_shards} shards moved only "
         f"{report.moved_fraction:.1%} of rows (consistent-hash key ranges)"
     )
+    report = store.remove_shard(report.shard_ids[-1])
+    print(
+        f"remove_shard -> {store.num_shards} shards moved "
+        f"{report.moved_fraction:.1%} of rows back"
+    )
 
     print(banner("Tree-merge scaling (Fig. 19)"))
     points = scalability_curve()

@@ -23,7 +23,7 @@ from __future__ import annotations
 import ast
 import fnmatch
 from dataclasses import dataclass, replace
-from typing import Iterable, Iterator, Type
+from typing import Iterable, Type
 
 from .context import FileContext
 
@@ -166,10 +166,3 @@ def rule_names() -> list[str]:
     """Registered rule ids, in definition order."""
     return [cls.name for cls in _REGISTRY]
 
-
-def _iter_findings(
-    rule: Rule, ctx: FileContext, config
-) -> Iterator[Finding]:
-    """Run one rule over one file, resolving severity and suppressions."""
-    for raw in rule.check(ctx, config):
-        yield rule.resolve(ctx, raw, config)

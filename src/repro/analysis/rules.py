@@ -18,9 +18,7 @@ Each rule machine-checks an invariant this repo has already paid to learn
 * ``public-api`` — public modules carry a docstring and a statically
   resolvable ``__all__`` whose names exist and are documented.
 * ``obs-discipline`` — metric/span names are lowercase dotted string
-  literals (registry lookups stay cacheable) and hot modules feed
-  telemetry through the batched APIs only, never per-item ``observe``
-  or ``inc`` inside a loop.
+  literals (registry lookups stay cacheable and greppable).
 * ``no-bare-except`` — in retry/fault-handling code a swallowed
   exception can hide a lost write or a dead replica; handlers must
   catch a named exception class, and a blanket ``except Exception``
@@ -35,7 +33,6 @@ Rules are syntactic: they see one file's AST, never import the code.
 from __future__ import annotations
 
 import ast
-import fnmatch
 import re
 from typing import Iterator
 
@@ -364,20 +361,15 @@ class PublicApiRule(Rule):
 
 
 _METRIC_FACTORIES = frozenset({"counter", "gauge", "histogram", "span"})
-_PER_ITEM_OBS = frozenset({"observe", "inc"})
 _METRIC_NAME_RE = re.compile(r"^[a-z0-9_]+(\.[a-z0-9_]+)+$")
 
 
 @register
 class ObsDisciplineRule(Rule):
-    """Telemetry discipline: literal dotted names, batched hot-path APIs."""
+    """Telemetry discipline: metric and span names are dotted literals."""
 
     name = "obs-discipline"
-    description = (
-        "metric/span names must be lowercase dotted string literals, and "
-        "hot modules must use batched telemetry (observe_many / counter "
-        "add), never per-item observe()/inc() inside a loop"
-    )
+    description = "metric/span names must be lowercase dotted string literals"
     scope = ("repro", "repro.*", "benchmarks.*", "examples.*")
 
     def check(
@@ -418,30 +410,6 @@ class ObsDisciplineRule(Rule):
                     f"metric/span name {name_arg.value!r} must be a "
                     "lowercase dotted literal like 'plane.component.metric'",
                 )
-        if not any(
-            fnmatch.fnmatchcase(ctx.module, pat)
-            for pat in config.hot_modules
-        ):
-            return
-        seen: set[int] = set()
-        for loop in ast.walk(ctx.tree):
-            if not isinstance(loop, (ast.For, ast.While)):
-                continue
-            for sub in ast.walk(loop):
-                if (
-                    isinstance(sub, ast.Call)
-                    and isinstance(sub.func, ast.Attribute)
-                    and sub.func.attr in _PER_ITEM_OBS
-                    and id(sub) not in seen
-                ):
-                    seen.add(id(sub))
-                    yield self.finding(
-                        ctx,
-                        sub,
-                        f"per-item .{sub.func.attr}() inside a loop in a "
-                        "hot module; batch with observe_many()/add(n) "
-                        "outside the loop",
-                    )
 
 
 _BROAD_EXCEPTIONS = frozenset(

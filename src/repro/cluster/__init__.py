@@ -3,16 +3,11 @@ actors, and the discrete-event update-timeline simulator."""
 
 from .collectives import (
     CollectiveCostModel,
-    allgather_naive_seconds,
-    allgather_ring_seconds,
-    allgather_tree_seconds,
     fit_log_trend,
 )
 from .consistency import (
     ConsistencyReport,
-    ReplicaConvergenceReport,
     check_prediction_consistency,
-    check_replica_convergence,
     parameter_divergence,
 )
 from .faults import FaultEvent, FaultPlane, FaultSchedule
@@ -21,8 +16,6 @@ from .nodes import InferenceNode, PullReport, PushReport, TrainingCluster
 from .resilience import (
     BreakerConfig,
     CircuitBreaker,
-    DeadlineBudget,
-    DeadlineExceeded,
     DegradedReadError,
     DegradedReadMode,
     HealthTracker,
@@ -51,9 +44,7 @@ __all__ = [
     "INFINIBAND_EDR",
     "transfer_seconds",
     "ConsistencyReport",
-    "ReplicaConvergenceReport",
     "check_prediction_consistency",
-    "check_replica_convergence",
     "parameter_divergence",
     "FaultEvent",
     "FaultPlane",
@@ -61,8 +52,6 @@ __all__ = [
     "ShardStats",
     "BreakerConfig",
     "CircuitBreaker",
-    "DeadlineBudget",
-    "DeadlineExceeded",
     "DegradedReadError",
     "DegradedReadMode",
     "HealthTracker",
@@ -80,9 +69,6 @@ __all__ = [
     "RepairReport",
     "RepairTask",
     "CollectiveCostModel",
-    "allgather_tree_seconds",
-    "allgather_ring_seconds",
-    "allgather_naive_seconds",
     "fit_log_trend",
     "TrainingCluster",
     "InferenceNode",

@@ -2,9 +2,9 @@
 
 Fig. 19's claim is that LiveUpdate's LoRA synchronization time grows
 O(log N) with node count because Gloo's AllGather is tree-based, versus the
-O(N) growth of naive all-to-all exchange.  This module provides closed-form
-cost models for tree, ring, and naive algorithms under the standard
-alpha-beta (latency-bandwidth) model, plus a helper to fit/extrapolate the
+O(N) growth of naive all-to-all exchange.  This module provides the
+closed-form tree merge and broadcast costs under the standard alpha-beta
+(latency-bandwidth) model, plus a helper to fit/extrapolate the
 logarithmic trend the paper projects out to 48 nodes.
 """
 
@@ -19,9 +19,6 @@ from .network import NetworkLink, INFINIBAND_EDR
 
 __all__ = [
     "CollectiveCostModel",
-    "allgather_tree_seconds",
-    "allgather_ring_seconds",
-    "allgather_naive_seconds",
     "fit_log_trend",
 ]
 
@@ -42,45 +39,6 @@ class CollectiveCostModel:
     @property
     def beta(self) -> float:
         return 1.0 / self.link.bytes_per_second
-
-    def allgather_tree(self, num_nodes: int, bytes_per_node: float) -> float:
-        """Binomial-tree AllGather: ceil(log2 N) rounds.
-
-        Each round doubles the gathered payload, so round ``r`` moves
-        ``2**r * bytes_per_node``; total data moved per node is
-        ``(N - 1) * bytes_per_node`` but the *rounds* (and thus latency
-        terms) grow logarithmically — the effect dominating at the paper's
-        payload sizes.
-        """
-        if num_nodes < 1:
-            raise ValueError("need at least one node")
-        if num_nodes == 1:
-            return 0.0
-        rounds = math.ceil(math.log2(num_nodes))
-        total = 0.0
-        gathered = bytes_per_node
-        for _ in range(rounds):
-            total += self.alpha + self.beta * gathered
-            gathered = min(gathered * 2, num_nodes * bytes_per_node)
-        return total
-
-    def allgather_ring(self, num_nodes: int, bytes_per_node: float) -> float:
-        """Ring AllGather: N-1 steps, each moving one node's shard."""
-        if num_nodes < 1:
-            raise ValueError("need at least one node")
-        if num_nodes == 1:
-            return 0.0
-        return (num_nodes - 1) * (self.alpha + self.beta * bytes_per_node)
-
-    def allgather_naive(self, num_nodes: int, bytes_per_node: float) -> float:
-        """Naive: every node sends its shard to every other node serially."""
-        if num_nodes < 1:
-            raise ValueError("need at least one node")
-        if num_nodes == 1:
-            return 0.0
-        return (num_nodes - 1) * (
-            self.alpha + self.beta * bytes_per_node * num_nodes / 2.0
-        )
 
     def tree_merge(self, num_nodes: int, merged_bytes: float) -> float:
         """Aggregating tree exchange: O(log N) rounds of ~constant payload.
@@ -104,27 +62,6 @@ class CollectiveCostModel:
             return 0.0
         rounds = math.ceil(math.log2(num_nodes))
         return rounds * (self.alpha + self.beta * volume_bytes)
-
-
-def allgather_tree_seconds(
-    num_nodes: int, bytes_per_node: float, link: NetworkLink = INFINIBAND_EDR
-) -> float:
-    """AllGather (tree) seconds on ``link`` — convenience wrapper."""
-    return CollectiveCostModel(link).allgather_tree(num_nodes, bytes_per_node)
-
-
-def allgather_ring_seconds(
-    num_nodes: int, bytes_per_node: float, link: NetworkLink = INFINIBAND_EDR
-) -> float:
-    """AllGather (ring) seconds on ``link`` — convenience wrapper."""
-    return CollectiveCostModel(link).allgather_ring(num_nodes, bytes_per_node)
-
-
-def allgather_naive_seconds(
-    num_nodes: int, bytes_per_node: float, link: NetworkLink = INFINIBAND_EDR
-) -> float:
-    """AllGather (naive) seconds on ``link`` — convenience wrapper."""
-    return CollectiveCostModel(link).allgather_naive(num_nodes, bytes_per_node)
 
 
 def fit_log_trend(

@@ -21,8 +21,6 @@ __all__ = [
     "ConsistencyReport",
     "check_prediction_consistency",
     "parameter_divergence",
-    "ReplicaConvergenceReport",
-    "check_replica_convergence",
 ]
 
 
@@ -87,124 +85,6 @@ def check_prediction_consistency(
         mean_prediction_gap=mean_gap,
         worst_pair=worst,
         consistent=max_gap <= tolerance,
-    )
-
-
-@dataclass
-class ReplicaConvergenceReport:
-    """Result of one store-level replica convergence sweep."""
-
-    tables_checked: int
-    copies_checked: int
-    missing_copies: int
-    version_mismatches: int
-    byte_mismatches: int
-
-    @property
-    def converged(self) -> bool:
-        """True when every live replica holds a byte-identical, correctly
-        versioned copy of every row it owns."""
-        return (
-            self.missing_copies == 0
-            and self.version_mismatches == 0
-            and self.byte_mismatches == 0
-        )
-
-    @property
-    def summary(self) -> str:
-        status = "CONVERGED" if self.converged else "DIVERGED"
-        return (
-            f"{status}: {self.copies_checked} copies over "
-            f"{self.tables_checked} tables "
-            f"(missing {self.missing_copies}, "
-            f"stale {self.version_mismatches}, "
-            f"byte-diff {self.byte_mismatches})"
-        )
-
-
-def check_replica_convergence(store, tables=None) -> ReplicaConvergenceReport:
-    """Audit a replicated parameter store's copies against each other.
-
-    The store-level sibling of :func:`check_prediction_consistency`: for
-    every ``(table, row)`` the reconciled truth is the highest-versioned
-    copy on any live shard, and every live shard owning that row (at any
-    replica rank) must hold it at exactly that version with bit-identical
-    bytes.  After :meth:`~repro.cluster.shardstore.store.\
-ShardedParameterStore.repair` this must report converged — that is the
-    replication protocol's acceptance bar, asserted by the chaos suite.
-
-    Parameters
-    ----------
-    store : repro.cluster.shardstore.store.ShardedParameterStore
-        The store to audit; down shards are skipped (they are expected
-        to be stale until revived and repaired).
-    tables : list of str, optional
-        Restrict the sweep; defaults to every table on any live shard.
-
-    Returns
-    -------
-    ReplicaConvergenceReport
-        Copy counts and the three divergence tallies.
-    """
-    live = store.live_shard_ids
-    if tables is None:
-        tables = sorted(
-            {t for sid in live for t in store.shards[sid].tables}
-        )
-    copies_checked = 0
-    missing = 0
-    stale = 0
-    byte_diff = 0
-    for table in tables:
-        parts = []
-        for sid in live:
-            exported = store.shards[sid].export_table(table)
-            if exported is not None and exported[0].size:
-                parts.append(exported)
-        if not parts:
-            continue
-        ids = np.concatenate([p[0] for p in parts])
-        rows = np.concatenate([p[1] for p in parts], axis=0)
-        versions = np.concatenate([p[2] for p in parts])
-        order = np.lexsort((versions, ids))
-        ids, rows, versions = ids[order], rows[order], versions[order]
-        last = np.r_[ids[1:] != ids[:-1], True]
-        truth_ids, truth_rows, truth_versions = (
-            ids[last],
-            rows[last],
-            versions[last],
-        )
-        owners = store.placement.replica_owners(
-            table, truth_ids, store.replication
-        )
-        for sid in live:
-            owned = (owners == sid).any(axis=1)
-            if not owned.any():
-                continue
-            want_ids = truth_ids[owned]
-            copies_checked += int(want_ids.size)
-            result = store.shards[sid].pull_rows_versions(
-                table, want_ids, charge=False
-            )
-            if result is None:
-                missing += int(want_ids.size)
-                continue
-            found, got_rows, got_versions = result
-            missing += int((~found).sum())
-            stale += int((found & (got_versions != truth_versions[owned])).sum())
-            want_rows = np.ascontiguousarray(truth_rows[owned])
-            same_bits = np.all(
-                got_rows.view(np.uint8).reshape(got_rows.shape[0], -1)
-                == want_rows.view(np.uint8).reshape(want_rows.shape[0], -1),
-                axis=1,
-            )
-            byte_diff += int((found & ~same_bits).sum())
-    return ReplicaConvergenceReport(
-        tables_checked=len(tables),
-        copies_checked=copies_checked,
-        missing_copies=missing,
-        version_mismatches=stale,
-        byte_mismatches=byte_diff,
     )
 
 

@@ -281,7 +281,8 @@ class FaultSchedule:
 
 
 class FaultPlane:
-    """Binds a :class:`FaultSchedule` to one store and one clock.
+    """Binds a :class:`FaultSchedule` to one store; time is driven by
+    :meth:`advance_to`.
 
     Parameters
     ----------
@@ -289,15 +290,11 @@ class FaultPlane:
         The store faults act on.
     schedule : FaultSchedule
         What to inject, and when (simulated seconds).
-    clock : repro.obs.clock.SimClock, optional
-        When given, :meth:`poll` reads the current time from it;
-        otherwise drive time explicitly via :meth:`advance_to`.
     """
 
-    def __init__(self, store, schedule: FaultSchedule, clock=None) -> None:
+    def __init__(self, store, schedule: FaultSchedule) -> None:
         self.store = store
         self.schedule = schedule
-        self.clock = clock
         self.delay_factor = 1.0
         self.now_s = 0.0
         self.injected: list[FaultEvent] = []
@@ -312,12 +309,6 @@ class FaultPlane:
     def is_partitioned(self, shard_id: int) -> bool:
         """Whether a ``partition`` fault is still active for this shard."""
         return self.now_s < self._partitioned_until.get(int(shard_id), 0.0)
-
-    def poll(self) -> list[FaultEvent]:
-        """Inject everything due at the bound clock's current time."""
-        if self.clock is None:
-            raise ValueError("no clock bound: use advance_to(now_s)")
-        return self.advance_to(self.clock.now())
 
     def advance_to(self, now_s: float) -> list[FaultEvent]:
         """Inject every event with ``at_s <= now_s``; returns them.

@@ -54,15 +54,6 @@ class NetworkLink:
         effective = self.bytes_per_second * (1.0 - contention)
         return self.latency_ms / 1e3 + volume_bytes / effective
 
-    def scaled(self, factor: float) -> "NetworkLink":
-        """A link with ``factor`` times the bandwidth (aggregated trunks)."""
-        return NetworkLink(
-            name=f"{self.name}x{factor:g}",
-            bandwidth_gbps=self.bandwidth_gbps * factor,
-            latency_ms=self.latency_ms,
-            efficiency=self.efficiency,
-        )
-
 
 #: Commodity inter-cluster link from the paper's examples.
 GBE_100 = NetworkLink(name="100GbE", bandwidth_gbps=100.0)

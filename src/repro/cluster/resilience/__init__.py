@@ -4,8 +4,6 @@ The shard store's server plane already survives faults (replication,
 quorums, repair); this package makes the *client* survive them without
 surfacing every hiccup to the caller:
 
-* :class:`DeadlineBudget` — per-request latency budget, decremented
-  across hops on the simulated clock;
 * :class:`RetryPolicy` — capped exponential backoff with seeded,
   replayable jitter;
 * :class:`CircuitBreaker` — per-replica closed/open/half-open machine
@@ -23,9 +21,8 @@ surfacing every hiccup to the caller:
 """
 
 from .breaker import CLOSED, HALF_OPEN, OPEN, BreakerConfig, CircuitBreaker
-from .budget import DeadlineBudget
 from .degraded import DegradedReadMode, StaleRead
-from .errors import DeadlineExceeded, DegradedReadError, ResilienceError
+from .errors import DegradedReadError, ResilienceError
 from .health import HealthTracker
 from .hedge import HedgedRead
 from .policy import ResiliencePolicy
@@ -37,8 +34,6 @@ __all__ = [
     "CLOSED",
     "OPEN",
     "HALF_OPEN",
-    "DeadlineBudget",
-    "DeadlineExceeded",
     "DegradedReadError",
     "DegradedReadMode",
     "HealthTracker",

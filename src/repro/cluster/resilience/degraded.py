@@ -124,10 +124,6 @@ class DegradedReadMode:
     def tables(self) -> list[str]:
         return sorted(self._tables)
 
-    def rows_cached(self, table: str) -> int:
-        entry = self._tables.get(table)
-        return 0 if entry is None else int(entry.fold()[0].size)
-
     def update(
         self,
         table: str,
@@ -181,8 +177,7 @@ class DegradedReadMode:
         Raises
         ------
         KeyError
-            When the cache never held ``table`` (the client answers that
-            from the store's own empty, at the table's width and lane).
+            When the cache never held ``table``.
         """
         ids, rows, versions = self._tables[table].fold()
         current = (

@@ -2,44 +2,20 @@
 
 Every failure a consumer can see is a named class with structured
 attributes — never a leaked internal (`KeyError`, raw `RuntimeError`) and
-never a silent empty result.  :class:`DeadlineExceeded` ends a request
-whose latency budget ran out mid-protocol; :class:`DegradedReadError`
-reports a read that could not be served *provably fresh* (not enough
-live replica owners to intersect every write quorum) when degraded
-serving is disabled, carrying enough context to decide whether a stale
-answer is acceptable.
+never a silent empty result.  :class:`DegradedReadError` reports a read
+that could not be served *provably fresh* (not enough live replica
+owners to intersect every write quorum) when degraded serving is
+disabled, carrying enough context to decide whether a stale answer is
+acceptable.
 """
 
 from __future__ import annotations
 
-__all__ = ["ResilienceError", "DeadlineExceeded", "DegradedReadError"]
+__all__ = ["ResilienceError", "DegradedReadError"]
 
 
 class ResilienceError(RuntimeError):
     """Base class for resilient-client-plane failures."""
-
-
-class DeadlineExceeded(ResilienceError):
-    """A request's latency budget ran out before the protocol finished.
-
-    Attributes
-    ----------
-    label : str
-        Which hop/stage exhausted the budget.
-    total_s : float
-        The full per-request budget.
-    spent_s : float
-        Seconds already consumed when the budget expired.
-    """
-
-    def __init__(self, label: str, total_s: float, spent_s: float) -> None:
-        super().__init__(
-            f"deadline of {total_s:.6f}s exceeded at {label!r} "
-            f"({spent_s:.6f}s spent)"
-        )
-        self.label = label
-        self.total_s = total_s
-        self.spent_s = spent_s
 
 
 class DegradedReadError(ResilienceError):

@@ -41,7 +41,6 @@ class HealthTracker:
         self.window = window
         self._latency: dict[int, float] = {}
         self._error: dict[int, float] = {}
-        self._observations: dict[int, int] = {}
         self._recent: list[float] = []
 
     def record(
@@ -71,7 +70,6 @@ class HealthTracker:
         )
         err = self._error.get(shard_id, 0.0)
         self._error[shard_id] = (1.0 - a) * err + (a if not ok else 0.0)
-        self._observations[shard_id] = self._observations.get(shard_id, 0) + 1
         if ok and not hedged:
             self._recent.append(float(latency_s))
             if len(self._recent) > self.window:
@@ -84,10 +82,6 @@ class HealthTracker:
     def error_rate(self, shard_id: int) -> float:
         """Smoothed failure fraction for one shard (0.0 when unobserved)."""
         return self._error.get(int(shard_id), 0.0)
-
-    def observations(self, shard_id: int) -> int:
-        """Attempts observed against one shard."""
-        return self._observations.get(int(shard_id), 0)
 
     def latency_quantile(self, q: float) -> float:
         """Quantile of recent *successful* attempt latencies.

@@ -50,7 +50,3 @@ class HedgedRead:
         outlier of.
         """
         return max(self.min_delay_s, health.latency_quantile(self.quantile))
-
-    def should_hedge(self, health: HealthTracker, in_flight_s: float) -> bool:
-        """Whether a primary already ``in_flight_s`` deep warrants a hedge."""
-        return in_flight_s > self.hedge_delay_s(health)

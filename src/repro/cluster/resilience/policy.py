@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from ...obs.clock import SimClock
-from .breaker import OPEN, BreakerConfig, CircuitBreaker
+from .breaker import BreakerConfig, CircuitBreaker
 from .degraded import DegradedReadMode
 from .health import HealthTracker
 from .hedge import HedgedRead
@@ -80,25 +80,6 @@ class ResiliencePolicy:
             got = CircuitBreaker(self.breaker)
             self._breakers[shard_id] = got
         return got
-
-    def open_breakers(self, now_s: float) -> int:
-        """How many per-shard breakers are open at simulated ``now_s``."""
-        return sum(
-            1 for b in self._breakers.values() if b.state(now_s) == OPEN
-        )
-
-    def breaker_transitions(self) -> list[tuple[int, float, str, str]]:
-        """All transitions fleet-wide as ``(shard, at_s, from, to)``, sorted.
-
-        Sorted by ``(at_s, shard)`` — a stable, process-independent order
-        the chaos suites compare byte-for-byte across replays.
-        """
-        rows = [
-            (sid, at, frm, to)
-            for sid, brk in self._breakers.items()
-            for (at, frm, to) in brk.transitions
-        ]
-        return sorted(rows, key=lambda r: (r[1], r[0]))
 
     def wait(self, seconds: float) -> float:
         """Advance the shared clock and fire :attr:`on_wait`; returns now."""

@@ -25,8 +25,6 @@ import numpy as np
 
 from ..collectives import CollectiveCostModel
 from ..network import GBE_100, NetworkLink
-from ..resilience.budget import DeadlineBudget
-from ..resilience.degraded import StaleRead
 from ..resilience.errors import DegradedReadError
 from ..resilience.policy import ResiliencePolicy
 from .store import QuorumError, ShardedParameterStore
@@ -102,11 +100,12 @@ class ShardClient:
         resilient wave models gray failures per shard.
     resilience : repro.cluster.resilience.ResiliencePolicy, optional
         When given, a pull's coverage comes from a modelled wave of
-        per-shard RPCs — deadline budget, circuit breakers, hedged backup
+        per-shard RPCs — deadline, circuit breakers, hedged backup
         reads, deterministic retry backoff — its ``seconds`` are the
         wave's simulated time, and a pull the wave cannot cover exactly
-        is served from the policy's bounded-staleness cache when one is
-        configured; flushes retry quorum refusals under the same backoff.
+        comes back ``degraded`` and empty when the policy holds a
+        bounded-staleness cache (it raises otherwise); flushes retry
+        quorum refusals under the same backoff.
         ``None`` means no wave: coverage is read off the store state, a
         pull's ``seconds`` are the alpha-beta time of the rows moved, a
         flush publishes once, and an uncovered pull raises.
@@ -119,8 +118,7 @@ class ShardClient:
     the fleet heals, and no acknowledged-looking publish is ever lost.
 
     The first delta pull registers this client's sync point with the
-    store, which pins log compaction at or above it; call :meth:`close`
-    when the client retires to release the pin.
+    store, which pins log compaction at or above it.
     """
 
     def __init__(
@@ -272,13 +270,6 @@ class ShardClient:
         if self._sync_token is not None:
             self.store.update_sync_point(self._sync_token, self.synced_version)
 
-    def close(self) -> None:
-        """Retire this client: release its sync point so it stops pinning
-        the store's compaction watermark.  Idempotent."""
-        if self._sync_token is not None:
-            self.store.unregister_sync_point(self._sync_token)
-            self._sync_token = None
-
     def pull_tables(
         self,
         tables: list[str],
@@ -396,33 +387,6 @@ class ShardClient:
             self._trace(open_span, report)
         return deltas, report
 
-    def pull_table(
-        self, table: str, row_filter: np.ndarray | None = None
-    ) -> tuple[np.ndarray, np.ndarray, ClientTransferReport]:
-        """Single-table delta pull against the client sync point."""
-        deltas, report = self.pull_tables([table], row_filter=row_filter)
-        ids, rows = deltas[table]
-        return ids, rows, report
-
-    def degraded_read(self, table: str) -> StaleRead:
-        """Serve one table from the bounded-staleness cache, explicitly.
-
-        The rows are exact as of this client's last successful sync; the
-        returned :class:`~repro.cluster.resilience.degraded.StaleRead`
-        carries ``degraded=True``, the sync point, and per-row version
-        lag so consumers account for staleness instead of guessing.
-        """
-        if self.resilience is None or self.resilience.degraded is None:
-            raise ValueError("client has no degraded-read cache configured")
-        cache = self.resilience.degraded
-        if table not in cache.tables:
-            # Never held: the table's own empty, at its width and lane.
-            ids, rows, versions = self.store.empty_delta(table)
-            return StaleRead(
-                table, ids, rows, versions, cache.as_of_version, self.store.version
-            )
-        return cache.serve(table, current_version=self.store.version)
-
     # -------------------------------------------------------------- coverage
     def _coverage(self, since: int) -> _Coverage:
         """Coverage without a policy, one step over the store state.
@@ -436,9 +400,7 @@ class ShardClient:
         suspects = set(store.suspect_shard_ids(since))
         clean = [sid for sid in live if sid not in suspects]
         recon = sorted(set(store.shard_ids).difference(clean))
-        exact = not recon or store.placement.coverage_ok(
-            store.replication, live, clean
-        )
+        exact = not recon or store.placement.coverage_ok(store.replication, live)
         return _Coverage(clean, recon, live, exact)
 
     def _modelled_rpc_seconds(self, nbytes: int, shard_id: int) -> float:
@@ -514,7 +476,7 @@ class ShardClient:
         """
         policy = self.resilience
         store = self.store
-        budget = DeadlineBudget(policy.deadline_s)
+        deadline_s = policy.deadline_s
         start_s = policy.clock.now()
         self._pull_seq += 1
         fail_fast_s = self.link.latency_ms / 1e3
@@ -553,7 +515,7 @@ class ShardClient:
                 elif sid in parted:
                     failed_s = min(
                         policy.attempt_timeout_s,
-                        max(budget.total_s - t0, fail_fast_s),
+                        max(deadline_s - t0, fail_fast_s),
                     )
                 else:
                     cost = self._modelled_rpc_seconds(nbytes, sid)
@@ -598,7 +560,7 @@ class ShardClient:
             if round_no >= policy.retry.max_attempts:
                 break
             backoff = policy.retry.backoff_s(round_no, key=self._pull_seq)
-            if t_now + backoff >= budget.total_s:
+            if t_now + backoff >= deadline_s:
                 break
             t_now += backoff
             retries += 1
@@ -609,10 +571,10 @@ class ShardClient:
         recon = [sid for sid in all_sids if covered.get(sid) == "recon"]
         exact = (
             len(covered) == len(all_sids)
-            and t_now <= budget.total_s
+            and t_now <= deadline_s
             and store.placement.coverage_ok(store.replication, available, clean)
         )
-        seconds = t_now if exact else budget.total_s
+        seconds = t_now if exact else deadline_s
         self._advance_policy_clock(start_s + seconds)
         return _Coverage(
             clean, recon, available, exact, seconds, attempts, hedges, retries

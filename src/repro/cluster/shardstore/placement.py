@@ -9,7 +9,7 @@ the *same consistent-hash ring implementation the request router uses*
 (:class:`repro.serving.router.ConsistentHashRouter` over shard ids), so the
 parameter plane inherits the ring's properties for free: smooth key-range
 splits via virtual nodes, and minimal remapping when shards are added or
-removed (``remap_fraction`` is literally the router's analysis).
+removed.
 """
 
 from __future__ import annotations
@@ -92,23 +92,6 @@ class ShardPlacement:
             row_ids, np.uint64(self._table_hash(table)), _PLACEMENT_SEED
         )
 
-    def shard_of(self, table: str, row_ids: np.ndarray) -> np.ndarray:
-        """Owning shard id per row, in one vectorized ring lookup.
-
-        Parameters
-        ----------
-        table : str
-            Table name.
-        row_ids : numpy.ndarray of int64
-            Row ids to place.
-
-        Returns
-        -------
-        numpy.ndarray of int64
-            Shard id per row.
-        """
-        return self._router.assign(self.key_hashes(table, row_ids))
-
     def replica_owners(
         self, table: str, row_ids: np.ndarray, r: int
     ) -> np.ndarray:
@@ -116,10 +99,10 @@ class ShardPlacement:
 
         Replication rides the same ring as placement: a key's replica set
         is the next ``r`` distinct shards clockwise from its ring
-        position, so column 0 always equals :meth:`shard_of` and adding
-        or removing a shard disturbs only the replica sets whose ring
-        ranges actually changed hands.  Byte-identical in every process
-        (pinned by cross-PYTHONHASHSEED tests, like :meth:`shard_of`).
+        position, so column 0 is the key's ring owner (its primary) and
+        adding or removing a shard disturbs only the replica sets whose
+        ring ranges actually changed hands.  Byte-identical in every
+        process (pinned by cross-PYTHONHASHSEED tests).
 
         Parameters
         ----------
@@ -155,7 +138,15 @@ class ShardPlacement:
         misses that bar is still fine if its *primary* is in
         ``clean_primary_ids`` — a live shard whose missed-version ledger
         has no entries past the reader's sync point holds provably
-        current rows for everything it owns.  The check runs over every
+        current rows for everything it owns.
+
+        A clean primary that is also available never changes the answer:
+        on a successor ring every failing slot has a later failing slot
+        whose primary is down (pinned over every placement of 3-6 shards
+        in ``tests/test_shardstore.py``).  The term matters only for a
+        clean shard *outside* ``available_ids`` — the resilient client's
+        wave accumulates clean answers over retry rounds while
+        ``available_ids`` is the last round's.  The check runs over every
         ring slot at once via the router's successor-owner table, so it
         is key-independent: True means *any* read at this moment is
         exact.  Each answer is memoised per ``(r, available, clean)``.
@@ -208,30 +199,3 @@ class ShardPlacement:
             raise ValueError("cannot remove the last shard")
         remaining = [s for s in self.shard_ids if s != shard_id]
         return ShardPlacement(remaining, self.virtual_nodes, self.seed)
-
-    # -------------------------------------------------------------- analysis
-    def remap_fraction(
-        self, other: "ShardPlacement", table: str, row_ids: np.ndarray
-    ) -> float:
-        """Fraction of the given keys that change shards between layouts.
-
-        Reuses the router's side-effect-free ``remap_fraction`` analysis;
-        consistent hashing keeps this near ``1/N`` per shard changed.
-
-        Parameters
-        ----------
-        other : ShardPlacement
-            The layout to compare against.
-        table : str
-            Table whose keys are sampled.
-        row_ids : numpy.ndarray of int64
-            Sample of row ids to measure over.
-
-        Returns
-        -------
-        float
-            Fraction of the sampled keys whose owner differs.
-        """
-        return self._router.remap_fraction(
-            other._router, self.key_hashes(table, row_ids)
-        )

@@ -367,14 +367,6 @@ class _TableBlock:
             self._memo[primary_only] = hit
         return hit
 
-    def lookup_rows(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Point gather; returns ``(found_mask, rows)`` with zeros on miss."""
-        slots = self.slots.lookup(ids)
-        found = slots >= 0
-        out = np.zeros((ids.size, self.dim), dtype=self.dtype)
-        out[found] = self.rows[slots[found]]
-        return found, out
-
     def lookup_with_versions(
         self, ids: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -530,17 +522,3 @@ class ParameterShard:
     def changed_count(self, table: str, since_version: int) -> int:
         block = self._blocks.get(table)
         return 0 if block is None else block.changed_count(since_version)
-
-    def pull_rows(
-        self, table: str, ids: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray] | None:
-        """``(found, rows)`` for ids this shard owns; None if table unknown."""
-        block = self._blocks.get(table)
-        if block is None:
-            return None
-        found, rows = block.lookup_rows(ids)
-        hits = int(found.sum())
-        if hits:
-            self.stats.rows_read += hits
-            self.stats.bytes_read += hits * self.row_bytes
-        return found, rows

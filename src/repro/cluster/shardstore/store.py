@@ -26,8 +26,8 @@ the next R distinct shards clockwise from its ring position
   so a failed publish can simply be retried after repair;
 * replicas that miss an acknowledged publish (down, or dropped by fault
   injection) are recorded in a store-side missed-version ledger; reads
-  reconcile per row by version, so :meth:`pull_delta` and
-  :meth:`pull_rows` transparently fail over to the freshest live copy;
+  reconcile per row by version, so :meth:`pull_delta` transparently
+  fails over to the freshest live copy;
 * :meth:`plan_repair` / :meth:`repair` re-replicate exactly the rows a
   revived or stale replica is behind on, restoring byte-identical copies.
 
@@ -244,10 +244,6 @@ class ShardedParameterStore:
     def replication_lag(self) -> int:
         """Missed ``(shard, version)`` applications awaiting repair."""
         return sum(len(v) for v in self._missed.values())
-
-    def missed_versions(self, shard_id: int) -> list[int]:
-        """Acknowledged store versions ``shard_id`` has not applied."""
-        return list(self._missed.get(shard_id, ()))
 
     @property
     def shard_stats(self) -> list[ShardStats]:
@@ -543,65 +539,6 @@ class ShardedParameterStore:
         )
         return ids, rows, versions
 
-    def pull_rows(
-        self, table: str, indices: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Point lookups across shards, freshest live replica per row.
-
-        Parameters
-        ----------
-        table : str
-            Table to read.
-        indices : numpy.ndarray of int64
-            Row ids to fetch.
-
-        Returns
-        -------
-        found_mask : numpy.ndarray of bool
-            Which ids were resident on some live replica.
-        rows : numpy.ndarray
-            ``(len(indices), dim)`` payloads; zeros where missed.
-        """
-        indices = np.asarray(indices, dtype=np.int64)
-        mask = np.zeros(indices.size, dtype=bool)
-        out = np.zeros((indices.size, self.dim_of(table)), dtype=self.row_dtype)
-        if indices.size == 0:
-            return mask, out
-        if self.replication == 1 and not self._down:
-            owners = self.placement.shard_of(table, indices)
-            for sid in np.unique(owners):
-                sel = owners == sid
-                result = self.shards[int(sid)].pull_rows(table, indices[sel])
-                if result is None:
-                    continue
-                found, rows = result
-                sub = np.flatnonzero(sel)[found]
-                mask[sub] = True
-                out[sub] = rows[found]
-            return mask, out
-        owners = self.placement.replica_owners(
-            table, indices, self.replication
-        )
-        best = np.zeros(indices.size, dtype=np.int64)
-        for k in range(self.replication):
-            col = owners[:, k]
-            for sid in np.unique(col):
-                if int(sid) in self._down:
-                    continue
-                sel = np.flatnonzero(col == sid)
-                result = self.shards[int(sid)].pull_rows_versions(
-                    table, indices[sel]
-                )
-                if result is None:
-                    continue
-                found, rows, versions = result
-                fresher = found & (versions > best[sel])
-                sub = sel[fresher]
-                mask[sub] = True
-                out[sub] = rows[fresher]
-                best[sub] = versions[fresher]
-        return mask, out
-
     def empty_delta(self, table: str) -> DeltaSlice:
         """Zero-row ``(ids, rows, versions)`` of ``table``'s width and lane."""
         return (
@@ -771,28 +708,6 @@ class ShardedParameterStore:
             ids, rows, versions = ids[keep], rows[keep], versions[keep]
         return ids, rows, versions
 
-    def delta_volume_bytes(self, table: str, since_version: int) -> int:
-        """Upper bound on the bytes a delta pull reads (no accounting).
-
-        Counts every live replica's log slice: what the reconciled pull
-        reads while a shard is down or suspect.  A healthy pull reads
-        each row once, from its primary — ``1/replication`` of this.
-        """
-        return self.row_bytes * sum(
-            self.shards[sid].changed_count(table, since_version)
-            for sid in self.live_shard_ids
-        )
-
-    def delta_shard_volumes(
-        self, table: str, since_version: int
-    ) -> dict[int, int]:
-        """Per-shard byte volume of a prospective delta pull."""
-        return {
-            sid: self.shards[sid].changed_count(table, since_version)
-            * self.row_bytes
-            for sid in self.live_shard_ids
-        }
-
     # ---------------------------------------------------------- sync points
     def register_sync_point(self, version: int | None = None) -> int:
         """Register a reader's sync point; returns its token.
@@ -800,9 +715,8 @@ class ShardedParameterStore:
         The oldest registered sync point is the compaction watermark:
         :meth:`compact` never truncates log entries a registered reader
         still needs.  Readers update via :meth:`update_sync_point` after
-        each pull and release with :meth:`unregister_sync_point` — a
-        reader that stops pulling without unregistering deliberately pins
-        the watermark (that is the guard working, not a leak).
+        each pull; a reader that stops pulling deliberately pins the
+        watermark (that is the guard working, not a leak).
         """
         token = self._next_sync_token
         self._next_sync_token += 1
@@ -815,9 +729,6 @@ class ShardedParameterStore:
         if token not in self._sync_points:
             raise KeyError(f"unknown sync token {token}")
         self._sync_points[token] = int(version)
-
-    def unregister_sync_point(self, token: int) -> None:
-        self._sync_points.pop(token, None)
 
     def oldest_sync_point(self) -> int | None:
         """The furthest-behind registered reader, or None when none."""

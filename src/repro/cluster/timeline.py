@@ -48,12 +48,6 @@ class UpdateTimeline:
         self.events.append(event)
         self.events.sort(key=lambda e: e.applied_s)
 
-    def version_at(self, t: float) -> int:
-        """Version serving at time ``t`` (0 = initial model)."""
-        times = [e.applied_s for e in self.events]
-        idx = bisect.bisect_right(times, t)
-        return self.events[idx - 1].version if idx else 0
-
     def data_time(self, t: float) -> float:
         """Training-data timestamp of the parameters serving at ``t``."""
         times = [e.applied_s for e in self.events]

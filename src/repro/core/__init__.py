@@ -8,11 +8,11 @@ The id-granular hot paths (LoRA slot translation, hot-index membership,
 consistent-hash routing) are built on :mod:`repro.core.kernels`: a
 process-stable :func:`~repro.core.kernels.splitmix64` hash, the
 array-native :class:`~repro.core.kernels.IdSlotTable` id -> slot map,
-offset-based segment reductions (:func:`~repro.core.kernels.pool_rows`,
-:func:`~repro.core.kernels.group_rows_sum`) and the epoch-stamped
+the duplicate-id scatter-add :func:`~repro.core.kernels.group_rows_sum`
+and the epoch-stamped
 :class:`~repro.core.kernels.TouchedRows` delta tracker.  Every per-batch
 operation above them — ``delta_rows``, ``apply_to``, ``accumulate_grad``,
-``is_hot``, ``mark``, ``route``, pooled embedding forward/backward — is
+``is_hot``, ``mark``, ``route``, embedding forward/backward — is
 expressed as gather/scatter + batched matmuls over whole arrays; per-id
 Python loops only survive on cold control paths (saturated bounded-load
 probes).  ``tests/test_kernels_equivalence.py`` and
@@ -42,7 +42,6 @@ _EXPORTS = {
     "stable_str_hash": "kernels",
     "sorted_find": "kernels",
     "IdSlotTable": "kernels",
-    "pool_rows": "kernels",
     "group_rows_sum": "kernels",
     "freshest_per_id": "kernels",
     "TouchedRows": "kernels",
@@ -50,8 +49,6 @@ _EXPORTS = {
     "LoRACollection": "lora",
     "cumulative_variance": "rank_adaptation",
     "rank_for_variance": "rank_adaptation",
-    "lowrank_approximation": "rank_adaptation",
-    "approximation_error": "rank_adaptation",
     "RankMonitor": "rank_adaptation",
     "UsageTracker": "pruning",
     "PruneDecision": "pruning",
@@ -62,8 +59,6 @@ _EXPORTS = {
     "TrainerReport": "trainer",
     "SparseLoRASynchronizer": "sync",
     "SyncReport": "sync",
-    "priority_merge": "sync",
-    "average_merge": "sync",
     "priority_merge_rows": "sync",
     "average_merge_rows": "sync",
     "DriftMonitor": "drift",

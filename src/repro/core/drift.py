@@ -96,9 +96,6 @@ class DriftMonitor:
         self.samples.append(sample)
         return sample
 
-    def latest(self) -> DriftSample | None:
-        return self.samples[-1] if self.samples else None
-
 
 @dataclass
 class AdaptiveSyncPolicy:

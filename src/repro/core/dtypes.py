@@ -228,9 +228,8 @@ def as_float_rows(values, name: str = "rows") -> np.ndarray:
     Float inputs pass through in their own dtype (float32 stays float32,
     float64 oracle rows stay float64); integer and bool inputs upcast
     exactly to float64, which float32 could not promise above ``2**24``.
-    Strings/objects raise
-    ``TypeError``.  Use this in kernels like ``pool_rows`` whose output
-    lane should follow the source rows rather than impose one.
+    Strings/objects raise ``TypeError``.  Use this where the output lane
+    should follow the source rows rather than impose one.
 
     Parameters
     ----------

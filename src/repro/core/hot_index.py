@@ -74,14 +74,6 @@ class _FieldTable:
         stamps[found] = self.stamps[pos[found]]
         return stamps
 
-    def drop_older_than(self, horizon: float) -> int:
-        keep = self.stamps >= horizon
-        dropped = int(keep.size - keep.sum())
-        if dropped:
-            self.ids = self.ids[keep]
-            self.stamps = self.stamps[keep]
-        return dropped
-
     def clear(self) -> None:
         self.ids = np.empty(0, dtype=np.int64)
         self.stamps = np.empty(0, dtype=np.float64)
@@ -109,13 +101,6 @@ class _DenseFieldTable:
 
     def membership(self, ids: np.ndarray) -> np.ndarray:
         return gather_in_range(self.stamps, ids, -np.inf)
-
-    def drop_older_than(self, horizon: float) -> int:
-        stale = (self.stamps > -np.inf) & (self.stamps < horizon)
-        dropped = int(stale.sum())
-        if dropped:
-            self.stamps[stale] = -np.inf
-        return dropped
 
     def clear(self) -> None:
         self.stamps[:] = -np.inf
@@ -185,20 +170,6 @@ class HotIndexFilter:
     def __call__(self, field: int, ids: np.ndarray) -> np.ndarray:
         """Alias so the filter plugs into :meth:`LoRACollection.overlay`."""
         return self.is_hot(field, ids)
-
-    def hot_count(self, field: int) -> int:
-        """Number of currently-hot ids in one field (after expiry)."""
-        table = self._marked[field]
-        if self.expiry_s is None:
-            return len(table)
-        return int((table.stamps >= self._now - self.expiry_s).sum())
-
-    def sweep(self) -> int:
-        """Physically remove expired entries; returns how many were dropped."""
-        if self.expiry_s is None:
-            return 0
-        horizon = self._now - self.expiry_s
-        return sum(table.drop_older_than(horizon) for table in self._marked)
 
     def clear(self, field: int | None = None) -> None:
         if field is None:

@@ -5,7 +5,7 @@ operations: mapping sparse ids to LoRA slots (every adapted lookup and
 every gradient step), hot-index membership checks (every served batch),
 and fleet routing (every request).  Expressed per id in Python these cap
 throughput at a few hundred thousand ids/sec; expressed as whole-array
-kernels they run at memory bandwidth.  This module holds the two
+kernels they run at memory bandwidth.  This module holds the
 primitives everything else builds on:
 
 * :func:`splitmix64` — a process-stable avalanche hash (the builtin
@@ -14,11 +14,8 @@ primitives everything else builds on:
 * :class:`IdSlotTable` — an array-native id -> slot map (sorted key
   array + ``np.searchsorted``) with batch lookup/insert/remove, the
   replacement for the former dict-based ``_SlotMap``;
-* :func:`pool_rows` — offset-based segment
-  reductions (EmbeddingBag pooling) bucketed by bag size so cost scales
-  with the id stream, not the bag count;
 * :func:`group_rows_sum` — duplicate-sparse scatter-add: per-occurrence
-  rows accumulated into unique-id rows, the backward of pooling;
+  rows accumulated into unique-id rows, the backward of a lookup;
 * :func:`freshest_per_id` — the one "freshest copy wins, a later copy
   wins a tie" rule every replica merge and row cache applies;
 * :class:`TouchedRows` — an epoch-stamped touched-row tracker (O(batch)
@@ -44,7 +41,6 @@ __all__ = [
     "run_starts",
     "gather_in_range",
     "IdSlotTable",
-    "pool_rows",
     "group_rows_sum",
     "freshest_per_id",
     "TouchedRows",
@@ -416,103 +412,6 @@ class IdSlotTable:
         return released
 
 
-# --------------------------------------------------------------- segment ops
-def _size_classes(sizes: np.ndarray):
-    """Group bag indices by exact bag size.
-
-    Yields ``(size, bag_positions)`` pairs where ``bag_positions`` indexes
-    the original bag order.  Empty bags (size 0) are skipped — callers
-    pre-fill their output with zeros.
-    """
-    order = np.argsort(sizes, kind="stable")
-    ssz = sizes[order]
-    starts = np.concatenate(([0], np.flatnonzero(np.diff(ssz)) + 1))
-    ends = np.concatenate((starts[1:], [sizes.size]))
-    for lo, hi in zip(starts, ends):
-        size = int(ssz[lo])
-        if size == 0:
-            continue
-        yield size, order[lo:hi]
-
-
-def pool_rows(
-    source: np.ndarray,
-    ids: np.ndarray,
-    offsets: np.ndarray,
-    mode: str = "mean",
-) -> np.ndarray:
-    """Offset-based segment reduction: EmbeddingBag pooling in one pass.
-
-    Sample ``b`` owns the id slice ``ids[offsets[b]:offsets[b + 1]]``; its
-    output is the sum (or mean) of the corresponding ``source`` rows.
-    Bags are bucketed by exact size so each bucket reduces one dense
-    ``(bags, size, d)`` block — cost scales with ``len(ids)``, not with
-    the number of bags, and no per-bag Python loop survives.
-
-    Parameters
-    ----------
-    source : numpy.ndarray
-        ``(num_rows, d)`` table to gather from.
-    ids : numpy.ndarray of int64
-        Flat id stream for the whole batch (indices into ``source``).
-    offsets : numpy.ndarray of int64
-        ``(batch + 1,)`` bag boundaries; empty bags pool to zero.
-    mode : {"mean", "sum"}
-        Pooling reduction.
-
-    Returns
-    -------
-    numpy.ndarray
-        ``(batch, d)`` pooled rows, on the same float lane as ``source``
-        (float32 sources pool to float32; integer sources upcast
-        exactly to float64).
-    """
-    if mode not in ("mean", "sum"):
-        raise ValueError("mode must be 'mean' or 'sum'")
-    source = as_float_rows(source, name="source")
-    lane = source.dtype
-    ids = np.asarray(ids, dtype=np.int64)
-    offsets = np.asarray(offsets, dtype=np.int64)
-    batch = offsets.shape[0] - 1
-    if ids.size == 0 or batch == 0:
-        return np.zeros(
-            (batch if batch > 0 else 0, source.shape[1]), dtype=lane
-        )
-    sizes = np.diff(offsets)
-    starts = offsets[:-1]
-    min_size = sizes.min()
-    if min_size < 0:
-        raise ValueError("offsets must be non-decreasing")
-    if min_size > 0:  # every bag written below: skip the zero fill
-        out = np.empty((batch, source.shape[1]), dtype=lane)
-    else:
-        out = np.zeros((batch, source.shape[1]), dtype=lane)
-    for size, bags in _size_classes(sizes):
-        bag_starts = starts[bags]
-        if size == 1:  # singleton bags: the pool is the row itself
-            out[bags] = source[ids[bag_starts]]
-            continue
-        if size <= 32:
-            # Short bags (the common DLRM shape): accumulate the k-th
-            # member of every bag per pass — flat 2-D gathers (fancy
-            # indexing already yields fresh arrays) recycle small buffers
-            # instead of materialising one (bags, size, d) block.
-            acc = source[ids[bag_starts]]
-            for k in range(1, size):
-                acc += source[ids[bag_starts + k]]
-        else:
-            # Long bags arrive in few, large classes: one dense
-            # (bags, size, d) block reduction keeps the member loop out
-            # of Python (the block is no bigger than the class's slice
-            # of the id stream).
-            idx = bag_starts[:, None] + np.arange(size, dtype=np.int64)
-            acc = source[ids[idx]].sum(axis=1)
-        if mode == "mean":
-            acc /= size
-        out[bags] = acc
-    return out
-
-
 def group_rows_sum(
     ids: np.ndarray, rows: np.ndarray, num_rows: int | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -660,10 +559,6 @@ class TouchedRows:
     def mask(self) -> np.ndarray:
         """Dense boolean touched mask, ``(num_rows,)``."""
         return self._lane == self._epoch
-
-    def bitmap(self) -> np.ndarray:
-        """Packed little-endian bitmap of the touched mask (1 bit/row)."""
-        return np.packbits(self.mask(), bitorder="little")
 
     def count(self) -> int:
         return int(np.count_nonzero(self._lane == self._epoch))

@@ -102,22 +102,6 @@ class LoRAAdapter:
     def nbytes(self) -> int:
         return int(self.a.nbytes + self.b.nbytes)
 
-    def is_active(self, idx: int) -> bool:
-        return self._slots.get(int(idx)) is not None
-
-    def slot_of(self, idx: int) -> int | None:
-        return self._slots.get(int(idx))
-
-    def slots_of(self, ids: np.ndarray) -> np.ndarray:
-        """Batch id -> slot translation; ``-1`` for inactive ids."""
-        return self._slots.lookup(ids)
-
-    # ------------------------------------------------------------ activation
-    def activate(self, idx: int) -> int | None:
-        """Ensure ``idx`` has a slot; returns the slot or None if full."""
-        slots = self.activate_batch(np.array([int(idx)], dtype=np.int64))
-        return None if slots[0] < 0 else int(slots[0])
-
     def activate_batch(self, ids: np.ndarray) -> np.ndarray:
         """Give every id a slot (first come first served); ``-1`` if full.
 
@@ -128,10 +112,6 @@ class LoRAAdapter:
         if new_slots.size:
             self.a[new_slots] = 0.0
         return slots
-
-    def deactivate(self, idx: int) -> bool:
-        """Release ``idx``'s slot (pruning); returns True if it was active."""
-        return self.deactivate_batch(np.array([int(idx)], dtype=np.int64)) == 1
 
     def deactivate_batch(self, ids: np.ndarray) -> int:
         """Release the slots of every active id in ``ids``; returns count."""

@@ -112,11 +112,6 @@ class UsageTracker:
         while len(self._history) > self.window_iters:
             self._counts[self._history.popleft()] -= 1
 
-    def frequency(self, idx: int) -> int:
-        """Updates of ``idx`` within the current window."""
-        idx = int(idx)
-        return int(self._counts[idx]) if 0 <= idx < self._counts.size else 0
-
     @property
     def num_tracked(self) -> int:
         return int(np.count_nonzero(self._counts))

@@ -18,8 +18,6 @@ import numpy as np
 __all__ = [
     "cumulative_variance",
     "rank_for_variance",
-    "lowrank_approximation",
-    "approximation_error",
     "RankMonitor",
 ]
 
@@ -56,33 +54,6 @@ def rank_for_variance(grad_matrix: np.ndarray, alpha: float = 0.8) -> int:
         return 1
     k = int(np.searchsorted(cum, alpha - 1e-12) + 1)
     return min(k, cum.size)
-
-
-def lowrank_approximation(
-    grad_matrix: np.ndarray, rank: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Best rank-k factors (Eckart-Young): returns (A, B) with G ~= A @ B."""
-    grad_matrix = np.asarray(grad_matrix, dtype=np.float64)
-    if rank <= 0:
-        raise ValueError("rank must be positive")
-    u, s, vt = np.linalg.svd(grad_matrix, full_matrices=False)
-    k = min(rank, s.shape[0])
-    return u[:, :k] * s[:k], vt[:k]
-
-
-def approximation_error(grad_matrix: np.ndarray, rank: int) -> float:
-    """Relative Frobenius error of the best rank-k approximation.
-
-    By Eckart-Young this equals ``sqrt(sum_{i>k} sigma_i^2 / sum_i sigma_i^2)``
-    — the theoretically-bounded accuracy loss the paper cites.
-    """
-    s = _singular_values(grad_matrix)
-    power = s ** 2
-    total = power.sum()
-    if total == 0:
-        return 0.0
-    tail = power[rank:].sum()
-    return float(np.sqrt(tail / total))
 
 
 @dataclass

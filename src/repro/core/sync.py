@@ -10,9 +10,7 @@ that is the eventual-consistency trade-off Fig. 9 quantifies.
 Supports are accumulated as per-step id arrays and consolidated with one
 ``np.unique`` at sync time; the gather / merge / apply pipeline runs on
 whole (ids, rows) arrays via :meth:`LoRAAdapter.gather_rows` and
-:meth:`LoRAAdapter.scatter_rows` — no per-support-id Python loop.  The
-dict-based :func:`priority_merge` / :func:`average_merge` remain as the
-reference (and public) formulation of the merge rule.
+:meth:`LoRAAdapter.scatter_rows` — no per-support-id Python loop.
 
 Communication cost is modelled with the tree-AllGather collective from
 :mod:`repro.cluster.collectives`, which is what gives Fig. 19 its O(log N)
@@ -40,8 +38,6 @@ from .trainer import LoRATrainer
 
 __all__ = [
     "SyncReport",
-    "priority_merge",
-    "average_merge",
     "priority_merge_rows",
     "average_merge_rows",
     "SparseLoRASynchronizer",
@@ -63,44 +59,6 @@ class SyncReport:
         return self.allgather_seconds + self.broadcast_seconds
 
 
-def priority_merge(
-    per_rank_values: list[dict[int, np.ndarray]],
-) -> dict[int, np.ndarray]:
-    """Resolve index-level write conflicts by the max-rank rule.
-
-    Args:
-        per_rank_values: ``per_rank_values[r]`` maps a modified index to the
-            value rank ``r`` holds for it.
-
-    Returns:
-        the merged index -> value map where index ``i`` takes the value from
-        ``max{r | i in S_r}`` (Algorithm 3, line 11).
-    """
-    merged: dict[int, np.ndarray] = {}
-    for values in per_rank_values:  # ascending rank order; later overwrites
-        for idx, val in values.items():
-            merged[idx] = val
-    return merged
-
-
-def average_merge(
-    per_rank_values: list[dict[int, np.ndarray]],
-) -> dict[int, np.ndarray]:
-    """Ablation alternative: average conflicting writes instead of picking a
-    winner.  Requires same-shaped values across ranks for a given index."""
-    sums: dict[int, np.ndarray] = {}
-    counts: dict[int, int] = {}
-    for values in per_rank_values:
-        for idx, val in values.items():
-            if idx in sums and sums[idx].shape == val.shape:
-                sums[idx] = sums[idx] + val
-                counts[idx] += 1
-            else:
-                sums[idx] = val.copy()
-                counts[idx] = 1
-    return {idx: sums[idx] / counts[idx] for idx in sums}
-
-
 def _no_rows(
     per_rank: list[tuple[np.ndarray, np.ndarray]], width: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -112,7 +70,7 @@ def _no_rows(
 def priority_merge_rows(
     per_rank: list[tuple[np.ndarray, np.ndarray]], width: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Array form of :func:`priority_merge`.
+    """Rank-priority merge: each id takes the highest rank's row.
 
     Args:
         per_rank: ``(ids, rows)`` per rank in ascending rank order; all
@@ -140,7 +98,8 @@ def priority_merge_rows(
 def average_merge_rows(
     per_rank: list[tuple[np.ndarray, np.ndarray]], width: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Array form of :func:`average_merge` over width-aligned rows."""
+    """Ablation alternative: average each id's rows over the ranks that
+    wrote it, instead of picking a winner."""
     if not per_rank or all(ids.size == 0 for ids, _ in per_rank):
         return _no_rows(per_rank, width)
     ids = np.concatenate([p[0] for p in per_rank])

@@ -228,7 +228,6 @@ class LoRATrainer:
             if cfg.dynamic_rank:
                 snap = self._gradient_snapshot(f)
                 if snap.shape[0] >= 2:
-                    # repro-lint: disable=obs-discipline -- RankMonitor.observe is the PCA update (one whole-snapshot call per table), not a telemetry histogram
                     self.rank_monitors[f].observe(snap)
                     new_rank = self.rank_monitors[f].recommended_rank(
                         fallback=adapter.rank

@@ -14,12 +14,11 @@ from .datasets import (
 from .arrivals import ArrivalConfig, BurstEpisode, RequestArrivalProcess
 from .stream import InferenceLogBuffer, RingBufferStats
 from .synthetic import Batch, DriftingCTRStream, StreamConfig
-from .zipf import ZipfSampler, access_cdf, calibrate_zipf_exponent, zipf_head_share
+from .zipf import ZipfSampler, access_cdf, zipf_head_share
 
 __all__ = [
     "ZipfSampler",
     "zipf_head_share",
-    "calibrate_zipf_exponent",
     "access_cdf",
     "Batch",
     "StreamConfig",

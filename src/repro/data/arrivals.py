@@ -102,23 +102,6 @@ class RequestArrivalProcess:
         rates = self._rate_at(edges, start_hour)
         return self._rng.poisson(rates * interval_s)
 
-    def batch_sizes(
-        self,
-        horizon_s: float,
-        batch_window_ms: float = 50.0,
-        start_hour: float = 12.0,
-    ) -> np.ndarray:
-        """Served-batch sizes when requests are micro-batched.
-
-        Production servers coalesce requests arriving within a small window
-        into one GPU pass; burstiness therefore shows up as *batch size*
-        variance, which feeds the latency model's per-batch cost.
-        """
-        counts = self.counts_per_interval(
-            horizon_s, interval_s=batch_window_ms / 1e3, start_hour=start_hour
-        )
-        return counts[counts > 0]
-
     def peak_to_mean(self, horizon_s: float = 3600.0) -> float:
         """Burstiness summary: peak over mean interval counts."""
         counts = self.counts_per_interval(horizon_s)

@@ -91,10 +91,6 @@ class DatasetSpec:
         sizes = np.maximum((weights * total_rows).astype(int), min_rows)
         return tuple(int(s) for s in sizes)
 
-    def ingest_bytes_per_window(self, window_s: float = 300.0) -> float:
-        """New training-log volume generated per window (~25 GB per 5 min)."""
-        return self.requests_per_5min * (window_s / 300.0) * self.bytes_per_sample
-
 
 # Table II of the paper, reconstructed.  The -TB variants are the public
 # datasets synthetically scaled to 50 TB of embeddings with 5B samples.

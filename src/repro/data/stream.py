@@ -184,14 +184,3 @@ class InferenceLogBuffer:
             sparse_ids=self._sparse.take(picks, axis=0),
             labels=self._labels.take(picks, axis=0),
         )
-
-    def drain_window(self) -> Batch | None:
-        """Copy the whole window into one batch (epoch-style replay)."""
-        if not self._meta:
-            return None
-        return Batch(
-            timestamp=self._meta[-1].timestamp,
-            dense=self._unwrap(self._dense),
-            sparse_ids=self._unwrap(self._sparse),
-            labels=self._unwrap(self._labels),
-        )

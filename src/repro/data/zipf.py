@@ -13,7 +13,7 @@ import functools
 
 import numpy as np
 
-__all__ = ["ZipfSampler", "zipf_head_share", "calibrate_zipf_exponent", "access_cdf"]
+__all__ = ["ZipfSampler", "zipf_head_share", "access_cdf"]
 
 
 class ZipfSampler:
@@ -80,13 +80,6 @@ class ZipfSampler:
         ids = np.where(reject, self._alias_id[ranks], self._keep_id[ranks])
         return ids.astype(np.int64, copy=False)
 
-    def probability_of_id(self, ids: np.ndarray) -> np.ndarray:
-        """Access probability of specific ids."""
-        ids = np.asarray(ids, dtype=np.int64)
-        id_to_rank = np.empty(self.size, dtype=np.int64)
-        id_to_rank[self._rank_to_id] = np.arange(self.size, dtype=np.int64)
-        return self._probs[id_to_rank[ids]]
-
     def hot_ids(self, fraction: float) -> np.ndarray:
         """Ids of the hottest ``fraction`` of the table (by rank)."""
         k = max(1, int(round(fraction * self.size)))
@@ -129,35 +122,6 @@ def zipf_head_share(exponent: float, size: int, head_fraction: float) -> float:
     weights = np.arange(1, size + 1, dtype=np.float64) ** -exponent
     k = max(1, int(round(head_fraction * size)))
     return float(weights[:k].sum() / weights.sum())
-
-
-def calibrate_zipf_exponent(
-    size: int,
-    head_fraction: float = 0.10,
-    target_share: float = 0.938,
-    lo: float = 0.1,
-    hi: float = 3.0,
-    tol: float = 1e-4,
-) -> float:
-    """Bisection solve for the exponent giving ``target_share`` head share.
-
-    Defaults reproduce the paper's "top 10% of indices account for 93.8% of
-    accesses" (Fig. 12).  Head share is monotone increasing in the exponent.
-    """
-    f_lo = zipf_head_share(lo, size, head_fraction)
-    f_hi = zipf_head_share(hi, size, head_fraction)
-    if not f_lo <= target_share <= f_hi:
-        raise ValueError(
-            f"target share {target_share} not bracketed by exponents "
-            f"[{lo}, {hi}] (shares [{f_lo:.4f}, {f_hi:.4f}])"
-        )
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if zipf_head_share(mid, size, head_fraction) < target_share:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 def access_cdf(access_counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -6,10 +6,10 @@ Recommendation Model (Naumov et al.) that the paper's serving system hosts.
 
 from .embedding import EmbeddingBagCollection, EmbeddingTable, SparseRowGrad
 from .interaction import DotInteraction
-from .metrics import StreamingAUC, auc_roc, calibration_ratio, log_loss
-from .mlp import MLP, ActivationCache, DenseGrads, clip_by_global_norm
+from .metrics import auc_roc
+from .mlp import MLP, ActivationCache, DenseGrads
 from .model import DLRM, DLRMConfig, ForwardCache, TrainStepResult, sigmoid
-from .optim import SGD, RowwiseAdagrad
+from .optim import RowwiseAdagrad
 
 __all__ = [
     "DLRM",
@@ -24,11 +24,6 @@ __all__ = [
     "MLP",
     "ActivationCache",
     "DenseGrads",
-    "clip_by_global_norm",
-    "SGD",
     "RowwiseAdagrad",
     "auc_roc",
-    "log_loss",
-    "calibration_ratio",
-    "StreamingAUC",
 ]

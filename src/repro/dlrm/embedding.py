@@ -2,8 +2,7 @@
 
 An :class:`EmbeddingTable` maps categorical IDs to dense vectors and supports
 the row-wise sparse updates that dominate DLRM training traffic (Section II-A
-of the paper).  Multi-hot inputs are pooled (mean or sum) into a single vector
-per sample, mirroring TorchRec's ``EmbeddingBagCollection`` semantics.
+of the paper).  Every field is single-hot: one id per sample per field.
 
 Gradients are returned as :class:`SparseRowGrad` objects — (indices, rows)
 pairs — because production DLRMs only touch the rows present in a mini-batch.
@@ -12,12 +11,11 @@ LiveUpdate's low-rank adapters) possible, so the substrate preserves it
 instead of materialising dense ``|V| x d`` gradient tensors.
 
 The hot paths are whole-array passes over :mod:`repro.core.kernels`:
-pooled forward/backward run through offset-based segment reductions
-(:func:`~repro.core.kernels.pool_rows` /
-:func:`~repro.core.kernels.group_rows_sum`) and touched-row delta
+the backward accumulates duplicate ids with
+:func:`~repro.core.kernels.group_rows_sum` and touched-row delta
 accounting is an epoch-stamped
-:class:`~repro.core.kernels.TouchedRows` lane — no per-bag or per-id
-Python loops survive on the train/serve path.
+:class:`~repro.core.kernels.TouchedRows` lane — no per-id Python loops
+survive on the train/serve path.
 """
 
 from __future__ import annotations
@@ -27,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..core.dtypes import ROW_DTYPE, as_float_rows
-from ..core.kernels import TouchedRows, group_rows_sum, pool_rows
+from ..core.kernels import TouchedRows, group_rows_sum
 
 __all__ = [
     "SparseRowGrad",
@@ -61,16 +59,6 @@ class SparseRowGrad:
     def nnz_rows(self) -> int:
         """Number of distinct rows carrying gradient."""
         return int(self.indices.shape[0])
-
-    def to_dense(self, num_rows: int) -> np.ndarray:
-        """Materialise the dense ``(num_rows, d)`` gradient (tests/analysis)."""
-        dense = np.zeros((num_rows, self.rows.shape[1]), dtype=self.rows.dtype)
-        dense[self.indices] = self.rows
-        return dense
-
-    def frobenius_norm(self) -> float:
-        """Frobenius norm of the (implicitly dense) gradient."""
-        return float(np.linalg.norm(self.rows))
 
 
 class EmbeddingTable:
@@ -143,23 +131,6 @@ class EmbeddingTable:
         # stops ``np.take`` from buffering ``out`` as ``mode="raise"`` does.
         return np.take(self.weight, ids, axis=0, out=out, mode="clip")
 
-    def lookup_pooled(
-        self, ids: np.ndarray, offsets: np.ndarray, mode: str = "mean"
-    ) -> np.ndarray:
-        """Multi-hot lookup with pooling (EmbeddingBag semantics).
-
-        Args:
-            ids: flat 1-D array of ids for the whole batch.
-            offsets: ``(batch + 1,)`` array; sample ``b`` owns
-                ``ids[offsets[b]:offsets[b + 1]]``.  Empty bags pool to zero.
-            mode: ``"mean"`` or ``"sum"``.
-        """
-        ids = np.asarray(ids, dtype=np.int64)
-        offsets = np.asarray(offsets, dtype=np.int64)
-        if ids.size and (ids.min() < 0 or ids.max() >= self.num_rows):
-            raise IndexError(f"embedding id out of range for table {self.name}")
-        return pool_rows(self.weight, ids, offsets, mode=mode)
-
     # --------------------------------------------------------------- backward
     def grad_from_output(
         self, ids: np.ndarray, grad_out: np.ndarray
@@ -169,38 +140,6 @@ class EmbeddingTable:
         grad_out = np.asarray(grad_out, dtype=self.weight.dtype)
         uniq, rows = group_rows_sum(ids, grad_out, num_rows=self.num_rows)
         return SparseRowGrad(uniq, rows)
-
-    def grad_from_pooled(
-        self,
-        ids: np.ndarray,
-        offsets: np.ndarray,
-        grad_out: np.ndarray,
-        mode: str = "mean",
-    ) -> SparseRowGrad:
-        """Backward of :meth:`lookup_pooled`.
-
-        Each id in bag ``b`` receives ``grad_out[b]`` (divided by bag size for
-        mean pooling), then duplicates are accumulated — one spread
-        (``np.repeat``) plus one duplicate-sparse scatter-add, no per-bag
-        Python loop.
-        """
-        ids = np.asarray(ids, dtype=np.int64)
-        offsets = np.asarray(offsets, dtype=np.int64)
-        grad_out = np.asarray(grad_out, dtype=self.weight.dtype)
-        sizes = np.diff(offsets)
-        if int(sizes.sum()) != ids.shape[0]:
-            raise ValueError("offsets do not cover the id stream")
-        if mode == "mean":
-            grad_out = grad_out / np.maximum(sizes, 1)[:, None]
-        per_id = np.repeat(grad_out, sizes, axis=0)
-        uniq, rows = group_rows_sum(ids, per_id, num_rows=self.num_rows)
-        return SparseRowGrad(uniq, rows)
-
-    # ----------------------------------------------------------------- update
-    def apply_sparse_update(self, grad: SparseRowGrad, lr: float) -> None:
-        """Plain SGD row update; marks rows as touched for delta tracking."""
-        self.weight[grad.indices] -= lr * grad.rows
-        self.mark_touched(grad.indices)
 
     def assign_rows(self, indices: np.ndarray, rows: np.ndarray) -> None:
         """Overwrite specific rows (used when applying pulled deltas)."""
@@ -270,23 +209,6 @@ class EmbeddingBagCollection:
     @property
     def nbytes(self) -> int:
         return sum(t.nbytes for t in self.tables)
-
-    def lookup_all(self, sparse_ids: np.ndarray) -> list[np.ndarray]:
-        """Single-hot lookup across all fields.
-
-        Args:
-            sparse_ids: ``(batch, num_fields)`` int array.
-
-        Returns:
-            list of ``(batch, d)`` arrays, one per field.
-        """
-        sparse_ids = np.asarray(sparse_ids, dtype=np.int64)
-        if sparse_ids.shape[1] != len(self.tables):
-            raise ValueError(
-                f"expected {len(self.tables)} sparse fields, "
-                f"got {sparse_ids.shape[1]}"
-            )
-        return [t.lookup(sparse_ids[:, f]) for f, t in enumerate(self.tables)]
 
     def touched_fraction(self) -> float:
         """Row-weighted average touched fraction across tables."""

@@ -10,7 +10,7 @@ passes are *fused* over the whole batch:
   intermediate allocations beyond the single cache);
 * :meth:`MLP.backward` writes every parameter gradient into one flat
   buffer whose per-layer views form the returned :class:`DenseGrads`,
-  so a whole SGD step is one fused ``params -= lr * flat`` axpy.
+  so a whole optimizer step is one fused pass over ``params``.
 
 Parameters live in a single flat buffer too; ``weights``/``biases`` are
 reshaped views over it, so existing per-layer access (tests, Adagrad
@@ -26,7 +26,7 @@ import numpy as np
 
 from ..core.dtypes import ROW_DTYPE
 
-__all__ = ["ActivationCache", "DenseGrads", "MLP", "clip_by_global_norm"]
+__all__ = ["ActivationCache", "DenseGrads", "MLP"]
 
 
 def _param_views(
@@ -86,8 +86,8 @@ class DenseGrads:
     """Gradients for one MLP: per-layer weight and bias arrays.
 
     When produced by :meth:`MLP.backward` the per-layer arrays are views
-    over one flat buffer (:attr:`flat`), so norms, scaling and the SGD
-    update are single vectorized passes instead of per-layer loops.
+    over one flat buffer (:attr:`flat`), so the optimizer update is a
+    single vectorized pass instead of per-layer loops.
     Constructing one from plain lists (external code, tests) still
     works; :attr:`flat` then concatenates on demand.
     """
@@ -114,36 +114,6 @@ class DenseGrads:
         if not parts:
             return np.zeros(0, dtype=ROW_DTYPE)
         return np.concatenate(parts)
-
-    def scaled(self, factor: float) -> "DenseGrads":
-        flat = self.flat * factor
-        weights, biases = _param_views(
-            flat,
-            [w.shape for w in self.weights],
-            [b.shape for b in self.biases],
-        )
-        return DenseGrads(weights, biases, flat)
-
-    def global_norm(self) -> float:
-        """L2 norm over every element — one flat dot, no per-layer sum."""
-        flat = self.flat
-        return float(np.sqrt(flat @ flat))
-
-
-def clip_by_global_norm(
-    grads: DenseGrads, max_norm: float
-) -> tuple[DenseGrads, float]:
-    """Scale ``grads`` so its global L2 norm is at most ``max_norm``.
-
-    Returns ``(clipped, pre_clip_norm)``; when the norm is already
-    within budget the input object passes through unscaled.
-    """
-    if max_norm <= 0:
-        raise ValueError("max_norm must be positive")
-    norm = grads.global_norm()
-    if norm <= max_norm:
-        return grads, norm
-    return grads.scaled(max_norm / norm), norm
 
 
 class MLP:
@@ -272,22 +242,6 @@ class MLP:
                 g.sum(axis=0, out=grads.biases[layer])
             g = g @ self.weights[layer].T
         return g, grads
-
-    def apply_grads(self, grads: DenseGrads, lr: float) -> None:
-        """In-place SGD step — one fused axpy when the grads are
-        flat-backed (the :meth:`backward` product), per-layer otherwise."""
-        flat = grads._flat
-        if (
-            flat is not None
-            and flat.size == self._params.size
-            and flat.dtype == self.dtype
-        ):
-            self._params -= lr * flat
-            return
-        for w, gw in zip(self.weights, grads.weights):
-            w -= lr * gw
-        for b, gb in zip(self.biases, grads.biases):
-            b -= lr * gb
 
     def copy(self) -> "MLP":
         dup = MLP.__new__(MLP)

@@ -292,13 +292,13 @@ class DLRM:
         optimizer,
         update_dense: bool = True,
     ) -> TrainStepResult:
-        """One SGD/Adagrad step over a mini-batch.
+        """One optimizer step over a mini-batch.
 
         Args:
             optimizer: object with ``step_sparse(table, grad)`` and
                 ``step_dense(mlp, grads)`` methods.  Sparse steps are
-                expected to mark updated rows on the table (both built-in
-                optimizers do) so delta strategies see them.
+                expected to mark updated rows on the table (``RowwiseAdagrad``
+                does) so delta strategies see them.
             update_dense: set ``False`` to freeze MLPs (the paper's
                 inference-side trainer only adapts embeddings).
         """

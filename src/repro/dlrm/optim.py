@@ -1,13 +1,10 @@
-"""Optimizers for DLRM training.
+"""The DLRM optimizer.
 
-Two flavours are provided:
+:class:`RowwiseAdagrad` is the de-facto industry choice for embedding
+tables (used by TorchRec); it keeps one accumulator scalar per row so that
+memory overhead stays O(|V|) instead of O(|V| x d).
 
-* :class:`SGD` — plain stochastic gradient descent.
-* :class:`RowwiseAdagrad` — the de-facto industry choice for embedding
-  tables (used by TorchRec); keeps one accumulator scalar per row so that
-  memory overhead stays O(|V|) instead of O(|V| x d).
-
-Both understand the :class:`~repro.dlrm.embedding.SparseRowGrad` format so
+It understands the :class:`~repro.dlrm.embedding.SparseRowGrad` format so
 that only touched rows pay update cost, matching production behaviour.
 The sparse step is one fused gather -> update -> scatter pass, and touched
 rows are stamped into the table's epoch lane — no per-id Python work.
@@ -20,34 +17,9 @@ import weakref
 import numpy as np
 
 from .embedding import EmbeddingTable, SparseRowGrad
-from .mlp import MLP, DenseGrads, _param_views, clip_by_global_norm
+from .mlp import MLP, DenseGrads, _param_views
 
-__all__ = ["SGD", "RowwiseAdagrad"]
-
-
-class SGD:
-    """Plain SGD for dense modules and sparse embedding rows.
-
-    ``max_grad_norm`` enables global-norm clipping of dense grads (one
-    flat-buffer norm + scale via
-    :func:`~repro.dlrm.mlp.clip_by_global_norm`); ``None`` disables it.
-    """
-
-    def __init__(self, lr: float = 0.01, max_grad_norm: float | None = None) -> None:
-        if lr <= 0:
-            raise ValueError("lr must be positive")
-        if max_grad_norm is not None and max_grad_norm <= 0:
-            raise ValueError("max_grad_norm must be positive when set")
-        self.lr = lr
-        self.max_grad_norm = max_grad_norm
-
-    def step_dense(self, mlp: MLP, grads: DenseGrads) -> None:
-        if self.max_grad_norm is not None:
-            grads, _ = clip_by_global_norm(grads, self.max_grad_norm)
-        mlp.apply_grads(grads, self.lr)
-
-    def step_sparse(self, table: EmbeddingTable, grad: SparseRowGrad) -> None:
-        table.apply_sparse_update(grad, self.lr)
+__all__ = ["RowwiseAdagrad"]
 
 
 class RowwiseAdagrad:

@@ -86,10 +86,6 @@ class StrategyRun:
     update_seconds: float
     bytes_moved: float
 
-    def mean_auc_after(self, t0: float) -> float:
-        vals = [p.auc for p in self.timeline if p.time_s >= t0 and not np.isnan(p.auc)]
-        return float(np.mean(vals)) if vals else float("nan")
-
 
 def _make_stream(config: AccuracyConfig) -> DriftingCTRStream:
     return DriftingCTRStream(

@@ -26,8 +26,6 @@ __all__ = [
     "DecayPoint",
     "staleness_decay_curve",
     "access_distribution",
-    "CacheChurnPoint",
-    "cache_churn_profile",
 ]
 
 
@@ -123,73 +121,6 @@ def staleness_decay_curve(
                 minutes_stale=i * step_minutes,
                 auc=float(np.mean(aucs)),
                 refreshed=refreshed,
-            )
-        )
-    return out
-
-
-@dataclass
-class CacheChurnPoint:
-    """Hot-set freshness of one serving window under co-location.
-
-    Staleness has a serving-side cost too: every trainer write that lands
-    next to the server displaces L3 lines the hot set would have reused.
-    ``evictions_per_access`` is that churn, normalised so windows of
-    different sizes compare.
-    """
-
-    window_index: int
-    inference_hit_ratio: float
-    training_hit_ratio: float
-    evictions_per_access: float
-
-
-def cache_churn_profile(
-    sim=None, windows: int = 4, config=None
-) -> list[CacheChurnPoint]:
-    """Run consecutive co-located windows and report the hot set's churn.
-
-    Consumes :class:`repro.serving.engine.WindowResult` directly.  Uses
-    the exact-LRU cache policy because eviction accounting is only defined
-    there (the default interval policy expires entries implicitly).
-
-    Args:
-        sim: an existing :class:`~repro.serving.engine.
-            ColocatedNodeSimulator`; one is built from ``config`` when
-            omitted.
-        windows: how many consecutive windows to simulate.
-        config: ``NodeSimConfig`` overrides for the built simulator.
-    """
-    from dataclasses import replace
-
-    from ..serving.engine import ColocatedNodeSimulator, NodeSimConfig
-
-    if sim is None:
-        cfg = config or NodeSimConfig(
-            num_rows=20_000,
-            accesses_per_window=10_000,
-            training_ratio=4.0,
-            l3_bytes_per_ccd=int(0.025 * 1024 ** 2),
-        )
-        # Copy rather than mutate: the caller's config keeps its policy.
-        sim = ColocatedNodeSimulator(replace(cfg, cache_policy="lru"))
-    elif sim.config.cache_policy != "lru":
-        raise ValueError(
-            "cache_churn_profile needs cache_policy='lru': the interval "
-            "policy expires entries implicitly and reports no evictions"
-        )
-    out: list[CacheChurnPoint] = []
-    for w in range(windows):
-        result = sim.run_colocated_full()
-        accesses = max(
-            1, result.inference_accesses + result.training_accesses
-        )
-        out.append(
-            CacheChurnPoint(
-                window_index=w,
-                inference_hit_ratio=result.inference_hit_ratio,
-                training_hit_ratio=result.training_hit_ratio,
-                evictions_per_access=result.cache_evictions / accesses,
             )
         )
     return out

@@ -2,7 +2,7 @@
 latency/power models, adaptive NUMA partitioning, and embedding reuse."""
 
 from .cache import CacheStats
-from .latency import InferenceLatencyModel, LatencyBreakdown, percentile
+from .latency import InferenceLatencyModel, percentile
 from .memory import MemoryBandwidthModel, MemoryTraffic
 from .numa import AdaptiveNumaPartitioner, PartitionState, RebalanceEvent
 from .power import CPUPowerModel, DiurnalLoadTrace, UtilizationSample
@@ -18,7 +18,6 @@ __all__ = [
     "MemoryTraffic",
     "MemoryBandwidthModel",
     "InferenceLatencyModel",
-    "LatencyBreakdown",
     "percentile",
     "CPUPowerModel",
     "DiurnalLoadTrace",

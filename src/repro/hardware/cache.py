@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 __all__ = ["CacheStats"]
 
 
@@ -29,12 +27,3 @@ class CacheStats:
     @property
     def hit_ratio(self) -> float:
         return self.hits / self.accesses if self.accesses else 0.0
-
-    def merge(self, other: "CacheStats") -> "CacheStats":
-        return CacheStats(self.hits + other.hits, self.misses + other.misses)
-
-    @classmethod
-    def from_mask(cls, hit_mask: np.ndarray) -> "CacheStats":
-        """Aggregate view of a per-access hit mask."""
-        hits = int(np.asarray(hit_mask).sum())
-        return cls(hits=hits, misses=int(np.asarray(hit_mask).size) - hits)

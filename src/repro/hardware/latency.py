@@ -19,13 +19,11 @@ overall, <10 ms GPU time in Section V).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .memory import MemoryBandwidthModel, MemoryTraffic
 
-__all__ = ["LatencyBreakdown", "InferenceLatencyModel", "percentile"]
+__all__ = ["InferenceLatencyModel", "percentile"]
 
 
 def percentile(samples: np.ndarray, q: float) -> float:
@@ -34,16 +32,6 @@ def percentile(samples: np.ndarray, q: float) -> float:
     if samples.size == 0:
         return float("nan")
     return float(np.percentile(samples, q))
-
-
-@dataclass
-class LatencyBreakdown:
-    """Mean per-request cost decomposition, in milliseconds."""
-
-    lookup_ms: float
-    dense_ms: float
-    total_p50_ms: float
-    total_p99_ms: float
 
 
 class InferenceLatencyModel:
@@ -129,21 +117,3 @@ class InferenceLatencyModel:
             self._rng.normal(0.0, self.jitter_sigma, size=num_requests)
         )
         return (lookup_ms + dense) * jitter
-
-    def breakdown(
-        self,
-        l3_hit_ratio: float,
-        traffic: MemoryTraffic,
-        num_requests: int = 20_000,
-        remote_fraction: float = 0.0,
-    ) -> LatencyBreakdown:
-        """Summary statistics for one configuration."""
-        samples = self.sample_latencies(
-            num_requests, l3_hit_ratio, traffic, remote_fraction
-        )
-        return LatencyBreakdown(
-            lookup_ms=self.mean_lookup_ms(l3_hit_ratio, traffic, remote_fraction),
-            dense_ms=self.dense_ms,
-            total_p50_ms=percentile(samples, 50),
-            total_p99_ms=percentile(samples, 99),
-        )

@@ -76,11 +76,6 @@ class MemoryBandwidthModel:
         """Loaded access latency under the given aggregate demand."""
         return self.base_latency_ns * self.latency_multiplier(traffic)
 
-    def headroom_gbps(self, traffic: MemoryTraffic) -> float:
-        """Remaining read-equivalent bandwidth before the saturation knee."""
-        effective = traffic.read_gbps + self.write_penalty * traffic.write_gbps
-        return max(0.0, self.max_utilization * self.peak_gbps - effective)
-
     # ------------------------------------------------------- demand estimates
     @staticmethod
     def inference_traffic(

@@ -95,10 +95,6 @@ class AdaptiveNumaPartitioner:
         ids = self._inference if which == "inference" else self._training
         return sum(self.topology.ccd(i).l3_bytes for i in ids)
 
-    def cores(self, which: str) -> int:
-        ids = self._inference if which == "inference" else self._training
-        return sum(self.topology.ccd(i).num_cores for i in ids)
-
     # ------------------------------------------------------------- adaptation
     def observe(self, p99_ms: float) -> RebalanceEvent:
         """One adaptation cycle: lines 6-12 of Algorithm 2."""

@@ -53,12 +53,6 @@ class CPUPowerModel:
         u = float(np.clip(utilization, 0.0, 1.0))
         return self.idle_w + (self.peak_w - self.idle_w) * u ** self.alpha
 
-    def relative_increase(self, base_util: float, extra_util: float) -> float:
-        """Fractional power increase from adding ``extra_util`` of load."""
-        p0 = self.power(base_util)
-        p1 = self.power(min(base_util + extra_util, 1.0))
-        return (p1 - p0) / p0
-
 
 class DiurnalLoadTrace:
     """24-hour QPS/utilisation trace shaped like production traffic.
@@ -100,10 +94,6 @@ class DiurnalLoadTrace:
                 1.0 + self._rng.normal(0.0, self.noise, size=util.shape)
             )
         return np.clip(util, 0.0, 1.0)
-
-    def qps_at(self, hour: float | np.ndarray) -> np.ndarray:
-        hour = np.asarray(hour, dtype=np.float64) % 24.0
-        return self.peak_qps * self._shape(hour)
 
     def sample_day(
         self,

@@ -154,22 +154,6 @@ class TieredEmbeddingStore:
                 out[remote_needed] = self._remote_fetch(remote_ids)
         return out, latency_us
 
-    # ---------------------------------------------------------------- update
-    def apply_update(self, ids: np.ndarray, rows: np.ndarray) -> int:
-        """Write updated rows into the local partition (delta application).
-
-        HBM copies are write-through (same backing array), so no
-        invalidation is needed; returns the number of local rows written.
-        """
-        ids = np.asarray(ids, dtype=np.int64)
-        written = 0
-        for i, row in zip(ids, rows):
-            i = int(i)
-            if self.is_local(i) and 0 <= i < self.weight.shape[0]:
-                self.weight[i] = row
-                written += 1
-        return written
-
     def mean_lookup_latency_us(self) -> float:
         """Average modelled per-row latency so far."""
         s = self.stats

@@ -216,30 +216,12 @@ class BatchLRUCache:
             return 0 <= k < self._depth_of.size and self._depth_of[k] >= 0
         return bool((self._order == k).any())
 
-    def keys_lru_to_mru(self) -> np.ndarray:
-        """Resident keys in recency order (least recent first)."""
-        return self._order.copy()
-
     def clear(self) -> None:
         if self._depth_of is not None:
             self._depth_of[self._order] = -1
         self._order = np.empty(0, dtype=np.int64)
         self._sizes = np.empty(0, dtype=np.int64)
         self._used = 0
-
-    def invalidate(self, key: object) -> bool:
-        """Drop one entry if present (write-invalidate from another agent)."""
-        if key not in self:
-            return False
-        k = int(key)  # type: ignore[arg-type]
-        keep = self._order != k
-        self._used -= int(self._sizes[~keep][0])
-        self._order = self._order[keep]
-        self._sizes = self._sizes[keep]
-        if self._depth_of is not None:
-            self._depth_of[k] = -1
-            self._depth_of[self._order] = np.arange(self._order.size, dtype=np.int64)
-        return True
 
     # ----------------------------------------------------------------- batch
     def access_many(
@@ -785,12 +767,6 @@ class IntervalCache:
             self._window(self._entry_size) if self._entry_size else 0
         )
 
-    def invalidate(self, key: object) -> bool:
-        if key not in self:
-            return False
-        self._last[int(key)] = np.iinfo(np.int64).min // 2  # type: ignore[arg-type]
-        return True
-
     # ----------------------------------------------------------------- access
     def access_many(
         self,
@@ -870,4 +846,3 @@ class IntervalCache:
         if stats is not None:
             result.stats(stats)
         return result
-

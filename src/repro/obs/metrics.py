@@ -46,9 +46,8 @@ def _check_name(name: str) -> str:
 class Counter:
     """Monotonically increasing integer count.
 
-    Hot paths call :meth:`add` with a batch total (``rows.size``, a mask
-    ``sum()``) rather than :meth:`inc` per item — the ``obs-discipline``
-    lint rule enforces this in modules declared hot.
+    Callers :meth:`add` a batch total (``rows.size``, a mask ``sum()``),
+    one call per batch rather than one per item.
     """
 
     __slots__ = ("name", "help", "value")
@@ -64,10 +63,6 @@ class Counter:
         if n < 0:
             raise ValueError("counters only go up")
         self.value += n
-
-    def inc(self) -> None:
-        """Add one; convenience for cold, per-event call sites."""
-        self.value += 1
 
     def reset(self) -> None:
         """Zero the count in place (object identity is preserved)."""
@@ -208,14 +203,6 @@ class Histogram:
             estimate = float(self.edges[bucket])
         return float(min(max(estimate, self._min), self._max))
 
-    def percentiles(self) -> dict[str, float]:
-        """The tail summary exporters publish: p50/p95/p99."""
-        return {
-            "p50": self.quantile(50),
-            "p95": self.quantile(95),
-            "p99": self.quantile(99),
-        }
-
     def reset(self) -> None:
         """Zero all buckets and running moments in place."""
         self.counts[:] = 0
@@ -290,14 +277,6 @@ class MetricsRegistry:
 
     def __len__(self) -> int:
         return len(self._metrics)
-
-    def by_kind(self, kind) -> list:
-        """All metrics of one class, in sorted-name order."""
-        return [
-            self._metrics[n]
-            for n in self.names()
-            if isinstance(self._metrics[n], kind)
-        ]
 
     def reset(self) -> None:
         """Zero every metric in place; handles held elsewhere stay valid."""

@@ -478,12 +478,6 @@ class ColocatedNodeSimulator:
             "w/ Reuse+Scheduling": self.run_colocated_full(),
         }
 
-    # ---------------------------------------------------- adaptive scheduling
-    def measure_p99_for_partition(self, inference_ccds: int, training_ccds: int) -> float:
-        """P99 under a given CCD split (Algorithm 2's measurement hook)."""
-        result = self.run_colocated_scheduled(inference_ccds, training_ccds)
-        return result.p99_ms
-
     def run_adaptive(
         self, partitioner: AdaptiveNumaPartitioner, cycles: int = 10
     ) -> list[WindowResult]:
@@ -501,6 +495,5 @@ class ColocatedNodeSimulator:
                 # cache.
                 result = self.run_inference_only(state.num_inference)
             results.append(result)
-            # repro-lint: disable=obs-discipline -- AdaptiveNumaPartitioner.observe is Algorithm 2's feedback step (it picks the next cycle's split), not a telemetry histogram
             partitioner.observe(result.p99_ms)
         return results

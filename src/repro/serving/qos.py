@@ -161,14 +161,6 @@ class SLAMonitor:
         self.reports.append(report)
         return report
 
-    def current_p99(self) -> float:
-        """P99 of the in-progress window (or last closed one if empty)."""
-        if self._current.size:
-            return percentile(self._current, 99)
-        if self.reports:
-            return self.reports[-1].p99_ms
-        return float("nan")
-
     @property
     def violation_rate(self) -> float:
         if not self.reports:

@@ -26,7 +26,7 @@ from ..core.kernels import hash_combine, splitmix64
 __all__ = ["RouterStats", "ConsistentHashRouter"]
 
 # Fixed salt for request-key hashing: key placement is independent of the
-# ring seed so alternative ring layouts stay comparable (remap analysis).
+# ring seed so alternative ring layouts stay comparable.
 _KEY_SEED = 0x517CC1B7
 
 
@@ -129,11 +129,6 @@ class ConsistentHashRouter:
         self.stats.spilled += 1
         return int(self._nodes_sorted[pos])
 
-    def route_one(self, routing_key: int) -> int:
-        """Route a single request key to a node id."""
-        idx = int(self._ring_indices(np.array([int(routing_key)]))[0])
-        return self._route_probed(idx)
-
     def route(self, routing_keys: np.ndarray) -> np.ndarray:
         """Vector routing; returns the node id per request.
 
@@ -234,46 +229,3 @@ class ConsistentHashRouter:
         per-key walk.  Read-only: callers must not mutate the result.
         """
         return self._replica_table(r)
-
-    # -------------------------------------------------------------- analysis
-    def assign(self, routing_keys: np.ndarray) -> np.ndarray:
-        """The assignment :meth:`route` would produce from the current
-        state, without consuming capacity or touching :attr:`stats`."""
-        saved_routed = self.stats.routed
-        saved_spilled = self.stats.spilled
-        saved_load = self._load.copy()
-        try:
-            return self.route(routing_keys)
-        finally:
-            self.stats.routed = saved_routed
-            self.stats.spilled = saved_spilled
-            self._load = saved_load
-
-    def load_split(self, routing_keys: np.ndarray) -> dict[int, float]:
-        """Fraction of the given traffic landing on each node.
-
-        Analysis only: routing state (window load, stats) is unchanged.
-        """
-        assignment = self.assign(np.asarray(routing_keys))
-        total = len(assignment)
-        return {
-            int(n): float((assignment == n).sum()) / total
-            for n in self.node_ids
-        }
-
-    def imbalance(self, routing_keys: np.ndarray) -> float:
-        """Max-over-mean node share (1.0 = perfectly balanced)."""
-        split = self.load_split(routing_keys)
-        shares = np.array(list(split.values()))
-        return float(shares.max() / shares.mean()) if shares.mean() else 0.0
-
-    def remap_fraction(self, other: "ConsistentHashRouter", keys: np.ndarray) -> float:
-        """Fraction of keys that change nodes between two ring layouts.
-
-        Consistent hashing's selling point: adding/removing a node remaps
-        only ~1/N of traffic, keeping node-local adaptation (and caches)
-        warm for everyone else.  Side-effect-free on both routers.
-        """
-        mine = self.assign(np.asarray(keys))
-        theirs = other.assign(np.asarray(keys))
-        return float((mine != theirs).mean())

@@ -19,9 +19,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from reference.replication import check_replica_convergence, pull_rows
 from repro.cluster.faults import FaultPlane, FaultSchedule
 from repro.cluster.shardstore import QuorumError, ShardedParameterStore
-from repro.cluster.consistency import check_replica_convergence
 
 __all__ = [
     "AckedLedger",
@@ -75,7 +75,7 @@ def assert_no_acked_loss(
         want_ids, want_rows = ledger.expected(table)
         if want_ids.size == 0:
             continue
-        found, got = store.pull_rows(table, want_ids)
+        found, got = pull_rows(store, table, want_ids)
         missing = want_ids[~found]
         assert found.all(), (
             f"{missing.size} acknowledged rows unreadable in {table!r}: "

@@ -68,14 +68,6 @@ class LRUCache:
             stats.misses += hit_mask.size - hits
         return hit_mask
 
-    def invalidate(self, key: object) -> bool:
-        """Drop one entry if present (write-invalidate from another agent)."""
-        size = self._entries.pop(key, None)
-        if size is None:
-            return False
-        self._used -= size
-        return True
-
     def clear(self) -> None:
         self._entries.clear()
         self._used = 0

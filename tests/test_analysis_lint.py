@@ -414,42 +414,6 @@ class TestObsDiscipline:
         """
         assert not findings_for(src, SIM_PATH, "obs-discipline")
 
-    def test_fires_on_per_item_observe_in_loop_in_hot_module(self):
-        src = """
-            def feed(hist, values):
-                for v in values:
-                    hist.observe(v)
-        """
-        found = findings_for(src, HOT_PATH, "obs-discipline")
-        assert len(found) == 1
-        assert "observe_many" in found[0].message
-
-    def test_fires_on_per_item_inc_in_while_loop_in_hot_module(self):
-        src = """
-            def count(counter, n):
-                i = 0
-                while i < n:
-                    counter.inc()
-                    i += 1
-        """
-        assert len(findings_for(src, HOT_PATH, "obs-discipline")) == 1
-
-    def test_per_item_observe_in_loop_ok_outside_hot_modules(self):
-        src = """
-            def feed(hist, values):
-                for v in values:
-                    hist.observe(v)
-        """
-        assert not findings_for(src, SIM_PATH, "obs-discipline")
-
-    def test_batched_observe_many_in_loop_is_fine_in_hot_module(self):
-        src = """
-            def feed(hist, chunks):
-                for chunk in chunks:
-                    hist.observe_many(chunk)
-        """
-        assert not findings_for(src, HOT_PATH, "obs-discipline")
-
 
 # ------------------------------------------------------------ no-bare-except
 class TestNoBareExcept:

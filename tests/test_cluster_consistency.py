@@ -2,13 +2,13 @@
 
 import pytest
 
+from reference.optim import SGD
 from repro.cluster.consistency import (
     check_prediction_consistency,
     parameter_divergence,
 )
 from repro.data.synthetic import DriftingCTRStream, StreamConfig
 from repro.dlrm.model import DLRM, DLRMConfig
-from repro.dlrm.optim import SGD
 
 TABLE_SIZES = (50, 40)
 

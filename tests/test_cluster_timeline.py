@@ -21,14 +21,6 @@ class TestTimeline:
         with pytest.raises(ValueError):
             tl.add(UpdateEvent(started_s=10, applied_s=5, version=1, kind="x"))
 
-    def test_version_at(self):
-        tl = UpdateTimeline(horizon_s=100)
-        tl.add(UpdateEvent(10, 20, 1, "delta"))
-        tl.add(UpdateEvent(40, 50, 2, "delta"))
-        assert tl.version_at(5) == 0
-        assert tl.version_at(25) == 1
-        assert tl.version_at(60) == 2
-
     def test_staleness_accounting(self):
         tl = UpdateTimeline(horizon_s=100)
         tl.add(UpdateEvent(10, 20, 1, "delta"))

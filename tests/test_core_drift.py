@@ -48,7 +48,7 @@ class TestDriftMonitor:
     def test_adapter_norm_component(self, model):
         mon = DriftMonitor(model)
         lora = LoRACollection([4, 4], rank=2, capacities=[8, 8], seed=0)
-        slot = lora[0].activate(1)
+        slot = int(lora[0].activate_batch(np.array([1]))[0])
         lora[0].a[slot] = np.ones(2)
         sample = mon.observe(0.0, model, lora_collection=lora)
         assert sample.adapter_norm > 0
@@ -69,12 +69,6 @@ class TestDriftMonitor:
         assert mon.observe(0.0, model).base_divergence > 0
         mon.re_anchor(model)
         assert mon.observe(1.0, model).base_divergence == pytest.approx(0.0)
-
-    def test_latest(self, model):
-        mon = DriftMonitor(model)
-        assert mon.latest() is None
-        mon.observe(5.0, model)
-        assert mon.latest().time_s == 5.0
 
 
 class TestAdaptiveSyncPolicy:

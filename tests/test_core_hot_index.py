@@ -46,7 +46,7 @@ class TestBasics:
         f = HotIndexFilter(2)
         f.mark(0, np.array([1]))
         f.clear()
-        assert f.hot_count(0) == 0
+        assert not f.is_hot(0, np.array([1])).any()
 
 
 class TestExpiry:
@@ -63,25 +63,6 @@ class TestExpiry:
         f.mark(0, np.array([1]), now=8.0)
         f.advance(15.0)
         assert f.is_hot(0, np.array([1])).all()
-
-    def test_hot_count_respects_expiry(self):
-        f = HotIndexFilter(1, expiry_s=10.0)
-        f.mark(0, np.array([1]), now=0.0)
-        f.mark(0, np.array([2]), now=9.0)
-        f.advance(12.0)
-        assert f.hot_count(0) == 1
-
-    def test_sweep_removes_expired(self):
-        f = HotIndexFilter(1, expiry_s=5.0)
-        f.mark(0, np.array([1, 2]), now=0.0)
-        f.advance(10.0)
-        assert f.sweep() == 2
-        assert len(f._marked[0]) == 0
-
-    def test_sweep_noop_without_expiry(self):
-        f = HotIndexFilter(1)
-        f.mark(0, np.array([1]))
-        assert f.sweep() == 0
 
     def test_clock_never_goes_backwards(self):
         f = HotIndexFilter(1, expiry_s=10.0)

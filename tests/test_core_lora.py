@@ -6,6 +6,25 @@ import pytest
 from repro.core.lora import LoRAAdapter, LoRACollection
 
 
+def activate(adapter, idx):
+    """Give one id a slot; the slot, or None when the table is full."""
+    slot = int(adapter.activate_batch(np.array([idx], dtype=np.int64))[0])
+    return None if slot < 0 else slot
+
+
+def deactivate(adapter, idx):
+    return adapter.deactivate_batch(np.array([idx], dtype=np.int64)) == 1
+
+
+def slot_of(adapter, idx):
+    hit = np.flatnonzero(adapter.active_ids == idx)
+    return int(adapter.active_slots[hit[0]]) if hit.size else None
+
+
+def is_active(adapter, idx):
+    return slot_of(adapter, idx) is not None
+
+
 @pytest.fixture
 def adapter():
     """The algebra is pinned at float64 precision, on the oracle lane."""
@@ -22,7 +41,7 @@ class TestBasics:
             LoRAAdapter(dim=4, rank=8, capacity=1)  # rank > dim
 
     def test_fresh_adapter_is_noop(self, adapter):
-        adapter.activate(3)
+        activate(adapter, 3)
         delta = adapter.delta_rows(np.array([3]))
         np.testing.assert_array_equal(delta, np.zeros((1, 8)))
 
@@ -31,7 +50,7 @@ class TestBasics:
         np.testing.assert_array_equal(delta, np.zeros((1, 8)))
 
     def test_apply_to_adds_delta(self, adapter):
-        slot = adapter.activate(1)
+        slot = activate(adapter, 1)
         adapter.a[slot] = np.ones(4)
         base = np.zeros((1, 8))
         out = adapter.apply_to(np.array([1]), base)
@@ -43,29 +62,29 @@ class TestBasics:
 
 class TestSlots:
     def test_activation_allocates_once(self, adapter):
-        s1 = adapter.activate(5)
-        s2 = adapter.activate(5)
+        s1 = activate(adapter, 5)
+        s2 = activate(adapter, 5)
         assert s1 == s2
         assert adapter.num_active == 1
 
     def test_capacity_exhaustion_returns_none(self, adapter):
         for i in range(10):
-            assert adapter.activate(i) is not None
-        assert adapter.activate(99) is None
+            assert activate(adapter, i) is not None
+        assert activate(adapter, 99) is None
         assert adapter.num_active == 10
 
     def test_deactivate_frees_slot(self, adapter):
-        adapter.activate(1)
-        assert adapter.deactivate(1) is True
-        assert adapter.deactivate(1) is False
+        activate(adapter, 1)
+        assert deactivate(adapter, 1) is True
+        assert deactivate(adapter, 1) is False
         assert adapter.num_active == 0
-        assert adapter.activate(2) is not None
+        assert activate(adapter, 2) is not None
 
     def test_deactivate_zeroes_row(self, adapter):
-        slot = adapter.activate(1)
+        slot = activate(adapter, 1)
         adapter.a[slot] = 7.0
-        adapter.deactivate(1)
-        slot2 = adapter.activate(3)
+        deactivate(adapter, 1)
+        slot2 = activate(adapter, 3)
         np.testing.assert_array_equal(adapter.a[slot2], np.zeros(4))
 
 
@@ -85,7 +104,7 @@ class TestGradients:
 
     def test_skips_ids_without_slots(self, adapter):
         for i in range(10):
-            adapter.activate(i)
+            activate(adapter, i)
         updated = adapter.accumulate_grad(
             np.array([50]), np.ones((1, 8)), lr=0.1
         )
@@ -137,21 +156,21 @@ class TestRankResize:
 
 class TestCapacityResize:
     def test_grow_preserves_assignments(self, adapter):
-        slot = adapter.activate(3)
+        slot = activate(adapter, 3)
         adapter.a[slot] = 5.0
         adapter.resize_capacity(20)
         assert adapter.capacity == 20
-        new_slot = adapter.slot_of(3)
+        new_slot = slot_of(adapter, 3)
         np.testing.assert_array_equal(adapter.a[new_slot], np.full(4, 5.0))
 
     def test_shrink_evicts_smallest_norms(self, adapter):
         for i in range(6):
-            slot = adapter.activate(i)
+            slot = activate(adapter, i)
             adapter.a[slot] = float(i)  # id 0 has the smallest norm
         adapter.resize_capacity(3)
         assert adapter.num_active == 3
-        assert not adapter.is_active(0)
-        assert adapter.is_active(5)
+        assert not is_active(adapter, 0)
+        assert is_active(adapter, 5)
 
     def test_invalid_capacity(self, adapter):
         with pytest.raises(ValueError):
@@ -160,7 +179,7 @@ class TestCapacityResize:
 
 class TestMerge:
     def test_merge_into_applies_and_resets(self, adapter):
-        slot = adapter.activate(2)
+        slot = activate(adapter, 2)
         adapter.a[slot] = np.ones(4)
         expected_delta = adapter.a[slot] @ adapter.b
         weight = np.zeros((10, 8))
@@ -170,7 +189,7 @@ class TestMerge:
         assert adapter.num_active == 0
 
     def test_merge_skips_out_of_range_ids(self, adapter):
-        slot = adapter.activate(9)
+        slot = activate(adapter, 9)
         adapter.a[slot] = np.ones(4)
         weight = np.zeros((5, 8))  # id 9 out of range
         assert adapter.merge_into(weight) == 0
@@ -183,7 +202,7 @@ class TestCollection:
 
     def test_overlay_without_filter_applies_everywhere(self):
         coll = LoRACollection([4], rank=2, capacities=[8], seed=0)
-        slot = coll[0].activate(1)
+        slot = activate(coll[0], 1)
         coll[0].a[slot] = np.ones(2)
         overlay = coll.overlay()
         base = np.zeros((2, 4))
@@ -193,7 +212,7 @@ class TestCollection:
 
     def test_overlay_respects_hot_filter(self):
         coll = LoRACollection([4], rank=2, capacities=[8], seed=0)
-        slot = coll[0].activate(1)
+        slot = activate(coll[0], 1)
         coll[0].a[slot] = np.ones(2)
 
         def cold_filter(field, ids):
@@ -205,7 +224,7 @@ class TestCollection:
 
     def test_reset_clears_all(self):
         coll = LoRACollection([4, 4], rank=2, capacities=[8, 8], seed=0)
-        coll[0].activate(1)
-        coll[1].activate(2)
+        activate(coll[0], 1)
+        activate(coll[1], 2)
         coll.reset()
         assert coll.num_active == 0

@@ -6,11 +6,15 @@ import pytest
 from repro.core.pruning import UsageTracker, dynamic_tau_from_counts
 from repro.core.rank_adaptation import (
     RankMonitor,
-    approximation_error,
     cumulative_variance,
-    lowrank_approximation,
     rank_for_variance,
 )
+
+
+def frequency(tracker, idx):
+    """Updates of ``idx`` inside the tracker's window."""
+    counts = tracker._counts
+    return int(counts[idx]) if 0 <= idx < counts.size else 0
 
 
 def _lowrank_matrix(n, d, rank, noise=0.0, seed=0):
@@ -57,28 +61,6 @@ class TestRankForVariance:
 
     def test_empty_matrix_rank_one(self):
         assert rank_for_variance(np.zeros((0, 4))) == 1
-
-
-class TestLowrankApproximation:
-    def test_factors_reconstruct(self):
-        m = _lowrank_matrix(30, 8, 2)
-        a, b = lowrank_approximation(m, 2)
-        np.testing.assert_allclose(a @ b, m, atol=1e-8)
-
-    def test_eckart_young_error(self):
-        m = _lowrank_matrix(30, 8, 5, noise=0.3)
-        err = approximation_error(m, 3)
-        a, b = lowrank_approximation(m, 3)
-        direct = np.linalg.norm(m - a @ b) / np.linalg.norm(m)
-        assert err == pytest.approx(direct, rel=1e-6)
-
-    def test_full_rank_zero_error(self):
-        m = _lowrank_matrix(10, 4, 4)
-        assert approximation_error(m, 4) == pytest.approx(0.0, abs=1e-9)
-
-    def test_rank_validated(self):
-        with pytest.raises(ValueError):
-            lowrank_approximation(np.ones((2, 2)), 0)
 
 
 class TestRankMonitor:
@@ -144,21 +126,21 @@ class TestUsageTracker:
         t = UsageTracker(window_iters=10, tau_prune=2, c_min=1, c_max=100)
         t.record_update(np.array([1, 2]))
         t.record_update(np.array([1]))
-        assert t.frequency(1) == 2
-        assert t.frequency(2) == 1
-        assert t.frequency(9) == 0
+        assert frequency(t, 1) == 2
+        assert frequency(t, 2) == 1
+        assert frequency(t, 9) == 0
 
     def test_duplicates_within_iteration_count_once(self):
         t = UsageTracker(10, 1, 1, 100)
         t.record_update(np.array([5, 5, 5]))
-        assert t.frequency(5) == 1
+        assert frequency(t, 5) == 1
 
     def test_window_expiry(self):
         t = UsageTracker(window_iters=2, tau_prune=1, c_min=1, c_max=100)
         t.record_update(np.array([1]))
         t.record_update(np.array([2]))
         t.record_update(np.array([3]))  # iteration with id 1 expires
-        assert t.frequency(1) == 0
+        assert frequency(t, 1) == 0
         assert t.num_tracked == 2
 
     def test_active_set_threshold(self):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.sync import SparseLoRASynchronizer, priority_merge
+from repro.core.sync import SparseLoRASynchronizer, priority_merge_rows
 from repro.core.trainer import LoRATrainer, TrainerConfig
 from repro.data.stream import InferenceLogBuffer
 from repro.data.synthetic import DriftingCTRStream, StreamConfig
@@ -48,25 +48,32 @@ def _stream(seed=1):
 
 
 class TestPriorityMerge:
+    @staticmethod
+    def _rank(ids, values):
+        return np.array(ids, dtype=np.int64), np.array(values, float)[:, None]
+
     def test_highest_rank_wins(self):
-        merged = priority_merge(
+        ids, rows = priority_merge_rows(
             [
-                {1: np.array([1.0]), 2: np.array([1.0])},
-                {1: np.array([2.0])},
-                {2: np.array([3.0])},
-            ]
+                self._rank([1, 2], [1.0, 1.0]),
+                self._rank([1], [2.0]),
+                self._rank([2], [3.0]),
+            ],
+            1,
         )
-        assert merged[1][0] == 2.0  # rank 1 beats rank 0
-        assert merged[2][0] == 3.0  # rank 2 beats rank 0
+        assert ids.tolist() == [1, 2]
+        assert rows[0, 0] == 2.0  # rank 1 beats rank 0
+        assert rows[1, 0] == 3.0  # rank 2 beats rank 0
 
     def test_disjoint_union(self):
-        merged = priority_merge(
-            [{1: np.array([1.0])}, {2: np.array([2.0])}]
+        ids, _ = priority_merge_rows(
+            [self._rank([1], [1.0]), self._rank([2], [2.0])], 1
         )
-        assert set(merged) == {1, 2}
+        assert ids.tolist() == [1, 2]
 
     def test_empty(self):
-        assert priority_merge([]) == {}
+        ids, rows = priority_merge_rows([], 1)
+        assert ids.size == 0 and rows.shape == (0, 1)
 
 
 class TestSynchronizer:

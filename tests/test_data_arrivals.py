@@ -58,13 +58,6 @@ class TestArrivalProcess:
         bursty = RequestArrivalProcess(bursty_cfg).peak_to_mean()
         assert bursty > calm
 
-    def test_batch_sizes_positive(self):
-        p = RequestArrivalProcess(ArrivalConfig(base_qps=500.0, seed=4))
-        sizes = p.batch_sizes(60.0, batch_window_ms=50.0)
-        assert (sizes > 0).all()
-        # ~500 qps x 50 ms windows -> ~25 requests per batch
-        assert 15 < sizes.mean() < 40
-
     def test_deterministic_per_seed(self):
         a = RequestArrivalProcess(ArrivalConfig(seed=9)).counts_per_interval(100.0)
         b = RequestArrivalProcess(ArrivalConfig(seed=9)).counts_per_interval(100.0)

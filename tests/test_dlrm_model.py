@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from reference.lanes import float64_twin
+from reference.optim import SGD
 from repro.dlrm.model import DLRM, DLRMConfig, sigmoid
-from repro.dlrm.optim import SGD, RowwiseAdagrad
+from repro.dlrm.optim import RowwiseAdagrad
 
 
 @pytest.fixture

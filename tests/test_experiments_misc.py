@@ -150,11 +150,3 @@ class TestWindowResultConsumers:
         naive = rows[1]
         assert naive.traffic_gbps > rows[0].traffic_gbps
         assert naive.p99_ms > rows[0].p99_ms
-
-    def test_cache_churn_profile(self):
-        from repro.experiments.freshness import cache_churn_profile
-
-        points = cache_churn_profile(windows=2)
-        assert len(points) == 2
-        assert all(p.evictions_per_access > 0 for p in points)
-        assert all(0 <= p.inference_hit_ratio <= 1 for p in points)

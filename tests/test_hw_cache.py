@@ -45,13 +45,6 @@ class TestLRUCache:
         assert c.access("a", 1) is False
         assert c.access("a", 1) is False
 
-    def test_invalidate(self):
-        c = LRUCache(1000)
-        c.access("a", 100)
-        assert c.invalidate("a") is True
-        assert c.invalidate("a") is False
-        assert c.used_bytes == 0
-
     def test_clear(self):
         c = LRUCache(1000)
         c.access("a", 100)
@@ -63,9 +56,6 @@ class TestLRUCache:
         keys = np.array([1, 2, 1, 2, 3])
         mask = c.access_many(keys, 100)
         np.testing.assert_array_equal(mask, [False, False, True, True, False])
-        stats = CacheStats.from_mask(mask)
-        assert stats.hits == 2 and stats.misses == 3
-        assert stats.hit_ratio == pytest.approx(0.4)
 
     def test_access_many_accumulates_stats_in_place(self):
         c = LRUCache(10_000)
@@ -78,10 +68,6 @@ class TestLRUCache:
 class TestCacheStats:
     def test_empty_ratio_zero(self):
         assert CacheStats().hit_ratio == 0.0
-
-    def test_merge(self):
-        merged = CacheStats(1, 2).merge(CacheStats(3, 4))
-        assert merged.hits == 4 and merged.misses == 6
 
 
 class TestAccessManyEdges:

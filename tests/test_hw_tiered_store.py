@@ -92,21 +92,6 @@ class TestRemoteTier:
         assert remote_lat > 10 * local_lat
 
 
-class TestUpdates:
-    def test_apply_update_writes_through(self, store):
-        store.lookup(np.array([3]))  # promoted to HBM
-        store.apply_update(np.array([3]), np.zeros((1, 4)))
-        rows, _ = store.lookup(np.array([3]))
-        np.testing.assert_array_equal(rows[0], np.zeros(4))
-
-    def test_apply_update_skips_non_local(self, weight):
-        store = TieredEmbeddingStore(weight, local_ids=np.arange(10))
-        written = store.apply_update(
-            np.array([5, 50]), np.zeros((2, 4))
-        )
-        assert written == 1
-
-
 class TestStats:
     def test_ratios(self):
         s = TierStats(hbm_hits=6, dram_hits=3, remote_misses=1)

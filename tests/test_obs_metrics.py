@@ -90,10 +90,10 @@ class TestHistogram:
 
 
 class TestCounterGauge:
-    def test_counter_add_and_inc(self):
+    def test_counter_add(self):
         c = Counter("test.counter")
         c.add(5)
-        c.inc()
+        c.add(1)
         assert c.value == 6
         with pytest.raises(ValueError):
             c.add(-1)
@@ -135,15 +135,6 @@ class TestRegistry:
         reg.reset()
         assert reg.counter("a.b") is c and c.value == 0
         assert reg.histogram("a.h") is h and h.count == 0
-
-    def test_by_kind_and_names_sorted(self):
-        reg = MetricsRegistry()
-        reg.gauge("z.g")
-        reg.counter("a.c")
-        reg.counter("m.c")
-        assert reg.names() == ["a.c", "m.c", "z.g"]
-        assert [c.name for c in reg.by_kind(Counter)] == ["a.c", "m.c"]
-        assert len(reg) == 3
 
 
 class TestExporters:
@@ -187,4 +178,3 @@ class TestExporters:
         bad2 = json.loads(json.dumps(snap))
         bad2["counters"]["plane.requests"]["value"] = -1
         assert any("non-negative" in e for e in validate_snapshot(bad2))
-

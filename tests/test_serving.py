@@ -121,10 +121,6 @@ class TestAdaptiveLoop:
         assert len(results) == 3
         assert len(part.history) == 3
 
-    def test_measure_p99_hook(self, small_sim):
-        p99 = small_sim.measure_p99_for_partition(10, 2)
-        assert p99 > 0
-
 
 class TestSLAMonitor:
     def test_validation(self):
@@ -149,14 +145,6 @@ class TestSLAMonitor:
         rng = np.random.default_rng(0)
         (report,) = mon.observe(rng.exponential(5.0, 1000))
         assert report.p50_ms < report.p95_ms < report.p99_ms
-
-    def test_current_p99_from_partial_window(self):
-        mon = SLAMonitor(window_requests=1000)
-        mon.observe(np.full(10, 7.0))
-        assert mon.current_p99() == pytest.approx(7.0)
-
-    def test_current_p99_empty_is_nan(self):
-        assert np.isnan(SLAMonitor().current_p99())
 
 
 class TestSLAOutcomeClasses:

@@ -30,18 +30,18 @@ class TestRouting:
 
     def test_sticky_per_key(self):
         router = ConsistentHashRouter([0, 1, 2])
-        a = router.route_one(12345)
-        b = router.route_one(12345)
-        assert a == b
+        a = router.route(np.array([12345]))
+        b = router.route(np.array([12345]))
+        assert a.tolist() == b.tolist()
 
     def test_reasonable_balance(self, keys):
         router = ConsistentHashRouter([0, 1, 2, 3], virtual_nodes=128)
-        assert router.imbalance(keys) < 1.6
+        shares = np.bincount(router.route(keys), minlength=4)
+        assert shares.max() / shares.mean() < 1.6
 
     def test_single_node_gets_everything(self, keys):
         router = ConsistentHashRouter([7])
-        split = router.load_split(keys[:200])
-        assert split[7] == 1.0
+        assert (router.route(keys[:200]) == 7).all()
 
 
 class TestBoundedLoad:
@@ -86,15 +86,6 @@ class TestDeterminism:
             20, 10, 10, 10, 20, 20,
         ]
 
-    def test_route_one_agrees_with_batch(self):
-        router = ConsistentHashRouter([0, 1, 2, 3], seed=3)
-        batch = router.assign(np.array(self.PINNED_KEYS))
-        singles = [
-            ConsistentHashRouter([0, 1, 2, 3], seed=3).route_one(k)
-            for k in self.PINNED_KEYS
-        ]
-        assert batch.tolist() == singles
-
     @pytest.mark.parametrize("hash_seed", ["0", "42"])
     def test_identical_across_processes(self, hash_seed):
         """Routing is byte-identical under different PYTHONHASHSEED."""
@@ -115,51 +106,18 @@ class TestDeterminism:
         assert out == str(here.route(np.arange(200)).tolist())
 
 
-class TestAnalysisSideEffectFree:
-    """Measuring the router must not consume capacity or inflate stats."""
-
-    def _snapshot(self, router):
-        return (
-            router.stats.routed,
-            router.stats.spilled,
-            dict(router._window_load),
-        )
-
-    def test_load_split_and_imbalance_leave_state_unchanged(self, keys):
-        router = ConsistentHashRouter([0, 1, 2, 3], capacity_qps=30)
-        router.route(keys[:60])  # some real traffic first
-        before = self._snapshot(router)
-        router.load_split(keys[:500])
-        router.imbalance(keys[:500])
-        assert self._snapshot(router) == before
-
-    def test_remap_fraction_leaves_both_routers_unchanged(self, keys):
-        a = ConsistentHashRouter([0, 1, 2], seed=1, capacity_qps=100)
-        b = ConsistentHashRouter([0, 1, 2, 3], seed=1, capacity_qps=100)
-        before_a, before_b = self._snapshot(a), self._snapshot(b)
-        a.remap_fraction(b, keys[:400])
-        assert self._snapshot(a) == before_a
-        assert self._snapshot(b) == before_b
-
-    def test_assign_matches_route_from_same_state(self, keys):
-        router = ConsistentHashRouter([0, 1, 2], capacity_qps=50)
-        preview = router.assign(keys[:120])
-        actual = router.route(keys[:120])
-        np.testing.assert_array_equal(preview, actual)
-
-
 class TestRemapStability:
     def test_adding_node_remaps_small_fraction(self, keys):
         before = ConsistentHashRouter([0, 1, 2, 3], virtual_nodes=128, seed=1)
         after = ConsistentHashRouter([0, 1, 2, 3, 4], virtual_nodes=128, seed=1)
-        frac = before.remap_fraction(after, keys)
+        frac = (before.route(keys) != after.route(keys)).mean()
         # ideal is 1/5; allow generous slack for a small ring
         assert frac < 0.45
 
     def test_same_layout_remaps_nothing(self, keys):
         a = ConsistentHashRouter([0, 1, 2], seed=2)
         b = ConsistentHashRouter([0, 1, 2], seed=2)
-        assert a.remap_fraction(b, keys[:500]) == 0.0
+        assert (a.route(keys[:500]) != b.route(keys[:500])).sum() == 0
 
 
 class TestCheckedKeyCoercion:
@@ -186,8 +144,8 @@ class TestCheckedKeyCoercion:
         hashes = router._key_hashes([big, big + 1, big + 2, big + 3])
         assert len(set(hashes.tolist())) == 4
         # and plain Python ints route identically to an int64 array
-        via_list = router.assign([big + 1, big + 3])
-        via_array = router.assign(np.array([big + 1, big + 3], dtype=np.int64))
+        via_list = router.route([big + 1, big + 3])
+        via_array = router.route(np.array([big + 1, big + 3], dtype=np.int64))
         np.testing.assert_array_equal(via_list, via_array)
 
     def test_uint64_keys_keep_bit_pattern(self):

@@ -89,15 +89,6 @@ class TestBatchedPull:
         assert report.rows == 2
         assert report.bytes == 2 * 32
 
-    def test_pull_table_single(self, store):
-        consumer = ShardClient(store)
-        ShardClient(store).publish("a", np.array([1]), np.ones((1, 4)))
-        ids, rows, report = consumer.pull_table("a")
-        assert ids.tolist() == [1]
-        np.testing.assert_array_equal(rows, np.ones((1, 4)))
-        assert report.rows == 1
-        assert len(consumer.pull_log) == 1
-
     def test_mark_synced_skips_pending_deltas(self, store):
         producer = ShardClient(store)
         consumer = ShardClient(store)

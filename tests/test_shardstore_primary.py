@@ -3,8 +3,8 @@
 Two properties carry the fast read path:
 
 * the **primary bit** a shard stores with every row equals what hashing
-  the id through the ring would say — ``placement.shard_of(table, id) ==
-  shard_id`` — after *any* interleaving of publish, kill, revive, dropped
+  the id through the ring would say — ``placement.replica_owners(table,
+  [id], 1)[0, 0] == shard_id`` — after *any* interleaving of publish, kill, revive, dropped
   publishes, repair, rebalancing and compaction, so a primary-range read
   may select by the bit and never re-hash;
 * the **memoised slice** a block hands out is shared by the readers of
@@ -65,7 +65,7 @@ def _hash_filtered_primary(store, table, since, sid):
     if block is None:
         return store.empty_delta(table)
     ids, rows, versions = _resident_delta(block, since)
-    keep = store.placement.shard_of(table, ids) == sid
+    keep = store.placement.replica_owners(table, ids, 1)[:, 0] == sid
     return ids[keep], rows[keep], versions[keep]
 
 
@@ -239,7 +239,7 @@ class PrimaryBitMachine(RuleBasedStateMachine):
                 ids = block.resident_ids
                 tagged = block.primary[block.slots.lookup(ids)]
                 np.testing.assert_array_equal(
-                    tagged, store.placement.shard_of(table, ids) == sid
+                    tagged, store.placement.replica_owners(table, ids, 1)[:, 0] == sid
                 )
 
     @invariant()

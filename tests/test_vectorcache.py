@@ -49,7 +49,7 @@ def assert_same_state(batch: BatchLRUCache, ref: RecordingLRUCache) -> None:
     assert batch.used_bytes == ref.used_bytes
     assert batch.num_entries == ref.num_entries
     np.testing.assert_array_equal(
-        batch.keys_lru_to_mru(), np.fromiter(ref._entries, dtype=np.int64)
+        batch._order, np.fromiter(ref._entries, dtype=np.int64)
     )
 
 
@@ -258,16 +258,6 @@ def test_scalar_access_parity_and_contains():
     assert 1 in batch and "not-a-key" not in batch
 
 
-def test_invalidate_and_clear():
-    batch = BatchLRUCache(1000)
-    batch.access_many(np.array([1, 2, 3]), 100)
-    assert batch.invalidate(2)
-    assert not batch.invalidate(2)
-    assert batch.used_bytes == 200 and 2 not in batch
-    batch.clear()
-    assert batch.num_entries == 0 and batch.used_bytes == 0
-
-
 def test_stats_accumulate_across_calls():
     batch = BatchLRUCache(10_000)
     stats = CacheStats()
@@ -359,14 +349,3 @@ class TestIntervalCache:
             IntervalCache(10, universe=None)
         with pytest.raises(ValueError):
             cache.access_many(np.array([1, 2]), np.array([8, 16]))
-
-    def test_invalidate_and_clear(self):
-        from repro.hardware.vectorcache import IntervalCache
-
-        cache = IntervalCache(4 * 8, universe=50)
-        cache.access_many(np.array([1, 2, 3]), 8)
-        assert 2 in cache
-        assert cache.invalidate(2) and 2 not in cache
-        assert not cache.invalidate(2)
-        cache.clear()
-        assert 1 not in cache and cache.num_entries == 0
