@@ -417,7 +417,7 @@ def group_rows_sum(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Accumulate per-occurrence rows into unique-id rows (scatter-add).
 
-    The backward of pooling: every occurrence of id ``u`` contributes its
+    The backward of a lookup: every occurrence of id ``u`` contributes its
     row to ``u``'s gradient.  With a known universe (embedding tables know
     their row count) no larger than 64x the batch, one ``np.unique`` maps
     ids to compact slots and one flat ``bincount`` over (slot, dim) keys
@@ -520,9 +520,7 @@ class TouchedRows:
     wraps, when the lane is memset once every 255 clears.
 
     Memory cost is 1 byte/row — under 1% of a float64 row at ``dim >= 16``
-    (1.6% at ``dim = 8``), inside the paper's <2% metadata budget; the
-    :meth:`bitmap` export packs the current epoch's stamps to 1 bit/row
-    for transport or archival.
+    (1.6% at ``dim = 8``), inside the paper's <2% metadata budget.
 
     Parameters
     ----------

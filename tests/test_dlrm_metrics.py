@@ -1,4 +1,4 @@
-"""Tests for AUC, log loss, calibration, and streaming AUC."""
+"""Tests for the ROC AUC."""
 
 import numpy as np
 import pytest
@@ -67,3 +67,22 @@ class TestAUC:
                 scores[rng.random(n) < 0.3] = 0.5
             got, want = auc_roc(labels, scores), scalar_auc_roc(labels, scores)
             assert np.float64(got).tobytes() == np.float64(want).tobytes(), case
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_invariant_under_monotone_rescoring(self, seed):
+        """AUC reads only the ranking: a strictly increasing map of the
+        scores (ties kept as ties) leaves it unchanged."""
+        rng = np.random.default_rng(100 + seed)
+        labels = rng.integers(0, 2, 500)
+        scores = rng.integers(0, 40, 500) / 40
+        want = auc_roc(labels, scores)
+        assert auc_roc(labels, 3.0 * scores - 7.0) == pytest.approx(want, abs=1e-12)
+        assert auc_roc(labels, np.exp(scores)) == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_flipping_labels_complements(self, seed):
+        rng = np.random.default_rng(200 + seed)
+        labels = rng.integers(0, 2, 400)
+        scores = rng.integers(0, 25, 400) / 25
+        flipped = auc_roc(1 - labels, scores)
+        assert flipped == pytest.approx(1.0 - auc_roc(labels, scores), abs=1e-12)

@@ -1,12 +1,14 @@
 """Property tests: vectorized DLRM hot path == seed per-id implementations.
 
-The embedding backward and the fused row-wise Adagrad step were rewritten
-as whole-array passes.  These tests pin them to verbatim copies of the
-seed per-id reference implementations across duplicate ids, plus the
-TouchedRows delta-lane semantics and the optimizer-state keying fixes.
-The seed references compute in float64,
-so the tables they pin are built on the float64 oracle lane; the float32
-lane is pinned against that oracle in ``tests/test_dtype_lanes.py``.
+The embedding lookup, its backward, the LoRA overlay forward and the
+fused row-wise Adagrad step were rewritten as whole-array passes.  These
+tests pin them to verbatim copies of the seed per-id reference
+implementations across random id streams, duplicate ids, both
+``group_rows_sum`` lanes and both float lanes, plus the TouchedRows
+delta-lane semantics and the optimizer-state keying fixes.  The seed
+references compute in float64; float32 tables are checked against them
+with a float32 tolerance (the lane contract itself is pinned in
+``tests/test_dtype_lanes.py``).
 """
 
 import gc
@@ -15,11 +17,49 @@ import weakref
 import numpy as np
 import pytest
 
+from repro.core.dtypes import ROW_DTYPE
 from repro.core.kernels import TouchedRows, group_rows_sum
+from repro.core.lora import LoRACollection
 from repro.dlrm.embedding import EmbeddingTable, SparseRowGrad
 from repro.dlrm.optim import RowwiseAdagrad
 
 TOL = dict(rtol=1e-10, atol=1e-12)
+LANES = pytest.mark.parametrize(
+    "dtype, tol",
+    [(np.float64, TOL), (ROW_DTYPE, dict(rtol=1e-5, atol=1e-6))],
+    ids=["train", "serve"],
+)
+
+
+# ------------------------------------------------- seed reference implementations
+def ref_lookup(weight, ids):
+    """Seed EmbeddingTable.lookup: one row copy per id."""
+    out = np.zeros((ids.size, weight.shape[1]), dtype=weight.dtype)
+    for j, i in enumerate(ids):
+        out[j] = weight[i]
+    return out
+
+
+def ref_grad_from_output(dim, ids, grad_out):
+    """Seed EmbeddingTable.grad_from_output: one float64 add per occurrence."""
+    acc: dict[int, np.ndarray] = {}
+    for i, g in zip(ids.tolist(), grad_out):
+        acc[i] = acc.get(i, np.zeros(dim)) + g
+    uniq = sorted(acc)
+    rows = np.array([acc[i] for i in uniq]).reshape(len(uniq), dim)
+    return np.array(uniq, dtype=np.int64), rows
+
+
+def ref_overlay_forward(weight, adapter, ids, hot):
+    """Seed adapted lookup: ``W[i] + A[slot(i)] B`` per active, hot id."""
+    slot_of = dict(zip(adapter.active_ids.tolist(), adapter.active_slots.tolist()))
+    out = np.zeros((ids.size, weight.shape[1]))
+    for j, i in enumerate(ids.tolist()):
+        out[j] = weight[i]
+        slot = slot_of.get(i)
+        if slot is not None and (hot is None or hot[j]):
+            out[j] += adapter.a[slot] @ adapter.b
+    return out
 
 
 def ref_adagrad_step(weight, state, indices, rows, lr, eps):
@@ -28,6 +68,73 @@ def ref_adagrad_step(weight, state, indices, rows, lr, eps):
     state[indices] += g2
     scale = lr / np.sqrt(state[indices] + eps)
     weight[indices] -= scale[:, None] * rows
+
+
+def random_ids(rng, num_rows, max_batch=200):
+    """A random id stream with at least one duplicate."""
+    ids = rng.integers(0, num_rows, size=int(rng.integers(2, max_batch + 1)))
+    ids[-1] = ids[0]
+    return ids
+
+
+# ----------------------------------------------------------------------- forward
+class TestLookupEquivalence:
+    @LANES
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_ids(self, seed, dtype, tol):
+        rng = np.random.default_rng(seed)
+        table = EmbeddingTable(37, 5, rng=rng, dtype=dtype)
+        ids = random_ids(rng, table.num_rows)
+        got = table.lookup(ids)
+        assert got.dtype == dtype
+        # a gather: bit-identical to the per-id copy on either lane
+        np.testing.assert_array_equal(got, ref_lookup(table.weight, ids))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_gathers_into_a_slab_plane(self, seed):
+        """``out=`` writes the rows into the caller's block, as the DLRM
+        forward does with each field's plane of the interaction slab."""
+        rng = np.random.default_rng(50 + seed)
+        table = EmbeddingTable(41, 6, rng=rng)
+        ids = random_ids(rng, table.num_rows, max_batch=64)
+        slab = np.full((3, ids.size, table.dim), np.nan, dtype=table.dtype)
+        got = table.lookup(ids, out=slab[1])
+        assert np.shares_memory(got, slab[1])
+        np.testing.assert_array_equal(slab[1], ref_lookup(table.weight, ids))
+        assert np.isnan(slab[0]).all() and np.isnan(slab[2]).all()
+
+    def test_empty_batch(self):
+        table = EmbeddingTable(10, 4)
+        out = table.lookup(np.array([], dtype=np.int64))
+        assert out.shape == (0, 4) and out.dtype == table.dtype
+
+
+class TestOverlayForwardEquivalence:
+    @pytest.mark.parametrize("universe", [None, 23], ids=["sorted", "dense"])
+    @pytest.mark.parametrize("hot_filter", [False, True], ids=["all", "hot"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_seed_loop(self, seed, hot_filter, universe):
+        rng = np.random.default_rng(200 + seed)
+        table = EmbeddingTable(23, 4, rng=rng, dtype=np.float64)
+        lora = LoRACollection(
+            [4],
+            2,
+            [8],
+            seed=seed,
+            universes=None if universe is None else [universe],
+            dtype=np.float64,
+        )
+        adapter = lora.adapters[0]
+        adapter.activate_batch(np.array([1, 3, 5, 7, 11]))
+        adapter.a[:] = rng.normal(size=adapter.a.shape)
+        ids = random_ids(rng, table.num_rows)
+        hot = rng.random(ids.size) < 0.5 if hot_filter else None
+        overlay = lora.overlay(None if hot is None else lambda f, i: hot)
+        got = overlay(0, ids, table.lookup(ids))
+        want = ref_overlay_forward(table.weight, adapter, ids, hot)
+        np.testing.assert_allclose(got, want, **TOL)
+        # the overlay adjusts rows, never the base table
+        np.testing.assert_array_equal(table.lookup(ids), ref_lookup(table.weight, ids))
 
 
 # ---------------------------------------------------------------------- backward
@@ -43,6 +150,36 @@ class TestBackwardEquivalence:
         np.add.at(want, inverse, grad_out)
         np.testing.assert_array_equal(got.indices, uniq)
         np.testing.assert_allclose(got.rows, want, **TOL)
+
+    @LANES
+    @pytest.mark.parametrize(
+        "num_rows", [29, 50_000], ids=["counting-lane", "sort-lane"]
+    )
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_id_streams(self, seed, num_rows, dtype, tol):
+        """Both ``group_rows_sum`` lanes: a table within 64x the batch
+        counts in float64, a wider one sorts and sums on the input lane."""
+        rng = np.random.default_rng(100 + seed)
+        table = EmbeddingTable(num_rows, 4, rng=rng, dtype=dtype)
+        ids = random_ids(rng, min(num_rows, 60), max_batch=120)
+        grad_out = rng.normal(size=(ids.size, table.dim))
+        got = table.grad_from_output(ids, grad_out)
+        want_ids, want_rows = ref_grad_from_output(
+            table.dim, ids, grad_out.astype(dtype).astype(np.float64)
+        )
+        assert got.rows.dtype == dtype
+        np.testing.assert_array_equal(got.indices, want_ids)
+        np.testing.assert_allclose(got.rows, want_rows, **tol)
+
+    def test_heavy_duplicates(self):
+        rng = np.random.default_rng(7)
+        table = EmbeddingTable(5, 3, rng=rng, dtype=np.float64)
+        ids = rng.integers(0, 5, size=200)  # every id massively duplicated
+        grad_out = rng.normal(size=(200, 3))
+        got = table.grad_from_output(ids, grad_out)
+        want_ids, want_rows = ref_grad_from_output(3, ids, grad_out)
+        np.testing.assert_array_equal(got.indices, want_ids)
+        np.testing.assert_allclose(got.rows, want_rows, **TOL)
 
 
 # ------------------------------------------------------------------ fused Adagrad

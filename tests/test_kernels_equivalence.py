@@ -18,9 +18,16 @@ from reference.kernels import group_rows_sum_counting
 from repro.core.hot_index import HotIndexFilter
 from repro.core.kernels import (
     IdSlotTable,
+    TouchedRows,
     freshest_per_id,
+    gather_in_range,
     group_rows_sum,
+    hash_combine,
+    is_sorted_unique,
+    run_starts,
+    sorted_find,
     splitmix64,
+    stable_str_hash,
 )
 from repro.core.lora import LoRAAdapter
 from repro.serving.router import ConsistentHashRouter
@@ -109,6 +116,18 @@ def ref_freshest(ids, versions):
         if i not in best or v >= best[i][0]:
             best[i] = (v, pos)
     return {i: pos for i, (_, pos) in best.items()}
+
+
+def ref_splitmix64(value, seed):
+    """Scalar splitmix64 finaliser on Python ints (mod 2**64)."""
+    mask = (1 << 64) - 1
+    x = (value + seed * 0x9E3779B97F4A7C15 + 1) & mask
+    x ^= x >> 30
+    x = (x * 0xBF58476D1CE4E5B9) & mask
+    x ^= x >> 27
+    x = (x * 0x94D049BB133111EB) & mask
+    x ^= x >> 31
+    return x
 
 
 def fresh_free_list(capacity, used):
@@ -405,3 +424,204 @@ class TestFreshestPerId:
         assert got_ids.tolist() == sorted(want)
         assert got_rows[:, 0].tolist() == [float(pos) for pos in winners]
         assert got_versions.tolist() == versions[winners].tolist()
+
+
+# ------------------------------------------------------------ search kernels
+
+
+class TestSortedFind:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_dict_probe(self, seed):
+        rng = np.random.default_rng(seed)
+        keys = np.unique(rng.integers(-50, 300, size=int(rng.integers(1, 80))))
+        queries = rng.integers(-60, 320, size=(4, 25))
+        found, pos = sorted_find(keys, queries)
+        index = {int(k): p for p, k in enumerate(keys)}
+        assert found.shape == pos.shape == queries.shape
+        for q, f, p in zip(queries.ravel(), found.ravel(), pos.ravel()):
+            assert f == (int(q) in index)
+            if f:
+                assert p == index[int(q)]
+            else:
+                assert 0 <= p < keys.size  # a safe gather index
+
+    @pytest.mark.parametrize(
+        "keys, queries",
+        [([], [1, 2]), ([1, 2], [])],
+        ids=["no-keys", "no-queries"],
+    )
+    def test_empty_side(self, keys, queries):
+        found, pos = sorted_find(
+            np.array(keys, dtype=np.int64), np.array(queries, dtype=np.int64)
+        )
+        assert found.shape == pos.shape == (len(queries),)
+        assert not found.any() and (pos == 0).all()
+
+
+class TestRunKernels:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_run_starts_matches_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        keys = np.sort(rng.integers(0, 12, size=int(rng.integers(1, 60))))
+        want = [j for j in range(keys.size) if j == 0 or keys[j] != keys[j - 1]]
+        assert run_starts(keys).tolist() == want
+
+    @pytest.mark.parametrize("stray", [False, True], ids=["in-range", "stray"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_gather_in_range_matches_loop(self, seed, stray):
+        rng = np.random.default_rng(seed)
+        lane = rng.integers(0, 1000, size=30)
+        lo, hi = (-5, 36) if stray else (0, 30)
+        ids = rng.integers(lo, hi, size=50)
+        want = [int(lane[i]) if 0 <= i < lane.size else -1 for i in ids]
+        got = gather_in_range(lane, ids, -1)
+        assert got.dtype == lane.dtype
+        assert got.tolist() == want
+
+    def test_gather_in_range_empty(self):
+        got = gather_in_range(np.arange(4), np.empty(0, dtype=np.int64), -1)
+        assert got.shape == (0,)
+
+    @pytest.mark.parametrize(
+        "ids, want",
+        [([], True), ([3], True), ([1, 2, 9], True), ([1, 1, 2], False), ([3, 2], False)],
+        ids=["empty", "single", "increasing", "repeat", "decreasing"],
+    )
+    def test_is_sorted_unique(self, ids, want):
+        assert is_sorted_unique(np.array(ids, dtype=np.int64)) is want
+
+
+# -------------------------------------------------------------- id table lanes
+
+
+@pytest.mark.parametrize("universe", [None, 500], ids=["sorted", "dense"])
+class TestIdSlotTableLanes:
+    def test_rebuild_sorted_repacks_slots(self, universe):
+        table = IdSlotTable(8, universe=universe)
+        table.insert(np.array([40, 7, 99, 3]))
+        table.rebuild_sorted(np.array([3, 40, 99]), capacity=5)
+        assert table.capacity == 5
+        assert table.keys.tolist() == [3, 40, 99]
+        assert table.lookup(np.array([3, 40, 99, 7])).tolist() == [0, 1, 2, -1]
+        # the free stack resumes at the first slot past the packed keys
+        slots, new = table.insert(np.array([7, 8]))
+        assert slots.tolist() == [3, 4] and new.tolist() == [3, 4]
+        assert table.insert(np.array([9]))[0].tolist() == [-1]
+
+    def test_rebuild_sorted_rejects_overflow(self, universe):
+        table = IdSlotTable(4, universe=universe)
+        with pytest.raises(ValueError):
+            table.rebuild_sorted(np.array([1, 2, 3]), capacity=2)
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_lookup_present_matches_lookup(self, universe, seed):
+        rng = np.random.default_rng(seed)
+        table = IdSlotTable(64, universe=universe)
+        table.insert(rng.integers(0, 500, size=80))
+        table.remove(rng.integers(0, 500, size=20))
+        present = rng.choice(table.keys, size=40)
+        np.testing.assert_array_equal(
+            table.lookup_present(present), table.lookup(present)
+        )
+
+    def test_clear_restarts_at_slot_zero(self, universe):
+        table = IdSlotTable(4, universe=universe)
+        table.insert(np.array([5, 6, 7]))
+        table.remove(np.array([6]))
+        table.clear()
+        assert table.size == 0
+        assert table.lookup(np.array([5, 7])).tolist() == [-1, -1]
+        assert table.insert(np.array([9, 5]))[0].tolist() == [0, 1]
+
+    def test_get_is_the_scalar_lookup(self, universe):
+        table = IdSlotTable(4, universe=universe)
+        table.insert(np.array([11, 22]))
+        assert (table.get(11), table.get(22), table.get(33)) == (0, 1, None)
+
+
+class TestIdSlotTableBounds:
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            IdSlotTable(0)
+        with pytest.raises(ValueError):
+            IdSlotTable(4, universe=0)
+
+    def test_out_of_universe_ids_miss_and_are_never_granted(self):
+        table = IdSlotTable(8, universe=10)
+        slots, new = table.insert(np.array([3, 10, -1, 4]))
+        assert slots.tolist() == [0, -1, -1, 1] and new.tolist() == [0, 1]
+        assert table.lookup(np.array([10, 11, -2])).tolist() == [-1, -1, -1]
+
+    def test_nbytes_counts_the_dense_lane(self):
+        sparse, dense = IdSlotTable(16), IdSlotTable(16, universe=1000)
+        assert dense.nbytes - sparse.nbytes == 1000 * 8
+
+
+# ---------------------------------------------------------------- touched rows
+
+
+class TestTouchedRowsReference:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_set_over_random_ops(self, seed):
+        """Stamp/clear/drain/resize against a plain set, across more than
+        one 8-bit epoch wrap."""
+        rng = np.random.default_rng(seed)
+        rows = TouchedRows(50)
+        ref: set[int] = set()
+        for _ in range(600):
+            op = rng.random()
+            if op < 0.5:
+                ids = rng.integers(0, rows.num_rows, size=int(rng.integers(0, 12)))
+                rows.stamp(ids)
+                ref.update(ids.tolist())
+            elif op < 0.8:
+                rows.clear()
+                ref.clear()
+            elif op < 0.95:
+                assert rows.drain().tolist() == sorted(ref)
+                ref.clear()
+            elif rows.num_rows < 80:
+                rows.resize(rows.num_rows + 3)
+            assert rows.ids().tolist() == sorted(ref)
+            assert rows.count() == len(ref)
+            assert rows.mask().sum() == len(ref)
+            assert rows.fraction() == len(ref) / rows.num_rows
+
+
+# --------------------------------------------------------------------- hashing
+
+
+class TestHashing:
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2**40])
+    def test_splitmix64_matches_scalar_reference(self, seed):
+        vals = np.array([0, 1, 2, 2**40, 2**63 - 1, -1, -5], dtype=np.int64)
+        want = [ref_splitmix64(int(v) & ((1 << 64) - 1), seed) for v in vals]
+        assert splitmix64(vals, seed=seed).tolist() == want
+
+    def test_splitmix64_has_no_collisions_on_a_dense_range(self):
+        out = splitmix64(np.arange(100_000, dtype=np.int64))
+        assert np.unique(out).size == out.size
+
+    def test_splitmix64_ignores_the_integer_width(self):
+        vals = np.arange(-8, 8)
+        np.testing.assert_array_equal(
+            splitmix64(vals.astype(np.int32)), splitmix64(vals.astype(np.int64))
+        )
+
+    def test_hash_combine_is_order_sensitive_and_broadcasts(self):
+        a = np.arange(50, dtype=np.int64)
+        b = (a * 7 + 3) % 50
+        ab, ba = hash_combine(a, b), hash_combine(b, a)
+        assert not np.any((ab == ba) & (a != b))
+        np.testing.assert_array_equal(
+            hash_combine(a, np.int64(9)), hash_combine(a, np.full(50, 9))
+        )
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_stable_str_hash_separates_names(self, seed):
+        names = [f"table_{i}" for i in range(500)] + ["", "ab", "ba", "a" * 9]
+        hashes = [stable_str_hash(n, seed) for n in names]
+        assert len(set(hashes)) == len(names)
+        assert all(0 <= h < 1 << 64 for h in hashes)
+        assert stable_str_hash("ab", seed) == hashes[-3]
+        assert stable_str_hash("ab", seed) != stable_str_hash("ab", seed + 1)

@@ -86,6 +86,16 @@ class TestDeterminism:
             20, 10, 10, 10, 20, 20,
         ]
 
+    def test_single_key_routes_agree_with_batch(self):
+        """Without a load bound, routing a key alone or inside a batch
+        lands on the same node."""
+        batch = ConsistentHashRouter([0, 1, 2, 3], seed=3).route(
+            np.array(self.PINNED_KEYS)
+        )
+        router = ConsistentHashRouter([0, 1, 2, 3], seed=3)
+        singles = [int(router.route(np.array([k]))[0]) for k in self.PINNED_KEYS]
+        assert batch.tolist() == singles
+
     @pytest.mark.parametrize("hash_seed", ["0", "42"])
     def test_identical_across_processes(self, hash_seed):
         """Routing is byte-identical under different PYTHONHASHSEED."""
