@@ -53,10 +53,6 @@ HOT_MODULES: tuple[str, ...] = (
     # (whole-process cProfile, seed 0, --seconds 10).
     "repro.dlrm.metrics",
     "repro.obs.metrics",
-    # The resilient client's row cache: its per-pull merge was 9.4-9.9 ms
-    # of fleet_sync's 25.3 ms update path per round (32 calls per round,
-    # in-process timers, seed 0, --seconds 10).
-    "repro.cluster.resilience.degraded",
 )
 
 # Modules whose decisions must be byte-identical across processes:

@@ -14,15 +14,10 @@ from .faults import FaultEvent, FaultPlane, FaultSchedule
 from .network import GBE_100, INFINIBAND_EDR, NetworkLink, transfer_seconds
 from .nodes import InferenceNode, PullReport, PushReport, TrainingCluster
 from .resilience import (
-    BreakerConfig,
     CircuitBreaker,
     DegradedReadError,
-    DegradedReadMode,
     HealthTracker,
-    HedgedRead,
     ResiliencePolicy,
-    RetryPolicy,
-    StaleRead,
 )
 from .shardstore import (
     ClientTransferReport,
@@ -50,15 +45,10 @@ __all__ = [
     "FaultPlane",
     "FaultSchedule",
     "ShardStats",
-    "BreakerConfig",
     "CircuitBreaker",
     "DegradedReadError",
-    "DegradedReadMode",
     "HealthTracker",
-    "HedgedRead",
     "ResiliencePolicy",
-    "RetryPolicy",
-    "StaleRead",
     "ShardedParameterStore",
     "ShardClient",
     "ShardPlacement",

@@ -49,10 +49,10 @@ class PullReport:
 
     ``transfer_seconds`` is the client's modelled time for the pull (the
     resilient wave's, when the node has a policy).  ``degraded`` is True
-    when a client with a degraded-read cache could not answer the pull
-    exactly within its deadline: nothing was applied, the node's sync
-    point did not advance, and it keeps serving its current (explicitly
-    stale) replica.
+    when a resilient client could not answer the pull exactly within its
+    deadline: nothing was applied, the node's sync point did not advance,
+    and it keeps serving its current replica, at most
+    :meth:`InferenceNode.staleness_versions` publishes behind.
     """
 
     version: int
@@ -152,11 +152,11 @@ class InferenceNode:
     """One serving replica that pulls updates from the parameter plane.
 
     A pull the live replica set cannot answer exactly never skips
-    updates: the node applies nothing and keeps its sync point.  It
-    raises :class:`~repro.cluster.resilience.errors.DegradedReadError`,
-    or — with a ``resilience`` policy that keeps a degraded-read cache —
-    comes back ``degraded`` and the node serves its current replica with
-    staleness on the record.
+    updates: the node applies nothing and keeps its sync point.  Without
+    a ``resilience`` policy it raises
+    :class:`~repro.cluster.resilience.errors.DegradedReadError`; with one
+    the pull comes back ``degraded`` and the node keeps serving the rows
+    it last applied, with :meth:`staleness_versions` as the bound.
     """
 
     def __init__(
@@ -198,16 +198,25 @@ class InferenceNode:
     ) -> PullReport:
         """Apply every delta newer than our synced version, one batched round.
 
+        A pull the replicas cannot answer exactly applies nothing and
+        keeps the sync point, so the pull after repair catches up fully.
+
         Args:
             row_filter: optional id whitelist per pull (QuickUpdate-style
                 priority subsetting happens upstream at publish time; this
                 filter exists for partial-pull experiments).
 
+        Returns:
+            The pull's report.  With a ``resilience`` policy, a pull the
+            replicas cannot answer exactly reports ``degraded=True``:
+            every served row is the one last applied, and
+            :meth:`staleness_versions` is how many publishes the node is
+            behind.
+
         Raises:
             repro.cluster.resilience.errors.DegradedReadError: the pull
-                could not be answered exactly and the client keeps no
-                degraded-read cache; nothing was applied, and the pull
-                after repair catches up fully.
+                could not be answered exactly and the node has no
+                ``resilience`` policy.
         """
         tables = [f"table_{f}" for f in range(len(self.model.embeddings))]
         deltas, transfer = self.client.pull_tables(tables, row_filter=row_filter)

@@ -1,45 +1,41 @@
-"""Client-plane resilience: deadlines, retries, hedging, breakers, degraded reads.
+"""Client-plane resilience: deadlines, retries, hedging, breakers.
 
 The shard store's server plane already survives faults (replication,
 quorums, repair); this package makes the *client* survive them without
 surfacing every hiccup to the caller:
 
-* :class:`RetryPolicy` — capped exponential backoff with seeded,
-  replayable jitter;
+* capped exponential retry backoff with seeded, replayable jitter
+  (:func:`~repro.cluster.resilience.policy.backoff_s`);
 * :class:`CircuitBreaker` — per-replica closed/open/half-open machine
   with byte-identical transition logs across processes;
 * :class:`HealthTracker` — EWMA latency and error rate per replica,
   feeding breaker decisions and replica-selection order;
-* :class:`HedgedRead` — backup pull against the next replica owner when
-  the primary exceeds a learned latency quantile;
-* :class:`DegradedReadMode` — bounded-staleness serving from the
-  client's last-synced rows when no replica answers in time, with
-  explicit per-row staleness accounting instead of a silent lie.
+* hedged reads — a backup pull against the next replica owner when the
+  primary exceeds a learned latency quantile
+  (:meth:`ResiliencePolicy.hedge_delay_s`).
 
-:class:`ResiliencePolicy` bundles them behind one optional argument on
-:class:`~repro.cluster.shardstore.client.ShardClient`.
+The budgets are module constants (``policy.DEADLINE_S``,
+``breaker.BREAKER_WINDOW``, ...); :class:`ResiliencePolicy` is the
+runtime state one resilient
+:class:`~repro.cluster.shardstore.client.ShardClient` carries.  A pull
+the replicas cannot answer exactly comes back ``degraded=True`` with no
+rows and the sync point unmoved, so the caller keeps serving what it
+last applied; a client without a policy raises
+:class:`DegradedReadError` instead.
 """
 
-from .breaker import CLOSED, HALF_OPEN, OPEN, BreakerConfig, CircuitBreaker
-from .degraded import DegradedReadMode, StaleRead
+from .breaker import CLOSED, HALF_OPEN, OPEN, CircuitBreaker
 from .errors import DegradedReadError, ResilienceError
 from .health import HealthTracker
-from .hedge import HedgedRead
 from .policy import ResiliencePolicy
-from .retry import RetryPolicy
 
 __all__ = [
-    "BreakerConfig",
     "CircuitBreaker",
     "CLOSED",
     "OPEN",
     "HALF_OPEN",
     "DegradedReadError",
-    "DegradedReadMode",
     "HealthTracker",
-    "HedgedRead",
     "ResilienceError",
     "ResiliencePolicy",
-    "RetryPolicy",
-    "StaleRead",
 ]

@@ -3,13 +3,13 @@
 A :class:`CircuitBreaker` guards one shard replica with the classic
 three-state machine::
 
-        failure rate over the last `window`
-        outcomes >= `failure_rate`
+        failure rate over the last
+        BREAKER_WINDOW outcomes >= BREAKER_FAILURE_RATE
     CLOSED ----------------------------> OPEN
       ^                                   |
-      | `close_after` probe               | `cooldown_s` elapses on the
-      | successes                         | sim clock (lazy transition,
-      |                                   v timestamped at the boundary)
+      | BREAKER_CLOSE_AFTER probe         | BREAKER_COOLDOWN_S elapses
+      | successes                         | on the sim clock (lazy,
+      |                                   v stamped at the boundary)
       +------------- probe ---------- HALF_OPEN
                      failure  ----------> OPEN (cooldown restarts)
 
@@ -22,72 +22,41 @@ byte-identical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-__all__ = ["BreakerConfig", "CircuitBreaker", "CLOSED", "OPEN", "HALF_OPEN"]
+__all__ = ["CircuitBreaker", "CLOSED", "OPEN", "HALF_OPEN"]
 
 CLOSED = "closed"
 OPEN = "open"
 HALF_OPEN = "half_open"
 
-
-@dataclass(frozen=True)
-class BreakerConfig:
-    """Thresholds for one :class:`CircuitBreaker`.
-
-    Parameters
-    ----------
-    window : int, optional
-        Recent outcomes considered for the failure rate.
-    min_samples : int, optional
-        Outcomes required before the rate can trip the breaker.
-    failure_rate : float, optional
-        Failure fraction at or above which the breaker opens.
-    cooldown_s : float, optional
-        Simulated seconds an open breaker waits before probing.
-    half_open_probes : int, optional
-        Concurrent trial requests admitted while half-open.
-    close_after : int, optional
-        Probe successes required to close again.
-    """
-
-    window: int = 8
-    min_samples: int = 3
-    failure_rate: float = 0.5
-    cooldown_s: float = 1.0
-    half_open_probes: int = 1
-    close_after: int = 1
-
-    def __post_init__(self) -> None:
-        if self.window < 1 or self.min_samples < 1:
-            raise ValueError("window and min_samples must be >= 1")
-        if not 0.0 < self.failure_rate <= 1.0:
-            raise ValueError("failure_rate must be in (0, 1]")
-        if self.cooldown_s <= 0.0:
-            raise ValueError("cooldown_s must be positive")
-        if self.half_open_probes < 1 or self.close_after < 1:
-            raise ValueError("half_open_probes and close_after must be >= 1")
+#: Recent outcomes considered for the failure rate.
+BREAKER_WINDOW = 8
+#: Outcomes required before the rate can trip the breaker.
+BREAKER_MIN_SAMPLES = 3
+#: Failure fraction at or above which the breaker opens.
+BREAKER_FAILURE_RATE = 0.5
+#: Simulated seconds an open breaker waits before probing.
+BREAKER_COOLDOWN_S = 1.0
+#: Concurrent trial requests admitted while half-open.
+BREAKER_HALF_OPEN_PROBES = 1
+#: Probe successes required to close again.
+BREAKER_CLOSE_AFTER = 1
 
 
 class CircuitBreaker:
     """Closed/open/half-open breaker for one shard replica.
 
-    Parameters
-    ----------
-    config : BreakerConfig, optional
-        Thresholds; defaults are deliberately twitchy (small window)
-        because one modelled RPC stands for a whole batched round trip.
+    The ``BREAKER_*`` thresholds are deliberately twitchy (small window)
+    because one modelled RPC stands for a whole batched round trip.
 
     Notes
     -----
     The open -> half-open transition is *lazy*: it materializes when any
     method first observes a ``now_s`` past the cooldown boundary, but it
-    is timestamped at the boundary itself (``opened_at + cooldown_s``),
+    is timestamped at the boundary itself (``opened_at + BREAKER_COOLDOWN_S``),
     so the transition log is independent of the caller's polling times.
     """
 
-    def __init__(self, config: BreakerConfig | None = None) -> None:
-        self.config = config if config is not None else BreakerConfig()
+    def __init__(self) -> None:
         self._state = CLOSED
         self._outcomes: list[bool] = []
         self._opened_at = 0.0
@@ -102,7 +71,7 @@ class CircuitBreaker:
         return self._state
 
     def _tick(self, now_s: float) -> None:
-        boundary = self._opened_at + self.config.cooldown_s
+        boundary = self._opened_at + BREAKER_COOLDOWN_S
         if self._state == OPEN and now_s >= boundary:
             self._transition(boundary, HALF_OPEN)
             self._probes_in_flight = 0
@@ -117,15 +86,16 @@ class CircuitBreaker:
         """Whether a request may be sent to this replica at ``now_s``.
 
         Closed admits everything; open admits nothing; half-open admits
-        up to ``half_open_probes`` trial requests (each ``allow`` that
-        returns True claims a probe slot until its outcome is recorded).
+        up to ``BREAKER_HALF_OPEN_PROBES`` trial requests (each ``allow``
+        that returns True claims a probe slot until its outcome is
+        recorded).
         """
         self._tick(now_s)
         if self._state == CLOSED:
             return True
         if self._state == OPEN:
             return False
-        if self._probes_in_flight < self.config.half_open_probes:
+        if self._probes_in_flight < BREAKER_HALF_OPEN_PROBES:
             self._probes_in_flight += 1
             return True
         return False
@@ -136,7 +106,7 @@ class CircuitBreaker:
         if self._state == HALF_OPEN:
             self._probes_in_flight = max(0, self._probes_in_flight - 1)
             self._probe_successes += 1
-            if self._probe_successes >= self.config.close_after:
+            if self._probe_successes >= BREAKER_CLOSE_AFTER:
                 self._transition(now_s, CLOSED)
                 self._outcomes = []
             return
@@ -156,13 +126,11 @@ class CircuitBreaker:
 
     def _push(self, ok: bool, now_s: float) -> None:
         self._outcomes.append(ok)
-        if len(self._outcomes) > self.config.window:
+        if len(self._outcomes) > BREAKER_WINDOW:
             del self._outcomes[0]
         n = len(self._outcomes)
         failures = n - sum(self._outcomes)
-        if n >= self.config.min_samples and (
-            failures / n >= self.config.failure_rate
-        ):
+        if n >= BREAKER_MIN_SAMPLES and failures / n >= BREAKER_FAILURE_RATE:
             self._transition(now_s, OPEN)
             self._opened_at = now_s
             self._outcomes = []

@@ -3,10 +3,11 @@
 Every failure a consumer can see is a named class with structured
 attributes — never a leaked internal (`KeyError`, raw `RuntimeError`) and
 never a silent empty result.  :class:`DegradedReadError` reports a read
-that could not be served *provably fresh* (not enough live replica
-owners to intersect every write quorum) when degraded serving is
-disabled, carrying enough context to decide whether a stale answer is
-acceptable.
+a client without a resilience policy could not serve *provably fresh*
+(not enough live replica owners to intersect every write quorum),
+carrying enough context to decide whether serving the last applied rows
+is acceptable.  A resilient client reports the same case as a
+``degraded=True`` pull instead.
 """
 
 from __future__ import annotations
@@ -19,19 +20,19 @@ class ResilienceError(RuntimeError):
 
 
 class DegradedReadError(ResilienceError):
-    """A read could not be served provably fresh inside its deadline.
+    """A read could not be served provably fresh.
 
-    Raised when too many replica owners are unreachable for the answered
-    set to intersect every write quorum (so an acknowledged publish could
-    be missing), and the caller did not opt into degraded serving.
+    Raised by a client without a resilience policy when too many replica
+    owners are unreachable for the answered set to intersect every write
+    quorum (so an acknowledged publish could be missing).
 
     Attributes
     ----------
     tables : list of str
         Tables the failed read covered.
     synced_version : int
-        The caller's sync point — rows served from a degraded cache are
-        never staler than this.
+        The caller's sync point, which did not move — the rows it last
+        applied are exact as of this version.
     current_version : int
         The store version at failure time; ``current_version -
         synced_version`` bounds the staleness in publish events.

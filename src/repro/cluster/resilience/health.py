@@ -7,8 +7,9 @@ plane consumes:
 * **EWMA latency** and **EWMA error rate** per shard — replica selection
   orders backup candidates by them (:meth:`HealthTracker.replica_order`);
 * a **global success-latency quantile** over a bounded window of recent
-  attempts — the hedging trigger (:class:`~repro.cluster.resilience.\
-hedge.HedgedRead` fires a backup read when the primary exceeds it).
+  attempts — the hedging trigger (a resilient pull fires a backup read
+  when the primary exceeds it; see :meth:`~repro.cluster.resilience.\
+policy.ResiliencePolicy.hedge_delay_s`).
 
 All state is plain floats updated in a fixed order, so two processes
 feeding the same observations read byte-identical signals back.
@@ -20,25 +21,17 @@ import numpy as np
 
 __all__ = ["HealthTracker"]
 
+#: EWMA smoothing factor; higher reacts faster.
+HEALTH_ALPHA = 0.25
+#: Recent successful attempt latencies kept for quantile queries.
+HEALTH_WINDOW = 256
+
 
 class HealthTracker:
-    """EWMA latency + error rate per shard replica, plus a global quantile.
+    """EWMA latency + error rate per shard replica, plus a global quantile
+    over the last ``HEALTH_WINDOW`` healthy attempt latencies."""
 
-    Parameters
-    ----------
-    alpha : float, optional
-        EWMA smoothing factor in ``(0, 1]``; higher reacts faster.
-    window : int, optional
-        Recent successful attempt latencies kept for quantile queries.
-    """
-
-    def __init__(self, alpha: float = 0.25, window: int = 256) -> None:
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError("alpha must be in (0, 1]")
-        if window < 1:
-            raise ValueError("window must be >= 1")
-        self.alpha = alpha
-        self.window = window
+    def __init__(self) -> None:
         self._latency: dict[int, float] = {}
         self._error: dict[int, float] = {}
         self._recent: list[float] = []
@@ -63,7 +56,7 @@ class HealthTracker:
         slowness hedging exists to mask, eroding the trigger.
         """
         shard_id = int(shard_id)
-        a = self.alpha
+        a = HEALTH_ALPHA
         prev = self._latency.get(shard_id)
         self._latency[shard_id] = (
             latency_s if prev is None else (1.0 - a) * prev + a * latency_s
@@ -72,8 +65,8 @@ class HealthTracker:
         self._error[shard_id] = (1.0 - a) * err + (a if not ok else 0.0)
         if ok and not hedged:
             self._recent.append(float(latency_s))
-            if len(self._recent) > self.window:
-                del self._recent[: len(self._recent) - self.window]
+            if len(self._recent) > HEALTH_WINDOW:
+                del self._recent[: len(self._recent) - HEALTH_WINDOW]
 
     def ewma_latency_s(self, shard_id: int) -> float:
         """Smoothed attempt latency for one shard (0.0 when unobserved)."""

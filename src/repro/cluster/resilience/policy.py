@@ -1,13 +1,26 @@
-"""One knob object wiring the whole resilience plane together.
+"""The resilient client's shared runtime state and its fixed budgets.
 
-:class:`ResiliencePolicy` bundles the pieces a resilient client needs —
-deadline, retry schedule, hedging trigger, per-replica breakers, health
-tracker, degraded-read cache, and the simulated clock they all share —
-so call sites take a single optional argument instead of seven.  The
-policy owns per-shard :class:`~repro.cluster.resilience.breaker.\
-CircuitBreaker` instances (created on first contact, so breaker state
-survives across pulls) and exposes their aggregate state: how many
-breakers are currently open, how many transitions the fleet has logged.
+:class:`ResiliencePolicy` carries what a resilient
+:class:`~repro.cluster.shardstore.client.ShardClient` accumulates across
+pulls — the simulated clock, per-shard :class:`~repro.cluster.\
+resilience.breaker.CircuitBreaker` instances (created on first contact,
+so breaker state survives across pulls) and the
+:class:`~repro.cluster.resilience.health.HealthTracker` — plus the
+``on_wait`` hook.  The budgets every pull runs under are module
+constants, not options.
+
+Retry storms synchronize without jitter, but unseeded jitter would make
+chaos replays irreproducible (and trip the ``no-unseeded-rng`` lint
+rule).  :func:`backoff_s` derives its jitter from
+:func:`repro.core.kernels.hash_combine` over ``(key, attempt,
+JITTER_SEED)``: every (client, attempt) pair gets a different backoff,
+yet every process replays the same schedule bit-for-bit.
+
+Hedged reads are the tail-latency killer from "The Tail at Scale":
+instead of waiting out a slow primary, launch one backup read against
+the next replica owner once the primary has been in flight longer than
+a learned quantile of healthy latencies (:meth:`ResiliencePolicy.\
+hedge_delay_s`), and take whichever answer lands first.
 """
 
 from __future__ import annotations
@@ -15,37 +28,65 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
+import numpy as np
+
+from ...core.kernels import hash_combine
 from ...obs.clock import SimClock
-from .breaker import BreakerConfig, CircuitBreaker
-from .degraded import DegradedReadMode
+from .breaker import CircuitBreaker
 from .health import HealthTracker
-from .hedge import HedgedRead
-from .retry import RetryPolicy
 
 __all__ = ["ResiliencePolicy"]
+
+#: Total simulated-latency budget per pull, all attempts included.
+DEADLINE_S = 10.0
+#: Cap on any single modelled RPC attempt.
+ATTEMPT_TIMEOUT_S = 2.0
+#: Pull rounds (and flush attempts) per operation, first try included.
+MAX_ATTEMPTS = 3
+#: Backoff before the second attempt (simulated seconds).
+BASE_BACKOFF_S = 0.05
+#: Exponential growth factor per further attempt.
+BACKOFF_MULTIPLIER = 2.0
+#: Cap on any single backoff.
+MAX_BACKOFF_S = 2.0
+#: Fraction of the backoff randomized away: a wait lands in
+#: ``[backoff * (1 - JITTER_FRAC), backoff]``.
+JITTER_FRAC = 0.5
+#: Jitter stream selector.
+JITTER_SEED = 0
+#: Healthy-latency quantile the primary must exceed before the hedge
+#: fires (0.95 hedges ~5% of requests in steady state).
+HEDGE_QUANTILE = 0.95
+#: Floor under the hedge delay, so a very tight latency distribution
+#: cannot make every request hedge instantly.
+HEDGE_MIN_DELAY_S = 1e-4
+
+_TWO64 = float(2**64)
+
+
+def backoff_s(attempt: int, key: int = 0) -> float:
+    """Wait before retry number ``attempt`` (1 = after the first try).
+
+    Capped exponential with deterministic jitter: ``BASE_BACKOFF_S *
+    BACKOFF_MULTIPLIER**(attempt-1)``, clamped to ``MAX_BACKOFF_S``, then
+    shrunk by up to ``JITTER_FRAC`` using a seeded draw for ``(key,
+    attempt)`` — never an unseeded RNG.
+    """
+    if attempt < 1:
+        raise ValueError("attempt numbers start at 1")
+    raw = min(BASE_BACKOFF_S * BACKOFF_MULTIPLIER ** (attempt - 1), MAX_BACKOFF_S)
+    mixed = hash_combine(
+        np.asarray([key], dtype=np.int64), np.uint64(attempt), JITTER_SEED
+    )
+    return raw * (1.0 - JITTER_FRAC * (float(mixed[0]) / _TWO64))
 
 
 @dataclass
 class ResiliencePolicy:
-    """Client-side resilience configuration and shared runtime state.
+    """Shared runtime state of one resilient client.
 
     Parameters
     ----------
-    deadline_s : float, optional
-        Total simulated-latency budget per pull, all attempts included.
-    attempt_timeout_s : float, optional
-        Cap on any single modelled RPC attempt.
-    retry : RetryPolicy, optional
-        Backoff schedule between pull rounds.
-    hedge : HedgedRead, optional
-        Backup-read trigger policy.
-    breaker : BreakerConfig, optional
-        Thresholds applied to every per-shard breaker.
-    health : HealthTracker, optional
-        Shared latency/error signals; created fresh when omitted.
-    degraded : DegradedReadMode or None, optional
-        Last-synced row cache for degraded serving.  ``None`` disables
-        degraded mode: exhausting the replicas raises instead.
     clock : SimClock, optional
         The simulated timeline everything is stamped against.
     on_wait : callable, optional
@@ -55,31 +96,29 @@ class ResiliencePolicy:
         wall-clock time.
     """
 
-    deadline_s: float = 10.0
-    attempt_timeout_s: float = 2.0
-    retry: RetryPolicy = field(default_factory=RetryPolicy)
-    hedge: HedgedRead = field(default_factory=HedgedRead)
-    breaker: BreakerConfig = field(default_factory=BreakerConfig)
-    health: HealthTracker = field(default_factory=HealthTracker)
-    degraded: DegradedReadMode | None = field(default_factory=DegradedReadMode)
     clock: SimClock = field(default_factory=SimClock)
     on_wait: Callable[[float], None] | None = None
-
-    def __post_init__(self) -> None:
-        if self.deadline_s <= 0.0:
-            raise ValueError("deadline_s must be positive")
-        if self.attempt_timeout_s <= 0.0:
-            raise ValueError("attempt_timeout_s must be positive")
-        self._breakers: dict[int, CircuitBreaker] = {}
+    health: HealthTracker = field(default_factory=HealthTracker, init=False)
+    _breakers: dict[int, CircuitBreaker] = field(default_factory=dict, init=False)
 
     def breaker_for(self, shard_id: int) -> CircuitBreaker:
         """The (lazily created) breaker guarding one shard replica."""
         shard_id = int(shard_id)
         got = self._breakers.get(shard_id)
         if got is None:
-            got = CircuitBreaker(self.breaker)
+            got = CircuitBreaker()
             self._breakers[shard_id] = got
         return got
+
+    def hedge_delay_s(self) -> float:
+        """How long to wait on a primary before hedging.
+
+        ``inf`` while the tracker has no successful-latency history — a
+        cold client has no baseline to call a primary "slow" against —
+        and self-calibrating after that, as the fleet's latency
+        distribution moves.
+        """
+        return max(HEDGE_MIN_DELAY_S, self.health.latency_quantile(HEDGE_QUANTILE))
 
     def wait(self, seconds: float) -> float:
         """Advance the shared clock and fire :attr:`on_wait`; returns now."""

@@ -16,10 +16,10 @@ Four pieces:
   sync-point registration that pins watermark log compaction.  Every pull
   runs one body; a :class:`~repro.cluster.resilience.ResiliencePolicy`
   only changes how coverage is decided (a modelled RPC wave with breakers,
-  hedges and retries instead of one look at the store state).  Without
-  one, a pull the live replicas cannot answer exactly raises
-  :class:`~repro.cluster.resilience.errors.DegradedReadError` and keeps
-  its sync point.
+  hedges and retries instead of one look at the store state).  A pull the
+  live replicas cannot answer exactly keeps its sync point: with a policy
+  it comes back ``degraded`` and empty, without one it raises
+  :class:`~repro.cluster.resilience.errors.DegradedReadError`.
 
 Callers construct :class:`ShardedParameterStore` directly; fault
 injection against it lives in :mod:`repro.cluster.faults`.

@@ -26,7 +26,13 @@ import numpy as np
 from ..collectives import CollectiveCostModel
 from ..network import GBE_100, NetworkLink
 from ..resilience.errors import DegradedReadError
-from ..resilience.policy import ResiliencePolicy
+from ..resilience.policy import (
+    ATTEMPT_TIMEOUT_S,
+    DEADLINE_S,
+    MAX_ATTEMPTS,
+    ResiliencePolicy,
+    backoff_s,
+)
 from .store import QuorumError, ShardedParameterStore
 
 __all__ = ["ClientTransferReport", "ShardClient"]
@@ -103,9 +109,8 @@ class ShardClient:
         per-shard RPCs — deadline, circuit breakers, hedged backup
         reads, deterministic retry backoff — its ``seconds`` are the
         wave's simulated time, and a pull the wave cannot cover exactly
-        comes back ``degraded`` and empty when the policy holds a
-        bounded-staleness cache (it raises otherwise); flushes retry
-        quorum refusals under the same backoff.
+        comes back ``degraded`` and empty, with the sync point where it
+        was; flushes retry quorum refusals under the same backoff.
         ``None`` means no wave: coverage is read off the store state, a
         pull's ``seconds`` are the alpha-beta time of the rows moved, a
         flush publishes once, and an uncovered pull raises.
@@ -209,7 +214,7 @@ class ShardClient:
             batches can neither lose an acked write nor double-apply one.
         """
         policy = self.resilience
-        max_attempts = 1 if policy is None else policy.retry.max_attempts
+        max_attempts = 1 if policy is None else MAX_ATTEMPTS
         span = (
             contextlib.nullcontext()
             if self.tracer is None
@@ -233,7 +238,7 @@ class ShardClient:
                 except QuorumError:
                     if attempt >= max_attempts:
                         raise
-                    policy.wait(policy.retry.backoff_s(attempt, key=self._pull_seq))
+                    policy.wait(backoff_s(attempt, key=self._pull_seq))
                     attempt += 1
             rows = sum(int(ids.size) for _, ids, _ in batches)
             nbytes = rows * self.store.row_bytes
@@ -303,9 +308,11 @@ class ShardClient:
         Raises
         ------
         repro.cluster.resilience.errors.DegradedReadError
-            When the pull cannot be answered exactly and no degraded-read
-            cache is configured.  The sync point does not move, so the
-            pull after repair re-reads the gap instead of skipping it.
+            When the pull cannot be answered exactly and the client has no
+            :attr:`resilience` policy (a resilient client returns the
+            ``degraded`` report instead).  Either way the sync point does
+            not move, so the pull after repair re-reads the gap instead of
+            skipping it.
         """
         store = self.store
         policy = self.resilience
@@ -339,16 +346,12 @@ class ShardClient:
                                 table, since, cover.recon, cover.available
                             )
                         )
-                    ids, rows, versions = store._merge_disjoint(parts)
+                    ids, rows, _ = store._merge_disjoint(parts)
                     if row_filter is not None and ids.size:
                         keep = np.isin(ids, row_filter)
-                        ids, rows, versions = ids[keep], rows[keep], versions[keep]
+                        ids, rows = ids[keep], rows[keep]
                     deltas[table] = (ids, rows)
                     total_rows += int(ids.size)
-                    if policy is not None and policy.degraded is not None:
-                        policy.degraded.update(
-                            table, ids, rows, versions, store.version
-                        )
                 self.synced_version = store.version
                 # Pullers pin compaction lazily, on first pull: a publish-only
                 # client never registers, so it never holds the watermark back.
@@ -379,7 +382,7 @@ class ShardClient:
             )
             self.pull_log.append(report)
             if report.degraded:
-                if policy is None or policy.degraded is None:
+                if policy is None:
                     raise DegradedReadError(
                         list(tables), since, store.version, reason="coverage"
                     )
@@ -476,7 +479,6 @@ class ShardClient:
         """
         policy = self.resilience
         store = self.store
-        deadline_s = policy.deadline_s
         start_s = policy.clock.now()
         self._pull_seq += 1
         fail_fast_s = self.link.latency_ms / 1e3
@@ -489,7 +491,7 @@ class ShardClient:
         t_now = 0.0
         available: list[int] = []
         part_of = getattr(self.faults, "is_partitioned", None)
-        for round_no in range(1, policy.retry.max_attempts + 1):
+        for round_no in range(1, MAX_ATTEMPTS + 1):
             down = set(store.down_shard_ids)
             parted = set()
             if part_of is not None:
@@ -500,7 +502,7 @@ class ShardClient:
                 if sid not in down and sid not in parted
             ]
             wave_end = t_now
-            hedge_delay = policy.hedge.hedge_delay_s(policy.health)
+            hedge_delay = policy.hedge_delay_s()
             for sid in all_sids:
                 if sid in covered:
                     continue
@@ -514,13 +516,12 @@ class ShardClient:
                     failed_s = fail_fast_s
                 elif sid in parted:
                     failed_s = min(
-                        policy.attempt_timeout_s,
-                        max(deadline_s - t0, fail_fast_s),
+                        ATTEMPT_TIMEOUT_S, max(DEADLINE_S - t0, fail_fast_s)
                     )
                 else:
                     cost = self._modelled_rpc_seconds(nbytes, sid)
-                    if cost > policy.attempt_timeout_s:
-                        failed_s = policy.attempt_timeout_s
+                    if cost > ATTEMPT_TIMEOUT_S:
+                        failed_s = ATTEMPT_TIMEOUT_S
                     else:
                         attempts += 1
                         policy.health.record(
@@ -557,10 +558,10 @@ class ShardClient:
             t_now = wave_end
             if len(covered) == len(all_sids):
                 break
-            if round_no >= policy.retry.max_attempts:
+            if round_no >= MAX_ATTEMPTS:
                 break
-            backoff = policy.retry.backoff_s(round_no, key=self._pull_seq)
-            if t_now + backoff >= deadline_s:
+            backoff = backoff_s(round_no, key=self._pull_seq)
+            if t_now + backoff >= DEADLINE_S:
                 break
             t_now += backoff
             retries += 1
@@ -571,10 +572,10 @@ class ShardClient:
         recon = [sid for sid in all_sids if covered.get(sid) == "recon"]
         exact = (
             len(covered) == len(all_sids)
-            and t_now <= deadline_s
+            and t_now <= DEADLINE_S
             and store.placement.coverage_ok(store.replication, available, clean)
         )
-        seconds = t_now if exact else deadline_s
+        seconds = t_now if exact else DEADLINE_S
         self._advance_policy_clock(start_s + seconds)
         return _Coverage(
             clean, recon, available, exact, seconds, attempts, hedges, retries

@@ -109,7 +109,8 @@ def average_merge_rows(
     )
     sums = np.zeros((merged_ids.size, width), dtype=rows.dtype)
     np.add.at(sums, inverse, rows)
-    return merged_ids, sums / counts[:, None]
+    # Divide on the rows' lane: int64 counts would promote float32 to float64.
+    return merged_ids, sums / counts[:, None].astype(rows.dtype)
 
 
 class SparseLoRASynchronizer:

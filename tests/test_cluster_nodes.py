@@ -129,24 +129,45 @@ class TestNodePullUnderFaults:
         node = InferenceNode(model.copy(), store, **node_kwargs)
         return stream, store, trainer, node
 
-    def test_replica_exhaustion_raises_and_catches_up_after_repair(self):
-        stream, store, trainer, node = self._replicated()
+    @pytest.mark.parametrize("resilient", [False, True], ids=["plain", "resilient"])
+    def test_replica_exhaustion_raises_and_catches_up_after_repair(self, resilient):
+        """Exhausted replicas never move the node: a plain client raises,
+        a resilient one reports ``degraded=True``; either way every weight
+        stays the one last applied, the node is behind by exactly the
+        unseen publish, and the pull after repair reads the gap in full."""
+        stream, store, trainer, node = self._replicated(
+            resilience=ResiliencePolicy() if resilient else None
+        )
         trainer.train_on(stream.next_batch(32))
         trainer.publish_changed_rows()
         node.pull_updates()
         trainer.train_on(stream.next_batch(32))
         trainer.publish_changed_rows()
+        served = [table.weight.copy() for table in node.model.embeddings]
         for sid in store.shard_ids[:3]:
             store.kill_shard(sid)
-        with pytest.raises(DegradedReadError):
-            node.pull_updates()
-        assert node.staleness_versions() == 1
-        assert len(node.pull_log) == 1  # nothing applied, nothing reported
+        if resilient:
+            report = node.pull_updates()
+            assert report.degraded and report.rows_pulled == 0
+            assert report.version == node.synced_version == 1
+            assert len(node.pull_log) == 2
+        else:
+            with pytest.raises(DegradedReadError):
+                node.pull_updates()
+            assert len(node.pull_log) == 1  # nothing applied, nothing reported
+        assert node.staleness_versions() == store.version - 1 == 1
+        for mine, before in zip(node.model.embeddings, served):
+            np.testing.assert_array_equal(mine.weight, before)
         for sid in list(store.down_shard_ids):
             store.revive_shard(sid)
         store.repair()
+        gap = sum(
+            int(store.pull_delta(f"table_{f}", 1)[0].size)
+            for f in range(len(node.model.embeddings))
+        )
         report = node.pull_updates()
-        assert node.staleness_versions() == 0 and report.rows_pulled > 0
+        assert not report.degraded and report.rows_pulled == gap > 0
+        assert node.staleness_versions() == 0
         for mine, theirs in zip(node.model.embeddings, trainer.model.embeddings):
             np.testing.assert_array_equal(mine.weight, theirs.weight)
 

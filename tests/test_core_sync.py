@@ -3,7 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.core.sync import SparseLoRASynchronizer, priority_merge_rows
+from repro.core.sync import (
+    SparseLoRASynchronizer,
+    average_merge_rows,
+    priority_merge_rows,
+)
 from repro.core.trainer import LoRATrainer, TrainerConfig
 from repro.data.stream import InferenceLogBuffer
 from repro.data.synthetic import DriftingCTRStream, StreamConfig
@@ -74,6 +78,27 @@ class TestPriorityMerge:
     def test_empty(self):
         ids, rows = priority_merge_rows([], 1)
         assert ids.size == 0 and rows.shape == (0, 1)
+
+
+class TestAverageMerge:
+    @staticmethod
+    def _rank(ids, values):
+        rows = np.array(values, dtype=np.float32)[:, None]
+        return np.array(ids, dtype=np.int64), rows
+
+    @pytest.mark.parametrize(
+        "per_rank",
+        [
+            [([1], [1.0]), ([2], [3.0])],  # no id collides
+            [([1, 2], [1.0, 2.0]), ([2], [4.0])],  # id 2 written twice
+        ],
+        ids=["disjoint", "collision"],
+    )
+    def test_stays_on_the_float32_lane(self, per_rank):
+        ids, rows = average_merge_rows([self._rank(*p) for p in per_rank], 1)
+        assert rows.dtype == np.float32
+        # both cases average to the same rows: (2 + 4) / 2 == 3
+        assert dict(zip(ids.tolist(), rows[:, 0].tolist())) == {1: 1.0, 2: 3.0}
 
 
 class TestSynchronizer:
@@ -233,7 +258,6 @@ class TestStoreBroadcastPath:
         """A round no rank touched a row in merges to empty float32 rows,
         and the rounds around it publish and apply float32 end to end."""
         from repro.cluster.shardstore import ShardClient, ShardedParameterStore
-        from repro.core.sync import average_merge_rows, priority_merge_rows
 
         trainers = _make_trainers(2)
         store = ShardedParameterStore(num_shards=2, row_bytes=None, row_dim=4)

@@ -388,6 +388,42 @@ class TestGroupRowsSumCountingLane:
         assert summed.tobytes() == want_summed.tobytes()
 
 
+def _fold_padded(parts):
+    """One ``freshest_per_id`` over ``(ids, rows, versions)`` parts in
+    arrival order, each zero-padded on the right to the widest width (a
+    re-widened ``lora_a/*`` table)."""
+    width = max(part[1].shape[1] for part in parts)
+    return freshest_per_id(
+        np.concatenate([part[0] for part in parts]),
+        np.concatenate(
+            [np.pad(part[1], ((0, 0), (0, width - part[1].shape[1]))) for part in parts]
+        ),
+        np.concatenate([part[2] for part in parts]),
+    )
+
+
+def _lexsort_merge(held, ids, rows, versions):
+    """The whole-history merge: concatenate everything held with the delta
+    (both zero-padded to the wider width), lexsort, keep the last copy per
+    id."""
+    if held is not None:
+        width = max(held[1].shape[1], rows.shape[1])
+        rows = np.concatenate(
+            [np.pad(r, ((0, 0), (0, width - r.shape[1]))) for r in (held[1], rows)]
+        )
+        ids = np.concatenate((held[0], ids))
+        versions = np.concatenate((held[2], versions))
+    order = np.lexsort((versions, ids))
+    ids = ids[order]
+    last = np.r_[ids[1:] != ids[:-1], True][: ids.size]
+    return ids[last], rows[order][last], versions[order][last]
+
+
+_DELTA = st.lists(
+    st.tuples(st.integers(0, 30), st.integers(1, 6)), min_size=0, max_size=25
+)
+
+
 class TestFreshestPerId:
     def test_later_copy_wins_a_version_tie(self):
         ids = np.array([5, 3, 5, 3, 5], dtype=np.int64)
@@ -424,6 +460,44 @@ class TestFreshestPerId:
         assert got_ids.tolist() == sorted(want)
         assert got_rows[:, 0].tolist() == [float(pos) for pos in winners]
         assert got_versions.tolist() == versions[winners].tolist()
+
+    @given(
+        deltas=st.lists(_DELTA, min_size=1, max_size=8),
+        shape=st.sampled_from(["as_drawn", "sorted", "replayed"]),
+        widths=st.lists(st.integers(2, 4), min_size=1, max_size=4),
+        fold_every_delta=st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_folded_deltas_agree_with_lexsort(
+        self, deltas, shape, widths, fold_every_delta
+    ):
+        """Sorted, unsorted, duplicated, replayed and re-widened deltas,
+        folded after every delta or all at once at the end (one call over
+        many parts), give what a whole-history lexsort merge gives,
+        version ties included: the rule ``_reconcile_parts`` runs on
+        replica copies."""
+        rng = np.random.default_rng(len(deltas))
+        held = folded = None
+        pending = []
+        if shape == "replayed":
+            deltas = [d for d in deltas for _ in range(2)]
+        for step, delta in enumerate(deltas):
+            if shape == "sorted":
+                delta = sorted({rid: (rid, v) for rid, v in delta}.values())
+            ids = np.array([rid for rid, _ in delta], dtype=np.int64)
+            versions = np.array([v for _, v in delta], dtype=np.int64)
+            if shape == "replayed" and step % 2:
+                rows = last_rows  # the same delta again: must change nothing
+            else:
+                width = widths[step % len(widths)]
+                rows = last_rows = rng.normal(size=(ids.size, width))
+            held = _lexsort_merge(held, ids, rows, versions)
+            pending.append((ids, rows, versions))
+            if fold_every_delta or step == len(deltas) - 1:
+                folded = _fold_padded(pending if folded is None else [folded, *pending])
+                pending = []
+                for got, want in zip(folded, held):
+                    np.testing.assert_array_equal(got, want)
 
 
 # ------------------------------------------------------------ search kernels

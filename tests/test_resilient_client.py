@@ -15,12 +15,8 @@ import pytest
 
 from reference.replication import pull_rows
 from repro.cluster.faults import FaultEvent, FaultPlane, FaultSchedule
-from repro.cluster.resilience import (
-    DegradedReadError,
-    HedgedRead,
-    ResiliencePolicy,
-    RetryPolicy,
-)
+from repro.cluster.resilience import DegradedReadError, ResiliencePolicy
+from repro.cluster.resilience.policy import DEADLINE_S, MAX_ATTEMPTS
 from repro.cluster.shardstore import (
     QuorumError,
     ShardClient,
@@ -83,20 +79,21 @@ class TestExactnessParity:
         assert got_res["emb"][0].size == keep.size
 
     def test_table_rewidened_between_pulls(self):
-        """Regression: rank growth re-widens ``lora_a/*``; the second
-        resilient pull raised ``ValueError`` merging 8-wide rows into the
-        4-wide degraded cache."""
+        """Regression: rank growth re-widens ``lora_a/*`` between two
+        resilient pulls; the second one is exact at the new width and
+        moves the sync point."""
         store = ShardedParameterStore(num_shards=4, row_bytes=None, replication=3)
         client = ShardClient(store, resilience=ResiliencePolicy())
         store.publish_batch("lora_a/0", np.arange(10), np.ones((10, 4)))
-        client.pull_tables(["lora_a/0"])
+        _, report = client.pull_tables(["lora_a/0"])
+        assert not report.degraded and client.synced_version == 1
         store.publish_batch("lora_a/0", np.arange(5), np.full((5, 8), 2.0))
         deltas, report = client.pull_tables(["lora_a/0"])
         assert not report.degraded and deltas["lora_a/0"][1].shape == (5, 8)
-        stale = client.resilience.degraded.serve("lora_a/0", store.version)
-        ids, rows, _ = store.pull_delta("lora_a/0", 0)
-        np.testing.assert_array_equal(stale.ids, ids)
-        np.testing.assert_array_equal(stale.rows, rows)
+        assert report.version == client.synced_version == store.version == 2
+        ids, rows, _ = store.pull_delta("lora_a/0", 1)
+        np.testing.assert_array_equal(deltas["lora_a/0"][0], ids)
+        np.testing.assert_array_equal(deltas["lora_a/0"][1], rows)
 
     def test_suspect_primary_range_is_read_reconciled(self):
         """A live primary that dropped a publish cannot vouch for its
@@ -132,9 +129,13 @@ class TestExactnessParity:
         assert client.synced_version == store.version
 
 
-class TestHedgedReads:
-    def _run(self, hedge=None, *, slow_factor=20.0, trials=16, warmup=12):
-        """Publish-then-pull loop with one replica turning slow mid-run."""
+class TestHedging:
+    def _run(self, *, slow_factor=20.0, trials=16, warmup=12):
+        """Publish-then-pull loop with one replica turning slow mid-run.
+
+        Returns the healthy tail, the slowed tail, the slowest modelled
+        primary RPC of the straggler itself (what an unhedged wave waits
+        out) and the hedge count."""
         rng = np.random.default_rng(23)
         store = make_store(num_shards=8, replication=3)
         store.publish_batch(
@@ -147,40 +148,35 @@ class TestHedgedReads:
                 [FaultEvent(1.0, "slow_node", shard_id=victim, factor=slow_factor)]
             ),
         )
-        policy = (
-            ResiliencePolicy()
-            if hedge is None
-            else ResiliencePolicy(hedge=hedge)
-        )
-        client = ShardClient(store, faults=plane, resilience=policy)
-        healthy, slowed = [], []
+        client = ShardClient(store, faults=plane, resilience=ResiliencePolicy())
+        healthy, slowed, straggler = [], [], []
         hedges = 0
         for trial in range(warmup + trials):
             if trial == warmup:
                 plane.advance_to(1.0)
             hot = rng.choice(4096, size=64, replace=False)
             store.publish_batch("emb", hot, rng.normal(size=(64, DIM)))
+            nbytes = client._shard_delta_bytes(["emb"], client.synced_version)[victim]
             _, report = client.pull_tables(["emb"])
             assert not report.degraded
             if trial >= warmup:
                 slowed.append(report.seconds)
+                straggler.append(client._modelled_rpc_seconds(nbytes, victim))
                 hedges += report.hedges
             else:
                 healthy.append(report.seconds)
-        return max(healthy[1:]), max(slowed), hedges
+        return max(healthy[1:]), max(slowed), max(straggler), hedges
 
     def test_hedging_bounds_the_slow_replica_tail(self):
-        baseline, hedged, hedges = self._run()
+        baseline, hedged, straggler, hedges = self._run()
         assert hedges > 0
         # hedge fires at ~p95 of healthy latency, backup costs ~one more
         # healthy RPC: the tail holds at 2.0x (the 3x hedged-p99 claim;
-        # modelled, so it replays bit-for-bit) where the straggler alone
-        # imposes 20x.
+        # modelled, so it replays bit-for-bit) where the straggler's own
+        # RPC, which an unhedged wave would wait out, costs 20x.
         assert hedged <= 3.0 * baseline
-        _, unhedged, no_hedges = self._run(hedge=HedgedRead(min_delay_s=1e9))
-        assert no_hedges == 0
-        assert unhedged >= 10.0 * baseline
-        assert hedged < unhedged / 2.0
+        assert straggler >= 10.0 * baseline
+        assert hedged < straggler / 2.0
 
     def test_hedged_pulls_stay_exact(self):
         rng = np.random.default_rng(3)
@@ -243,14 +239,10 @@ class TestBreakerLifecycle:
 
 
 class TestDegradedServing:
-    def _coverage_loss(self, degraded=True):
+    def _coverage_loss(self, resilient=True):
         """Doctest scenario: sync v1, lose coverage, publish v2 unseen."""
         store = make_store(num_shards=4, replication=3)
-        policy = (
-            ResiliencePolicy(deadline_s=2.0)
-            if degraded
-            else ResiliencePolicy(deadline_s=2.0, degraded=None)
-        )
+        policy = ResiliencePolicy() if resilient else None
         client = ShardClient(store, resilience=policy)
         store.publish_batch("emb", np.arange(6), np.full((6, DIM), 1.0))
         _, report = client.pull_tables(["emb"])
@@ -267,21 +259,19 @@ class TestDegradedServing:
         assert report.degraded and report.outcome == "degraded"
         assert deltas["emb"][0].size == 0
         assert client.synced_version == 1  # the gap is NOT skipped
-        assert report.seconds == client.resilience.deadline_s
+        assert report.seconds == DEADLINE_S
 
-    def test_degraded_read_bounded_by_last_sync(self):
+    def test_degraded_pull_is_bounded_by_the_sync_point(self):
+        """The staleness bound lives at the sync point: a degraded pull
+        reports it unmoved, registered and behind by exactly the unseen
+        publishes, and the returned rows are empty at the table's width."""
         store, client = self._coverage_loss()
-        client.pull_tables(["emb"])
-        stale = client.resilience.degraded.serve("emb", store.version)
-        assert stale.degraded
-        assert stale.as_of_version == 1 and stale.current_version == 2
-        assert stale.staleness_versions == 1
-        # staleness bound: rows are exactly the v1 payloads the client
-        # last synced — never the unseen v2 writes, never older either
-        assert stale.ids.tolist() == list(range(6))
-        assert float(stale.rows.min()) == float(stale.rows.max()) == 1.0
-        assert stale.row_versions.max() <= stale.as_of_version
-        assert stale.row_staleness.tolist() == [1] * 6
+        deltas, report = client.pull_tables(["emb"])
+        assert report.degraded and report.version == client.synced_version == 1
+        assert client.staleness_versions() == store.version - 1 == 1
+        assert store.oldest_sync_point() == 1  # the registered pin stays
+        assert deltas["emb"][0].shape == (0,)
+        assert deltas["emb"][1].shape == (0, DIM)
 
     def test_gap_is_repulled_after_repair(self):
         store, client = self._coverage_loss()
@@ -296,8 +286,8 @@ class TestDegradedServing:
         assert ids.tolist() == [0, 1, 2]  # the publish missed while down
         assert float(rows.min()) == 2.0
 
-    def test_no_cache_raises_typed_error(self):
-        store, client = self._coverage_loss(degraded=False)
+    def test_plain_client_raises_typed_error(self):
+        store, client = self._coverage_loss(resilient=False)
         with pytest.raises(DegradedReadError) as exc:
             client.pull_tables(["emb"])
         assert exc.value.synced_version == 1
@@ -309,9 +299,7 @@ class TestDegradedServing:
 class TestRetryHeal:
     def test_pull_retries_until_fault_plane_heals(self):
         store = make_store(num_shards=4, replication=3)
-        client_policy = ResiliencePolicy(
-            retry=RetryPolicy(max_attempts=4, base_backoff_s=0.05)
-        )
+        client_policy = ResiliencePolicy()
         client = ShardClient(store, resilience=client_policy)
         store.publish_batch("emb", np.arange(16), np.ones((16, DIM)))
         client.pull_tables(["emb"])
@@ -327,7 +315,8 @@ class TestRetryHeal:
         # next window's state on the store directly after the heal fires:
         # here we only exercise the *pull* retry loop.
         deltas, report = client.pull_tables(["emb"])
-        assert report.retries >= 1
+        # the first backoff (>= 0.025 s) outlasts the 0.01 s outage
+        assert report.retries == 1
         assert not report.degraded and report.outcome == "ok"
         assert store.down_shard_ids == []  # on_wait drove the heal
         del values
@@ -341,10 +330,7 @@ class TestRetryHeal:
                 [FaultEvent(0.01, "revive", sid) for sid in down]
             ),
         )
-        policy = ResiliencePolicy(
-            retry=RetryPolicy(max_attempts=4, base_backoff_s=0.05),
-            on_wait=plane.advance_to,
-        )
+        policy = ResiliencePolicy(on_wait=plane.advance_to)
         client = ShardClient(store, resilience=policy)
         store.publish_batch("emb", np.arange(8), np.ones((8, DIM)))
         version_before = store.version
@@ -354,7 +340,7 @@ class TestRetryHeal:
         report = client.flush()
         # quorum refusals happen before any version bump, so however many
         # attempts the flush took, exactly ONE publish landed
-        assert report.retries >= 1
+        assert report.retries == 1
         assert store.version == version_before + 1
         assert client.staged_rows == 0
         found, rows = pull_rows(store, "emb", np.arange(8))
@@ -362,14 +348,15 @@ class TestRetryHeal:
 
     def test_flush_exhaustion_raises_and_preserves_staged_rows(self):
         store = make_store(num_shards=4, replication=3)
-        policy = ResiliencePolicy(retry=RetryPolicy(max_attempts=2))
-        client = ShardClient(store, resilience=policy)
+        waits: list[float] = []
+        client = ShardClient(store, resilience=ResiliencePolicy(on_wait=waits.append))
         store.publish_batch("emb", np.arange(8), np.ones((8, DIM)))
         for sid in store.shard_ids[:2]:
             store.kill_shard(sid)
         client.stage("emb", np.arange(8), np.full((8, DIM), 9.0))
         with pytest.raises(QuorumError):
             client.flush()
+        assert len(waits) == MAX_ATTEMPTS - 1  # a backoff between attempts
         assert client.staged_rows == 8  # nothing lost
         assert store.version == 1  # nothing half-applied
         for sid in list(store.down_shard_ids):

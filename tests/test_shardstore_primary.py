@@ -13,9 +13,10 @@ Two properties carry the fast read path:
 
 The hash-and-filter read the bit replaced survives here, as the oracle.
 On top, the same random histories drive a client without a policy and a
-resilient one without a degraded cache: they must agree on whether a pull
-can be answered, and an answered pull must equal a dict-of-rows oracle of
-every acknowledged publish.
+resilient one: they must agree on whether a pull can be answered (the
+plain client raises where the resilient one reports ``degraded``), and an
+answered pull must equal a dict-of-rows oracle of every acknowledged
+publish.
 """
 
 from __future__ import annotations
@@ -31,11 +32,8 @@ from hypothesis.stateful import (
     rule,
 )
 
-from repro.cluster.resilience import (
-    BreakerConfig,
-    DegradedReadError,
-    ResiliencePolicy,
-)
+from repro.cluster.resilience import DegradedReadError, ResiliencePolicy
+from repro.cluster.resilience.breaker import BREAKER_COOLDOWN_S
 from repro.cluster.shardstore import (
     QuorumError,
     ShardClient,
@@ -94,9 +92,7 @@ class PrimaryBitMachine(RuleBasedStateMachine):
         self.reader = self.store.register_sync_point(0)
         self.rng = np.random.default_rng(0)
         self.plain = ShardClient(self.store)
-        self.resilient = ShardClient(
-            self.store, resilience=ResiliencePolicy(degraded=None)
-        )
+        self.resilient = ShardClient(self.store, resilience=ResiliencePolicy())
         # table -> id -> (version, row) of every acknowledged write
         self.acked: dict[str, dict[int, tuple[int, np.ndarray]]] = {
             table: {} for table in TABLES
@@ -174,20 +170,28 @@ class PrimaryBitMachine(RuleBasedStateMachine):
     @rule()
     def client_pull(self):
         """Both clients pull; each either answers the oracle's delta exactly
-        or raises without moving its sync point — and they never disagree."""
+        or fails without moving its sync point — the plain one raises, the
+        resilient one reports ``degraded`` with empty rows — and they never
+        disagree."""
         # Pulls are a window apart, so every breaker an earlier wave opened
         # has cooled down to a probe by now.
-        self.resilient.resilience.clock.advance(BreakerConfig().cooldown_s)
+        self.resilient.resilience.clock.advance(BREAKER_COOLDOWN_S)
         answers = []
         for client in (self.plain, self.resilient):
             since = client.synced_version
             pinned = self._registered(client)
             try:
-                deltas, _ = client.pull_tables(list(TABLES))
+                deltas, report = client.pull_tables(list(TABLES))
             except DegradedReadError as err:
-                assert err.reason == "coverage"
-                assert client.synced_version == since
+                assert client is self.plain and err.reason == "coverage"
+                deltas, report = None, client.pull_log[-1]
+            if report.degraded:
+                # only the plain client raises; the resilient one returns
+                assert (deltas is None) == (client is self.plain)
+                assert client.synced_version == report.version == since
                 assert self._registered(client) == pinned
+                if deltas is not None:
+                    assert all(deltas[table][0].size == 0 for table in TABLES)
                 answers.append(None)
                 continue
             for table in TABLES:
