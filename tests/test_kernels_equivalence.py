@@ -444,6 +444,41 @@ class TestFreshestPerId:
         )
         assert ids.size == 0 and rows.shape == (0, 3) and versions.size == 0
 
+    def test_newer_delta_overrides_held_rows(self):
+        """Held rows at v1 folded with a v2 delta: shared ids take the
+        delta's rows, the rest keep theirs, and a new id joins in order."""
+        ids = np.array([1, 2, 3, 2, 4], dtype=np.int64)
+        rows = np.array([[1.0], [1.0], [1.0], [5.0], [5.0]])
+        versions = np.array([1, 1, 1, 2, 2], dtype=np.int64)
+        got_ids, got_rows, got_versions = freshest_per_id(ids, rows, versions)
+        assert got_ids.tolist() == [1, 2, 3, 4]
+        assert got_rows[:, 0].tolist() == [1.0, 5.0, 1.0, 5.0]
+        assert got_versions.tolist() == [1, 2, 1, 2]
+
+    def test_folding_a_fold_changes_nothing(self):
+        rng = np.random.default_rng(3)
+        ids = rng.integers(0, 10, size=40)
+        rows = rng.normal(size=(40, 3)).astype(np.float32)
+        versions = rng.integers(0, 4, size=40)
+        once = freshest_per_id(ids, rows, versions)
+        twice = freshest_per_id(*once)
+        for a, b in zip(once, twice):
+            np.testing.assert_array_equal(a, b)
+        assert twice[1].dtype == np.float32  # the lane is kept
+
+    def test_outputs_are_fresh_arrays(self):
+        """Already-unique sorted input still comes back as copies: a caller
+        that writes into the winners cannot reach the replica parts."""
+        ids = np.arange(4, dtype=np.int64)
+        rows = np.ones((4, 2))
+        versions = np.ones(4, dtype=np.int64)
+        got = freshest_per_id(ids, rows, versions)
+        for out, src in zip(got, (ids, rows, versions)):
+            assert not np.shares_memory(out, src)
+            out[...] = -1
+        assert ids.tolist() == [0, 1, 2, 3]
+        assert (rows == 1.0).all() and (versions == 1).all()
+
     @given(
         copies=st.lists(
             st.tuples(st.integers(0, 20), st.integers(0, 4)), max_size=60

@@ -273,6 +273,36 @@ class TestDegradedServing:
         assert deltas["emb"][0].shape == (0,)
         assert deltas["emb"][1].shape == (0, DIM)
 
+    def test_repeated_degraded_pulls_change_nothing(self):
+        """Each degraded pull is logged, and none moves the sync point or
+        the staleness it reports."""
+        store, client = self._coverage_loss()
+        for _ in range(3):
+            deltas, report = client.pull_tables(["emb"])
+            assert report.degraded and deltas["emb"][0].size == 0
+            assert client.synced_version == 1
+            assert client.staleness_versions() == 1
+        assert [r.outcome for r in client.pull_log] == ["ok"] + ["degraded"] * 3
+
+    def test_degraded_rows_take_each_tables_width_and_lane(self):
+        """The empty rows come from the store, so a table this client never
+        pulled (or that was never published) still gets its own width and
+        the store's row dtype."""
+        store = make_store(num_shards=4, replication=3)
+        client = ShardClient(store, resilience=ResiliencePolicy())
+        store.publish_batch("emb", np.arange(6), np.ones((6, DIM)))
+        client.pull_tables(["emb"])
+        store.publish_batch("wide", np.arange(6), np.ones((6, 2 * DIM)))
+        for sid in store.shard_ids[:3]:
+            store.kill_shard(sid)
+        deltas, report = client.pull_tables(["emb", "wide", "ghost"])
+        assert report.degraded
+        for table, width in (("emb", DIM), ("wide", 2 * DIM), ("ghost", DIM)):
+            ids, rows = deltas[table]
+            assert ids.shape == (0,) and ids.dtype == np.int64
+            assert rows.shape == (0, width)
+            assert rows.dtype == store.row_dtype
+
     def test_gap_is_repulled_after_repair(self):
         store, client = self._coverage_loss()
         client.pull_tables(["emb"])  # degraded
