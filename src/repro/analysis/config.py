@@ -42,6 +42,10 @@ HOT_MODULES: tuple[str, ...] = (
     "repro.hardware.reuse",
     "repro.hardware.vectorcache",
     "repro.serving.engine",
+    # route and replica_assign (the replicated store's owner lookup) are
+    # 5-6 % self time of live_serve and colo_window (traced, seed 0,
+    # --seconds 10).
+    "repro.serving.router",
     "repro.cluster.shardstore.*",
     "repro.dlrm.embedding",
     "repro.dlrm.mlp",

@@ -20,8 +20,8 @@ read; it memoises the slices of its last log tail until the block next
 mutates, so every reader whose sync point maps to that tail shares one set
 of (read-only) arrays.  A publish that only overwrites resident rows
 *primes* that memo: its log segment is the whole tail of every reader
-synced before it, so the next read gets the slots and primary rows the
-write just resolved.  A publish that grows the block primes nothing, so
+synced before it, so the next read gets the slots and the primary rows
+the write was handed.  A publish that grows the block primes nothing, so
 a store fill pins no copy of itself.
 """
 
@@ -108,17 +108,16 @@ class _TableBlock:
         self._memo.clear()
 
     def _grow_block(self, need: int) -> None:
-        """Double the row block, repacking slots to ``0..n-1`` in key order."""
-        keys = self.slots.keys
-        old_slots = self.slots.lookup(keys)
+        """Double the row block in place: every resident row keeps its slot,
+        so a slot the store's row directory holds stays valid."""
         new_capacity = max(self.capacity * 2, self.slots.size + need)
         new_rows = np.zeros((new_capacity, self.dim), dtype=self.dtype)
         new_versions = np.zeros(new_capacity, dtype=np.int64)
         new_primary = np.zeros(new_capacity, dtype=bool)
-        new_rows[: keys.size] = self.rows[old_slots]
-        new_versions[: keys.size] = self.row_version[old_slots]
-        new_primary[: keys.size] = self.primary[old_slots]
-        self.slots.rebuild_sorted(keys, new_capacity)
+        new_rows[: self.capacity] = self.rows
+        new_versions[: self.capacity] = self.row_version
+        new_primary[: self.capacity] = self.primary
+        self.slots.grow(new_capacity)
         self.rows = new_rows
         self.row_version = new_versions
         self.primary = new_primary
@@ -146,8 +145,13 @@ class _TableBlock:
 
     # ---------------------------------------------------------------- writes
     def publish(
-        self, ids: np.ndarray, rows: np.ndarray, version: int, primary: np.ndarray
-    ) -> int:
+        self,
+        ids: np.ndarray,
+        rows: np.ndarray,
+        version: int,
+        primary: np.ndarray,
+        slots: np.ndarray | None = None,
+    ) -> np.ndarray:
         """Write unique, sorted ``ids`` at ``version``.
 
         Parameters
@@ -161,27 +165,42 @@ class _TableBlock:
             Version stamped on the rows and appended to the delta log.
         primary : numpy.ndarray of bool
             Per row, whether this shard is rank 0 of its replica owners.
+        slots : numpy.ndarray of int, optional
+            Per row, its slot here when the caller already knows it
+            (the store's row directory), ``-1`` where it does not.  A
+            known slot is an overwrite of a resident row: no search, and
+            its primary bit is left as it is.  None means all unknown.
 
         Returns
         -------
-        int
-            Rows written.
+        numpy.ndarray of int
+            The slot of every row, aligned with ``ids``.
         """
-        slots, fresh = self._ensure_slots(ids)
+        if slots is None:
+            slots, fresh = self._ensure_slots(ids)
+            self.primary[slots] = primary
+        else:
+            unknown = np.flatnonzero(slots < 0)
+            fresh = False
+            if unknown.size:
+                slots = slots.copy()
+                placed, fresh = self._ensure_slots(ids[unknown])
+                slots[unknown] = placed
+                self.primary[placed] = primary[unknown]
         self.rows[slots] = rows
         self.row_version[slots] = version
-        self.primary[slots] = primary
         start = self._log_len
         self._log_append(version, ids)
         self._memo.clear()
         if not fresh:
             # Prime the tail of readers synced before ``version`` from
-            # arrays the block owns: a log view and fresh copies.
+            # arrays the block owns: a log view and copies of the rows
+            # just written (a resident row's primary bit is ``primary``).
             segment = self._log_ids[start : self._log_len]
             keep = np.flatnonzero(primary)
             primed = (
                 segment.take(keep),
-                self.rows[slots[keep]],
+                rows.take(keep, axis=0),
                 np.full(keep.size, version, dtype=np.int64),
             )
             for arr in primed:
@@ -189,7 +208,7 @@ class _TableBlock:
             self._memo_key, self._memo_since = start, None
             self._memo[None] = (segment, slots)
             self._memo[True] = primed
-        return int(ids.size)
+        return slots
 
     def ingest(
         self,
@@ -434,13 +453,15 @@ class ParameterShard:
         rows: np.ndarray,
         version: int,
         primary: np.ndarray,
-    ) -> int:
-        """Write unique sorted ids; charges write stats; returns rows written."""
+        slots: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """Write unique sorted ids (see :meth:`_TableBlock.publish`);
+        charges write stats; returns the slot of every row."""
         block = self._block_for(table, rows.shape[1])
-        written = block.publish(ids, rows, version, primary)
-        self.stats.rows_written += written
-        self.stats.bytes_written += written * self.row_bytes
-        return written
+        slots = block.publish(ids, rows, version, primary, slots)
+        self.stats.rows_written += int(ids.size)
+        self.stats.bytes_written += int(ids.size) * self.row_bytes
+        return slots
 
     def ingest(
         self,

@@ -4,9 +4,10 @@
 :class:`ParameterShard` instances via the splitmix64 consistent-hash
 :class:`ShardPlacement` — byte-identical placement in every process of the
 fleet, unlike the seed store's salted ``hash()``.  Publishes partition their
-index batch per shard in one vectorized pass (one owner lookup + one
-argsort); pulls slice each shard's delta log, so ``pull_delta(since)`` costs
-O(changed rows) rather than the seed's O(all rows) dict scan.  Version
+index batch per shard in one vectorized pass (one row-directory gather, the
+ring hash only for ids the directory does not hold, one argsort); pulls
+slice each shard's delta log, so ``pull_delta(since)`` costs O(changed
+rows) rather than the seed's O(all rows) dict scan.  Version
 batching is preserved: one publish event = one global version bump however
 many tables and rows it carries.
 
@@ -138,6 +139,72 @@ class RepairReport:
     shards_healed: list[int]
 
 
+#: A table's row directory addresses ids below this multiple of the rows
+#: it holds, rounded up to a power of two (so the bound, and with it the
+#: lanes, grow in a few doubling steps).  A negative id, or one past the
+#: bound, is resolved by hash and slot search on every publish, exactly as
+#: if the directory were not there.
+DIRECTORY_SPAN = 64
+
+
+class _RowDirectory:
+    """Where each fully replicated row of one table lives.
+
+    Two direct-address lanes indexed by id: ``owner[id]`` lists the row's
+    R replica owners in ring order (the primary first) and ``slot[id]``
+    its slot in each owner's block; ``-1`` marks an id the directory does
+    not hold.  An id is entered only once every one of its owners holds
+    it, with the slots those owners' inserts returned.  No block ever
+    moves a resident row's slot (growth keeps them), so an entry stays
+    true until the ring changes, and ring changes clear the directory.
+    """
+
+    def __init__(self, replication: int, owner_dtype) -> None:
+        self.entries = 0
+        self.owner = np.full((0, replication), -1, dtype=owner_dtype)
+        self.slot = np.full((0, replication), -1, dtype=np.int32)
+
+    def resolve(
+        self, ids: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """One gather for sorted-unique ``ids``: ``(owners, slots, miss)``,
+        where the rows at positions ``miss`` are ``-1`` (not held)."""
+        owners = np.full((ids.size, self.owner.shape[1]), -1, dtype=self.owner.dtype)
+        slots = np.full(owners.shape, -1, dtype=np.int32)
+        lo, hi = np.searchsorted(ids, (0, self.slot.shape[0]))
+        window = ids[lo:hi]  # in range, so "clip" never clips
+        self.owner.take(window, axis=0, out=owners[lo:hi], mode="clip")
+        self.slot.take(window, axis=0, out=slots[lo:hi], mode="clip")
+        return owners, slots, np.flatnonzero(slots[:, 0] < 0)
+
+    def enter(self, ids: np.ndarray, owners: np.ndarray, slots: np.ndarray) -> None:
+        """Hold the rows of sorted ``ids`` that every owner wrote (no
+        ``-1`` slot left) and that the lanes may address."""
+        bound = DIRECTORY_SPAN << (self.entries + ids.size).bit_length()
+        lo, hi = np.searchsorted(ids, (0, bound))
+        ids, owners, slots = ids[lo:hi], owners[lo:hi], slots[lo:hi]
+        if (slots < 0).any():  # an owner the write skipped
+            held = (slots >= 0).all(axis=1)
+            ids, owners, slots = ids[held], owners[held], slots[held]
+        if ids.size == 0:
+            return
+        size = self.slot.shape[0]
+        if ids[-1] >= size:
+            size = min(bound, max(2 * size, int(ids[-1]) + 1))
+            self.owner = self._extend(self.owner, size)
+            self.slot = self._extend(self.slot, size)
+        # A table twice in one publish enters its shared ids twice.
+        self.entries += int(np.count_nonzero(self.slot[ids, 0] < 0))
+        self.owner[ids] = owners
+        self.slot[ids] = slots
+
+    @staticmethod
+    def _extend(lane: np.ndarray, size: int) -> np.ndarray:
+        wider = np.full((size, lane.shape[1]), -1, dtype=lane.dtype)
+        wider[: lane.shape[0]] = lane
+        return wider
+
+
 class ShardedParameterStore:
     """Versioned row store sharded by stable hash of ``(table, row_id)``.
 
@@ -213,6 +280,7 @@ class ShardedParameterStore:
         # Hinted-handoff ledger: store version -> list per shard of
         # publishes that shard failed to apply (down or fault-dropped).
         self._missed: dict[int, list[int]] = {}
+        self._directories: dict[str, _RowDirectory] = {}
         self._armed_drops: dict[int, int] = {}
         self._sync_points: dict[int, int] = {}
         self._next_sync_token = 1
@@ -371,39 +439,27 @@ class ShardedParameterStore:
             owners, np.asarray(sorted(blocked), dtype=np.int64)
         )
 
-    def _scatter_shards(
-        self,
-        table: str,
-        ids: np.ndarray,
-        rows: np.ndarray,
-        owner_flat: np.ndarray,
-        row_idx: np.ndarray,
-        rank0: np.ndarray,
-        version: int,
-    ) -> None:
-        """One partition pass over the flattened ``(row, rank)`` writes.
-
-        A row's replica owners are distinct shards, so grouping the
-        flattened matrix by shard still hands every shard unique ids —
-        one ingest per shard instead of one per ``(rank, shard)``, which
-        amortizes the slot-table searchsorted cost over R-times-larger
-        batches.  ``rank0`` marks the writes landing on a row's primary;
-        each shard stores it as the row's primary bit.
-        """
-        if owner_flat.size == 0:
-            return
-        # Narrow ids sort ~4x faster (radix kicks in for <=16-bit keys).
-        sort_key = owner_flat
-        if int(owner_flat[owner_flat.argmax()]) <= np.iinfo(np.uint16).max:
-            sort_key = owner_flat.astype(np.uint16)
-        order = np.argsort(sort_key, kind="stable")
-        owner_flat, row_idx, rank0 = owner_flat[order], row_idx[order], rank0[order]
-        bounds = np.flatnonzero(np.r_[True, owner_flat[1:] != owner_flat[:-1]])
-        for start, stop in zip(bounds, np.r_[bounds[1:], owner_flat.size]):
-            take = row_idx[start:stop]
-            self.shards[int(owner_flat[start])].publish(
-                table, ids[take], rows[take], version, rank0[start:stop]
+    def _directory(self, table: str) -> _RowDirectory:
+        directory = self._directories.get(table)
+        if directory is None:
+            narrow = max(self.shards) <= np.iinfo(np.int16).max
+            directory = self._directories[table] = _RowDirectory(
+                self.replication, np.int16 if narrow else np.int64
             )
+        return directory
+
+    def _resolve(
+        self, table: str, ids: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(owners, slots, miss)`` of sorted-unique ``ids``: one directory
+        gather, then the ring hash for the misses only (their slots stay
+        ``-1``, for the owners' blocks to search or grant)."""
+        owners, slots, miss = self._directory(table).resolve(ids)
+        if miss.size:
+            owners[miss] = self.placement.replica_owners(
+                table, ids[miss], self.replication
+            )
+        return owners, slots, miss
 
     def _apply_publish(
         self,
@@ -411,23 +467,45 @@ class ShardedParameterStore:
         ids: np.ndarray,
         rows: np.ndarray,
         owners: np.ndarray,
+        slots: np.ndarray,
+        miss: np.ndarray,
         mask: np.ndarray | None,
         version: int,
     ) -> None:
+        """One partition pass over the ``(row, rank)`` writes that land.
+
+        A row's replica owners are distinct shards, so grouping the cells
+        of the ``owners``/``slots`` matrices by shard still hands every
+        shard unique ids — one write per shard instead of one per
+        ``(rank, shard)``.  Rank-0 cells land on the row's primary, which
+        stores it as the row's primary bit.  A miss gets the slot its
+        shard placed it at, and enters the directory if every owner did.
+        """
         rows = self._reconcile_width(table, rows)
         if ids.size == 0:
             return
-        owner_flat = owners.ravel()
-        row_idx = np.repeat(
-            np.arange(ids.size, dtype=np.int64), self.replication
-        )
-        rank0 = np.zeros(owners.shape, dtype=bool)
-        rank0[:, 0] = True
-        rank0 = rank0.ravel()
+        cells = np.arange(owners.size, dtype=np.int64)
         if mask is not None:
-            sel = mask.ravel()
-            owner_flat, row_idx, rank0 = owner_flat[sel], row_idx[sel], rank0[sel]
-        self._scatter_shards(table, ids, rows, owner_flat, row_idx, rank0, version)
+            cells = cells[mask.reshape(-1)]
+        owner_flat, slot_flat = owners.reshape(-1), slots.reshape(-1)
+        # Directory owners are int16, which numpy's stable sort radix-sorts.
+        cells = cells[np.argsort(owner_flat[cells], kind="stable")]
+        shard_of = owner_flat[cells]
+        row_idx = cells // self.replication
+        rank0 = cells % self.replication == 0
+        # With no id placed, the shards need not look for known slots.
+        known = miss.size < ids.size
+        bounds = np.flatnonzero(np.r_[True, shard_of[1:] != shard_of[:-1]])
+        for start, stop in zip(bounds, np.r_[bounds[1:], cells.size]):
+            cut, take = cells[start:stop], row_idx[start:stop]
+            placed = self.shards[int(shard_of[start])].publish(
+                table, ids[take], rows.take(take, axis=0), version,
+                rank0[start:stop], slot_flat[cut] if known else None,
+            )
+            if miss.size:
+                slot_flat[cut] = placed
+        if miss.size:
+            self._directory(table).enter(ids[miss], owners[miss], slots[miss])
         if mask is not None and not mask.all():
             for sid in np.unique(owners[~mask]):
                 ledger = self._missed.setdefault(int(sid), [])
@@ -479,17 +557,13 @@ class ShardedParameterStore:
                 # Drained touched rows and flushes arrive sorted-unique.
                 if not is_sorted_unique(indices):
                     indices, rows = self._dedupe_last(indices, rows)
-                owners = self.placement.replica_owners(
-                    table, indices, self.replication
-                )
-            else:
-                owners = np.empty((0, self.replication), dtype=np.int64)
-            prepared.append((table, indices, rows, owners))
+            owners, slots, miss = self._resolve(table, indices)
+            prepared.append((table, indices, rows, owners, slots, miss))
         drops = self._consume_armed_drops()
         version = self.version + 1
         masks: list[np.ndarray | None] = []
         failed: tuple[str, int] | None = None
-        for table, indices, _, owners in prepared:
+        for table, indices, _, owners, _, _ in prepared:
             mask = self._apply_mask(owners, drops) if indices.size else None
             if mask is not None and failed is None:
                 got = int(mask.sum(axis=1).min())
@@ -500,8 +574,8 @@ class ShardedParameterStore:
             table, got = failed
             raise QuorumError(table, version, self.quorum, got)
         self.version = version
-        for (table, indices, rows, owners), mask in zip(prepared, masks):
-            self._apply_publish(table, indices, rows, owners, mask, version)
+        for batch, mask in zip(prepared, masks):
+            self._apply_publish(*batch, mask, version)
         if (
             self.auto_compact_every
             and version % self.auto_compact_every == 0
@@ -865,6 +939,7 @@ class ShardedParameterStore:
                 world[table] = self._reconcile_parts(parts)
         old_ids = set(self.shards)
         self.placement = new_placement
+        self._directories.clear()  # the one change that moves owners or slots
         new_ids = set(new_placement.shard_ids)
         for sid in sorted(new_ids - old_ids):
             self.shards[sid] = ParameterShard(

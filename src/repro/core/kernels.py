@@ -286,6 +286,22 @@ class IdSlotTable:
         )
         self._n_free = capacity - n
 
+    def grow(self, capacity: int) -> None:
+        """Raise the slot budget in place: every active id keeps its slot.
+
+        Slots freed earlier are still reused first; the new slots
+        ``old_capacity..capacity-1`` follow, handed out in ascending order.
+        """
+        if capacity < self.capacity:
+            raise ValueError("grow cannot shrink the slot budget")
+        added = capacity - self.capacity
+        free = np.empty(capacity, dtype=np.int64)
+        free[:added] = np.arange(capacity - 1, self.capacity - 1, -1, dtype=np.int64)
+        free[added : added + self._n_free] = self._free[: self._n_free]
+        self._free = free
+        self._n_free += added
+        self.capacity = capacity
+
     # ----------------------------------------------------------- free stack
     def _pop(self, k: int) -> np.ndarray:
         out = self._free[self._n_free - k : self._n_free][::-1].copy()

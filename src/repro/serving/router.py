@@ -136,10 +136,13 @@ class ConsistentHashRouter:
         sequential probe loop only runs when bounded-load spillover can
         actually occur.
         """
-        keys = np.asarray(routing_keys).reshape(-1)
-        if keys.size == 0:
+        if np.size(routing_keys) == 0:
             return np.empty(0, dtype=np.int64)
-        idx = self._ring_indices(keys)
+        # The checked uint64 copy stays a temporary of the hash: held for
+        # the whole call it raised a 100k-key route's peak RSS by 0.8 MB.
+        idx = self._ring_indices(
+            as_uint64_keys(routing_keys, name="routing_keys").reshape(-1)
+        )
         home_counts = np.bincount(
             self._ring_node_pos[idx], minlength=self._nodes_sorted.size
         )
@@ -150,7 +153,7 @@ class ConsistentHashRouter:
                 [self._route_probed(int(i)) for i in idx], dtype=np.int64
             )
         self._load += home_counts
-        self.stats.routed += keys.size
+        self.stats.routed += idx.size
         return self._ring_nodes[idx].copy()
 
     def reset_window(self) -> None:
@@ -213,10 +216,13 @@ class ConsistentHashRouter:
             ``(len(routing_keys), r)`` owner node ids per key.
         """
         table = self._replica_table(r)
-        keys = np.asarray(routing_keys).reshape(-1)
-        if keys.size == 0:
+        if np.size(routing_keys) == 0:
             return np.empty((0, r), dtype=np.int64)
-        return table[self._ring_indices(keys)]
+        return table[
+            self._ring_indices(
+                as_uint64_keys(routing_keys, name="routing_keys").reshape(-1)
+            )
+        ]
 
     def replica_owner_table(self, r: int) -> np.ndarray:
         """The full ``(ring_size, r)`` successor-owner table for ``r``.

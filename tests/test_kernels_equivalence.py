@@ -617,6 +617,20 @@ class TestIdSlotTableLanes:
         assert slots.tolist() == [3, 4] and new.tolist() == [3, 4]
         assert table.insert(np.array([9]))[0].tolist() == [-1]
 
+    def test_grow_keeps_slots_and_reuses_freed_first(self, universe):
+        table = IdSlotTable(4, universe=universe)
+        table.insert(np.array([40, 7, 99, 3]))
+        table.remove(np.array([7]))
+        table.grow(6)
+        assert table.capacity == 6
+        assert table.lookup(np.array([40, 99, 3, 7])).tolist() == [0, 2, 3, -1]
+        # the freed slot first, then the new ones in ascending order
+        slots, new = table.insert(np.array([8, 9, 11]))
+        assert slots.tolist() == [1, 4, 5] and new.tolist() == [1, 4, 5]
+        assert table.insert(np.array([12]))[0].tolist() == [-1]
+        with pytest.raises(ValueError):
+            table.grow(5)
+
     def test_rebuild_sorted_rejects_overflow(self, universe):
         table = IdSlotTable(4, universe=universe)
         with pytest.raises(ValueError):

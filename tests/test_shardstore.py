@@ -401,3 +401,22 @@ class TestGrowth:
         mask, rows = pull_rows(store, "t", ids)
         assert mask.all()
         np.testing.assert_array_equal(rows[:, 0], np.arange(1000, dtype=float))
+
+    def test_growth_keeps_every_resident_slot_and_row(self):
+        """Ids granted slots out of key order keep them across a growth
+        (a repack in key order would move them under the row directory)."""
+        store = ShardedParameterStore(num_shards=1, row_bytes=None, row_dim=2)
+        for ids in ([40, 50], [10, 20], [5]):
+            ids = np.asarray(ids)
+            store.publish_batch("t", ids, np.stack([ids, -ids], axis=1))
+        block = store.shards[0].block("t")
+        resident = block.resident_ids
+        slots = block.slots.lookup(resident)
+        assert slots.tolist() == [4, 2, 3, 0, 1]  # ids 5, 10, 20, 40, 50
+        rows = block.rows[slots].copy()
+        store.publish_batch("t", np.arange(100, 200), np.ones((100, 2)))
+        assert block.capacity > 64
+        np.testing.assert_array_equal(block.slots.lookup(resident), slots)
+        np.testing.assert_array_equal(block.rows[slots], rows)
+        np.testing.assert_array_equal(block.row_version[slots], [3, 2, 2, 1, 1])
+        assert (store._directories["t"].slot[resident, 0] == slots).all()

@@ -81,6 +81,40 @@ def _reconciled_delta(store, table, since):
     return ids, rows
 
 
+def _assert_bit_is_the_ring_primary(store):
+    for sid, shard in store.shards.items():
+        for table in shard.tables:
+            block = shard.block(table)
+            ids = block.resident_ids
+            tagged = block.primary[block.slots.lookup(ids)]
+            np.testing.assert_array_equal(
+                tagged, store.placement.replica_owners(table, ids, 1)[:, 0] == sid
+            )
+
+
+def _assert_directory_is_the_ring_and_the_blocks(store):
+    """Every row-directory entry names the ring's owners of its id, in rank
+    order, and the slot each owner's block holds it at; an id the
+    directory does not hold is ``-1`` in both lanes."""
+    for table, directory in store._directories.items():
+        held = directory.slot[:, 0] >= 0
+        assert ((directory.slot >= 0) == held[:, None]).all()
+        assert ((directory.owner >= 0) == held[:, None]).all()
+        ids = np.flatnonzero(held)
+        assert directory.entries == ids.size
+        owners = directory.owner[ids]
+        np.testing.assert_array_equal(
+            owners, store.placement.replica_owners(table, ids, store.replication)
+        )
+        for rank in range(store.replication):
+            for sid in np.unique(owners[:, rank]):
+                on = owners[:, rank] == sid
+                block = store.shards[int(sid)].block(table)
+                np.testing.assert_array_equal(
+                    directory.slot[ids[on], rank], block.slots.lookup(ids[on])
+                )
+
+
 class PrimaryBitMachine(RuleBasedStateMachine):
     """Random plane histories; the bit and the reads checked every step."""
 
@@ -236,15 +270,11 @@ class PrimaryBitMachine(RuleBasedStateMachine):
 
     @invariant()
     def bit_is_the_ring_primary(self):
-        store = self.store
-        for sid, shard in store.shards.items():
-            for table in shard.tables:
-                block = shard.block(table)
-                ids = block.resident_ids
-                tagged = block.primary[block.slots.lookup(ids)]
-                np.testing.assert_array_equal(
-                    tagged, store.placement.replica_owners(table, ids, 1)[:, 0] == sid
-                )
+        _assert_bit_is_the_ring_primary(self.store)
+
+    @invariant()
+    def directory_is_the_ring_and_the_blocks(self):
+        _assert_directory_is_the_ring_and_the_blocks(self.store)
 
     @invariant()
     def primary_read_matches_hash_filter(self):
@@ -274,6 +304,76 @@ PrimaryBitMachine.TestCase.settings = settings(
     max_examples=30, stateful_step_count=25, deadline=None
 )
 TestPrimaryBit = PrimaryBitMachine.TestCase
+
+
+class TestRowDirectory:
+    """One ``publish_many`` mixing directory hits, new ids and ids the
+    directory cannot address, with every owner up or one down."""
+
+    HITS = [3, 17, 42, 99]
+    NEW = [150, 151, 300]
+    PAST_CAP = [-5, 10**6]
+
+    def _publish_mix(self, store, rng):
+        ids = np.asarray(self.PAST_CAP[:1] + self.HITS + self.NEW + self.PAST_CAP[1:])
+        rows = rng.normal(size=(ids.size, DIM)).astype(np.float32)
+        other = np.array([7, 150])  # a second table in the same event
+        return store.publish_many(
+            [
+                ("emb", ids, rows),
+                ("lora_a/0", other, rng.normal(size=(2, DIM)).astype(np.float32)),
+            ]
+        )
+
+    def _assert_reads(self, store, since):
+        _assert_bit_is_the_ring_primary(store)
+        _assert_directory_is_the_ring_and_the_blocks(store)
+        for table in TABLES:
+            for sid in store.live_shard_ids:
+                got = store.pull_delta_primary(table, since, sid)
+                _assert_bytes_equal(got, _hash_filtered_primary(store, table, since, sid))
+            ids, rows, _ = store.pull_delta(table, since)
+            want_ids, want_rows = _reconciled_delta(store, table, since)
+            np.testing.assert_array_equal(ids, want_ids)
+            np.testing.assert_array_equal(rows, want_rows)
+
+    def _held(self, store, ids, table="emb"):
+        slot = store._directories[table].slot
+        ids = np.asarray(ids)
+        inside = (ids >= 0) & (ids < slot.shape[0])
+        held = np.zeros(ids.size, dtype=bool)
+        held[inside] = slot[ids[inside], 0] >= 0
+        return held.tolist()
+
+    @pytest.mark.parametrize("down", [False, True], ids=["all_up", "owner_down"])
+    def test_mixed_publish_matches_the_oracles(self, down):
+        store = ShardedParameterStore(
+            num_shards=5, row_bytes=None, row_dim=DIM, replication=3
+        )
+        rng = np.random.default_rng(1)
+        store.publish_batch("emb", np.arange(100), rng.normal(size=(100, DIM)))
+        store.publish_batch("lora_a/0", np.arange(10), rng.normal(size=(10, DIM)))
+        assert store._directories["emb"].entries == 100
+        dead = int(store.placement.replica_owners("emb", np.array([150]), 3)[0, 0])
+        if down:
+            store.kill_shard(dead)
+        v = self._publish_mix(store, rng)
+        for since in (0, v - 1):
+            self._assert_reads(store, since)
+        new_owners = store.placement.replica_owners("emb", np.asarray(self.NEW), 3)
+        assert self._held(store, self.HITS) == [True] * 4
+        assert self._held(store, self.NEW) == (~(new_owners == dead).any(axis=1) | (not down)).tolist()
+        assert self._held(store, self.PAST_CAP) == [False, False]
+        if down:
+            assert not self._held(store, [150])[0]
+            store.revive_shard(dead)
+            store.repair()
+            self._assert_reads(store, 0)
+            # the first unmasked publish after the repair enters the rest
+            v = self._publish_mix(store, rng)
+            self._assert_reads(store, v - 1)
+            assert self._held(store, self.NEW) == [True] * 3
+            assert self._held(store, self.PAST_CAP) == [False, False]
 
 
 def _one_shard_block(n=50, table="t"):
