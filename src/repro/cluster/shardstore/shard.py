@@ -150,7 +150,7 @@ class _TableBlock:
         rows: np.ndarray,
         version: int,
         primary: np.ndarray,
-        slots: np.ndarray | None = None,
+        slots: np.ndarray,
     ) -> np.ndarray:
         """Write unique, sorted ``ids`` at ``version``.
 
@@ -165,28 +165,25 @@ class _TableBlock:
             Version stamped on the rows and appended to the delta log.
         primary : numpy.ndarray of bool
             Per row, whether this shard is rank 0 of its replica owners.
-        slots : numpy.ndarray of int, optional
+        slots : numpy.ndarray of int
             Per row, its slot here when the caller already knows it
             (the store's row directory), ``-1`` where it does not.  A
             known slot is an overwrite of a resident row: no search, and
-            its primary bit is left as it is.  None means all unknown.
+            its primary bit is left as it is.  An unknown one is searched
+            or granted, and takes ``primary``.
 
         Returns
         -------
         numpy.ndarray of int
             The slot of every row, aligned with ``ids``.
         """
-        if slots is None:
-            slots, fresh = self._ensure_slots(ids)
-            self.primary[slots] = primary
-        else:
-            unknown = np.flatnonzero(slots < 0)
-            fresh = False
-            if unknown.size:
-                slots = slots.copy()
-                placed, fresh = self._ensure_slots(ids[unknown])
-                slots[unknown] = placed
-                self.primary[placed] = primary[unknown]
+        unknown = np.flatnonzero(slots < 0)
+        fresh = False
+        if unknown.size:
+            slots = slots.copy()
+            placed, fresh = self._ensure_slots(ids[unknown])
+            slots[unknown] = placed
+            self.primary[placed] = primary[unknown]
         self.rows[slots] = rows
         self.row_version[slots] = version
         start = self._log_len
@@ -453,7 +450,7 @@ class ParameterShard:
         rows: np.ndarray,
         version: int,
         primary: np.ndarray,
-        slots: np.ndarray | None = None,
+        slots: np.ndarray,
     ) -> np.ndarray:
         """Write unique sorted ids (see :meth:`_TableBlock.publish`);
         charges write stats; returns the slot of every row."""

@@ -152,8 +152,8 @@ class _RowDirectory:
 
     Two direct-address lanes indexed by id: ``owner[id]`` lists the row's
     R replica owners in ring order (the primary first) and ``slot[id]``
-    its slot in each owner's block; ``-1`` marks an id the directory does
-    not hold.  An id is entered only once every one of its owners holds
+    its slot in each owner's block; a ``-1`` slot marks an id the
+    directory does not hold (a shard id may itself be -1).  An id is entered only once every one of its owners holds
     it, with the slots those owners' inserts returned.  No block ever
     moves a resident row's slot (growth keeps them), so an entry stays
     true until the ring changes, and ring changes clear the directory.
@@ -442,7 +442,8 @@ class ShardedParameterStore:
     def _directory(self, table: str) -> _RowDirectory:
         directory = self._directories.get(table)
         if directory is None:
-            narrow = max(self.shards) <= np.iinfo(np.int16).max
+            lane = np.iinfo(np.int16)
+            narrow = lane.min <= min(self.shards) and max(self.shards) <= lane.max
             directory = self._directories[table] = _RowDirectory(
                 self.replication, np.int16 if narrow else np.int64
             )
@@ -488,19 +489,18 @@ class ShardedParameterStore:
         if mask is not None:
             cells = cells[mask.reshape(-1)]
         owner_flat, slot_flat = owners.reshape(-1), slots.reshape(-1)
-        # Directory owners are int16, which numpy's stable sort radix-sorts.
+        # Owners are int16 when every shard id fits, which numpy's stable
+        # sort radix-sorts.
         cells = cells[np.argsort(owner_flat[cells], kind="stable")]
         shard_of = owner_flat[cells]
         row_idx = cells // self.replication
         rank0 = cells % self.replication == 0
-        # With no id placed, the shards need not look for known slots.
-        known = miss.size < ids.size
         bounds = np.flatnonzero(np.r_[True, shard_of[1:] != shard_of[:-1]])
         for start, stop in zip(bounds, np.r_[bounds[1:], cells.size]):
             cut, take = cells[start:stop], row_idx[start:stop]
             placed = self.shards[int(shard_of[start])].publish(
                 table, ids[take], rows.take(take, axis=0), version,
-                rank0[start:stop], slot_flat[cut] if known else None,
+                rank0[start:stop], slot_flat[cut],
             )
             if miss.size:
                 slot_flat[cut] = placed

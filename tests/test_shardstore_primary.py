@@ -99,7 +99,7 @@ def _assert_directory_is_the_ring_and_the_blocks(store):
     for table, directory in store._directories.items():
         held = directory.slot[:, 0] >= 0
         assert ((directory.slot >= 0) == held[:, None]).all()
-        assert ((directory.owner >= 0) == held[:, None]).all()
+        assert (directory.owner[~held] == -1).all()
         ids = np.flatnonzero(held)
         assert directory.entries == ids.size
         owners = directory.owner[ids]
@@ -375,6 +375,24 @@ class TestRowDirectory:
             assert self._held(store, self.NEW) == [True] * 3
             assert self._held(store, self.PAST_CAP) == [False, False]
 
+    @pytest.mark.parametrize("added", [-40000, -1, 40000])
+    def test_added_shard_outside_the_narrow_owner_lane(self, added):
+        """A shard id int16 cannot hold widens the owner lane instead of
+        wrapping to another shard's id; shard ``-1`` is told from an
+        unknown owner by the slot lane."""
+        store = ShardedParameterStore(
+            num_shards=4, row_bytes=None, row_dim=DIM, replication=3
+        )
+        rng = np.random.default_rng(2)
+        store.publish_batch("emb", np.arange(200), rng.normal(size=(200, DIM)))
+        store.add_shard(added)
+        for _ in range(2):  # the second publish runs on directory hits
+            v = self._publish_mix(store, rng)
+            for since in (0, v - 1):
+                self._assert_reads(store, since)
+        assert store.shards[added].num_rows > 0
+        assert (store._directories["emb"].owner == added).any()
+
 
 def _one_shard_block(n=50, table="t"):
     """A single-shard store: its one block holds every row."""
@@ -523,7 +541,7 @@ class TestSharedSlice:
         rows = np.full((3, DIM), 8.0, dtype=np.float32)
         primary = np.array([True, False, True])
         v = store.version + 1
-        shard.publish("t", ids, rows, v, primary)
+        shard.publish("t", ids, rows, v, primary, np.full(3, -1))
         ids[:] = -1
         rows[:] = -1.0
         primary[:] = False
