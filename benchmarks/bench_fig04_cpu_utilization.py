@@ -4,9 +4,9 @@ Paper result: utilisation stays low all day, peaking at only ~20% — the idle
 headroom LiveUpdate harvests.
 
 Drives `repro.experiments.utilization.simulate_day_profile` over one
-simulated day of the diurnal load trace.  Knobs: ``peak_utilization``
-(the trace's ceiling), ``interval_s`` (sample spacing; 900 s here keeps
-the bench fast), ``seed``.  Expected output shape: a 24-hour curve with a
+simulated day of the diurnal load trace (20 % ceiling, seed 0).  Knob:
+``interval_s`` (sample spacing; 900 s here keeps the bench fast).
+Expected output shape: a 24-hour curve with a
 mid-day plateau near the ~20% peak, a deep overnight trough, and mean
 utilisation well below the peak — the gap is exactly the idle-cycle
 budget Fig. 18b later converts into training work.

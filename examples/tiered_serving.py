@@ -1,6 +1,6 @@
 """Tiered embedding serving with consistency checking and bursty load.
 
-Demonstrates the remaining serving substrates: the HBM/DRAM/remote tiered
+Demonstrates the remaining serving substrates: the HBM/DRAM tiered
 embedding store (Section II-B's hybrid hierarchy), request arrival bursts,
 and the fleet consistency checker (requirement 3 of Section II-C).
 

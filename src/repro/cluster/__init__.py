@@ -11,7 +11,7 @@ from .consistency import (
     parameter_divergence,
 )
 from .faults import FaultEvent, FaultPlane, FaultSchedule
-from .network import GBE_100, INFINIBAND_EDR, NetworkLink, transfer_seconds
+from .network import GBE_100, INFINIBAND_EDR, NetworkLink
 from .nodes import InferenceNode, PullReport, PushReport, TrainingCluster
 from .resilience import (
     CircuitBreaker,
@@ -37,7 +37,6 @@ __all__ = [
     "NetworkLink",
     "GBE_100",
     "INFINIBAND_EDR",
-    "transfer_seconds",
     "ConsistencyReport",
     "check_prediction_consistency",
     "parameter_divergence",

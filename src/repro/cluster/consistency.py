@@ -43,31 +43,26 @@ class ConsistencyReport:
             f"(pair {self.worst_pair})"
         )
 
+#: Max absolute prediction gap between two consistent replicas.
+_TOLERANCE = 1e-9
+
 
 def check_prediction_consistency(
     models: list[DLRM],
     probe: Batch,
-    overlays: list | None = None,
-    tolerance: float = 1e-9,
 ) -> ConsistencyReport:
-    """Compare every replica's predictions on the same probe batch.
+    """Compare every replica's base-parameter predictions on one probe batch.
+
+    The fleet is consistent when no two replicas' predictions differ by
+    more than ``_TOLERANCE``.
 
     Args:
         models: the fleet's serving replicas.
         probe: a shared input batch.
-        overlays: optional per-replica embedding overlays (LoRA state); pass
-            them to verify consistency *including* local adaptation, or
-            omit to check base-parameter consistency only.
-        tolerance: max allowed absolute prediction gap.
     """
     if not models:
         raise ValueError("need at least one replica")
-    if overlays is not None and len(overlays) != len(models):
-        raise ValueError("overlays must align with models")
-    preds = []
-    for r, model in enumerate(models):
-        overlay = overlays[r] if overlays is not None else None
-        preds.append(model.predict(probe.dense, probe.sparse_ids, overlay=overlay))
+    preds = [model.predict(probe.dense, probe.sparse_ids) for model in models]
     max_gap, mean_gap, worst = 0.0, 0.0, (0, 0)
     pairs = 0
     for i in range(len(preds)):
@@ -84,7 +79,7 @@ def check_prediction_consistency(
         max_prediction_gap=max_gap,
         mean_prediction_gap=mean_gap,
         worst_pair=worst,
-        consistent=max_gap <= tolerance,
+        consistent=max_gap <= _TOLERANCE,
     )
 
 

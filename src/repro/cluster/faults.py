@@ -3,8 +3,8 @@
 Chaos testing only earns its keep when a failing run can be replayed
 bit-for-bit, so everything here is driven by explicit state, never wall
 time or unseeded randomness: a :class:`FaultSchedule` is a sorted list of
-:class:`FaultEvent` timestamps on the *simulated* clock, generated — when
-randomized — from a seeded ``numpy`` generator, and a :class:`FaultPlane`
+:class:`FaultEvent` timestamps on the *simulated* clock (the chaos suites
+draw theirs from a seeded ``numpy`` generator), and a :class:`FaultPlane`
 binds one schedule to one :class:`~repro.cluster.shardstore.store.\
 ShardedParameterStore`, dispatching each event exactly once as simulated
 time passes its timestamp.
@@ -42,7 +42,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
 
 __all__ = ["FaultEvent", "FaultSchedule", "FaultPlane"]
 
@@ -125,9 +124,8 @@ def _expand_flap(event: FaultEvent) -> list[FaultEvent]:
 class FaultSchedule:
     """A time-sorted list of faults, replayable bit-for-bit.
 
-    Build one by hand for targeted regression tests, or with
-    :meth:`random` for seeded chaos sweeps.  Iterating via :meth:`due`
-    consumes events as simulated time passes them.
+    Iterating via :meth:`due` consumes events as simulated time passes
+    them.
     """
 
     events: list[FaultEvent] = field(default_factory=list)
@@ -163,121 +161,6 @@ class FaultSchedule:
         ):
             self._cursor += 1
         return self.events[start : self._cursor]
-
-    @classmethod
-    def random(
-        cls,
-        seed: int,
-        shard_ids: list[int],
-        horizon_s: float = 60.0,
-        kills: int = 2,
-        drops: int = 2,
-        delays: int = 1,
-        max_concurrent_down: int = 1,
-        outage_s: float = 5.0,
-    ) -> "FaultSchedule":
-        """Seeded random schedule: same seed, same faults, every run.
-
-        Each kill is paired with a revive ``outage_s`` later, and kills
-        are spread so at most ``max_concurrent_down`` shards are ever
-        down at once — chaos suites pick ``max_concurrent_down`` below
-        the store's quorum slack so every publish must still succeed,
-        turning "no acked loss" into an assertable invariant.
-
-        Parameters
-        ----------
-        seed : int
-            Generator seed; the only source of randomness.
-        shard_ids : list of int
-            Shards eligible for faults.
-        horizon_s : float, optional
-            Events land in ``[0, horizon_s)``.
-        kills : int, optional
-            Kill/revive pairs to schedule.
-        drops : int, optional
-            ``drop_publish`` events to schedule.
-        delays : int, optional
-            ``delay`` events (each paired with a reset to 1.0).
-        max_concurrent_down : int, optional
-            Upper bound on simultaneously-down shards.
-        outage_s : float, optional
-            Kill-to-revive gap.
-        """
-        if not shard_ids:
-            raise ValueError("need at least one shard id")
-        if max_concurrent_down < 1:
-            raise ValueError("max_concurrent_down must be >= 1")
-        rng = np.random.default_rng(seed)
-        events: list[FaultEvent] = []
-        # Kills start on a per-lane cadence: lane k's outages are disjoint
-        # in time, and with `max_concurrent_down` lanes no more than that
-        # many shards are down together.
-        lane_span = outage_s * 2.0
-        for i in range(kills):
-            cycle = i // max_concurrent_down
-            base = cycle * lane_span
-            if base + outage_s >= horizon_s:
-                break
-            start = base + float(rng.uniform(0.0, outage_s))
-            sid = int(shard_ids[int(rng.integers(len(shard_ids)))])
-            events.append(FaultEvent(start, "kill", sid))
-            events.append(
-                FaultEvent(min(start + outage_s, horizon_s), "revive", sid)
-            )
-        for _ in range(drops):
-            at = float(rng.uniform(0.0, horizon_s))
-            sid = int(shard_ids[int(rng.integers(len(shard_ids)))])
-            events.append(FaultEvent(at, "drop_publish", sid))
-        for _ in range(delays):
-            at = float(rng.uniform(0.0, horizon_s * 0.8))
-            factor = float(rng.uniform(1.5, 4.0))
-            events.append(FaultEvent(at, "delay", factor=factor))
-            events.append(
-                FaultEvent(
-                    min(at + outage_s, horizon_s), "delay", factor=1.0
-                )
-            )
-        schedule = cls(events)
-        schedule._enforce_lanes(max_concurrent_down)
-        return schedule
-
-    def _enforce_lanes(self, max_concurrent_down: int) -> None:
-        """Drop kill/revive pairs that would exceed the concurrency bound
-        or double-kill an already-down shard (random draws can collide)."""
-        down: set[int] = set()
-        dropped: set[int] = set()
-        kept: list[FaultEvent] = []
-        for i, event in enumerate(self.events):
-            if event.kind == "kill":
-                sid = event.shard_id
-                if sid in down or len(down) >= max_concurrent_down:
-                    dropped.add(i)
-                    # also drop this kill's paired revive (the next revive
-                    # of the same shard while it isn't actually down)
-                    for j in range(i + 1, len(self.events)):
-                        later = self.events[j]
-                        if (
-                            later.kind == "revive"
-                            and later.shard_id == sid
-                            and j not in dropped
-                        ):
-                            dropped.add(j)
-                            break
-                    continue
-                down.add(sid)
-                kept.append(event)
-            elif event.kind == "revive":
-                if i in dropped:
-                    continue
-                if event.shard_id not in down:
-                    dropped.add(i)
-                    continue
-                down.discard(event.shard_id)
-                kept.append(event)
-            else:
-                kept.append(event)
-        self.events = kept
-        self._cursor = 0
 
 
 class FaultPlane:

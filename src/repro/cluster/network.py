@@ -2,16 +2,15 @@
 
 Update-cost results in the paper (Fig. 14, and the headline "26 minutes to
 sync 20 TB over 100 GbE") reduce to transfer time = volume / effective
-bandwidth plus propagation latency and a contention discount when update
-traffic shares links with serving traffic.  This module provides exactly
-that arithmetic, with named link presets used across benchmarks.
+bandwidth plus propagation latency.  This module provides exactly that
+arithmetic, with named link presets used across benchmarks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["NetworkLink", "GBE_100", "INFINIBAND_EDR", "transfer_seconds"]
+__all__ = ["NetworkLink", "GBE_100", "INFINIBAND_EDR"]
 
 GB = 1024 ** 3
 TB = 1024 ** 4
@@ -38,21 +37,11 @@ class NetworkLink:
     def bytes_per_second(self) -> float:
         return self.bandwidth_gbps * 1e9 / 8.0 * self.efficiency
 
-    def transfer_seconds(
-        self, volume_bytes: float, contention: float = 0.0
-    ) -> float:
-        """Time to move ``volume_bytes``.
-
-        Args:
-            contention: fraction of the link consumed by competing traffic
-                (serving RPCs); update traffic gets the remainder.
-        """
+    def transfer_seconds(self, volume_bytes: float) -> float:
+        """Time to move ``volume_bytes``."""
         if volume_bytes < 0:
             raise ValueError("volume must be non-negative")
-        if not 0.0 <= contention < 1.0:
-            raise ValueError("contention must be in [0, 1)")
-        effective = self.bytes_per_second * (1.0 - contention)
-        return self.latency_ms / 1e3 + volume_bytes / effective
+        return self.latency_ms / 1e3 + volume_bytes / self.bytes_per_second
 
 
 #: Commodity inter-cluster link from the paper's examples.
@@ -63,9 +52,3 @@ INFINIBAND_EDR = NetworkLink(
     name="InfiniBand-EDR", bandwidth_gbps=100.0, latency_ms=0.05, efficiency=0.95
 )
 
-
-def transfer_seconds(
-    volume_bytes: float, link: NetworkLink = GBE_100, contention: float = 0.0
-) -> float:
-    """Module-level convenience wrapper around :meth:`NetworkLink.transfer_seconds`."""
-    return link.transfer_seconds(volume_bytes, contention=contention)

@@ -27,7 +27,7 @@ from ..data.synthetic import Batch
 from ..dlrm.model import DLRM
 from ..dlrm.optim import RowwiseAdagrad
 from ..obs.trace import Tracer
-from .network import NetworkLink, GBE_100
+from .network import GBE_100
 from .shardstore import ShardClient, ShardedParameterStore
 
 __all__ = ["PushReport", "PullReport", "TrainingCluster", "InferenceNode"]
@@ -48,7 +48,7 @@ class PullReport:
     """Result of one inference-node delta pull.
 
     ``transfer_seconds`` is the client's modelled time for the pull (the
-    resilient wave's, when the node has a policy).  ``degraded`` is True
+    resilient wave's, when the client has a policy).  ``degraded`` is True
     when a resilient client could not answer the pull exactly within its
     deadline: nothing was applied, the node's sync point did not advance,
     and it keeps serving its current replica, at most
@@ -68,41 +68,23 @@ class TrainingCluster:
     Args:
         model: the training replica (owned and mutated).
         server: destination parameter plane.
-        link: training-cluster -> parameter-plane network path.
         lr: learning rate of the row-wise Adagrad optimizer.
-        tracer: optional shared :class:`repro.obs.trace.Tracer`; when
-            given, publish flushes also run under spans on its clock.
-            Training steps always run under a ``cluster.train.step``
-            span (on a private wall-clock tracer by default).
-        faults: optional fault plane handed to the client (delay /
-            slow-node / partition modelling on its transfers).
-        resilience: optional
-            :class:`repro.cluster.resilience.ResiliencePolicy`; flushes
-            then retry quorum refusals under deterministic backoff
-            before surfacing them.
+
+    Training steps run under a ``cluster.train.step`` span on a private
+    wall-clock tracer; publishes flush through a plain client over the
+    100 GbE link.
     """
 
     def __init__(
         self,
         model: DLRM,
         server: ShardedParameterStore,
-        link: NetworkLink = GBE_100,
         lr: float = 0.05,
-        tracer: Tracer | None = None,
-        faults=None,
-        resilience=None,
     ) -> None:
         self.model = model
         self.server = server
-        self.link = link
-        self.tracer = tracer if tracer is not None else Tracer()
-        self.client = ShardClient(
-            server,
-            link=link,
-            tracer=tracer,
-            faults=faults,
-            resilience=resilience,
-        )
+        self.tracer = Tracer()
+        self.client = ShardClient(server)
         self.optimizer = RowwiseAdagrad(lr=lr)
         self.steps_trained = 0
 
@@ -152,34 +134,25 @@ class InferenceNode:
     """One serving replica that pulls updates from the parameter plane.
 
     A pull the live replica set cannot answer exactly never skips
-    updates: the node applies nothing and keeps its sync point.  Without
-    a ``resilience`` policy it raises
-    :class:`~repro.cluster.resilience.errors.DegradedReadError`; with one
-    the pull comes back ``degraded`` and the node keeps serving the rows
-    it last applied, with :meth:`staleness_versions` as the bound.
+    updates: the node applies nothing and keeps its sync point.  Its
+    plain client raises
+    :class:`~repro.cluster.resilience.errors.DegradedReadError`; a client
+    with a resilience policy in its place reports the pull ``degraded``
+    and the node keeps serving the rows it last applied, with
+    :meth:`staleness_versions` as the bound.
     """
 
     def __init__(
         self,
         model: DLRM,
         server: ShardedParameterStore,
-        link: NetworkLink = GBE_100,
         node_id: int = 0,
-        tracer: Tracer | None = None,
-        faults=None,
-        resilience=None,
     ) -> None:
         self.model = model
         self.server = server
-        self.link = link
+        self.link = GBE_100
         self.node_id = node_id
-        self.client = ShardClient(
-            server,
-            link=link,
-            tracer=tracer,
-            faults=faults,
-            resilience=resilience,
-        )
+        self.client = ShardClient(server)
         self.pull_log: list[PullReport] = []
 
     @property
@@ -193,33 +166,27 @@ class InferenceNode:
         """How many publish events behind the store this node is."""
         return self.client.staleness_versions()
 
-    def pull_updates(
-        self, row_filter: np.ndarray | None = None
-    ) -> PullReport:
+    def pull_updates(self) -> PullReport:
         """Apply every delta newer than our synced version, one batched round.
 
         A pull the replicas cannot answer exactly applies nothing and
         keeps the sync point, so the pull after repair catches up fully.
-
-        Args:
-            row_filter: optional id whitelist per pull (QuickUpdate-style
-                priority subsetting happens upstream at publish time; this
-                filter exists for partial-pull experiments).
+        Ids outside the node's tables (negative, or past the last row)
+        are dropped, not applied and not counted.
 
         Returns:
-            The pull's report.  With a ``resilience`` policy, a pull the
-            replicas cannot answer exactly reports ``degraded=True``:
-            every served row is the one last applied, and
-            :meth:`staleness_versions` is how many publishes the node is
-            behind.
+            The pull's report.  When the node's client has a resilience
+            policy, a pull the replicas cannot answer exactly reports
+            ``degraded=True``: every served row is the one last applied,
+            and :meth:`staleness_versions` is how many publishes the node
+            is behind.
 
         Raises:
             repro.cluster.resilience.errors.DegradedReadError: the pull
-                could not be answered exactly and the node has no
-                ``resilience`` policy.
+                could not be answered exactly by a plain client.
         """
         tables = [f"table_{f}" for f in range(len(self.model.embeddings))]
-        deltas, transfer = self.client.pull_tables(tables, row_filter=row_filter)
+        deltas, transfer = self.client.pull_tables(tables)
         # A degraded pull returns empty deltas: nothing is applied and the
         # sync point stays, so the report says so instead of faking progress.
         total_rows = 0
@@ -227,7 +194,7 @@ class InferenceNode:
             indices, rows = deltas[tables[f]]
             if indices.size == 0:
                 continue
-            valid = indices < table.num_rows
+            valid = (indices >= 0) & (indices < table.num_rows)
             table.assign_rows(indices[valid], rows[valid])
             total_rows += int(valid.sum())
         report = PullReport(

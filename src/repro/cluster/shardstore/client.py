@@ -90,8 +90,6 @@ class ShardClient:
         The shared parameter plane.
     link : repro.cluster.network.NetworkLink, optional
         Network path between this client and the store tier.
-    contention : float, optional
-        Fraction of the link consumed by competing traffic.
     tracer : repro.obs.trace.Tracer, optional
         When given, every flush/pull runs under a span and the modelled
         transfer seconds advance the tracer's clock (a ``SimClock`` in
@@ -130,14 +128,12 @@ class ShardClient:
         self,
         store: ShardedParameterStore,
         link: NetworkLink = GBE_100,
-        contention: float = 0.0,
         tracer=None,
         faults=None,
         resilience: ResiliencePolicy | None = None,
     ) -> None:
         self.store = store
         self.link = link
-        self.contention = contention
         self.tracer = tracer
         self.faults = faults
         self.resilience = resilience
@@ -160,7 +156,7 @@ class ShardClient:
         """
         if nbytes <= 0:
             return 0.0
-        seconds = self.link.transfer_seconds(nbytes, contention=self.contention)
+        seconds = self.link.transfer_seconds(nbytes)
         if self.faults is not None:
             seconds *= float(self.faults.delay_factor)
         return seconds
@@ -278,7 +274,6 @@ class ShardClient:
     def pull_tables(
         self,
         tables: list[str],
-        row_filter: np.ndarray | None = None,
     ) -> tuple[dict[str, tuple[np.ndarray, np.ndarray]], ClientTransferReport]:
         """Batched delta pull for several tables since this client's sync point.
 
@@ -291,9 +286,6 @@ class ShardClient:
         ----------
         tables : list of str
             Tables to pull, all against the same sync point.
-        row_filter : numpy.ndarray of int64, optional
-            Keep only these row ids (an inference node pulls just its
-            partition).
 
         Returns
         -------
@@ -347,9 +339,6 @@ class ShardClient:
                             )
                         )
                     ids, rows, _ = store._merge_disjoint(parts)
-                    if row_filter is not None and ids.size:
-                        keep = np.isin(ids, row_filter)
-                        ids, rows = ids[keep], rows[keep]
                     deltas[table] = (ids, rows)
                     total_rows += int(ids.size)
                 self.synced_version = store.version
@@ -414,9 +403,7 @@ class ShardClient:
         ``slow_node`` factor — a gray failure slows one replica, not the
         whole fabric.
         """
-        seconds = self.link.transfer_seconds(
-            max(int(nbytes), 1), contention=self.contention
-        )
+        seconds = self.link.transfer_seconds(max(int(nbytes), 1))
         if self.faults is not None:
             seconds *= float(self.faults.delay_factor)
             slow = getattr(self.faults, "slow_factor", None)

@@ -57,15 +57,15 @@ class _TableBlock:
     float64 explicitly).
     """
 
-    def __init__(self, dim: int, dtype, capacity: int = 64) -> None:
+    def __init__(self, dim: int, dtype) -> None:
         self.dim = dim
-        self.capacity = capacity
+        self.capacity = 64  # doubles on demand (_grow_block)
         self.dtype = np.dtype(dtype)
-        self.slots = IdSlotTable(capacity)
-        self.rows = np.zeros((capacity, dim), dtype=self.dtype)
-        self.row_version = np.zeros(capacity, dtype=np.int64)
+        self.slots = IdSlotTable(self.capacity)
+        self.rows = np.zeros((self.capacity, dim), dtype=self.dtype)
+        self.row_version = np.zeros(self.capacity, dtype=np.int64)
         # True where this shard is rank 0 of the row's replica owners.
-        self.primary = np.zeros(capacity, dtype=bool)
+        self.primary = np.zeros(self.capacity, dtype=bool)
         # Append-only (version, id) log, sorted by version by construction.
         self._log_versions = np.empty(64, dtype=np.int64)
         self._log_ids = np.empty(64, dtype=np.int64)

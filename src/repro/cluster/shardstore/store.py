@@ -231,14 +231,10 @@ class ShardedParameterStore:
         Copies per key (the next R distinct ring owners).  1 (default)
         keeps the single-copy fast paths bit-for-bit; R > 1 turns on
         quorum publishes, version-reconciled reads and repair.
-    auto_compact_every : int or None, optional
-        When set, run :meth:`compact` automatically after every N-th
-        version bump, so delta logs stay bounded without anyone calling
-        maintenance by hand.
-    virtual_nodes : int, optional
-        Ring points per shard.
-    seed : int, optional
-        Placement ring seed (must match across the fleet).
+
+    Placement is the default :class:`ShardPlacement` ring over shard ids
+    ``0 .. num_shards - 1`` (the same in every process).  Delta logs are
+    compacted by calling :meth:`compact`.
     """
 
     def __init__(
@@ -248,9 +244,6 @@ class ShardedParameterStore:
         row_dim: int | None = None,
         row_dtype=ROW_DTYPE,
         replication: int = 1,
-        auto_compact_every: int | None = None,
-        virtual_nodes: int = 64,
-        seed: int = 0,
     ) -> None:
         if num_shards <= 0:
             raise ValueError("need at least one shard")
@@ -258,19 +251,14 @@ class ShardedParameterStore:
             raise ValueError(
                 f"replication {replication} must be in [1, {num_shards}]"
             )
-        if auto_compact_every is not None and auto_compact_every <= 0:
-            raise ValueError("auto_compact_every must be positive")
         self.row_dtype = check_row_dtype(row_dtype, name="row_dtype")
         if row_bytes is None:
             row_bytes = (row_dim or 16) * self.row_dtype.itemsize
         self.row_bytes = row_bytes
         self.row_dim = row_dim
         self.replication = replication
-        self.auto_compact_every = auto_compact_every
         self.version = 0
-        self.placement = ShardPlacement(
-            list(range(num_shards)), virtual_nodes=virtual_nodes, seed=seed
-        )
+        self.placement = ShardPlacement(list(range(num_shards)))
         self.shards: dict[int, ParameterShard] = {
             sid: ParameterShard(sid, row_bytes, row_dtype=self.row_dtype)
             for sid in range(num_shards)
@@ -350,8 +338,8 @@ class ShardedParameterStore:
             raise ValueError(f"shard {shard_id} is not down")
         self._down.discard(shard_id)
 
-    def arm_publish_drop(self, shard_id: int, publishes: int = 1) -> None:
-        """Make ``shard_id`` silently drop its next N publish applications.
+    def arm_publish_drop(self, shard_id: int) -> None:
+        """Make ``shard_id`` silently drop one more publish application.
 
         The fault-injection hook (:class:`repro.cluster.faults.FaultPlane`
         arms it from ``drop_publish`` events): the shard stays live but
@@ -360,11 +348,7 @@ class ShardedParameterStore:
         """
         if shard_id not in self.shards:
             raise ValueError(f"unknown shard {shard_id}")
-        if publishes <= 0:
-            raise ValueError("publishes must be positive")
-        self._armed_drops[shard_id] = (
-            self._armed_drops.get(shard_id, 0) + publishes
-        )
+        self._armed_drops[shard_id] = self._armed_drops.get(shard_id, 0) + 1
 
     def _consume_armed_drops(self) -> frozenset[int]:
         if not self._armed_drops:
@@ -576,11 +560,6 @@ class ShardedParameterStore:
         self.version = version
         for batch, mask in zip(prepared, masks):
             self._apply_publish(*batch, mask, version)
-        if (
-            self.auto_compact_every
-            and version % self.auto_compact_every == 0
-        ):
-            self.compact()
         return version
 
     # ----------------------------------------------------------------- reads
@@ -883,7 +862,7 @@ class ShardedParameterStore:
         plan.bytes_to_copy = plan.rows_to_copy * self.row_bytes
         return plan
 
-    def repair(self, plan: RepairPlan | None = None, tracer=None) -> RepairReport:
+    def repair(self, plan: RepairPlan | None = None) -> RepairReport:
         """Re-replicate stale rows onto every live replica; heal the ledger.
 
         Best-effort under over-quorum loss: rows with no fresh live
@@ -892,16 +871,6 @@ class ShardedParameterStore:
         Copied rows land with their original versions and delta-log
         entries, so downstream pulls from the healed replica serve them.
         """
-        if tracer is not None:
-            with tracer.span("shardstore.store.repair") as span:
-                report = self._repair(plan)
-                span.attrs["rows"] = report.rows_copied
-                span.attrs["bytes"] = report.bytes_copied
-                span.attrs["shards"] = len(report.shards_healed)
-            return report
-        return self._repair(plan)
-
-    def _repair(self, plan: RepairPlan | None) -> RepairReport:
         if plan is None:
             plan = self.plan_repair()
         for task in plan.tasks:
@@ -979,12 +948,10 @@ class ShardedParameterStore:
             bytes_moved=rows_moved * self.row_bytes,
         )
 
-    def add_shard(self, shard_id: int | None = None) -> RebalanceReport:
-        """Grow the ring by one shard, migrating all R copies of the keys
-        it now owns (and only those)."""
-        if shard_id is None:
-            shard_id = max(self.shards) + 1
-        return self._migrate_to(self.placement.with_shard_added(shard_id))
+    def add_shard(self) -> RebalanceReport:
+        """Grow the ring by one shard (id one past the largest), migrating
+        all R copies of the keys it now owns (and only those)."""
+        return self._migrate_to(self.placement.with_shard_added(max(self.shards) + 1))
 
     def remove_shard(self, shard_id: int) -> RebalanceReport:
         """Drain one shard; its replica ranges remap, everyone else's stay."""

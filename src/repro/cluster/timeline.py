@@ -14,6 +14,9 @@ from dataclasses import dataclass, field
 
 __all__ = ["UpdateEvent", "UpdateTimeline", "simulate_periodic_updates"]
 
+#: Sampling step of the average/max staleness integrals.
+_RESOLUTION_S = 10.0
+
 
 @dataclass(frozen=True)
 class UpdateEvent:
@@ -57,22 +60,18 @@ class UpdateTimeline:
     def staleness_at(self, t: float) -> float:
         return t - self.data_time(t)
 
-    def average_staleness(self, resolution_s: float = 10.0) -> float:
-        """Time-averaged staleness over the horizon."""
-        if self.horizon_s <= 0:
-            return 0.0
-        total = 0.0
-        steps = int(self.horizon_s / resolution_s)
-        for i in range(steps):
-            total += self.staleness_at(i * resolution_s)
-        return total / steps if steps else 0.0
+    def _sampled_staleness(self) -> list[float]:
+        """Staleness every ``_RESOLUTION_S`` over the horizon."""
+        steps = int(self.horizon_s / _RESOLUTION_S)
+        return [self.staleness_at(i * _RESOLUTION_S) for i in range(steps)]
 
-    def max_staleness(self, resolution_s: float = 10.0) -> float:
-        steps = int(self.horizon_s / resolution_s)
-        return max(
-            (self.staleness_at(i * resolution_s) for i in range(steps)),
-            default=0.0,
-        )
+    def average_staleness(self) -> float:
+        """Time-averaged staleness over the horizon."""
+        samples = self._sampled_staleness()
+        return sum(samples) / len(samples) if samples else 0.0
+
+    def max_staleness(self) -> float:
+        return max(self._sampled_staleness(), default=0.0)
 
     @property
     def updates_delivered(self) -> int:
@@ -92,15 +91,13 @@ def simulate_periodic_updates(
     update_duration_s: float,
     kind: str,
     volume_bytes: float = 0.0,
-    pipeline: bool = False,
 ) -> UpdateTimeline:
     """Play a periodic update schedule.
 
     Updates start every ``interval_s``; each takes ``update_duration_s`` to
-    land.  Without pipelining, a new update cannot start until the previous
-    one has been applied (the back-pressure that makes DeltaUpdate fall
-    behind at 5-minute cadence in Fig. 14); with pipelining, transfers
-    overlap and land in order.
+    land, and a new update cannot start until the previous one has been
+    applied (the back-pressure that makes DeltaUpdate fall behind at
+    5-minute cadence in Fig. 14).
     """
     if interval_s <= 0 or horizon_s <= 0:
         raise ValueError("interval and horizon must be positive")
@@ -109,7 +106,7 @@ def simulate_periodic_updates(
     next_start = interval_s
     busy_until = 0.0
     while next_start <= horizon_s:
-        start = next_start if pipeline else max(next_start, busy_until)
+        start = max(next_start, busy_until)
         if start > horizon_s:
             break
         applied = start + update_duration_s

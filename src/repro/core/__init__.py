@@ -13,9 +13,8 @@ and the epoch-stamped
 :class:`~repro.core.kernels.TouchedRows` delta tracker.  Every per-batch
 operation above them — ``delta_rows``, ``apply_to``, ``accumulate_grad``,
 ``is_hot``, ``mark``, ``route``, embedding forward/backward — is
-expressed as gather/scatter + batched matmuls over whole arrays; per-id
-Python loops only survive on cold control paths (saturated bounded-load
-probes).  ``tests/test_kernels_equivalence.py`` and
+expressed as gather/scatter + batched matmuls over whole arrays, with no
+per-id Python loop.  ``tests/test_kernels_equivalence.py`` and
 ``tests/test_dlrm_vectorized.py`` pin them to the per-id reference
 implementations they replaced.
 

@@ -158,9 +158,13 @@ def as_float64_rows(values, name: str = "rows") -> np.ndarray:
     )
 
 
-def as_float32_rows(
-    values, name: str = "rows", rtol: float = 1e-6
-) -> np.ndarray:
+#: Maximum relative error of a checked float32 downcast's round trip:
+#: ~8x the float32 rounding unit, loose enough for any healthy embedding
+#: row, tight enough to catch lane abuse.
+_DOWNCAST_RTOL = 1e-6
+
+
+def as_float32_rows(values, name: str = "rows") -> np.ndarray:
     """Coerce numeric rows to float32, *checking* the downcast is benign.
 
     float64 -> float32 rounding keeps every ordinary value within
@@ -169,8 +173,8 @@ def as_float32_rows(
 
     * **overflow** — magnitudes above ~``3.4e38`` become ``inf``;
     * **underflow / precision collapse** — values that round to
-      something further than ``rtol`` (relative, against the float64
-      original) away, e.g. tiny subnormals flushing to zero.
+      something further than ``_DOWNCAST_RTOL`` (relative, against the
+      float64 original) away, e.g. tiny subnormals flushing to zero.
 
     Either raises ``ValueError`` naming the worst offender instead of
     silently serving corrupted rows.  Non-finite inputs (``nan``/``inf``
@@ -183,10 +187,6 @@ def as_float32_rows(
         Row payloads; any shape.
     name : str, optional
         Label used in error messages.
-    rtol : float, optional
-        Maximum tolerated relative error of the round trip.  The default
-        ``1e-6`` is ~8x the float32 rounding unit: loose enough for any
-        healthy embedding row, tight enough to catch lane abuse.
 
     Returns
     -------
@@ -210,13 +210,13 @@ def as_float32_rows(
         finite = np.isfinite(wide)
         with np.errstate(invalid="ignore"):
             err = np.abs(back - wide)
-        bad = finite & (err > rtol * np.abs(wide))
+        bad = finite & (err > _DOWNCAST_RTOL * np.abs(wide))
         if bad.any():
             worst = np.unravel_index(
                 int(np.argmax(np.where(bad, err, -np.inf))), arr.shape
             )
             raise ValueError(
-                f"{name}: float32 downcast exceeds rtol={rtol:g} at index "
+                f"{name}: float32 downcast exceeds rtol={_DOWNCAST_RTOL:g} at index "
                 f"{worst}: {wide[worst]!r} -> {back[worst]!r}"
             )
     return cast

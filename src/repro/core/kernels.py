@@ -105,7 +105,7 @@ def hash_combine(a: np.ndarray, b: np.ndarray, seed: int = 0) -> np.ndarray:
     return splitmix64(mixed, seed + 1)
 
 
-def stable_str_hash(text: str, seed: int = 0) -> int:
+def stable_str_hash(text: str) -> int:
     """Process-stable 64-bit hash of a string (table names, route labels).
 
     UTF-8 bytes are packed little-endian into ``uint64`` words, each word is
@@ -121,9 +121,9 @@ def stable_str_hash(text: str, seed: int = 0) -> int:
     else:
         words = np.zeros(1, dtype=np.uint64)
     positions = np.arange(words.size, dtype=np.uint64)
-    mixed = hash_combine(words, positions, seed)
+    mixed = hash_combine(words, positions, 0)
     folded = np.bitwise_xor.reduce(mixed) ^ np.uint64(len(data))
-    return int(splitmix64(folded.reshape(1), seed + 1)[0])
+    return int(splitmix64(folded.reshape(1), 1)[0])
 
 
 def sorted_find(keys: np.ndarray, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -204,7 +204,7 @@ class IdSlotTable:
     released slots are reused most-recently-freed first.
 
     Keys and slots are both int64, so the dense direct-address lane costs
-    8 bytes per universe row.  Like the hot-index stamps, that is
+    8 bytes per universe row.  Like the hot-index mask, that is
     metadata outside the paper's <2 % adapter overhead figure, which
     counts only the ``A`` and ``B`` factors.
 

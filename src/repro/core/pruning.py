@@ -123,9 +123,10 @@ class UsageTracker:
         # Only ids seen in the window qualify, whatever tau says.
         return np.flatnonzero(self._counts >= max(tau, 1))
 
-    def decide(self, tau: float | None = None) -> PruneDecision:
-        """Full Algorithm-1 decision: active set + clamped capacity (Eq. 4)."""
-        tau = self.tau_prune if tau is None else tau
+    def decide(self) -> PruneDecision:
+        """Full Algorithm-1 decision at the current ``tau_prune``: active
+        set + clamped capacity (Eq. 4)."""
+        tau = self.tau_prune
         active = self.active_set(tau)
         capacity = int(min(max(len(active), self.c_min), self.c_max))
         return PruneDecision(active_ids=active, new_capacity=capacity, tau_used=tau)

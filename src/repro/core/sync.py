@@ -31,7 +31,7 @@ from itertools import combinations
 import numpy as np
 
 from ..cluster.collectives import CollectiveCostModel
-from ..cluster.network import INFINIBAND_EDR, NetworkLink
+from ..cluster.network import INFINIBAND_EDR
 from ..cluster.shardstore import ClientTransferReport, ShardClient, ShardedParameterStore
 from .dtypes import ROW_DTYPE
 from .trainer import LoRATrainer
@@ -120,17 +120,18 @@ class SparseLoRASynchronizer:
         trainers: one :class:`LoRATrainer` per rank, *in rank order* (rank id
             = list position, which drives merge priority).
         sync_interval: steps between synchronization rounds (``T_sync``).
-        link: intra-cluster fabric for the cost model.
         store: optional sharded parameter store; when given, each round's
             merged adapter rows are published through a batched client
             (tables ``lora_a/<field>``, one version per round).
+
+    The cost model and the store client run over the intra-cluster
+    InfiniBand EDR fabric.
     """
 
     def __init__(
         self,
         trainers: list[LoRATrainer],
         sync_interval: int = 64,
-        link: NetworkLink = INFINIBAND_EDR,
         merge_policy: str = "priority",
         store: ShardedParameterStore | None = None,
     ) -> None:
@@ -143,7 +144,7 @@ class SparseLoRASynchronizer:
         self.merge_policy = merge_policy
         self.trainers = trainers
         self.sync_interval = sync_interval
-        self.cost = CollectiveCostModel(link)
+        self.cost = CollectiveCostModel(INFINIBAND_EDR)
         self.num_fields = len(trainers[0].lora)
         # S_r per field: id-array chunks modified since the last sync,
         # consolidated with one np.unique at sync time.
@@ -154,7 +155,7 @@ class SparseLoRASynchronizer:
         self.rounds = 0
         self.reports: list[SyncReport] = []
         self.store_client = (
-            ShardClient(store, link=link) if store is not None else None
+            ShardClient(store, link=INFINIBAND_EDR) if store is not None else None
         )
         self.publish_reports: list[ClientTransferReport] = []
 

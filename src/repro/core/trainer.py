@@ -110,14 +110,13 @@ class LoRATrainer:
         model: DLRM,
         buffer: InferenceLogBuffer,
         config: TrainerConfig | None = None,
-        tracer: Tracer | None = None,
     ) -> None:
         self.model = model
         self.buffer = buffer
         self.config = config or TrainerConfig()
-        # Step timing goes through a tracer span (wall-clock by default),
-        # so report.train_seconds and span durations share one source.
-        self.tracer = tracer if tracer is not None else Tracer()
+        # Step timing goes through a wall-clock tracer span, so
+        # report.train_seconds and span durations share one source.
+        self.tracer = Tracer()
         cfg = self.config
         dims = [t.dim for t in model.embeddings]
         capacities = [
@@ -132,11 +131,8 @@ class LoRATrainer:
             universes=[t.num_rows for t in model.embeddings],
             dtype=model.config.dtype,
         )
-        # Table sizes are known, so every field gets the dense O(1)-per-id
-        # hot-index layout (ids here are embedding row indices).
-        self.hot_filter = HotIndexFilter(
-            len(dims), num_rows=[t.num_rows for t in model.embeddings]
-        )
+        # ids here are embedding row indices: one hot bit per table row
+        self.hot_filter = HotIndexFilter([t.num_rows for t in model.embeddings])
         self.rank_monitors = [
             RankMonitor(
                 alpha=cfg.alpha, min_rank=cfg.min_rank, max_rank=cfg.max_rank

@@ -15,6 +15,9 @@ import numpy as np
 
 __all__ = ["ArrivalConfig", "BurstEpisode", "RequestArrivalProcess"]
 
+#: Hour of day at ``t = 0`` of every generated timeline.
+_START_HOUR = 12.0
+
 
 @dataclass(frozen=True)
 class BurstEpisode:
@@ -58,9 +61,9 @@ class RequestArrivalProcess:
         self._rng = np.random.default_rng(self.config.seed)
         self.bursts: list[BurstEpisode] = []
 
-    def _rate_at(self, t: np.ndarray, start_hour: float) -> np.ndarray:
+    def _rate_at(self, t: np.ndarray) -> np.ndarray:
         cfg = self.config
-        hour = (start_hour + t / 3600.0) % 24.0
+        hour = (_START_HOUR + t / 3600.0) % 24.0
         diurnal = 1.0 + cfg.diurnal_amplitude * np.sin(
             2 * np.pi * (hour - 15.0) / 24.0
         )
@@ -90,20 +93,20 @@ class RequestArrivalProcess:
         self,
         horizon_s: float,
         interval_s: float = 1.0,
-        start_hour: float = 12.0,
         redraw_bursts: bool = True,
     ) -> np.ndarray:
-        """Poisson request counts per interval over the horizon."""
+        """Poisson request counts per interval over the horizon, starting
+        at noon."""
         if horizon_s <= 0 or interval_s <= 0:
             raise ValueError("horizon and interval must be positive")
         if redraw_bursts:
             self._draw_bursts(horizon_s)
         edges = np.arange(0.0, horizon_s, interval_s)
-        rates = self._rate_at(edges, start_hour)
+        rates = self._rate_at(edges)
         return self._rng.poisson(rates * interval_s)
 
-    def peak_to_mean(self, horizon_s: float = 3600.0) -> float:
-        """Burstiness summary: peak over mean interval counts."""
-        counts = self.counts_per_interval(horizon_s)
+    def peak_to_mean(self) -> float:
+        """Burstiness summary: peak over mean interval counts in an hour."""
+        counts = self.counts_per_interval(3600.0)
         mean = counts.mean()
         return float(counts.max() / mean) if mean > 0 else 0.0

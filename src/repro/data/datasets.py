@@ -76,10 +76,9 @@ class DatasetSpec:
     def embedding_tb(self) -> float:
         return self.embedding_bytes / TB
 
-    def scaled_table_sizes(
-        self, total_rows: int, min_rows: int = 50
-    ) -> tuple[int, ...]:
-        """Distribute ``total_rows`` across fields with a power-law profile.
+    def scaled_table_sizes(self, total_rows: int) -> tuple[int, ...]:
+        """Distribute ``total_rows`` across fields with a power-law profile,
+        at least 50 rows a table.
 
         Real CTR datasets have a few huge tables (device id, user id) and a
         long tail of small ones; we reproduce that shape so per-table
@@ -88,7 +87,7 @@ class DatasetSpec:
         ranks = np.arange(1, self.num_sparse_fields + 1, dtype=np.float64)
         weights = ranks ** -self.cardinality_skew
         weights /= weights.sum()
-        sizes = np.maximum((weights * total_rows).astype(int), min_rows)
+        sizes = np.maximum((weights * total_rows).astype(int), 50)
         return tuple(int(s) for s in sizes)
 
 
@@ -150,7 +149,6 @@ TABLE_II: tuple[DatasetSpec, ...] = (AVAZU, CRITEO, BD_TB, AVAZU_TB, CRITEO_TB)
 def build_stream(
     spec: DatasetSpec,
     total_rows: int = 6000,
-    num_fields: int | None = None,
     seed: int = 0,
     **overrides,
 ) -> DriftingCTRStream:
@@ -159,14 +157,13 @@ def build_stream(
     Args:
         spec: which dataset to emulate.
         total_rows: total embedding rows in the scaled-down model.
-        num_fields: cap on fields (full field counts make tiny models slow;
-            accuracy experiments use 4-8 fields by default).
         seed: RNG seed.
         **overrides: forwarded to :class:`StreamConfig` (e.g. drift_rate).
+
+    The stream keeps at most 6 of the spec's sparse fields: full field
+    counts make tiny models slow.
     """
-    fields = num_fields if num_fields is not None else min(
-        spec.num_sparse_fields, 6
-    )
+    fields = min(spec.num_sparse_fields, 6)
     capped = DatasetSpec(
         name=spec.name,
         num_samples=spec.num_samples,

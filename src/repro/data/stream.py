@@ -45,8 +45,7 @@ class InferenceLogBuffer:
     """Time-windowed ring buffer of served (features, label) batches.
 
     Entries older than ``retention_s`` relative to the newest insert are
-    evicted, matching the paper's 10-minute retention window.  An optional
-    ``max_samples`` bound emulates fixed memory capacity.
+    evicted, matching the paper's 10-minute retention window.
 
     The window lives in flat per-field arrays used as a true ring: an
     append copies one batch in at the tail, wrapping past the end of the
@@ -57,13 +56,10 @@ class InferenceLogBuffer:
     window plus the incoming batch no longer fits.
     """
 
-    def __init__(
-        self, retention_s: float = 600.0, max_samples: int | None = None
-    ) -> None:
+    def __init__(self, retention_s: float = 600.0) -> None:
         if retention_s <= 0:
             raise ValueError("retention must be positive")
         self.retention_s = retention_s
-        self.max_samples = max_samples
         self._meta: deque[_BatchMeta] = deque()
         # Ring storage: the ``_live`` rows starting at ``_start`` (mod
         # capacity) of each array are the window, oldest first.
@@ -142,10 +138,7 @@ class InferenceLogBuffer:
         self._evict(batch.timestamp)
 
     def _evict(self, now: float) -> None:
-        while self._meta and (
-            now - self._meta[0].timestamp > self.retention_s
-            or (self.max_samples is not None and len(self) > self.max_samples)
-        ):
+        while self._meta and now - self._meta[0].timestamp > self.retention_s:
             old = self._meta.popleft()
             self._start = (self._start + old.size) % self._capacity()
             self._live -= old.size

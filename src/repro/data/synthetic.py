@@ -205,6 +205,3 @@ class DriftingCTRStream:
         """Monte-Carlo access histogram for one field (Fig. 12 input)."""
         ids = self._samplers[field].sample(num_samples)
         return np.bincount(ids, minlength=self.config.table_sizes[field])
-
-    def hot_ids(self, field: int, fraction: float = 0.10) -> np.ndarray:
-        return self._samplers[field].hot_ids(fraction)

@@ -27,8 +27,6 @@ class ZipfSampler:
         size: number of distinct ids.
         exponent: Zipf exponent ``s`` (larger = more skew).
         rng: generator for both the permutation and sampling.
-        permute: set ``False`` to keep id ``i`` at rank ``i + 1``
-            (useful in tests).
         method: ``"cdf"`` (default) draws by binary search over the rank
             CDF — one uniform per sample, the historical draw sequence.
             ``"alias"`` draws in O(1) via Walker/Vose tables (built once per
@@ -42,7 +40,6 @@ class ZipfSampler:
         size: int,
         exponent: float = 1.1,
         rng: np.random.Generator | None = None,
-        permute: bool = True,
         method: str = "cdf",
     ) -> None:
         if size <= 0:
@@ -57,9 +54,7 @@ class ZipfSampler:
         self._rng = rng or np.random.default_rng(0)
         self._probs = _zipf_probs(size, exponent)
         self._cdf = np.cumsum(self._probs)
-        self._rank_to_id = (
-            self._rng.permutation(size) if permute else np.arange(size, dtype=np.int64)
-        )
+        self._rank_to_id = self._rng.permutation(size)
         # Alias draws: acceptance per rank, the id on each side of the coin.
         self._accept: np.ndarray | None = None
         self._keep_id: np.ndarray | None = None

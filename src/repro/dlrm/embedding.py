@@ -67,9 +67,8 @@ class EmbeddingTable:
     Args:
         num_rows: vocabulary size ``|V|``.
         dim: embedding dimension ``d``.
-        rng: NumPy generator used for initialisation.
-        init_scale: stddev of the uniform init, following DLRM's
-            ``U(-1/sqrt(|V|), 1/sqrt(|V|))`` convention when ``None``.
+        rng: NumPy generator used for the DLRM-convention init
+            ``U(-1/sqrt(|V|), 1/sqrt(|V|))``.
         name: optional label used in diagnostics.
         dtype: row lane of the table; float32 (the default) or float64
             for a test oracle.  Initialisation respects it.
@@ -80,7 +79,6 @@ class EmbeddingTable:
         num_rows: int,
         dim: int,
         rng: np.random.Generator | None = None,
-        init_scale: float | None = None,
         name: str = "",
         dtype=ROW_DTYPE,
     ) -> None:
@@ -88,7 +86,7 @@ class EmbeddingTable:
             raise ValueError("num_rows and dim must be positive")
         if rng is None:
             rng = np.random.default_rng(0)
-        scale = init_scale if init_scale is not None else 1.0 / np.sqrt(num_rows)
+        scale = 1.0 / np.sqrt(num_rows)
         self.weight = rng.uniform(-scale, scale, size=(num_rows, dim)).astype(
             np.dtype(dtype), copy=False
         )

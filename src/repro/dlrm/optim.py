@@ -42,11 +42,11 @@ class RowwiseAdagrad:
     never upcasts.
     """
 
-    def __init__(self, lr: float = 0.05, eps: float = 1e-8) -> None:
+    def __init__(self, lr: float = 0.05) -> None:
         if lr <= 0:
             raise ValueError("lr must be positive")
         self.lr = lr
-        self.eps = eps
+        self.eps = 1e-8
         self._row_state: "weakref.WeakKeyDictionary[EmbeddingTable, np.ndarray]" = (
             weakref.WeakKeyDictionary()
         )

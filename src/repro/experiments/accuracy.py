@@ -98,7 +98,7 @@ def _make_stream(config: AccuracyConfig) -> DriftingCTRStream:
     )
 
 
-def _make_model(config: AccuracyConfig, seed_offset: int = 0) -> DLRM:
+def _make_model(config: AccuracyConfig) -> DLRM:
     return DLRM(
         DLRMConfig(
             num_dense=config.num_dense,
@@ -106,7 +106,7 @@ def _make_model(config: AccuracyConfig, seed_offset: int = 0) -> DLRM:
             table_sizes=config.table_sizes,
             bottom_mlp=config.bottom_mlp,
             top_mlp=config.top_mlp,
-            seed=config.seed + seed_offset,
+            seed=config.seed,
             dtype=config.dtype,
         )
     )
@@ -206,13 +206,11 @@ def run_comparison(
     return {name: run_strategy(config, f) for name, f in factories.items()}
 
 
-def auc_improvement_table(
-    runs: dict[str, StrategyRun], baseline: str = "DeltaUpdate"
-) -> dict[str, float]:
-    """Mean-AUC delta versus the baseline, in percentage points (Table III)."""
-    if baseline not in runs:
-        raise KeyError(f"baseline {baseline!r} missing from runs")
-    base = runs[baseline].mean_auc
+def auc_improvement_table(runs: dict[str, StrategyRun]) -> dict[str, float]:
+    """Mean-AUC delta versus DeltaUpdate, in percentage points (Table III)."""
+    if "DeltaUpdate" not in runs:
+        raise KeyError("baseline 'DeltaUpdate' missing from runs")
+    base = runs["DeltaUpdate"].mean_auc
     return {
         name: (run.mean_auc - base) * 100.0 for name, run in runs.items()
     }

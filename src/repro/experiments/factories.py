@@ -43,33 +43,26 @@ def quick_update(alpha: float = 0.05):
     return build
 
 
-def live_update(
-    rank: int | None = None,
-    lr: float = 0.25,
-    steps_per_slot: int = 6,
-    alpha: float = 0.8,
-):
-    """LiveUpdate factory.
+def live_update(rank: int | None = None):
+    """LiveUpdate factory: adapter lr 0.25, 6 trainer steps between
+    windows, PCA variance threshold 0.8 when the rank is dynamic.
 
     Args:
         rank: fixed LoRA rank (``None`` = dynamic rank adaptation).
-        lr: adapter learning rate.
-        steps_per_slot: trainer cadence between windows.
-        alpha: PCA variance threshold when dynamic.
     """
 
     def build(trainer: TrainingCluster, node: InferenceNode) -> UpdateStrategy:
         trainer_config = TrainerConfig(
             rank=rank if rank is not None else 4,
             dynamic_rank=rank is None,
-            alpha=alpha,
-            lr=lr,
+            alpha=0.8,
+            lr=0.25,
         )
         return LiveUpdate(
             node,
             trainer_cluster=trainer,
             trainer_config=trainer_config,
-            config=LiveUpdateConfig(steps_per_slot=steps_per_slot),
+            config=LiveUpdateConfig(steps_per_slot=6),
         )
 
     return build

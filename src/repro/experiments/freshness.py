@@ -42,9 +42,9 @@ def measure_update_ratio(
     config: AccuracyConfig | None = None,
     window_minutes: tuple[float, ...] = (10.0, 30.0, 60.0),
     windows_per_setting: int = 4,
-    batches_per_minute: int = 2,
 ) -> list[UpdateRatioPoint]:
-    """Fig. 3a: % of EMT rows changed over 10/30/60-minute windows."""
+    """Fig. 3a: % of EMT rows changed over 10/30/60-minute windows, two
+    training batches a minute."""
     config = config or AccuracyConfig()
     out: list[UpdateRatioPoint] = []
     for minutes in window_minutes:
@@ -53,11 +53,8 @@ def measure_update_ratio(
         for w in range(windows_per_setting):
             for table in model.embeddings:
                 table.reset_touched()
-            num_batches = int(minutes * batches_per_minute)
-            for _ in range(num_batches):
-                batch = stream.next_batch(
-                    config.train_batch, duration_s=60.0 / batches_per_minute
-                )
+            for _ in range(int(minutes * 2)):
+                batch = stream.next_batch(config.train_batch, duration_s=30.0)
                 model.train_step(batch.dense, batch.sparse_ids, batch.labels, opt)
             out.append(
                 UpdateRatioPoint(
@@ -83,10 +80,10 @@ def staleness_decay_curve(
     horizon_minutes: float = 60.0,
     step_minutes: float = 5.0,
     refresh_every_minutes: float | None = None,
-    eval_batch: int = 4000,
-    eval_repeats: int = 3,
 ) -> list[DecayPoint]:
     """Fig. 3b: AUC decay under staleness, with optional refresh recovery.
+
+    Each point is the mean AUC of three 4000-sample evaluation batches.
 
     With ``refresh_every_minutes`` set, a shadow model trains continuously
     and the serving model adopts it at each refresh — producing the sawtooth
@@ -113,8 +110,8 @@ def staleness_decay_curve(
                 model.load_state_dict(shadow.state_dict())
                 refreshed = True
         aucs = []
-        for _ in range(eval_repeats):
-            ev = stream.eval_batch(eval_batch)
+        for _ in range(3):
+            ev = stream.eval_batch(4000)
             aucs.append(auc_roc(ev.labels, model.predict(ev.dense, ev.sparse_ids)))
         out.append(
             DecayPoint(

@@ -45,9 +45,9 @@ def collect_gradient_spectra(
     config: AccuracyConfig | None = None,
     snapshots: int = 6,
     steps_per_snapshot: int = 20,
-    alpha: float = 0.8,
 ) -> list[GradientSpectrum]:
-    """Train on the stream, snapshotting gradient PCA curves per table."""
+    """Train on the stream, snapshotting gradient PCA curves per table and
+    the rank that keeps 80 % of the variance."""
     config = config or AccuracyConfig()
     stream, model = build_pretrained_world(config)
     opt = RowwiseAdagrad(lr=config.train_lr)
@@ -66,7 +66,7 @@ def collect_gradient_spectra(
         for f in range(num_tables):
             matrix = np.concatenate(grads_acc[f], axis=0)
             curves[f].append(cumulative_variance(matrix))
-            ranks[f].append(rank_for_variance(matrix, alpha))
+            ranks[f].append(rank_for_variance(matrix, 0.8))
     return [
         GradientSpectrum(table=f, curves=curves[f], ranks_at_alpha=ranks[f])
         for f in range(num_tables)

@@ -96,10 +96,10 @@ def _train_trainer(
 
 def measure_memory_footprints(
     config: AccuracyConfig | None = None,
-    fixed_rank: int = 16,
     slots: int = 40,
 ) -> list[MemoryFootprint]:
-    """Run the three Fig. 17 configurations and report adapter footprints."""
+    """Run the three Fig. 17 configurations (fixed rank 16, dynamic rank,
+    dynamic rank + pruning) and report adapter footprints."""
     config = config or AccuracyConfig()
     base_bytes = None
     results: list[MemoryFootprint] = []
@@ -107,7 +107,7 @@ def measure_memory_footprints(
     fixed = _train_trainer(
         config,
         TrainerConfig(
-            rank=fixed_rank,
+            rank=16,
             dynamic_rank=False,
             dynamic_prune=False,
             capacity_fraction=1.0,  # a slot for every row: the naive layout

@@ -33,17 +33,16 @@ __all__ = [
 ]
 
 
-def update_ratio(
-    window_s: float, r_max: float = 0.35, tau_s: float = 1784.0
-) -> float:
+def update_ratio(window_s: float) -> float:
     """Fraction of EMT rows changed within a window (Fig. 3a fit).
 
-    ``ratio(600 s) ~= 0.10`` and saturates at ``r_max``: rows repeat, so
-    longer windows do not change proportionally more rows.
+    ``ratio(600 s) ~= 0.10`` and saturates at 0.35 (time constant
+    1784 s): rows repeat, so longer windows do not change proportionally
+    more rows.
     """
     if window_s < 0:
         raise ValueError("window must be non-negative")
-    return r_max * (1.0 - math.exp(-window_s / tau_s))
+    return 0.35 * (1.0 - math.exp(-window_s / 1784.0))
 
 
 @dataclass
@@ -140,40 +139,32 @@ class ProductionCostModel:
         )
 
 
-def fig14_grid(
-    specs: list[DatasetSpec],
-    windows_s: tuple[float, ...] = (1200.0, 600.0, 300.0),
-    methods: tuple[str, ...] = (
-        "NoUpdate",
-        "DeltaUpdate",
-        "QuickUpdate",
-        "LiveUpdate",
-    ),
-    link: NetworkLink = GBE_100,
-) -> dict[str, list[CostRow]]:
-    """The full Fig. 14 grid: per dataset, methods x update frequencies."""
+def fig14_grid(specs: list[DatasetSpec]) -> dict[str, list[CostRow]]:
+    """The full Fig. 14 grid: per dataset, the four methods x 20/10/5-minute
+    update windows over 100 GbE."""
+    methods = ("NoUpdate", "DeltaUpdate", "QuickUpdate", "LiveUpdate")
     out: dict[str, list[CostRow]] = {}
     for spec in specs:
-        model = ProductionCostModel(spec=spec, link=link)
+        model = ProductionCostModel(spec=spec)
         rows = [
-            model.hourly_cost(method, w) for w in windows_s for method in methods
+            model.hourly_cost(method, w)
+            for w in (1200.0, 600.0, 300.0)
+            for method in methods
         ]
         out[spec.name] = rows
     return out
 
 
-def fig8_timelines(
-    spec: DatasetSpec,
-    horizon_s: float = 3600.0,
-    link: NetworkLink = GBE_100,
-) -> dict[str, UpdateTimeline]:
-    """The Fig. 8 update timelines of the three methods.
+def fig8_timelines(spec: DatasetSpec) -> dict[str, UpdateTimeline]:
+    """The Fig. 8 update timelines of the three methods over one hour on
+    100 GbE.
 
     DeltaUpdate attempts 15-minute updates but each transfer takes so long
     that updates serialize; QuickUpdate lands every ~6 minutes; LiveUpdate
     applies LoRA updates every ~3 minutes with sub-second latency.
     """
-    model = ProductionCostModel(spec=spec, link=link)
+    horizon_s = 3600.0
+    model = ProductionCostModel(spec=spec)
     delta = simulate_periodic_updates(
         horizon_s,
         interval_s=900.0,

@@ -55,16 +55,12 @@ class DayProfile:
 def simulate_day_profile(
     extra_utilization: float = 0.0,
     label: str = "inference-only",
-    peak_utilization: float = 0.20,
     interval_s: float = 300.0,
-    seed: int = 0,
 ) -> DayProfile:
     """Fig. 4 (extra=0) and Fig. 18b (extra=trainer load) day traces."""
-    trace = DiurnalLoadTrace(peak_utilization=peak_utilization, seed=seed)
-    power = CPUPowerModel()
-    samples = trace.sample_day(
+    samples = DiurnalLoadTrace().sample_day(
         interval_s=interval_s,
-        power_model=power,
+        power_model=CPUPowerModel(),
         extra_utilization=extra_utilization,
     )
     return DayProfile(label=label, samples=samples)
@@ -137,18 +133,14 @@ def utilization_from_windows(results: list[WindowResult]) -> WindowUtilization:
     )
 
 
-def power_comparison(
-    trainer_utilization: float = 0.10, seed: int = 0
-) -> PowerComparison:
+def power_comparison() -> PowerComparison:
     """Build the before/after power comparison of Fig. 5.
 
     The paper measures ~20% higher CPU power when the LoRA trainer runs
-    alongside inference; ``trainer_utilization`` is the extra CPU load the
-    trainer contributes (idle cycles put to work).
+    alongside inference; the trainer adds 10 % CPU load (idle cycles put
+    to work).
     """
     return PowerComparison(
-        inference_only=simulate_day_profile(0.0, "inference-only", seed=seed),
-        colocated=simulate_day_profile(
-            trainer_utilization, "inference+training", seed=seed
-        ),
+        inference_only=simulate_day_profile(0.0, "inference-only"),
+        colocated=simulate_day_profile(0.10, "inference+training"),
     )

@@ -42,38 +42,30 @@ class InferenceLatencyModel:
         lookups_per_query: aggregate embedding rows fetched per served
             batch (hundreds of queries x tens of tables x pooled ids).
         row_bytes: bytes per embedding row.
-        l3_hit_latency_ns: cost of an L3 hit.
-        memory_parallelism: outstanding misses overlapped by the hardware
-            (prefetchers / MLP); misses cost ``latency / parallelism``.
-        remote_penalty: extra latency factor of a remote-socket DRAM access.
-        dense_ms: median GPU dense-stack time per batch.
-        dense_sigma: lognormal shape of the dense time.
-        jitter_sigma: lognormal shape of the end-to-end queueing jitter.
         seed: RNG seed for reproducible sampling.
     """
+
+    #: Cost of an L3 hit.
+    l3_hit_latency_ns = 12.0
+    #: Outstanding misses overlapped by the hardware (prefetchers / MLP);
+    #: misses cost ``latency / parallelism``.
+    memory_parallelism = 4.0
+    #: Median GPU dense-stack time per batch, and its lognormal shape.
+    dense_ms = 2.2
+    dense_sigma = 0.18
+    #: Lognormal shape of the end-to-end queueing jitter.
+    jitter_sigma = 0.28
 
     def __init__(
         self,
         memory: MemoryBandwidthModel | None = None,
         lookups_per_query: int = 100_000,
         row_bytes: int = 128,
-        l3_hit_latency_ns: float = 12.0,
-        memory_parallelism: float = 4.0,
-        remote_penalty: float = 1.0,
-        dense_ms: float = 2.2,
-        dense_sigma: float = 0.18,
-        jitter_sigma: float = 0.28,
         seed: int = 0,
     ) -> None:
         self.memory = memory or MemoryBandwidthModel()
         self.lookups_per_query = lookups_per_query
         self.row_bytes = row_bytes
-        self.l3_hit_latency_ns = l3_hit_latency_ns
-        self.memory_parallelism = memory_parallelism
-        self.remote_penalty = remote_penalty
-        self.dense_ms = dense_ms
-        self.dense_sigma = dense_sigma
-        self.jitter_sigma = jitter_sigma
         self._rng = np.random.default_rng(seed)
 
     def mean_lookup_ms(
@@ -85,14 +77,15 @@ class InferenceLatencyModel:
         """Expected embedding-fetch time per served batch.
 
         ``remote_fraction`` is the share of DRAM accesses landing on the
-        remote socket (zero under NUMA-aware allocation).
+        remote socket (zero under NUMA-aware allocation); each costs twice
+        a local miss.
         """
         if not 0.0 <= l3_hit_ratio <= 1.0:
             raise ValueError("hit ratio must be in [0, 1]")
         if not 0.0 <= remote_fraction <= 1.0:
             raise ValueError("remote fraction must be in [0, 1]")
         miss_ns = self.memory.access_latency_ns(traffic)
-        miss_ns *= 1.0 + remote_fraction * self.remote_penalty
+        miss_ns *= 1.0 + remote_fraction
         per_lookup_ns = (
             l3_hit_ratio * self.l3_hit_latency_ns
             + (1.0 - l3_hit_ratio) * miss_ns

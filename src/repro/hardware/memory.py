@@ -40,27 +40,21 @@ class MemoryBandwidthModel:
 
     Args:
         peak_gbps: aggregate channel bandwidth of the domain.
-        base_latency_ns: unloaded DRAM access latency.
-        write_penalty: writes cost this factor more than reads (turnaround
-            overhead on the bus); irregular trainer writes are the expensive
-            part of co-location.
-        max_utilization: utilisation ceiling — queueing theory blows up at
-            rho = 1, real DDR controllers saturate around 85-90% of peak.
     """
 
-    def __init__(
-        self,
-        peak_gbps: float = 460.8,
-        base_latency_ns: float = 90.0,
-        write_penalty: float = 1.5,
-        max_utilization: float = 0.9,
-    ) -> None:
+    #: Unloaded DRAM access latency.
+    base_latency_ns = 90.0
+    #: Writes cost this factor more than reads (turnaround overhead on the
+    #: bus); irregular trainer writes are the expensive part of co-location.
+    write_penalty = 1.5
+    #: Utilisation ceiling: queueing theory blows up at rho = 1, real DDR
+    #: controllers saturate around 85-90% of peak.
+    max_utilization = 0.9
+
+    def __init__(self, peak_gbps: float = 460.8) -> None:
         if peak_gbps <= 0:
             raise ValueError("peak bandwidth must be positive")
         self.peak_gbps = peak_gbps
-        self.base_latency_ns = base_latency_ns
-        self.write_penalty = write_penalty
-        self.max_utilization = max_utilization
 
     def utilization(self, traffic: MemoryTraffic) -> float:
         """Effective utilisation in [0, max_utilization]."""

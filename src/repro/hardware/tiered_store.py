@@ -2,10 +2,11 @@
 
 Section II-B: inference clusters keep 5-10% *hot* embeddings in GPU HBM and
 the remaining warm rows in multi-TB CPU DRAM; cold misses fall through to
-the remote parameter server.  This module implements that hierarchy as an
-actual row store (reads return real vectors) with per-tier hit accounting
-and a latency cost model, so serving experiments can measure the effect of
-placement policy on lookup time.
+the remote parameter server.  This module implements the local part of that
+hierarchy as an actual row store (reads return real vectors) with per-tier
+hit accounting and a latency cost model, so serving experiments can measure
+the effect of placement policy on lookup time.  The store holds its whole
+table (a single-node deployment), so no read reaches the remote tier.
 """
 
 from __future__ import annotations
@@ -59,35 +60,24 @@ class TieredStoreConfig:
 
 
 class TieredEmbeddingStore:
-    """Row store for one embedding table across HBM / DRAM / remote tiers.
+    """Row store for one embedding table across the HBM and DRAM tiers.
 
-    The DRAM tier holds the full local partition.  The HBM tier is an LRU
-    subset sized by ``hbm_capacity_rows``; accesses can promote rows into
-    it (default), mirroring production hot-row placement.  Rows outside the
-    local partition (sharded elsewhere) are remote and served by the
-    parameter-server callback.
+    The DRAM tier holds the whole table.  The HBM tier is an LRU subset
+    sized by ``hbm_capacity_rows``; accesses can promote rows into it
+    (default), mirroring production hot-row placement.
 
     Args:
-        weight: the ``(rows, d)`` local DRAM-resident partition.
+        weight: the ``(rows, d)`` DRAM-resident table.
         config: tier parameters.
-        local_ids: ids owned by this node's partition.  ``None`` means the
-            whole table is local (single-node deployments).
-        remote_fetch: callback ``(ids) -> rows`` for non-local ids.
     """
 
     def __init__(
         self,
         weight: np.ndarray,
         config: TieredStoreConfig | None = None,
-        local_ids: np.ndarray | None = None,
-        remote_fetch=None,
     ) -> None:
         self.weight = np.asarray(weight, dtype=np.float64)
         self.config = config or TieredStoreConfig()
-        self._local = (
-            None if local_ids is None else set(int(i) for i in local_ids)
-        )
-        self._remote_fetch = remote_fetch
         self._hbm: OrderedDict[int, None] = OrderedDict()
         self.stats = TierStats()
 
@@ -95,9 +85,6 @@ class TieredEmbeddingStore:
     @property
     def hbm_rows(self) -> int:
         return len(self._hbm)
-
-    def is_local(self, idx: int) -> bool:
-        return self._local is None or int(idx) in self._local
 
     def preload_hot(self, ids: np.ndarray) -> int:
         """Pin the given ids into HBM (initial hot-set placement).
@@ -108,9 +95,8 @@ class TieredEmbeddingStore:
         for i in np.asarray(ids, dtype=np.int64):
             if len(self._hbm) >= self.config.hbm_capacity_rows:
                 break
-            if self.is_local(int(i)):
-                self._hbm[int(i)] = None
-                admitted += 1
+            self._hbm[int(i)] = None
+            admitted += 1
         return admitted
 
     def _touch_hbm(self, idx: int) -> None:
@@ -130,12 +116,8 @@ class TieredEmbeddingStore:
         out = np.zeros((ids.shape[0], self.weight.shape[1]))
         latency_us = 0.0
         cfg = self.config
-        remote_needed: list[int] = []
         for j, raw in enumerate(ids):
             i = int(raw)
-            if not self.is_local(i):
-                remote_needed.append(j)
-                continue
             if i in self._hbm:
                 self.stats.hbm_hits += 1
                 latency_us += cfg.hbm_latency_us
@@ -146,12 +128,6 @@ class TieredEmbeddingStore:
                 if cfg.promote_on_access:
                     self._touch_hbm(i)
             out[j] = self.weight[i]
-        if remote_needed:
-            self.stats.remote_misses += len(remote_needed)
-            latency_us += cfg.remote_latency_us * len(remote_needed)
-            if self._remote_fetch is not None:
-                remote_ids = ids[remote_needed]
-                out[remote_needed] = self._remote_fetch(remote_ids)
         return out, latency_us
 
     def mean_lookup_latency_us(self) -> float:
@@ -160,9 +136,5 @@ class TieredEmbeddingStore:
         if not s.total:
             return 0.0
         cfg = self.config
-        total = (
-            s.hbm_hits * cfg.hbm_latency_us
-            + s.dram_hits * cfg.dram_latency_us
-            + s.remote_misses * cfg.remote_latency_us
-        )
+        total = s.hbm_hits * cfg.hbm_latency_us + s.dram_hits * cfg.dram_latency_us
         return total / s.total

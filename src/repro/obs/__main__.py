@@ -34,17 +34,16 @@ from .trace import Tracer
 
 def run_sync_scenario(
     windows: int = 4,
-    rows_per_window: int = 256,
-    dim: int = 8,
     seed: int = 0,
 ) -> tuple[Tracer, FlightRecorder, MetricsRegistry]:
     """Two clients syncing through one store on a simulated timeline.
 
-    A trainer client stages and flushes two tables per update window; an
-    inference client pulls the deltas.  Window start times come from the
-    ``cluster.timeline`` periodic-update simulator, transfer durations
-    from the client's alpha-beta cost model, and every duration advances
-    the shared :class:`~repro.obs.clock.SimClock` — so the resulting
+    A trainer client stages and flushes two tables of 8-wide rows per
+    update window (256 + 128 rows); an inference client pulls the deltas.
+    Window start times come from the ``cluster.timeline`` periodic-update
+    simulator, transfer durations from the client's alpha-beta cost
+    model, and every duration advances the shared
+    :class:`~repro.obs.clock.SimClock` — so the resulting
     trace is a pure function of the arguments, byte-identical across
     processes, hosts, and hash seeds.  The registry returned beside the
     trace is :func:`scenario_metrics` over the run's own logs.
@@ -52,6 +51,7 @@ def run_sync_scenario(
     clock = SimClock()
     recorder = FlightRecorder()
     tracer = Tracer(clock=clock, recorder=recorder)
+    rows_per_window, dim = 256, 8
     store = ShardedParameterStore(num_shards=4, row_bytes=None, row_dim=dim)
     trainer = ShardClient(store, tracer=tracer)
     node = ShardClient(store, tracer=tracer)

@@ -20,7 +20,8 @@ __all__ = ["SimClock", "WallClock"]
 class SimClock:
     """Manually advanced simulated clock.
 
-    Time only moves when the simulation says so: :meth:`advance` adds a
+    Time starts at 0 and only moves when the simulation says so:
+    :meth:`advance` adds a
     modelled duration, :meth:`set` jumps forward to an absolute point on
     the timeline (e.g. a ``cluster.timeline`` event's ``started_s``).
     Moving backwards raises — a simulated timeline is monotone.
@@ -28,8 +29,8 @@ class SimClock:
 
     __slots__ = ("_now",)
 
-    def __init__(self, start: float = 0.0) -> None:
-        self._now = float(start)
+    def __init__(self) -> None:
+        self._now = 0.0
 
     def now(self) -> float:
         """Current simulated time in seconds."""

@@ -94,9 +94,9 @@ class Histogram:
     Bucket edges form a geometric lattice ``lo * growth**k`` covering
     ``[lo, hi]``; values at or below ``lo`` land in the underflow bucket,
     values above the last edge in the overflow bucket.  Because adjacent
-    edges differ by the factor ``growth``, any quantile read is exact to
-    within one bucket width — with the default ``growth=1.02``, within
-    2% relative error (validated against ``np.percentile`` in the tests).
+    edges differ by the factor ``growth = 1.02``, any quantile read is
+    exact to within one bucket width, 2% relative error (validated
+    against ``np.percentile`` in the tests).
 
     Args:
         name: lowercase dotted metric name.
@@ -104,7 +104,6 @@ class Histogram:
         lo: smallest resolvable value (first bucket edge).
         hi: lattice upper bound; larger observations are exact only in
             ``count``/``sum``/``max``.
-        growth: ratio between adjacent edges (> 1).
     """
 
     __slots__ = (
@@ -127,16 +126,15 @@ class Histogram:
         help: str = "",
         lo: float = 1e-3,
         hi: float = 1e7,
-        growth: float = 1.02,
     ) -> None:
-        if lo <= 0 or hi <= lo or growth <= 1.0:
-            raise ValueError("need 0 < lo < hi and growth > 1")
+        if lo <= 0 or hi <= lo:
+            raise ValueError("need 0 < lo < hi")
         self.name = _check_name(name)
         self.help = help
         self.lo = float(lo)
         self.hi = float(hi)
-        self.growth = float(growth)
-        num_edges = int(math.ceil(math.log(hi / lo) / math.log(growth))) + 1
+        self.growth = 1.02
+        num_edges = int(math.ceil(math.log(hi / lo) / math.log(self.growth))) + 1
         self.edges = self.lo * self.growth ** np.arange(
             num_edges, dtype=np.float64
         )
@@ -226,7 +224,8 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._metrics: dict[str, Counter | Gauge | Histogram] = {}
 
-    def _get_or_create(self, name, kind, help, **kwargs):
+    def _get_or_create(self, name, kind, make):
+        """The metric called ``name``, made by ``make()`` if it is new."""
         metric = self._metrics.get(name)
         if metric is not None:
             if not isinstance(metric, kind):
@@ -235,17 +234,16 @@ class MetricsRegistry:
                     f"{type(metric).__name__}, not {kind.__name__}"
                 )
             return metric
-        metric = kind(name, help=help, **kwargs)
-        self._metrics[name] = metric
+        metric = self._metrics[name] = make()
         return metric
 
     def counter(self, name: str, help: str = "") -> Counter:
         """Get or create the :class:`Counter` called ``name``."""
-        return self._get_or_create(name, Counter, help)
+        return self._get_or_create(name, Counter, lambda: Counter(name, help))
 
     def gauge(self, name: str, help: str = "") -> Gauge:
         """Get or create the :class:`Gauge` called ``name``."""
-        return self._get_or_create(name, Gauge, help)
+        return self._get_or_create(name, Gauge, lambda: Gauge(name, help))
 
     def histogram(
         self,
@@ -253,7 +251,6 @@ class MetricsRegistry:
         help: str = "",
         lo: float = 1e-3,
         hi: float = 1e7,
-        growth: float = 1.02,
     ) -> Histogram:
         """Get or create the :class:`Histogram` called ``name``.
 
@@ -261,7 +258,7 @@ class MetricsRegistry:
         return the existing histogram unchanged.
         """
         return self._get_or_create(
-            name, Histogram, help, lo=lo, hi=hi, growth=growth
+            name, Histogram, lambda: Histogram(name, help, lo, hi)
         )
 
     def names(self) -> list[str]:

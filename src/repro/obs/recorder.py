@@ -42,17 +42,11 @@ class FlightEvent:
 
 
 class FlightRecorder:
-    """Per-component ring buffers of the last ``capacity`` events.
+    """Per-component ring buffers of the last ``capacity`` (256) events;
+    older entries fall off the front of that component's ring."""
 
-    Args:
-        capacity: events retained per component; older entries fall off
-            the front of that component's ring.
-    """
-
-    def __init__(self, capacity: int = 256) -> None:
-        if capacity <= 0:
-            raise ValueError("flight recorder capacity must be positive")
-        self.capacity = capacity
+    def __init__(self) -> None:
+        self.capacity = 256
         self._rings: dict[str, deque[FlightEvent]] = {}
         self._seq = 0
 
@@ -113,12 +107,12 @@ class FlightRecorder:
         """All retained events as JSON-friendly dicts, oldest first."""
         return [e.as_dict() for e in self.events()]
 
-    def dump_text(self, tail: int = 10) -> str:
-        """Human-readable post-mortem: last ``tail`` events per component."""
+    def dump_text(self) -> str:
+        """Human-readable post-mortem: last 10 events per component."""
         lines = []
         for component in self.components:
             lines.append(f"== {component} ==")
-            for e in self.events(component)[-tail:]:
+            for e in self.events(component)[-10:]:
                 detail = " ".join(
                     f"{k}={v}" for k, v in e.attrs
                 )
@@ -127,11 +121,3 @@ class FlightRecorder:
                     + (f" ({detail})" if detail else "")
                 )
         return "\n".join(lines) if lines else "(flight recorder empty)"
-
-    def clear(self, component: str | None = None) -> None:
-        """Drop retained events (one component's, or everything)."""
-        if component is None:
-            self._rings.clear()
-            self._seq = 0
-        else:
-            self._rings.pop(component, None)

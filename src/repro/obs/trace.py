@@ -88,13 +88,14 @@ class Tracer:
             timelines deterministically.
         recorder: optional :class:`~repro.obs.recorder.FlightRecorder`
             that every completed span is also filed into.
-        max_spans: completed spans retained (oldest dropped beyond this).
+
+    The last 10,000 completed spans are retained; older ones are dropped.
     """
 
-    def __init__(self, clock=None, recorder=None, max_spans: int = 10_000):
+    def __init__(self, clock=None, recorder=None):
         self.clock = clock if clock is not None else WallClock()
         self.recorder = recorder
-        self.spans: deque[Span] = deque(maxlen=max_spans)
+        self.spans: deque[Span] = deque(maxlen=10_000)
         self._stack: list[Span] = []
         self._next_id = 1
 

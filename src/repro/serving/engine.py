@@ -28,7 +28,6 @@ from ..hardware.latency import InferenceLatencyModel, percentile
 from ..hardware.memory import MemoryBandwidthModel, MemoryTraffic
 from ..hardware.numa import AdaptiveNumaPartitioner
 from ..hardware.reuse import BatchedShadowReuse
-from ..hardware.topology import EPYC_9684X_DUAL, NodeTopology
 from ..hardware.vectorcache import BatchLRUCache, IntervalCache
 
 __all__ = ["NodeSimConfig", "WindowResult", "ColocatedNodeSimulator"]
@@ -116,13 +115,8 @@ class WindowResult:
 class ColocatedNodeSimulator:
     """Runs serving windows under different isolation configurations."""
 
-    def __init__(
-        self,
-        config: NodeSimConfig | None = None,
-        topology: NodeTopology = EPYC_9684X_DUAL,
-    ) -> None:
+    def __init__(self, config: NodeSimConfig | None = None) -> None:
         self.config = config or NodeSimConfig()
-        self.topology = topology
         cfg = self.config
         self._rng = np.random.default_rng(cfg.seed)
         self._inference_sampler = ZipfSampler(
@@ -210,14 +204,14 @@ class ColocatedNodeSimulator:
         training_on: bool,
         reuse_ratio: float = 0.0,
         remote_fraction: float = 0.0,
-        num_requests: int = 20_000,
         evictions: int = 0,
     ) -> WindowResult:
+        """One window's result, from 20,000 sampled request latencies."""
         inf_hit = inf_stats.hit_ratio
         train_hit = train_stats.hit_ratio if train_stats else 0.0
         traffic = self._traffic(inf_hit, train_hit, training_on, reuse_ratio)
         samples = self.latency.sample_latencies(
-            num_requests, inf_hit, traffic, remote_fraction
+            20_000, inf_hit, traffic, remote_fraction
         )
         return WindowResult(
             config_name=name,
@@ -423,15 +417,15 @@ class ColocatedNodeSimulator:
             training_ccds=0,
         )
 
-    def run_colocated_naive(self, total_ccds: int = 12) -> WindowResult:
-        """w/o Opt: trainer and server share one cache domain, and trainer
-        pages are not NUMA-local (remote-socket penalty applies)."""
+    def run_colocated_naive(self) -> WindowResult:
+        """w/o Opt: trainer and server share one 12-CCD cache domain, and
+        trainer pages are not NUMA-local (remote-socket penalty applies)."""
         return self._run_window(
             "colocated_naive",
             training_on=True,
             shared_cache=True,
             reuse=False,
-            inference_ccds=total_ccds,
+            inference_ccds=12,
             training_ccds=0,
             remote_fraction=self.config.naive_remote_fraction,
         )
@@ -449,10 +443,9 @@ class ColocatedNodeSimulator:
             training_ccds=training_ccds,
         )
 
-    def run_colocated_full(
-        self, inference_ccds: int = 10, training_ccds: int = 2
-    ) -> WindowResult:
-        """w/ Reuse+Scheduling: partitioning plus shadow-buffer reuse.
+    def run_colocated_full(self) -> WindowResult:
+        """w/ Reuse+Scheduling: the 10/2-CCD partition plus shadow-buffer
+        reuse.
 
         Trainer reads first consult the shadow buffer of rows the server
         already fetched; only the remainder touches the training cache and
@@ -464,8 +457,8 @@ class ColocatedNodeSimulator:
             training_on=True,
             shared_cache=False,
             reuse=True,
-            inference_ccds=inference_ccds,
-            training_ccds=training_ccds,
+            inference_ccds=10,
+            training_ccds=2,
         )
 
     # ------------------------------------------------------------- ablation

@@ -1,17 +1,17 @@
 """Fleet request routing.
 
-Production serving shards traffic across inference nodes — by consistent
-hashing of a routing key (user/session) with load-aware spillover.  Routing
+Production serving shards traffic across inference nodes by consistent
+hashing of a routing key (user/session).  Routing
 is what creates the *node-local traffic distributions* LiveUpdate's local
 trainers adapt to, and what the EMT partitioning in Fig. 2 assumes.
 
 Hashing is :func:`repro.core.kernels.splitmix64`, never the builtin
 ``hash()``: the builtin is salted per process (``PYTHONHASHSEED``), which
 would give every fleet member a different ring layout and make routing
-decisions irreproducible across processes.  The batch :meth:`route` path is
-one vectorised hash + ``np.searchsorted`` over the ring; the scalar probe
-loop is only taken when bounded-load capacity is configured *and* some node
-would saturate within the batch.
+decisions irreproducible across processes.  :meth:`route` is one
+vectorised hash + ``np.searchsorted`` over the ring: every request goes to
+its home node, with no load-aware spillover, so
+:attr:`RouterStats.spill_ratio` is always 0.
 """
 
 from __future__ import annotations
@@ -35,23 +35,19 @@ class RouterStats:
     """Routing outcome counters."""
 
     routed: int = 0
-    spilled: int = 0
 
     @property
     def spill_ratio(self) -> float:
-        total = self.routed + self.spilled
-        return self.spilled / total if total else 0.0
+        """Share of requests sent past their home node: none, ever."""
+        return 0.0
 
 
 class ConsistentHashRouter:
-    """Consistent-hash ring with virtual nodes and load-aware spillover.
+    """Consistent-hash ring with virtual nodes.
 
     Args:
         node_ids: physical inference nodes.
         virtual_nodes: ring points per physical node (smooths the split).
-        capacity_qps: optional per-node capacity; when a node is saturated
-            within the current accounting window, requests spill to the
-            next node on the ring (bounded-load consistent hashing).
         seed: hash seed.
     """
 
@@ -59,7 +55,6 @@ class ConsistentHashRouter:
         self,
         node_ids: list[int],
         virtual_nodes: int = 64,
-        capacity_qps: float | None = None,
         seed: int = 0,
     ) -> None:
         if not node_ids:
@@ -67,7 +62,6 @@ class ConsistentHashRouter:
         if virtual_nodes <= 0:
             raise ValueError("virtual_nodes must be positive")
         self.node_ids = list(node_ids)
-        self.capacity_qps = capacity_qps
         nodes = np.repeat(np.asarray(self.node_ids, dtype=np.int64), virtual_nodes)
         replicas = np.tile(
             np.arange(virtual_nodes, dtype=np.int64), len(self.node_ids)
@@ -78,21 +72,13 @@ class ConsistentHashRouter:
         order = np.lexsort((nodes, keys))
         self._ring_keys = keys[order]
         self._ring_nodes = nodes[order]
-        # dense per-node position for array-based load accounting
+        # dense per-node position for the replica tables
         self._nodes_sorted = np.unique(np.asarray(self.node_ids, dtype=np.int64))
         self._ring_node_pos = np.searchsorted(self._nodes_sorted, self._ring_nodes)
-        self._load = np.zeros(self._nodes_sorted.size, dtype=np.int64)
         self._replica_tables: dict[int, np.ndarray] = {}
         self.stats = RouterStats()
 
     # ---------------------------------------------------------------- basics
-    @property
-    def _window_load(self) -> dict[int, int]:
-        """Current window's per-node request count (diagnostic view)."""
-        return {
-            int(n): int(l) for n, l in zip(self._nodes_sorted, self._load)
-        }
-
     def _key_hashes(self, routing_keys: np.ndarray) -> np.ndarray:
         # Checked coercion: the old bare `.astype(np.int64)` accepted
         # float keys, and a float64 detour collapses every integer above
@@ -108,34 +94,8 @@ class ConsistentHashRouter:
         idx[idx == self._ring_keys.size] = 0
         return idx
 
-    def _route_probed(self, idx: int) -> int:
-        """Scalar bounded-load probe starting at ring position ``idx``."""
-        n = self._ring_nodes.size
-        for probe in range(n):
-            pos = int(self._ring_node_pos[(idx + probe) % n])
-            if (
-                self.capacity_qps is None
-                or self._load[pos] < self.capacity_qps
-            ):
-                self._load[pos] += 1
-                if probe == 0:
-                    self.stats.routed += 1
-                else:
-                    self.stats.spilled += 1
-                return int(self._nodes_sorted[pos])
-        # everything saturated: take the home node anyway
-        pos = int(self._ring_node_pos[idx])
-        self._load[pos] += 1
-        self.stats.spilled += 1
-        return int(self._nodes_sorted[pos])
-
     def route(self, routing_keys: np.ndarray) -> np.ndarray:
-        """Vector routing; returns the node id per request.
-
-        Fully vectorised whenever no node saturates within the batch; the
-        sequential probe loop only runs when bounded-load spillover can
-        actually occur.
-        """
+        """Vector routing; returns the home node id per request."""
         if np.size(routing_keys) == 0:
             return np.empty(0, dtype=np.int64)
         # The checked uint64 copy stays a temporary of the hash: held for
@@ -143,22 +103,12 @@ class ConsistentHashRouter:
         idx = self._ring_indices(
             as_uint64_keys(routing_keys, name="routing_keys").reshape(-1)
         )
-        home_counts = np.bincount(
-            self._ring_node_pos[idx], minlength=self._nodes_sorted.size
-        )
-        if self.capacity_qps is not None and np.any(
-            (self._load + home_counts > self.capacity_qps) & (home_counts > 0)
-        ):
-            return np.array(
-                [self._route_probed(int(i)) for i in idx], dtype=np.int64
-            )
-        self._load += home_counts
         self.stats.routed += idx.size
-        return self._ring_nodes[idx].copy()
+        return self._ring_nodes[idx]
 
     def reset_window(self) -> None:
-        """Start a new load-accounting window (e.g. every second)."""
-        self._load[:] = 0
+        """Start a new accounting window: a no-op, as routing keeps no
+        per-window load (window-driven callers need no branch)."""
 
     # ------------------------------------------------------------ replication
     def _replica_table(self, r: int) -> np.ndarray:
@@ -198,8 +148,7 @@ class ConsistentHashRouter:
     def replica_assign(self, routing_keys: np.ndarray, r: int) -> np.ndarray:
         """First ``r`` distinct owners clockwise from each key's position.
 
-        Pure ring placement (no bounded-load spillover): column 0 equals
-        :meth:`assign` on an uncapacitated router, and columns 1..r-1 are
+        Pure ring placement: column 0 equals :meth:`route`, and columns 1..r-1 are
         the successor owners a replicated store writes to.  Analysis-only:
         neither window load nor :attr:`stats` move.
 

@@ -6,9 +6,8 @@ import numpy as np
 class ListLogBuffer:
     """Keeps whole batches in a list; every read concatenates them."""
 
-    def __init__(self, retention_s: float, max_samples: int | None = None) -> None:
+    def __init__(self, retention_s: float) -> None:
         self.retention_s = retention_s
-        self.max_samples = max_samples
         self.batches: list = []
         self.total_evicted = 0
 
@@ -22,7 +21,6 @@ class ListLogBuffer:
         self.batches.append(batch)
         while self.batches and (
             batch.timestamp - self.batches[0].timestamp > self.retention_s
-            or (self.max_samples is not None and len(self) > self.max_samples)
         ):
             self.total_evicted += self.batches.pop(0).size
 

@@ -58,30 +58,6 @@ class TestPredictionConsistency:
         with pytest.raises(ValueError):
             check_prediction_consistency([], _probe())
 
-    def test_overlay_alignment_checked(self):
-        fleet = [_model(), _model()]
-        with pytest.raises(ValueError):
-            check_prediction_consistency(fleet, _probe(), overlays=[None])
-
-    def test_overlays_participate(self):
-        base = _model()
-        fleet = [base.copy(), base.copy()]
-
-        def shifted(field, ids, rows):
-            return rows + 0.5
-
-        report = check_prediction_consistency(
-            fleet, _probe(), overlays=[None, shifted]
-        )
-        assert not report.consistent
-
-    def test_tolerance_respected(self):
-        base = _model()
-        fleet = [base.copy(), base.copy()]
-        fleet[1].embeddings[0].weight += 1e-12
-        report = check_prediction_consistency(fleet, _probe(), tolerance=1e-6)
-        assert report.consistent
-
 
 class TestParameterDivergence:
     def test_single_model_empty(self):

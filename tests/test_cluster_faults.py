@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from faultlib import random_schedule
 from reference.replication import check_replica_convergence
 from repro.cluster.faults import FaultEvent, FaultPlane, FaultSchedule
 from repro.cluster.nodes import InferenceNode, TrainingCluster
@@ -51,15 +52,15 @@ class TestFaultSchedule:
         assert schedule.remaining == 0
 
     def test_random_is_seed_deterministic(self):
-        a = FaultSchedule.random(7, list(range(8)))
-        b = FaultSchedule.random(7, list(range(8)))
+        a = random_schedule(7, list(range(8)))
+        b = random_schedule(7, list(range(8)))
         assert a.events == b.events
-        c = FaultSchedule.random(8, list(range(8)))
+        c = random_schedule(8, list(range(8)))
         assert a.events != c.events
 
     def test_random_respects_concurrency_bound(self):
         for seed in range(10):
-            schedule = FaultSchedule.random(
+            schedule = random_schedule(
                 seed, list(range(8)), kills=6, horizon_s=200.0,
                 max_concurrent_down=2,
             )
@@ -75,9 +76,9 @@ class TestFaultSchedule:
 
     def test_random_validation(self):
         with pytest.raises(ValueError):
-            FaultSchedule.random(0, [])
+            random_schedule(0, [])
         with pytest.raises(ValueError):
-            FaultSchedule.random(0, [1], max_concurrent_down=0)
+            random_schedule(0, [1], max_concurrent_down=0)
 
 
 class TestFaultPlane:

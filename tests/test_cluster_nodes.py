@@ -6,7 +6,7 @@ import pytest
 from repro.cluster.faults import FaultEvent, FaultPlane, FaultSchedule
 from repro.cluster.nodes import InferenceNode, TrainingCluster
 from repro.cluster.resilience import DegradedReadError, ResiliencePolicy
-from repro.cluster.shardstore import ShardedParameterStore
+from repro.cluster.shardstore import ShardClient, ShardedParameterStore
 from repro.data.synthetic import DriftingCTRStream, StreamConfig
 from repro.dlrm.model import DLRM, DLRMConfig
 
@@ -87,12 +87,22 @@ class TestInferenceNode:
                 trainer.model.embeddings[0].weight[changed],
             )
 
-    def test_pull_with_filter(self, world):
-        stream, trainer, node = world
-        trainer.train_on(stream.next_batch(32))
-        trainer.publish_changed_rows()
-        report = node.pull_updates(row_filter=np.array([0, 1, 2]))
-        assert report.rows_pulled <= 3 * 2  # per table
+    def test_pull_drops_negative_and_out_of_range_ids(self, world):
+        """The store accepts any int64 id; a node applies only the ids
+        its tables hold.  A negative id would otherwise index from the
+        end of the table and overwrite a live row."""
+        _, _, node = world
+        served = [table.weight.copy() for table in node.model.embeddings]
+        num_rows = node.model.embeddings[0].num_rows
+        dim = node.model.embeddings[0].dim
+        ShardClient(node.server).publish(
+            "table_0", np.array([-5, num_rows]), np.full((2, dim), 7.0)
+        )
+        report = node.pull_updates()
+        assert report.rows_pulled == 0 and report.bytes_pulled == 0
+        assert node.staleness_versions() == 0
+        for mine, before in zip(node.model.embeddings, served):
+            np.testing.assert_array_equal(mine.weight, before)
 
     def test_pull_nothing_is_cheap(self, world):
         _, _, node = world
@@ -122,11 +132,13 @@ class TestInferenceNode:
 
 
 class TestNodePullUnderFaults:
-    def _replicated(self, **node_kwargs):
+    def _replicated(self, resilient: bool):
         model, stream = _model_and_stream()
         store = ShardedParameterStore(num_shards=4, row_bytes=4 * 8, replication=3)
         trainer = TrainingCluster(model.copy(), store)
-        node = InferenceNode(model.copy(), store, **node_kwargs)
+        node = InferenceNode(model.copy(), store)
+        if resilient:
+            node.client = ShardClient(store, resilience=ResiliencePolicy())
         return stream, store, trainer, node
 
     @pytest.mark.parametrize("resilient", [False, True], ids=["plain", "resilient"])
@@ -135,9 +147,7 @@ class TestNodePullUnderFaults:
         a resilient one reports ``degraded=True``; either way every weight
         stays the one last applied, the node is behind by exactly the
         unseen publish, and the pull after repair reads the gap in full."""
-        stream, store, trainer, node = self._replicated(
-            resilience=ResiliencePolicy() if resilient else None
-        )
+        stream, store, trainer, node = self._replicated(resilient)
         trainer.train_on(stream.next_batch(32))
         trainer.publish_changed_rows()
         node.pull_updates()
@@ -174,9 +184,7 @@ class TestNodePullUnderFaults:
     def test_resilient_pull_reports_the_clients_modelled_seconds(self):
         """A slow replica costs the resilient wave time; the node reports
         the client's number, not a re-derived alpha-beta transfer."""
-        stream, store, trainer, node = self._replicated(
-            resilience=ResiliencePolicy()
-        )
+        stream, store, trainer, node = self._replicated(resilient=True)
         plane = FaultPlane(
             store, FaultSchedule([FaultEvent(0.0, "slow_node", 0, factor=20.0)])
         )

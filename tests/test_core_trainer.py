@@ -82,7 +82,7 @@ class TestTraining:
         _fill(buffer, stream)
         trainer = LoRATrainer(model, buffer, TrainerConfig(batch_size=32))
         trainer.train_step()
-        assert len(trainer.hot_filter._marked[0]) > 0
+        assert trainer.hot_filter._marked[0].any()
 
     def test_overlay_changes_predictions_after_training(self, world):
         model, stream, buffer = world

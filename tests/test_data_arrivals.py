@@ -44,10 +44,12 @@ class TestArrivalProcess:
             burst_rate_per_hour=0.0,
             seed=2,
         )
-        p = RequestArrivalProcess(cfg)
-        peak = p.counts_per_interval(600.0, start_hour=21.0).mean()
-        trough = p.counts_per_interval(600.0, start_hour=9.0).mean()
-        assert peak > trough
+        # one day from noon in 10-minute intervals: 21:00 is t = 9 h
+        # (interval 54), 09:00 is t = 21 h (interval 126)
+        counts = RequestArrivalProcess(cfg).counts_per_interval(
+            86400.0, interval_s=600.0
+        )
+        assert counts[48:60].mean() > counts[120:132].mean()
 
     def test_bursts_raise_peak_to_mean(self):
         calm_cfg = ArrivalConfig(burst_rate_per_hour=0.0, seed=3)

@@ -42,15 +42,11 @@ class TestScaledTableSizes:
         assert sizes[0] > sizes[5] > sizes[-1] or sizes[-1] >= 50
 
     def test_min_rows_enforced(self):
-        sizes = BD_TB.scaled_table_sizes(500, min_rows=50)
+        sizes = BD_TB.scaled_table_sizes(500)
         assert min(sizes) >= 50
 
 
 class TestBuildStream:
-    def test_field_cap(self):
-        stream = build_stream(CRITEO, total_rows=600, num_fields=4)
-        assert len(stream.config.table_sizes) == 4
-
     def test_default_field_cap_is_six(self):
         stream = build_stream(BD_TB, total_rows=600)
         assert len(stream.config.table_sizes) == 6

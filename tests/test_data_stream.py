@@ -36,13 +36,6 @@ class TestRetention:
         assert len(buf) == 8  # t=0 evicted (150 - 0 > 100)
         assert buf.total_evicted == 4
 
-    def test_max_samples_cap(self):
-        buf = InferenceLogBuffer(retention_s=1e9, max_samples=10)
-        for i in range(5):
-            buf.append(_batch(float(i), n=4))
-        assert len(buf) <= 10 + 4  # at most one batch over before eviction
-        assert len(buf) == 8
-
     def test_stats(self):
         buf = InferenceLogBuffer(retention_s=100)
         assert buf.stats().num_samples == 0
@@ -106,13 +99,12 @@ class TestRingAgainstListOracle:
         for got, ref in zip((mb.dense, mb.sparse_ids, mb.labels), want):
             np.testing.assert_array_equal(got, ref)
 
-    @pytest.mark.parametrize("max_samples", [None, 700])
-    def test_wraps_evicts_and_grows_like_the_list(self, max_samples):
+    def test_wraps_evicts_and_grows_like_the_list(self):
         from reference.stream import ListLogBuffer
 
         rng = np.random.default_rng(11)
-        buf = InferenceLogBuffer(retention_s=40.0, max_samples=max_samples)
-        oracle = ListLogBuffer(40.0, max_samples)
+        buf = InferenceLogBuffer(retention_s=40.0)
+        oracle = ListLogBuffer(40.0)
         capacities = set()
         wrapped = False
         for step in range(300):

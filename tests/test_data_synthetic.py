@@ -108,10 +108,6 @@ class TestUtilities:
         assert counts.shape == (200,)
         assert counts.sum() == 10_000
 
-    def test_hot_ids(self, stream):
-        hot = stream.hot_ids(0, 0.1)
-        assert len(hot) == 20
-
     def test_determinism_per_seed(self):
         cfg = StreamConfig(table_sizes=(100,), num_dense=2, seed=42)
         b1 = DriftingCTRStream(cfg).next_batch(16)

@@ -67,7 +67,7 @@ class TestRunStrategy:
         assert none.bytes_moved == 0.0
 
     def test_liveupdate_moves_no_bytes(self):
-        live = run_strategy(FAST, live_update(rank=4, steps_per_slot=2))
+        live = run_strategy(FAST, live_update(rank=4))
         assert live.bytes_moved == 0.0
         assert live.update_seconds > 0.0
 
@@ -91,7 +91,7 @@ class TestComparison:
                 "DeltaUpdate": delta_update,
                 "NoUpdate": no_update,
                 "QuickUpdate-5%": quick_update(0.05),
-                "LiveUpdate": live_update(rank=4, steps_per_slot=4),
+                "LiveUpdate": live_update(rank=4),
             },
         )
 
@@ -115,4 +115,4 @@ class TestComparison:
 
     def test_improvement_table_missing_baseline(self, runs):
         with pytest.raises(KeyError):
-            auc_improvement_table(runs, baseline="Nope")
+            auc_improvement_table({"NoUpdate": runs["NoUpdate"]})

@@ -20,14 +20,14 @@ class TestMemoryBandwidthModel:
             MemoryBandwidthModel(peak_gbps=0)
 
     def test_utilization_capped(self):
-        m = MemoryBandwidthModel(peak_gbps=10, max_utilization=0.9)
+        m = MemoryBandwidthModel(peak_gbps=10)
         assert m.utilization(MemoryTraffic(read_gbps=100)) == 0.9
 
     def test_write_penalty_counts_more(self):
-        m = MemoryBandwidthModel(peak_gbps=100, write_penalty=2.0)
+        m = MemoryBandwidthModel(peak_gbps=100)
         reads = m.utilization(MemoryTraffic(read_gbps=10))
         writes = m.utilization(MemoryTraffic(write_gbps=10))
-        assert writes == pytest.approx(2 * reads)
+        assert writes == pytest.approx(1.5 * reads)
 
     def test_latency_grows_with_load(self):
         m = MemoryBandwidthModel(peak_gbps=100)

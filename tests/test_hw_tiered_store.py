@@ -1,4 +1,4 @@
-"""Tests for the HBM/DRAM/remote tiered embedding store."""
+"""Tests for the HBM/DRAM tiered embedding store."""
 
 import numpy as np
 import pytest
@@ -64,32 +64,6 @@ class TestPreload:
 
     def test_preload_stops_at_capacity(self, store):
         assert store.preload_hot(np.arange(50)) == 10
-
-
-class TestRemoteTier:
-    def test_non_local_ids_fetch_remotely(self, weight):
-        calls = []
-
-        def remote(ids):
-            calls.append(ids)
-            return np.full((len(ids), 4), -1.0)
-
-        store = TieredEmbeddingStore(
-            weight,
-            local_ids=np.arange(50),
-            remote_fetch=remote,
-        )
-        rows, latency = store.lookup(np.array([10, 80]))
-        np.testing.assert_array_equal(rows[0], weight[10])
-        np.testing.assert_array_equal(rows[1], np.full(4, -1.0))
-        assert store.stats.remote_misses == 1
-        assert len(calls) == 1
-
-    def test_remote_latency_dominates(self, weight):
-        store = TieredEmbeddingStore(weight, local_ids=np.arange(50))
-        _, local_lat = store.lookup(np.array([1]))
-        _, remote_lat = store.lookup(np.array([99]))
-        assert remote_lat > 10 * local_lat
 
 
 class TestStats:

@@ -66,7 +66,7 @@ def _trained_collection(rng) -> tuple[LoRACollection, HotIndexFilter]:
         universes=list(TABLE_SIZES),
         dtype=np.float64,
     )
-    hot = HotIndexFilter(len(TABLE_SIZES), num_rows=list(TABLE_SIZES))
+    hot = HotIndexFilter(list(TABLE_SIZES))
     for f, n in enumerate(TABLE_SIZES):
         active = rng.choice(n, size=n // 2, replace=False)
         slots = coll[f].activate_batch(active)

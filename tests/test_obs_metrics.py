@@ -24,7 +24,7 @@ class TestHistogram:
         # of np.percentile on a million-sample latency-shaped stream.
         rng = np.random.default_rng(12345)
         values = rng.lognormal(mean=1.0, sigma=0.8, size=1_000_000)
-        h = Histogram("test.latency_ms", lo=1e-3, hi=1e5, growth=1.02)
+        h = Histogram("test.latency_ms", lo=1e-3, hi=1e5)
         h.observe_many(values)
         for q in (50.0, 90.0, 95.0, 99.0, 99.9):
             exact = float(np.percentile(values, q))
@@ -55,7 +55,7 @@ class TestHistogram:
         assert h.mean == pytest.approx(7.25)
 
     def test_underflow_and_overflow_buckets(self):
-        h = Histogram("test.range", lo=1.0, hi=100.0, growth=1.5)
+        h = Histogram("test.range", lo=1.0, hi=100.0)
         h.observe_many(np.array([0.001, 1e6]))
         assert h.count == 2
         assert h.counts[0] == 1  # underflow
@@ -82,8 +82,6 @@ class TestHistogram:
             Histogram("test.bad", lo=0.0)
         with pytest.raises(ValueError):
             Histogram("test.bad", lo=10.0, hi=1.0)
-        with pytest.raises(ValueError):
-            Histogram("test.bad", growth=1.0)
         h = Histogram("test.ok")
         with pytest.raises(ValueError):
             h.quantile(101)

@@ -26,6 +26,19 @@ flagged symbol is deleted, moved to ``tests/reference/`` when the tests
 use it as an oracle, or given a caller in a workload, benchmark or
 example.
 
+The parameter guard goes one level further down, again with the same
+roots and no allow-list: every defaulted parameter of every ``src/``
+function and method, keyword-only ones included, must be passed by some
+root call outside the function's own body, by keyword or by position
+(``self``/``cls`` allowed for).  A constructor is called by its class's
+name, by ``cls(...)`` inside the class, by a subclass without its own
+``__init__``, or by a subclass's ``super().__init__(...)``.  A call that
+spreads ``*args`` or ``**kwargs`` passes everything, and matching is by
+name, so a same-named function's call counts too, which errs safe.  A
+flagged ``path:line func(param=)`` is an option nothing sets: fold its
+default into the body and delete the branch it gated, give it a real
+caller, or move the function out of ``src/``.
+
 A third guard keeps one owner per number: a component keeps its counts
 in its own report or log, so no module outside ``repro.obs`` imports the
 metric or flight-recorder types; only ``python -m repro.obs`` builds a
@@ -359,3 +372,183 @@ def test_only_repro_obs_builds_metrics_or_flight_records():
         and telemetry & {_resolve(r) for r in _references(path, _package_of(name, path))}
     )
     assert not offenders, f"components own their counts; {offenders} import metrics/recorder"
+
+
+def _calls(tree: ast.Module):
+    """``(callee name, call)`` of every call in a file.  The name is the
+    called ``Name`` or attribute.  Inside a class body, ``cls(...)`` names
+    that class and ``super().__init__(...)`` names each of its bases, so
+    both reach the constructor they run."""
+    out = []
+
+    def visit(node, cls):
+        for sub in ast.iter_child_nodes(node):
+            if isinstance(sub, ast.Call):
+                func = sub.func
+                if isinstance(func, ast.Name):
+                    out.append((cls.name if cls and func.id == "cls" else func.id, sub))
+                elif isinstance(func, ast.Attribute):
+                    if cls and func.attr == "__init__" and isinstance(func.value, ast.Call):
+                        out.extend((base, sub) for base in _base_names(cls))
+                    else:
+                        out.append((func.attr, sub))
+            visit(sub, sub if isinstance(sub, ast.ClassDef) else cls)
+
+    visit(tree, None)
+    return out
+
+
+def _base_names(cls: ast.ClassDef) -> list[str]:
+    return [b.id if isinstance(b, ast.Name) else b.attr for b in cls.bases
+            if isinstance(b, ast.Name | ast.Attribute)]
+
+
+def _defaulted(node, in_class: bool):
+    """``(param, position or None)`` of every defaulted parameter; the
+    position is what a call passes it at, ``self``/``cls`` allowed for."""
+    args = node.args
+    positional = args.posonlyargs + args.args
+    shift = in_class and "staticmethod" not in _decorator_names(node)
+    first = len(positional) - len(args.defaults)
+    for i in range(first, len(positional)):
+        yield positional[i].arg, i - shift
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield arg.arg, None
+
+
+def _passes(call: ast.Call, param: str, position: int | None) -> bool:
+    if any(kw.arg is None or kw.arg == param for kw in call.keywords):
+        return True
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    return position is not None and len(call.args) > position
+
+
+def unpassed_parameters(src: Path, roots: list[Path]) -> list[str]:
+    """``path:line func(param=)`` of every defaulted ``src`` parameter that
+    no root call outside the function's own body passes."""
+    files = sorted(src.rglob("*.py"))
+    root_files = [p for p in files if p.name != "__init__.py"] + roots
+    calls: dict[str, list[ast.Call]] = {}
+    for path in root_files:
+        for name, call in _calls(_tree(path)):
+            calls.setdefault(name, []).append(call)
+    inherits: dict[str, list[str]] = {}
+    for path in files:
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.ClassDef) and not any(
+                isinstance(item, ast.FunctionDef) and item.name == "__init__"
+                for item in node.body
+            ):
+                for base in _base_names(node):
+                    inherits.setdefault(base, []).append(node.name)
+    missing = []
+    for path in files:
+        for node in ast.walk(_tree(path)):
+            if not isinstance(node, ast.ClassDef | ast.Module):
+                continue
+            in_class = isinstance(node, ast.ClassDef)
+            for item in node.body:
+                if not isinstance(item, _DEFS[:2]):
+                    continue
+                names = [item.name]
+                if in_class and item.name == "__init__":
+                    # a constructor is called by its class's name, or by
+                    # the name of a subclass that does not define its own
+                    names = [node.name] + inherits.get(node.name, [])
+                own = {id(sub) for sub in ast.walk(item)}
+                sites = [
+                    c for n in names for c in calls.get(n, ()) if id(c) not in own
+                ]
+                for param, position in _defaulted(item, in_class):
+                    if not any(_passes(c, param, position) for c in sites):
+                        missing.append(
+                            (path, item.lineno, f"{item.name}({param}=)")
+                        )
+    missing.sort(key=lambda m: m[:2])
+    return [f"{p.relative_to(src.parent)}:{line} {what}" for p, line, what in missing]
+
+
+def test_every_src_parameter_is_passed():
+    benchmarks = sorted((REPO / "benchmarks").rglob("*.py"))
+    examples = sorted((REPO / "examples").rglob("*.py"))
+    missing = unpassed_parameters(SRC, benchmarks + examples)
+    assert not missing, (
+        "no benchmark, example or other src call passes these defaulted "
+        "parameters; fold the default into the body, give the parameter a "
+        "caller, or move the function out of src/:\n" + "\n".join(missing)
+    )
+
+
+_PLANTED_PARAMS = {
+    "src/pkg/__init__.py": "",
+    "src/pkg/opts.py": (
+        "class Store:\n"
+        "    def __init__(self, size=8, lane='f32'):\n"
+        "        self.size, self.lane = size, lane\n"
+        "\n"
+        "    @classmethod\n"
+        "    def wide(cls):\n"
+        "        return cls(lane='f64')\n"  # cls(...) names the class
+        "\n"
+        "    def read(self, key, stale=False):\n"
+        "        return key, stale\n"
+        "\n"
+        "    def pull(self, since=0, *, exact=True):\n"
+        "        return since, exact\n"
+        "\n"
+        "    def walk(self, depth=3):\n"
+        "        return self.walk(depth - 1) if depth else 0\n"  # own call
+        "\n"
+        "    def fwd(self, key, mode='a'):\n"
+        "        return key, mode\n"
+        "\n"
+        "    def spread(self, opt=None):\n"
+        "        return opt\n"
+        "\n"
+        "    def flush(self, force=False):\n"
+        "        return force\n"
+        "\n"
+        "\n"
+        "def scale(x, factor=2.0):\n"
+        "    return x * factor\n"
+        "\n"
+        "\n"
+        "class Base:\n"
+        "    def __init__(self, tag=None, seed=0):\n"
+        "        self.tag, self.seed = tag, seed\n"
+        "\n"
+        "\n"
+        "class Child(Base):\n"
+        "    def __init__(self):\n"
+        "        super().__init__(tag='child')\n"  # names each base
+        "\n"
+        "\n"
+        "class Leaf(Base):\n"  # no constructor: ``Leaf(...)`` runs Base's
+        "    pass\n"
+    ),
+    "benchmarks/bench.py": (
+        "from pkg.opts import Child, Leaf, Store, scale\n"
+        "\n"
+        "def run(log, args, kw):\n"
+        "    store = Store(16)\n"  # constructor by class name, positional
+        "    store.read(1, True)\n"  # positional, ``self`` allowed for
+        "    store.pull(since=3)\n"  # keyword
+        "    store.fwd(*args)\n"
+        "    store.spread(**kw)\n"
+        "    log.flush(force=True)\n"  # another ``flush``: counts, errs safe
+        "    Child(), Leaf(seed=1)\n"
+        "    return Store.wide(), scale(1.0)\n"  # one arg is ``x``, not ``factor``
+    ),
+}
+
+
+def test_parameter_guard_flags_planted_dead_options(tmp_path):
+    root = _plant(tmp_path, _PLANTED_PARAMS)
+    missing = unpassed_parameters(root / "src", [root / "benchmarks" / "bench.py"])
+    assert missing == [
+        "src/pkg/opts.py:12 pull(exact=)",
+        "src/pkg/opts.py:15 walk(depth=)",
+        "src/pkg/opts.py:28 scale(factor=)",
+    ]

@@ -67,17 +67,6 @@ class TestExactnessParity:
         assert rep_res.outcome == "ok" and not rep_res.degraded
         assert resilient.synced_version == legacy.synced_version == 2
 
-    def test_row_filter_parity(self):
-        store = make_store(num_shards=8, replication=2)
-        legacy = ShardClient(store)
-        resilient = ShardClient(store, resilience=ResiliencePolicy())
-        store.publish_batch("emb", np.arange(50), np.ones((50, DIM)))
-        keep = np.array([3, 7, 11, 48])
-        got_legacy, _ = legacy.pull_tables(["emb"], row_filter=keep)
-        got_res, _ = resilient.pull_tables(["emb"], row_filter=keep)
-        assert as_map(*got_res["emb"]) == as_map(*got_legacy["emb"])
-        assert got_res["emb"][0].size == keep.size
-
     def test_table_rewidened_between_pulls(self):
         """Regression: rank growth re-widens ``lora_a/*`` between two
         resilient pulls; the second one is exact at the new width and

@@ -44,26 +44,14 @@ class TestRouting:
         assert (router.route(keys[:200]) == 7).all()
 
 
-class TestBoundedLoad:
-    def test_spillover_on_saturation(self, keys):
-        router = ConsistentHashRouter([0, 1], capacity_qps=10)
-        router.route(keys[:100])
-        assert router.stats.spilled > 0
-        assert router.stats.spill_ratio > 0
-
-    def test_no_spill_without_capacity(self, keys):
+class TestNoSpillover:
+    def test_every_request_goes_home(self, keys):
         router = ConsistentHashRouter([0, 1])
-        router.route(keys[:100])
-        assert router.stats.spilled == 0
-
-    def test_window_reset_clears_load(self, keys):
-        router = ConsistentHashRouter([0], capacity_qps=50)
-        router.route(keys[:50])
+        first = router.route(keys[:100])
         router.reset_window()
-        before = router.stats.spilled
-        router.route(keys[50:100])
-        # fresh window: the first 50 fit again without spilling beyond
-        assert router.stats.spilled == before
+        np.testing.assert_array_equal(router.route(keys[:100]), first)
+        assert router.stats.routed == 200
+        assert router.stats.spill_ratio == 0.0
 
 
 class TestDeterminism:

@@ -78,17 +78,6 @@ class TestBatchedPull:
         deltas, report = consumer.pull_tables(["a", "b"])
         assert report.rows == 0
 
-    def test_row_filter_applies_before_accounting(self, store):
-        producer = ShardClient(store)
-        consumer = ShardClient(store)
-        producer.publish("a", np.arange(10), np.ones((10, 4)))
-        deltas, report = consumer.pull_tables(
-            ["a"], row_filter=np.array([2, 4])
-        )
-        assert deltas["a"][0].tolist() == [2, 4]
-        assert report.rows == 2
-        assert report.bytes == 2 * 32
-
     def test_mark_synced_skips_pending_deltas(self, store):
         producer = ShardClient(store)
         consumer = ShardClient(store)

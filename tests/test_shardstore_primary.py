@@ -385,7 +385,8 @@ class TestRowDirectory:
         )
         rng = np.random.default_rng(2)
         store.publish_batch("emb", np.arange(200), rng.normal(size=(200, DIM)))
-        store.add_shard(added)
+        # add_shard always takes the next id, so place the odd id directly
+        store._migrate_to(store.placement.with_shard_added(added))
         for _ in range(2):  # the second publish runs on directory hits
             v = self._publish_mix(store, rng)
             for since in (0, v - 1):

@@ -25,9 +25,9 @@ from faultlib import (
     assert_converged,
     assert_no_acked_loss,
     quiesce,
+    random_schedule,
     run_chaos_schedule,
 )
-from repro.cluster.faults import FaultSchedule
 from repro.cluster.shardstore import (
     QuorumError,
     ShardPlacement,
@@ -471,20 +471,6 @@ class TestCompactionWatermark:
         np.testing.assert_array_equal(got[0], oracle_from_zero[0])
         np.testing.assert_array_equal(got[1], oracle_from_zero[1])
 
-    def test_auto_compact_bounds_log_growth(self):
-        store = ShardedParameterStore(
-            num_shards=4, row_bytes=None, row_dim=2, auto_compact_every=4
-        )
-        rng = np.random.default_rng(0)
-        for _ in range(16):
-            store.publish_batch(
-                "t", np.arange(200), rng.normal(size=(200, 2))
-            )
-        log_entries = sum(s.log_entries for s in store.shards.values())
-        # 16 publishes x 200 ids would be 3200 entries unbounded; the
-        # keep-latest squeeze caps it near the resident count.
-        assert log_entries <= 200 * 4
-
     def test_registered_sync_points_drive_compaction(self):
         """Truncation follows the oldest registered reader and never
         passes it: a lagging reader still resyncs from the log."""
@@ -533,7 +519,7 @@ class TestChaos:
     @pytest.mark.parametrize("seed", _chaos_seeds())
     def test_no_acked_loss_and_byte_identical_convergence(self, seed):
         store = _store(replication=3, num_shards=8)
-        schedule = FaultSchedule.random(
+        schedule = random_schedule(
             seed,
             store.shard_ids,
             horizon_s=40.0,
@@ -556,7 +542,7 @@ class TestChaos:
     def test_chaos_run_is_deterministic(self, seed):
         def run():
             store = _store(replication=3, num_shards=8)
-            schedule = FaultSchedule.random(
+            schedule = random_schedule(
                 seed, store.shard_ids, kills=2, drops=2,
                 max_concurrent_down=1,
             )
