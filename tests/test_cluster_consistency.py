@@ -58,6 +58,24 @@ class TestPredictionConsistency:
         with pytest.raises(ValueError):
             check_prediction_consistency([], _probe())
 
+    def test_tolerance_respected(self):
+        """A gap far inside the fixed 1e-9 tolerance is still consistent."""
+        base = _model()
+        fleet = [base.copy(), base.copy()]
+        fleet[1].embeddings[0].weight += 1e-12
+        report = check_prediction_consistency(fleet, _probe())
+        assert report.consistent
+        assert report.max_prediction_gap <= 1e-9
+
+    def test_gap_past_tolerance_diverges(self):
+        base = _model()
+        fleet = [base.copy(), base.copy()]
+        fleet[1].embeddings[0].weight += 1e-3
+        report = check_prediction_consistency(fleet, _probe())
+        assert not report.consistent
+        assert report.max_prediction_gap > 1e-9
+        assert report.worst_pair == (0, 1)
+
 
 class TestParameterDivergence:
     def test_single_model_empty(self):

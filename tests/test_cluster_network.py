@@ -32,6 +32,16 @@ class TestNetworkLink:
         with pytest.raises(ValueError):
             GBE_100.transfer_seconds(-1)
 
+    def test_transfer_is_affine_in_volume(self):
+        one = GBE_100.transfer_seconds(TB) - GBE_100.transfer_seconds(0)
+        three = GBE_100.transfer_seconds(3 * TB) - GBE_100.transfer_seconds(0)
+        assert three == pytest.approx(3 * one)
+        assert one == pytest.approx(TB / (100e9 / 8 * 0.9))
+
+    def test_fabric_beats_inter_cluster_link(self):
+        assert INFINIBAND_EDR.bytes_per_second > GBE_100.bytes_per_second
+        assert INFINIBAND_EDR.transfer_seconds(0) < GBE_100.transfer_seconds(0)
+
 
 class TestCollectives:
     def test_single_node_free(self):

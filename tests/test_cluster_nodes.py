@@ -104,6 +104,21 @@ class TestInferenceNode:
         for mine, before in zip(node.model.embeddings, served):
             np.testing.assert_array_equal(mine.weight, before)
 
+    def test_pull_applies_in_range_ids_beside_dropped_ones(self, world):
+        _, _, node = world
+        table = node.model.embeddings[0]
+        before = table.weight.copy()
+        rows = np.arange(3 * table.dim, dtype=float).reshape(3, table.dim)
+        ShardClient(node.server).publish(
+            "table_0", np.array([-5, 3, table.num_rows]), rows
+        )
+        report = node.pull_updates()
+        assert report.rows_pulled == 1
+        assert report.bytes_pulled == node.server.row_bytes
+        np.testing.assert_array_equal(table.weight[3], rows[1])
+        untouched = np.arange(table.num_rows) != 3
+        np.testing.assert_array_equal(table.weight[untouched], before[untouched])
+
     def test_pull_nothing_is_cheap(self, world):
         _, _, node = world
         report = node.pull_updates()

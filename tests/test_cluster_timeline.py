@@ -64,6 +64,17 @@ class TestPeriodicSimulation:
         applied = [e.applied_s for e in tl.events]
         assert all(b - a >= 900.0 for a, b in zip(applied, applied[1:]))
 
+    def test_next_start_waits_for_the_previous_apply(self):
+        """No pipelining: a slow update pushes every later start back."""
+        tl = simulate_periodic_updates(
+            3600, interval_s=600, update_duration_s=900.0, kind="delta"
+        )
+        assert [e.started_s for e in tl.events] == [600.0, 1500.0, 2400.0, 3300.0]
+
+    def test_max_staleness_is_one_interval(self):
+        tl = simulate_periodic_updates(3600, 600, 1.0, "lora")
+        assert tl.max_staleness() == pytest.approx(600.0)
+
     def test_more_frequent_updates_lower_staleness(self):
         slow = simulate_periodic_updates(3600, 1200, 1.0, "x")
         fast = simulate_periodic_updates(3600, 300, 1.0, "x")

@@ -52,3 +52,36 @@ class TestBasics:
     def test_one_byte_per_row(self):
         f = HotIndexFilter([100, 30])
         assert [m.nbytes for m in f._marked] == [100, 30]
+
+    def test_each_field_has_its_own_universe(self):
+        f = HotIndexFilter([16, 30])
+        f.mark(0, np.array([20]))
+        f.mark(1, np.array([20]))
+        assert not f.is_hot(0, np.array([20])).any()
+        assert f.is_hot(1, np.array([20])).all()
+
+    def test_remarking_and_duplicates_are_idempotent(self):
+        f = HotIndexFilter([16])
+        f.mark(0, np.array([2, 2, 7]))
+        f.mark(0, np.array([7, 2]))
+        assert np.flatnonzero(f.is_hot(0, np.arange(16))).tolist() == [2, 7]
+
+    def test_empty_batches(self):
+        f = HotIndexFilter([16])
+        f.mark(0, np.array([], dtype=np.int64))
+        mask = f.is_hot(0, np.array([], dtype=np.int64))
+        assert mask.shape == (0,) and mask.dtype == bool
+        assert not f.is_hot(0, np.arange(16)).any()
+
+    def test_mask_follows_query_order_and_repeats(self):
+        f = HotIndexFilter([16])
+        f.mark(0, np.array([4, 9]))
+        mask = f.is_hot(0, np.array([9, 1, 4, 9, 4, 1]))
+        assert mask.tolist() == [True, False, True, True, True, False]
+
+    def test_returned_mask_is_not_the_filter(self):
+        f = HotIndexFilter([16])
+        f.mark(0, np.array([3]))
+        mask = f.is_hot(0, np.arange(16))
+        mask[:] = False
+        assert f.is_hot(0, np.array([3])).all()

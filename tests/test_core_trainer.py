@@ -84,6 +84,22 @@ class TestTraining:
         trainer.train_step()
         assert trainer.hot_filter._marked[0].any()
 
+    def test_hot_ids_are_the_updated_rows_until_merge(self, world):
+        model, stream, buffer = world
+        _fill(buffer, stream)
+        trainer = LoRATrainer(model, buffer, TrainerConfig(batch_size=32))
+        updated = [set() for _ in model.embeddings]
+        for _ in range(3):
+            trainer.train_step()
+            for f, ids in enumerate(trainer.last_update_ids):
+                updated[f].update(ids.tolist())
+        for f, table in enumerate(model.embeddings):
+            hot = trainer.hot_filter.is_hot(f, np.arange(table.num_rows))
+            assert set(np.flatnonzero(hot).tolist()) == updated[f]
+        trainer.merge_and_reset()
+        for f, table in enumerate(model.embeddings):
+            assert not trainer.hot_filter.is_hot(f, np.arange(table.num_rows)).any()
+
     def test_overlay_changes_predictions_after_training(self, world):
         model, stream, buffer = world
         _fill(buffer, stream)

@@ -55,6 +55,23 @@ class TestLookup:
         assert store.stats.dram_hits == 2
 
 
+    def test_every_read_is_local(self, store):
+        store.lookup(np.arange(100))
+        store.lookup(np.arange(0, 100, 7))
+        assert store.stats.remote_misses == 0
+        assert store.stats.local_hit_ratio == 1.0
+
+    def test_hbm_evicts_the_least_recent_row(self, store):
+        store.lookup(np.arange(10))
+        store.lookup(np.array([0]))  # 0 becomes the most recent
+        store.lookup(np.array([10]))  # evicts 1, the least recent
+        hits = store.stats.hbm_hits
+        store.lookup(np.array([0]))
+        assert store.stats.hbm_hits == hits + 1
+        store.lookup(np.array([1]))
+        assert store.stats.hbm_hits == hits + 1
+
+
 class TestPreload:
     def test_preload_pins_hot_rows(self, store):
         admitted = store.preload_hot(np.arange(5))

@@ -46,6 +46,11 @@ class TestPowerModel:
         powers = [m.power(u) for u in np.linspace(0, 1, 10)]
         assert all(a < b for a, b in zip(powers, powers[1:]))
 
+    def test_utilization_is_clipped(self):
+        m = CPUPowerModel()
+        assert m.power(-0.5) == m.power(0.0) == m.idle_w
+        assert m.power(2.0) == m.power(1.0) == m.peak_w
+
     def test_sublinear_curve(self):
         """Half the load costs more than half the dynamic power."""
         m = CPUPowerModel()

@@ -2,11 +2,13 @@
 
 The kernel layer (``repro.core.kernels`` and the batched paths built on it)
 replaced dict/loop implementations of LoRA delta application, gradient
-accumulation and hot-index membership.  These tests keep small per-id
-reference implementations of the original semantics and check the
-vectorized paths against them over randomized inputs — including duplicate
-ids and capacity exhaustion.
+accumulation, hot-index membership and fleet routing.  These tests keep
+small per-id reference implementations of the original semantics and check
+the vectorized paths against them over randomized inputs — including
+duplicate ids, capacity exhaustion and ring wrap-around.
 """
+
+import bisect
 
 import numpy as np
 import pytest
@@ -29,6 +31,7 @@ from repro.core.kernels import (
     stable_str_hash,
 )
 from repro.core.lora import LoRAAdapter
+from repro.serving.router import ConsistentHashRouter
 
 # ------------------------------------------------------------- references
 
@@ -67,6 +70,40 @@ def ref_accumulate_grad(a, b, id_to_slot, free_slots, ids, grads, lr):
 def ref_is_hot(table, ids):
     """Seed implementation: one dict probe per id."""
     return np.array([int(i) in table for i in ids], dtype=bool)
+
+
+def ref_route(router, keys):
+    """Seed implementation: one ring bisection per key, wrapping past the
+    last ring point to the first.
+
+    Shares the router's (stable) hashing so it isolates the ring lookup;
+    hash stability itself is pinned in test_serving_router.py.
+    """
+    ring = router._ring_keys.tolist()
+    out = []
+    for h in router._key_hashes(np.asarray(keys)).tolist():
+        idx = bisect.bisect_left(ring, h)
+        out.append(int(router._ring_nodes[idx % len(ring)]))
+    return np.array(out, dtype=np.int64)
+
+
+def ref_replicas(router, keys, r):
+    """Seed implementation: walk the ring clockwise from each key's home
+    point, collecting the first ``r`` distinct nodes."""
+    ring = router._ring_keys.tolist()
+    nodes = router._ring_nodes.tolist()
+    out = []
+    for h in router._key_hashes(np.asarray(keys)).tolist():
+        idx = bisect.bisect_left(ring, h)
+        owners: list[int] = []
+        for step in range(len(ring)):
+            node = nodes[(idx + step) % len(ring)]
+            if node not in owners:
+                owners.append(node)
+                if len(owners) == r:
+                    break
+        out.append(owners)
+    return np.array(out, dtype=np.int64).reshape(len(out), r)
 
 
 def ref_freshest(ids, versions):
@@ -268,6 +305,62 @@ class TestHotIndexEquivalence:
             ids = rng.integers(0, 3000, size=400)
             np.testing.assert_array_equal(filt.is_hot(0, ids), ref_is_hot(table, ids))
         assert int(filt.is_hot(0, np.arange(3000)).sum()) == len(table)
+
+    @pytest.mark.parametrize(
+        "num_rows", [[1], [3000, 17], [64, 64, 64]], ids=["one-row", "mixed", "three"]
+    )
+    def test_fields_match_per_field_sets(self, num_rows):
+        """Each field answers from its own universe: ids outside
+        ``[0, num_rows)`` are never hot, and ``clear`` empties every
+        field at once."""
+        rng = np.random.default_rng(9)
+        filt = HotIndexFilter(num_rows)
+        sets: list[set[int]] = [set() for _ in num_rows]
+        for step in range(12):
+            if step == 7:
+                filt.clear()
+                sets = [set() for _ in num_rows]
+            for f, n in enumerate(num_rows):
+                marked = rng.integers(-3, n + 3, size=40)
+                filt.mark(f, marked)
+                sets[f].update(int(i) for i in marked if 0 <= i < n)
+            for f, n in enumerate(num_rows):
+                ids = rng.integers(-5, n + 5, size=200)
+                np.testing.assert_array_equal(
+                    filt.is_hot(f, ids), ref_is_hot(sets[f], ids)
+                )
+
+
+# ------------------------------------------------------------------ router
+
+
+_LAYOUTS = {
+    "four-nodes": ([3, 1, 4, 5], 32, 0),
+    "three-nodes": ([0, 1, 2], 64, 0),
+    "one-node": ([7], 8, 0),
+    "seeded": ([10, 20, 30, 40, 50], 16, 5),
+}
+
+
+class TestRouterEquivalence:
+    @pytest.mark.parametrize("layout", list(_LAYOUTS))
+    def test_route_matches_sequential_reference(self, layout):
+        nodes, virtual_nodes, seed = _LAYOUTS[layout]
+        rng = np.random.default_rng(7)
+        # the top hash values land past the last ring point and wrap
+        keys = rng.integers(0, 1 << 62, size=2000)
+        router = ConsistentHashRouter(nodes, virtual_nodes=virtual_nodes, seed=seed)
+        np.testing.assert_array_equal(router.route(keys), ref_route(router, keys))
+        assert router.stats.routed == keys.size
+
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_replica_assign_matches_sequential_walk(self, r):
+        rng = np.random.default_rng(8)
+        keys = rng.integers(0, 1 << 62, size=500)
+        router = ConsistentHashRouter([3, 1, 4, 5], virtual_nodes=16)
+        got = router.replica_assign(keys, r)
+        np.testing.assert_array_equal(got, ref_replicas(router, keys, r))
+        np.testing.assert_array_equal(got[:, 0], router.route(keys))
 
 
 # ------------------------------------------------------------ row kernels

@@ -53,6 +53,8 @@ import importlib
 from collections import Counter
 from pathlib import Path
 
+import pytest
+
 REPO = Path(__file__).resolve().parents[1]
 SRC = REPO / "src"
 
@@ -544,11 +546,66 @@ _PLANTED_PARAMS = {
 }
 
 
+_PLANTED_MISSING = [
+    "src/pkg/opts.py:12 pull(exact=)",
+    "src/pkg/opts.py:15 walk(depth=)",
+    "src/pkg/opts.py:28 scale(factor=)",
+]
+
+
 def test_parameter_guard_flags_planted_dead_options(tmp_path):
     root = _plant(tmp_path, _PLANTED_PARAMS)
     missing = unpassed_parameters(root / "src", [root / "benchmarks" / "bench.py"])
-    assert missing == [
-        "src/pkg/opts.py:12 pull(exact=)",
-        "src/pkg/opts.py:15 walk(depth=)",
-        "src/pkg/opts.py:28 scale(factor=)",
-    ]
+    assert missing == _PLANTED_MISSING
+
+
+# bench line -> its replacement, and the flags that replacement adds and
+# removes: each call form alone is what keeps its parameter passed.
+_CALL_FORMS = {
+    "constructor": ("store = Store(16)", "store = log", "src/pkg/opts.py:2 __init__(size=)", None),
+    "positional": ("store.read(1, True)", "store.read(1)", "src/pkg/opts.py:9 read(stale=)", None),
+    "keyword": ("store.pull(since=3)", "store.pull()", "src/pkg/opts.py:12 pull(since=)", None),
+    "star-args": ("store.fwd(*args)", "store.fwd(args)", "src/pkg/opts.py:18 fwd(mode=)", None),
+    "star-kwargs": ("store.spread(**kw)", "store.spread()", "src/pkg/opts.py:21 spread(opt=)", None),
+    "same-name": ("log.flush(force=True)", "log.flush()", "src/pkg/opts.py:24 flush(force=)", None),
+    "inherited-init": ("Leaf(seed=1)", "Leaf()", "src/pkg/opts.py:33 __init__(seed=)", None),
+    "function-positional": ("scale(1.0)", "scale(1.0, 3.0)", None, "src/pkg/opts.py:28 scale(factor=)"),
+}
+
+
+@pytest.mark.parametrize("form", list(_CALL_FORMS))
+def test_parameter_guard_each_call_form_is_load_bearing(tmp_path, form):
+    old, new, added, removed = _CALL_FORMS[form]
+    files = dict(_PLANTED_PARAMS)
+    bench = files["benchmarks/bench.py"]
+    assert bench.count(old) == 1
+    files["benchmarks/bench.py"] = bench.replace(old, new)
+    root = _plant(tmp_path, files)
+    missing = unpassed_parameters(root / "src", [root / "benchmarks" / "bench.py"])
+    # the guard lists by line, then in signature order: an added flag
+    # sorts first among its line's (``pull(since=)`` before ``exact=``)
+    want = [added] * bool(added) + [m for m in _PLANTED_MISSING if m != removed]
+    assert missing == sorted(want, key=lambda m: int(m.split()[0].rsplit(":", 1)[1]))
+
+
+_PLANTED_STATIC = {
+    "src/pkg/__init__.py": "",
+    "src/pkg/codec.py": (
+        "class Codec:\n"
+        "    @staticmethod\n"
+        "    def pack(x, width=4):\n"
+        "        return x, width\n"
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "call, flagged",
+    [("Codec.pack(1)", ["src/pkg/codec.py:3 pack(width=)"]), ("Codec.pack(1, 8)", [])],
+    ids=["one-arg", "two-args"],
+)
+def test_parameter_guard_gives_a_staticmethod_no_self_offset(tmp_path, call, flagged):
+    files = dict(_PLANTED_STATIC)
+    files["benchmarks/bench.py"] = f"from pkg.codec import Codec\n\ndef run():\n    return {call}\n"
+    root = _plant(tmp_path, files)
+    assert unpassed_parameters(root / "src", [root / "benchmarks" / "bench.py"]) == flagged

@@ -54,6 +54,30 @@ class TestNoSpillover:
         assert router.stats.spill_ratio == 0.0
 
 
+class TestReplicaAssign:
+    def test_first_owner_is_the_home_node(self, keys):
+        router = ConsistentHashRouter([0, 1, 2, 3])
+        owners = router.replica_assign(keys[:500], 3)
+        assert owners.shape == (500, 3)
+        np.testing.assert_array_equal(owners[:, 0], router.route(keys[:500]))
+
+    def test_owners_of_a_key_are_distinct(self, keys):
+        owners = ConsistentHashRouter([5, 6, 7, 8]).replica_assign(keys, 4)
+        assert (np.sort(owners, axis=1) == [5, 6, 7, 8]).all()
+
+    def test_placement_counts_no_traffic(self, keys):
+        router = ConsistentHashRouter([0, 1, 2])
+        router.replica_assign(keys, 2)
+        assert router.stats.routed == 0
+        assert router.replica_assign(np.array([], dtype=np.int64), 2).shape == (0, 2)
+
+    def test_replica_count_must_fit_the_fleet(self, keys):
+        router = ConsistentHashRouter([0, 1, 2])
+        for r in (0, 4):
+            with pytest.raises(ValueError):
+                router.replica_assign(keys[:10], r)
+
+
 class TestDeterminism:
     """Ring layout and routing must not depend on the process hash seed.
 
