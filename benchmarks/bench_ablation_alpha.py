@@ -8,7 +8,7 @@ and reports the rank Eq. 2 selects on real gradient snapshots.
 import numpy as np
 
 from repro.core.rank_adaptation import rank_for_variance
-from repro.experiments.accuracy import AccuracyConfig, build_pretrained_world
+from repro.experiments.accuracy import TRAIN_LR, AccuracyConfig, build_pretrained_world
 from repro.experiments.reporting import banner, format_table
 from repro.dlrm.optim import RowwiseAdagrad
 
@@ -18,7 +18,7 @@ def test_ablation_alpha_threshold(once):
 
     def run():
         stream, model = build_pretrained_world(config)
-        opt = RowwiseAdagrad(lr=config.train_lr)
+        opt = RowwiseAdagrad(lr=TRAIN_LR)
         grads = [[] for _ in model.embeddings]
         for _ in range(30):
             b = stream.next_batch(256, duration_s=5.0)

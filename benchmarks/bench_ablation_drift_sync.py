@@ -15,13 +15,20 @@ from repro.core.drift import AdaptiveSyncPolicy, DriftMonitor
 from repro.core.liveupdate import LiveUpdate, LiveUpdateConfig
 from repro.core.trainer import TrainerConfig
 from repro.dlrm.metrics import auc_roc
-from repro.experiments.accuracy import AccuracyConfig, build_pretrained_world
+from repro.experiments.accuracy import (
+    EMBEDDING_DIM,
+    SERVE_BATCH,
+    SLOT_S,
+    TRAIN_BATCH,
+    AccuracyConfig,
+    build_pretrained_world,
+)
 from repro.experiments.reporting import banner, format_table
 
 
 def _run(policy: str, config: AccuracyConfig):
     stream, base_model = build_pretrained_world(config)
-    server = ShardedParameterStore(row_bytes=config.embedding_dim * 8)
+    server = ShardedParameterStore(row_bytes=EMBEDDING_DIM * 8)
     cluster = TrainingCluster(base_model.copy(), server)
     node = InferenceNode(base_model.copy(), server)
     live = LiveUpdate(
@@ -35,16 +42,16 @@ def _run(policy: str, config: AccuracyConfig):
         drift_threshold=8.0, max_interval_s=3600.0, min_interval_s=600.0
     )
     aucs, syncs = [], 0
-    slots = int(config.horizon_s / config.slot_s)
+    slots = int(config.horizon_s / SLOT_S)
     for slot in range(1, slots + 1):
-        now = slot * config.slot_s
-        cluster.train_on(stream.next_batch(config.train_batch))
-        serve = stream.next_batch(config.serve_batch, local=True)
+        now = slot * SLOT_S
+        cluster.train_on(stream.next_batch(TRAIN_BATCH))
+        serve = stream.next_batch(SERVE_BATCH, local=True)
         probs = node.predict(serve, overlay=live.overlay())
         aucs.append(auc_roc(serve.labels, probs))
         live.on_serving_batch(serve)
         live.on_slot(now)
-        stream.advance(config.slot_s)
+        stream.advance(SLOT_S)
         sample = monitor.observe(
             now, node.model, lora_collection=live.trainer.lora, reference=cluster.model
         )

@@ -1,4 +1,4 @@
-"""Lint configuration: hot-path modules, rule scopes, severities.
+"""Lint configuration: hot-path modules, rule scopes, rule selection.
 
 The defaults encode this repo's invariants — which modules are *hot*
 (no per-element Python, explicit dtypes), which modules decide
@@ -11,7 +11,7 @@ sibling trees (``tests.*``, ``benchmarks.*``, ``examples.*``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = [
     "HOT_MODULES",
@@ -112,27 +112,13 @@ SANCTIONED_HASHES: tuple[str, ...] = (
 
 @dataclass
 class LintConfig:
-    """Tunable knobs for one lint run.
+    """Which rules one lint run applies.
 
     Attributes:
-        hot_modules: fnmatch patterns of modules under the hot-path
-            contract (``hot-loop`` + ``dtype-discipline``).
-        placement_modules: patterns where builtin ``hash()`` is banned.
-        sim_modules: patterns where wall-clock reads are banned.
-        public_api_modules: patterns checked for docstring/``__all__``.
-        fault_modules: patterns where swallowed exceptions are banned
-            (``no-bare-except``).
-        severities: per-rule severity overrides (``rule -> severity``).
         disabled: rule names switched off entirely.
         selected: when non-empty, *only* these rules run.
     """
 
-    hot_modules: tuple[str, ...] = HOT_MODULES
-    placement_modules: tuple[str, ...] = PLACEMENT_MODULES
-    sim_modules: tuple[str, ...] = SIM_MODULES
-    public_api_modules: tuple[str, ...] = PUBLIC_API_MODULES
-    fault_modules: tuple[str, ...] = FAULT_MODULES
-    severities: dict[str, str] = field(default_factory=dict)
     disabled: frozenset[str] = frozenset()
     selected: frozenset[str] = frozenset()
 
@@ -141,23 +127,3 @@ class LintConfig:
         if name in self.disabled:
             return False
         return not self.selected or name in self.selected
-
-    def rule_scope(
-        self, name: str, default: tuple[str, ...]
-    ) -> tuple[str, ...]:
-        """Module patterns rule ``name`` applies to."""
-        if name in ("hot-loop", "dtype-discipline"):
-            return self.hot_modules
-        if name == "no-salted-hash":
-            return self.placement_modules
-        if name == "no-wallclock-in-sim":
-            return self.sim_modules
-        if name == "public-api":
-            return self.public_api_modules
-        if name == "no-bare-except":
-            return self.fault_modules
-        return default
-
-    def severity_of(self, name: str, default: str) -> str:
-        """Severity for rule ``name`` (config override or rule default)."""
-        return self.severities.get(name, default)

@@ -29,7 +29,7 @@ _SKIP_DIRS = {"__pycache__", ".git", ".hypothesis", ".pytest_cache"}
 class LintResult:
     """Outcome of one lint run."""
 
-    findings: list[Finding] = field(default_factory=list)
+    findings: list[Finding] = field(default_factory=list, init=False)
     files_scanned: int = 0
 
     @property
@@ -96,10 +96,10 @@ def lint_context(
     for rule in all_rules():
         if not config.rule_enabled(rule.name):
             continue
-        if not rule.applies_to(ctx.module, config):
+        if not rule.applies_to(ctx.module):
             continue
-        for raw in rule.check(ctx, config):
-            findings.append(rule.resolve(ctx, raw, config))
+        for raw in rule.check(ctx):
+            findings.append(rule.resolve(ctx, raw))
     findings.sort(key=Finding.sort_key)
     return findings
 

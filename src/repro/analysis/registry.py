@@ -1,17 +1,16 @@
 """Rule base class, findings, and the rule registry.
 
 A rule is a small class with a ``name``, a module ``scope`` (fnmatch
-patterns over dotted module names — see
-:meth:`repro.analysis.config.LintConfig.rule_scope` for how config
-overrides it), and a :meth:`Rule.check` generator yielding
-:class:`Finding` objects.  Registration is a decorator::
+patterns over dotted module names, one of the
+:mod:`repro.analysis.config` constants), and a :meth:`Rule.check`
+generator yielding :class:`Finding` objects.  Registration is a decorator::
 
     @register
     class MyRule(Rule):
         name = "my-rule"
         description = "what it catches"
 
-        def check(self, ctx, config):
+        def check(self, ctx):
             ...
             yield self.finding(ctx, node, "message")
 
@@ -82,7 +81,7 @@ class Rule:
         description: one-line catalogue entry (``--list-rules``).
         default_severity: ``"error"`` or ``"warning"``.
         scope: fnmatch patterns over dotted module names the rule applies
-            to; config may override per rule.
+            to.
         requires_reason: when True, a ``disable=`` comment without a
             ``-- <reason>`` does *not* suppress — the finding stays live
             with a note demanding the reason.
@@ -94,20 +93,17 @@ class Rule:
     scope: tuple[str, ...] = ("*",)
     requires_reason: bool = False
 
-    def check(
-        self, ctx: FileContext, config
-    ) -> Iterable[Finding]:  # pragma: no cover - interface
+    def check(self, ctx: FileContext) -> Iterable[Finding]:  # pragma: no cover - interface
         raise NotImplementedError
 
-    def applies_to(self, module: str, config) -> bool:
-        """Whether this rule runs on ``module`` under ``config``."""
-        patterns = config.rule_scope(self.name, self.scope)
-        return any(fnmatch.fnmatchcase(module, pat) for pat in patterns)
+    def applies_to(self, module: str) -> bool:
+        """Whether this rule runs on ``module``."""
+        return any(fnmatch.fnmatchcase(module, pat) for pat in self.scope)
 
     def finding(
         self, ctx: FileContext, node: ast.AST, message: str
     ) -> Finding:
-        """Build a finding anchored at ``node`` (severity filled later)."""
+        """Build a finding anchored at ``node``."""
         line = getattr(node, "lineno", 1)
         return Finding(
             rule=self.name,
@@ -119,21 +115,20 @@ class Rule:
             end_line=getattr(node, "end_lineno", None) or line,
         )
 
-    def resolve(self, ctx: FileContext, raw: Finding, config) -> Finding:
-        """Apply config severity and suppression comments to ``raw``."""
-        out = replace(raw, severity=config.severity_of(self.name, self.default_severity))
+    def resolve(self, ctx: FileContext, raw: Finding) -> Finding:
+        """Apply suppression comments to ``raw``."""
         node = _Anchor(raw.line, raw.end_line or raw.line)
         sup = ctx.suppression_for(self.name, node)
         if sup is None:
-            return out
+            return raw
         if self.requires_reason and not sup.reason:
             return replace(
-                out,
-                message=out.message
+                raw,
+                message=raw.message
                 + " (suppression needs a reason: `# repro-lint: "
                 f"disable={self.name} -- <why>`)",
             )
-        return replace(out, suppressed=True, suppress_reason=sup.reason)
+        return replace(raw, suppressed=True, suppress_reason=sup.reason)
 
 
 class _Anchor:

@@ -36,7 +36,14 @@ import ast
 import re
 from typing import Iterator
 
-from .config import DTYPE_CONSTRUCTORS, LintConfig
+from .config import (
+    DTYPE_CONSTRUCTORS,
+    FAULT_MODULES,
+    HOT_MODULES,
+    PLACEMENT_MODULES,
+    PUBLIC_API_MODULES,
+    SIM_MODULES,
+)
 from .context import FileContext
 from .registry import Finding, Rule, register
 
@@ -73,14 +80,13 @@ class NoSaltedHashRule(Rule):
     """Builtin ``hash()`` banned where placement must be process-stable."""
 
     name = "no-salted-hash"
+    scope = PLACEMENT_MODULES
     description = (
         "builtin hash() is salted per process (PYTHONHASHSEED); placement/"
         "routing code must use splitmix64/hash_combine/stable_str_hash"
     )
 
-    def check(
-        self, ctx: FileContext, config: LintConfig
-    ) -> Iterator[Finding]:
+    def check(self, ctx: FileContext) -> Iterator[Finding]:
         for node in ast.walk(ctx.tree):
             if (
                 isinstance(node, ast.Name)
@@ -107,9 +113,7 @@ class NoUnseededRngRule(Rule):
         "thread an np.random.default_rng(seed) / Generator through instead"
     )
 
-    def check(
-        self, ctx: FileContext, config: LintConfig
-    ) -> Iterator[Finding]:
+    def check(self, ctx: FileContext) -> Iterator[Finding]:
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call):
                 continue
@@ -152,14 +156,13 @@ class NoWallclockInSimRule(Rule):
     """Wall-clock reads banned from simulation/model code."""
 
     name = "no-wallclock-in-sim"
+    scope = SIM_MODULES
     description = (
         "time.time()/datetime.now() make simulated timelines host-"
         "dependent; simulation code advances simulated time only"
     )
 
-    def check(
-        self, ctx: FileContext, config: LintConfig
-    ) -> Iterator[Finding]:
+    def check(self, ctx: FileContext) -> Iterator[Finding]:
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call):
                 continue
@@ -179,6 +182,7 @@ class HotLoopRule(Rule):
     """Per-element Python loops over array data in hot modules."""
 
     name = "hot-loop"
+    scope = HOT_MODULES
     description = (
         "per-element for/while over array data in a module declared hot; "
         "vectorize, or suppress with a reason for a deliberate scalar "
@@ -186,9 +190,7 @@ class HotLoopRule(Rule):
     )
     requires_reason = True
 
-    def check(
-        self, ctx: FileContext, config: LintConfig
-    ) -> Iterator[Finding]:
+    def check(self, ctx: FileContext) -> Iterator[Finding]:
         for node in ast.walk(ctx.tree):
             if isinstance(node, ast.For):
                 why = _scalarizing_iter(ctx, node.iter)
@@ -218,6 +220,7 @@ class DtypeDisciplineRule(Rule):
     and statically-known float lanes must not mix in one expression."""
 
     name = "dtype-discipline"
+    scope = HOT_MODULES
     description = (
         "np.zeros/empty/ones/full/arange/asarray in hot modules must pass "
         "an explicit dtype= (int64 ids, uint64 keys, float64 rows), and "
@@ -225,9 +228,7 @@ class DtypeDisciplineRule(Rule):
         "meet in a binary op — numpy silently upcasts the result"
     )
 
-    def check(
-        self, ctx: FileContext, config: LintConfig
-    ) -> Iterator[Finding]:
+    def check(self, ctx: FileContext) -> Iterator[Finding]:
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call):
                 continue
@@ -305,14 +306,13 @@ class PublicApiRule(Rule):
     """Public modules: docstring + resolvable, documented ``__all__``."""
 
     name = "public-api"
+    scope = PUBLIC_API_MODULES
     description = (
         "public repro modules must carry a module docstring and an "
         "__all__ whose names exist and (for defs/classes) are documented"
     )
 
-    def check(
-        self, ctx: FileContext, config: LintConfig
-    ) -> Iterator[Finding]:
+    def check(self, ctx: FileContext) -> Iterator[Finding]:
         tree = ctx.tree
         if any(part.startswith("_") for part in ctx.module.split(".")):
             return
@@ -372,9 +372,7 @@ class ObsDisciplineRule(Rule):
     description = "metric/span names must be lowercase dotted string literals"
     scope = ("repro", "repro.*", "benchmarks.*", "examples.*")
 
-    def check(
-        self, ctx: FileContext, config: LintConfig
-    ) -> Iterator[Finding]:
+    def check(self, ctx: FileContext) -> Iterator[Finding]:
         for node in ast.walk(ctx.tree):
             if not (
                 isinstance(node, ast.Call)
@@ -427,6 +425,7 @@ class NoBareExceptRule(Rule):
     """Swallowed exceptions banned from retry/fault-handling code."""
 
     name = "no-bare-except"
+    scope = FAULT_MODULES
     description = (
         "bare `except:` and blanket `except Exception` in fault-handling "
         "code can hide a lost write or a dead replica; catch a named "
@@ -434,9 +433,7 @@ class NoBareExceptRule(Rule):
     )
     requires_reason = True
 
-    def check(
-        self, ctx: FileContext, config: LintConfig
-    ) -> Iterator[Finding]:
+    def check(self, ctx: FileContext) -> Iterator[Finding]:
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.ExceptHandler):
                 continue
@@ -475,9 +472,7 @@ class UnusedImportRule(Rule):
     )
     requires_reason = True
 
-    def check(
-        self, ctx: FileContext, config: LintConfig
-    ) -> Iterator[Finding]:
+    def check(self, ctx: FileContext) -> Iterator[Finding]:
         if ctx.path.endswith("__init__.py"):
             return
         exported, _ = _resolve_dunder_all(ctx.tree)

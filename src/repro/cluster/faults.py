@@ -9,7 +9,7 @@ binds one schedule to one :class:`~repro.cluster.shardstore.store.\
 ShardedParameterStore`, dispatching each event exactly once as simulated
 time passes its timestamp.
 
-Seven event kinds cover the failure modes the replication protocol
+Five event kinds cover the failure modes the replication protocol
 promises to survive (and the ones it promises to *refuse* loudly):
 
 ``kill``
@@ -29,13 +29,6 @@ promises to survive (and the ones it promises to *refuse* loudly):
     One shard answers, but slowly: its modelled RPC latencies are
     multiplied by ``factor`` until a later ``slow_node`` with factor
     1.0 clears it.  The gray-failure mode hedged reads exist for.
-``partition``
-    One shard is unreachable (requests time out rather than fast-fail)
-    for ``duration_s`` simulated seconds, then heals on its own.
-``flap``
-    The shard bounces: expanded at schedule-build time into alternating
-    kill/revive pairs every ``period_s`` over ``duration_s``, always
-    ending revived.  Stresses breaker half-open behaviour.
 """
 
 from __future__ import annotations
@@ -45,15 +38,7 @@ from dataclasses import dataclass, field
 
 __all__ = ["FaultEvent", "FaultSchedule", "FaultPlane"]
 
-_KINDS = (
-    "kill",
-    "revive",
-    "drop_publish",
-    "delay",
-    "slow_node",
-    "partition",
-    "flap",
-)
+_KINDS = ("kill", "revive", "drop_publish", "delay", "slow_node")
 
 
 @dataclass(frozen=True)
@@ -66,25 +51,18 @@ class FaultEvent:
         Simulated time the fault fires.
     kind : str
         One of ``kill``, ``revive``, ``drop_publish``, ``delay``,
-        ``slow_node``, ``partition``, ``flap``.
+        ``slow_node``.
     shard_id : int, optional
         Target shard; required for every kind except ``delay``.
     factor : float, optional
         ``delay``/``slow_node`` only: multiplier on modelled transfer
         seconds (>= 1.0; exactly 1.0 restores healthy speed).
-    duration_s : float, optional
-        ``partition``/``flap`` only: how long the condition lasts
-        (must be positive for those kinds).
-    period_s : float, optional
-        ``flap`` only: length of one kill+revive bounce cycle.
     """
 
     at_s: float
     kind: str
     shard_id: int | None = None
     factor: float = 1.0
-    duration_s: float = 0.0
-    period_s: float = 0.0
 
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
@@ -93,31 +71,6 @@ class FaultEvent:
             raise ValueError(f"{self.kind} fault needs a shard_id")
         if self.kind in ("delay", "slow_node") and self.factor < 1.0:
             raise ValueError(f"{self.kind} factor must be >= 1.0")
-        if self.kind in ("partition", "flap") and self.duration_s <= 0.0:
-            raise ValueError(f"{self.kind} fault needs duration_s > 0")
-        if self.kind == "flap" and self.period_s <= 0.0:
-            raise ValueError("flap fault needs period_s > 0")
-
-
-def _expand_flap(event: FaultEvent) -> list[FaultEvent]:
-    """Expand one ``flap`` into its alternating kill/revive bounces.
-
-    Each ``period_s`` cycle is half down, half up; the expansion always
-    ends with a revive, so a flapping shard is healthy once the fault
-    window closes (the half-open breaker probes are what get stressed,
-    not the final state).
-    """
-    out: list[FaultEvent] = []
-    start = float(event.at_s)
-    end = start + float(event.duration_s)
-    t = start
-    while t < end:
-        out.append(FaultEvent(t, "kill", event.shard_id))
-        out.append(
-            FaultEvent(min(t + event.period_s / 2.0, end), "revive", event.shard_id)
-        )
-        t += float(event.period_s)
-    return out
 
 
 @dataclass
@@ -132,15 +85,9 @@ class FaultSchedule:
     _cursor: int = 0
 
     def __post_init__(self) -> None:
-        expanded: list[FaultEvent] = []
-        for event in self.events:
-            if event.kind == "flap":
-                expanded.extend(_expand_flap(event))
-            else:
-                expanded.append(event)
         # Stable sort: identical-timestamp events keep insertion order,
         # which the chaos suites pin as part of replay determinism.
-        self.events = sorted(expanded, key=lambda e: e.at_s)
+        self.events = sorted(self.events, key=lambda e: e.at_s)
 
     @property
     def remaining(self) -> int:
@@ -179,19 +126,13 @@ class FaultPlane:
         self.store = store
         self.schedule = schedule
         self.delay_factor = 1.0
-        self.now_s = 0.0
         self.injected: list[FaultEvent] = []
         self.skipped: list[FaultEvent] = []
         self._slow: dict[int, float] = {}
-        self._partitioned_until: dict[int, float] = {}
 
     def slow_factor(self, shard_id: int) -> float:
         """Per-shard latency multiplier from active ``slow_node`` faults."""
         return self._slow.get(int(shard_id), 1.0)
-
-    def is_partitioned(self, shard_id: int) -> bool:
-        """Whether a ``partition`` fault is still active for this shard."""
-        return self.now_s < self._partitioned_until.get(int(shard_id), 0.0)
 
     def advance_to(self, now_s: float) -> list[FaultEvent]:
         """Inject every event with ``at_s <= now_s``; returns them.
@@ -200,7 +141,6 @@ class FaultPlane:
         poll interval still round-trips through the store (the publishes
         in between were in the past either way).
         """
-        self.now_s = max(self.now_s, float(now_s))
         fired = self.schedule.due(now_s)
         for event in fired:
             self._inject(event)
@@ -208,9 +148,9 @@ class FaultPlane:
 
     def _inject(self, event: FaultEvent) -> None:
         if event.kind == "kill":
-            # Tolerant dispatch: overlapping schedules (e.g. a flap over
-            # an already-killed shard) skip rather than raise, and the
-            # skip is recorded so tests can assert on it.
+            # Tolerant dispatch: overlapping schedules (e.g. a kill of an
+            # already-killed shard) skip rather than raise, and the skip
+            # is recorded so tests can assert on it.
             if event.shard_id in self.store.down_shard_ids:
                 self.skipped.append(event)
                 return
@@ -227,12 +167,6 @@ class FaultPlane:
                 self._slow.pop(int(event.shard_id), None)
             else:
                 self._slow[int(event.shard_id)] = float(event.factor)
-        elif event.kind == "partition":
-            until = float(event.at_s) + float(event.duration_s)
-            sid = int(event.shard_id)
-            self._partitioned_until[sid] = max(
-                self._partitioned_until.get(sid, 0.0), until
-            )
         else:
             self.delay_factor = float(event.factor)
         self.injected.append(event)

@@ -5,9 +5,8 @@
 pulls — the simulated clock, per-shard :class:`~repro.cluster.\
 resilience.breaker.CircuitBreaker` instances (created on first contact,
 so breaker state survives across pulls) and the
-:class:`~repro.cluster.resilience.health.HealthTracker` — plus the
-``on_wait`` hook.  The budgets every pull runs under are module
-constants, not options.
+:class:`~repro.cluster.resilience.health.HealthTracker`.  The budgets
+every pull runs under are module constants, not options.
 
 Retry storms synchronize without jitter, but unseeded jitter would make
 chaos replays irreproducible (and trip the ``no-unseeded-rng`` lint
@@ -26,8 +25,6 @@ hedge_delay_s`), and take whichever answer lands first.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
-
 import numpy as np
 
 from ...core.kernels import hash_combine
@@ -89,15 +86,9 @@ class ResiliencePolicy:
     ----------
     clock : SimClock, optional
         The simulated timeline everything is stamped against.
-    on_wait : callable, optional
-        ``on_wait(now_s)`` hook invoked after each retry backoff — wire
-        it to ``FaultPlane.advance_to`` so scheduled faults heal (or
-        land) while the client is waiting, exactly as they would in
-        wall-clock time.
     """
 
     clock: SimClock = field(default_factory=SimClock)
-    on_wait: Callable[[float], None] | None = None
     health: HealthTracker = field(default_factory=HealthTracker, init=False)
     _breakers: dict[int, CircuitBreaker] = field(default_factory=dict, init=False)
 
@@ -119,10 +110,3 @@ class ResiliencePolicy:
         distribution moves.
         """
         return max(HEDGE_MIN_DELAY_S, self.health.latency_quantile(HEDGE_QUANTILE))
-
-    def wait(self, seconds: float) -> float:
-        """Advance the shared clock and fire :attr:`on_wait`; returns now."""
-        now = self.clock.advance(seconds)
-        if self.on_wait is not None:
-            self.on_wait(now)
-        return now

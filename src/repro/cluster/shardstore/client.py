@@ -100,8 +100,8 @@ class ShardClient:
         attribute works).  Active ``delay`` faults multiply the modelled
         transfer seconds of every flush and pull through this client —
         a degraded network, not a dead one.  When the plane also exposes
-        ``slow_factor``/``is_partitioned`` (a real ``FaultPlane``), the
-        resilient wave models gray failures per shard.
+        ``slow_factor`` (a real ``FaultPlane``), the resilient wave models
+        gray failures per shard.
     resilience : repro.cluster.resilience.ResiliencePolicy, optional
         When given, a pull's coverage comes from a modelled wave of
         per-shard RPCs — deadline, circuit breakers, hedged backup
@@ -202,9 +202,8 @@ class ShardClient:
             When the store cannot reach its write quorum.  The staged
             batches are kept: retry the same flush after repair.  With a
             :attr:`resilience` policy the retry happens here, under the
-            policy's deterministic backoff (the ``on_wait`` hook lets a
-            fault plane heal mid-flush); the error only escapes once the
-            attempt budget is spent.  Publishes are idempotent across
+            policy's deterministic backoff; the error only escapes once
+            the attempt budget is spent.  Publishes are idempotent across
             these retries: a quorum refusal happens *before* any version
             bump or row application, so re-flushing the same staged
             batches can neither lose an acked write nor double-apply one.
@@ -234,7 +233,7 @@ class ShardClient:
                 except QuorumError:
                     if attempt >= max_attempts:
                         raise
-                    policy.wait(backoff_s(attempt, key=self._pull_seq))
+                    policy.clock.advance(backoff_s(attempt, key=self._pull_seq))
                     attempt += 1
             rows = sum(int(ids.size) for _, ids, _ in batches)
             nbytes = rows * self.store.row_bytes
@@ -457,12 +456,11 @@ class ShardClient:
         Each round models one parallel wave on the sim clock: reachable
         primaries answer their own key ranges, slow ones get a hedged
         backup read, failed ones fail over to the healthiest peer, and
-        anything still uncovered waits out a deterministic backoff (during
-        which the fault plane may heal) and retries.  The pull is exact
-        only if every range was answered, the available shards provably
-        intersect every write quorum (or a clean primary vouches for its
-        range), and the whole dance fit the deadline; a pull that is not
-        is charged the full deadline.
+        anything still uncovered waits out a deterministic backoff and
+        retries.  The pull is exact only if every range was answered, the
+        available shards provably intersect every write quorum (or a clean
+        primary vouches for its range), and the whole dance fit the
+        deadline; a pull that is not is charged the full deadline.
         """
         policy = self.resilience
         store = self.store
@@ -477,17 +475,10 @@ class ShardClient:
         retries = 0
         t_now = 0.0
         available: list[int] = []
-        part_of = getattr(self.faults, "is_partitioned", None)
         for round_no in range(1, MAX_ATTEMPTS + 1):
             down = set(store.down_shard_ids)
-            parted = set()
-            if part_of is not None:
-                parted = {sid for sid in all_sids if part_of(sid)}
             suspects = set(store.suspect_shard_ids(since))
-            available = [
-                sid for sid in all_sids
-                if sid not in down and sid not in parted
-            ]
+            available = [sid for sid in all_sids if sid not in down]
             wave_end = t_now
             hedge_delay = policy.hedge_delay_s()
             for sid in all_sids:
@@ -501,10 +492,6 @@ class ShardClient:
                     fail_at = t0  # refused locally: no wire time spent
                 elif sid in down:
                     failed_s = fail_fast_s
-                elif sid in parted:
-                    failed_s = min(
-                        ATTEMPT_TIMEOUT_S, max(DEADLINE_S - t0, fail_fast_s)
-                    )
                 else:
                     cost = self._modelled_rpc_seconds(nbytes, sid)
                     if cost > ATTEMPT_TIMEOUT_S:
@@ -532,9 +519,9 @@ class ShardClient:
                     attempts += 1
                     policy.health.record(sid, failed_s, False)
                     brk.record_failure(start_s + fail_at)
-                # Failure path (breaker-refused, down, partitioned, or
-                # timed out): fail over to the healthiest reachable peer,
-                # which serves the failed primary's range reconciled.
+                # Failure path (breaker-refused, down, or timed out): fail
+                # over to the healthiest reachable peer, which serves the
+                # failed primary's range reconciled.
                 bcost = self._backup_read(sid, available, start_s + fail_at, nbytes)
                 if bcost is not None:
                     attempts += 1
@@ -553,8 +540,6 @@ class ShardClient:
             t_now += backoff
             retries += 1
             self._advance_policy_clock(start_s + t_now)
-            if policy.on_wait is not None:
-                policy.on_wait(policy.clock.now())
         clean = [sid for sid in all_sids if covered.get(sid) == "clean"]
         recon = [sid for sid in all_sids if covered.get(sid) == "recon"]
         exact = (

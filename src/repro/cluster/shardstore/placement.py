@@ -37,23 +37,10 @@ class ShardPlacement:
     ----------
     shard_ids : list of int
         The shards currently in the store.
-    virtual_nodes : int, optional
-        Ring points per shard (smooths the key-range split).
-    seed : int, optional
-        Ring seed; every process of a deployment must use the same.
     """
 
-    def __init__(
-        self,
-        shard_ids: list[int],
-        virtual_nodes: int = 64,
-        seed: int = 0,
-    ) -> None:
-        self.virtual_nodes = virtual_nodes
-        self.seed = seed
-        self._router = ConsistentHashRouter(
-            list(shard_ids), virtual_nodes=virtual_nodes, seed=seed
-        )
+    def __init__(self, shard_ids: list[int]) -> None:
+        self._router = ConsistentHashRouter(list(shard_ids))
         self.shard_ids = list(self._router.node_ids)
         self._table_hashes: dict[str, int] = {}
         # A placement never changes after construction (membership changes
@@ -188,9 +175,7 @@ class ShardPlacement:
     def with_shard_added(self, shard_id: int) -> "ShardPlacement":
         if shard_id in self.shard_ids:
             raise ValueError(f"shard {shard_id} already placed")
-        return ShardPlacement(
-            self.shard_ids + [shard_id], self.virtual_nodes, self.seed
-        )
+        return ShardPlacement(self.shard_ids + [shard_id])
 
     def with_shard_removed(self, shard_id: int) -> "ShardPlacement":
         if shard_id not in self.shard_ids:
@@ -198,4 +183,4 @@ class ShardPlacement:
         if len(self.shard_ids) == 1:
             raise ValueError("cannot remove the last shard")
         remaining = [s for s in self.shard_ids if s != shard_id]
-        return ShardPlacement(remaining, self.virtual_nodes, self.seed)
+        return ShardPlacement(remaining)

@@ -120,8 +120,8 @@ class RepairPlan:
     of) a repair before running it.
     """
 
-    tasks: list[RepairTask] = field(default_factory=list)
-    stale_shards: list[int] = field(default_factory=list)
+    tasks: list[RepairTask] = field(default_factory=list, init=False)
+    stale_shards: list[int] = field(default_factory=list, init=False)
     rows_to_copy: int = 0
     bytes_to_copy: int = 0
 

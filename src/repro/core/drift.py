@@ -114,7 +114,7 @@ class AdaptiveSyncPolicy:
     max_interval_s: float = 3600.0
     min_interval_s: float = 300.0
     _last_sync_s: float = field(default=0.0, repr=False)
-    decisions: list[tuple[float, str]] = field(default_factory=list, repr=False)
+    decisions: list[tuple[float, str]] = field(default_factory=list, init=False, repr=False)
 
     def should_sync(self, now: float, drift: DriftSample | None) -> bool:
         elapsed = now - self._last_sync_s

@@ -413,7 +413,3 @@ class LoRACollection:
             return self.adapters[field].apply_to(ids, base_rows, hot=hot)
 
         return _overlay
-
-    def reset(self) -> None:
-        for ad in self.adapters:
-            ad.reset()

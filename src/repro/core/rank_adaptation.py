@@ -21,6 +21,9 @@ __all__ = [
     "RankMonitor",
 ]
 
+# Recent observations RankMonitor averages.
+_WINDOW = 8
+
 
 def _singular_values(grad_matrix: np.ndarray) -> np.ndarray:
     grad_matrix = np.asarray(grad_matrix, dtype=np.float64)
@@ -65,15 +68,15 @@ class RankMonitor:
 
     Attributes:
         alpha: variance threshold (paper default 0.8; evaluated up to 0.95).
-        window: number of recent observations to average.
         min_rank / max_rank: clamp bounds for the emitted rank.
+
+    The window is the last ``_WINDOW`` observations.
     """
 
     alpha: float = 0.8
-    window: int = 8
     min_rank: int = 1
     max_rank: int = 64
-    _observed: list[int] = field(default_factory=list)
+    _observed: list[int] = field(default_factory=list, init=False)
 
     def __post_init__(self) -> None:
         if not 0 < self.alpha <= 1:
@@ -85,8 +88,8 @@ class RankMonitor:
         """Record one gradient snapshot; returns its instantaneous rank."""
         r_t = rank_for_variance(grad_matrix, self.alpha)
         self._observed.append(r_t)
-        if len(self._observed) > self.window:
-            del self._observed[: len(self._observed) - self.window]
+        if len(self._observed) > _WINDOW:
+            del self._observed[: len(self._observed) - _WINDOW]
         return r_t
 
     @property

@@ -32,6 +32,13 @@ from .rank_adaptation import RankMonitor
 
 __all__ = ["TrainerConfig", "TrainerReport", "LoRATrainer"]
 
+# Mini-batch size one training step samples from the ring buffer.
+BATCH_SIZE = 256
+# Max gradient rows kept per field for the Algorithm-1 PCA snapshot.
+_GRAD_SNAPSHOT_ROWS = 512
+# Least rank difference a resize needs (see TrainerConfig).
+_RANK_HYSTERESIS = 2
+
 
 @dataclass
 class TrainerConfig:
@@ -40,51 +47,41 @@ class TrainerConfig:
     Attributes:
         rank: initial LoRA rank.
         lr: learning rate for A/B factors.
-        batch_size: mini-batch size sampled from the ring buffer.
         adapt_interval: iterations between Algorithm-1 invocations.
         alpha: PCA variance threshold for rank adaptation (Eq. 2).
         dynamic_rank: disable to keep ``rank`` fixed (the LiveUpdate-8 /
             LiveUpdate-16/64 ablations of Table III).
-        dynamic_prune: disable to keep every slot allocated.
-        dynamic_tau: re-derive the pruning threshold from the live access
-            histogram so it tracks the top-``hot_fraction`` boundary
-            (Section IV-C's tau maintenance).
+        dynamic_prune: disable to keep every slot allocated.  Pruning
+            re-derives its threshold from the live access histogram so it
+            tracks the top-``hot_fraction`` boundary (Section IV-C's tau
+            maintenance).
         hot_fraction: boundary for the dynamic threshold (paper: top 10%).
-        rank_hysteresis: only resize when the recommended rank differs from
-            the current one by at least this much.  Resizing re-orients the
-            shared ``B`` factors, which costs accumulated adaptation, so
-            chasing +-1 fluctuations is a net loss (the paper's averaging
-            over the interval serves the same smoothing purpose).
+        capacity_fraction: initial LoRA capacity as a fraction of each
+            table (paper initialises at 10%).
+        tau_prune: initial pruning threshold.
+        seed: RNG seed for buffer sampling.
 
     Rank changes are applied asymmetrically: *growth* happens immediately
     (extra directions are needed to capture the updates), while *shrink*
     decisions are deferred to the next adapter reset (hourly merge/full
     sync), because truncating a live adapter measurably and persistently
-    costs accuracy, whereas shrinking an empty one is free.
-        capacity_fraction: initial LoRA capacity as a fraction of each
-            table (paper initialises at 10%).
-        c_min_fraction: capacity floor, default 1/50 of the table.
-        grad_snapshot_rows: max gradient rows kept for PCA snapshots.
-        seed: RNG seed for buffer sampling.
+    costs accuracy, whereas shrinking an empty one is free.  Either way a
+    resize needs the recommended rank to differ from the current one by
+    ``_RANK_HYSTERESIS``: resizing re-orients the shared ``B`` factors,
+    which costs accumulated adaptation, so chasing +-1 fluctuations is a
+    net loss (the paper's averaging over the interval serves the same
+    smoothing purpose).
     """
 
     rank: int = 8
     lr: float = 0.05
-    batch_size: int = 256
     adapt_interval: int = 32
     alpha: float = 0.8
     dynamic_rank: bool = True
     dynamic_prune: bool = True
-    dynamic_tau: bool = True
     hot_fraction: float = 0.10
     capacity_fraction: float = 0.10
-    c_min_fraction: float = 0.02
-    usage_window: int = 128
     tau_prune: float = 2.0
-    grad_snapshot_rows: int = 512
-    min_rank: int = 2
-    max_rank: int = 64
-    rank_hysteresis: int = 2
     seed: int = 0
 
 
@@ -134,16 +131,15 @@ class LoRATrainer:
         # ids here are embedding row indices: one hot bit per table row
         self.hot_filter = HotIndexFilter([t.num_rows for t in model.embeddings])
         self.rank_monitors = [
-            RankMonitor(
-                alpha=cfg.alpha, min_rank=cfg.min_rank, max_rank=cfg.max_rank
-            )
+            RankMonitor(alpha=cfg.alpha, min_rank=2, max_rank=64)
             for _ in dims
         ]
         self.usage = [
             UsageTracker(
-                window_iters=cfg.usage_window,
+                window_iters=128,
                 tau_prune=cfg.tau_prune,
-                c_min=max(4, int(cfg.c_min_fraction * t.num_rows)),
+                # capacity floor: 1/50 of the table
+                c_min=max(4, int(0.02 * t.num_rows)),
                 c_max=t.num_rows,
             )
             for t in model.embeddings
@@ -174,7 +170,7 @@ class LoRATrainer:
 
         Returns ``None`` when the buffer has no data yet.
         """
-        batch = self.buffer.sample_minibatch(self.config.batch_size, self._rng)
+        batch = self.buffer.sample_minibatch(BATCH_SIZE, self._rng)
         if batch is None:
             return None
         return self.train_on(batch.dense, batch.sparse_ids, batch.labels)
@@ -199,7 +195,7 @@ class LoRATrainer:
                 self.hot_filter.mark(f, grad.indices)
                 self.last_update_ids[f] = grad.indices
                 self._grad_snapshots[f].append(
-                    grad.rows[: cfg.grad_snapshot_rows]
+                    grad.rows[:_GRAD_SNAPSHOT_ROWS]
                 )
             self.report.steps += 1
             self.report.samples_seen += int(labels.shape[0])
@@ -215,7 +211,7 @@ class LoRATrainer:
             table = self.model.embeddings[field]
             return np.zeros((0, table.dim), dtype=table.dtype)
         snap = np.concatenate(rows, axis=0)
-        return snap[-self.config.grad_snapshot_rows :]
+        return snap[-_GRAD_SNAPSHOT_ROWS:]
 
     def _adapt(self) -> None:
         """Algorithm 1: rank adaptation + usage-based pruning per table."""
@@ -228,15 +224,15 @@ class LoRATrainer:
                     new_rank = self.rank_monitors[f].recommended_rank(
                         fallback=adapter.rank
                     )
-                    if new_rank >= adapter.rank + cfg.rank_hysteresis:
+                    if new_rank >= adapter.rank + _RANK_HYSTERESIS:
                         adapter.resize_rank(new_rank)
                         self._pending_shrink.pop(f, None)
                         self.report.rank_changes += 1
-                    elif new_rank <= adapter.rank - cfg.rank_hysteresis:
+                    elif new_rank <= adapter.rank - _RANK_HYSTERESIS:
                         self._pending_shrink[f] = new_rank
                     self.report.current_ranks[f] = adapter.rank
             if cfg.dynamic_prune:
-                if cfg.dynamic_tau and self.usage[f].num_tracked:
+                if self.usage[f].num_tracked:
                     self.usage[f].refresh_tau_from_window(cfg.hot_fraction)
                 decision = self.usage[f].decide()
                 stale = np.setdiff1d(

@@ -41,15 +41,15 @@ class ArrivalConfig:
         diurnal_amplitude: +-fraction of base rate over the day (0 = flat).
         burst_rate_per_hour: expected burst episodes per hour.
         burst_multiplier: mean load multiplier during a burst.
-        burst_duration_s: mean burst length.
         seed: RNG seed.
+
+    A burst lasts 20 s on average.
     """
 
     base_qps: float = 2000.0
     diurnal_amplitude: float = 0.3
     burst_rate_per_hour: float = 2.0
     burst_multiplier: float = 3.0
-    burst_duration_s: float = 20.0
     seed: int = 0
 
 
@@ -79,9 +79,7 @@ class RequestArrivalProcess:
         self.bursts = [
             BurstEpisode(
                 start_s=float(self._rng.uniform(0, horizon_s)),
-                duration_s=float(
-                    self._rng.exponential(cfg.burst_duration_s)
-                ),
+                duration_s=float(self._rng.exponential(20.0)),
                 multiplier=float(
                     1.0 + self._rng.exponential(cfg.burst_multiplier - 1.0)
                 ),

@@ -53,9 +53,6 @@ class DatasetSpec:
             the raw schema, we keep 4 derived counters as is common practice).
         cardinality_skew: Zipf exponent describing how field vocabulary sizes
             decay from the largest table to the smallest.
-        requests_per_5min: sustained load used for systems experiments
-            (the paper's synthesis targets 100M +-5% per 5 minutes).
-        bytes_per_sample: average bytes of one logged training sample.
     """
 
     name: str
@@ -65,8 +62,6 @@ class DatasetSpec:
     num_sparse_fields: int
     num_dense_fields: int
     cardinality_skew: float = 1.0
-    requests_per_5min: int = 100_000_000
-    bytes_per_sample: int = 250
 
     @property
     def dataset_gb(self) -> float:

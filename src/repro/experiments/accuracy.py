@@ -4,7 +4,7 @@ Drives all update strategies through an identical simulated serving horizon:
 
 * a *training cluster* trains its replica on every fresh batch;
 * an *inference node* serves traffic with (possibly stale) parameters;
-* every ``slot_s`` seconds the world drifts and one serve/train round runs;
+* every ``SLOT_S`` seconds the world drifts and one serve/train round runs;
 * every ``update_interval_s`` the strategy performs its update action;
 * every ``full_sync_interval_s`` the hourly full-parameter re-anchor fires.
 
@@ -15,7 +15,7 @@ strategies — AUC differences are attributable to the update policy alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -39,6 +39,15 @@ __all__ = [
     "auc_improvement_table",
 ]
 
+# The fixed shape of every accuracy experiment: row width, simulated slot
+# length, per-slot train and serve batch sizes, and the learning rate of
+# pre-training and of the training cluster.
+EMBEDDING_DIM = 16
+SLOT_S = 30.0
+TRAIN_BATCH = 256
+SERVE_BATCH = 512
+TRAIN_LR = 0.05
+
 
 @dataclass
 class AccuracyConfig:
@@ -50,22 +59,12 @@ class AccuracyConfig:
 
     table_sizes: tuple[int, ...] = (2000, 2000, 1000)
     num_dense: int = 4
-    embedding_dim: int = 16
-    bottom_mlp: tuple[int, ...] = (32,)
-    top_mlp: tuple[int, ...] = (64, 32)
     horizon_s: float = 3600.0
-    slot_s: float = 30.0
     update_interval_s: float = 600.0
     full_sync_interval_s: float = 3600.0
     pretrain_steps: int = 300
-    train_batch: int = 256
-    serve_batch: int = 512
-    eval_window: int = 6     # slots per sliding AUC window
-    train_lr: float = 0.05
     seed: int = 0
-    num_shards: int = 8      # parameter-plane shards
     dtype: np.dtype = ROW_DTYPE  # row dtype of the models and the store
-    stream_overrides: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -93,7 +92,6 @@ def _make_stream(config: AccuracyConfig) -> DriftingCTRStream:
             table_sizes=config.table_sizes,
             num_dense=config.num_dense,
             seed=config.seed,
-            **config.stream_overrides,
         )
     )
 
@@ -102,10 +100,10 @@ def _make_model(config: AccuracyConfig) -> DLRM:
     return DLRM(
         DLRMConfig(
             num_dense=config.num_dense,
-            embedding_dim=config.embedding_dim,
+            embedding_dim=EMBEDDING_DIM,
             table_sizes=config.table_sizes,
-            bottom_mlp=config.bottom_mlp,
-            top_mlp=config.top_mlp,
+            bottom_mlp=(32,),
+            top_mlp=(64, 32),
             seed=config.seed,
             dtype=config.dtype,
         )
@@ -122,9 +120,9 @@ def build_pretrained_world(
     """
     stream = _make_stream(config)
     model = _make_model(config)
-    opt = RowwiseAdagrad(lr=config.train_lr)
+    opt = RowwiseAdagrad(lr=TRAIN_LR)
     for _ in range(config.pretrain_steps):
-        batch = stream.next_batch(config.train_batch, duration_s=1.0)
+        batch = stream.next_batch(TRAIN_BATCH, duration_s=1.0)
         model.train_step(batch.dense, batch.sparse_ids, batch.labels, opt)
     for table in model.embeddings:
         table.reset_touched()
@@ -146,36 +144,36 @@ def run_strategy(
     """
     stream, base_model = build_pretrained_world(config)
     server = ShardedParameterStore(
-        num_shards=config.num_shards,
+        num_shards=8,
         row_bytes=None,
-        row_dim=config.embedding_dim,
+        row_dim=EMBEDDING_DIM,
         row_dtype=config.dtype,
     )
     trainer_cluster = TrainingCluster(
-        base_model.copy(), server, lr=config.train_lr
+        base_model.copy(), server, lr=TRAIN_LR
     )
     node = InferenceNode(base_model.copy(), server)
     strategy = factory(trainer_cluster, node)
 
-    slots = int(config.horizon_s / config.slot_s)
-    slots_per_update = max(1, int(config.update_interval_s / config.slot_s))
-    slots_per_full = max(1, int(config.full_sync_interval_s / config.slot_s))
+    slots = int(config.horizon_s / SLOT_S)
+    slots_per_update = max(1, int(config.update_interval_s / SLOT_S))
+    slots_per_full = max(1, int(config.full_sync_interval_s / SLOT_S))
     window_labels: list[np.ndarray] = []
     window_scores: list[np.ndarray] = []
     timeline: list[TimelinePoint] = []
 
     for slot in range(1, slots + 1):
-        now = slot * config.slot_s
+        now = slot * SLOT_S
         # The training cluster ingests the freshest *global* interactions.
-        train_batch = stream.next_batch(config.train_batch)
+        train_batch = stream.next_batch(TRAIN_BATCH)
         trainer_cluster.train_on(train_batch)
         # The node serves (and is scored on) its local traffic shard.
-        serve_batch = stream.next_batch(config.serve_batch, local=True)
+        serve_batch = stream.next_batch(SERVE_BATCH, local=True)
         probs = node.predict(serve_batch, overlay=strategy.overlay())
         strategy.on_serving_batch(serve_batch)
         window_labels.append(serve_batch.labels)
         window_scores.append(probs)
-        if len(window_labels) > config.eval_window:
+        if len(window_labels) > 6:  # slots per sliding AUC window
             window_labels.pop(0)
             window_scores.pop(0)
         auc = auc_roc(
@@ -183,7 +181,7 @@ def run_strategy(
         )
         timeline.append(TimelinePoint(time_s=now, auc=auc))
         strategy.on_slot(now)
-        stream.advance(config.slot_s)
+        stream.advance(SLOT_S)
         if slot % slots_per_update == 0:
             strategy.on_update_window(now)
         if slot % slots_per_full == 0 and slot != slots:

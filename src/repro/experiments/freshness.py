@@ -18,7 +18,7 @@ from ..data.synthetic import DriftingCTRStream
 from ..data.zipf import access_cdf
 from ..dlrm.metrics import auc_roc
 from ..dlrm.optim import RowwiseAdagrad
-from .accuracy import AccuracyConfig, build_pretrained_world
+from .accuracy import TRAIN_BATCH, TRAIN_LR, AccuracyConfig, build_pretrained_world
 
 __all__ = [
     "UpdateRatioPoint",
@@ -49,12 +49,12 @@ def measure_update_ratio(
     out: list[UpdateRatioPoint] = []
     for minutes in window_minutes:
         stream, model = build_pretrained_world(config)
-        opt = RowwiseAdagrad(lr=config.train_lr)
+        opt = RowwiseAdagrad(lr=TRAIN_LR)
         for w in range(windows_per_setting):
             for table in model.embeddings:
                 table.reset_touched()
             for _ in range(int(minutes * 2)):
-                batch = stream.next_batch(config.train_batch, duration_s=30.0)
+                batch = stream.next_batch(TRAIN_BATCH, duration_s=30.0)
                 model.train_step(batch.dense, batch.sparse_ids, batch.labels, opt)
             out.append(
                 UpdateRatioPoint(
@@ -92,7 +92,7 @@ def staleness_decay_curve(
     config = config or AccuracyConfig()
     stream, model = build_pretrained_world(config)
     shadow = model.copy()
-    opt = RowwiseAdagrad(lr=config.train_lr)
+    opt = RowwiseAdagrad(lr=TRAIN_LR)
     out: list[DecayPoint] = []
     steps = int(horizon_minutes / step_minutes)
     for i in range(1, steps + 1):
@@ -100,7 +100,7 @@ def staleness_decay_curve(
         batches = max(1, int(step_minutes))
         for _ in range(batches):
             batch = stream.next_batch(
-                config.train_batch, duration_s=step_minutes * 60.0 / batches
+                TRAIN_BATCH, duration_s=step_minutes * 60.0 / batches
             )
             shadow.train_step(batch.dense, batch.sparse_ids, batch.labels, opt)
         refreshed = False

@@ -14,7 +14,7 @@ import numpy as np
 
 from ..core.rank_adaptation import cumulative_variance, rank_for_variance
 from ..dlrm.optim import RowwiseAdagrad
-from .accuracy import AccuracyConfig, build_pretrained_world
+from .accuracy import TRAIN_BATCH, TRAIN_LR, AccuracyConfig, build_pretrained_world
 
 __all__ = ["GradientSpectrum", "collect_gradient_spectra", "spread_extremes"]
 
@@ -50,14 +50,14 @@ def collect_gradient_spectra(
     the rank that keeps 80 % of the variance."""
     config = config or AccuracyConfig()
     stream, model = build_pretrained_world(config)
-    opt = RowwiseAdagrad(lr=config.train_lr)
+    opt = RowwiseAdagrad(lr=TRAIN_LR)
     num_tables = len(model.embeddings)
     curves: list[list[np.ndarray]] = [[] for _ in range(num_tables)]
     ranks: list[list[int]] = [[] for _ in range(num_tables)]
     for _ in range(snapshots):
         grads_acc: list[list[np.ndarray]] = [[] for _ in range(num_tables)]
         for _ in range(steps_per_snapshot):
-            batch = stream.next_batch(config.train_batch, duration_s=5.0)
+            batch = stream.next_batch(TRAIN_BATCH, duration_s=5.0)
             result = model.train_step(
                 batch.dense, batch.sparse_ids, batch.labels, opt
             )

@@ -90,11 +90,6 @@ class AdaptiveNumaPartitioner:
     def state(self) -> PartitionState:
         return PartitionState(tuple(self._inference), tuple(self._training))
 
-    def l3_bytes(self, which: str) -> int:
-        """Aggregate L3 capacity of one partition ("inference"/"training")."""
-        ids = self._inference if which == "inference" else self._training
-        return sum(self.topology.ccd(i).l3_bytes for i in ids)
-
     # ------------------------------------------------------------- adaptation
     def observe(self, p99_ms: float) -> RebalanceEvent:
         """One adaptation cycle: lines 6-12 of Algorithm 2."""

@@ -18,6 +18,11 @@ import numpy as np
 
 __all__ = ["TierStats", "TieredStoreConfig", "TieredEmbeddingStore"]
 
+# Per-row effective latencies (amortised over batched reads), reflecting
+# the paper's bandwidth figures: NVLink-class HBM access and DDR5 DRAM.
+HBM_LATENCY_US = 0.5
+DRAM_LATENCY_US = 2.0
+
 
 @dataclass
 class TierStats:
@@ -25,37 +30,21 @@ class TierStats:
 
     hbm_hits: int = 0
     dram_hits: int = 0
-    remote_misses: int = 0
 
     @property
     def total(self) -> int:
-        return self.hbm_hits + self.dram_hits + self.remote_misses
+        return self.hbm_hits + self.dram_hits
 
     @property
     def hbm_hit_ratio(self) -> float:
         return self.hbm_hits / self.total if self.total else 0.0
 
-    @property
-    def local_hit_ratio(self) -> float:
-        """Fraction served without touching the remote parameter server."""
-        if not self.total:
-            return 0.0
-        return (self.hbm_hits + self.dram_hits) / self.total
-
 
 @dataclass
 class TieredStoreConfig:
-    """Capacity and latency parameters of the hierarchy.
-
-    Latencies are per-row effective costs (amortised over batched reads),
-    reflecting the paper's bandwidth figures: NVLink-class HBM access,
-    DDR5 DRAM, and an RDMA round trip to the parameter server.
-    """
+    """Capacity and placement policy of the HBM tier."""
 
     hbm_capacity_rows: int = 1000
-    hbm_latency_us: float = 0.5
-    dram_latency_us: float = 2.0
-    remote_latency_us: float = 80.0
     promote_on_access: bool = True
 
 
@@ -120,11 +109,11 @@ class TieredEmbeddingStore:
             i = int(raw)
             if i in self._hbm:
                 self.stats.hbm_hits += 1
-                latency_us += cfg.hbm_latency_us
+                latency_us += HBM_LATENCY_US
                 self._hbm.move_to_end(i)
             else:
                 self.stats.dram_hits += 1
-                latency_us += cfg.dram_latency_us
+                latency_us += DRAM_LATENCY_US
                 if cfg.promote_on_access:
                     self._touch_hbm(i)
             out[j] = self.weight[i]
@@ -135,6 +124,5 @@ class TieredEmbeddingStore:
         s = self.stats
         if not s.total:
             return 0.0
-        cfg = self.config
-        total = s.hbm_hits * cfg.hbm_latency_us + s.dram_hits * cfg.dram_latency_us
+        total = s.hbm_hits * HBM_LATENCY_US + s.dram_hits * DRAM_LATENCY_US
         return total / s.total

@@ -14,17 +14,18 @@ from dataclasses import dataclass
 __all__ = ["CCD", "Socket", "NodeTopology", "EPYC_9684X_DUAL"]
 
 MB = 1024 ** 2
-GB = 1024 ** 3
+CORES_PER_CCD = 8
+L3_BYTES_PER_CCD = 96 * MB
+DRAM_GBPS_PER_SOCKET = 460.8  # 12 x DDR5-4800 channels @ 38.4 GB/s
 
 
 @dataclass(frozen=True)
 class CCD:
-    """One Core Complex Die: a group of cores sharing a private L3 slice."""
+    """One Core Complex Die: ``CORES_PER_CCD`` cores sharing a private
+    ``L3_BYTES_PER_CCD`` L3 slice."""
 
     ccd_id: int
     socket_id: int
-    num_cores: int = 8
-    l3_bytes: int = 96 * MB
 
 
 @dataclass(frozen=True)
@@ -33,24 +34,21 @@ class Socket:
 
     socket_id: int
     ccds: tuple[CCD, ...]
-    dram_bandwidth_gbps: float = 460.8  # 12 x DDR5-4800 channels @ 38.4 GB/s
 
     @property
     def num_cores(self) -> int:
-        return sum(c.num_cores for c in self.ccds)
+        return CORES_PER_CCD * len(self.ccds)
 
     @property
     def total_l3_bytes(self) -> int:
-        return sum(c.l3_bytes for c in self.ccds)
+        return L3_BYTES_PER_CCD * len(self.ccds)
 
 
 @dataclass(frozen=True)
 class NodeTopology:
-    """A full inference node: sockets plus attached accelerator count."""
+    """A full inference node: its sockets."""
 
     sockets: tuple[Socket, ...]
-    num_gpus: int = 4
-    dram_capacity_bytes: int = 12 * 1024 * GB  # 12 TB per node (paper setup)
 
     @property
     def ccds(self) -> tuple[CCD, ...]:
@@ -70,13 +68,7 @@ class NodeTopology:
 
     @property
     def total_dram_bandwidth_gbps(self) -> float:
-        return sum(s.dram_bandwidth_gbps for s in self.sockets)
-
-    def ccd(self, ccd_id: int) -> CCD:
-        for c in self.ccds:
-            if c.ccd_id == ccd_id:
-                return c
-        raise KeyError(f"no CCD with id {ccd_id}")
+        return DRAM_GBPS_PER_SOCKET * len(self.sockets)
 
 
 def _build_epyc_dual() -> NodeTopology:

@@ -160,10 +160,3 @@ class Tracer:
         return json.dumps(
             self.dump(), sort_keys=True, separators=(",", ":")
         )
-
-    def clear(self) -> None:
-        """Drop completed spans and reset the id sequence."""
-        if self._stack:
-            raise RuntimeError("cannot clear a tracer with open spans")
-        self.spans.clear()
-        self._next_id = 1

@@ -33,6 +33,10 @@ from ..hardware.vectorcache import BatchLRUCache, IntervalCache
 __all__ = ["NodeSimConfig", "WindowResult", "ColocatedNodeSimulator"]
 
 MB = 1024 ** 2
+# Aggregate embedding fetches per served batch.
+LOOKUPS_PER_BATCH = 200_000
+# A trainer step fires once every this many inference bursts.
+TRAINER_BURST_EVERY = 8
 
 
 @dataclass
@@ -42,21 +46,7 @@ class NodeSimConfig:
     Attributes:
         num_rows: embedding rows on this node's partition.
         row_bytes: bytes per row.
-        l3_bytes_per_ccd: simulated L3 slice (scaled so the hot set of a
-            Zipf-skewed table occupies a few CCDs, like production).
-        inference_zipf: skew of serving lookups.
-        training_zipf: skew of trainer lookups (flatter: uniform sampling
-            over the retention window revisits cold ids far more often).
         accesses_per_window: inference lookups simulated per window.
-        training_ratio: trainer lookups as a fraction of inference lookups.
-        batches_per_s: served batches per second (DRAM-traffic accounting).
-        lookups_per_batch: aggregate embedding fetches per served batch.
-        serving_bandwidth_gbps: memory-bandwidth share available to the
-            serving path on its NUMA domain (the contended resource).
-        naive_remote_fraction: without NUMA-aware allocation, this share of
-            DRAM accesses lands on the remote socket.
-        trainer_write_fraction: fraction of trainer traffic that is writes.
-        reuse_capacity_rows: shadow-buffer capacity when reuse is enabled.
         cache_policy: L3 model backing the window simulation.
             ``"interval"`` (default) is the CLOCK-style coarse-recency
             approximation — fully vectorized, hits are a conservative
@@ -68,22 +58,7 @@ class NodeSimConfig:
 
     num_rows: int = 200_000
     row_bytes: int = 128
-    l3_bytes_per_ccd: int = int(0.25 * MB)
-    inference_zipf: float = 0.9
-    training_zipf: float = 0.15
     accesses_per_window: int = 100_000
-    training_ratio: float = 12.0
-    trainer_read_fraction: float = 0.4
-    inference_burst: int = 256
-    trainer_burst_every: int = 8
-    batches_per_s: float = 2_000.0
-    lookups_per_batch: int = 200_000
-    serving_bandwidth_gbps: float = 60.0
-    naive_remote_fraction: float = 0.5
-    training_samples_per_s: float = 50_000.0
-    training_lookups_per_sample: int = 320
-    trainer_write_fraction: float = 0.5
-    reuse_capacity_rows: int = 40_000
     cache_policy: str = "interval"
     seed: int = 0
 
@@ -121,20 +96,24 @@ class ColocatedNodeSimulator:
         self._rng = np.random.default_rng(cfg.seed)
         self._inference_sampler = ZipfSampler(
             cfg.num_rows,
-            cfg.inference_zipf,
+            0.9,
             rng=np.random.default_rng(cfg.seed + 1),
             method="alias",
         )
+        # Trainer lookups are flatter: uniform sampling over the retention
+        # window revisits cold ids far more often.
         self._training_sampler = ZipfSampler(
             cfg.num_rows,
-            cfg.training_zipf,
+            0.15,
             rng=np.random.default_rng(cfg.seed + 2),
             method="alias",
         )
-        self.memory = MemoryBandwidthModel(peak_gbps=cfg.serving_bandwidth_gbps)
+        # The serving path's bandwidth share on its NUMA domain: the
+        # contended resource.
+        self.memory = MemoryBandwidthModel(peak_gbps=60.0)
         self.latency = InferenceLatencyModel(
             memory=self.memory,
-            lookups_per_query=cfg.lookups_per_batch,
+            lookups_per_query=LOOKUPS_PER_BATCH,
             row_bytes=cfg.row_bytes,
             seed=cfg.seed,
         )
@@ -154,7 +133,9 @@ class ColocatedNodeSimulator:
     def _partition_l3(
         self, inference_ccds: int, training_ccds: int
     ) -> tuple[int, int]:
-        per = self.config.l3_bytes_per_ccd
+        # Simulated L3 slice, scaled so the hot set of a Zipf-skewed table
+        # occupies a few CCDs, like production.
+        per = int(0.25 * MB)
         return inference_ccds * per, training_ccds * per
 
     def _streams(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -168,8 +149,9 @@ class ColocatedNodeSimulator:
         """
         cfg = self.config
         inf = self._inference_sampler.sample(cfg.accesses_per_window)
-        n_train = int(cfg.accesses_per_window * cfg.training_ratio)
-        n_read = int(n_train * cfg.trainer_read_fraction)
+        # the trainer touches 12 rows per served lookup, 40 % of them reads
+        n_train = int(cfg.accesses_per_window * 12.0)
+        n_read = int(n_train * 0.4)
         reads = self._rng.choice(inf, size=n_read, replace=True)
         writes = self._training_sampler.sample(n_train - n_read)
         return inf, reads, writes
@@ -182,17 +164,15 @@ class ColocatedNodeSimulator:
         reuse_ratio: float = 0.0,
     ) -> MemoryTraffic:
         cfg = self.config
+        # 2,000 served batches/s; the trainer reads 50,000 samples/s at
+        # 320 lookups each, half of its traffic writes
         traffic = MemoryBandwidthModel.inference_traffic(
-            cfg.batches_per_s, cfg.lookups_per_batch, cfg.row_bytes, inf_hit
+            2_000.0, LOOKUPS_PER_BATCH, cfg.row_bytes, inf_hit
         )
         if training_on:
-            effective_rate = cfg.training_samples_per_s * (1.0 - reuse_ratio)
+            effective_rate = 50_000.0 * (1.0 - reuse_ratio)
             traffic = traffic + MemoryBandwidthModel.training_traffic(
-                effective_rate,
-                cfg.training_lookups_per_sample,
-                cfg.row_bytes,
-                train_hit,
-                write_fraction=cfg.trainer_write_fraction,
+                effective_rate, 320, cfg.row_bytes, train_hit, write_fraction=0.5
             )
         return traffic
 
@@ -286,23 +266,22 @@ class ColocatedNodeSimulator:
         ).num_evictions
         absorbed = 0
         if training_on:
-            burst = cfg.inference_burst
+            burst = 256  # lookups per inference burst
             num_bursts = max(1, (len(inf) + burst - 1) // burst)
             # One trainer step is much longer than one served batch: it
-            # fires every ``trainer_burst_every`` inference bursts and
+            # fires every ``TRAINER_BURST_EVERY`` inference bursts and
             # touches its whole mini-batch footprint at once.
-            num_trainer_bursts = max(1, num_bursts // cfg.trainer_burst_every)
+            num_trainer_bursts = max(1, num_bursts // TRAINER_BURST_EVERY)
             read_chunk = (
                 len(reads) + num_trainer_bursts - 1
             ) // num_trainer_bursts
             write_chunk = (
                 len(writes) + num_trainer_bursts - 1
             ) // num_trainer_bursts
-            fired = num_bursts // cfg.trainer_burst_every
+            fired = num_bursts // TRAINER_BURST_EVERY
             shadow = (
-                BatchedShadowReuse(
-                    np.concatenate([warm, inf]), cfg.reuse_capacity_rows
-                )
+                # a 40,000-row shadow buffer
+                BatchedShadowReuse(np.concatenate([warm, inf]), 40_000)
                 if reuse
                 else None
             )
@@ -313,7 +292,7 @@ class ColocatedNodeSimulator:
                     # Shadow state as of the inference burst this trainer
                     # step follows: warm plus every burst published so far.
                     prefix = warm.size + min(
-                        inf.size, (t + 1) * cfg.trainer_burst_every * burst
+                        inf.size, (t + 1) * TRAINER_BURST_EVERY * burst
                     )
                     mask = shadow.absorbed(prefix, step_reads)
                     hits = int(mask.sum())
@@ -427,7 +406,9 @@ class ColocatedNodeSimulator:
             reuse=False,
             inference_ccds=12,
             training_ccds=0,
-            remote_fraction=self.config.naive_remote_fraction,
+            # without NUMA-aware allocation, half the DRAM accesses land
+            # on the remote socket
+            remote_fraction=0.5,
         )
 
     def run_colocated_scheduled(

@@ -28,6 +28,10 @@ __all__ = ["RouterStats", "ConsistentHashRouter"]
 # Fixed salt for request-key hashing: key placement is independent of the
 # ring seed so alternative ring layouts stay comparable.
 _KEY_SEED = 0x517CC1B7
+# Ring points per physical node (smooths the split), and the ring's hash
+# seed: every process of a deployment builds the same ring.
+_VIRTUAL_NODES = 64
+_RING_SEED = 0
 
 
 @dataclass
@@ -43,32 +47,23 @@ class RouterStats:
 
 
 class ConsistentHashRouter:
-    """Consistent-hash ring with virtual nodes.
+    """Consistent-hash ring with ``_VIRTUAL_NODES`` points per node.
 
     Args:
         node_ids: physical inference nodes.
-        virtual_nodes: ring points per physical node (smooths the split).
-        seed: hash seed.
     """
 
-    def __init__(
-        self,
-        node_ids: list[int],
-        virtual_nodes: int = 64,
-        seed: int = 0,
-    ) -> None:
+    def __init__(self, node_ids: list[int]) -> None:
         if not node_ids:
             raise ValueError("need at least one node")
-        if virtual_nodes <= 0:
-            raise ValueError("virtual_nodes must be positive")
         self.node_ids = list(node_ids)
-        nodes = np.repeat(np.asarray(self.node_ids, dtype=np.int64), virtual_nodes)
+        nodes = np.repeat(np.asarray(self.node_ids, dtype=np.int64), _VIRTUAL_NODES)
         replicas = np.tile(
-            np.arange(virtual_nodes, dtype=np.int64), len(self.node_ids)
+            np.arange(_VIRTUAL_NODES, dtype=np.int64), len(self.node_ids)
         )
         # deterministic ring position per (node, replica), stable across
         # processes; ties broken by node id for a reproducible ring order
-        keys = hash_combine(nodes, replicas, seed) % np.uint64(1 << 32)
+        keys = hash_combine(nodes, replicas, _RING_SEED) % np.uint64(1 << 32)
         order = np.lexsort((nodes, keys))
         self._ring_keys = keys[order]
         self._ring_nodes = nodes[order]

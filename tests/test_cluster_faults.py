@@ -217,17 +217,10 @@ class TestGrayFailureEvents:
             FaultEvent(0.0, "slow_node", factor=2.0)  # needs a shard
         FaultEvent(0.0, "slow_node", 1, factor=1.0)  # 1.0 clears: valid
 
-    def test_partition_validation(self):
-        with pytest.raises(ValueError):
-            FaultEvent(0.0, "partition", 1)  # zero duration
-        with pytest.raises(ValueError):
-            FaultEvent(0.0, "partition", 1, duration_s=-1.0)
-
-    def test_flap_validation(self):
-        with pytest.raises(ValueError):
-            FaultEvent(0.0, "flap", 1, duration_s=2.0)  # zero period
-        with pytest.raises(ValueError):
-            FaultEvent(0.0, "flap", 1, period_s=1.0)  # zero duration
+    @pytest.mark.parametrize("kind", ["partition", "flap", "crash"])
+    def test_unknown_kinds_are_refused(self, kind):
+        with pytest.raises(ValueError, match="unknown fault kind"):
+            FaultEvent(0.0, kind, 1)
 
 
 class TestGrayFailureDispatch:
@@ -250,51 +243,17 @@ class TestGrayFailureDispatch:
         plane.advance_to(3.0)
         assert plane.slow_factor(2) == 1.0
 
-    def test_partition_heals_after_duration(self):
+    def test_bouncing_shard_ends_healthy(self):
         store = ShardedParameterStore(num_shards=4, row_dim=2)
         plane = FaultPlane(
             store,
             FaultSchedule(
                 [
-                    FaultEvent(1.0, "partition", 0, duration_s=2.0),
-                    # overlapping shorter partition must not shorten it
-                    FaultEvent(2.0, "partition", 0, duration_s=0.5),
+                    FaultEvent(at, kind, 1)
+                    for at, kind in [
+                        (0.0, "kill"), (0.5, "revive"), (1.0, "kill"), (1.5, "revive"),
+                    ]
                 ]
-            ),
-        )
-        assert not plane.is_partitioned(0)
-        plane.advance_to(1.0)
-        assert plane.is_partitioned(0)
-        assert not plane.is_partitioned(1)
-        plane.advance_to(2.9)
-        assert plane.is_partitioned(0)  # max(3.0, 2.5) still ahead
-        plane.advance_to(3.0)
-        assert not plane.is_partitioned(0)
-        assert store.down_shard_ids == []  # never killed, only unreachable
-
-    def test_flap_expands_to_bounces_ending_revived(self):
-        schedule = FaultSchedule(
-            [FaultEvent(0.0, "flap", 3, duration_s=2.0, period_s=1.0)]
-        )
-        assert [e.kind for e in schedule.events] == [
-            "kill", "revive", "kill", "revive",
-        ]
-        assert [e.at_s for e in schedule.events] == [0.0, 0.5, 1.0, 1.5]
-        assert all(e.shard_id == 3 for e in schedule.events)
-
-    def test_flap_tail_clamped_to_duration(self):
-        schedule = FaultSchedule(
-            [FaultEvent(0.0, "flap", 1, duration_s=1.3, period_s=1.0)]
-        )
-        assert schedule.events[-1].kind == "revive"
-        assert schedule.events[-1].at_s == 1.3  # clamped, still revived
-
-    def test_flap_dispatch_leaves_store_healthy(self):
-        store = ShardedParameterStore(num_shards=4, row_dim=2)
-        plane = FaultPlane(
-            store,
-            FaultSchedule(
-                [FaultEvent(0.0, "flap", 1, duration_s=2.0, period_s=1.0)]
             ),
         )
         plane.advance_to(0.4)
@@ -329,18 +288,16 @@ class TestScheduleEdgeCases:
         ]
         assert len(plane.injected) == 2  # skips are recorded, not injected
 
-    def test_flap_over_externally_killed_shard_skips_its_kill(self):
+    def test_bounce_over_externally_killed_shard_skips_its_kill(self):
         store = ShardedParameterStore(num_shards=4, row_dim=2)
         store.kill_shard(1)
         plane = FaultPlane(
             store,
-            FaultSchedule(
-                [FaultEvent(0.0, "flap", 1, duration_s=1.0, period_s=1.0)]
-            ),
+            FaultSchedule([FaultEvent(0.0, "kill", 1), FaultEvent(0.5, "revive", 1)]),
         )
         plane.advance_to(2.0)
         assert [e.kind for e in plane.skipped] == ["kill"]
-        assert store.down_shard_ids == []  # flap still ends it revived
+        assert store.down_shard_ids == []  # the bounce still ends it revived
 
     def test_zero_duration_delay_pair_resolves_by_insertion_order(self):
         store = ShardedParameterStore(num_shards=4, row_dim=2)

@@ -6,7 +6,7 @@ import pytest
 from repro.cluster.nodes import InferenceNode, TrainingCluster
 from repro.cluster.shardstore import ShardedParameterStore
 from repro.core.liveupdate import LiveUpdate, LiveUpdateConfig
-from repro.core.trainer import TrainerConfig
+from repro.core.trainer import BATCH_SIZE, TrainerConfig
 from repro.data.synthetic import DriftingCTRStream, StreamConfig
 from repro.dlrm.model import DLRM, DLRMConfig
 
@@ -61,12 +61,12 @@ class TestProtocol:
 
     def test_update_window_trains_locally(self, world):
         stream, tc, node = world
-        lu = _make(node, tc, steps_per_window=5)
+        lu = _make(node, tc)
         for _ in range(3):
             lu.on_serving_batch(stream.next_batch(64, local=True))
         cost = lu.on_update_window(now=300.0)
         assert cost.kind == "lora-local"
-        assert cost.rows == 5 * lu.trainer.config.batch_size
+        assert cost.rows == LiveUpdateConfig.steps_per_window * BATCH_SIZE
         assert cost.bytes_moved == 0.0  # the headline claim
         assert cost.seconds > 0.0
 
@@ -79,16 +79,22 @@ class TestProtocol:
 
     def test_on_slot_accumulates_into_window_cost(self, world):
         stream, tc, node = world
-        lu = _make(node, tc, steps_per_slot=2, steps_per_window=0)
+        lu = _make(node, tc, steps_per_slot=2)
         for _ in range(3):
             lu.on_serving_batch(stream.next_batch(64, local=True))
         lu.on_slot(now=30.0)
+        slot_cost = lu._slot_cost
+        assert slot_cost > 0.0
+        before = lu.trainer.report.train_seconds
         cost = lu.on_update_window(now=300.0)
-        assert cost.seconds > 0.0  # slot compute is accounted
+        burst = lu.trainer.report.train_seconds - before
+        # the window charges its own burst plus the slot compute, once
+        assert cost.seconds == pytest.approx(burst + slot_cost)
+        assert lu._slot_cost == 0.0
 
     def test_overlay_applies_after_training(self, world):
         stream, tc, node = world
-        lu = _make(node, tc, steps_per_window=10)
+        lu = _make(node, tc)
         for _ in range(3):
             lu.on_serving_batch(stream.next_batch(64, local=True))
         ev = stream.eval_batch(64)
@@ -101,7 +107,7 @@ class TestProtocol:
 class TestFullSync:
     def test_adopts_training_cluster_model(self, world):
         stream, tc, node = world
-        lu = _make(node, tc, steps_per_window=5)
+        lu = _make(node, tc)
         for _ in range(5):
             tc.train_on(stream.next_batch(64))
         cost = lu.on_full_sync(now=3600.0)
@@ -113,7 +119,7 @@ class TestFullSync:
 
     def test_merge_before_sync_preserves_serving_continuity(self, world):
         stream, tc, node = world
-        lu = _make(node, tc, steps_per_window=10, merge_before_full_sync=True)
+        lu = _make(node, tc)
         for _ in range(3):
             lu.on_serving_batch(stream.next_batch(64, local=True))
         lu.on_update_window(now=300.0)

@@ -221,10 +221,3 @@ class TestCollection:
         overlay = coll.overlay(hot_filter=cold_filter)
         base = np.zeros((1, 4))
         np.testing.assert_array_equal(overlay(0, np.array([1]), base), base)
-
-    def test_reset_clears_all(self):
-        coll = LoRACollection([4, 4], rank=2, capacities=[8, 8], seed=0)
-        activate(coll[0], 1)
-        activate(coll[1], 2)
-        coll.reset()
-        assert coll.num_active == 0

@@ -87,10 +87,10 @@ class TestRankMonitor:
         assert m.recommended_rank() == 6
 
     def test_window_eviction(self):
-        m = RankMonitor(window=3)
-        for _ in range(5):
+        m = RankMonitor()
+        for _ in range(10):
             m.observe(_lowrank_matrix(20, 8, 2))
-        assert m.num_observations == 3
+        assert m.num_observations == 8  # the window keeps the last 8
 
     def test_observe_returns_instantaneous_rank(self):
         m = RankMonitor(alpha=0.99)

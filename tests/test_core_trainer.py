@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.trainer import LoRATrainer, TrainerConfig
+from repro.core.trainer import BATCH_SIZE, LoRATrainer, TrainerConfig
 from repro.data.stream import InferenceLogBuffer
 from repro.data.synthetic import DriftingCTRStream, StreamConfig
 from repro.dlrm.model import DLRM, DLRMConfig
@@ -43,17 +43,17 @@ class TestTraining:
     def test_train_step_returns_loss_and_counts(self, world):
         model, stream, buffer = world
         _fill(buffer, stream)
-        trainer = LoRATrainer(model, buffer, TrainerConfig(batch_size=32))
+        trainer = LoRATrainer(model, buffer)
         loss = trainer.train_step()
         assert loss > 0
         assert trainer.report.steps == 1
-        assert trainer.report.samples_seen == 32
+        assert trainer.report.samples_seen == BATCH_SIZE
         assert trainer.report.rows_updated > 0
 
     def test_base_weights_frozen(self, world):
         model, stream, buffer = world
         _fill(buffer, stream)
-        trainer = LoRATrainer(model, buffer, TrainerConfig(batch_size=32))
+        trainer = LoRATrainer(model, buffer)
         emb_before = model.embeddings[0].weight.copy()
         dense_before = model.bottom.weights[0].copy()
         for _ in range(5):
@@ -67,12 +67,7 @@ class TestTraining:
         trainer = LoRATrainer(
             model,
             buffer,
-            TrainerConfig(
-                batch_size=128,
-                lr=0.3,
-                capacity_fraction=1.0,
-                dynamic_prune=False,
-            ),
+            TrainerConfig(lr=0.3, capacity_fraction=1.0, dynamic_prune=False),
         )
         losses = [trainer.train_step() for _ in range(80)]
         assert np.mean(losses[-20:]) < np.mean(losses[:20])
@@ -80,14 +75,14 @@ class TestTraining:
     def test_hot_filter_marks_trained_ids(self, world):
         model, stream, buffer = world
         _fill(buffer, stream)
-        trainer = LoRATrainer(model, buffer, TrainerConfig(batch_size=32))
+        trainer = LoRATrainer(model, buffer)
         trainer.train_step()
         assert trainer.hot_filter._marked[0].any()
 
     def test_hot_ids_are_the_updated_rows_until_merge(self, world):
         model, stream, buffer = world
         _fill(buffer, stream)
-        trainer = LoRATrainer(model, buffer, TrainerConfig(batch_size=32))
+        trainer = LoRATrainer(model, buffer)
         updated = [set() for _ in model.embeddings]
         for _ in range(3):
             trainer.train_step()
@@ -103,9 +98,7 @@ class TestTraining:
     def test_overlay_changes_predictions_after_training(self, world):
         model, stream, buffer = world
         _fill(buffer, stream)
-        trainer = LoRATrainer(
-            model, buffer, TrainerConfig(batch_size=64, lr=0.3)
-        )
+        trainer = LoRATrainer(model, buffer, TrainerConfig(lr=0.3))
         for _ in range(10):
             trainer.train_step()
         ev = stream.eval_batch(64)
@@ -121,9 +114,7 @@ class TestAdaptation:
         trainer = LoRATrainer(
             model,
             buffer,
-            TrainerConfig(
-                rank=2, batch_size=64, adapt_interval=4, dynamic_prune=False
-            ),
+            TrainerConfig(rank=2, adapt_interval=4, dynamic_prune=False),
         )
         for _ in range(20):
             trainer.train_step()
@@ -135,13 +126,7 @@ class TestAdaptation:
         trainer = LoRATrainer(
             model,
             buffer,
-            TrainerConfig(
-                rank=8,
-                batch_size=64,
-                adapt_interval=4,
-                dynamic_prune=False,
-                min_rank=2,
-            ),
+            TrainerConfig(rank=8, adapt_interval=4, dynamic_prune=False),
         )
         for _ in range(16):
             trainer.train_step()
@@ -156,7 +141,7 @@ class TestAdaptation:
         trainer = LoRATrainer(
             model,
             buffer,
-            TrainerConfig(rank=4, batch_size=64, adapt_interval=4),
+            TrainerConfig(rank=4, adapt_interval=4),
         )
         for _ in range(16):
             trainer.train_step()
@@ -171,7 +156,6 @@ class TestAdaptation:
             buffer,
             TrainerConfig(
                 rank=4,
-                batch_size=64,
                 adapt_interval=4,
                 dynamic_rank=False,
                 dynamic_prune=False,
@@ -188,9 +172,7 @@ class TestMerge:
     def test_merge_moves_adapters_into_base(self, world):
         model, stream, buffer = world
         _fill(buffer, stream)
-        trainer = LoRATrainer(
-            model, buffer, TrainerConfig(batch_size=64, lr=0.3)
-        )
+        trainer = LoRATrainer(model, buffer, TrainerConfig(lr=0.3))
         for _ in range(10):
             trainer.train_step()
         ev = stream.eval_batch(64)

@@ -21,11 +21,8 @@ FAST = AccuracyConfig(
     table_sizes=(400, 300),
     num_dense=3,
     horizon_s=600.0,
-    slot_s=30.0,
     update_interval_s=300.0,
     pretrain_steps=80,
-    train_batch=128,
-    serve_batch=256,
 )
 
 
@@ -79,11 +76,8 @@ class TestComparison:
             table_sizes=(400, 300),
             num_dense=3,
             horizon_s=1200.0,
-            slot_s=30.0,
             update_interval_s=300.0,
             pretrain_steps=120,
-            train_batch=128,
-            serve_batch=256,
         )
         return run_comparison(
             cfg,

@@ -110,15 +110,7 @@ class TestWindowResultConsumers:
     def windows(self):
         from repro.serving.engine import ColocatedNodeSimulator, NodeSimConfig
 
-        sim = ColocatedNodeSimulator(
-            NodeSimConfig(
-                num_rows=20_000,
-                accesses_per_window=10_000,
-                training_ratio=4.0,
-                l3_bytes_per_ccd=int(0.025 * 1024 ** 2),
-                seed=0,
-            )
-        )
+        sim = ColocatedNodeSimulator(NodeSimConfig(accesses_per_window=10_000, seed=0))
         return {
             "inference only": sim.run_inference_only(),
             "co-located (naive)": sim.run_colocated_naive(),

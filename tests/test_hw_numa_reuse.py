@@ -69,10 +69,6 @@ class TestPartitioner:
         event = part.observe(15.0)
         assert event.action == "hold"
 
-    def test_l3_accounting(self, part):
-        total = part.l3_bytes("inference") + part.l3_bytes("training")
-        assert total == EPYC_9684X_DUAL.total_l3_bytes
-
     def test_closed_loop_converges_to_sla(self, part):
         """A latency curve decreasing in inference CCDs settles in band."""
 

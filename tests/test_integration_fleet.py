@@ -60,7 +60,7 @@ def fleet_world():
         )
         for i, node in enumerate(nodes)
     ]
-    router = ConsistentHashRouter(list(range(NUM_NODES)), seed=2)
+    router = ConsistentHashRouter(list(range(NUM_NODES)))
 
     rng = np.random.default_rng(9)
     # --- serve 20 simulated minutes of routed traffic -------------------

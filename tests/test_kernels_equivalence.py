@@ -335,21 +335,21 @@ class TestHotIndexEquivalence:
 
 
 _LAYOUTS = {
-    "four-nodes": ([3, 1, 4, 5], 32, 0),
-    "three-nodes": ([0, 1, 2], 64, 0),
-    "one-node": ([7], 8, 0),
-    "seeded": ([10, 20, 30, 40, 50], 16, 5),
+    "four-nodes": [3, 1, 4, 5],
+    "three-nodes": [0, 1, 2],
+    "one-node": [7],
+    "five-nodes": [10, 20, 30, 40, 50],
 }
 
 
 class TestRouterEquivalence:
     @pytest.mark.parametrize("layout", list(_LAYOUTS))
     def test_route_matches_sequential_reference(self, layout):
-        nodes, virtual_nodes, seed = _LAYOUTS[layout]
+        nodes = _LAYOUTS[layout]
         rng = np.random.default_rng(7)
         # the top hash values land past the last ring point and wrap
         keys = rng.integers(0, 1 << 62, size=2000)
-        router = ConsistentHashRouter(nodes, virtual_nodes=virtual_nodes, seed=seed)
+        router = ConsistentHashRouter(nodes)
         np.testing.assert_array_equal(router.route(keys), ref_route(router, keys))
         assert router.stats.routed == keys.size
 
@@ -357,7 +357,7 @@ class TestRouterEquivalence:
     def test_replica_assign_matches_sequential_walk(self, r):
         rng = np.random.default_rng(8)
         keys = rng.integers(0, 1 << 62, size=500)
-        router = ConsistentHashRouter([3, 1, 4, 5], virtual_nodes=16)
+        router = ConsistentHashRouter([3, 1, 4, 5])
         got = router.replica_assign(keys, r)
         np.testing.assert_array_equal(got, ref_replicas(router, keys, r))
         np.testing.assert_array_equal(got[:, 0], router.route(keys))

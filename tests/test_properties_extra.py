@@ -12,11 +12,10 @@ from repro.experiments.update_cost import update_ratio
 @given(
     keys=st.lists(st.integers(0, 1 << 31), min_size=1, max_size=300),
     nodes=st.integers(1, 8),
-    seed=st.integers(0, 50),
 )
 @settings(max_examples=30, deadline=None)
-def test_router_total_and_sticky(keys, nodes, seed):
-    router = ConsistentHashRouter(list(range(nodes)), seed=seed)
+def test_router_total_and_sticky(keys, nodes):
+    router = ConsistentHashRouter(list(range(nodes)))
     arr = np.array(keys)
     first = router.route(arr)
     assert set(first.tolist()).issubset(set(range(nodes)))
@@ -37,8 +36,7 @@ def test_tiered_store_conservation(ids, hbm):
     arr = np.array(ids)
     rows, latency = store.lookup(arr)
     # every access is attributed to exactly one tier
-    assert store.stats.total == len(ids)
-    assert store.stats.remote_misses == 0  # fully local store
+    assert store.stats.hbm_hits + store.stats.dram_hits == len(ids)
     assert latency > 0
     np.testing.assert_array_equal(rows, weight[arr])
     assert store.hbm_rows <= hbm

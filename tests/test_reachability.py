@@ -34,10 +34,26 @@ root call outside the function's own body, by keyword or by position
 name, by ``cls(...)`` inside the class, by a subclass without its own
 ``__init__``, or by a subclass's ``super().__init__(...)``.  A call that
 spreads ``*args`` or ``**kwargs`` passes everything, and matching is by
-name, so a same-named function's call counts too, which errs safe.  A
-flagged ``path:line func(param=)`` is an option nothing sets: fold its
-default into the body and delete the branch it gated, give it a real
-caller, or move the function out of ``src/``.
+name, so a same-named function's call counts too, which errs safe.
+Inside the class that defines the callee, an argument that is
+``self.<param>`` hands the value back and sets nothing (``ShardPlacement
+.with_shard_added`` passing ``self.virtual_nodes`` kept a constant
+looking like an option).  A flagged ``path:line func(param=)`` is an
+option nothing sets: fold its default into the body and delete the
+branch it gated, give it a real caller, or move the function out of
+``src/``.
+
+The field guard does the same for configuration objects, again with the
+same roots and no allow-list: every defaulted field of every ``src/``
+``@dataclass`` must be set by some root.  ``field(init=False)`` state and
+``ClassVar`` constants are out of scope.  A field is set when a call of
+its class passes it by keyword or by position (``cls(...)`` and
+``*``/``**`` spreads count, as above), when a ``replace(..., field=)``
+names it, or when any attribute of its name is stored to; a name
+collision counts as set, which errs safe.  A flagged ``path:line
+Class.field`` is a setting nothing changes: mark state ``init=False``,
+delete a field nothing reads, or make its value a constant where it is
+used and delete the branch it gated.
 
 A third guard keeps one owner per number: a component keeps its counts
 in its own report or log, so no module outside ``repro.obs`` imports the
@@ -377,23 +393,24 @@ def test_only_repro_obs_builds_metrics_or_flight_records():
 
 
 def _calls(tree: ast.Module):
-    """``(callee name, call)`` of every call in a file.  The name is the
-    called ``Name`` or attribute.  Inside a class body, ``cls(...)`` names
-    that class and ``super().__init__(...)`` names each of its bases, so
-    both reach the constructor they run."""
+    """``(callee name, call, enclosing class name)`` of every call in a
+    file.  The name is the called ``Name`` or attribute.  Inside a class
+    body, ``cls(...)`` names that class and ``super().__init__(...)`` names
+    each of its bases, so both reach the constructor they run."""
     out = []
 
     def visit(node, cls):
         for sub in ast.iter_child_nodes(node):
             if isinstance(sub, ast.Call):
                 func = sub.func
+                here = cls.name if cls else None
                 if isinstance(func, ast.Name):
-                    out.append((cls.name if cls and func.id == "cls" else func.id, sub))
+                    out.append((here if cls and func.id == "cls" else func.id, sub, here))
                 elif isinstance(func, ast.Attribute):
                     if cls and func.attr == "__init__" and isinstance(func.value, ast.Call):
-                        out.extend((base, sub) for base in _base_names(cls))
+                        out.extend((base, sub, here) for base in _base_names(cls))
                     else:
-                        out.append((func.attr, sub))
+                        out.append((func.attr, sub, here))
             visit(sub, sub if isinstance(sub, ast.ClassDef) else cls)
 
     visit(tree, None)
@@ -419,12 +436,27 @@ def _defaulted(node, in_class: bool):
             yield arg.arg, None
 
 
-def _passes(call: ast.Call, param: str, position: int | None) -> bool:
-    if any(kw.arg is None or kw.arg == param for kw in call.keywords):
+def _passes(
+    call: ast.Call, param: str, position: int | None, forwards: bool = False
+) -> bool:
+    """Whether ``call`` passes ``param``.  With ``forwards`` (the call sits
+    in the class that defines the callee), an argument that is
+    ``self.<param>`` hands the value back unchanged and sets nothing."""
+
+    def sets(value: ast.expr) -> bool:
+        return not (
+            forwards
+            and isinstance(value, ast.Attribute)
+            and value.attr == param
+            and isinstance(value.value, ast.Name)
+            and value.value.id == "self"
+        )
+
+    if any(kw.arg is None or kw.arg == param and sets(kw.value) for kw in call.keywords):
         return True
     if any(isinstance(a, ast.Starred) for a in call.args):
         return True
-    return position is not None and len(call.args) > position
+    return position is not None and len(call.args) > position and sets(call.args[position])
 
 
 def unpassed_parameters(src: Path, roots: list[Path]) -> list[str]:
@@ -432,10 +464,10 @@ def unpassed_parameters(src: Path, roots: list[Path]) -> list[str]:
     no root call outside the function's own body passes."""
     files = sorted(src.rglob("*.py"))
     root_files = [p for p in files if p.name != "__init__.py"] + roots
-    calls: dict[str, list[ast.Call]] = {}
+    calls: dict[str, list[tuple[ast.Call, str | None]]] = {}
     for path in root_files:
-        for name, call in _calls(_tree(path)):
-            calls.setdefault(name, []).append(call)
+        for name, call, here in _calls(_tree(path)):
+            calls.setdefault(name, []).append((call, here))
     inherits: dict[str, list[str]] = {}
     for path in files:
         for node in ast.walk(_tree(path)):
@@ -461,10 +493,13 @@ def unpassed_parameters(src: Path, roots: list[Path]) -> list[str]:
                     names = [node.name] + inherits.get(node.name, [])
                 own = {id(sub) for sub in ast.walk(item)}
                 sites = [
-                    c for n in names for c in calls.get(n, ()) if id(c) not in own
+                    (c, in_class and here == node.name)
+                    for n in names
+                    for c, here in calls.get(n, ())
+                    if id(c) not in own
                 ]
                 for param, position in _defaulted(item, in_class):
-                    if not any(_passes(c, param, position) for c in sites):
+                    if not any(_passes(c, param, position, fwd) for c, fwd in sites):
                         missing.append(
                             (path, item.lineno, f"{item.name}({param}=)")
                         )
@@ -529,6 +564,19 @@ _PLANTED_PARAMS = {
         "\n"
         "class Leaf(Base):\n"  # no constructor: ``Leaf(...)`` runs Base's
         "    pass\n"
+        "\n"
+        "\n"
+        "class Ring:\n"
+        "    def __init__(self, ids, vnodes=64, salt=0):\n"
+        "        self.ids, self.vnodes, self.salt = ids, vnodes, salt\n"
+        "\n"
+        "    def grown(self, extra):\n"  # hands both values back: sets nothing
+        "        return Ring(self.ids + [extra], self.vnodes, salt=self.salt)\n"
+        "\n"
+        "\n"
+        "class Pool:\n"
+        "    def ring(self):\n"  # another class's ``self.salt`` is a value
+        "        return Ring([0], salt=self.salt)\n"
     ),
     "benchmarks/bench.py": (
         "from pkg.opts import Child, Leaf, Store, scale\n"
@@ -550,6 +598,7 @@ _PLANTED_MISSING = [
     "src/pkg/opts.py:12 pull(exact=)",
     "src/pkg/opts.py:15 walk(depth=)",
     "src/pkg/opts.py:28 scale(factor=)",
+    "src/pkg/opts.py:47 __init__(vnodes=)",
 ]
 
 
@@ -586,6 +635,191 @@ def test_parameter_guard_each_call_form_is_load_bearing(tmp_path, form):
     # sorts first among its line's (``pull(since=)`` before ``exact=``)
     want = [added] * bool(added) + [m for m in _PLANTED_MISSING if m != removed]
     assert missing == sorted(want, key=lambda m: int(m.split()[0].rsplit(":", 1)[1]))
+
+
+def _field_call(value) -> ast.Call | None:
+    """The ``field(...)`` call a field's default is, if it is one."""
+    if isinstance(value, ast.Call):
+        func = value.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name == "field":
+            return value
+    return None
+
+
+def _init_fields(cls: ast.ClassDef):
+    """``(name, lineno, position, defaulted)`` of every field a dataclass's
+    ``__init__`` takes, in signature order: ``ClassVar``s and
+    ``field(init=False)`` fields are skipped."""
+    position = 0
+    for item in cls.body:
+        if not (isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)):
+            continue
+        if "ClassVar" in ast.unparse(item.annotation):
+            continue
+        call = _field_call(item.value)
+        if call and any(
+            kw.arg == "init" and isinstance(kw.value, ast.Constant) and kw.value.value is False
+            for kw in call.keywords
+        ):
+            continue
+        defaulted = item.value is not None and (
+            call is None
+            or any(kw.arg in ("default", "default_factory") for kw in call.keywords)
+        )
+        yield item.target.id, item.lineno, position, defaulted
+        position += 1
+
+
+def unset_fields(src: Path, roots: list[Path]) -> list[str]:
+    """``path:line Class.field`` of every defaulted ``src`` dataclass field
+    that no root sets: no call of the class passes it, no ``replace(...)``
+    names it, and no attribute of its name is stored to."""
+    files = sorted(src.rglob("*.py"))
+    root_files = [p for p in files if p.name != "__init__.py"] + roots
+    calls: dict[str, list[ast.Call]] = {}
+    stored: set[str] = set()
+    for path in root_files:
+        tree = _tree(path)
+        for name, call, _ in _calls(tree):
+            calls.setdefault(name, []).append(call)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                stored.add(node.attr)
+    replaced = {
+        kw.arg for call in calls.get("replace", ()) for kw in call.keywords if kw.arg
+    }
+    missing = []
+    for path in files:
+        for node in ast.walk(_tree(path)):
+            if not (isinstance(node, ast.ClassDef) and "dataclass" in _decorator_names(node)):
+                continue
+            sites = calls.get(node.name, ())
+            for name, line, position, defaulted in _init_fields(node):
+                if not defaulted or name in stored or name in replaced:
+                    continue
+                if not any(_passes(c, name, position) for c in sites):
+                    missing.append((path, line, f"{node.name}.{name}"))
+    missing.sort(key=lambda m: m[:2])
+    return [f"{p.relative_to(src.parent)}:{line} {what}" for p, line, what in missing]
+
+
+def test_every_src_dataclass_field_is_set():
+    benchmarks = sorted((REPO / "benchmarks").rglob("*.py"))
+    examples = sorted((REPO / "examples").rglob("*.py"))
+    missing = unset_fields(SRC, benchmarks + examples)
+    assert not missing, (
+        "no benchmark, example or other src module sets these defaulted "
+        "dataclass fields; mark state init=False, delete what nothing "
+        "reads, or fold the value into its use site:\n" + "\n".join(missing)
+    )
+
+
+# src line -> its replacement, and the flags that replacement adds and
+# removes: a ``self.<param>`` argument forwards only inside the callee's
+# own class.
+_FORWARDS = {
+    "own-class-value": ("self.ids + [extra], self.vnodes", "self.ids + [extra], 32", None,
+                        "src/pkg/opts.py:47 __init__(vnodes=)"),
+    "other-class-attr": ("Ring([0], salt=self.salt)", "Ring([0])",
+                         "src/pkg/opts.py:47 __init__(salt=)", None),
+}
+
+
+@pytest.mark.parametrize("form", list(_FORWARDS))
+def test_parameter_guard_counts_a_self_forward_only_outside_its_class(tmp_path, form):
+    old, new, added, removed = _FORWARDS[form]
+    files = dict(_PLANTED_PARAMS)
+    assert files["src/pkg/opts.py"].count(old) == 1
+    files["src/pkg/opts.py"] = files["src/pkg/opts.py"].replace(old, new)
+    root = _plant(tmp_path, files)
+    missing = unpassed_parameters(root / "src", [root / "benchmarks" / "bench.py"])
+    # both forms touch line 47, the last flagged line, and ``salt`` follows
+    # ``vnodes`` in the signature: an added flag sorts last
+    assert missing == [m for m in _PLANTED_MISSING if m != removed] + [added] * bool(added)
+
+
+_PLANTED_FIELDS = {
+    "src/pkg/__init__.py": "",
+    "src/pkg/conf.py": (
+        "from dataclasses import dataclass, field, replace\n"
+        "from typing import ClassVar\n"
+        "\n"
+        "\n"
+        "@dataclass\n"
+        "class Conf:\n"
+        "    name: str\n"  # no default: out of scope
+        "    lane: str = 'f32'\n"
+        "    size: int = 8\n"
+        "    width: int = 1\n"
+        "    seed: int = 0\n"
+        "    hits: int = 0\n"
+        "    log: list = field(default_factory=list, init=False)\n"
+        "    LIMIT: ClassVar[int] = 4\n"
+        "    dead: float = 1.0\n"
+        "\n"
+        "    @classmethod\n"
+        "    def wide(cls):\n"
+        "        return cls('w', width=4)\n"  # cls(...) names the class
+        "\n"
+        "\n"
+        "@dataclass\n"
+        "class Opts:\n"
+        "    depth: int = 2\n"
+        "\n"
+        "\n"
+        "@dataclass\n"
+        "class Span:\n"
+        "    lo: int = 0\n"
+        "\n"
+        "\n"
+        "def tune(conf):\n"
+        "    conf.hits += 1\n"  # an attribute store sets ``hits``
+        "    return replace(conf, seed=3)\n"
+    ),
+    "benchmarks/bench.py": (
+        "from pkg.conf import Conf, Opts, Span, tune\n"
+        "\n"
+        "def run(args, kw):\n"
+        "    a = Conf('a', size=16)\n"  # keyword
+        "    b = Conf('b', 'f64')\n"  # positional
+        "    return tune(a), b, Conf.wide(), Opts(**kw), Span(*args)\n"
+    ),
+}
+
+
+def test_field_guard_flags_a_planted_unset_field(tmp_path):
+    root = _plant(tmp_path, _PLANTED_FIELDS)
+    missing = unset_fields(root / "src", [root / "benchmarks" / "bench.py"])
+    assert missing == ["src/pkg/conf.py:15 Conf.dead"]
+
+
+# file, line -> its replacement, and the field the replacement leaves
+# unset: each way of setting a field is load-bearing, and ``init=False``
+# and ``ClassVar`` are what keep state and constants out of scope.
+_SET_FORMS = {
+    "keyword": ("benchmarks/bench.py", "Conf('a', size=16)", "Conf('a')", "9 Conf.size"),
+    "positional": ("benchmarks/bench.py", "Conf('b', 'f64')", "Conf('b')", "8 Conf.lane"),
+    "cls-call": ("src/pkg/conf.py", "cls('w', width=4)", "cls('w')", "10 Conf.width"),
+    "star-kwargs": ("benchmarks/bench.py", "Opts(**kw)", "Opts()", "24 Opts.depth"),
+    "star-args": ("benchmarks/bench.py", "Span(*args)", "Span()", "29 Span.lo"),
+    "replace": ("src/pkg/conf.py", "replace(conf, seed=3)", "replace(conf)", "11 Conf.seed"),
+    "attribute-store": ("src/pkg/conf.py", "conf.hits += 1", "conf.other = 1", "12 Conf.hits"),
+    "init-false": ("src/pkg/conf.py", "list, init=False)", "list)", "13 Conf.log"),
+    "classvar": ("src/pkg/conf.py", "LIMIT: ClassVar[int]", "LIMIT: int", "14 Conf.LIMIT"),
+}
+
+
+@pytest.mark.parametrize("form", list(_SET_FORMS))
+def test_field_guard_each_set_form_is_load_bearing(tmp_path, form):
+    rel, old, new, added = _SET_FORMS[form]
+    files = dict(_PLANTED_FIELDS)
+    assert files[rel].count(old) == 1
+    files[rel] = files[rel].replace(old, new)
+    root = _plant(tmp_path, files)
+    missing = unset_fields(root / "src", [root / "benchmarks" / "bench.py"])
+    flagged = ["src/pkg/conf.py:" + added, "src/pkg/conf.py:15 Conf.dead"]
+    assert missing == sorted(flagged, key=lambda m: int(m.split()[0].rsplit(":", 1)[1]))
 
 
 _PLANTED_STATIC = {

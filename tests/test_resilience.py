@@ -232,14 +232,6 @@ class TestResiliencePolicy:
         assert policy.breaker_for(3) is policy.breaker_for(3)
         assert policy.breaker_for(3) is not policy.breaker_for(4)
 
-    def test_wait_advances_clock_and_fires_hook(self):
-        seen: list[float] = []
-        policy = ResiliencePolicy(on_wait=seen.append)
-        policy.wait(0.5)
-        policy.wait(0.25)
-        assert policy.clock.now() == pytest.approx(0.75)
-        assert seen == [pytest.approx(0.5), pytest.approx(0.75)]
-
-    def test_clock_and_on_wait_are_the_only_settings(self):
+    def test_clock_is_the_only_setting(self):
         settable = [f.name for f in dataclasses.fields(ResiliencePolicy) if f.init]
-        assert settable == ["clock", "on_wait"]
+        assert settable == ["clock"]

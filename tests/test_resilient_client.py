@@ -3,9 +3,9 @@
 Exercises the whole client plane against a live store: exactness parity
 with the legacy pull path, hedged reads under a slow replica, breaker
 lifecycle across pulls, degraded serving with its staleness bound under
-full coverage loss, retry-until-heal flows driven by a fault plane, and
-the idempotent flush-retry guarantee (no acked publish lost or
-double-applied), and the same coverage rule on a client without a policy.
+full coverage loss, the flush-retry guarantee (an exhausted flush keeps
+its staged rows and lands exactly once after repair), and the same
+coverage rule on a client without a policy.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import pytest
 from reference.replication import pull_rows
 from repro.cluster.faults import FaultEvent, FaultPlane, FaultSchedule
 from repro.cluster.resilience import DegradedReadError, ResiliencePolicy
-from repro.cluster.resilience.policy import DEADLINE_S, MAX_ATTEMPTS
+from repro.cluster.resilience.policy import DEADLINE_S, MAX_ATTEMPTS, backoff_s
 from repro.cluster.shardstore import (
     QuorumError,
     ShardClient,
@@ -191,15 +191,12 @@ class TestHedging:
 
 
 class TestBreakerLifecycle:
-    def _partition_scenario(self):
+    def _dead_primary_scenario(self):
         store = make_store(num_shards=4, replication=3)
         store.publish_batch("emb", np.arange(32), np.ones((32, DIM)))
         victim = int(store.shard_ids[0])
         plane = FaultPlane(
-            store,
-            FaultSchedule(
-                [FaultEvent(0.0, "partition", shard_id=victim, duration_s=1e4)]
-            ),
+            store, FaultSchedule([FaultEvent(0.0, "kill", shard_id=victim)])
         )
         plane.advance_to(0.0)
         policy = ResiliencePolicy()
@@ -209,8 +206,8 @@ class TestBreakerLifecycle:
             assert not report.degraded  # failover keeps the pull exact
         return victim, policy
 
-    def test_repeated_partition_failures_trip_the_breaker(self):
-        victim, policy = self._partition_scenario()
+    def test_repeated_dead_primary_failures_trip_the_breaker(self):
+        victim, policy = self._dead_primary_scenario()
         now = policy.clock.now()
         assert policy.breaker_for(victim).state(now) == "open"
         assert [b.state(now) for b in policy._breakers.values()].count("open") == 1
@@ -221,8 +218,8 @@ class TestBreakerLifecycle:
         assert (victim, "closed", "open") in kinds
 
     def test_breaker_transition_log_replays_identically(self):
-        _, a = self._partition_scenario()
-        _, b = self._partition_scenario()
+        _, a = self._dead_primary_scenario()
+        _, b = self._dead_primary_scenario()
         assert breaker_transitions(a) == breaker_transitions(b)
         assert breaker_transitions(a)  # non-trivial log
 
@@ -316,66 +313,19 @@ class TestDegradedServing:
 
 
 class TestRetryHeal:
-    def test_pull_retries_until_fault_plane_heals(self):
-        store = make_store(num_shards=4, replication=3)
-        client_policy = ResiliencePolicy()
-        client = ShardClient(store, resilience=client_policy)
-        store.publish_batch("emb", np.arange(16), np.ones((16, DIM)))
-        client.pull_tables(["emb"])
-        events = [FaultEvent(0.0, "kill", sid) for sid in store.shard_ids]
-        events += [FaultEvent(0.01, "revive", sid) for sid in store.shard_ids]
-        plane = FaultPlane(store, FaultSchedule(events))
-        client.faults = plane
-        client_policy.on_wait = plane.advance_to
-        plane.advance_to(0.0)  # everything down: no backups anywhere
-        assert len(store.down_shard_ids) == 4
-        values = np.full((16, DIM), 7.0)
-        # publish cannot land while all shards are down, so stage the
-        # next window's state on the store directly after the heal fires:
-        # here we only exercise the *pull* retry loop.
-        deltas, report = client.pull_tables(["emb"])
-        # the first backoff (>= 0.025 s) outlasts the 0.01 s outage
-        assert report.retries == 1
-        assert not report.degraded and report.outcome == "ok"
-        assert store.down_shard_ids == []  # on_wait drove the heal
-        del values
-
-    def test_flush_retry_is_idempotent(self):
-        store = make_store(num_shards=4, replication=3)
-        down = [int(s) for s in store.shard_ids[:2]]
-        plane = FaultPlane(
-            store,
-            FaultSchedule(
-                [FaultEvent(0.01, "revive", sid) for sid in down]
-            ),
-        )
-        policy = ResiliencePolicy(on_wait=plane.advance_to)
-        client = ShardClient(store, resilience=policy)
-        store.publish_batch("emb", np.arange(8), np.ones((8, DIM)))
-        version_before = store.version
-        for sid in down:
-            store.kill_shard(sid)
-        client.stage("emb", np.arange(8), np.full((8, DIM), 3.0))
-        report = client.flush()
-        # quorum refusals happen before any version bump, so however many
-        # attempts the flush took, exactly ONE publish landed
-        assert report.retries == 1
-        assert store.version == version_before + 1
-        assert client.staged_rows == 0
-        found, rows = pull_rows(store, "emb", np.arange(8))
-        assert bool(found.all()) and float(rows.min()) == 3.0
-
     def test_flush_exhaustion_raises_and_preserves_staged_rows(self):
         store = make_store(num_shards=4, replication=3)
-        waits: list[float] = []
-        client = ShardClient(store, resilience=ResiliencePolicy(on_wait=waits.append))
+        policy = ResiliencePolicy()
+        client = ShardClient(store, resilience=policy)
         store.publish_batch("emb", np.arange(8), np.ones((8, DIM)))
         for sid in store.shard_ids[:2]:
             store.kill_shard(sid)
         client.stage("emb", np.arange(8), np.full((8, DIM), 9.0))
         with pytest.raises(QuorumError):
             client.flush()
-        assert len(waits) == MAX_ATTEMPTS - 1  # a backoff between attempts
+        # a backoff between attempts, on the policy's clock
+        waited = sum(backoff_s(a, key=0) for a in range(1, MAX_ATTEMPTS))
+        assert policy.clock.now() == pytest.approx(waited)
         assert client.staged_rows == 8  # nothing lost
         assert store.version == 1  # nothing half-applied
         for sid in list(store.down_shard_ids):

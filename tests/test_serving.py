@@ -14,15 +14,7 @@ from repro.serving.qos import OUTCOMES, SLAMonitor
 @pytest.fixture(scope="module")
 def small_sim():
     """Down-scaled simulator so the full test file stays fast."""
-    return ColocatedNodeSimulator(
-        NodeSimConfig(
-            num_rows=20_000,
-            accesses_per_window=10_000,
-            training_ratio=8.0,
-            l3_bytes_per_ccd=int(0.025 * 1024 ** 2),
-            seed=0,
-        )
-    )
+    return ColocatedNodeSimulator(NodeSimConfig(accesses_per_window=10_000, seed=0))
 
 
 @pytest.fixture(scope="module")
@@ -72,39 +64,29 @@ class TestAblationShape:
         assert ablation["Only Infer"].reuse_ratio == 0.0
 
 
-# Every WindowResult field of a small-config ablation, recorded before the
-# shadow-reuse frontier and the shared alias tables replaced the prev-link
-# histogram and the per-sampler Vose build.  The shadow buffer (3,000 rows)
-# is smaller than the 20,000-key publish stream, so it evicts.
+# Every WindowResult field of the default-config ablation (the
+# ``colo_window`` scale), recorded before the simulator's fixed settings
+# became module constants.  The shadow buffer (40,000 rows) is smaller
+# than the 200,000-key publish stream, so it evicts.
 GOLDEN_ABLATION = {
     "interval": {
-        "Only Infer": ("inference_only", 0.5281, 0.0, 0.0, 24.16128, 0.40268800000000005, 6.107801807077838, 12.162539607742753, 10000, 0, 0),
-        "w/o Opt": ("colocated_naive", 0.2958, 0.2212375, 0.0, 37.6499456, 0.6341445333333334, 15.380730318612216, 29.600001461581176, 10000, 80000, 0),
-        "w/ Scheduling": ("colocated_scheduled", 0.4952, 0.15235, 0.0, 27.581747199999995, 0.4669290666666666, 6.794723455876998, 13.289980782521587, 10000, 80000, 0),
-        "w/ Reuse+Scheduling": ("colocated_full", 0.5066, 0.3552125, 0.329325, 26.147722970239997, 0.43948556187999993, 6.500868412955819, 12.711694567208236, 10000, 80000, 0),
+        "Only Infer": ("inference_only", 0.56004, 0.0, 0.0, 22.525952, 0.3754325333333333, 5.739518809419324, 11.444798228001817, 100000, 0, 0),
+        "w/o Opt": ("colocated_naive", 0.33193, 0.24230416666666665, 0.0, 35.75694506666667, 0.6024147555555556, 13.747481566123179, 26.475104856629304, 100000, 1200000, 0),
+        "w/ Scheduling": ("colocated_scheduled", 0.54332, 0.16285416666666666, 0.0, 25.096490666666668, 0.4254184888888889, 6.133826797476885, 11.999006522284729, 100000, 1200000, 0),
+        "w/ Reuse+Scheduling": ("colocated_full", 0.54147, 0.3584016666666667, 0.34341083333333333, 24.339489822756978, 0.409252971307437, 6.0532423806040345, 11.862663157864521, 100000, 1200000, 0),
     },
     "lru": {
-        "Only Infer": ("inference_only", 0.6103, 0.0, 0.0, 19.952640000000002, 0.33254400000000006, 5.225258288219726, 10.449104594247615, 10000, 0, 3897),
-        "w/o Opt": ("colocated_naive", 0.317, 0.2403625, 0.0, 36.5253376, 0.6152378666666666, 14.379660176569818, 27.686078607052558, 10000, 80000, 67601),
-        "w/ Scheduling": ("colocated_scheduled", 0.5731, 0.1680875, 0.0, 23.561036799999997, 0.39978293333333326, 5.771403235161728, 11.315607125720547, 10000, 80000, 70413),
-        "w/ Reuse+Scheduling": ("colocated_full", 0.5757, 0.356925, 0.329325, 22.607450778880004, 0.38047122456000004, 5.661248258396341, 11.123098371811503, 10000, 80000, 55280),
+        "Only Infer": ("inference_only", 0.64404, 0.0, 0.0, 18.225152000000005, 0.3037525333333334, 4.918212289448963, 9.867265913165518, 100000, 0, 35596),
+        "w/o Opt": ("colocated_naive", 0.35168, 0.26338, 0.0, 34.70258176, 0.5846621866666666, 12.954172624989383, 24.952993250701468, 100000, 1200000, 948776),
+        "w/ Scheduling": ("colocated_scheduled", 0.62119, 0.17264666666666667, 0.0, 21.089491626666664, 0.3585516088888889, 5.251885042204588, 10.319873247445594, 100000, 1200000, 1026609),
+        "w/ Reuse+Scheduling": ("colocated_full", 0.61816, 0.35854833333333336, 0.34341083333333333, 20.41276460088035, 0.3438067291850074, 5.217671432645412, 10.286176765624532, 100000, 1200000, 803830),
     },
 }
 
 
 @pytest.mark.parametrize("policy", sorted(GOLDEN_ABLATION))
 def test_ablation_golden(policy):
-    sim = ColocatedNodeSimulator(
-        NodeSimConfig(
-            num_rows=20_000,
-            accesses_per_window=10_000,
-            training_ratio=8.0,
-            l3_bytes_per_ccd=int(0.025 * 1024 ** 2),
-            reuse_capacity_rows=3_000,
-            cache_policy=policy,
-            seed=0,
-        )
-    )
+    sim = ColocatedNodeSimulator(NodeSimConfig(cache_policy=policy, seed=0))
     got = {name: astuple(result) for name, result in sim.ablation().items()}
     assert got == GOLDEN_ABLATION[policy]
 

@@ -20,8 +20,6 @@ class TestRouting:
     def test_validation(self):
         with pytest.raises(ValueError):
             ConsistentHashRouter([])
-        with pytest.raises(ValueError):
-            ConsistentHashRouter([1], virtual_nodes=0)
 
     def test_routes_to_known_nodes(self, keys):
         router = ConsistentHashRouter([0, 1, 2, 3])
@@ -35,7 +33,7 @@ class TestRouting:
         assert a.tolist() == b.tolist()
 
     def test_reasonable_balance(self, keys):
-        router = ConsistentHashRouter([0, 1, 2, 3], virtual_nodes=128)
+        router = ConsistentHashRouter([0, 1, 2, 3])
         shares = np.bincount(router.route(keys), minlength=4)
         assert shares.max() / shares.mean() < 1.6
 
@@ -89,22 +87,20 @@ class TestDeterminism:
     PINNED_KEYS = [0, 1, 42, 12345, 999_999_999, 2**31 - 1]
 
     def test_pinned_assignments(self):
-        router = ConsistentHashRouter([0, 1, 2, 3], virtual_nodes=64, seed=0)
+        router = ConsistentHashRouter([0, 1, 2, 3])
         assert router.route(np.array(self.PINNED_KEYS)).tolist() == [
             1, 0, 1, 0, 3, 2,
         ]
-        other = ConsistentHashRouter([10, 20, 30], virtual_nodes=16, seed=7)
+        other = ConsistentHashRouter([10, 20, 30])
         assert other.route(np.array(self.PINNED_KEYS)).tolist() == [
-            20, 10, 10, 10, 20, 20,
+            20, 20, 20, 20, 10, 20,
         ]
 
     def test_single_key_routes_agree_with_batch(self):
         """Without a load bound, routing a key alone or inside a batch
         lands on the same node."""
-        batch = ConsistentHashRouter([0, 1, 2, 3], seed=3).route(
-            np.array(self.PINNED_KEYS)
-        )
-        router = ConsistentHashRouter([0, 1, 2, 3], seed=3)
+        batch = ConsistentHashRouter([0, 1, 2, 3]).route(np.array(self.PINNED_KEYS))
+        router = ConsistentHashRouter([0, 1, 2, 3])
         singles = [int(router.route(np.array([k]))[0]) for k in self.PINNED_KEYS]
         assert batch.tolist() == singles
 
@@ -114,7 +110,7 @@ class TestDeterminism:
         snippet = (
             "import numpy as np;"
             "from repro.serving.router import ConsistentHashRouter;"
-            "r = ConsistentHashRouter([0, 1, 2, 3], virtual_nodes=64, seed=0);"
+            "r = ConsistentHashRouter([0, 1, 2, 3]);"
             "print(r.route(np.arange(200)).tolist())"
         )
         env = dict(os.environ)
@@ -124,21 +120,21 @@ class TestDeterminism:
             [sys.executable, "-c", snippet],
             capture_output=True, text=True, env=env, check=True,
         ).stdout.strip()
-        here = ConsistentHashRouter([0, 1, 2, 3], virtual_nodes=64, seed=0)
+        here = ConsistentHashRouter([0, 1, 2, 3])
         assert out == str(here.route(np.arange(200)).tolist())
 
 
 class TestRemapStability:
     def test_adding_node_remaps_small_fraction(self, keys):
-        before = ConsistentHashRouter([0, 1, 2, 3], virtual_nodes=128, seed=1)
-        after = ConsistentHashRouter([0, 1, 2, 3, 4], virtual_nodes=128, seed=1)
+        before = ConsistentHashRouter([0, 1, 2, 3])
+        after = ConsistentHashRouter([0, 1, 2, 3, 4])
         frac = (before.route(keys) != after.route(keys)).mean()
         # ideal is 1/5; allow generous slack for a small ring
         assert frac < 0.45
 
     def test_same_layout_remaps_nothing(self, keys):
-        a = ConsistentHashRouter([0, 1, 2], seed=2)
-        b = ConsistentHashRouter([0, 1, 2], seed=2)
+        a = ConsistentHashRouter([0, 1, 2])
+        b = ConsistentHashRouter([0, 1, 2])
         assert (a.route(keys[:500]) != b.route(keys[:500])).sum() == 0
 
 
@@ -159,7 +155,7 @@ class TestCheckedKeyCoercion:
             router.route([0.5, 1.5])
 
     def test_python_ints_beyond_2_53_are_exact(self):
-        router = ConsistentHashRouter([0, 1, 2, 3], virtual_nodes=128)
+        router = ConsistentHashRouter([0, 1, 2, 3])
         big = 2**53
         # a float64 round-trip maps 2**53 + 1 onto 2**53; the checked
         # int path must keep them distinct hash inputs

@@ -60,7 +60,7 @@ class TestPlacement:
         assert (a != b).any()
 
     def test_add_shard_remaps_small_fraction(self):
-        p = ShardPlacement(list(range(8)), virtual_nodes=128)
+        p = ShardPlacement(list(range(8)))
         grown = p.with_shard_added(8)
         ids = np.arange(50_000)
         frac = (_primary(p, "t", ids) != _primary(grown, "t", ids)).mean()
@@ -104,11 +104,11 @@ class TestPlacement:
         snippet = (
             "import numpy as np;"
             "from repro.cluster.shardstore import ShardPlacement;"
-            "p = ShardPlacement(list(range(8)), virtual_nodes=64, seed=0);"
+            "p = ShardPlacement(list(range(8)));"
             "print(p.replica_owners('table_0', np.arange(500), 1)[:, 0].tolist())"
         )
         out = _subprocess_output(snippet, hash_seed)
-        here = ShardPlacement(list(range(8)), virtual_nodes=64, seed=0)
+        here = ShardPlacement(list(range(8)))
         assert out == str(_primary(here, "table_0", np.arange(500)).tolist())
 
 

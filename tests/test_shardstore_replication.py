@@ -110,11 +110,11 @@ class TestReplicaOwners:
         snippet = (
             "import numpy as np;"
             "from repro.cluster.shardstore import ShardPlacement;"
-            "p = ShardPlacement(list(range(8)), virtual_nodes=64, seed=0);"
+            "p = ShardPlacement(list(range(8)));"
             "print(p.replica_owners('table_0', np.arange(300), 3).tolist())"
         )
         out = _subprocess_output(snippet, hash_seed)
-        here = ShardPlacement(list(range(8)), virtual_nodes=64, seed=0)
+        here = ShardPlacement(list(range(8)))
         local = here.replica_owners("table_0", np.arange(300), 3).tolist()
         assert out == str(local)
 
@@ -149,7 +149,7 @@ class TestCoverageMemo:
         answers what the owner table says."""
         rng = np.random.default_rng(r)
         shards = list(range(6))
-        memo = ShardPlacement(shards, virtual_nodes=16)
+        memo = ShardPlacement(shards)
         answers: dict[tuple, set] = {}
         for avail, clean in _random_coverage_queries(rng, shards, 40):
             want = _coverage_reference(memo, r, avail, clean)
@@ -169,14 +169,14 @@ class TestCoverageMemo:
         memoised for the same subsets leaks into its answers, and it
         answers like a placement built fresh on its shards."""
         rng = np.random.default_rng(7)
-        base = ShardPlacement(list(range(5)), virtual_nodes=16)
+        base = ShardPlacement(list(range(5)))
         queries = list(_random_coverage_queries(rng, list(range(6)), 60))
         for avail, clean in queries:
             base.coverage_ok(
                 3, [s for s in avail if s < 5], [s for s in clean if s < 5]
             )
         for changed in (base.with_shard_added(5), base.with_shard_removed(2)):
-            fresh = ShardPlacement(changed.shard_ids, virtual_nodes=16)
+            fresh = ShardPlacement(changed.shard_ids)
             for avail, clean in queries:
                 avail = [s for s in avail if s in changed.shard_ids]
                 clean = [s for s in clean if s in changed.shard_ids]
