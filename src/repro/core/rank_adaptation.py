@@ -21,8 +21,11 @@ __all__ = [
     "RankMonitor",
 ]
 
-# Recent observations RankMonitor averages.
+# Recent observations RankMonitor averages, and the bounds it clamps its
+# emitted rank to.
 _WINDOW = 8
+_MIN_RANK = 2
+_MAX_RANK = 64
 
 
 def _singular_values(grad_matrix: np.ndarray) -> np.ndarray:
@@ -64,25 +67,20 @@ class RankMonitor:
     """Tracks per-interval optimal ranks and emits the smoothed global rank.
 
     Implements ``r = ceil(mean(r_t))`` over the observation window
-    (Section IV-C), clamped to ``[min_rank, max_rank]``.
+    (Section IV-C), clamped to ``[_MIN_RANK, _MAX_RANK]``.
 
     Attributes:
         alpha: variance threshold (paper default 0.8; evaluated up to 0.95).
-        min_rank / max_rank: clamp bounds for the emitted rank.
 
     The window is the last ``_WINDOW`` observations.
     """
 
     alpha: float = 0.8
-    min_rank: int = 1
-    max_rank: int = 64
     _observed: list[int] = field(default_factory=list, init=False)
 
     def __post_init__(self) -> None:
         if not 0 < self.alpha <= 1:
             raise ValueError("alpha must be in (0, 1]")
-        if self.min_rank < 1 or self.max_rank < self.min_rank:
-            raise ValueError("invalid rank bounds")
 
     def observe(self, grad_matrix: np.ndarray) -> int:
         """Record one gradient snapshot; returns its instantaneous rank."""
@@ -99,9 +97,9 @@ class RankMonitor:
     def recommended_rank(self, fallback: int = 8) -> int:
         """Smoothed rank ``ceil(mean(r_t))`` over the window."""
         if not self._observed:
-            return int(np.clip(fallback, self.min_rank, self.max_rank))
+            return int(np.clip(fallback, _MIN_RANK, _MAX_RANK))
         r = math.ceil(sum(self._observed) / len(self._observed))
-        return int(np.clip(r, self.min_rank, self.max_rank))
+        return int(np.clip(r, _MIN_RANK, _MAX_RANK))
 
     def reset(self) -> None:
         self._observed.clear()

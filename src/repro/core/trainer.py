@@ -130,10 +130,7 @@ class LoRATrainer:
         )
         # ids here are embedding row indices: one hot bit per table row
         self.hot_filter = HotIndexFilter([t.num_rows for t in model.embeddings])
-        self.rank_monitors = [
-            RankMonitor(alpha=cfg.alpha, min_rank=2, max_rank=64)
-            for _ in dims
-        ]
+        self.rank_monitors = [RankMonitor(alpha=cfg.alpha) for _ in dims]
         self.usage = [
             UsageTracker(
                 window_iters=128,

@@ -64,27 +64,26 @@ class TestRankForVariance:
 
 
 class TestRankMonitor:
-    def test_bounds_validated(self):
+    def test_alpha_validated(self):
         with pytest.raises(ValueError):
             RankMonitor(alpha=0.0)
-        with pytest.raises(ValueError):
-            RankMonitor(min_rank=5, max_rank=2)
 
     def test_fallback_when_unobserved(self):
-        m = RankMonitor(min_rank=2, max_rank=32)
+        m = RankMonitor()
         assert m.recommended_rank(fallback=8) == 8
+        assert m.recommended_rank(fallback=1) == 2  # clamped like a rank
 
     def test_average_with_ceiling(self):
-        m = RankMonitor(alpha=0.99, min_rank=1, max_rank=64)
+        m = RankMonitor(alpha=0.99)
         m._observed = [3, 4]
         assert m.recommended_rank() == 4  # ceil(3.5)
 
     def test_clamping(self):
-        m = RankMonitor(min_rank=4, max_rank=6)
+        m = RankMonitor()
         m._observed = [1]
-        assert m.recommended_rank() == 4
-        m._observed = [60]
-        assert m.recommended_rank() == 6
+        assert m.recommended_rank() == 2
+        m._observed = [100]
+        assert m.recommended_rank() == 64
 
     def test_window_eviction(self):
         m = RankMonitor()

@@ -3,9 +3,10 @@
 Exercises the whole client plane against a live store: exactness parity
 with the legacy pull path, hedged reads under a slow replica, breaker
 lifecycle across pulls, degraded serving with its staleness bound under
-full coverage loss, the flush-retry guarantee (an exhausted flush keeps
-its staged rows and lands exactly once after repair), and the same
-coverage rule on a client without a policy.
+full coverage loss, the flush-retry guarantee (a refused attempt retried
+in the loop lands exactly once; an exhausted flush keeps its staged rows
+and lands exactly once after repair), and the same coverage rule on a
+client without a policy.
 """
 
 from __future__ import annotations
@@ -313,6 +314,29 @@ class TestDegradedServing:
 
 
 class TestRetryHeal:
+    def test_flush_retry_is_idempotent(self):
+        store = make_store(num_shards=4, replication=3)
+        store.publish_batch("emb", np.arange(8), np.ones((8, DIM)))
+        version_before = store.version
+        dead, dropping = (int(s) for s in store.shard_ids[:2])
+        store.kill_shard(dead)
+        # a lost message on a co-owner: rows on both shards keep one of
+        # three replicas, below the quorum of 2, so the first attempt is
+        # refused; the refusal spends the armed drop and the retry lands
+        store.arm_publish_drop(dropping)
+        policy = ResiliencePolicy()
+        client = ShardClient(store, resilience=policy)
+        client.stage("emb", np.arange(8), np.full((8, DIM), 3.0))
+        report = client.flush()
+        # quorum refusals happen before any version bump, so however many
+        # attempts the flush took, exactly ONE publish landed
+        assert report.retries == 1
+        assert policy.clock.now() == pytest.approx(backoff_s(1, key=0))
+        assert store.version == version_before + 1
+        assert client.staged_rows == 0
+        found, rows = pull_rows(store, "emb", np.arange(8))
+        assert bool(found.all()) and float(rows.min()) == float(rows.max()) == 3.0
+
     def test_flush_exhaustion_raises_and_preserves_staged_rows(self):
         store = make_store(num_shards=4, replication=3)
         policy = ResiliencePolicy()
