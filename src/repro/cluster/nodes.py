@@ -26,7 +26,6 @@ import numpy as np
 from ..data.synthetic import Batch
 from ..dlrm.model import DLRM
 from ..dlrm.optim import RowwiseAdagrad
-from ..obs.trace import Tracer
 from .network import GBE_100
 from .shardstore import ShardClient, ShardedParameterStore
 
@@ -70,9 +69,7 @@ class TrainingCluster:
         server: destination parameter plane.
         lr: learning rate of the row-wise Adagrad optimizer.
 
-    Training steps run under a ``cluster.train.step`` span on a private
-    wall-clock tracer; publishes flush through a plain client over the
-    100 GbE link.
+    Publishes flush through a plain client over the 100 GbE link.
     """
 
     def __init__(
@@ -83,18 +80,16 @@ class TrainingCluster:
     ) -> None:
         self.model = model
         self.server = server
-        self.tracer = Tracer()
         self.client = ShardClient(server)
         self.optimizer = RowwiseAdagrad(lr=lr)
         self.steps_trained = 0
 
     def train_on(self, batch: Batch, update_dense: bool = True) -> float:
         """One mini-batch step; returns the loss."""
-        with self.tracer.span("cluster.train.step"):
-            result = self.model.train_step(
-                batch.dense, batch.sparse_ids, batch.labels, self.optimizer,
-                update_dense=update_dense,
-            )
+        result = self.model.train_step(
+            batch.dense, batch.sparse_ids, batch.labels, self.optimizer,
+            update_dense=update_dense,
+        )
         self.steps_trained += 1
         return result.loss
 

@@ -162,12 +162,6 @@ class ShardClient:
         return seconds
 
     # --------------------------------------------------------------- publish
-    @property
-    def staged_rows(self) -> int:
-        return sum(
-            ids.size for parts in self._staged.values() for ids, _ in parts
-        )
-
     def stage(self, table: str, indices: np.ndarray, rows: np.ndarray) -> None:
         """Queue rows for the next :meth:`flush` (no store interaction yet).
 

@@ -93,10 +93,6 @@ class _TableBlock:
         """Ids stored in this block, ascending."""
         return self.slots.keys
 
-    @property
-    def log_len(self) -> int:
-        return self._log_len
-
     def rewiden(self, dim: int) -> None:
         """Grow the row width; existing rows zero-pad on the right."""
         if dim <= self.dim:
@@ -424,10 +420,6 @@ class ParameterShard:
     @property
     def num_rows(self) -> int:
         return sum(b.num_rows for b in self._blocks.values())
-
-    @property
-    def log_entries(self) -> int:
-        return sum(b.log_len for b in self._blocks.values())
 
     def block(self, table: str) -> _TableBlock | None:
         return self._blocks.get(table)

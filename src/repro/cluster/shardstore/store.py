@@ -125,10 +125,6 @@ class RepairPlan:
     rows_to_copy: int = 0
     bytes_to_copy: int = 0
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.tasks and not self.stale_shards
-
 
 @dataclass
 class RepairReport:

@@ -94,11 +94,6 @@ class LoRAAdapter:
         return self._slots.keys
 
     @property
-    def active_slots(self) -> np.ndarray:
-        """Slots of the active ids, aligned with :attr:`active_ids`."""
-        return self._slots.slots
-
-    @property
     def nbytes(self) -> int:
         return int(self.a.nbytes + self.b.nbytes)
 

@@ -90,10 +90,6 @@ class RankMonitor:
             del self._observed[: len(self._observed) - _WINDOW]
         return r_t
 
-    @property
-    def num_observations(self) -> int:
-        return len(self._observed)
-
     def recommended_rank(self, fallback: int = 8) -> int:
         """Smoothed rank ``ceil(mean(r_t))`` over the window."""
         if not self._observed:

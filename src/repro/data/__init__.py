@@ -12,7 +12,7 @@ from .datasets import (
     build_stream,
 )
 from .arrivals import ArrivalConfig, BurstEpisode, RequestArrivalProcess
-from .stream import InferenceLogBuffer, RingBufferStats
+from .stream import InferenceLogBuffer
 from .synthetic import Batch, DriftingCTRStream, StreamConfig
 from .zipf import ZipfSampler, access_cdf, zipf_head_share
 
@@ -32,7 +32,6 @@ __all__ = [
     "TABLE_II",
     "build_stream",
     "InferenceLogBuffer",
-    "RingBufferStats",
     "ArrivalConfig",
     "BurstEpisode",
     "RequestArrivalProcess",

@@ -67,10 +67,6 @@ class DatasetSpec:
     def dataset_gb(self) -> float:
         return self.dataset_bytes / GB
 
-    @property
-    def embedding_tb(self) -> float:
-        return self.embedding_bytes / TB
-
     def scaled_table_sizes(self, total_rows: int) -> tuple[int, ...]:
         """Distribute ``total_rows`` across fields with a power-law profile,
         at least 50 rows a table.

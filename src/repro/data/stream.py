@@ -15,22 +15,7 @@ import numpy as np
 
 from .synthetic import Batch
 
-__all__ = ["RingBufferStats", "InferenceLogBuffer"]
-
-
-@dataclass
-class RingBufferStats:
-    """Occupancy metrics of the log buffer."""
-
-    num_batches: int
-    num_samples: int
-    oldest_ts: float
-    newest_ts: float
-    approx_bytes: int
-
-    @property
-    def span_seconds(self) -> float:
-        return max(0.0, self.newest_ts - self.oldest_ts)
+__all__ = ["InferenceLogBuffer"]
 
 
 @dataclass
@@ -143,17 +128,6 @@ class InferenceLogBuffer:
             self._start = (self._start + old.size) % self._capacity()
             self._live -= old.size
             self.total_evicted += old.size
-
-    def stats(self, bytes_per_sample: int = 250) -> RingBufferStats:
-        if not self._meta:
-            return RingBufferStats(0, 0, 0.0, 0.0, 0)
-        return RingBufferStats(
-            num_batches=len(self._meta),
-            num_samples=len(self),
-            oldest_ts=self._meta[0].timestamp,
-            newest_ts=self._meta[-1].timestamp,
-            approx_bytes=len(self) * bytes_per_sample,
-        )
 
     # --------------------------------------------------------------- sampling
     def sample_minibatch(

@@ -55,11 +55,6 @@ class SparseRowGrad:
         if self.rows.ndim != 2 or self.rows.shape[0] != self.indices.shape[0]:
             raise ValueError("rows must be (len(indices), d)")
 
-    @property
-    def nnz_rows(self) -> int:
-        """Number of distinct rows carrying gradient."""
-        return int(self.indices.shape[0])
-
 
 class EmbeddingTable:
     """One embedding table ``W in R^{|V| x d}`` for a categorical field.

@@ -164,10 +164,6 @@ class DLRM:
     def embedding_bytes(self) -> int:
         return self.embeddings.nbytes
 
-    @property
-    def dense_params(self) -> int:
-        return self.bottom.num_params + self.top.num_params
-
     # ---------------------------------------------------------------- forward
     def forward(
         self,

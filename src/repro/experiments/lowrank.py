@@ -28,10 +28,6 @@ class GradientSpectrum:
     ranks_at_alpha: list[int]         # Eq. 2 rank per snapshot
 
     @property
-    def mean_rank(self) -> float:
-        return float(np.mean(self.ranks_at_alpha))
-
-    @property
     def rank_spread(self) -> int:
         """Spread between snapshots (Fig. 6's per-table variability)."""
         return max(self.ranks_at_alpha) - min(self.ranks_at_alpha)

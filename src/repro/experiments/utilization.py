@@ -79,12 +79,6 @@ class PowerComparison:
         base = self.inference_only.mean_power_w
         return (self.colocated.mean_power_w - base) / base
 
-    @property
-    def peak_power_increase(self) -> float:
-        peak_base = max(s.power_w for s in self.inference_only.samples)
-        peak_co = max(s.power_w for s in self.colocated.samples)
-        return (peak_co - peak_base) / peak_base
-
 
 @dataclass
 class WindowUtilization:

@@ -41,7 +41,6 @@ class InferenceLatencyModel:
         memory: the DRAM domain serving embedding misses.
         lookups_per_query: aggregate embedding rows fetched per served
             batch (hundreds of queries x tens of tables x pooled ids).
-        row_bytes: bytes per embedding row.
         seed: RNG seed for reproducible sampling.
     """
 
@@ -60,12 +59,10 @@ class InferenceLatencyModel:
         self,
         memory: MemoryBandwidthModel | None = None,
         lookups_per_query: int = 100_000,
-        row_bytes: int = 128,
         seed: int = 0,
     ) -> None:
         self.memory = memory or MemoryBandwidthModel()
         self.lookups_per_query = lookups_per_query
-        self.row_bytes = row_bytes
         self._rng = np.random.default_rng(seed)
 
     def mean_lookup_ms(

@@ -71,10 +71,6 @@ class TieredEmbeddingStore:
         self.stats = TierStats()
 
     # ------------------------------------------------------------- placement
-    @property
-    def hbm_rows(self) -> int:
-        return len(self._hbm)
-
     def preload_hot(self, ids: np.ndarray) -> int:
         """Pin the given ids into HBM (initial hot-set placement).
 

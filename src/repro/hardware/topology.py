@@ -13,16 +13,10 @@ from dataclasses import dataclass
 
 __all__ = ["CCD", "Socket", "NodeTopology", "EPYC_9684X_DUAL"]
 
-MB = 1024 ** 2
-CORES_PER_CCD = 8
-L3_BYTES_PER_CCD = 96 * MB
-DRAM_GBPS_PER_SOCKET = 460.8  # 12 x DDR5-4800 channels @ 38.4 GB/s
-
 
 @dataclass(frozen=True)
 class CCD:
-    """One Core Complex Die: ``CORES_PER_CCD`` cores sharing a private
-    ``L3_BYTES_PER_CCD`` L3 slice."""
+    """One Core Complex Die: 8 cores sharing a private 96 MB L3 slice."""
 
     ccd_id: int
     socket_id: int
@@ -34,14 +28,6 @@ class Socket:
 
     socket_id: int
     ccds: tuple[CCD, ...]
-
-    @property
-    def num_cores(self) -> int:
-        return CORES_PER_CCD * len(self.ccds)
-
-    @property
-    def total_l3_bytes(self) -> int:
-        return L3_BYTES_PER_CCD * len(self.ccds)
 
 
 @dataclass(frozen=True)
@@ -57,18 +43,6 @@ class NodeTopology:
     @property
     def num_ccds(self) -> int:
         return len(self.ccds)
-
-    @property
-    def num_cores(self) -> int:
-        return sum(s.num_cores for s in self.sockets)
-
-    @property
-    def total_l3_bytes(self) -> int:
-        return sum(s.total_l3_bytes for s in self.sockets)
-
-    @property
-    def total_dram_bandwidth_gbps(self) -> float:
-        return DRAM_GBPS_PER_SOCKET * len(self.sockets)
 
 
 def _build_epyc_dual() -> NodeTopology:

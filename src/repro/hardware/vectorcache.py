@@ -1,13 +1,22 @@
-"""Batched LRU cache model: whole access windows as array operations.
+"""Batched LRU cache models: whole access windows as array operations.
 
 A sequential LRU walks one ``OrderedDict`` operation per key, which caps a
 serving-window simulator at a couple of million accesses per second.  This
 module replaces the *per-key walk* without replacing the *semantics*:
 :class:`BatchLRUCache` consumes a whole per-window access array at once and
-returns hit masks, eviction events and byte traffic as vectors, while
-reproducing the sequential byte-capacity LRU (``tests/reference/cache.py``)
-bit-for-bit (hit/miss sequence, ``used_bytes``, eviction order) — a
-property pinned by randomized traces in ``tests/test_vectorcache.py``.
+returns a hit mask and an eviction count, while reproducing the sequential
+byte-capacity LRU (``tests/reference/cache.py``) bit-for-bit (hit/miss
+sequence, recency order, eviction count) — a property pinned by randomized
+traces in ``tests/test_vectorcache.py``.
+
+Both caches serve the one traffic shape the serving engine sends them:
+keys from a known universe ``[0, universe)`` and one entry size per cache
+lifetime.  Membership and recency live in direct-address planes over that
+universe (the same dense-lane idea as
+:class:`repro.core.kernels.IdSlotTable`), so no sorting or searching
+appears anywhere on the hot path.  A key outside the universe or a second
+entry size raises ``ValueError``: a negative key would otherwise wrap
+silently under numpy fancy indexing.
 
 How exactness survives batching
 -------------------------------
@@ -32,25 +41,12 @@ skips it; eviction first -> the touch is a miss that re-inserts the key and
 fires one more eviction).  :meth:`BatchLRUCache._resolve_chunk` settles
 that race exactly with an optimistic vectorized pass plus a short
 confirmation loop over the (rare) conflicting keys.
-
-Like :class:`repro.core.kernels.IdSlotTable`, the cache has a *dense lane*:
-when the id universe is known (``universe=`` — the serving simulator's key
-spaces are bounded by construction), membership and recency depth are one
-direct-address gather per batch and every remaining step is an O(chunk)
-scatter, so no sorting or searching appears anywhere on the hot path.
-Without a universe, each call compacts the ids it sees through one
-``np.unique`` and runs the same dense core in compact space — still exact,
-still batched, just paying one sort per call.
-
-Mixed entry sizes (or a batch whose size disagrees with the resident
-entries) fall back to an exact sequential replay, so every batch gets the
-scalar cache's answer, merely faster where it matters.
 """
 
 from __future__ import annotations
 
 import bisect
-from collections import OrderedDict
+import operator
 
 import numpy as np
 
@@ -85,324 +81,156 @@ def _kth_of_merged(a: np.ndarray, b: list, k: int) -> int:
 
 
 class BatchAccessResult:
-    """Vectorized outcome of one :meth:`BatchLRUCache.access_many` call.
+    """Outcome of one ``access_many`` call.
 
     Attributes
     ----------
     hit_mask : numpy.ndarray of bool
         Per-access hit flag, aligned with the ``keys`` argument.
-    fill_bytes : numpy.ndarray of int64
-        Per-access bytes fetched from the backing store (``0`` on a hit,
-        the entry size on a miss — bypassing oversized objects still pay
-        the fetch).  Materialised lazily.
-    evicted_keys : numpy.ndarray of int64
-        Keys evicted during the call, in eviction order.  Materialised
-        lazily from the per-chunk eviction runs.
-    evicted_bytes : numpy.ndarray of int64
-        Bytes released per eviction, aligned with ``evicted_keys``.
+    num_evictions : int
+        Entries evicted during the call (always ``0`` for
+        :class:`IntervalCache`, whose expiry is implicit).
     """
 
-    __slots__ = ("hit_mask", "_sizes", "_evicted_parts", "_num_hits")
+    __slots__ = ("hit_mask", "num_evictions")
 
-    def __init__(self, hit_mask, sizes, evicted_parts):
+    def __init__(self, hit_mask: np.ndarray, num_evictions: int) -> None:
         self.hit_mask = hit_mask
-        self._sizes = sizes  # scalar or per-access array
-        self._evicted_parts = evicted_parts  # list of (keys, size) runs
-        self._num_hits: int | None = None
-
-    @property
-    def fill_bytes(self) -> np.ndarray:
-        return np.where(self.hit_mask, 0, self._sizes).astype(np.int64)
-
-    @property
-    def evicted_keys(self) -> np.ndarray:
-        if not self._evicted_parts:
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate(
-            [k for k, _ in self._evicted_parts]
-        ).astype(np.int64)
-
-    @property
-    def evicted_bytes(self) -> np.ndarray:
-        return np.concatenate(
-            [np.full(k.size, s, dtype=np.int64) for k, s in self._evicted_parts]
-        ) if self._evicted_parts else np.empty(0, dtype=np.int64)
-
-    @property
-    def num_hits(self) -> int:
-        if self._num_hits is None:
-            self._num_hits = int(self.hit_mask.sum())
-        return self._num_hits
-
-    @property
-    def num_misses(self) -> int:
-        return int(self.hit_mask.size) - self.num_hits
-
-    @property
-    def num_evictions(self) -> int:
-        return sum(int(k.size) for k, _ in self._evicted_parts)
-
-    @property
-    def total_fill_bytes(self) -> int:
-        return int(self.fill_bytes.sum())
-
-    def stats(self, into: CacheStats | None = None) -> CacheStats:
-        """Fold the hit mask into a :class:`CacheStats` aggregate."""
-        into = into if into is not None else CacheStats()
-        into.hits += self.num_hits
-        into.misses += self.num_misses
-        return into
+        self.num_evictions = num_evictions
 
 
-class BatchLRUCache:
-    """Byte-capacity LRU over ``int64`` keys with batched array access.
-
-    Semantically identical to the sequential LRU in
-    ``tests/reference/cache.py`` (insert-on-miss, LRU eviction, oversized
-    objects bypass) but keyed by integers and built for
-    :meth:`access_many`: one call consumes a whole access window and
-    returns vectors instead of walking a dict per key.
+class _DenseCache:
+    """The boundary both caches share: a key universe, one entry size.
 
     Parameters
     ----------
     capacity_bytes : int
-        Total capacity; inserting beyond it evicts LRU entries.  Zero is
-        legal (everything misses).
-    universe : int, optional
-        When the key space is known to be ``[0, universe)``, a flat
-        direct-address depth array replaces every search on the hot path
-        (the same dense-lane idea as ``IdSlotTable``).  Keys outside the
-        universe bypass the cache (always miss, never insert).  Without a
-        universe any ``int64`` key is accepted and each ``access_many``
-        call compacts its ids through one ``np.unique``.
+        Total capacity.  Zero is legal (everything misses); an entry larger
+        than the capacity bypasses the cache (always misses, never
+        inserts), as in the sequential reference.
+    universe : int
+        The key space ``[0, universe)``; recency lives in direct-address
+        planes of this length.
     """
 
-    def __init__(self, capacity_bytes: int, universe: int | None = None) -> None:
+    def __init__(self, capacity_bytes: int, universe: int) -> None:
         if capacity_bytes < 0:
             raise ValueError("capacity must be non-negative")
-        if universe is not None and universe <= 0:
-            raise ValueError("universe must be positive when set")
-        if universe is not None and universe >= 1 << 31:
-            raise ValueError("universe must fit in int32")
+        if not 0 < universe < 1 << 31:
+            raise ValueError("universe must be positive and fit in int32")
         self.capacity_bytes = int(capacity_bytes)
-        self.universe = universe
-        self._order = np.empty(0, dtype=np.int64)  # keys, LRU -> MRU
-        self._sizes = np.empty(0, dtype=np.int64)  # aligned with _order
-        self._used = 0
-        self._depth_of = (
-            None if universe is None else np.full(universe, -1, dtype=np.int32)
-        )
+        self.universe = int(universe)
+        self._entry_size: int | None = None
+
+    def _admit(self, keys: np.ndarray, size: int) -> np.ndarray:
+        """Validate one call's arguments; returns the keys as ``int64``.
+
+        The checks run before any state changes, so a rejected call
+        leaves the cache as it was.
+        """
+        size = operator.index(size)
+        if size < 0:
+            raise ValueError("entry sizes must be non-negative")
+        if self._entry_size not in (None, size):
+            raise ValueError(
+                f"cache holds {self._entry_size}-byte entries, got {size}"
+            )
+        keys = np.ascontiguousarray(keys, dtype=np.int64)
+        if keys.size and (keys.min() < 0 or keys.max() >= self.universe):
+            raise ValueError(f"keys must lie in [0, {self.universe})")
+        self._entry_size = size
+        return keys
+
+    @staticmethod
+    def _result(
+        hit_mask: np.ndarray, num_evictions: int, stats: CacheStats | None
+    ) -> BatchAccessResult:
+        """The call's result, its hits folded into ``stats`` when given."""
+        if stats is not None:
+            hits = int(hit_mask.sum())
+            stats.hits += hits
+            stats.misses += hit_mask.size - hits
+        return BatchAccessResult(hit_mask, num_evictions)
+
+
+class BatchLRUCache(_DenseCache):
+    """Byte-capacity LRU over a dense key universe, one window per call.
+
+    Semantically identical to the sequential LRU in
+    ``tests/reference/cache.py`` (insert-on-miss, LRU eviction, oversized
+    objects bypass) for one entry size; one :meth:`access_many` call
+    consumes a whole access window and returns vectors instead of walking
+    a dict per key.  Parameters as for the shared base: ``capacity_bytes``
+    and the key ``universe``.
+    """
+
+    def __init__(self, capacity_bytes: int, universe: int) -> None:
+        super().__init__(capacity_bytes, universe)
+        self._order = np.empty(0, dtype=np.int32)  # keys, LRU -> MRU
+        self._depth_of = np.full(universe, -1, dtype=np.int32)
         # Scratch planes for the chunk kernels (first/last occurrence, uniq
         # ids), int32 to halve the random-access traffic.  Allocated once
         # and reused: reads are confined to the keys the current chunk just
         # wrote, so stale contents are harmless.
-        self._scratch = np.empty((3, 0), dtype=np.int32)
+        self._scratch = np.empty((3, universe), dtype=np.int32)
 
-    # ------------------------------------------------------------------ state
-    @property
-    def used_bytes(self) -> int:
-        return self._used
-
-    @property
-    def num_entries(self) -> int:
-        return int(self._order.size)
-
-    def __contains__(self, key: object) -> bool:
-        try:
-            k = int(key)  # type: ignore[arg-type]
-        except (TypeError, ValueError):
-            return False
-        if self._depth_of is not None:
-            return 0 <= k < self._depth_of.size and self._depth_of[k] >= 0
-        return bool((self._order == k).any())
-
-    def clear(self) -> None:
-        if self._depth_of is not None:
-            self._depth_of[self._order] = -1
-        self._order = np.empty(0, dtype=np.int64)
-        self._sizes = np.empty(0, dtype=np.int64)
-        self._used = 0
-
-    # ----------------------------------------------------------------- batch
     def access_many(
         self,
         keys: np.ndarray,
-        sizes: np.ndarray | int,
+        size: int,
         stats: CacheStats | None = None,
     ) -> BatchAccessResult:
-        """Touch a key sequence in order; returns per-access vectors.
+        """Touch a key sequence in order.
 
         Parameters
         ----------
-        keys : numpy.ndarray of int64
-            Access stream, in access order.  Duplicates are honoured
-            sequentially (a miss earlier in the batch turns later touches
-            of the same key into hits, subject to evictions).
-        sizes : int or numpy.ndarray of int64
-            Entry size per access; a scalar means one uniform size.  The
-            fast vectorized path requires the batch and the resident
-            entries to share one size — mixed sizes replay sequentially
-            (still exact, no longer batched).
+        keys : numpy.ndarray of int
+            Access stream in ``[0, universe)``, in access order.
+            Duplicates are honoured sequentially (a miss earlier in the
+            batch turns later touches of the same key into hits, subject
+            to evictions).
+        size : int
+            Entry size in bytes; one value per cache lifetime.
         stats : CacheStats, optional
             Aggregate accumulator updated in place when given.
-
-        Returns
-        -------
-        BatchAccessResult
-            Hit mask, per-access fill bytes and the eviction sequence.
         """
-        keys = np.ascontiguousarray(keys, dtype=np.int64)
-        n = keys.size
-        if n == 0:
-            return BatchAccessResult(np.zeros(0, dtype=bool), 0, [])
-        size_arr = None
-        if np.ndim(sizes) == 0:
-            s = int(sizes)
-        else:
-            size_arr = np.ascontiguousarray(sizes, dtype=np.int64)
-            if size_arr.size != n:
-                raise ValueError("keys and sizes disagree on length")
-            if (size_arr < 0).any():
-                raise ValueError("entry sizes must be non-negative")
-            if (size_arr == size_arr[0]).all():
-                s = int(size_arr[0])
-                size_arr = None
-            else:
-                s = -1
-        if size_arr is None and s < 0:
-            raise ValueError("entry sizes must be non-negative")
-
-        uniform_resident = self._order.size == 0 or bool(
-            (self._sizes == s).all()
-        )
-        if size_arr is not None or not uniform_resident:
-            per_size = (
-                size_arr
-                if size_arr is not None
-                else np.full(n, s, dtype=np.int64)
-            )
-            result = self._access_seq(keys, per_size)
-        else:
-            result = self._access_uniform(keys, s)
-        if stats is not None:
-            result.stats(stats)
-        return result
-
-    # ------------------------------------------------------- uniform fast path
-    def _access_uniform(self, keys: np.ndarray, s: int) -> BatchAccessResult:
+        keys = self._admit(keys, size).astype(np.int32)
         n = keys.size
         hit_mask = np.zeros(n, dtype=bool)
-        if s > self.capacity_bytes:
-            # Un-cacheable objects bypass; with a uniform resident size the
-            # cache is empty here, so every access misses and nothing inserts.
-            return BatchAccessResult(hit_mask, s, [])
-
-        if self._depth_of is not None:
-            in_range = (keys >= 0) & (keys < self._depth_of.size)
-            if in_range.all():
-                evicted = self._run_dense(keys, s, hit_mask)
-            else:
-                # Out-of-universe keys bypass; the in-range sub-stream runs
-                # through the dense core and the mask stitches back.
-                sub_hits = np.zeros(int(in_range.sum()), dtype=bool)
-                evicted = self._run_dense(keys[in_range], s, sub_hits)
-                hit_mask[in_range] = sub_hits
-        else:
-            evicted = self._run_sparse(keys, s, hit_mask)
-        return BatchAccessResult(hit_mask, s, [(ev, s) for ev in evicted])
-
-    def _run_dense(
-        self, keys: np.ndarray, s: int, hit_out: np.ndarray
-    ) -> list[np.ndarray]:
-        """Uniform-size batch against the persistent direct-address lane."""
-        self._order, evicted = self._run_core(
-            keys.astype(np.int32),
-            s,
-            self._depth_of,
-            self._order.astype(np.int32, copy=False),
-            hit_out,
-        )
-        self._sizes = np.full(self._order.size, s, dtype=np.int64)
-        self._used = int(self._order.size) * s
-        return evicted
-
-    def _run_sparse(
-        self, keys: np.ndarray, s: int, hit_out: np.ndarray
-    ) -> list[np.ndarray]:
-        """Uniform-size batch without a universe: compact ids, then dense."""
-        n_res = self._order.size
-        uniq_all, inverse = np.unique(
-            np.concatenate([self._order, keys]), return_inverse=True
-        )
-        inverse = inverse.astype(np.int32)
-        depth_of = np.full(uniq_all.size, -1, dtype=np.int32)
-        order_c = inverse[:n_res]
-        depth_of[order_c] = np.arange(n_res, dtype=np.int32)
-        order_c, evicted_c = self._run_core(
-            inverse[n_res:], s, depth_of, order_c, hit_out
-        )
-        self._order = uniq_all[order_c]
-        self._sizes = np.full(self._order.size, s, dtype=np.int64)
-        self._used = int(self._order.size) * s
-        return [uniq_all[ev] for ev in evicted_c]
-
-    def _run_core(
-        self,
-        keys: np.ndarray,
-        s: int,
-        depth_of: np.ndarray,
-        order: np.ndarray,
-        hit_out: np.ndarray,
-    ) -> list[np.ndarray]:
-        """Chunked exact LRU over a compact key space.
-
-        ``depth_of`` maps key -> recency depth (-1 absent) and ``order``
-        maps depth -> key; ``depth_of`` is updated in place.  Returns the
-        final recency order plus the per-chunk eviction runs; callers
-        store/translate them for their key space (dense keeps them as-is,
-        sparse maps compact ids back).
-        """
-        n = keys.size
-        cap = self.capacity_bytes // s if s > 0 else n + order.size
+        s = self._entry_size
+        if n == 0 or s > self.capacity_bytes:
+            return self._result(hit_mask, 0, stats)
+        cap = self.capacity_bytes // s if s > 0 else n + self._order.size
         # Chunks anywhere <= cap are exact; fractions of cap are faster in
         # practice — an evict-then-retouch race only needs resolving when
         # both ends land in the SAME chunk, so shorter chunks turn most
         # races into ordinary cross-chunk misses on the cheap path.
         chunk = max(1, min(cap, max(cap // 4, 4096), _MAX_CHUNK))
         positions = np.arange(min(chunk, n), dtype=np.int32)
-        evicted_parts: list[np.ndarray] = []
+        evictions = 0
         for lo in range(0, n, chunk):
             hi = min(lo + chunk, n)
-            order, ev = self._access_chunk(
-                keys[lo:hi],
-                cap,
-                depth_of,
-                order,
-                hit_out[lo:hi],
-                positions[: hi - lo],
+            evictions += self._access_chunk(
+                keys[lo:hi], cap, hit_mask[lo:hi], positions[: hi - lo]
             )
-            if ev.size:
-                evicted_parts.append(ev)
-        return order, evicted_parts
+        return self._result(hit_mask, evictions, stats)
 
     def _access_chunk(
         self,
         chunk: np.ndarray,
         cap: int,
-        depth_of: np.ndarray,
-        order: np.ndarray,
         hit_out: np.ndarray,
         positions: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """One <=cap-length chunk: fills ``hit_out``, returns (order, evicted).
+    ) -> int:
+        """One <=cap-length chunk: fills ``hit_out``, returns the eviction
+        count and leaves ``_order`` / ``_depth_of`` at the chunk's end.
 
         Sort-free: distinct keys, first/last occurrences and membership all
-        come from scatter/gather against the compact key space.
+        come from scatter/gather against the key universe.
         """
+        order, depth_of = self._order, self._depth_of
         n_res = order.size
         size = chunk.size
-        if self._scratch.shape[1] < depth_of.size:
-            self._scratch = np.empty((3, depth_of.size), dtype=np.int32)
         first_of, uid_of, last_of = self._scratch
         # First occurrence per key: reversed scatter makes the first write
         # win; a position is "first" iff the scatter kept it.
@@ -474,9 +302,9 @@ class BatchLRUCache:
         rank_u = np.cumsum(seen)[last_pos] - 1
         tail = np.empty(n_uniq, dtype=np.int32)
         tail[rank_u] = uniq
-        new_order = np.concatenate([order[surv], tail])
-        depth_of[new_order] = np.arange(new_order.size, dtype=np.int32)
-        return new_order, evicted
+        self._order = np.concatenate([order[surv], tail])
+        depth_of[self._order] = np.arange(self._order.size, dtype=np.int32)
+        return int(evicted.size)
 
     @staticmethod
     def _resolve_chunk(
@@ -639,56 +467,8 @@ class BatchLRUCache:
         if below:
             evicted_depth[below] = False
 
-    # ------------------------------------------------------ sequential fallback
-    def _access_seq(
-        self, keys: np.ndarray, sizes: np.ndarray
-    ) -> BatchAccessResult:
-        """Exact sequential replay for mixed-size batches."""
-        entries: OrderedDict[int, int] = OrderedDict(
-            zip(self._order.tolist(), self._sizes.tolist())
-        )
-        used = self._used
-        cap = self.capacity_bytes
-        bound = None if self._depth_of is None else self._depth_of.size
-        hit_mask = np.zeros(keys.size, dtype=bool)
-        evicted_keys: list[int] = []
-        evicted_bytes: list[int] = []
-        # repro-lint: disable=hot-loop -- exact sequential reference for mixed-size batches; the batched lanes above handle the uniform-size hot shapes
-        for j, (k, s) in enumerate(zip(keys.tolist(), sizes.tolist())):
-            if k in entries:
-                entries.move_to_end(k)
-                hit_mask[j] = True
-                continue
-            if s > cap:
-                continue
-            if bound is not None and not 0 <= k < bound:
-                continue  # outside the dense universe: bypass
-            entries[k] = s
-            used += s
-            while used > cap:
-                ev_k, ev_s = entries.popitem(last=False)
-                used -= ev_s
-                evicted_keys.append(ev_k)
-                evicted_bytes.append(ev_s)
-        if self._depth_of is not None:
-            self._depth_of[self._order] = -1
-        self._order = np.fromiter(
-            entries.keys(), dtype=np.int64, count=len(entries)
-        )
-        self._sizes = np.fromiter(
-            entries.values(), dtype=np.int64, count=len(entries)
-        )
-        self._used = used
-        if self._depth_of is not None:
-            self._depth_of[self._order] = np.arange(self._order.size, dtype=np.int64)
-        parts = [
-            (np.array([k], dtype=np.int64), sz)
-            for k, sz in zip(evicted_keys, evicted_bytes)
-        ]
-        return BatchAccessResult(hit_mask, sizes, parts)
 
-
-class IntervalCache:
+class IntervalCache(_DenseCache):
     """CLOCK-style coarse-recency cache: resident = touched recently.
 
     The issue with exact LRU is that eviction *order* serialises the
@@ -706,121 +486,34 @@ class IntervalCache:
     (last-touch gather, window compare, scatter update), with no per-key
     or per-eviction work at all, which is what lets the serving-window
     engine consume production-scale windows at memory speed.  The exact
-    twin, :class:`BatchLRUCache`, stays available as the
-    ``cache_policy="lru"`` mode of the serving engine and as the reference
-    the property tests pin against.
-
-    Parameters
-    ----------
-    capacity_bytes : int
-        Byte capacity; entries silently expire once ``W`` younger accesses
-        have gone by.
-    universe : int
-        The key space ``[0, universe)`` (required — recency lives in a
-        direct-address plane).  Keys outside bypass (always miss).
+    twin, :class:`BatchLRUCache`, is the ``cache_policy="lru"`` mode of the
+    serving engine.  Parameters as for the shared base: ``capacity_bytes``
+    (entries silently expire once ``W`` younger accesses have gone by) and
+    the key ``universe``.
     """
 
     def __init__(self, capacity_bytes: int, universe: int) -> None:
-        if capacity_bytes < 0:
-            raise ValueError("capacity must be non-negative")
-        if universe is None or universe <= 0:
-            raise ValueError("IntervalCache requires a positive universe")
-        if universe >= 1 << 31:
-            raise ValueError("universe must fit in int32")
-        self.capacity_bytes = int(capacity_bytes)
-        self.universe = int(universe)
+        super().__init__(capacity_bytes, universe)
         self._last = np.full(universe, np.iinfo(np.int64).min // 2, dtype=np.int64)
-        self._first_scratch = np.empty(0, dtype=np.int32)
+        self._first_scratch = np.empty(universe, dtype=np.int32)
         self._tick = 0  # absolute position of the next access
-        self._entry_size: int | None = None
 
-    # ------------------------------------------------------------------ state
-    @property
-    def used_bytes(self) -> int:
-        return self.num_entries * (self._entry_size or 0)
-
-    @property
-    def num_entries(self) -> int:
-        # Lazy O(universe) scan: nothing on the hot path reads residency,
-        # and ``_last`` + the clock already hold the full state.
-        if self._entry_size is None:
-            return 0
-        return int(
-            (self._last >= self._tick - self._window(self._entry_size)).sum()
-        )
-
-    def _window(self, s: int) -> int:
-        return self.capacity_bytes // s if s > 0 else 1 << 62
-
-    def __contains__(self, key: object) -> bool:
-        try:
-            k = int(key)  # type: ignore[arg-type]
-        except (TypeError, ValueError):
-            return False
-        if not 0 <= k < self.universe or self._entry_size is None:
-            return False
-        return self._tick - self._last[k] <= self._window(self._entry_size)
-
-    def clear(self) -> None:
-        # Lazy: jumping the clock past any window expires everything.
-        self._tick += self.universe + (
-            self._window(self._entry_size) if self._entry_size else 0
-        )
-
-    # ----------------------------------------------------------------- access
     def access_many(
         self,
         keys: np.ndarray,
-        sizes: np.ndarray | int,
+        size: int,
         stats: CacheStats | None = None,
     ) -> BatchAccessResult:
-        """Touch a key sequence in order; returns per-access vectors.
-
-        Same contract as :meth:`BatchLRUCache.access_many`, minus the
-        eviction *sequence*: expiry is implicit, so ``evicted_keys`` is
-        always empty while ``used_bytes`` tracks the resident count
-        exactly for this model.  Requires one uniform entry size per
-        cache lifetime (the serving engine's workloads are row-granular).
-        """
-        keys = np.ascontiguousarray(keys, dtype=np.int64)
+        """Touch a key sequence in order; same contract as
+        :meth:`BatchLRUCache.access_many`, and ``num_evictions`` is always
+        ``0``: expiry is implicit."""
+        keys = self._admit(keys, size)
         n = keys.size
-        if np.ndim(sizes) != 0:
-            arr = np.ascontiguousarray(sizes, dtype=np.int64)
-            if arr.size != n:
-                raise ValueError("keys and sizes disagree on length")
-            if n and not (arr == arr[0]).all():
-                raise ValueError("IntervalCache entries must share one size")
-            s = int(arr[0]) if n else 0
-        else:
-            s = int(sizes)
-        if s < 0:
-            raise ValueError("entry sizes must be non-negative")
-        if n == 0:
-            return BatchAccessResult(np.zeros(0, dtype=bool), s, [])
-        if self._entry_size is None:
-            self._entry_size = s
-        elif s != self._entry_size:
-            raise ValueError("IntervalCache entries must share one size")
-        w = self._window(s)
-        hit_mask = np.empty(n, dtype=bool)
-        in_range = (keys >= 0) & (keys < self.universe)
-        if not in_range.all():
-            # Out-of-universe keys bypass (always miss, never touch state
-            # or age the clock), matching BatchLRUCache's dense-lane
-            # contract; the in-range sub-stream recurses and stitches back.
-            hit_mask[:] = False
-            hit_mask[in_range] = self.access_many(keys[in_range], s).hit_mask
-            result = BatchAccessResult(hit_mask, s, [])
-            if stats is not None:
-                result.stats(stats)
-            return result
-        if s > self.capacity_bytes:
-            hit_mask[:] = False  # oversized objects bypass
-        else:
-            last = self._last
-            if self._first_scratch.size < self.universe:
-                self._first_scratch = np.empty(self.universe, dtype=np.int32)
-            first_of = self._first_scratch
+        s = self._entry_size
+        hit_mask = np.zeros(n, dtype=bool)
+        if s <= self.capacity_bytes:  # an oversized entry always misses
+            w = self.capacity_bytes // s if s > 0 else 1 << 62
+            last, first_of = self._last, self._first_scratch
             # Blocks no longer than the window: a repeat inside one block
             # is by construction within the window (a guaranteed hit), so
             # only each block's first occurrence consults the last-touch
@@ -842,7 +535,4 @@ class IntervalCache:
                 np.less_equal(pos - prev, w, out=sub)
                 sub[~is_first] = True
         self._tick += n
-        result = BatchAccessResult(hit_mask, s, [])
-        if stats is not None:
-            result.stats(stats)
-        return result
+        return self._result(hit_mask, 0, stats)

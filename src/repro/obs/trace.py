@@ -142,11 +142,6 @@ class Tracer:
         if advance is not None:
             advance(seconds)
 
-    @property
-    def active_depth(self) -> int:
-        """How many spans are currently open (nesting depth)."""
-        return len(self._stack)
-
     def dump(self) -> list[dict]:
         """Completed spans as JSON-friendly dicts, completion order."""
         return [s.as_dict() for s in self.spans]

@@ -37,6 +37,8 @@ MB = 1024 ** 2
 LOOKUPS_PER_BATCH = 200_000
 # A trainer step fires once every this many inference bursts.
 TRAINER_BURST_EVERY = 8
+# Bytes per embedding row: the one entry size every simulated cache holds.
+ROW_BYTES = 128
 
 
 @dataclass
@@ -45,7 +47,6 @@ class NodeSimConfig:
 
     Attributes:
         num_rows: embedding rows on this node's partition.
-        row_bytes: bytes per row.
         accesses_per_window: inference lookups simulated per window.
         cache_policy: L3 model backing the window simulation.
             ``"interval"`` (default) is the CLOCK-style coarse-recency
@@ -57,7 +58,6 @@ class NodeSimConfig:
     """
 
     num_rows: int = 200_000
-    row_bytes: int = 128
     accesses_per_window: int = 100_000
     cache_policy: str = "interval"
     seed: int = 0
@@ -114,7 +114,6 @@ class ColocatedNodeSimulator:
         self.latency = InferenceLatencyModel(
             memory=self.memory,
             lookups_per_query=LOOKUPS_PER_BATCH,
-            row_bytes=cfg.row_bytes,
             seed=cfg.seed,
         )
 
@@ -163,16 +162,15 @@ class ColocatedNodeSimulator:
         training_on: bool,
         reuse_ratio: float = 0.0,
     ) -> MemoryTraffic:
-        cfg = self.config
         # 2,000 served batches/s; the trainer reads 50,000 samples/s at
         # 320 lookups each, half of its traffic writes
         traffic = MemoryBandwidthModel.inference_traffic(
-            2_000.0, LOOKUPS_PER_BATCH, cfg.row_bytes, inf_hit
+            2_000.0, LOOKUPS_PER_BATCH, ROW_BYTES, inf_hit
         )
         if training_on:
             effective_rate = 50_000.0 * (1.0 - reuse_ratio)
             traffic = traffic + MemoryBandwidthModel.training_traffic(
-                effective_rate, 320, cfg.row_bytes, train_hit, write_fraction=0.5
+                effective_rate, 320, ROW_BYTES, train_hit, write_fraction=0.5
             )
         return traffic
 
@@ -251,7 +249,7 @@ class ColocatedNodeSimulator:
         # been running for hours, so first-touch cold misses are not part
         # of the measured window.
         warm = self._inference_sampler.sample(cfg.accesses_per_window)
-        cache_inf.access_many(warm, cfg.row_bytes)
+        cache_inf.access_many(warm, ROW_BYTES)
         if shared_cache and training_on:
             # Naive co-location: trainer threads run *concurrently* with the
             # server on neighbouring cores, so accesses interleave at cache
@@ -261,9 +259,7 @@ class ColocatedNodeSimulator:
                 name, cache_inf, inf, reads, writes, remote_fraction
             )
         inf_stats, train_stats = CacheStats(), CacheStats()
-        evictions = cache_inf.access_many(
-            inf, cfg.row_bytes, stats=inf_stats
-        ).num_evictions
+        evictions = cache_inf.access_many(inf, ROW_BYTES, stats=inf_stats).num_evictions
         absorbed = 0
         if training_on:
             burst = 256  # lookups per inference burst
@@ -305,7 +301,7 @@ class ColocatedNodeSimulator:
                 )
             if pieces:
                 evictions += cache_train.access_many(
-                    np.concatenate(pieces), cfg.row_bytes, stats=train_stats
+                    np.concatenate(pieces), ROW_BYTES, stats=train_stats
                 ).num_evictions
         n_train = len(reads) + len(writes)
         reuse_ratio = absorbed / n_train if (reuse and n_train) else 0.0
@@ -365,7 +361,7 @@ class ColocatedNodeSimulator:
             merged[pos_w] = writes + 2 * num_rows
             is_inf = np.zeros(total, dtype=bool)
             is_inf[pos_inf] = True
-            result = cache.access_many(merged, cfg.row_bytes)
+            result = cache.access_many(merged, ROW_BYTES)
             evictions = result.num_evictions
             inf_mask = result.hit_mask[is_inf]
             train_mask = result.hit_mask[~is_inf]

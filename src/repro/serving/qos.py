@@ -48,13 +48,6 @@ class SLAReport:
     num_timed_out: int = 0
     num_shed: int = 0
 
-    @property
-    def clean_fraction(self) -> float:
-        """Share of the window answered cleanly (no hedge, no degrade)."""
-        if not self.num_requests:
-            return 0.0
-        return self.num_clean / self.num_requests
-
 
 class SLAMonitor:
     """Sliding-window tail-latency monitor.

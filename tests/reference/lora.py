@@ -62,7 +62,7 @@ def accumulate_grad_sequential(adapter, ids, grad_rows, lr: float):
     ``(A, B, rows applied)`` after applying each ``(id, gradient)`` pair in
     order — the semantics every vectorised form has to reproduce."""
     a, b = adapter.a.copy(), adapter.b.copy()
-    slot_of = dict(zip(adapter.active_ids.tolist(), adapter.active_slots.tolist()))
+    slot_of = dict(zip(adapter.active_ids.tolist(), adapter._slots.slots.tolist()))
     # Fresh slots are handed out in ascending order after the ones in use.
     free = [s for s in range(adapter.capacity - 1, -1, -1) if s not in set(slot_of.values())]
     grad_b = np.zeros_like(b)

@@ -6,6 +6,8 @@ answer to "what does every replica hold".  No workload reads rows by id
 or audits replicas, so both left ``src/``; the tests keep them as the
 oracles the delta path and repair are checked against.  Both read
 through the shards' own ``pull_rows_versions`` / ``export_table``.
+``staged_rows`` counts what a client holds for its next flush, which the
+tests check survives a refused publish.
 """
 
 from __future__ import annotations
@@ -13,6 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+
+def staged_rows(client) -> int:
+    """Rows staged on a ``ShardClient`` and not yet flushed."""
+    return sum(ids.size for parts in client._staged.values() for ids, _ in parts)
 
 
 def pull_rows(store, table: str, indices) -> tuple[np.ndarray, np.ndarray]:

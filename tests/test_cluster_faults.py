@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from faultlib import random_schedule
-from reference.replication import check_replica_convergence
+from reference.replication import check_replica_convergence, staged_rows
 from repro.cluster.faults import FaultEvent, FaultPlane, FaultSchedule
 from repro.cluster.nodes import InferenceNode, TrainingCluster
 from repro.cluster.shardstore import QuorumError, ShardedParameterStore
@@ -169,7 +169,7 @@ class TestFacadeFailureSemantics:
         server.kill_shard(1)  # R=3 over 4 shards: some row must lose quorum
         with pytest.raises(QuorumError):
             trainer.publish_changed_rows()
-        staged = trainer.client.staged_rows
+        staged = staged_rows(trainer.client)
         assert staged > 0  # the window survived the refusal
         assert server.version == 0
         server.revive_shard(0)

@@ -18,7 +18,7 @@ def deactivate(adapter, idx):
 
 def slot_of(adapter, idx):
     hit = np.flatnonzero(adapter.active_ids == idx)
-    return int(adapter.active_slots[hit[0]]) if hit.size else None
+    return int(adapter._slots.slots[hit[0]]) if hit.size else None
 
 
 def is_active(adapter, idx):

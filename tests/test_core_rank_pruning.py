@@ -89,7 +89,7 @@ class TestRankMonitor:
         m = RankMonitor()
         for _ in range(10):
             m.observe(_lowrank_matrix(20, 8, 2))
-        assert m.num_observations == 8  # the window keeps the last 8
+        assert len(m._observed) == 8  # the window keeps the last 8
 
     def test_observe_returns_instantaneous_rank(self):
         m = RankMonitor(alpha=0.99)

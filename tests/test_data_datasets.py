@@ -28,7 +28,7 @@ class TestTableII:
     def test_public_sets_match_paper_sizes(self):
         assert AVAZU.dataset_gb == pytest.approx(4.7, rel=0.01)
         assert CRITEO.dataset_gb == pytest.approx(11.0, rel=0.01)
-        assert AVAZU.embedding_tb * 1024 == pytest.approx(0.55, rel=0.01)
+        assert AVAZU.embedding_bytes / TB * 1024 == pytest.approx(0.55, rel=0.01)
 
 
 class TestScaledTableSizes:

@@ -36,16 +36,6 @@ class TestRetention:
         assert len(buf) == 8  # t=0 evicted (150 - 0 > 100)
         assert buf.total_evicted == 4
 
-    def test_stats(self):
-        buf = InferenceLogBuffer(retention_s=100)
-        assert buf.stats().num_samples == 0
-        buf.append(_batch(5.0))
-        buf.append(_batch(25.0))
-        st = buf.stats(bytes_per_sample=100)
-        assert st.num_batches == 2
-        assert st.span_seconds == pytest.approx(20.0)
-        assert st.approx_bytes == 800
-
 
 class TestSampling:
     def test_empty_buffer_returns_none(self):
@@ -147,4 +137,3 @@ class TestRingAgainstListOracle:
             oracle.append(batch)
             self._check(buf, oracle, step)
         assert buf.total_evicted == 180
-        assert buf.stats().num_batches == 6

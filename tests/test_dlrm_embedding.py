@@ -23,10 +23,6 @@ class TestSparseRowGrad:
         with pytest.raises(ValueError):
             SparseRowGrad(np.array([1, 2]), np.zeros((3, 4)))
 
-    def test_nnz(self):
-        grad = SparseRowGrad(np.array([0, 2]), np.array([[3.0, 4.0], [0.0, 0.0]]))
-        assert grad.nnz_rows == 2
-
 
 class TestEmbeddingTable:
     def test_init_validates(self):

@@ -52,7 +52,7 @@ def ref_grad_from_output(dim, ids, grad_out):
 
 def ref_overlay_forward(weight, adapter, ids, hot):
     """Seed adapted lookup: ``W[i] + A[slot(i)] B`` per active, hot id."""
-    slot_of = dict(zip(adapter.active_ids.tolist(), adapter.active_slots.tolist()))
+    slot_of = dict(zip(adapter.active_ids.tolist(), adapter._slots.slots.tolist()))
     out = np.zeros((ids.size, weight.shape[1]))
     for j, i in enumerate(ids.tolist()):
         out[j] = weight[i]

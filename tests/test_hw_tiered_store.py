@@ -44,7 +44,7 @@ class TestLookup:
     def test_promotion_respects_capacity(self, store):
         for i in range(30):
             store.lookup(np.array([i]))
-        assert store.hbm_rows == 10
+        assert len(store._hbm) == 10
 
     def test_promotion_can_be_disabled(self, weight):
         store = TieredEmbeddingStore(

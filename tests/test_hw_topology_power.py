@@ -6,25 +6,18 @@ import pytest
 from repro.hardware.power import CPUPowerModel, DiurnalLoadTrace
 from repro.hardware.topology import EPYC_9684X_DUAL, CCD, NodeTopology, Socket
 
-MB = 1024 ** 2
-
 
 class TestTopology:
     def test_paper_node_shape(self):
         topo = EPYC_9684X_DUAL
         assert topo.num_ccds == 16           # 2 sockets x 8 CCDs
-        assert topo.total_l3_bytes == 16 * 96 * MB
-
-    def test_core_counts(self):
-        topo = EPYC_9684X_DUAL
-        assert topo.num_cores == 16 * 8
-        assert topo.sockets[0].num_cores == 64
+        assert [len(s.ccds) for s in topo.sockets] == [8, 8]
+        assert [c.socket_id for c in topo.ccds] == [0] * 8 + [1] * 8
 
     def test_custom_topology(self):
         ccds = tuple(CCD(ccd_id=i, socket_id=0) for i in range(4))
         topo = NodeTopology(sockets=(Socket(0, ccds),))
         assert topo.num_ccds == 4
-        assert topo.total_dram_bandwidth_gbps == pytest.approx(460.8)
 
 
 class TestPowerModel:

@@ -228,7 +228,7 @@ class TestLoRAEquivalence:
         adapter.a[:] = rng.normal(size=adapter.a.shape)
         id_to_slot = {
             int(i): int(s)
-            for i, s in zip(adapter.active_ids, adapter.active_slots)
+            for i, s in zip(adapter.active_ids, adapter._slots.slots)
         }
         for _ in range(5):
             ids = rng.integers(0, 2000, size=200)
@@ -246,7 +246,7 @@ class TestLoRAEquivalence:
         adapter.a[:10] = rng.normal(size=(10, 4))
         id_to_slot = {
             int(i): int(s)
-            for i, s in zip(adapter.active_ids, adapter.active_slots)
+            for i, s in zip(adapter.active_ids, adapter._slots.slots)
         }
         free = fresh_free_list(adapter.capacity, used=10)
         ids = rng.integers(0, 100, size=120)  # many new ids + repeats

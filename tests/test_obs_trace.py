@@ -51,9 +51,9 @@ class TestTracer:
         with tracer.span("outer.op") as outer:
             tracer.advance(1.0)
             with tracer.span("inner.op", rows=3) as inner:
-                assert tracer.active_depth == 2
+                assert len(tracer._stack) == 2
                 tracer.advance(0.5)
-        assert tracer.active_depth == 0
+        assert not tracer._stack
         assert inner.parent_id == outer.span_id
         assert inner.duration == pytest.approx(0.5)
         assert outer.duration == pytest.approx(1.5)

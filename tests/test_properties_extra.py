@@ -39,7 +39,7 @@ def test_tiered_store_conservation(ids, hbm):
     assert store.stats.hbm_hits + store.stats.dram_hits == len(ids)
     assert latency > 0
     np.testing.assert_array_equal(rows, weight[arr])
-    assert store.hbm_rows <= hbm
+    assert len(store._hbm) <= hbm
 
 
 @given(

@@ -20,11 +20,13 @@ literal under ``benchmarks/`` names it (``SpanRecorder.patch(store,
 ``getattr`` / ``hasattr`` / ``setattr`` in ``src/`` names it, or when it
 is ``@register``-ed.  ``__all__`` lists, ``repro.core``'s lazy
 ``_EXPORTS`` and package ``__init__`` re-imports reach nothing, as for
-modules.  Dunders and ``@property`` accessors are out of scope.  Matching
-is by name, so a collision counts as reached, which errs safe.  Each
-flagged symbol is deleted, moved to ``tests/reference/`` when the tests
-use it as an oracle, or given a caller in a workload, benchmark or
-example.
+modules.  ``@property`` and ``@cached_property`` accessors are symbols
+too, reached the same way (a read is an ``Attribute`` of their name); a
+property's own ``@x.setter`` / ``@x.deleter`` companions go with it and
+do not reach it.  Dunders are out of scope.  Matching is by name, so a
+collision counts as reached, which errs safe.  Each flagged symbol is
+deleted, moved to ``tests/reference/`` when the tests use it as an
+oracle, or given a caller in a workload, benchmark or example.
 
 The parameter guard goes one level further down, again with the same
 roots and no allow-list: every defaulted parameter of every ``src/``
@@ -207,23 +209,24 @@ def _decorator_names(node) -> set[str]:
     return out
 
 
-_ACCESSORS = {"property", "cached_property", "setter", "getter", "deleter"}
+_COMPANIONS = {"setter", "getter", "deleter"}
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def _symbols(tree: ast.Module):
-    """``(qualified name, node)`` of every top-level def and class method
-    the guard checks: no dunders, no ``@property`` accessors."""
+    """``(qualified name, node, body)`` of every top-level def and class
+    method or property the guard checks; ``body`` is the nodes whose own
+    mentions of the name do not reach it (a property's companions too)."""
     for node in tree.body:
         if not isinstance(node, _DEFS):
             continue
-        yield node.name, node
+        yield node.name, node, [node]
         if isinstance(node, ast.ClassDef):
-            for item in node.body:
-                if isinstance(item, _DEFS[:2]) and not (
-                    _decorator_names(item) & _ACCESSORS
-                ):
-                    yield f"{node.name}.{item.name}", item
+            methods = [item for item in node.body if isinstance(item, _DEFS[:2])]
+            for item in methods:
+                if not _decorator_names(item) & _COMPANIONS:
+                    body = [m for m in methods if m.name == item.name]
+                    yield f"{node.name}.{item.name}", item, body
 
 
 def _string_names(tree: ast.Module, probes_only: bool) -> set[str]:
@@ -268,14 +271,14 @@ def unreached_symbols(
     missing = []
     for path in files:
         own = names.get(path) or _names(_tree(path))
-        for qual, node in _symbols(_tree(path)):
+        for qual, node, body in _symbols(_tree(path)):
             name = node.name
             if (
                 name.startswith("__") and name.endswith("__")
                 or "register" in _decorator_names(node)
                 or name in by_string
                 or named_in.get(name, set()) - {path}
-                or own[name] > _names(node)[name]
+                or own[name] > sum(_names(part)[name] for part in body)
             ):
                 continue
             missing.append(f"{path.relative_to(src.parent)}:{node.lineno} {qual}")
@@ -334,7 +337,7 @@ _PLANTED = {
         "\n"
         "def use(store):\n"
         "    store.caller()\n"
-        "    return getattr(store, 'probed', None)\n"
+        "    return store.view, getattr(store, 'probed', None)\n"
     ),
     "benchmarks/bench.py": (
         "from pkg.user import use\n"
@@ -365,6 +368,55 @@ def test_symbol_guard_counts_patch_strings_probes_and_register(tmp_path):
     assert "src/pkg/mod.py:6 Store.pull" in unreached_symbols(
         root / "src", bench, []
     )
+
+
+_PLANTED_PROPERTIES = {
+    "src/pkg/__init__.py": "",
+    "src/pkg/box.py": (
+        "from functools import cached_property\n"
+        "\n"
+        "class Box:\n"
+        "    def __init__(self):\n"
+        "        self._n = 1\n"
+        "    @property\n"
+        "    def size(self):\n"
+        "        return self._n\n"
+        "    @property\n"
+        "    def twice(self):\n"
+        "        return 2 * self._n\n"
+        "    @property\n"
+        "    def unread(self):\n"
+        "        return self._n\n"
+        "    @unread.setter\n"  # its own setter does not reach it
+        "    def unread(self, value):\n"
+        "        self._n = value\n"
+        "    @cached_property\n"
+        "    def lazy(self):\n"
+        "        return self.lazy\n"  # nor does its own body
+        "    def grow(self):\n"
+        "        return self.twice\n"  # a read in its own module does
+    ),
+    "benchmarks/bench.py": (
+        "from pkg.box import Box\n"
+        "\n"
+        "def run():\n"
+        "    box = Box()\n"
+        "    return box.size, box.grow()\n"
+    ),
+}
+
+
+def test_symbol_guard_flags_a_planted_unread_property(tmp_path):
+    root = _plant(tmp_path, _PLANTED_PROPERTIES)
+    bench = [root / "benchmarks" / "bench.py"]
+    missing = unreached_symbols(root / "src", bench, bench)
+    assert missing == ["src/pkg/box.py:13 Box.unread", "src/pkg/box.py:19 Box.lazy"]
+    # the benchmark's read is what reaches ``size``
+    files = dict(_PLANTED_PROPERTIES)
+    files["benchmarks/bench.py"] = files["benchmarks/bench.py"].replace("box.size", "box")
+    root = _plant(tmp_path / "unread", files)  # a fresh path: trees are cached
+    bench = [root / "benchmarks" / "bench.py"]
+    assert "src/pkg/box.py:7 Box.size" in unreached_symbols(root / "src", bench, bench)
 
 
 def test_every_export_resolves():

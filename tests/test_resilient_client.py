@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from reference.replication import pull_rows
+from reference.replication import pull_rows, staged_rows
 from repro.cluster.faults import FaultEvent, FaultPlane, FaultSchedule
 from repro.cluster.resilience import DegradedReadError, ResiliencePolicy
 from repro.cluster.resilience.policy import DEADLINE_S, MAX_ATTEMPTS, backoff_s
@@ -333,7 +333,7 @@ class TestRetryHeal:
         assert report.retries == 1
         assert policy.clock.now() == pytest.approx(backoff_s(1, key=0))
         assert store.version == version_before + 1
-        assert client.staged_rows == 0
+        assert staged_rows(client) == 0
         found, rows = pull_rows(store, "emb", np.arange(8))
         assert bool(found.all()) and float(rows.min()) == float(rows.max()) == 3.0
 
@@ -350,7 +350,7 @@ class TestRetryHeal:
         # a backoff between attempts, on the policy's clock
         waited = sum(backoff_s(a, key=0) for a in range(1, MAX_ATTEMPTS))
         assert policy.clock.now() == pytest.approx(waited)
-        assert client.staged_rows == 8  # nothing lost
+        assert staged_rows(client) == 8  # nothing lost
         assert store.version == 1  # nothing half-applied
         for sid in list(store.down_shard_ids):
             store.revive_shard(sid)

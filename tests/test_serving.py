@@ -153,7 +153,6 @@ class TestSLAOutcomeClasses:
             report.num_clean + report.num_hedged + report.num_degraded
             + report.num_timed_out + report.num_shed
         ) == report.num_requests
-        assert report.clean_fraction == pytest.approx(0.5)
 
     def test_counts_split_across_windows(self):
         mon = SLAMonitor(p99_target_ms=10, window_requests=4)
@@ -172,7 +171,6 @@ class TestSLAOutcomeClasses:
         samples = np.linspace(1.0, 9.0, 100)
         (report,) = mon.observe(samples)
         assert report.num_clean == report.num_requests == 100
-        assert report.clean_fraction == 1.0
         # and the latency summary is bit-identical to an explicit
         # all-clean call — the pre-resilience behaviour
         explicit = SLAMonitor(p99_target_ms=10, window_requests=100)
@@ -190,12 +188,3 @@ class TestSLAOutcomeClasses:
         mon = SLAMonitor(window_requests=10)
         with pytest.raises(KeyError):
             mon.observe(np.full(1, 1.0), outcomes=["mystery"])
-
-    def test_empty_window_clean_fraction_is_zero(self):
-        from repro.serving.qos import SLAReport
-
-        report = SLAReport(
-            window_id=1, p50_ms=0.0, p95_ms=0.0, p99_ms=0.0,
-            violated=False, num_requests=0,
-        )
-        assert report.clean_fraction == 0.0

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from reference.replication import staged_rows
 from repro.cluster.shardstore import ShardClient, ShardedParameterStore
 
 
@@ -18,7 +19,7 @@ class TestStagedPublish:
         client.stage("b", np.arange(5), np.ones((5, 4)))
         client.stage("a", np.arange(10, 14), np.ones((4, 4)))
         assert store.version == 0  # nothing hit the store yet
-        assert client.staged_rows == 19
+        assert staged_rows(client) == 19
         report = client.flush()
         assert store.version == 1
         assert report.version == 1

@@ -363,7 +363,8 @@ class TestRepair:
         report = store.repair()
         assert report.rows_copied == 0
         assert report.shards_healed == []
-        assert store.plan_repair().is_empty
+        plan = store.plan_repair()
+        assert not plan.tasks and not plan.stale_shards
 
     def test_healed_replica_serves_delta_log_entries(self):
         """Repaired rows land with log entries, so pulls from the healed

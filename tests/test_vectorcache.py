@@ -1,12 +1,13 @@
 """Equivalence tests: BatchLRUCache == sequential LRUCache
-(``tests/reference/cache.py``), bit for bit.
+(``tests/reference/cache.py``), bit for bit, on the dense lane the serving
+engine runs: every cache is built with ``universe=`` and holds one entry
+size.
 
-Same contract as ``test_kernels_equivalence.py`` established for the PR-1
-kernels: the batched implementation must reproduce the scalar reference's
-observable behaviour exactly — per-access hit/miss sequence, ``used_bytes``
-/ entry count after every batch, the internal recency order, and the
-eviction sequence — on randomized traces across cache regimes (hot,
-thrashed, tiny, zero, oversized).
+The batched cache must reproduce the scalar reference's observable
+behaviour exactly — per-access hit/miss sequence, the recency order and
+the eviction count after every batch — on randomized traces across cache
+regimes (hot, thrashed, tiny, zero, oversized).  Keys outside the universe
+and a second entry size are rejected with ``ValueError`` by both caches.
 """
 
 import numpy as np
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 from reference.cache import LRUCache
 from repro.hardware.cache import CacheStats
-from repro.hardware.vectorcache import BatchAccessResult, BatchLRUCache
+from repro.hardware.vectorcache import BatchAccessResult, BatchLRUCache, IntervalCache
 
 
 class RecordingLRUCache(LRUCache):
@@ -46,34 +47,25 @@ def run_reference(ref: RecordingLRUCache, keys, size) -> np.ndarray:
 
 
 def assert_same_state(batch: BatchLRUCache, ref: RecordingLRUCache) -> None:
-    assert batch.used_bytes == ref.used_bytes
-    assert batch.num_entries == ref.num_entries
     np.testing.assert_array_equal(
         batch._order, np.fromiter(ref._entries, dtype=np.int64)
     )
 
 
-def check_trace(capacity_bytes, size, trace, batch_lens) -> None:
+def check_trace(capacity_bytes, size, trace, batch_lens, universe) -> None:
     """Feed one trace through both caches, comparing after every batch."""
-    batch = BatchLRUCache(capacity_bytes)
+    batch = BatchLRUCache(capacity_bytes, universe=universe)
     ref = RecordingLRUCache(capacity_bytes)
-    all_evicted: list[np.ndarray] = []
     start = 0
     for blen in batch_lens:
         part = trace[start : start + blen]
         start += blen
+        evicted_before = len(ref.evicted)
         result = batch.access_many(part, size)
         expected = run_reference(ref, part, size)
         np.testing.assert_array_equal(result.hit_mask, expected)
-        np.testing.assert_array_equal(
-            result.fill_bytes, np.where(expected, 0, size)
-        )
-        all_evicted.append(result.evicted_keys)
+        assert result.num_evictions == len(ref.evicted) - evicted_before
         assert_same_state(batch, ref)
-    np.testing.assert_array_equal(
-        np.concatenate(all_evicted) if all_evicted else np.empty(0),
-        np.array(ref.evicted, dtype=np.int64),
-    )
 
 
 def split_lengths(n, num_batches, rng):
@@ -105,7 +97,9 @@ def test_randomized_traces_match_sequential(capacity_entries, universe, seed):
         else:
             trace = rng.zipf(1.3, size=n) % universe  # skewed
         lens = split_lengths(n, int(rng.integers(1, 6)), rng)
-        check_trace(capacity_entries * size, size, trace.astype(np.int64), lens)
+        check_trace(
+            capacity_entries * size, size, trace.astype(np.int64), lens, universe
+        )
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -134,6 +128,7 @@ def test_large_decision_chunks_hit_vectorized_resolver(seed):
         size,
         np.concatenate([warm, trace]),
         [capacity_entries, 12_000],
+        universe,
     )
 
 
@@ -148,11 +143,11 @@ def test_property_equivalence(keys, capacity_entries, num_batches, seed):
     rng = np.random.default_rng(seed)
     trace = np.array(keys, dtype=np.int64)
     lens = split_lengths(len(keys), num_batches, rng)
-    check_trace(capacity_entries * 8, 8, trace, lens)
+    check_trace(capacity_entries * 8, 8, trace, lens, universe=41)
 
 
 def test_duplicate_keys_within_one_batch():
-    batch = BatchLRUCache(10 * 8)
+    batch = BatchLRUCache(10 * 8, universe=10)
     result = batch.access_many(np.array([5, 5, 5, 7, 5]), 8)
     np.testing.assert_array_equal(
         result.hit_mask, [False, True, True, False, True]
@@ -162,7 +157,7 @@ def test_duplicate_keys_within_one_batch():
 def test_eviction_then_retouch_within_batch():
     """A resident key can be evicted and re-missed inside one batch."""
     capacity = 4 * 8
-    batch = BatchLRUCache(capacity)
+    batch = BatchLRUCache(capacity, universe=16)
     ref = RecordingLRUCache(capacity)
     warm = np.array([1, 2, 3, 4])
     batch.access_many(warm, 8)
@@ -174,16 +169,14 @@ def test_eviction_then_retouch_within_batch():
     expected = run_reference(ref, trace, 8)
     np.testing.assert_array_equal(result.hit_mask, expected)
     assert not result.hit_mask[3]
-    np.testing.assert_array_equal(
-        result.evicted_keys, np.array(ref.evicted, dtype=np.int64)
-    )
+    assert result.num_evictions == 4 and ref.evicted == [1, 2, 3, 4]
     assert_same_state(batch, ref)
 
 
 def test_frontier_skips_touched_residents():
     """A resident touched before the frontier reaches it escapes eviction."""
     capacity = 3 * 8
-    batch = BatchLRUCache(capacity)
+    batch = BatchLRUCache(capacity, universe=64)
     ref = RecordingLRUCache(capacity)
     warm = np.array([1, 2, 3])
     batch.access_many(warm, 8)
@@ -194,29 +187,27 @@ def test_frontier_skips_touched_residents():
     expected = run_reference(ref, trace, 8)
     np.testing.assert_array_equal(result.hit_mask, expected)
     assert result.hit_mask[0]
-    np.testing.assert_array_equal(result.evicted_keys, [2, 3])
+    assert result.num_evictions == 2 and ref.evicted == [2, 3]
     assert_same_state(batch, ref)
 
 
 def test_zero_capacity_all_miss():
-    batch = BatchLRUCache(0)
+    batch = BatchLRUCache(0, universe=4)
     result = batch.access_many(np.array([1, 1, 2]), 8)
     assert not result.hit_mask.any()
-    assert batch.num_entries == 0 and batch.used_bytes == 0
-    assert result.fill_bytes.tolist() == [8, 8, 8]
+    assert batch._order.size == 0 and result.num_evictions == 0
 
 
 def test_oversized_objects_bypass():
-    batch = BatchLRUCache(100)
+    batch = BatchLRUCache(100, universe=4)
     result = batch.access_many(np.array([1, 1]), 200)
     assert not result.hit_mask.any()
-    assert 1 not in batch
-    assert result.total_fill_bytes == 400
+    assert batch._order.size == 0 and result.num_evictions == 0
 
 
 def test_zero_size_entries_cacheable():
     ref = RecordingLRUCache(0)
-    batch = BatchLRUCache(0)
+    batch = BatchLRUCache(0, universe=8)
     trace = np.array([3, 3, 4, 3])
     np.testing.assert_array_equal(
         batch.access_many(trace, 0).hit_mask, run_reference(ref, trace, 0)
@@ -224,42 +215,17 @@ def test_zero_size_entries_cacheable():
     assert_same_state(batch, ref)
 
 
-def test_mixed_sizes_fall_back_exactly():
-    capacity = 100
-    batch = BatchLRUCache(capacity)
-    ref = RecordingLRUCache(capacity)
-    rng = np.random.default_rng(0)
-    keys = rng.integers(0, 12, 200)
-    sizes = rng.integers(1, 40, 200)
-    result = batch.access_many(keys, sizes)
-    expected = np.array(
-        [ref.access(int(k), int(s)) for k, s in zip(keys, sizes)], dtype=bool
-    )
-    np.testing.assert_array_equal(result.hit_mask, expected)
-    np.testing.assert_array_equal(
-        result.evicted_keys, np.array(ref.evicted, dtype=np.int64)
-    )
-    assert_same_state(batch, ref)
-    # A later uniform batch against the mixed resident state stays exact.
-    more = rng.integers(0, 12, 100)
-    np.testing.assert_array_equal(
-        batch.access_many(more, 8).hit_mask, run_reference(ref, more, 8)
-    )
-    assert_same_state(batch, ref)
-
-
-def test_scalar_access_parity_and_contains():
-    batch = BatchLRUCache(3 * 8)
+def test_scalar_access_parity():
+    batch = BatchLRUCache(3 * 8, universe=8)
     ref = RecordingLRUCache(3 * 8)
     for k in [1, 2, 3, 1, 4, 2, 5, 1]:
         hit = batch.access_many(np.array([k]), 8).hit_mask[0]
         assert hit == ref.access(k, 8)
     assert_same_state(batch, ref)
-    assert 1 in batch and "not-a-key" not in batch
 
 
 def test_stats_accumulate_across_calls():
-    batch = BatchLRUCache(10_000)
+    batch = BatchLRUCache(10_000, universe=16)
     stats = CacheStats()
     batch.access_many(np.array([1, 2, 1]), 100, stats=stats)
     batch.access_many(np.array([2, 9]), 100, stats=stats)
@@ -267,20 +233,54 @@ def test_stats_accumulate_across_calls():
 
 
 def test_empty_batch():
-    batch = BatchLRUCache(100)
+    batch = BatchLRUCache(100, universe=4)
     result = batch.access_many(np.empty(0, dtype=np.int64), 8)
     assert isinstance(result, BatchAccessResult)
     assert result.hit_mask.size == 0 and result.num_evictions == 0
 
 
-def test_rejects_negative_sizes_and_bad_lengths():
-    batch = BatchLRUCache(100)
+CACHES = [BatchLRUCache, IntervalCache]
+
+
+@pytest.mark.parametrize("cache_cls", CACHES)
+def test_rejects_bad_construction_and_sizes(cache_cls):
     with pytest.raises(ValueError):
-        batch.access_many(np.array([1]), -4)
+        cache_cls(-1, universe=4)
+    for universe in (0, 1 << 31):
+        with pytest.raises(ValueError):
+            cache_cls(100, universe=universe)
+    cache = cache_cls(100, universe=4)
     with pytest.raises(ValueError):
-        batch.access_many(np.array([1, 2]), np.array([4]))
-    with pytest.raises(ValueError):
-        BatchLRUCache(-1)
+        cache.access_many(np.array([1]), -4)
+    with pytest.raises(TypeError):  # one scalar size, not one per access
+        cache.access_many(np.array([1, 2]), np.array([8, 8]))
+
+
+@pytest.mark.parametrize("cache_cls", CACHES)
+@pytest.mark.parametrize("bad", [-1, 100, 1 << 40])
+def test_out_of_universe_keys_raise(cache_cls, bad):
+    """A key outside ``[0, universe)`` is an error, not a bypass: a negative
+    key would otherwise wrap to the top of the direct-address planes."""
+    cache, twin = cache_cls(4 * 8, universe=100), cache_cls(4 * 8, universe=100)
+    warm, after = np.array([1, 99, 2]), np.array([99, 7, 1, 99])
+    cache.access_many(warm, 8)
+    twin.access_many(warm, 8)
+    with pytest.raises(ValueError, match=r"\[0, 100\)"):
+        cache.access_many(np.array([7, bad, 1]), 8)
+    # The rejected call touched nothing: the cache answers as its twin
+    # that never saw it.
+    got = cache.access_many(after, 8).hit_mask
+    np.testing.assert_array_equal(got, twin.access_many(after, 8).hit_mask)
+    assert got[0] and not got[1]
+
+
+@pytest.mark.parametrize("cache_cls", CACHES)
+def test_second_entry_size_raises(cache_cls):
+    cache = cache_cls(10 * 8, universe=10)
+    cache.access_many(np.array([1, 2]), 8)
+    with pytest.raises(ValueError, match="8-byte"):
+        cache.access_many(np.array([1]), 16)
+    assert cache.access_many(np.array([1, 2]), 8).hit_mask.all()
 
 
 class TestIntervalCache:
@@ -297,8 +297,6 @@ class TestIntervalCache:
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_positional_window_model(self, seed):
-        from repro.hardware.vectorcache import IntervalCache
-
         rng = np.random.default_rng(seed)
         for _ in range(30):
             w = int(rng.integers(1, 50))
@@ -317,8 +315,6 @@ class TestIntervalCache:
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_hits_are_subset_of_exact_lru(self, seed):
-        from repro.hardware.vectorcache import IntervalCache
-
         rng = np.random.default_rng(seed)
         trace = rng.integers(0, 300, 3000)
         itv = IntervalCache(64 * 8, universe=300).access_many(trace, 8)
@@ -326,26 +322,6 @@ class TestIntervalCache:
         lru_hits = run_reference(ref, trace, 8)
         assert not (itv.hit_mask & ~lru_hits).any()
 
-    def test_out_of_universe_keys_bypass(self):
-        from repro.hardware.vectorcache import IntervalCache
-
-        cache = IntervalCache(4 * 8, universe=100)
-        trace = np.array([1, 100, -1, 1, 100, 7])
-        result = cache.access_many(trace, 8)
-        # in-range keys behave as if the bypasses were absent...
-        np.testing.assert_array_equal(
-            result.hit_mask, [False, False, False, True, False, False]
-        )
-        # ...and neither the clock nor any slot was touched by them
-        assert 100 not in cache and -1 not in cache
-        assert 7 in cache and 1 in cache
-
-    def test_oversized_and_validation(self):
-        from repro.hardware.vectorcache import IntervalCache
-
+    def test_oversized_entries_bypass(self):
         cache = IntervalCache(10, universe=50)
         assert not cache.access_many(np.array([1, 1]), 20).hit_mask.any()
-        with pytest.raises(ValueError):
-            IntervalCache(10, universe=None)
-        with pytest.raises(ValueError):
-            cache.access_many(np.array([1, 2]), np.array([8, 16]))
