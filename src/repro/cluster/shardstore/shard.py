@@ -3,35 +3,40 @@
 Each shard stores its tables as dense row blocks — an
 :class:`repro.core.kernels.IdSlotTable` maps row ids to slots in a
 ``(capacity, dim)`` float array with a parallel ``int64`` version vector —
-and keeps an append-only *delta log* of ``(version, row_id)`` entries.
-Because versions only ever grow, the log stays sorted by construction and
-``pull_delta(since)`` is a ``searchsorted`` plus a slice over exactly the
-entries newer than ``since``: O(changed rows), never a scan of the world.
-The log idiom follows the low-rank delta-update storage of git-theta
-(checkpoint-vcs): persist what changed per version, reconstruct any
-read-point by slicing, and compact losslessly by keeping the latest entry
-per id.
+and keeps an append-only *delta log* of publish segments: one
+``(version, ids)`` pair per write, ``ids`` the read-only, sorted-unique
+ids that write stamped.  A version changes once per publish, so the log
+holds 8 bytes per logged id and one int per segment.  Because versions
+only ever grow, the segments stay sorted by version and
+``pull_delta(since)`` is a bisection over the segment versions plus the
+ids of exactly the segments newer than ``since``: O(changed rows), never
+a scan of the world.  The log idiom follows the low-rank delta-update
+storage of git-theta (checkpoint-vcs): persist what changed per version,
+reconstruct any read-point by slicing, and compact losslessly by keeping
+the latest entry per id.
 
 Every resident row also carries a *primary bit*, written with the row: set
 on the replica that is rank 0 of the row's owner list.  A primary-range
 read is then the log slice plus a boolean gather — no re-hashing of ids
 through the placement ring.  :meth:`_TableBlock.delta` is the one delta
-read; it memoises the slices of its last log tail until the block next
-mutates, so every reader whose sync point maps to that tail shares one set
-of (read-only) arrays.  A publish that only overwrites resident rows
-*primes* that memo: its log segment is the whole tail of every reader
-synced before it, so the next read gets the slots and the primary rows
-the write was handed.  A publish that grows the block primes nothing, so
-a store fill pins no copy of itself.
+read; it memoises the slices of its last log tail, keyed by the tail's
+first segment, until the block next mutates, so every reader whose sync
+point maps to that tail shares one set of (read-only) arrays.  A tail of
+one segment is that segment's own array (no copy, no sort).  A publish
+that only overwrites resident rows *primes* that memo: its segment is
+the whole tail of every reader synced before it, so the next read gets
+the slots and the primary rows the write was handed.  A publish that
+grows the block primes nothing, so a store fill pins no copy of itself.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
-from ...core.kernels import IdSlotTable
+from ...core.kernels import IdSlotTable, run_starts
 
 __all__ = ["DeltaSlice", "ShardStats", "ParameterShard"]
 
@@ -66,18 +71,18 @@ class _TableBlock:
         self.row_version = np.zeros(self.capacity, dtype=np.int64)
         # True where this shard is rank 0 of the row's replica owners.
         self.primary = np.zeros(self.capacity, dtype=bool)
-        # Append-only (version, id) log, sorted by version by construction.
-        self._log_versions = np.empty(64, dtype=np.int64)
-        self._log_ids = np.empty(64, dtype=np.int64)
-        self._log_len = 0
+        # Append-only log of publish segments, ascending by version: one
+        # version per segment and its read-only, sorted-unique ids.
+        self._seg_versions: list[int] = []
+        self._seg_ids: list[np.ndarray] = []
         # Versions at or below the floor have been truncated out of the
         # log (watermark compaction); older sync points fall back to an
         # exact resident-table scan over ``row_version``.
         self.log_floor = 0
         # Slices of one log tail, valid until the next mutation:
         # None -> (ids, slots), primary_only -> (ids, rows, versions).
-        # Keyed by the tail's start in the log, or ("scan", since) below
-        # the floor; a pure-overwrite publish primes it for its segment.
+        # Keyed by the tail's first segment, or ("scan", since) below the
+        # floor; a pure-overwrite publish primes it for its segment.
         # ``_memo_since`` is the last sync point known to map to the key.
         self._memo_key: int | tuple[str, int] | None = None
         self._memo_since: int | None = None
@@ -129,15 +134,25 @@ class _TableBlock:
             return slots, True
         return slots, granted.size > 0
 
-    def _log_append(self, version: int, ids: np.ndarray) -> None:
-        n = ids.size
-        if self._log_len + n > self._log_versions.size:
-            new_size = max(self._log_versions.size * 2, self._log_len + n)
-            self._log_versions = np.resize(self._log_versions, new_size)
-            self._log_ids = np.resize(self._log_ids, new_size)
-        self._log_versions[self._log_len : self._log_len + n] = version
-        self._log_ids[self._log_len : self._log_len + n] = ids
-        self._log_len += n
+    def _log_filter(self, keep: np.ndarray) -> None:
+        """Keep the log entries where ``keep`` (one bool per entry, in log
+        order) is set; a segment that keeps every entry keeps its array,
+        one that keeps none is freed."""
+        ends = np.cumsum([ids.size for ids in self._seg_ids]).tolist()
+        versions: list[int] = []
+        segments: list[np.ndarray] = []
+        start = 0
+        for version, ids, end in zip(self._seg_versions, self._seg_ids, ends):
+            mask = keep[start:end]
+            start = end
+            if not mask.all():
+                if not mask.any():
+                    continue
+                ids = ids[mask]
+                ids.flags.writeable = False
+            versions.append(version)
+            segments.append(ids)
+        self._seg_versions, self._seg_ids = versions, segments
 
     # ---------------------------------------------------------------- writes
     def publish(
@@ -182,14 +197,18 @@ class _TableBlock:
             self.primary[placed] = primary[unknown]
         self.rows[slots] = rows
         self.row_version[slots] = version
-        start = self._log_len
-        self._log_append(version, ids)
+        at = len(self._seg_ids)
+        segment = np.array(ids, dtype=np.int64)
+        segment.flags.writeable = False
+        if segment.size:
+            self._seg_versions.append(version)
+            self._seg_ids.append(segment)
         self._memo.clear()
         if not fresh:
             # Prime the tail of readers synced before ``version`` from
-            # arrays the block owns: a log view and copies of the rows
-            # just written (a resident row's primary bit is ``primary``).
-            segment = self._log_ids[start : self._log_len]
+            # arrays the block owns: the new segment and copies of the
+            # rows just written (a resident row's primary bit is
+            # ``primary``).
             keep = np.flatnonzero(primary)
             primed = (
                 segment.take(keep),
@@ -198,7 +217,7 @@ class _TableBlock:
             )
             for arr in primed:
                 arr.flags.writeable = False
-            self._memo_key, self._memo_since = start, None
+            self._memo_key, self._memo_since = at, None
             self._memo[None] = (segment, slots)
             self._memo[True] = primed
         return slots
@@ -212,25 +231,26 @@ class _TableBlock:
     ) -> None:
         """Adopt rows migrated from another shard, preserving their versions.
 
-        Incoming log entries interleave with resident ones, so the merged
-        log is re-sorted by version (stable) to keep the slice invariant.
+        ``ids`` are unique.  Their log entries interleave with resident
+        ones: each version's ids become one segment, placed after every
+        resident segment of the same or an older version (a stable merge
+        by version), so the log stays sorted by version.
         """
         slots, _ = self._ensure_slots(ids)
         self.rows[slots] = rows
         self.row_version[slots] = versions
         self.primary[slots] = primary
         self._memo.clear()
-        before = self._log_len
-        self._log_append(0, ids)  # placeholder versions, overwritten next
-        self._log_versions[before : self._log_len] = versions
-        # Exports arrive in id order, so the appended segment (and its seam
-        # with resident entries) may be version-unsorted; restore the
-        # sorted-by-version invariant the delta slice relies on.
-        merged = self._log_versions[: self._log_len]
-        if np.any(np.diff(merged) < 0):
-            order = np.argsort(merged, kind="stable")
-            self._log_versions[: self._log_len] = merged[order]
-            self._log_ids[: self._log_len] = self._log_ids[: self._log_len][order]
+        order = np.argsort(versions, kind="stable")
+        by_version = versions[order]
+        starts = run_starts(by_version).tolist()
+        for lo, hi in zip(starts, starts[1:] + [order.size]):
+            version = int(by_version[lo])
+            segment = np.sort(ids[order[lo:hi]])
+            segment.flags.writeable = False
+            at = bisect_right(self._seg_versions, version)
+            self._seg_versions.insert(at, version)
+            self._seg_ids.insert(at, segment)
 
     def retag_primary(self, ids: np.ndarray, primary: np.ndarray) -> None:
         """Rewrite the primary bit of resident ``ids`` (the ring changed)."""
@@ -259,11 +279,8 @@ class _TableBlock:
         out_versions = self.row_version[slots].copy()
         self.slots.remove(ids)
         self._memo.clear()
-        keep = ~np.isin(self._log_ids[: self._log_len], ids)
-        kept = int(keep.sum())
-        self._log_versions[:kept] = self._log_versions[: self._log_len][keep]
-        self._log_ids[:kept] = self._log_ids[: self._log_len][keep]
-        self._log_len = kept
+        if self._seg_ids:
+            self._log_filter(~np.isin(np.concatenate(self._seg_ids), ids))
         return ids, out_rows, out_versions
 
     def compact(self, watermark: int | None = None) -> int:
@@ -280,44 +297,42 @@ class _TableBlock:
         over ``row_version``, which never forgets — it just stops being
         O(changed rows) for them.
         """
-        n = self._log_len
+        n = sum(ids.size for ids in self._seg_ids)
         self._memo.clear()
-        if n == 0:
-            if watermark is not None:
-                self.log_floor = max(self.log_floor, watermark)
-            return 0
-        ids = self._log_ids[:n]
-        # Last occurrence per id == newest entry (log is version-sorted).
-        _, last_rev = np.unique(ids[::-1], return_index=True)
-        keep = np.sort(n - 1 - last_rev)
         if watermark is not None:
-            keep = keep[self._log_versions[:n][keep] > watermark]
             self.log_floor = max(self.log_floor, watermark)
-        kept = keep.size
-        self._log_versions[:kept] = self._log_versions[:n][keep]
-        self._log_ids[:kept] = self._log_ids[:n][keep]
-        self._log_len = kept
-        return n - kept
+            # Every entry at or below the watermark goes, latest or not:
+            # whole segments, freed without a look at their ids.
+            cut = bisect_right(self._seg_versions, watermark)
+            del self._seg_versions[:cut], self._seg_ids[:cut]
+        if len(self._seg_ids) > 1:
+            ids = np.concatenate(self._seg_ids)
+            # Last occurrence per id == newest entry (log is version-sorted).
+            _, last_rev = np.unique(ids[::-1], return_index=True)
+            keep = np.zeros(ids.size, dtype=bool)
+            keep[ids.size - 1 - last_rev] = True
+            self._log_filter(keep)
+        return n - sum(ids.size for ids in self._seg_ids)
 
     # ----------------------------------------------------------------- reads
     def _changed(self, since_version: int) -> tuple[np.ndarray, np.ndarray]:
         """``(ids, slots)`` of rows newer than ``since_version``, memoised.
 
-        O(changed rows): one ``searchsorted`` into the version-sorted log
-        plus a slice — never a scan of the resident table, unless the log
+        O(changed rows): one bisection of the segment versions plus the
+        tail's ids — never a scan of the resident table, unless the log
         was truncated past this sync point; then the answer comes exactly
         from the resident version vector (O(resident), the price of
-        reading below the compaction watermark).  The memo key is where
-        the tail starts, so every sync point that maps to one tail shares
-        its slices, and a tail the last publish primed needs no lookup.
+        reading below the compaction watermark).  The memo key is the
+        tail's first segment, so every sync point that maps to one tail
+        shares its slices, and a tail the last publish primed needs no
+        lookup.
         """
         below_floor = since_version < self.log_floor
         # A repeat of the last sync point read reuses its key unsearched.
         if since_version != self._memo_since or not self._memo:
-            logged = self._log_versions[: self._log_len]
             key: int | tuple[str, int] = (
                 ("scan", since_version) if below_floor
-                else int(np.searchsorted(logged, since_version, side="right"))
+                else bisect_right(self._seg_versions, since_version)
             )
             if key != self._memo_key:
                 self._memo.clear()
@@ -332,11 +347,15 @@ class _TableBlock:
             newer = self.row_version[slots] > since_version
             hit = ids[newer], slots[newer]
         else:
-            tail = self._log_ids[self._memo_key : self._log_len]
+            segments = self._seg_ids[self._memo_key :]
             # The common steady-state tail is a single publish segment,
-            # already sorted-unique by construction; skip the sort then.
-            if tail.size > 1 and not bool(np.all(tail[1:] > tail[:-1])):
-                tail = np.unique(tail)
+            # already sorted-unique by construction: read it as it is.
+            if len(segments) == 1:
+                tail = segments[0]
+            elif segments:
+                tail = np.unique(np.concatenate(segments))
+            else:
+                tail = np.empty(0, dtype=np.int64)
             # every logged id is resident by construction
             hit = tail, self.slots.lookup_present(tail)
         self._memo[None] = hit
@@ -372,7 +391,7 @@ class _TableBlock:
                 keep = self.primary[slots]
                 ids, slots = ids[keep], slots[keep]
             else:
-                ids = ids.copy()  # may be a view of the log
+                ids = ids.copy()  # may be a log segment, which outlives this
             hit = (ids, self.rows[slots], self.row_version[slots])
             for arr in hit:
                 arr.flags.writeable = False

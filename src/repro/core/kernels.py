@@ -198,10 +198,12 @@ class IdSlotTable:
     (``universe`` given — embedding tables have a fixed row count), a
     flat direct-address array shadows the sorted pair and translation
     becomes a single gather with no search at all; ids outside
-    ``[0, universe)`` simply miss.  Free slots live in a LIFO stack that
-    reproduces the allocation order of the former dict/free-list
-    implementation: a fresh table hands out slots ``0, 1, 2, ...`` and
-    released slots are reused most-recently-freed first.
+    ``[0, universe)`` simply miss.  Free slots are the released ones, a
+    LIFO stack, plus a next-fresh counter: a grant reuses released slots
+    most-recently-freed first, then hands out fresh slots ``n, n+1, ...``
+    in ascending order.  That is the allocation order of the former
+    dict/free-list implementation, and a table that never released a slot
+    holds no free-slot array at all.
 
     Keys and slots are both int64, so the dense direct-address lane costs
     8 bytes per universe row.  Like the hot-index mask, that is
@@ -229,8 +231,9 @@ class IdSlotTable:
         self._dense = (
             None if universe is None else np.full(universe, -1, dtype=np.int64)
         )
-        self._free = np.arange(capacity - 1, -1, -1, dtype=np.int64)
-        self._n_free = capacity
+        self._released = np.empty(0, dtype=np.int64)
+        self._n_released = 0
+        self._next_fresh = 0
 
     # ----------------------------------------------------------------- state
     @property
@@ -249,8 +252,8 @@ class IdSlotTable:
 
     @property
     def nbytes(self) -> int:
-        """Map footprint: keys + slots + free stack + dense lane."""
-        total = self._keys.nbytes + self._vals.nbytes + self._free.nbytes
+        """Map footprint: keys + slots + released stack + dense lane."""
+        total = self._keys.nbytes + self._vals.nbytes + self._released.nbytes
         if self._dense is not None:
             total += self._dense.nbytes
         return int(total)
@@ -260,8 +263,9 @@ class IdSlotTable:
             self._dense[self._keys] = -1  # O(active), not O(universe)
         self._keys = np.empty(0, dtype=np.int64)
         self._vals = np.empty(0, dtype=np.int64)
-        self._free = np.arange(self.capacity - 1, -1, -1, dtype=np.int64)
-        self._n_free = self.capacity
+        self._released = np.empty(0, dtype=np.int64)
+        self._n_released = 0
+        self._next_fresh = 0
 
     def rebuild_sorted(self, keys: np.ndarray, capacity: int) -> None:
         """Repack in place: ``keys`` (sorted, unique) take slots ``0..n-1``.
@@ -280,11 +284,9 @@ class IdSlotTable:
         self._vals = np.arange(n, dtype=np.int64)
         if self._dense is not None:
             self._dense[self._keys] = self._vals
-        self._free = np.empty(capacity, dtype=np.int64)
-        self._free[: capacity - n] = np.arange(
-            capacity - 1, n - 1, -1, dtype=np.int64
-        )
-        self._n_free = capacity - n
+        self._released = np.empty(0, dtype=np.int64)
+        self._n_released = 0
+        self._next_fresh = n
 
     def grow(self, capacity: int) -> None:
         """Raise the slot budget in place: every active id keeps its slot.
@@ -294,24 +296,33 @@ class IdSlotTable:
         """
         if capacity < self.capacity:
             raise ValueError("grow cannot shrink the slot budget")
-        added = capacity - self.capacity
-        free = np.empty(capacity, dtype=np.int64)
-        free[:added] = np.arange(capacity - 1, self.capacity - 1, -1, dtype=np.int64)
-        free[added : added + self._n_free] = self._free[: self._n_free]
-        self._free = free
-        self._n_free += added
         self.capacity = capacity
 
-    # ----------------------------------------------------------- free stack
+    # ------------------------------------------------------------ free list
     def _pop(self, k: int) -> np.ndarray:
-        out = self._free[self._n_free - k : self._n_free][::-1].copy()
-        self._n_free -= k
+        """``k`` free slots: released ones LIFO, then fresh ascending."""
+        reused = min(k, self._n_released)
+        out = np.arange(
+            self._next_fresh, self._next_fresh + k - reused, dtype=np.int64
+        )
+        self._next_fresh += k - reused
+        if reused:
+            top = self._n_released
+            self._n_released -= reused
+            out = np.concatenate([self._released[top - reused : top][::-1], out])
         return out
 
     def _push(self, slots: np.ndarray) -> None:
-        k = slots.size
-        self._free[self._n_free : self._n_free + k] = slots
-        self._n_free += k
+        end = self._n_released + slots.size
+        if end > self._released.size:
+            stack = np.empty(
+                min(max(end, 2 * self._released.size), self.capacity),
+                dtype=np.int64,
+            )
+            stack[: self._n_released] = self._released[: self._n_released]
+            self._released = stack
+        self._released[self._n_released : end] = slots
+        self._n_released = end
 
     # --------------------------------------------------------------- lookup
     def lookup(self, ids: np.ndarray) -> np.ndarray:
@@ -383,15 +394,27 @@ class IdSlotTable:
             return slots, np.empty(0, dtype=np.int64)
         new_ids, first_pos = np.unique(ids[missing], return_index=True)
         order = np.argsort(first_pos, kind="stable")  # first-occurrence order
-        granted = new_ids[order][: self._n_free]
+        n_free = self._n_released + self.capacity - self._next_fresh
+        granted = new_ids[order][:n_free]
         if granted.size == 0:
             return slots, np.empty(0, dtype=np.int64)
         new_slots = self._pop(granted.size)
-        merged_keys = np.concatenate([self._keys, granted])
-        merged_vals = np.concatenate([self._vals, new_slots])
-        srt = np.argsort(merged_keys, kind="stable")
-        self._keys = merged_keys[srt]
-        self._vals = merged_vals[srt]
+        # Granted ids are absent and unique: each lands at its searchsorted
+        # position, and the resident keys fill the rest in order (what
+        # np.insert does, without its per-call overhead).  Nothing of the
+        # merged length is allocated but the result and one bool mask.
+        srt = np.argsort(granted)
+        at = np.searchsorted(self._keys, granted[srt])
+        at += np.arange(granted.size, dtype=np.int64)
+        resident = np.ones(self._keys.size + granted.size, dtype=bool)
+        resident[at] = False
+        keys = np.empty(resident.size, dtype=np.int64)
+        keys[at] = granted[srt]
+        keys[resident] = self._keys
+        vals = np.empty(resident.size, dtype=np.int64)
+        vals[at] = new_slots[srt]
+        vals[resident] = self._vals
+        self._keys, self._vals = keys, vals
         if self._dense is not None:
             self._dense[granted] = new_slots
         return self.lookup(ids), new_slots
@@ -407,7 +430,7 @@ class IdSlotTable:
         Returns
         -------
         numpy.ndarray of int64
-            The released slots (pushed back onto the free stack,
+            The released slots (pushed onto the released stack,
             most-recently-freed reused first).
         """
         ids = np.unique(np.asarray(ids, dtype=np.int64))

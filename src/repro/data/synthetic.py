@@ -28,6 +28,9 @@ import numpy as np
 
 from .zipf import ZipfSampler
 
+# Rows per block of the drift step (1 MB of float64 at 8 latent dims).
+_DRIFT_BLOCK_ROWS = 16 * 1024
+
 __all__ = ["StreamConfig", "Batch", "DriftingCTRStream"]
 
 
@@ -129,9 +132,17 @@ class DriftingCTRStream:
             raise ValueError("cannot advance backwards")
         cfg = self.config
         step = np.sqrt(seconds) * cfg.drift_rate
-        for f, lat in enumerate(self._latents):
-            noise = self._rng.normal(0.0, step, size=lat.shape)
-            lat += noise - cfg.mean_reversion * seconds * (lat - self._anchors[f])
+        pull = cfg.mean_reversion * seconds
+        # Row blocks, in place: the draws and the arithmetic are those of
+        # one whole-table step, with no table-sized temporaries.
+        for lat, anchor in zip(self._latents, self._anchors):
+            for lo in range(0, lat.shape[0], _DRIFT_BLOCK_ROWS):
+                rows = lat[lo : lo + _DRIFT_BLOCK_ROWS]
+                noise = self._rng.normal(0.0, step, size=rows.shape)
+                back = rows - anchor[lo : lo + _DRIFT_BLOCK_ROWS]
+                back *= pull
+                noise -= back
+                rows += noise
         self.now += seconds
         while self.now - self._last_trend >= cfg.trend_interval_s:
             self._last_trend += cfg.trend_interval_s

@@ -240,7 +240,11 @@ class MLP:
             if grads is not None:
                 np.matmul(h_in.T, g, out=grads.weights[layer])
                 g.sum(axis=0, out=grads.biases[layer])
-            g = g @ self.weights[layer].T
+            w = self.weights[layer]
+            # A width-1 layer's input gradient is an outer product: the
+            # broadcast does the K=1 matmul's one multiply per element
+            # without a GEMM call.
+            g = g * w[:, 0] if w.shape[1] == 1 else g @ w.T
         return g, grads
 
     def copy(self) -> "MLP":

@@ -166,7 +166,7 @@ class BatchLRUCache(_DenseCache):
 
     def __init__(self, capacity_bytes: int, universe: int) -> None:
         super().__init__(capacity_bytes, universe)
-        self._order = np.empty(0, dtype=np.int32)  # keys, LRU -> MRU
+        self._order = np.empty(0, dtype=np.intp)  # keys, LRU -> MRU
         self._depth_of = np.full(universe, -1, dtype=np.int32)
         # Scratch planes for the chunk kernels (first/last occurrence, uniq
         # ids), int32 to halve the random-access traffic.  Allocated once
@@ -194,7 +194,7 @@ class BatchLRUCache(_DenseCache):
         stats : CacheStats, optional
             Aggregate accumulator updated in place when given.
         """
-        keys = self._admit(keys, size).astype(np.int32)
+        keys = self._admit(keys, size)
         n = keys.size
         hit_mask = np.zeros(n, dtype=bool)
         s = self._entry_size
@@ -206,7 +206,9 @@ class BatchLRUCache(_DenseCache):
         # both ends land in the SAME chunk, so shorter chunks turn most
         # races into ordinary cross-chunk misses on the cheap path.
         chunk = max(1, min(cap, max(cap // 4, 4096), _MAX_CHUNK))
-        positions = np.arange(min(chunk, n), dtype=np.int32)
+        # Index arrays stay intp: numpy casts any other index dtype back
+        # to intp on every gather and scatter.
+        positions = np.arange(min(chunk, n), dtype=np.intp)
         evictions = 0
         for lo in range(0, n, chunk):
             hi = min(lo + chunk, n)
@@ -300,7 +302,7 @@ class BatchLRUCache(_DenseCache):
         seen = np.zeros(size, dtype=bool)
         seen[last_pos] = True
         rank_u = np.cumsum(seen)[last_pos] - 1
-        tail = np.empty(n_uniq, dtype=np.int32)
+        tail = np.empty(n_uniq, dtype=np.intp)
         tail[rank_u] = uniq
         self._order = np.concatenate([order[surv], tail])
         depth_of[self._order] = np.arange(self._order.size, dtype=np.int32)

@@ -1,4 +1,5 @@
-"""A list-of-batches oracle for the inference-log ring buffer."""
+"""A list-of-batches oracle for the inference-log ring buffer, and the
+whole-table drift step of the synthetic stream."""
 
 import numpy as np
 
@@ -34,3 +35,17 @@ class ListLogBuffer:
     def sample(self, batch_size: int, rng: np.random.Generator):
         picks = rng.integers(0, len(self), size=batch_size)
         return tuple(field[picks] for field in self.window())
+
+
+def advance_whole_tables(stream, seconds: float) -> None:
+    """``DriftingCTRStream.advance`` as it was before its drift step went
+    block-wise: one noise draw and one update expression per whole table."""
+    cfg = stream.config
+    step = np.sqrt(seconds) * cfg.drift_rate
+    for f, lat in enumerate(stream._latents):
+        noise = stream._rng.normal(0.0, step, size=lat.shape)
+        lat += noise - cfg.mean_reversion * seconds * (lat - stream._anchors[f])
+    stream.now += seconds
+    while stream.now - stream._last_trend >= cfg.trend_interval_s:
+        stream._last_trend += cfg.trend_interval_s
+        stream._inject_trend()

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.data.synthetic import DriftingCTRStream, StreamConfig
+from reference.stream import advance_whole_tables
+from repro.data.synthetic import _DRIFT_BLOCK_ROWS, DriftingCTRStream, StreamConfig
 
 
 @pytest.fixture
@@ -66,6 +67,22 @@ class TestDrift:
         )
         s.advance(350.0)
         assert len(s.trend_log) == 3 * 1  # 3 events x 1 field
+
+    def test_block_wise_drift_equals_the_whole_table_step(self):
+        """Same draws, same arithmetic, on tables that are not a multiple
+        of the block (one smaller than a block)."""
+        sizes = (2 * _DRIFT_BLOCK_ROWS + 1001, _DRIFT_BLOCK_ROWS + 1, 7)
+        cfg = StreamConfig(table_sizes=sizes, num_dense=2, seed=4,
+                           trend_interval_s=500.0)
+        blocked = DriftingCTRStream(cfg)
+        whole = DriftingCTRStream(cfg)
+        for seconds in (1.0, 60.0, 600.0, 0.0):
+            blocked.advance(seconds)
+            advance_whole_tables(whole, seconds)
+            for got, want in zip(blocked._latents, whole._latents):
+                assert got.tobytes() == want.tobytes()
+        assert len(blocked.trend_log) == len(whole.trend_log) == 3 * 1
+        assert blocked._rng.random() == whole._rng.random()
 
     def test_drift_is_variance_consistent(self):
         """Many small advances ~ one big advance in drift magnitude."""

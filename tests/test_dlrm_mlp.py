@@ -85,6 +85,29 @@ class TestMLPBackward:
         lm = _loss(mlp, x2)
         assert grad_x[1, 0] == pytest.approx((lp - lm) / (2 * eps), abs=1e-5)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("dims", [[13, 64, 16, 1], [5, 1, 7, 1]])
+    @pytest.mark.parametrize("final_relu", [False, True])
+    def test_width_one_layer_input_gradient_is_the_matmul_form(
+        self, dtype, dims, final_relu
+    ):
+        """A width-1 layer passes its gradient back as a broadcast
+        product; every element is the one multiply the K=1 matmul does."""
+        rng = np.random.default_rng(8)
+        mlp = MLP(dims, rng=rng, final_relu=final_relu, dtype=dtype)
+        x = rng.normal(size=(257, dims[0])).astype(dtype)
+        out, cache = mlp.forward(x)
+        grad_out = rng.normal(size=out.shape).astype(dtype)
+        grad_x, _ = mlp.backward(cache, grad_out)
+        g = grad_out.copy()
+        last = mlp.num_layers - 1
+        for layer in range(last, -1, -1):
+            if layer != last or final_relu:
+                g = g * (cache[layer + 1] > 0.0)
+            g = g @ mlp.weights[layer].T
+        assert grad_x.dtype == g.dtype == np.dtype(dtype)
+        assert np.array_equal(grad_x, g)
+
     def test_apply_grads_decreases_loss(self):
         rng = np.random.default_rng(6)
         mlp = MLP([3, 8, 1], rng=rng)

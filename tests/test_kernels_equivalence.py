@@ -194,6 +194,94 @@ class TestIdSlotTable:
                 sparse.lookup(probe), dense.lookup(probe)
             )
 
+    @pytest.mark.parametrize("universe", [None, 2000])
+    def test_free_list_matches_the_stack_across_grow_clear_rebuild(self, universe):
+        """Released slots LIFO, then fresh ones ascending: the order of
+        the former preallocated free stack, whose ``grow`` slid the new
+        slots under it and whose ``clear``/``rebuild_sorted`` refilled it."""
+        rng = np.random.default_rng(7)
+        table = IdSlotTable(16, universe=universe)
+        capacity = 16
+        ref_map: dict[int, int] = {}
+        ref_free = list(range(capacity - 1, -1, -1))
+        for _ in range(120):
+            op = rng.choice(["insert", "insert", "remove", "grow", "clear", "rebuild"])
+            if op == "insert":
+                ids = rng.integers(0, 1000, size=rng.integers(1, 20))
+                slots, new_slots = table.insert(ids)
+                granted = []
+                for j, i in enumerate(ids.tolist()):
+                    if i not in ref_map and ref_free:
+                        ref_map[i] = ref_free.pop()
+                        granted.append(ref_map[i])
+                    assert slots[j] == ref_map.get(i, -1)
+                np.testing.assert_array_equal(new_slots, granted)
+            elif op == "remove":
+                ids = np.unique(rng.integers(0, 1000, size=rng.integers(1, 20)))
+                ids = np.union1d(ids, rng.choice(list(ref_map) or [0], size=3))
+                released = table.remove(ids)
+                want = [ref_map.pop(i) for i in ids.tolist() if i in ref_map]
+                np.testing.assert_array_equal(released, want)
+                ref_free.extend(want)
+            elif op == "grow":
+                new_capacity = capacity + int(rng.integers(0, 9))
+                table.grow(new_capacity)
+                ref_free = list(range(new_capacity - 1, capacity - 1, -1)) + ref_free
+                capacity = new_capacity
+            elif op == "clear":
+                table.clear()
+                ref_map = {}
+                ref_free = list(range(capacity - 1, -1, -1))
+            else:
+                keys = np.array(sorted(ref_map), dtype=np.int64)
+                capacity = max(keys.size, capacity + int(rng.integers(-4, 5)), 1)
+                table.rebuild_sorted(keys, capacity)
+                ref_map = {k: s for s, k in enumerate(keys.tolist())}
+                ref_free = list(range(capacity - 1, keys.size - 1, -1))
+            np.testing.assert_array_equal(table.keys, sorted(ref_map))
+            np.testing.assert_array_equal(
+                table.slots, [ref_map[k] for k in sorted(ref_map)]
+            )
+
+    def test_a_table_that_never_released_holds_no_free_array(self):
+        table = IdSlotTable(1 << 16)
+        table.insert(np.arange(0, 4000, 3, dtype=np.int64))
+        table.grow(1 << 20)
+        table.insert(np.arange(1, 4000, 3, dtype=np.int64))
+        assert table._released.size == 0
+        assert table.nbytes == table._keys.nbytes + table._vals.nbytes
+        released = table.remove(np.arange(0, 30, dtype=np.int64))
+        assert table.nbytes == (
+            table._keys.nbytes + table._vals.nbytes + table._released.nbytes
+        )
+        assert table._released.nbytes <= 8 * 2 * released.size
+
+    @pytest.mark.parametrize("universe", [None, 1000])
+    def test_insert_merges_grants_into_the_sorted_keys(self, universe):
+        """Byte-identical to the concatenate-and-argsort merge it replaced."""
+        rng = np.random.default_rng(11)
+        table = IdSlotTable(900, universe=universe)
+        keys = np.empty(0, dtype=np.int64)
+        vals = np.empty(0, dtype=np.int64)
+        for _ in range(30):
+            ids = rng.integers(-50, 1000, size=rng.integers(1, 80))
+            if rng.random() < 0.3:
+                table.remove(rng.choice(keys, size=min(keys.size, 10)) if keys.size else ids)
+                keys, vals = table.keys, table.slots
+            _, new_slots = table.insert(ids)
+            granted = []
+            for i in ids.tolist():
+                held = universe is None or 0 <= i < universe
+                if held and i not in keys and i not in granted:
+                    granted.append(i)
+            granted = np.array(granted[: new_slots.size], dtype=np.int64)
+            merged_keys = np.concatenate([keys, granted])
+            srt = np.argsort(merged_keys, kind="stable")
+            keys = merged_keys[srt]
+            vals = np.concatenate([vals, new_slots])[srt]
+            assert table._keys.tobytes() == keys.tobytes()
+            assert table._vals.tobytes() == vals.tobytes()
+
     def test_splitmix64_is_deterministic(self):
         vals = np.array([0, 1, 2**40, -5], dtype=np.int64)
         # fixed expectations: must never change across runs or platforms
