@@ -129,12 +129,9 @@ class InferenceNode:
     """One serving replica that pulls updates from the parameter plane.
 
     A pull the live replica set cannot answer exactly never skips
-    updates: the node applies nothing and keeps its sync point.  Its
-    plain client raises
-    :class:`~repro.cluster.resilience.errors.DegradedReadError`; a client
-    with a resilience policy in its place reports the pull ``degraded``
-    and the node keeps serving the rows it last applied, with
-    :meth:`staleness_versions` as the bound.
+    updates: the node applies nothing and keeps its sync point, and its
+    plain :class:`ShardClient` raises
+    :class:`~repro.cluster.resilience.errors.DegradedReadError`.
     """
 
     def __init__(
@@ -169,21 +166,25 @@ class InferenceNode:
         Ids outside the node's tables (negative, or past the last row)
         are dropped, not applied and not counted.
 
+        The node builds a plain client, so such a pull raises.  Only
+        tests swap a client with a resilience policy into ``self.client``;
+        with one, the same pull returns a report with ``degraded=True``,
+        every served row is the one last applied, and
+        :meth:`staleness_versions` is how many publishes the node is
+        behind.
+
         Returns:
-            The pull's report.  When the node's client has a resilience
-            policy, a pull the replicas cannot answer exactly reports
-            ``degraded=True``: every served row is the one last applied,
-            and :meth:`staleness_versions` is how many publishes the node
-            is behind.
+            The pull's report.
 
         Raises:
-            repro.cluster.resilience.errors.DegradedReadError: the pull
-                could not be answered exactly by a plain client.
+            repro.cluster.resilience.errors.DegradedReadError: the
+                replicas could not answer the pull exactly.
         """
         tables = [f"table_{f}" for f in range(len(self.model.embeddings))]
         deltas, transfer = self.client.pull_tables(tables)
-        # A degraded pull returns empty deltas: nothing is applied and the
-        # sync point stays, so the report says so instead of faking progress.
+        # A degraded pull (resilient client only) returns empty deltas:
+        # nothing is applied and the sync point stays, so the report says
+        # so instead of faking progress.
         total_rows = 0
         for f, table in enumerate(self.model.embeddings):
             indices, rows = deltas[tables[f]]

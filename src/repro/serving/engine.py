@@ -137,23 +137,23 @@ class ColocatedNodeSimulator:
         per = int(0.25 * MB)
         return inference_ccds * per, training_ccds * per
 
-    def _streams(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Generate (inference, trainer-read, trainer-write) access streams.
+    def _trainer_streams(self, inf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Draw the (trainer-read, trainer-write) access streams.
 
+        Only a window with the trainer on draws them, so a window without
+        it leaves ``self._rng`` and the training sampler where they were.
         Trainer *reads* re-visit ids the server recently looked up (the ring
         buffer holds served traffic), so they alias with inference rows —
         that aliasing is what the shadow buffer exploits.  Trainer *writes*
         (gradient rows, optimizer accumulators, LoRA slots) are private
         state with a flat, wide footprint — the cache polluter.
         """
-        cfg = self.config
-        inf = self._inference_sampler.sample(cfg.accesses_per_window)
         # the trainer touches 12 rows per served lookup, 40 % of them reads
-        n_train = int(cfg.accesses_per_window * 12.0)
+        n_train = int(self.config.accesses_per_window * 12.0)
         n_read = int(n_train * 0.4)
         reads = self._rng.choice(inf, size=n_read, replace=True)
         writes = self._training_sampler.sample(n_train - n_read)
-        return inf, reads, writes
+        return reads, writes
 
     def _traffic(
         self,
@@ -239,12 +239,16 @@ class ColocatedNodeSimulator:
         if shared_cache:
             l3_total, _ = self._partition_l3(inference_ccds + training_ccds, 0)
             cache_inf = self._make_cache(l3_total, 3 * num_rows)
-            cache_train = cache_inf
         else:
             l3_inf, l3_train = self._partition_l3(inference_ccds, training_ccds)
             cache_inf = self._make_cache(l3_inf, num_rows)
-            cache_train = self._make_cache(max(l3_train, 1), 2 * num_rows)
-        inf, reads, writes = self._streams()
+            # Allocated before the streams: allocated after them, the
+            # process's peak RSS crept up window by window (heap layout).
+            if training_on:
+                cache_train = self._make_cache(max(l3_train, 1), 2 * num_rows)
+        inf = self._inference_sampler.sample(cfg.accesses_per_window)
+        if training_on:
+            reads, writes = self._trainer_streams(inf)
         # Warm the serving cache to steady state: production servers have
         # been running for hours, so first-touch cold misses are not part
         # of the measured window.
@@ -260,7 +264,7 @@ class ColocatedNodeSimulator:
             )
         inf_stats, train_stats = CacheStats(), CacheStats()
         evictions = cache_inf.access_many(inf, ROW_BYTES, stats=inf_stats).num_evictions
-        absorbed = 0
+        absorbed, reuse_ratio = 0, 0.0
         if training_on:
             burst = 256  # lookups per inference burst
             num_bursts = max(1, (len(inf) + burst - 1) // burst)
@@ -303,8 +307,8 @@ class ColocatedNodeSimulator:
                 evictions += cache_train.access_many(
                     np.concatenate(pieces), ROW_BYTES, stats=train_stats
                 ).num_evictions
-        n_train = len(reads) + len(writes)
-        reuse_ratio = absorbed / n_train if (reuse and n_train) else 0.0
+            n_train = len(reads) + len(writes)
+            reuse_ratio = absorbed / n_train if (reuse and n_train) else 0.0
         return self._result(
             name,
             inf_stats,

@@ -9,9 +9,12 @@ Hashing is :func:`repro.core.kernels.splitmix64`, never the builtin
 ``hash()``: the builtin is salted per process (``PYTHONHASHSEED``), which
 would give every fleet member a different ring layout and make routing
 decisions irreproducible across processes.  :meth:`route` is one
-vectorised hash + ``np.searchsorted`` over the ring: every request goes to
-its home node, with no load-aware spillover, so
-:attr:`RouterStats.spill_ratio` is always 0.
+vectorised hash + a lookup in a jump table of ``2**_JT_BITS`` buckets over
+the top bits of the 32-bit ring hash: a bucket that holds no ring point
+stores its successor's ring index outright, and only keys that land in
+one of the (at most ring-size) buckets holding a point fall back to
+``np.searchsorted``.  Every request goes to its home node, with no
+load-aware spillover, so :attr:`RouterStats.spill_ratio` is always 0.
 """
 
 from __future__ import annotations
@@ -32,6 +35,9 @@ _KEY_SEED = 0x517CC1B7
 # seed: every process of a deployment builds the same ring.
 _VIRTUAL_NODES = 64
 _RING_SEED = 0
+# Jump-table buckets are the top _JT_BITS bits of a 32-bit ring hash.
+_JT_BITS = 16
+_JT_SHIFT = np.uint64(32 - _JT_BITS)
 
 
 @dataclass
@@ -70,34 +76,56 @@ class ConsistentHashRouter:
         # dense per-node position for the replica tables
         self._nodes_sorted = np.unique(np.asarray(self.node_ids, dtype=np.int64))
         self._ring_node_pos = np.searchsorted(self._nodes_sorted, self._ring_nodes)
+        self._jump = self._jump_table()
         self._replica_tables: dict[int, np.ndarray] = {}
         self.stats = RouterStats()
 
     # ---------------------------------------------------------------- basics
-    def _key_hashes(self, routing_keys: np.ndarray) -> np.ndarray:
-        # Checked coercion: the old bare `.astype(np.int64)` accepted
-        # float keys, and a float64 detour collapses every integer above
-        # 2**53 onto its even neighbour — two distinct users silently
-        # sharing a ring position.  Floats now raise; integer keys keep
-        # their exact 64-bit pattern (uint64 included, wrap-identical to
-        # the previous int64 round-trip).
-        keys = as_uint64_keys(routing_keys, name="routing_keys")
+    def _jump_table(self) -> np.ndarray:
+        """Ring index per hash bucket; ``-1`` where a bucket holds a point.
+
+        A bucket with no ring point sends every hash in it to the first
+        ring point past the bucket (wrapping to 0), which is exactly what
+        ``searchsorted`` answers for any hash inside it.  The first point
+        at or past each bucket start is the exclusive cumsum of the
+        per-bucket point counts, so the table takes no search at all.
+        """
+        counts = np.bincount(
+            (self._ring_keys >> _JT_SHIFT).astype(np.intp), minlength=1 << _JT_BITS
+        )
+        first = np.cumsum(counts) - counts
+        first[first == self._ring_keys.size] = 0
+        first[counts > 0] = -1
+        return first.astype(np.int32)
+
+    def _key_hashes(self, routing_keys) -> np.ndarray:
+        # Checked coercion, the only one per call: the old bare
+        # `.astype(np.int64)` accepted float keys, and a float64 detour
+        # collapses every integer above 2**53 onto its even neighbour —
+        # two distinct users silently sharing a ring position.  Floats
+        # raise; integer keys keep their exact 64-bit pattern (uint64
+        # included, wrap-identical to the previous int64 round-trip).
+        # The uint64 copy stays a temporary of the hash: held for a whole
+        # route it raised a 100k-key route's peak RSS by 0.8 MB.
+        keys = as_uint64_keys(routing_keys, name="routing_keys").reshape(-1)
         return splitmix64(keys, _KEY_SEED) % np.uint64(1 << 32)
 
-    def _ring_indices(self, routing_keys: np.ndarray) -> np.ndarray:
-        idx = np.searchsorted(self._ring_keys, self._key_hashes(routing_keys))
-        idx[idx == self._ring_keys.size] = 0
+    def _ring_indices(self, routing_keys) -> np.ndarray:
+        """Ring index of the first point at or past each key's hash."""
+        hashes = self._key_hashes(routing_keys)
+        idx = self._jump[(hashes >> _JT_SHIFT).astype(np.intp)]
+        search = np.flatnonzero(idx < 0)
+        if search.size:
+            found = np.searchsorted(self._ring_keys, hashes[search])
+            found[found == self._ring_keys.size] = 0
+            idx[search] = found
         return idx
 
     def route(self, routing_keys: np.ndarray) -> np.ndarray:
         """Vector routing; returns the home node id per request."""
         if np.size(routing_keys) == 0:
             return np.empty(0, dtype=np.int64)
-        # The checked uint64 copy stays a temporary of the hash: held for
-        # the whole call it raised a 100k-key route's peak RSS by 0.8 MB.
-        idx = self._ring_indices(
-            as_uint64_keys(routing_keys, name="routing_keys").reshape(-1)
-        )
+        idx = self._ring_indices(routing_keys)
         self.stats.routed += idx.size
         return self._ring_nodes[idx]
 
@@ -162,11 +190,7 @@ class ConsistentHashRouter:
         table = self._replica_table(r)
         if np.size(routing_keys) == 0:
             return np.empty((0, r), dtype=np.int64)
-        return table[
-            self._ring_indices(
-                as_uint64_keys(routing_keys, name="routing_keys").reshape(-1)
-            )
-        ]
+        return table[self._ring_indices(routing_keys)]
 
     def replica_owner_table(self, r: int) -> np.ndarray:
         """The full ``(ring_size, r)`` successor-owner table for ``r``.

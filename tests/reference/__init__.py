@@ -12,5 +12,5 @@ it (``tests/test_model_plane_equivalence.py``,
 ``tests/test_vectorcache.py``, ``tests/test_shardstore.py``,
 ``tests/test_kernels_equivalence.py``, ``tests/test_properties.py``,
 ``tests/test_shardstore_segment_log.py``, ``tests/test_data_synthetic.py``,
-``tests/faultlib.py``).
+``tests/test_router_jump_table.py``, ``tests/faultlib.py``).
 """

@@ -67,19 +67,21 @@ class TestAblationShape:
 # Every WindowResult field of the default-config ablation (the
 # ``colo_window`` scale), recorded before the simulator's fixed settings
 # became module constants.  The shadow buffer (40,000 rows) is smaller
-# than the 200,000-key publish stream, so it evicts.
+# than the 200,000-key publish stream, so it evicts.  The three training
+# rows were re-recorded when the "Only Infer" window stopped drawing the
+# trainer streams it never reads; the "Only Infer" rows did not move.
 GOLDEN_ABLATION = {
     "interval": {
         "Only Infer": ("inference_only", 0.56004, 0.0, 0.0, 22.525952, 0.3754325333333333, 5.739518809419324, 11.444798228001817, 100000, 0, 0),
-        "w/o Opt": ("colocated_naive", 0.33193, 0.24230416666666665, 0.0, 35.75694506666667, 0.6024147555555556, 13.747481566123179, 26.475104856629304, 100000, 1200000, 0),
-        "w/ Scheduling": ("colocated_scheduled", 0.54332, 0.16285416666666666, 0.0, 25.096490666666668, 0.4254184888888889, 6.133826797476885, 11.999006522284729, 100000, 1200000, 0),
-        "w/ Reuse+Scheduling": ("colocated_full", 0.54147, 0.3584016666666667, 0.34341083333333333, 24.339489822756978, 0.409252971307437, 6.0532423806040345, 11.862663157864521, 100000, 1200000, 0),
+        "w/o Opt": ("colocated_naive", 0.33193, 0.2428325, 0.0, 35.75586304, 0.6023922133333333, 13.746848357297518, 26.47387190969925, 100000, 1200000, 0),
+        "w/ Scheduling": ("colocated_scheduled", 0.54332, 0.16252833333333333, 0.0, 25.09715797333333, 0.4254323911111111, 6.133913888030785, 11.999170577218539, 100000, 1200000, 0),
+        "w/ Reuse+Scheduling": ("colocated_full", 0.54147, 0.3583366666666667, 0.3433375, 24.339673597184, 0.40925679994133335, 6.053264737715269, 11.862716038787623, 100000, 1200000, 0),
     },
     "lru": {
         "Only Infer": ("inference_only", 0.64404, 0.0, 0.0, 18.225152000000005, 0.3037525333333334, 4.918212289448963, 9.867265913165518, 100000, 0, 35596),
-        "w/o Opt": ("colocated_naive", 0.35168, 0.26338, 0.0, 34.70258176, 0.5846621866666666, 12.954172624989383, 24.952993250701468, 100000, 1200000, 948776),
-        "w/ Scheduling": ("colocated_scheduled", 0.62119, 0.17264666666666667, 0.0, 21.089491626666664, 0.3585516088888889, 5.251885042204588, 10.319873247445594, 100000, 1200000, 1026609),
-        "w/ Reuse+Scheduling": ("colocated_full", 0.61816, 0.35854833333333336, 0.34341083333333333, 20.41276460088035, 0.3438067291850074, 5.217671432645412, 10.286176765624532, 100000, 1200000, 803830),
+        "w/o Opt": ("colocated_naive", 0.35168, 0.26404833333333333, 0.0, 34.70121301333333, 0.5846336711111111, 12.953441877121403, 24.95172042170982, 100000, 1200000, 947974),
+        "w/ Scheduling": ("colocated_scheduled", 0.62119, 0.17234583333333334, 0.0, 21.090107733333333, 0.3585644444444444, 5.2519376174070524, 10.319972372538402, 100000, 1200000, 1026970),
+        "w/ Reuse+Scheduling": ("colocated_full", 0.61816, 0.35849166666666665, 0.3433375, 20.412937146239997, 0.34381032387999994, 5.217686287451508, 10.286204323735843, 100000, 1200000, 803898),
     },
 }
 
@@ -89,6 +91,63 @@ def test_ablation_golden(policy):
     sim = ColocatedNodeSimulator(NodeSimConfig(cache_policy=policy, seed=0))
     got = {name: astuple(result) for name, result in sim.ablation().items()}
     assert got == GOLDEN_ABLATION[policy]
+
+
+class TestInferenceOnlyWindows:
+    """A window without the trainer draws no trainer stream and builds no
+    trainer cache, so it leaves every later training window as it was."""
+
+    @staticmethod
+    def _sim(policy="interval"):
+        return ColocatedNodeSimulator(
+            NodeSimConfig(accesses_per_window=10_000, cache_policy=policy, seed=0)
+        )
+
+    def test_leaves_trainer_generators_untouched(self):
+        sim = self._sim()
+        before = (
+            sim._rng.bit_generator.state,
+            sim._training_sampler._rng.bit_generator.state,
+        )
+        served = sim._inference_sampler._rng.bit_generator.state
+        sim.run_inference_only()
+        assert (
+            sim._rng.bit_generator.state,
+            sim._training_sampler._rng.bit_generator.state,
+        ) == before
+        assert sim._inference_sampler._rng.bit_generator.state != served
+
+    def test_builds_only_the_serving_cache(self, monkeypatch):
+        sim = self._sim()
+        built = []
+        make = sim._make_cache
+        monkeypatch.setattr(
+            sim, "_make_cache", lambda *args: built.append(args) or make(*args)
+        )
+        sim.run_inference_only()
+        assert len(built) == 1
+        sim.run_colocated_scheduled()
+        assert len(built) == 3
+
+    @pytest.mark.parametrize("policy", ["interval", "lru"])
+    def test_training_windows_ignore_the_only_infer_window(self, policy):
+        ran = self._sim(policy).ablation()
+        only = self._sim(policy)
+        only.run_inference_only()
+        # A fresh simulator that never ran Only Infer, given only the
+        # serving-side generators (request ids and latency samples) as
+        # that window leaves them.
+        fresh = self._sim(policy)
+        for name in ("_inference_sampler", "latency"):
+            getattr(fresh, name)._rng.bit_generator.state = getattr(
+                only, name
+            )._rng.bit_generator.state
+        alone = {
+            "w/o Opt": fresh.run_colocated_naive(),
+            "w/ Scheduling": fresh.run_colocated_scheduled(),
+            "w/ Reuse+Scheduling": fresh.run_colocated_full(),
+        }
+        assert alone == {name: ran[name] for name in alone}
 
 
 class TestAdaptiveLoop:
