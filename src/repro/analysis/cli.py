@@ -1,122 +1,63 @@
-"""Command line for the invariant linter: ``python -m repro.analysis``.
+"""Command line for the invariant linter: ``python -m repro.analysis PATH...``.
 
-Exit codes:
+It takes paths only.  Exit codes:
 
-* ``0`` — scan completed, no active error-severity findings.
-* ``1`` — at least one active error finding (or an unparsable file).
-* ``2`` — usage error (bad flag, unknown rule, no such path).
+* ``0`` — scan completed, no active findings.
+* ``1`` — at least one active finding (or an unparsable file).
+* ``2`` — no paths given, or a path that does not exist.
 
-Examples::
+Example::
 
     python -m repro.analysis src tests benchmarks examples
-    python -m repro.analysis --format json src > lint.json
-    python -m repro.analysis --select no-salted-hash,hot-loop src
-    python -m repro.analysis --list-rules
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
 from pathlib import Path
 from typing import Sequence
 
-from .config import LintConfig
-from .engine import lint_paths
-from .registry import all_rules, rule_names
-from .reporters import render_json, render_text
+from .engine import LintResult, lint_paths
 
-__all__ = ["build_parser", "main"]
+__all__ = ["main", "render_text"]
 
-
-def build_parser() -> argparse.ArgumentParser:
-    """The ``repro.analysis`` argument parser."""
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.analysis",
-        description="AST invariant linter for the repro codebase.",
-    )
-    parser.add_argument(
-        "paths",
-        nargs="*",
-        help="files or directories to lint (e.g. src tests benchmarks)",
-    )
-    parser.add_argument(
-        "--format",
-        choices=("text", "json"),
-        default="text",
-        help="report format (default: text)",
-    )
-    parser.add_argument(
-        "--select",
-        default="",
-        metavar="RULE[,RULE...]",
-        help="run only these rules",
-    )
-    parser.add_argument(
-        "--disable",
-        default="",
-        metavar="RULE[,RULE...]",
-        help="skip these rules",
-    )
-    parser.add_argument(
-        "--show-suppressed",
-        action="store_true",
-        help="include suppressed findings in the text report",
-    )
-    parser.add_argument(
-        "--strict",
-        action="store_true",
-        help="treat warnings as errors for the exit code",
-    )
-    parser.add_argument(
-        "--list-rules",
-        action="store_true",
-        help="print the rule catalogue and exit",
-    )
-    return parser
+_USAGE = "usage: python -m repro.analysis PATH [PATH ...]"
 
 
-def _split_rules(raw: str) -> frozenset[str]:
-    return frozenset(part.strip() for part in raw.split(",") if part.strip())
+def render_text(result: LintResult) -> str:
+    """One ``path:line:col: rule: message`` line per finding, then a summary.
+
+    A suppressed finding shows its reason in place of the message.
+    """
+    lines = []
+    for finding in result.findings:
+        text = finding.message
+        if finding.suppressed:
+            text = f"suppressed -- {finding.suppress_reason}"
+        lines.append(
+            f"{finding.path}:{finding.line}:{finding.col + 1}: "
+            f"{finding.rule}: {text}"
+        )
+    lines.append(
+        f"{result.files_scanned} files scanned: {len(result.errors)} "
+        f"error(s), {len(result.suppressed)} suppressed"
+    )
+    return "\n".join(lines)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     """Run the linter; returns the process exit code."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
-
-    if args.list_rules:
-        for rule in all_rules():
-            marker = " (suppression needs a reason)" if rule.requires_reason else ""
-            print(f"{rule.name}: {rule.description}{marker}")
-        return 0
-
-    if not args.paths:
-        parser.print_usage(sys.stderr)
-        print("error: no paths given", file=sys.stderr)
+    paths = list(sys.argv[1:] if argv is None else argv)
+    if not paths:
+        print(f"{_USAGE}\nerror: no paths given", file=sys.stderr)
         return 2
-
-    known = set(rule_names())
-    selected = _split_rules(args.select)
-    disabled = _split_rules(args.disable)
-    unknown = (selected | disabled) - known
-    if unknown:
+    missing = [path for path in paths if not Path(path).exists()]
+    if missing:
         print(
-            f"error: unknown rule(s): {', '.join(sorted(unknown))} "
-            f"(see --list-rules)",
+            f"{_USAGE}\nerror: no such path(s): {', '.join(missing)}",
             file=sys.stderr,
         )
         return 2
-    missing = [path for path in args.paths if not Path(path).exists()]
-    if missing:
-        print(f"error: no such path(s): {', '.join(missing)}", file=sys.stderr)
-        return 2
-
-    config = LintConfig(selected=selected, disabled=disabled)
-    result = lint_paths(args.paths, config)
-    if args.format == "json":
-        print(render_json(result))
-    else:
-        print(render_text(result, show_suppressed=args.show_suppressed))
-    failing = result.errors if not args.strict else result.active
-    return 1 if failing else 0
+    result = lint_paths(paths)
+    print(render_text(result))
+    return 1 if result.errors else 0

@@ -1,6 +1,6 @@
-"""Lint configuration: hot-path modules, rule scopes, rule selection.
+"""Rule scopes: which modules are hot, decide placement, or simulate.
 
-The defaults encode this repo's invariants — which modules are *hot*
+These tuples encode this repo's invariants — which modules are *hot*
 (no per-element Python, explicit dtypes), which modules decide
 *placement* (builtin ``hash()`` banned), and where simulated time is the
 only clock.  Scopes are fnmatch patterns over dotted module names as
@@ -11,8 +11,6 @@ sibling trees (``tests.*``, ``benchmarks.*``, ``examples.*``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 __all__ = [
     "HOT_MODULES",
     "PLACEMENT_MODULES",
@@ -20,43 +18,29 @@ __all__ = [
     "PUBLIC_API_MODULES",
     "FAULT_MODULES",
     "DTYPE_CONSTRUCTORS",
-    "SANCTIONED_HASHES",
-    "LintConfig",
 ]
 
 # Modules declared hot: every per-element Python loop is a regression
 # unless explicitly suppressed with a reason, and every array constructor
-# must pin its dtype.  Mirrors the PR-1/PR-4/PR-5 vectorization work plus
-# the modules the repo benchmark (``benchmarks/e2e``) shows are hot: the
-# inference-side LoRA step, its overlay, pruning, the hot filter, the
-# synchronizer, the inference-log ring and the serving-window simulator.
+# must pin its dtype.  Each entry cites its largest self-time share of a
+# whole-process, untraced ``python -m cProfile benchmarks/e2e/run.py
+# --workload W --seed 0 --seconds 10`` (2 vCPUs, NumPy 2.4.6); a module
+# under 1 % on every workload leaves.  ``repro.core.kernels`` and
+# ``repro.cluster.shardstore.*`` stay regardless: the zero-suppression
+# policy (docs/lint.md) names them.
 HOT_MODULES: tuple[str, ...] = (
-    "repro.core.kernels",
-    "repro.core.trainer",
-    "repro.core.lora",
-    "repro.core.pruning",
-    "repro.core.hot_index",
-    "repro.core.sync",
-    "repro.data.stream",
-    "repro.data.zipf",
-    "repro.hardware.reuse",
-    "repro.hardware.vectorcache",
-    "repro.serving.engine",
-    # route and replica_assign (the replicated store's owner lookup) are
-    # 5-6 % self time of live_serve and colo_window (traced, seed 0,
-    # --seconds 10).
-    "repro.serving.router",
-    "repro.cluster.shardstore.*",
-    "repro.dlrm.embedding",
-    "repro.dlrm.mlp",
-    "repro.dlrm.interaction",
-    "repro.dlrm.model",
-    "repro.dlrm.optim",
-    # auc_roc scores every window of live_serve, delta_sync and fleet_sync:
-    # its scalar midrank loop was 3.7 s of a 28.9 s live_serve run
-    # (whole-process cProfile, seed 0, --seconds 10).
-    "repro.dlrm.metrics",
-    "repro.obs.metrics",
+    "repro.core.kernels",  # 6.6 % fleet_sync
+    "repro.core.lora",  # 3.2 % fleet_sync
+    "repro.data.zipf",  # 26.5 % colo_window
+    "repro.hardware.reuse",  # 10.7 % colo_window
+    "repro.hardware.vectorcache",  # 35.8 % colo_window
+    "repro.serving.engine",  # 5.4 % colo_window
+    "repro.cluster.shardstore.*",  # 5.3 % delta_sync (shard; store 3.9 %)
+    "repro.dlrm.embedding",  # 3.2 % fleet_sync
+    "repro.dlrm.mlp",  # 15.8 % delta_sync
+    "repro.dlrm.interaction",  # 3.6 % fleet_sync
+    "repro.dlrm.model",  # 2.8 % fleet_sync
+    "repro.dlrm.optim",  # 3.3 % delta_sync
 )
 
 # Modules whose decisions must be byte-identical across processes:
@@ -101,29 +85,3 @@ DTYPE_CONSTRUCTORS: frozenset[str] = frozenset(
         "numpy.asarray",
     }
 )
-
-# The process-stable hash family that replaces the builtin ``hash()``.
-SANCTIONED_HASHES: tuple[str, ...] = (
-    "repro.core.kernels.splitmix64",
-    "repro.core.kernels.hash_combine",
-    "repro.core.kernels.stable_str_hash",
-)
-
-
-@dataclass
-class LintConfig:
-    """Which rules one lint run applies.
-
-    Attributes:
-        disabled: rule names switched off entirely.
-        selected: when non-empty, *only* these rules run.
-    """
-
-    disabled: frozenset[str] = frozenset()
-    selected: frozenset[str] = frozenset()
-
-    def rule_enabled(self, name: str) -> bool:
-        """Whether rule ``name`` participates in this run."""
-        if name in self.disabled:
-            return False
-        return not self.selected or name in self.selected

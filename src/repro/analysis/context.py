@@ -9,10 +9,10 @@ is built once.  Rules stay cheap and purely syntactic.
 
 Suppression syntax
 ------------------
-``# repro-lint: disable=<rule>[,<rule>...] [-- <reason>]`` on any line a
-flagged node spans, or on its own line directly above it.  Rules that
-guard hot paths (``hot-loop``) *require* the ``-- <reason>`` part; a
-bare disable is itself reported.
+``# repro-lint: disable=<rule>[,<rule>...] -- <reason>`` on any line a
+flagged node spans, or on its own line directly above it.  Every rule
+requires the ``-- <reason>`` part: a reasonless disable suppresses
+nothing, and the finding it sits on says so.
 """
 
 from __future__ import annotations
@@ -67,13 +67,8 @@ def module_name_for(path: str | Path) -> str:
 class Suppression:
     """One ``# repro-lint: disable=...`` comment."""
 
-    line: int
     rules: frozenset[str]
-    reason: str | None = None
-
-    def covers(self, rule: str) -> bool:
-        """Whether this comment disables ``rule`` (``all`` disables any)."""
-        return rule in self.rules or "all" in self.rules
+    reason: str | None
 
 
 @dataclass
@@ -127,20 +122,16 @@ class FileContext:
         parts.append(head)
         return ".".join(reversed(parts))
 
-    def suppression_for(self, rule: str, node: ast.AST) -> Suppression | None:
-        """The disable comment covering ``rule`` for ``node``.
+    def suppression_for(self, rule: str, start: int, end: int) -> Suppression | None:
+        """The disable comment covering ``rule`` for a node on lines ``start..end``.
 
         A comment counts when it sits on any line the node spans, or on
         its own line directly above the node (the readable placement for
         statements too long to carry a trailing comment).
         """
-        start = getattr(node, "lineno", None)
-        if start is None:
-            return None
-        end = getattr(node, "end_lineno", None) or start
         for line in range(start - 1, end + 1):
             sup = self.suppressions.get(line)
-            if sup is not None and sup.covers(rule):
+            if sup is not None and rule in sup.rules:
                 return sup
         return None
 
@@ -165,7 +156,7 @@ def _scan_suppressions(source: str) -> dict[int, Suppression]:
             part.strip() for part in match.group(1).split(",") if part.strip()
         )
         reason = match.group(2)
-        out[line] = Suppression(line=line, rules=rules, reason=reason)
+        out[line] = Suppression(rules=rules, reason=reason)
     return out
 
 

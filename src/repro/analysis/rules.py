@@ -1,33 +1,10 @@
-"""The repo-specific invariant rules, plus one generic hygiene rule.
+"""The invariant rules: eight repo-specific checks and ``unused-import``.
 
-Each rule machine-checks an invariant this repo has already paid to learn
-(see ``docs/lint.md`` for the incident history behind every rule):
-
-* ``no-salted-hash`` — the builtin ``hash()`` is salted per process and
-  broke routing (PR 1) and shard placement (PR 2); placement code uses
-  the splitmix64 family only.
-* ``no-unseeded-rng`` — all randomness flows through
-  ``np.random.default_rng(seed)`` / explicit ``Generator`` params.
-* ``no-wallclock-in-sim`` — simulation/model code runs on simulated
-  time; ``time.time()`` / ``datetime.now()`` make runs host-dependent.
-* ``hot-loop`` — per-element Python loops over array data in modules
-  declared hot; a deliberate scalar fallback needs a reasoned
-  suppression.
-* ``dtype-discipline`` — array constructors in hot modules pin their
-  dtype explicitly (int64 ids, uint64 routing keys, float64 rows).
-* ``public-api`` — public modules carry a docstring and a statically
-  resolvable ``__all__`` whose names exist and are documented.
-* ``obs-discipline`` — metric/span names are lowercase dotted string
-  literals (registry lookups stay cacheable and greppable).
-* ``no-bare-except`` — in retry/fault-handling code a swallowed
-  exception can hide a lost write or a dead replica; handlers must
-  catch a named exception class, and a blanket ``except Exception``
-  must re-raise or bind-and-record what it caught.
-* ``unused-import`` — a module-level import whose name the module never
-  references (the pyflakes F401 class), so a refactor that deletes the
-  last use also deletes the import; ``ruff`` is not always at hand.
-
-Rules are syntactic: they see one file's AST, never import the code.
+Each rule is a generator ``check(ctx)`` over one parsed file that yields
+``(node, message)`` for every violation; :data:`RULES` lists them with
+their names and module scopes, in report order.  Rules are syntactic:
+they see one file's AST and never import the code.  ``docs/lint.md``
+holds the catalogue and the incident behind each rule.
 """
 
 from __future__ import annotations
@@ -45,19 +22,11 @@ from .config import (
     SIM_MODULES,
 )
 from .context import FileContext
-from .registry import Finding, Rule, register
 
-__all__ = [
-    "NoSaltedHashRule",
-    "NoUnseededRngRule",
-    "NoWallclockInSimRule",
-    "HotLoopRule",
-    "DtypeDisciplineRule",
-    "PublicApiRule",
-    "ObsDisciplineRule",
-    "NoBareExceptRule",
-    "UnusedImportRule",
-]
+__all__ = ["RULES"]
+
+# What a rule yields: the flagged node and the message for it.
+Hits = Iterator[tuple[ast.AST, str]]
 
 _WALLCLOCK_CALLS = frozenset(
     {
@@ -75,339 +44,251 @@ _SCALARIZING_METHODS = frozenset({"tolist", "flatten", "ravel", "item"})
 _SCALARIZING_ATTRS = frozenset({"flat"})
 
 
-@register
-class NoSaltedHashRule(Rule):
+def no_salted_hash(ctx: FileContext) -> Hits:
     """Builtin ``hash()`` banned where placement must be process-stable."""
-
-    name = "no-salted-hash"
-    scope = PLACEMENT_MODULES
-    description = (
-        "builtin hash() is salted per process (PYTHONHASHSEED); placement/"
-        "routing code must use splitmix64/hash_combine/stable_str_hash"
-    )
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
-            if (
-                isinstance(node, ast.Name)
-                and node.id == "hash"
-                and isinstance(node.ctx, ast.Load)
-                and "hash" not in ctx.aliases
-            ):
-                yield self.finding(
-                    ctx,
-                    node,
-                    "salted builtin hash() in placement-critical module; "
-                    "use repro.core.kernels.splitmix64 / hash_combine / "
-                    "stable_str_hash",
-                )
+    for node in ast.walk(ctx.tree):
+        if (
+            isinstance(node, ast.Name)
+            and node.id == "hash"
+            and isinstance(node.ctx, ast.Load)
+            and "hash" not in ctx.aliases
+        ):
+            yield (
+                node,
+                "salted builtin hash() in placement-critical module; "
+                "use repro.core.kernels.splitmix64 / hash_combine / "
+                "stable_str_hash",
+            )
 
 
-@register
-class NoUnseededRngRule(Rule):
+def no_unseeded_rng(ctx: FileContext) -> Hits:
     """All randomness flows through seeded ``default_rng``/``Generator``."""
-
-    name = "no-unseeded-rng"
-    description = (
-        "bare np.random.* / stdlib random.* calls are nondeterministic; "
-        "thread an np.random.default_rng(seed) / Generator through instead"
-    )
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            qual = ctx.qualname(node.func)
-            if qual is None:
-                continue
-            if qual.startswith("numpy.random."):
-                tail = qual.rsplit(".", 1)[1]
-                if tail == "default_rng" or tail[:1].isupper():
-                    # Seeded construction — only the zero-argument form
-                    # (fresh OS entropy) is nondeterministic.
-                    if not node.args and not node.keywords:
-                        yield self.finding(
-                            ctx,
-                            node,
-                            f"{tail}() without a seed draws fresh OS "
-                            "entropy; pass an explicit seed",
-                        )
-                else:
-                    yield self.finding(
-                        ctx,
+    for node in ast.walk(ctx.tree):
+        if not isinstance(node, ast.Call):
+            continue
+        qual = ctx.qualname(node.func)
+        if qual is None:
+            continue
+        if qual.startswith("numpy.random."):
+            tail = qual.rsplit(".", 1)[1]
+            if tail == "default_rng" or tail[:1].isupper():
+                # Seeded construction — only the zero-argument form
+                # (fresh OS entropy) is nondeterministic.
+                if not node.args and not node.keywords:
+                    yield (
                         node,
-                        f"np.random.{tail}() uses the hidden global RNG; "
-                        "use np.random.default_rng(seed)",
+                        f"{tail}() without a seed draws fresh OS "
+                        "entropy; pass an explicit seed",
                     )
-            elif qual.startswith("random.") and qual.count(".") == 1:
-                tail = qual.rsplit(".", 1)[1]
-                if tail == "Random" and (node.args or node.keywords):
-                    continue  # random.Random(seed) is at least seeded
-                yield self.finding(
-                    ctx,
+            else:
+                yield (
                     node,
-                    f"stdlib random.{tail}() is banned; use "
-                    "np.random.default_rng(seed)",
+                    f"np.random.{tail}() uses the hidden global RNG; "
+                    "use np.random.default_rng(seed)",
                 )
+        elif qual.startswith("random.") and qual.count(".") == 1:
+            tail = qual.rsplit(".", 1)[1]
+            if tail == "Random" and (node.args or node.keywords):
+                continue  # random.Random(seed) is at least seeded
+            yield (
+                node,
+                f"stdlib random.{tail}() is banned; use "
+                "np.random.default_rng(seed)",
+            )
 
 
-@register
-class NoWallclockInSimRule(Rule):
+def no_wallclock_in_sim(ctx: FileContext) -> Hits:
     """Wall-clock reads banned from simulation/model code."""
+    for node in ast.walk(ctx.tree):
+        if not isinstance(node, ast.Call):
+            continue
+        qual = ctx.qualname(node.func)
+        if qual in _WALLCLOCK_CALLS:
+            yield (
+                node,
+                f"wall-clock read {qual}() in simulation/model code; "
+                "use the simulated timeline (perf_counter is fine for "
+                "measuring real compute)",
+            )
 
-    name = "no-wallclock-in-sim"
-    scope = SIM_MODULES
-    description = (
-        "time.time()/datetime.now() make simulated timelines host-"
-        "dependent; simulation code advances simulated time only"
-    )
 
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            qual = ctx.qualname(node.func)
-            if qual in _WALLCLOCK_CALLS:
-                yield self.finding(
-                    ctx,
+def hot_loop(ctx: FileContext) -> Hits:
+    """Per-element Python loops over array data in hot modules."""
+    for node in ast.walk(ctx.tree):
+        if isinstance(node, ast.For):
+            why = _scalarizing_iter(ctx, node.iter)
+            if why:
+                yield (
                     node,
-                    f"wall-clock read {qual}() in simulation/model code; "
-                    "use the simulated timeline (perf_counter is fine for "
-                    "measuring real compute)",
+                    f"per-element loop over array data ({why}) in hot "
+                    "module; vectorize or add `# repro-lint: "
+                    "disable=hot-loop -- <reason>`",
+                )
+        elif isinstance(node, ast.While):
+            why = _scalarizing_expr(ctx, node.test)
+            if why:
+                yield (
+                    node,
+                    f"per-element while loop ({why}) in hot module; "
+                    "vectorize or add `# repro-lint: disable=hot-loop "
+                    "-- <reason>`",
                 )
 
 
-@register
-class HotLoopRule(Rule):
-    """Per-element Python loops over array data in hot modules."""
-
-    name = "hot-loop"
-    scope = HOT_MODULES
-    description = (
-        "per-element for/while over array data in a module declared hot; "
-        "vectorize, or suppress with a reason for a deliberate scalar "
-        "fallback"
-    )
-    requires_reason = True
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.For):
-                why = _scalarizing_iter(ctx, node.iter)
-                if why:
-                    yield self.finding(
-                        ctx,
-                        node,
-                        f"per-element loop over array data ({why}) in hot "
-                        "module; vectorize or add `# repro-lint: "
-                        "disable=hot-loop -- <reason>`",
-                    )
-            elif isinstance(node, ast.While):
-                why = _scalarizing_expr(ctx, node.test)
-                if why:
-                    yield self.finding(
-                        ctx,
-                        node,
-                        f"per-element while loop ({why}) in hot module; "
-                        "vectorize or add `# repro-lint: disable=hot-loop "
-                        "-- <reason>`",
-                    )
-
-
-@register
-class DtypeDisciplineRule(Rule):
+def dtype_discipline(ctx: FileContext) -> Hits:
     """Array constructors in hot modules must pin ``dtype=`` explicitly,
     and statically-known float lanes must not mix in one expression."""
-
-    name = "dtype-discipline"
-    scope = HOT_MODULES
-    description = (
-        "np.zeros/empty/ones/full/arange/asarray in hot modules must pass "
-        "an explicit dtype= (int64 ids, uint64 keys, float64 rows), and "
-        "arrays on different float lanes (float32 vs float64) must not "
-        "meet in a binary op — numpy silently upcasts the result"
-    )
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            qual = ctx.qualname(node.func)
-            if qual not in DTYPE_CONSTRUCTORS:
-                continue
-            if any(kw.arg == "dtype" for kw in node.keywords):
-                continue
-            tail = qual.rsplit(".", 1)[1]
-            hint = (
-                "use a checked coercer from repro.core.dtypes"
-                if tail == "asarray"
-                else "pass dtype= explicitly"
-            )
-            yield self.finding(
-                ctx,
-                node,
-                f"np.{tail}(...) without an explicit dtype= in a hot "
-                f"module silently inherits a platform/input-dependent "
-                f"dtype; {hint}",
-            )
-        yield from self._check_mixed_lanes(ctx)
-
-    def _check_mixed_lanes(self, ctx: FileContext) -> Iterator[Finding]:
-        """Flag binary ops whose operands sit on different float lanes.
-
-        Lane inference is deliberately shallow and syntactic: a name
-        acquires a lane when it is assigned straight from an array
-        constructor or ``.astype`` whose dtype is the *literal*
-        ``np.float32``/``np.float64`` (or the equivalent string).  Only
-        names with known, different lanes are reported — everything
-        dynamic stays silent, so the check has no false positives on
-        code that passes a dtype through (``dtype=self.dtype`` records
-        nothing).
-        """
-        scopes: list[ast.AST] = [ctx.tree]
-        scopes.extend(
-            n
-            for n in ast.walk(ctx.tree)
-            if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
+    for node in ast.walk(ctx.tree):
+        if not isinstance(node, ast.Call):
+            continue
+        qual = ctx.qualname(node.func)
+        if qual not in DTYPE_CONSTRUCTORS:
+            continue
+        if any(kw.arg == "dtype" for kw in node.keywords):
+            continue
+        tail = qual.rsplit(".", 1)[1]
+        hint = (
+            "use a checked coercer from repro.core.dtypes"
+            if tail == "asarray"
+            else "pass dtype= explicitly"
         )
-        seen: set[int] = set()
-        for scope in scopes:
-            lanes: dict[str, str] = {}
-            for node in ast.walk(scope):
-                if isinstance(node, ast.Assign) and len(node.targets) == 1:
-                    target = node.targets[0]
-                    if isinstance(target, ast.Name):
-                        lane = _expr_lane(ctx, node.value)
-                        if lane is not None:
-                            lanes[target.id] = lane
-            for node in ast.walk(scope):
-                if not isinstance(node, ast.BinOp) or id(node) in seen:
-                    continue
-                left = _operand_lane(ctx, node.left, lanes)
-                right = _operand_lane(ctx, node.right, lanes)
-                if (
-                    left is not None
-                    and right is not None
-                    and left[1] != right[1]
-                ):
-                    seen.add(id(node))
-                    yield self.finding(
-                        ctx,
-                        node,
-                        f"binary op mixes float lanes ({left[0]}: "
-                        f"{left[1]}, {right[0]}: {right[1]}); numpy "
-                        "silently upcasts the result to float64 — coerce "
-                        "both operands onto one lane first",
-                    )
+        yield (
+            node,
+            f"np.{tail}(...) without an explicit dtype= in a hot "
+            f"module silently inherits a platform/input-dependent "
+            f"dtype; {hint}",
+        )
+    yield from _mixed_lanes(ctx)
 
 
-@register
-class PublicApiRule(Rule):
-    """Public modules: docstring + resolvable, documented ``__all__``."""
+def _mixed_lanes(ctx: FileContext) -> Hits:
+    """Flag binary ops whose operands sit on different float lanes.
 
-    name = "public-api"
-    scope = PUBLIC_API_MODULES
-    description = (
-        "public repro modules must carry a module docstring and an "
-        "__all__ whose names exist and (for defs/classes) are documented"
+    Lane inference is deliberately shallow and syntactic: a name
+    acquires a lane when it is assigned straight from an array
+    constructor or ``.astype`` whose dtype is the *literal*
+    ``np.float32``/``np.float64`` (or the equivalent string).  Only
+    names with known, different lanes are reported — everything
+    dynamic stays silent, so the check has no false positives on
+    code that passes a dtype through (``dtype=self.dtype`` records
+    nothing).
+    """
+    scopes: list[ast.AST] = [ctx.tree]
+    scopes.extend(
+        n
+        for n in ast.walk(ctx.tree)
+        if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
     )
+    seen: set[int] = set()
+    for scope in scopes:
+        lanes: dict[str, str] = {}
+        for node in ast.walk(scope):
+            if isinstance(node, ast.Assign) and len(node.targets) == 1:
+                target = node.targets[0]
+                if isinstance(target, ast.Name):
+                    lane = _expr_lane(ctx, node.value)
+                    if lane is not None:
+                        lanes[target.id] = lane
+        for node in ast.walk(scope):
+            if not isinstance(node, ast.BinOp) or id(node) in seen:
+                continue
+            left = _operand_lane(ctx, node.left, lanes)
+            right = _operand_lane(ctx, node.right, lanes)
+            if (
+                left is not None
+                and right is not None
+                and left[1] != right[1]
+            ):
+                seen.add(id(node))
+                yield (
+                    node,
+                    f"binary op mixes float lanes ({left[0]}: "
+                    f"{left[1]}, {right[0]}: {right[1]}); numpy "
+                    "silently upcasts the result to float64 — coerce "
+                    "both operands onto one lane first",
+                )
 
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        tree = ctx.tree
-        if any(part.startswith("_") for part in ctx.module.split(".")):
-            return
-        if ast.get_docstring(tree) is None:
-            yield self.finding(
-                ctx, tree, "public module is missing a module docstring"
-            )
-        names, assign_node = _resolve_dunder_all(tree)
-        if assign_node is None:
-            yield self.finding(
-                ctx,
-                tree,
-                "public module does not define __all__; declare the "
-                "intended API surface",
-            )
-            return
-        if names is None:
-            yield self.finding(
-                ctx,
+
+def public_api(ctx: FileContext) -> Hits:
+    """Public modules: docstring + resolvable, documented ``__all__``."""
+    tree = ctx.tree
+    if any(part.startswith("_") for part in ctx.module.split(".")):
+        return
+    if ast.get_docstring(tree) is None:
+        yield tree, "public module is missing a module docstring"
+    names, assign_node = _resolve_dunder_all(tree)
+    if assign_node is None:
+        yield (
+            tree,
+            "public module does not define __all__; declare the "
+            "intended API surface",
+        )
+        return
+    if names is None:
+        yield (
+            assign_node,
+            "__all__ could not be resolved statically; use a literal "
+            "list/tuple of strings (or list(<dict literal>))",
+        )
+        return
+    seen: set[str] = set()
+    for name in names:
+        if name in seen:
+            yield assign_node, f"duplicate name {name!r} in __all__"
+        seen.add(name)
+    bound, documented, has_getattr = _module_bindings(tree)
+    for name in names:
+        if name not in bound and not has_getattr:
+            yield (
                 assign_node,
-                "__all__ could not be resolved statically; use a literal "
-                "list/tuple of strings (or list(<dict literal>))",
+                f"__all__ lists {name!r} but the module never binds it",
             )
-            return
-        seen: set[str] = set()
-        for name in names:
-            if name in seen:
-                yield self.finding(
-                    ctx, assign_node, f"duplicate name {name!r} in __all__"
-                )
-            seen.add(name)
-        bound, documented, has_getattr = _module_bindings(tree)
-        for name in names:
-            if name not in bound and not has_getattr:
-                yield self.finding(
-                    ctx,
-                    assign_node,
-                    f"__all__ lists {name!r} but the module never binds it",
-                )
-            elif name in documented and not documented[name]:
-                yield self.finding(
-                    ctx,
-                    assign_node,
-                    f"public name {name!r} in __all__ has no docstring",
-                )
+        elif name in documented and not documented[name]:
+            yield (
+                assign_node,
+                f"public name {name!r} in __all__ has no docstring",
+            )
 
 
 _METRIC_FACTORIES = frozenset({"counter", "gauge", "histogram", "span"})
 _METRIC_NAME_RE = re.compile(r"^[a-z0-9_]+(\.[a-z0-9_]+)+$")
 
 
-@register
-class ObsDisciplineRule(Rule):
+def obs_discipline(ctx: FileContext) -> Hits:
     """Telemetry discipline: metric and span names are dotted literals."""
-
-    name = "obs-discipline"
-    description = "metric/span names must be lowercase dotted string literals"
-    scope = ("repro", "repro.*", "benchmarks.*", "examples.*")
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
-            if not (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr in _METRIC_FACTORIES
-            ):
-                continue
-            qual = ctx.qualname(node.func)
-            if qual is not None and qual.startswith("numpy."):
-                continue  # np.histogram and friends are not metric factories
-            name_arg = node.args[0] if node.args else None
-            if name_arg is None:
-                for kw in node.keywords:
-                    if kw.arg == "name":
-                        name_arg = kw.value
-            if name_arg is None:
-                continue
-            if not (
-                isinstance(name_arg, ast.Constant)
-                and isinstance(name_arg.value, str)
-            ):
-                yield self.finding(
-                    ctx,
-                    node,
-                    f".{node.func.attr}(...) metric/span name must be a "
-                    "string literal so registry lookups stay cacheable "
-                    "and statically greppable",
-                )
-            elif not _METRIC_NAME_RE.match(name_arg.value):
-                yield self.finding(
-                    ctx,
-                    node,
-                    f"metric/span name {name_arg.value!r} must be a "
-                    "lowercase dotted literal like 'plane.component.metric'",
-                )
+    for node in ast.walk(ctx.tree):
+        if not (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in _METRIC_FACTORIES
+        ):
+            continue
+        qual = ctx.qualname(node.func)
+        if qual is not None and qual.startswith("numpy."):
+            continue  # np.histogram and friends are not metric factories
+        name_arg = node.args[0] if node.args else None
+        if name_arg is None:
+            for kw in node.keywords:
+                if kw.arg == "name":
+                    name_arg = kw.value
+        if name_arg is None:
+            continue
+        if not (
+            isinstance(name_arg, ast.Constant)
+            and isinstance(name_arg.value, str)
+        ):
+            yield (
+                node,
+                f".{node.func.attr}(...) metric/span name must be a "
+                "string literal so registry lookups stay cacheable "
+                "and statically greppable",
+            )
+        elif not _METRIC_NAME_RE.match(name_arg.value):
+            yield (
+                node,
+                f"metric/span name {name_arg.value!r} must be a "
+                "lowercase dotted literal like 'plane.component.metric'",
+            )
 
 
 _BROAD_EXCEPTIONS = frozenset(
@@ -420,71 +301,63 @@ _BROAD_EXCEPTIONS = frozenset(
 )
 
 
-@register
-class NoBareExceptRule(Rule):
+def no_bare_except(ctx: FileContext) -> Hits:
     """Swallowed exceptions banned from retry/fault-handling code."""
-
-    name = "no-bare-except"
-    scope = FAULT_MODULES
-    description = (
-        "bare `except:` and blanket `except Exception` in fault-handling "
-        "code can hide a lost write or a dead replica; catch a named "
-        "exception class, or re-raise / bind-and-record what was caught"
-    )
-    requires_reason = True
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.ExceptHandler):
-                continue
-            if node.type is None:
-                yield self.finding(
-                    ctx,
-                    node,
-                    "bare `except:` swallows everything including "
-                    "KeyboardInterrupt; catch a named exception class",
-                )
-                continue
-            broad = _broad_exception_names(ctx, node.type)
-            if not broad:
-                continue
-            if _handler_reraises_or_uses(node):
-                continue
-            caught = ", ".join(broad)
-            yield self.finding(
-                ctx,
+    for node in ast.walk(ctx.tree):
+        if not isinstance(node, ast.ExceptHandler):
+            continue
+        if node.type is None:
+            yield (
                 node,
-                f"blanket `except {caught}` neither re-raises nor binds "
-                "and uses the exception; narrow the class, re-raise, or "
-                "record what was caught (`except ... as err`)",
+                "bare `except:` swallows everything including "
+                "KeyboardInterrupt; catch a named exception class",
+            )
+            continue
+        broad = _broad_exception_names(ctx, node.type)
+        if not broad:
+            continue
+        if _handler_reraises_or_uses(node):
+            continue
+        caught = ", ".join(broad)
+        yield (
+            node,
+            f"blanket `except {caught}` neither re-raises nor binds "
+            "and uses the exception; narrow the class, re-raise, or "
+            "record what was caught (`except ... as err`)",
+        )
+
+
+def unused_import(ctx: FileContext) -> Hits:
+    """Module-level imports whose bound name the module never references."""
+    if ctx.path.endswith("__init__.py"):
+        return
+    exported, _ = _resolve_dunder_all(ctx.tree)
+    used = _referenced_names(ctx.tree) | set(exported or ())
+    for node, bound in _module_imports(ctx.tree.body):
+        if bound not in used:
+            yield (
+                node,
+                f"{bound!r} is imported but never used; delete the "
+                "import, or list the name in __all__ to re-export it",
             )
 
 
-@register
-class UnusedImportRule(Rule):
-    """Module-level imports whose bound name the module never references."""
+_ALL_MODULES = ("*",)
 
-    name = "unused-import"
-    description = (
-        "a module-level import binds a name the module never references "
-        "(pyflakes F401); package __init__ re-exports, names listed in "
-        "__all__ and __future__ imports are exempt"
-    )
-    requires_reason = True
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        if ctx.path.endswith("__init__.py"):
-            return
-        exported, _ = _resolve_dunder_all(ctx.tree)
-        used = _referenced_names(ctx.tree) | set(exported or ())
-        for node, bound in _module_imports(ctx.tree.body):
-            if bound not in used:
-                yield self.finding(
-                    ctx,
-                    node,
-                    f"{bound!r} is imported but never used; delete the "
-                    "import, or list the name in __all__ to re-export it",
-                )
+# (name, scope, check): the rule id used in reports and disable comments,
+# fnmatch patterns over dotted module names, and the check.  This order is
+# the report order.
+RULES = (
+    ("no-salted-hash", PLACEMENT_MODULES, no_salted_hash),
+    ("no-unseeded-rng", _ALL_MODULES, no_unseeded_rng),
+    ("no-wallclock-in-sim", SIM_MODULES, no_wallclock_in_sim),
+    ("hot-loop", HOT_MODULES, hot_loop),
+    ("dtype-discipline", HOT_MODULES, dtype_discipline),
+    ("public-api", PUBLIC_API_MODULES, public_api),
+    ("obs-discipline", ("repro", "repro.*", "benchmarks.*", "examples.*"), obs_discipline),
+    ("no-bare-except", FAULT_MODULES, no_bare_except),
+    ("unused-import", _ALL_MODULES, unused_import),
+)
 
 
 # --------------------------------------------------------------------- helpers
