@@ -41,6 +41,9 @@ HOT_MODULES: tuple[str, ...] = (
     "repro.dlrm.interaction",  # 3.6 % fleet_sync
     "repro.dlrm.model",  # 2.8 % fleet_sync
     "repro.dlrm.optim",  # 3.3 % delta_sync
+    "repro.data.synthetic",  # 13.1 % delta_sync
+    "repro.core.dtypes",  # 1.3 % fleet_sync
+    "repro.hardware.latency",  # 1.1 % colo_window
 )
 
 # Modules whose decisions must be byte-identical across processes:

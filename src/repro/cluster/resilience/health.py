@@ -17,7 +17,8 @@ feeding the same observations read byte-identical signals back.
 
 from __future__ import annotations
 
-import numpy as np
+from bisect import bisect_left, insort
+from collections import deque
 
 __all__ = ["HealthTracker"]
 
@@ -34,7 +35,10 @@ class HealthTracker:
     def __init__(self) -> None:
         self._latency: dict[int, float] = {}
         self._error: dict[int, float] = {}
-        self._recent: list[float] = []
+        # The window twice: in arrival order (to evict) and sorted (to read
+        # a quantile without sorting).
+        self._recent: deque[float] = deque()
+        self._sorted: list[float] = []
 
     def record(
         self,
@@ -64,9 +68,12 @@ class HealthTracker:
         err = self._error.get(shard_id, 0.0)
         self._error[shard_id] = (1.0 - a) * err + (a if not ok else 0.0)
         if ok and not hedged:
-            self._recent.append(float(latency_s))
+            latency_s = float(latency_s)
+            self._recent.append(latency_s)
+            insort(self._sorted, latency_s)
             if len(self._recent) > HEALTH_WINDOW:
-                del self._recent[: len(self._recent) - HEALTH_WINDOW]
+                oldest = self._recent.popleft()
+                del self._sorted[bisect_left(self._sorted, oldest)]
 
     def ewma_latency_s(self, shard_id: int) -> float:
         """Smoothed attempt latency for one shard (0.0 when unobserved)."""
@@ -81,14 +88,23 @@ class HealthTracker:
 
         Returns ``inf`` while the window is empty, which disables
         hedging until the tracker has seen real traffic — a cold client
-        has no baseline to call a primary "slow" against.
+        has no baseline to call a primary "slow" against.  Otherwise it
+        is ``np.quantile``'s default (linear) quantile, bit for bit, read
+        from the sorted window in O(1).
         """
         if not 0.0 <= q <= 1.0:
             raise ValueError("quantile must be in [0, 1]")
-        if not self._recent:
+        window = self._sorted
+        if not window:
             return float("inf")
-        samples = np.asarray(self._recent, dtype=np.float64)
-        return float(np.quantile(samples, q))
+        at = (len(window) - 1) * q
+        lo = int(at)
+        if lo >= len(window) - 1:
+            return window[-1]
+        a, b = window[lo], window[lo + 1]
+        t = at - lo
+        # numpy's lerp: from the nearer end, so t = 1 lands on b exactly.
+        return a + (b - a) * t if t < 0.5 else b - (b - a) * (1 - t)
 
     def replica_order(self, shard_ids: list[int]) -> list[int]:
         """Candidates ordered healthiest-first, deterministically.

@@ -319,19 +319,9 @@ class ShardClient:
             total_rows = 0
             if cover.exact:
                 for table in tables:
-                    # Primaries own disjoint key sets; empty parts keep the
-                    # table's width, so they merge without special-casing.
-                    parts = [
-                        store.pull_delta_primary(table, since, sid)
-                        for sid in cover.clean
-                    ]
-                    if cover.recon:
-                        parts.append(
-                            store.pull_delta_ranges(
-                                table, since, cover.recon, cover.available
-                            )
-                        )
-                    ids, rows, _ = store._merge_disjoint(parts)
+                    ids, rows, _ = store.pull_covered(
+                        table, since, cover.clean, cover.recon, cover.available
+                    )
                     deltas[table] = (ids, rows)
                     total_rows += int(ids.size)
                 self.synced_version = store.version
@@ -412,15 +402,11 @@ class ShardClient:
         primary-range share one resilient RPC actually carries.
         """
         store = self.store
-        out: dict[int, int] = {}
         r = max(store.replication, 1)
-        for sid in store.shard_ids:
-            shard = store.shards[sid]
-            count = 0
-            for table in tables:
-                count += shard.changed_count(table, since)
-            out[sid] = (count * store.row_bytes) // r
-        return out
+        return {
+            sid: (count * store.row_bytes) // r
+            for sid, count in store.changed_rows(tables, since).items()
+        }
 
     def _backup_read(
         self,

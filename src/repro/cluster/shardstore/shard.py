@@ -38,7 +38,7 @@ import numpy as np
 
 from ...core.kernels import IdSlotTable, run_starts
 
-__all__ = ["DeltaSlice", "ShardStats", "ParameterShard"]
+__all__ = ["DeltaSlice", "MutationEpoch", "ShardStats", "ParameterShard"]
 
 #: ``(ids, rows, versions)`` of one delta read: ids ascending, the rows'
 #: current payloads, and the store version each was last written at.
@@ -53,6 +53,23 @@ class ShardStats:
     rows_read: int = 0
     bytes_written: int = 0
     bytes_read: int = 0
+
+
+class MutationEpoch:
+    """One store's write counter, shared by all of its shards.
+
+    Every shard write (publish, ingest, drop, primary retag, re-widen,
+    compaction) moves ``value``; a store publish, repair or compaction
+    moves it through those.  The store moves it itself for the changes
+    that write no shard: a kill, a revive, a ring change.  A read
+    memoised at one value is stale once it moved.
+    """
+
+    def __init__(self) -> None:
+        self.value = 0
+
+    def bump(self) -> None:
+        self.value += 1
 
 
 class _TableBlock:
@@ -422,12 +439,16 @@ class ParameterShard:
     ``row_dtype`` selects the row lane of every block this shard creates;
     ``row_bytes`` is the accounting size per row and should agree with the
     lane (the store computes it as ``dim * itemsize`` when lane-aware).
+    Every write bumps ``epoch``, the owning store's :class:`MutationEpoch`.
     """
 
-    def __init__(self, shard_id: int, row_bytes: int, row_dtype) -> None:
+    def __init__(
+        self, shard_id: int, row_bytes: int, row_dtype, epoch: MutationEpoch
+    ) -> None:
         self.shard_id = shard_id
         self.row_bytes = row_bytes
         self.row_dtype = np.dtype(row_dtype)
+        self.epoch = epoch
         self.stats = ShardStats()
         self._blocks: dict[str, _TableBlock] = {}
 
@@ -467,6 +488,7 @@ class ParameterShard:
         charges write stats; returns the slot of every row."""
         block = self._block_for(table, rows.shape[1])
         slots = block.publish(ids, rows, version, primary, slots)
+        self.epoch.bump()
         self.stats.rows_written += int(ids.size)
         self.stats.bytes_written += int(ids.size) * self.row_bytes
         return slots
@@ -483,18 +505,30 @@ class ParameterShard:
             self._block_for(table, rows.shape[1]).ingest(
                 ids, rows, versions, primary
             )
+            self.epoch.bump()
 
     def retag_primary(
         self, table: str, ids: np.ndarray, primary: np.ndarray
     ) -> None:
         if ids.size:
             self._blocks[table].retag_primary(ids, primary)
+            self.epoch.bump()
+
+    def rewiden(self, table: str, dim: int) -> None:
+        """Grow ``table``'s row width here, if this shard holds it."""
+        block = self._blocks.get(table)
+        if block is not None:
+            block.rewiden(dim)
+            self.epoch.bump()
 
     def drop(self, table: str, ids: np.ndarray) -> DeltaSlice | None:
         """Evict ``ids``; the evicted triple, or None if the table is
         unknown here (nothing to evict, and no width to shape an empty)."""
         block = self._blocks.get(table)
-        return None if block is None else block.drop(ids)
+        if block is None:
+            return None
+        self.epoch.bump()
+        return block.drop(ids)
 
     def compact(self, watermark: int | None = None) -> int:
         """Compact every table's delta log; returns total entries dropped.
@@ -505,6 +539,7 @@ class ParameterShard:
         so the *store* passes the oldest of its registered client sync
         points (see :meth:`ShardedParameterStore.compact`).
         """
+        self.epoch.bump()
         return sum(b.compact(watermark) for b in self._blocks.values())
 
     # ----------------------------------------------------------------- reads
@@ -522,10 +557,14 @@ class ParameterShard:
         if block is None:
             return None
         part = block.delta(since_version, primary_only)
-        if charge and part[0].size:
-            self.stats.rows_read += int(part[0].size)
-            self.stats.bytes_read += int(part[0].size) * self.row_bytes
+        if charge:
+            self.charge_read(int(part[0].size))
         return part
+
+    def charge_read(self, rows: int) -> None:
+        """Account ``rows`` rows read from this shard."""
+        self.stats.rows_read += rows
+        self.stats.bytes_read += rows * self.row_bytes
 
     def pull_rows_versions(
         self, table: str, ids: np.ndarray, charge: bool = True
@@ -535,10 +574,8 @@ class ParameterShard:
         if block is None:
             return None
         found, rows, versions = block.lookup_with_versions(ids)
-        hits = int(found.sum())
-        if charge and hits:
-            self.stats.rows_read += hits
-            self.stats.bytes_read += hits * self.row_bytes
+        if charge:
+            self.charge_read(int(found.sum()))
         return found, rows, versions
 
     def export_table(self, table: str) -> DeltaSlice | None:

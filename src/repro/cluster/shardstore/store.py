@@ -48,7 +48,7 @@ import numpy as np
 from ...core.dtypes import ROW_DTYPE, as_rows, check_row_dtype
 from ...core.kernels import freshest_per_id, is_sorted_unique
 from .placement import ShardPlacement
-from .shard import DeltaSlice, ParameterShard, ShardStats
+from .shard import DeltaSlice, MutationEpoch, ParameterShard, ShardStats
 
 __all__ = [
     "QuorumError",
@@ -255,8 +255,11 @@ class ShardedParameterStore:
         self.replication = replication
         self.version = 0
         self.placement = ShardPlacement(list(range(num_shards)))
+        self._epoch = MutationEpoch()
         self.shards: dict[int, ParameterShard] = {
-            sid: ParameterShard(sid, row_bytes, row_dtype=self.row_dtype)
+            sid: ParameterShard(
+                sid, row_bytes, row_dtype=self.row_dtype, epoch=self._epoch
+            )
             for sid in range(num_shards)
         }
         self._dims: dict[str, int] = {}
@@ -268,6 +271,10 @@ class ShardedParameterStore:
         self._armed_drops: dict[int, int] = {}
         self._sync_points: dict[int, int] = {}
         self._next_sync_token = 1
+        # Reads every client at one sync point shares (see ``_shared_reads``),
+        # all taken at mutation epoch ``_shared_at``.
+        self._shared: dict[tuple, object] = {}
+        self._shared_at = -1
 
     # -------------------------------------------------------------- geometry
     @property
@@ -327,12 +334,14 @@ class ShardedParameterStore:
         if shard_id in self._down:
             raise ValueError(f"shard {shard_id} is already down")
         self._down.add(shard_id)
+        self._epoch.bump()
 
     def revive_shard(self, shard_id: int) -> None:
         """Bring a killed shard back, stale: run :meth:`repair` to heal it."""
         if shard_id not in self._down:
             raise ValueError(f"shard {shard_id} is not down")
         self._down.discard(shard_id)
+        self._epoch.bump()
 
     def arm_publish_drop(self, shard_id: int) -> None:
         """Make ``shard_id`` silently drop one more publish application.
@@ -401,9 +410,7 @@ class ShardedParameterStore:
         elif width > known:
             self._dims[table] = width
             for shard in self.shards.values():
-                block = shard.block(table)
-                if block is not None:
-                    block.rewiden(width)
+                shard.rewiden(table, width)
         elif width < known:
             rows = np.pad(rows, ((0, 0), (0, known - width)))
         return rows
@@ -655,6 +662,78 @@ class ShardedParameterStore:
             ids, rows, _ = self._reconcile_parts(parts)
         return ids, rows, self.version
 
+    def _shared_reads(self) -> dict[tuple, object]:
+        """The reads memoised at the current mutation epoch; a moved epoch
+        empties them first."""
+        if self._shared_at != self._epoch.value:
+            self._shared.clear()
+            self._shared_at = self._epoch.value
+        return self._shared
+
+    def pull_covered(
+        self,
+        table: str,
+        since_version: int,
+        clean: list[int],
+        recon: list[int],
+        available: list[int],
+    ) -> DeltaSlice:
+        """The delta of one pull coverage: every ``clean`` primary's own
+        slice (:meth:`pull_delta_primary`) plus the ``recon`` ranges read
+        reconciled from ``available`` (:meth:`pull_delta_ranges`), ordered
+        by id.
+
+        Every reader of one ``(table, since_version, coverage)`` shares one
+        merge until the store next mutates.  Each still pays the shard
+        reads that merge made, charged to the same shards, and gets its own
+        copy of the arrays.
+        """
+        shared = self._shared_reads()
+        key = ("delta", table, since_version, *map(tuple, (clean, recon, available)))
+        hit = shared.get(key)
+        if hit is None:
+            shards = list(self.shards.values())
+            before = [shard.stats.rows_read for shard in shards]
+            # Primaries own disjoint key sets; empty parts keep the
+            # table's width, so they merge without special-casing.
+            parts = [
+                self.pull_delta_primary(table, since_version, sid) for sid in clean
+            ]
+            if recon:
+                parts.append(
+                    self.pull_delta_ranges(table, since_version, recon, available)
+                )
+            merged = self._merge_disjoint(parts)
+            for arr in merged:
+                arr.flags.writeable = False
+            charged = [
+                (shard, shard.stats.rows_read - read)
+                for shard, read in zip(shards, before)
+                if shard.stats.rows_read != read
+            ]
+            shared[key] = merged, charged
+        else:
+            merged, charged = hit
+            for shard, rows in charged:
+                shard.charge_read(rows)
+        return tuple(arr.copy() for arr in merged)
+
+    def changed_rows(self, tables: list[str], since_version: int) -> dict[int, int]:
+        """Per shard, its log entries past ``since_version`` over ``tables``:
+        every replica copy it holds, not only its primary range.  Shared by
+        every caller until the store next mutates; do not modify."""
+        shared = self._shared_reads()
+        key = ("changed", since_version, *tables)
+        counts = shared.get(key)
+        if counts is None:
+            counts = shared[key] = {
+                sid: sum(
+                    shard.changed_count(table, since_version) for table in tables
+                )
+                for sid, shard in sorted(self.shards.items())
+            }
+        return counts
+
     # ------------------------------------------------ resilient-read surface
     def suspect_shard_ids(self, since_version: int) -> list[int]:
         """Live shards that may be stale for a reader synced at ``since``.
@@ -905,10 +984,11 @@ class ShardedParameterStore:
         old_ids = set(self.shards)
         self.placement = new_placement
         self._directories.clear()  # the one change that moves owners or slots
+        self._epoch.bump()
         new_ids = set(new_placement.shard_ids)
         for sid in sorted(new_ids - old_ids):
             self.shards[sid] = ParameterShard(
-                sid, self.row_bytes, row_dtype=self.row_dtype
+                sid, self.row_bytes, row_dtype=self.row_dtype, epoch=self._epoch
             )
         rows_moved = 0
         for table, (ids, rows, versions) in world.items():

@@ -64,7 +64,8 @@ def as_int64_ids(values, name: str = "ids") -> np.ndarray:
     numpy.ndarray of int64
         Same shape as ``values``; a view-free copy only when needed.
     """
-    arr = np.asarray(values)  # dtype inspected below; this is the coercer
+    # repro-lint: disable=dtype-discipline -- the checked coercer: it reads the input's own dtype and checks it below
+    arr = np.asarray(values)
     kind = arr.dtype.kind
     if kind == "i":
         return arr if arr.dtype == np.int64 else arr.astype(np.int64)
@@ -113,7 +114,8 @@ def as_uint64_keys(values, name: str = "keys") -> np.ndarray:
     numpy.ndarray of uint64
         Same shape as ``values``.
     """
-    arr = np.asarray(values)  # dtype inspected below; this is the coercer
+    # repro-lint: disable=dtype-discipline -- the checked coercer: it reads the input's own dtype and checks it below
+    arr = np.asarray(values)
     kind = arr.dtype.kind
     if kind == "u":
         return arr if arr.dtype == np.uint64 else arr.astype(np.uint64)
@@ -148,7 +150,8 @@ def as_float64_rows(values, name: str = "rows") -> np.ndarray:
     numpy.ndarray of float64
         Same shape as ``values``.
     """
-    arr = np.asarray(values)  # dtype inspected below; this is the coercer
+    # repro-lint: disable=dtype-discipline -- the checked coercer: it reads the input's own dtype and checks it below
+    arr = np.asarray(values)
     if arr.dtype == np.float64:
         return arr
     if arr.dtype.kind in ("f", "i", "u", "b"):
@@ -193,7 +196,8 @@ def as_float32_rows(values, name: str = "rows") -> np.ndarray:
     numpy.ndarray of float32
         Same shape as ``values``.
     """
-    arr = np.asarray(values)  # dtype inspected below; this is the coercer
+    # repro-lint: disable=dtype-discipline -- the checked coercer: it reads the input's own dtype and checks it below
+    arr = np.asarray(values)
     if arr.dtype == np.float32:
         return arr
     if arr.dtype.kind not in ("f", "i", "u", "b"):
@@ -243,7 +247,8 @@ def as_float_rows(values, name: str = "rows") -> np.ndarray:
     numpy.ndarray of float32 or float64
         Same shape as ``values``.
     """
-    arr = np.asarray(values)  # dtype inspected below; this is the coercer
+    # repro-lint: disable=dtype-discipline -- the checked coercer: it reads the input's own dtype and checks it below
+    arr = np.asarray(values)
     if arr.dtype.kind == "f":
         return arr
     if arr.dtype.kind in ("i", "u", "b"):

@@ -392,10 +392,18 @@ class IdSlotTable:
             missing &= (ids >= 0) & (ids < self._dense.size)
         if not missing.any():
             return slots, np.empty(0, dtype=np.int64)
-        new_ids, first_pos = np.unique(ids[missing], return_index=True)
-        order = np.argsort(first_pos, kind="stable")  # first-occurrence order
         n_free = self._n_released + self.capacity - self._next_fresh
-        granted = new_ids[order][:n_free]
+        # Strictly increasing ids (what every batched caller passes) are
+        # already unique and in first-occurrence order, which is also
+        # ascending: no unique pass, and the grant writes its own slots.
+        increasing = ids.ndim == 1 and is_sorted_unique(ids)
+        if increasing:
+            granted_at = np.flatnonzero(missing)[:n_free]
+            granted = ids[granted_at]
+        else:
+            new_ids, first_pos = np.unique(ids[missing], return_index=True)
+            order = np.argsort(first_pos, kind="stable")  # first-occurrence order
+            granted = new_ids[order][:n_free]
         if granted.size == 0:
             return slots, np.empty(0, dtype=np.int64)
         new_slots = self._pop(granted.size)
@@ -403,7 +411,7 @@ class IdSlotTable:
         # position, and the resident keys fill the rest in order (what
         # np.insert does, without its per-call overhead).  Nothing of the
         # merged length is allocated but the result and one bool mask.
-        srt = np.argsort(granted)
+        srt = slice(None) if increasing else np.argsort(granted)
         at = np.searchsorted(self._keys, granted[srt])
         at += np.arange(granted.size, dtype=np.int64)
         resident = np.ones(self._keys.size + granted.size, dtype=bool)
@@ -417,6 +425,9 @@ class IdSlotTable:
         self._keys, self._vals = keys, vals
         if self._dense is not None:
             self._dense[granted] = new_slots
+        if increasing:
+            slots[granted_at] = new_slots
+            return slots, new_slots
         return self.lookup(ids), new_slots
 
     def remove(self, ids: np.ndarray) -> np.ndarray:

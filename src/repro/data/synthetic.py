@@ -170,7 +170,7 @@ class DriftingCTRStream:
         this serving node's traffic shard.
         """
         cfg = self.config
-        score = np.full(dense.shape[0], cfg.base_ctr_logit)
+        score = np.full(dense.shape[0], cfg.base_ctr_logit, dtype=np.float64)
         score += cfg.dense_weight * (dense @ self._dense_proj)
         # Sum of latent dot products with the context plus pairwise field
         # interactions (first field against the rest).

@@ -27,7 +27,7 @@ REPO = pathlib.Path(__file__).resolve().parent.parent
 
 HOT_PATH = "src/repro/core/kernels.py"  # in the hot-module scope
 PLACEMENT_PATH = "src/repro/cluster/shardstore/placement.py"
-SIM_PATH = "src/repro/data/synthetic.py"  # src, but not hot/placement
+SIM_PATH = "src/repro/data/stream.py"  # src, but not hot/placement
 
 
 def findings_for(source, path, rule=None):

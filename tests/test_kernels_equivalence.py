@@ -8,14 +8,13 @@ the vectorized paths against them over randomized inputs — including
 duplicate ids, capacity exhaustion and ring wrap-around.
 """
 
-import bisect
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reference.kernels import group_rows_sum_counting
+from reference.ring import ring_replicas, ring_route
 from repro.core.hot_index import HotIndexFilter
 from repro.core.kernels import (
     IdSlotTable,
@@ -70,40 +69,6 @@ def ref_accumulate_grad(a, b, id_to_slot, free_slots, ids, grads, lr):
 def ref_is_hot(table, ids):
     """Seed implementation: one dict probe per id."""
     return np.array([int(i) in table for i in ids], dtype=bool)
-
-
-def ref_route(router, keys):
-    """Seed implementation: one ring bisection per key, wrapping past the
-    last ring point to the first.
-
-    Shares the router's (stable) hashing so it isolates the ring lookup;
-    hash stability itself is pinned in test_serving_router.py.
-    """
-    ring = router._ring_keys.tolist()
-    out = []
-    for h in router._key_hashes(np.asarray(keys)).tolist():
-        idx = bisect.bisect_left(ring, h)
-        out.append(int(router._ring_nodes[idx % len(ring)]))
-    return np.array(out, dtype=np.int64)
-
-
-def ref_replicas(router, keys, r):
-    """Seed implementation: walk the ring clockwise from each key's home
-    point, collecting the first ``r`` distinct nodes."""
-    ring = router._ring_keys.tolist()
-    nodes = router._ring_nodes.tolist()
-    out = []
-    for h in router._key_hashes(np.asarray(keys)).tolist():
-        idx = bisect.bisect_left(ring, h)
-        owners: list[int] = []
-        for step in range(len(ring)):
-            node = nodes[(idx + step) % len(ring)]
-            if node not in owners:
-                owners.append(node)
-                if len(owners) == r:
-                    break
-        out.append(owners)
-    return np.array(out, dtype=np.int64).reshape(len(out), r)
 
 
 def ref_freshest(ids, versions):
@@ -282,6 +247,43 @@ class TestIdSlotTable:
             assert table._keys.tobytes() == keys.tobytes()
             assert table._vals.tobytes() == vals.tobytes()
 
+    @pytest.mark.parametrize("universe", [None, 300])
+    def test_sorted_insert_matches_the_general_path(self, universe, monkeypatch):
+        """Strictly increasing ids take the fast path (no unique pass, the
+        grant writes its own slots).  Twin tables see one op sequence —
+        sorted and unsorted batches, out-of-universe ids, capacity
+        exhaustion, released-slot reuse, growth — one as it is, one with
+        the sortedness test forced off; every result and both maps stay
+        byte-identical."""
+        import repro.core.kernels as kernels
+
+        real = kernels.is_sorted_unique
+        rng = np.random.default_rng(21)
+        fast, general = IdSlotTable(48, universe=universe), IdSlotTable(48, universe=universe)
+        sorted_batches = denied = 0
+        for step in range(200):
+            ids = rng.integers(-20, 320, size=rng.integers(1, 40))
+            if rng.random() < 0.7:
+                ids = np.unique(ids)
+                sorted_batches += 1
+            op = rng.choice(["insert", "insert", "insert", "remove", "grow"])
+            outs = []
+            for table, sortedness in ((fast, real), (general, lambda ids: False)):
+                monkeypatch.setattr(kernels, "is_sorted_unique", sortedness)
+                if op == "insert":
+                    outs.append(table.insert(ids))
+                elif op == "remove":
+                    outs.append((table.remove(ids),))
+                elif step % 5 == 0:
+                    table.grow(table.capacity + 8)
+            for got, want in zip(*outs):
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            if op == "insert":
+                denied += int(np.count_nonzero((outs[0][0] < 0) & (ids >= 0)))
+            assert fast.keys.tobytes() == general.keys.tobytes()
+            assert fast.slots.tobytes() == general.slots.tobytes()
+        assert sorted_batches > 100 and denied > 0 and fast.size == general.size > 0
+
     def test_splitmix64_is_deterministic(self):
         vals = np.array([0, 1, 2**40, -5], dtype=np.int64)
         # fixed expectations: must never change across runs or platforms
@@ -438,7 +440,7 @@ class TestRouterEquivalence:
         # the top hash values land past the last ring point and wrap
         keys = rng.integers(0, 1 << 62, size=2000)
         router = ConsistentHashRouter(nodes)
-        np.testing.assert_array_equal(router.route(keys), ref_route(router, keys))
+        np.testing.assert_array_equal(router.route(keys), ring_route(router, keys))
         assert router.stats.routed == keys.size
 
     @pytest.mark.parametrize("r", [1, 2, 3])
@@ -447,7 +449,7 @@ class TestRouterEquivalence:
         keys = rng.integers(0, 1 << 62, size=500)
         router = ConsistentHashRouter([3, 1, 4, 5])
         got = router.replica_assign(keys, r)
-        np.testing.assert_array_equal(got, ref_replicas(router, keys, r))
+        np.testing.assert_array_equal(got, ring_replicas(router, keys, r))
         np.testing.assert_array_equal(got[:, 0], router.route(keys))
 
 

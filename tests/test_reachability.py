@@ -17,8 +17,8 @@ another root file names it (a ``Name``, an ``Attribute`` or an import
 alias), when its own module names it outside its own body, when a string
 literal under ``benchmarks/`` names it (``SpanRecorder.patch(store,
 "pull_delta", ...)`` wraps methods by attribute name), when a
-``getattr`` / ``hasattr`` / ``setattr`` in ``src/`` names it, or when it
-is ``@register``-ed.  ``__all__`` lists, ``repro.core``'s lazy
+``getattr`` / ``hasattr`` / ``setattr`` in ``src/`` names it.  A
+decorator reaches nothing.  ``__all__`` lists, ``repro.core``'s lazy
 ``_EXPORTS`` and package ``__init__`` re-imports reach nothing, as for
 modules.  ``@property`` and ``@cached_property`` accessors are symbols
 too, reached the same way (a read is an ``Attribute`` of their name); a
@@ -275,7 +275,6 @@ def unreached_symbols(
             name = node.name
             if (
                 name.startswith("__") and name.endswith("__")
-                or "register" in _decorator_names(node)
                 or name in by_string
                 or named_in.get(name, set()) - {path}
                 or own[name] > sum(_names(part)[name] for part in body)
@@ -307,8 +306,6 @@ def _plant(tmp_path: Path, files: dict[str, str]) -> Path:
 _PLANTED = {
     "src/pkg/__init__.py": "from .mod import Store\n__all__ = ['Store', 'dead_fn']\n",
     "src/pkg/mod.py": (
-        "from .reg import register\n"
-        "\n"
         "class Store:\n"
         "    def read(self):\n"
         "        return self.read()\n"  # recursion alone reaches nothing
@@ -324,14 +321,9 @@ _PLANTED = {
         "    def view(self):\n"
         "        return 4\n"
         "\n"
-        "@register\n"
-        "class Rule:\n"
-        "    pass\n"
-        "\n"
         "def dead_fn():\n"
         "    return 5\n"
     ),
-    "src/pkg/reg.py": "def register(cls):\n    return cls\n",
     "src/pkg/user.py": (
         "from .mod import Store\n"
         "\n"
@@ -355,17 +347,17 @@ def test_symbol_guard_flags_a_planted_dead_method(tmp_path):
     root = _plant(tmp_path, _PLANTED)
     bench = [root / "benchmarks" / "bench.py"]
     missing = unreached_symbols(root / "src", bench, bench)
-    assert missing == ["src/pkg/mod.py:4 Store.read", "src/pkg/mod.py:22 dead_fn"]
+    assert missing == ["src/pkg/mod.py:2 Store.read", "src/pkg/mod.py:16 dead_fn"]
 
 
-def test_symbol_guard_counts_patch_strings_probes_and_register(tmp_path):
+def test_symbol_guard_counts_patch_strings_and_probes(tmp_path):
     root = _plant(tmp_path, _PLANTED)
     bench = [root / "benchmarks" / "bench.py"]
     missing = unreached_symbols(root / "src", bench, bench)
-    reached = {"Store.pull", "Store.probed", "Rule", "Store.helper", "Store.view"}
+    reached = {"Store.pull", "Store.probed", "Store.helper", "Store.view"}
     assert not reached & {m.split()[1] for m in missing}
     # without the benchmark's patch string, ``pull`` is dead
-    assert "src/pkg/mod.py:6 Store.pull" in unreached_symbols(
+    assert "src/pkg/mod.py:4 Store.pull" in unreached_symbols(
         root / "src", bench, []
     )
 

@@ -191,6 +191,30 @@ class TestHealthTracker:
         health.record(2, 50.0, True, hedged=True)  # hedged: excluded
         assert health.latency_quantile(1.0) == pytest.approx(0.1)
 
+    @pytest.mark.parametrize("seed", range(40))
+    def test_quantile_is_numpys_over_the_window(self, seed):
+        """Read from the sorted window, the quantile is ``np.quantile`` of
+        the last ``HEALTH_WINDOW`` healthy, unhedged samples, bit for bit,
+        at every step: before the window fills, while it evicts, with
+        repeated values, failures and hedged attempts mixed in."""
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 3 * HEALTH_WINDOW))
+        latencies = rng.exponential(size=n) * 10.0 ** rng.integers(-4, 3)
+        if seed % 2:
+            latencies = np.round(latencies, 3)  # ties
+        ok = rng.random(n) > 0.1
+        hedged = rng.random(n) < 0.2
+        quantiles = [0.0, 0.5, HEDGE_QUANTILE, 1.0, *rng.random(3).tolist()]
+        health = HealthTracker()
+        window: list[float] = []
+        for latency, good, slow in zip(latencies.tolist(), ok, hedged):
+            health.record(int(rng.integers(8)), latency, bool(good), hedged=bool(slow))
+            if good and not slow:
+                window = (window + [latency])[-HEALTH_WINDOW:]
+            for q in quantiles:
+                want = np.quantile(window, q) if window else float("inf")
+                assert health.latency_quantile(q) == want
+
     def test_replica_order_is_deterministic_and_health_first(self):
         health = HealthTracker()
         health.record(3, 0.5, True)
