@@ -12,8 +12,7 @@ Subpackages:
   rank adaptation, usage-based pruning, the inference-side trainer, sparse
   data-parallel sync, and the tiered update strategy.
 * :mod:`repro.serving` — the co-located node simulator and QoS monitoring.
-* :mod:`repro.obs` — telemetry library: sim-clock tracer, flight
-  recorder, metric types and Prometheus/JSON exporters.
+* :mod:`repro.obs` — the simulated clock the resilient client runs on.
 * :mod:`repro.experiments` — drivers for every paper figure and table.
 """
 

@@ -1,4 +1,4 @@
-"""The invariant rules: eight repo-specific checks and ``unused-import``.
+"""The invariant rules: seven repo-specific checks and ``unused-import``.
 
 Each rule is a generator ``check(ctx)`` over one parsed file that yields
 ``(node, message)`` for every violation; :data:`RULES` lists them with
@@ -10,7 +10,6 @@ holds the catalogue and the incident behind each rule.
 from __future__ import annotations
 
 import ast
-import re
 from typing import Iterator
 
 from .config import (
@@ -250,47 +249,6 @@ def public_api(ctx: FileContext) -> Hits:
             )
 
 
-_METRIC_FACTORIES = frozenset({"counter", "gauge", "histogram", "span"})
-_METRIC_NAME_RE = re.compile(r"^[a-z0-9_]+(\.[a-z0-9_]+)+$")
-
-
-def obs_discipline(ctx: FileContext) -> Hits:
-    """Telemetry discipline: metric and span names are dotted literals."""
-    for node in ast.walk(ctx.tree):
-        if not (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr in _METRIC_FACTORIES
-        ):
-            continue
-        qual = ctx.qualname(node.func)
-        if qual is not None and qual.startswith("numpy."):
-            continue  # np.histogram and friends are not metric factories
-        name_arg = node.args[0] if node.args else None
-        if name_arg is None:
-            for kw in node.keywords:
-                if kw.arg == "name":
-                    name_arg = kw.value
-        if name_arg is None:
-            continue
-        if not (
-            isinstance(name_arg, ast.Constant)
-            and isinstance(name_arg.value, str)
-        ):
-            yield (
-                node,
-                f".{node.func.attr}(...) metric/span name must be a "
-                "string literal so registry lookups stay cacheable "
-                "and statically greppable",
-            )
-        elif not _METRIC_NAME_RE.match(name_arg.value):
-            yield (
-                node,
-                f"metric/span name {name_arg.value!r} must be a "
-                "lowercase dotted literal like 'plane.component.metric'",
-            )
-
-
 _BROAD_EXCEPTIONS = frozenset(
     {
         "Exception",
@@ -354,7 +312,6 @@ RULES = (
     ("hot-loop", HOT_MODULES, hot_loop),
     ("dtype-discipline", HOT_MODULES, dtype_discipline),
     ("public-api", PUBLIC_API_MODULES, public_api),
-    ("obs-discipline", ("repro", "repro.*", "benchmarks.*", "examples.*"), obs_discipline),
     ("no-bare-except", FAULT_MODULES, no_bare_except),
     ("unused-import", _ALL_MODULES, unused_import),
 )
@@ -423,7 +380,7 @@ def _module_imports(body: list[ast.stmt]) -> Iterator[tuple[ast.stmt, str]]:
 
 def _referenced_names(tree: ast.Module) -> set[str]:
     """Every name the module reads, quoted forward-reference annotations
-    (``x: "Tracer"``) included."""
+    (``x: "SimClock"``) included."""
     used: set[str] = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):

@@ -82,13 +82,12 @@ def backoff_s(attempt: int, key: int = 0) -> float:
 class ResiliencePolicy:
     """Shared runtime state of one resilient client.
 
-    Parameters
-    ----------
-    clock : SimClock, optional
-        The simulated timeline everything is stamped against.
+    It takes no arguments: ``clock`` is the simulated timeline every
+    backoff, hedge and breaker transition is stamped against, and it
+    starts at 0 with the policy.
     """
 
-    clock: SimClock = field(default_factory=SimClock)
+    clock: SimClock = field(default_factory=SimClock, init=False)
     health: HealthTracker = field(default_factory=HealthTracker, init=False)
     _breakers: dict[int, CircuitBreaker] = field(default_factory=dict, init=False)
 

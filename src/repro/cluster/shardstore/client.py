@@ -18,7 +18,6 @@ answer exactly never advances it.
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -90,11 +89,6 @@ class ShardClient:
         The shared parameter plane.
     link : repro.cluster.network.NetworkLink, optional
         Network path between this client and the store tier.
-    tracer : repro.obs.trace.Tracer, optional
-        When given, every flush/pull runs under a span and the modelled
-        transfer seconds advance the tracer's clock (a ``SimClock`` in
-        simulations, making traces deterministic; a no-op on wall
-        clocks).
     faults : repro.cluster.faults.FaultPlane, optional
         Fault-injection plane (anything with a ``delay_factor`` float
         attribute works).  Active ``delay`` faults multiply the modelled
@@ -128,13 +122,11 @@ class ShardClient:
         self,
         store: ShardedParameterStore,
         link: NetworkLink = GBE_100,
-        tracer=None,
         faults=None,
         resilience: ResiliencePolicy | None = None,
     ) -> None:
         self.store = store
         self.link = link
-        self.tracer = tracer
         self.faults = faults
         self.resilience = resilience
         self.cost = CollectiveCostModel(link)
@@ -204,46 +196,39 @@ class ShardClient:
         """
         policy = self.resilience
         max_attempts = 1 if policy is None else MAX_ATTEMPTS
-        span = (
-            contextlib.nullcontext()
-            if self.tracer is None
-            else self.tracer.span("shardstore.client.flush")
-        )
-        with span as open_span:
-            batches = [
-                (
-                    table,
-                    np.concatenate([p[0] for p in parts]),
-                    np.concatenate([p[1] for p in parts], axis=0),
-                )
-                for table, parts in self._staged.items()
-            ]
-            version = self.store.version
-            attempt = 1
-            while batches:
-                try:
-                    version = self.store.publish_many(batches)
-                    break
-                except QuorumError:
-                    if attempt >= max_attempts:
-                        raise
-                    policy.clock.advance(backoff_s(attempt, key=self._pull_seq))
-                    attempt += 1
-            rows = sum(int(ids.size) for _, ids, _ in batches)
-            nbytes = rows * self.store.row_bytes
-            report = ClientTransferReport(
-                version=version,
-                rows=rows,
-                bytes=nbytes,
-                seconds=self.transfer_seconds(nbytes),
-                tables=[t for t, _, _ in batches],
-                attempts=attempt,
-                retries=attempt - 1,
+        batches = [
+            (
+                table,
+                np.concatenate([p[0] for p in parts]),
+                np.concatenate([p[1] for p in parts], axis=0),
             )
-            if batches:
-                self._staged.clear()
-                self.push_log.append(report)
-            self._trace(open_span, report)
+            for table, parts in self._staged.items()
+        ]
+        version = self.store.version
+        attempt = 1
+        while batches:
+            try:
+                version = self.store.publish_many(batches)
+                break
+            except QuorumError:
+                if attempt >= max_attempts:
+                    raise
+                policy.clock.advance(backoff_s(attempt, key=self._pull_seq))
+                attempt += 1
+        rows = sum(int(ids.size) for _, ids, _ in batches)
+        nbytes = rows * self.store.row_bytes
+        report = ClientTransferReport(
+            version=version,
+            rows=rows,
+            bytes=nbytes,
+            seconds=self.transfer_seconds(nbytes),
+            tables=[t for t, _, _ in batches],
+            attempts=attempt,
+            retries=attempt - 1,
+        )
+        if batches:
+            self._staged.clear()
+            self.push_log.append(report)
         return report
 
     def publish(
@@ -302,64 +287,55 @@ class ShardClient:
         store = self.store
         policy = self.resilience
         since = self.synced_version
-        span = (
-            contextlib.nullcontext()
-            if self.tracer is None
-            else self.tracer.span(
-                "shardstore.client.pull", lag=self.staleness_versions()
-            )
+        cover = (
+            self._coverage(since)
+            if policy is None
+            else self._wave(tables, since)
         )
-        with span as open_span:
-            cover = (
-                self._coverage(since)
-                if policy is None
-                else self._wave(tables, since)
-            )
-            deltas: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-            total_rows = 0
-            if cover.exact:
-                for table in tables:
-                    ids, rows, _ = store.pull_covered(
-                        table, since, cover.clean, cover.recon, cover.available
-                    )
-                    deltas[table] = (ids, rows)
-                    total_rows += int(ids.size)
-                self.synced_version = store.version
-                # Pullers pin compaction lazily, on first pull: a publish-only
-                # client never registers, so it never holds the watermark back.
-                if self._sync_token is None:
-                    self._sync_token = store.register_sync_point(
-                        self.synced_version
-                    )
-                else:
-                    store.update_sync_point(self._sync_token, self.synced_version)
-            nbytes = total_rows * store.row_bytes
-            report = ClientTransferReport(
-                version=self.synced_version,
-                rows=total_rows,
-                bytes=nbytes,
-                seconds=(
-                    self.transfer_seconds(nbytes) if policy is None else cover.seconds
-                ),
-                tables=list(tables),
-                outcome=(
-                    "degraded" if not cover.exact
-                    else "hedged" if cover.hedges
-                    else "ok"
-                ),
-                degraded=not cover.exact,
-                attempts=cover.attempts,
-                hedges=cover.hedges,
-                retries=cover.retries,
-            )
-            self.pull_log.append(report)
-            if report.degraded:
-                if policy is None:
-                    raise DegradedReadError(
-                        list(tables), since, store.version, reason="coverage"
-                    )
-                deltas = {table: store.empty_delta(table)[:2] for table in tables}
-            self._trace(open_span, report)
+        deltas: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        total_rows = 0
+        if cover.exact:
+            for table in tables:
+                ids, rows, _ = store.pull_covered(
+                    table, since, cover.clean, cover.recon, cover.available
+                )
+                deltas[table] = (ids, rows)
+                total_rows += int(ids.size)
+            self.synced_version = store.version
+            # Pullers pin compaction lazily, on first pull: a publish-only
+            # client never registers, so it never holds the watermark back.
+            if self._sync_token is None:
+                self._sync_token = store.register_sync_point(
+                    self.synced_version
+                )
+            else:
+                store.update_sync_point(self._sync_token, self.synced_version)
+        nbytes = total_rows * store.row_bytes
+        report = ClientTransferReport(
+            version=self.synced_version,
+            rows=total_rows,
+            bytes=nbytes,
+            seconds=(
+                self.transfer_seconds(nbytes) if policy is None else cover.seconds
+            ),
+            tables=list(tables),
+            outcome=(
+                "degraded" if not cover.exact
+                else "hedged" if cover.hedges
+                else "ok"
+            ),
+            degraded=not cover.exact,
+            attempts=cover.attempts,
+            hedges=cover.hedges,
+            retries=cover.retries,
+        )
+        self.pull_log.append(report)
+        if report.degraded:
+            if policy is None:
+                raise DegradedReadError(
+                    list(tables), since, store.version, reason="coverage"
+                )
+            deltas = {table: store.empty_delta(table)[:2] for table in tables}
         return deltas, report
 
     # -------------------------------------------------------------- coverage
@@ -538,14 +514,3 @@ class ShardClient:
         clock = self.resilience.clock
         if target_s > clock.now():
             clock.set(target_s)
-
-    # ----------------------------------------------------------------- trace
-    def _trace(self, span, report: ClientTransferReport) -> None:
-        """Stamp an open flush/pull span and charge its modelled seconds to
-        the tracer's clock; ``span`` is None without a tracer."""
-        if span is None:
-            return
-        span.attrs["version"] = report.version
-        span.attrs["rows"] = report.rows
-        span.attrs["bytes"] = report.bytes
-        self.tracer.advance(report.seconds)

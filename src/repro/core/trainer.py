@@ -17,6 +17,7 @@ which lookups need the LoRA adjustment.
 
 from __future__ import annotations
 
+import time
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -24,7 +25,6 @@ import numpy as np
 
 from ..data.stream import InferenceLogBuffer
 from ..dlrm.model import DLRM
-from ..obs.trace import Tracer
 from .hot_index import HotIndexFilter
 from .lora import LoRACollection
 from .pruning import UsageTracker
@@ -111,9 +111,6 @@ class LoRATrainer:
         self.model = model
         self.buffer = buffer
         self.config = config or TrainerConfig()
-        # Step timing goes through a wall-clock tracer span, so
-        # report.train_seconds and span durations share one source.
-        self.tracer = Tracer()
         cfg = self.config
         dims = [t.dim for t in model.embeddings]
         capacities = [
@@ -177,28 +174,28 @@ class LoRATrainer:
     ) -> float:
         """Train the adapters on an explicit batch (testing hook)."""
         cfg = self.config
-        with self.tracer.span("core.trainer.step") as span:
-            cache = self.model.forward(
-                dense, sparse_ids, overlay=self.lora.overlay()
+        start = time.perf_counter()
+        cache = self.model.forward(
+            dense, sparse_ids, overlay=self.lora.overlay()
+        )
+        result = self.model.backward(cache, labels, dense_grads=False)
+        for f, grad in enumerate(result.embedding_grads):
+            # grad.indices is sorted and unique: every consumer below
+            # takes it as is, none re-resolves it.
+            self.report.rows_updated += self.lora[f].accumulate_grad(
+                grad.indices, grad.rows, cfg.lr
             )
-            result = self.model.backward(cache, labels, dense_grads=False)
-            for f, grad in enumerate(result.embedding_grads):
-                # grad.indices is sorted and unique: every consumer below
-                # takes it as is, none re-resolves it.
-                self.report.rows_updated += self.lora[f].accumulate_grad(
-                    grad.indices, grad.rows, cfg.lr
-                )
-                self.usage[f].record_update(grad.indices)
-                self.hot_filter.mark(f, grad.indices)
-                self.last_update_ids[f] = grad.indices
-                self._grad_snapshots[f].append(
-                    grad.rows[:_GRAD_SNAPSHOT_ROWS]
-                )
-            self.report.steps += 1
-            self.report.samples_seen += int(labels.shape[0])
-            if self.report.steps % cfg.adapt_interval == 0:
-                self._adapt()
-        self.report.train_seconds += span.duration
+            self.usage[f].record_update(grad.indices)
+            self.hot_filter.mark(f, grad.indices)
+            self.last_update_ids[f] = grad.indices
+            self._grad_snapshots[f].append(
+                grad.rows[:_GRAD_SNAPSHOT_ROWS]
+            )
+        self.report.steps += 1
+        self.report.samples_seen += int(labels.shape[0])
+        if self.report.steps % cfg.adapt_interval == 0:
+            self._adapt()
+        self.report.train_seconds += time.perf_counter() - start
         return result.loss
 
     # ------------------------------------------------------------ adaptation

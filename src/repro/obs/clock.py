@@ -1,20 +1,15 @@
-"""Clock sources for the tracing layer: simulated or monotonic-wall.
+"""The simulated clock.
 
-A :class:`~repro.obs.trace.Tracer` timestamps spans off whichever clock
-it is handed.  Inside a simulation the clock is a :class:`SimClock`
-advanced by modelled durations (e.g. the alpha-beta transfer seconds a
-``ShardClient`` flush reports), which makes trace dumps byte-identical
-across hosts and processes — the same property the ``no-wallclock-in-sim``
-lint rule protects.  Outside a simulation :class:`WallClock` reads
-``time.perf_counter`` (monotonic compute time, explicitly allowed by that
-rule) so real benchmarks still get real durations.
+Inside a simulation time is advanced by modelled durations (the
+alpha-beta transfer seconds of a per-shard RPC, a retry's backoff), never
+read off the host, which keeps replays byte-identical across hosts and
+processes — the same property the ``no-wallclock-in-sim`` lint rule
+protects.
 """
 
 from __future__ import annotations
 
-import time
-
-__all__ = ["SimClock", "WallClock"]
+__all__ = ["SimClock"]
 
 
 class SimClock:
@@ -50,19 +45,3 @@ class SimClock:
             raise ValueError("simulated time cannot move backwards")
         self._now = t
         return self._now
-
-
-class WallClock:
-    """Monotonic real-time clock for non-simulated measurement.
-
-    Reads ``time.perf_counter`` — a duration-only monotonic source, which
-    the ``no-wallclock-in-sim`` lint rule permits (unlike ``time.time``).
-    It has no :meth:`SimClock.advance`; ``Tracer.advance`` is a no-op on
-    wall clocks, so instrumented code can advance unconditionally.
-    """
-
-    __slots__ = ()
-
-    def now(self) -> float:
-        """Monotonic seconds from an arbitrary process-local origin."""
-        return time.perf_counter()

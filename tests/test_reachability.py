@@ -56,11 +56,6 @@ collision counts as set, which errs safe.  A flagged ``path:line
 Class.field`` is a setting nothing changes: mark state ``init=False``,
 delete a field nothing reads, or make its value a constant where it is
 used and delete the branch it gated.
-
-A third guard keeps one owner per number: a component keeps its counts
-in its own report or log, so no module outside ``repro.obs`` imports the
-metric or flight-recorder types; only ``python -m repro.obs`` builds a
-registry, from those reports.
 """
 
 from __future__ import annotations
@@ -422,18 +417,6 @@ def test_every_export_resolves():
         exported |= set(getattr(package, "_EXPORTS", ()))
         unresolved += [f"{name}.{a}" for a in sorted(exported) if not hasattr(package, a)]
     assert not unresolved, f"exported names that resolve to nothing: {unresolved}"
-
-
-def test_only_repro_obs_builds_metrics_or_flight_records():
-    telemetry = {"repro.obs.metrics", "repro.obs.recorder"}
-    offenders = sorted(
-        name
-        for name, path in MODULES.items()
-        if name != "repro.obs"
-        and not name.startswith("repro.obs.")
-        and telemetry & {_resolve(r) for r in _references(path, _package_of(name, path))}
-    )
-    assert not offenders, f"components own their counts; {offenders} import metrics/recorder"
 
 
 def _calls(tree: ast.Module):

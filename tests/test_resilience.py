@@ -3,8 +3,8 @@
 Covers each piece in isolation at the module's fixed budgets —
 deterministic retry backoff, the circuit-breaker state machine
 (including the lazy boundary-stamped open -> half-open transition and
-its byte-identical transition log across processes), health tracking
-and the hedging trigger.
+its byte-identical transition log across processes), health tracking,
+the hedging trigger and the simulated clock they all run on.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from repro.cluster.resilience.policy import (
     MAX_BACKOFF_S,
     backoff_s,
 )
+from repro.obs import SimClock
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -257,5 +258,25 @@ class TestResiliencePolicy:
         assert policy.breaker_for(3) is not policy.breaker_for(4)
 
     def test_clock_is_the_only_setting(self):
+        """The clock is state, not a setting: nothing is settable."""
         settable = [f.name for f in dataclasses.fields(ResiliencePolicy) if f.init]
-        assert settable == ["clock"]
+        assert settable == []
+        with pytest.raises(TypeError):
+            ResiliencePolicy(clock=SimClock())
+
+
+class TestSimClock:
+    def test_advance_and_set(self):
+        clock = SimClock()
+        assert clock.now() == 0.0
+        clock.advance(1.5)
+        clock.set(10.0)
+        assert clock.now() == 10.0
+
+    def test_time_cannot_move_backwards(self):
+        clock = SimClock()
+        clock.set(5.0)
+        with pytest.raises(ValueError):
+            clock.advance(-1.0)
+        with pytest.raises(ValueError):
+            clock.set(4.0)

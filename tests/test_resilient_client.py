@@ -5,11 +5,17 @@ with the legacy pull path, hedged reads under a slow replica, breaker
 lifecycle across pulls, degraded serving with its staleness bound under
 full coverage loss, the flush-retry guarantee (a refused attempt retried
 in the loop lands exactly once; an exhausted flush keeps its staged rows
-and lands exactly once after repair), and the same coverage rule on a
-client without a policy.
+and lands exactly once after repair), the same coverage rule on a
+client without a policy, and a faulted scenario that replays
+byte-identically under two hash seeds.
 """
 
 from __future__ import annotations
+
+import hashlib
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -25,6 +31,7 @@ from repro.cluster.shardstore import (
 )
 
 DIM = 4
+TESTS = os.path.dirname(os.path.abspath(__file__))
 
 
 def make_store(num_shards=4, replication=3, dim=DIM):
@@ -412,3 +419,81 @@ class TestPlainPullCoverage:
         assert as_map(*deltas["emb"]) == as_map(np.arange(64), values)
         # the cost model is still the rows moved, not a modelled wave
         assert report.seconds == client.transfer_seconds(report.bytes)
+
+
+def faulted_scenario() -> str:
+    """A resilient client under faults, as one process-independent text.
+
+    Shard 0 turns slow, shard 1 is killed and later revived, and while
+    shard 1 is down one flush is refused once (a lost message on shard 2)
+    and retried after a backoff.  The text holds the ``repr`` of both
+    transfer logs, the policy clock and a digest of every pulled row.
+    """
+    rng = np.random.default_rng(11)
+    store = make_store(num_shards=4, replication=3)
+    store.publish_batch("emb", np.arange(256), rng.normal(size=(256, DIM)))
+    slow, dead, dropping = (int(s) for s in store.shard_ids[:3])
+    plane = FaultPlane(
+        store,
+        FaultSchedule(
+            [
+                FaultEvent(0.0, "slow_node", shard_id=slow, factor=20.0),
+                FaultEvent(2.0, "kill", shard_id=dead),
+                FaultEvent(4.0, "revive", shard_id=dead),
+            ]
+        ),
+    )
+    policy = ResiliencePolicy()
+    client = ShardClient(store, faults=plane, resilience=policy)
+    digest = hashlib.sha256()
+    for step in range(6):
+        plane.advance_to(float(step))
+        hot = rng.choice(256, size=32, replace=False)
+        if step == 3:
+            store.arm_publish_drop(dropping)
+            client.stage("emb", hot, rng.normal(size=(32, DIM)))
+            client.flush()
+        else:
+            store.publish_batch("emb", hot, rng.normal(size=(32, DIM)))
+        deltas, _ = client.pull_tables(["emb"])
+        ids, rows = deltas["emb"]
+        digest.update(ids.tobytes())
+        digest.update(rows.tobytes())
+    return "\n".join(
+        [
+            repr(client.push_log),
+            repr(client.pull_log),
+            repr(policy.clock.now()),
+            digest.hexdigest(),
+        ]
+    )
+
+
+class TestCrossProcessDeterminism:
+    def test_faulted_scenario_is_identical_under_two_hash_seeds(self):
+        outs = []
+        for hashseed in ("0", "42"):
+            env = dict(os.environ)
+            env["PYTHONHASHSEED"] = hashseed
+            env["PYTHONPATH"] = os.pathsep.join(
+                [os.path.join(os.path.dirname(TESTS), "src"), TESTS]
+            )
+            proc = subprocess.run(
+                [
+                    sys.executable,
+                    "-c",
+                    "import test_resilient_client as t; print(t.faulted_scenario())",
+                ],
+                capture_output=True,
+                text=True,
+                env=env,
+                timeout=60,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outs.append(proc.stdout)
+        assert outs[0] == outs[1]
+        # the scenario ran what it names: a retried flush, hedged pulls and
+        # no degraded one
+        assert "retries=1" in outs[0]
+        assert "outcome='hedged'" in outs[0]
+        assert "degraded=True" not in outs[0]
