@@ -1,5 +1,7 @@
 """Tests for the inference-side LoRA trainer."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -60,6 +62,20 @@ class TestTraining:
             trainer.train_step()
         np.testing.assert_array_equal(emb_before, model.embeddings[0].weight)
         np.testing.assert_array_equal(dense_before, model.bottom.weights[0])
+
+    def test_train_seconds_is_the_host_time_of_each_step(self, world):
+        model, stream, buffer = world
+        _fill(buffer, stream)
+        trainer = LoRATrainer(model, buffer)
+        assert trainer.report.train_seconds == 0.0
+        seen = []
+        for _ in range(3):
+            start = time.perf_counter()
+            trainer.train_step()
+            elapsed = time.perf_counter() - start
+            seen.append(trainer.report.train_seconds)
+            step = seen[-1] - (seen[-2] if len(seen) > 1 else 0.0)
+            assert 0.0 < step <= elapsed
 
     def test_training_reduces_loss(self, world):
         model, stream, buffer = world

@@ -280,3 +280,24 @@ class TestSimClock:
             clock.advance(-1.0)
         with pytest.raises(ValueError):
             clock.set(4.0)
+
+    def test_zero_steps_are_allowed_and_return_now(self):
+        clock = SimClock()
+        assert clock.advance(0.0) == 0.0
+        assert clock.set(2.5) == 2.5
+        assert clock.set(2.5) == 2.5
+        assert clock.advance(0.5) == 3.0
+
+    def test_refused_move_leaves_time_unchanged(self):
+        clock = SimClock()
+        clock.set(5.0)
+        for move in (lambda: clock.advance(-1e-9), lambda: clock.set(4.999)):
+            with pytest.raises(ValueError):
+                move()
+            assert clock.now() == 5.0
+
+    def test_policy_clock_is_shared_timeline_state(self):
+        policy = ResiliencePolicy()
+        policy.clock.advance(backoff_s(1, key=0))
+        assert policy.clock.now() == backoff_s(1, key=0)
+        assert ResiliencePolicy().clock.now() == 0.0  # one clock per policy
